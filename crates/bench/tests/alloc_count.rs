@@ -2,13 +2,16 @@
 //! wraps `System`, the full steady-state sample loop (precode → medium mix →
 //! project → cancel-reconstruct/subtract → OFDM symbol → planned FFT → fast
 //! convolution) runs on warm `_into` buffers, and the heap counter must not
-//! move.
+//! move. The same counter caps the heap traffic of one fig15 group score.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
 //! window must be the only live thread in the process — libtest's harness
 //! threads allocate sporadically and would trip the counter.
 
+use iac_channel::estimation::EstimationConfig;
 use iac_channel::{Awgn, Cfo};
+use iac_core::grid::{ChannelGrid, Direction};
+use iac_core::optimize;
 use iac_linalg::{C64, CMat, CVec, Rng64};
 use iac_phy::cancel::{reconstruct_into, subtract};
 use iac_phy::dsp::Scratch;
@@ -282,7 +285,62 @@ fn observed_des_steady_state_is_allocation_free() {
     println!("alloc_count: 1000 observed DES steps performed 0 heap allocations — ok");
 }
 
+/// Most heap allocations one fig15 uplink / downlink group score may make.
+/// The count is deterministic; 2×2 values live inline, so what remains is
+/// the grid and schedule `Vec`s and the decoder's per-step lists.
+const UPLINK_SCORE_CEILING: u64 = 50;
+const DOWNLINK_SCORE_CEILING: u64 = 45;
+
+/// One fig15 leader-side group score, as `scenarios/fig15.rs` computes it:
+/// cut the group's 3×3 sub-grid out of the slot's estimates, align it, and
+/// take the rate the optimiser reports for its winner.
+fn group_scores_stay_under_ceiling() {
+    let mut rng = Rng64::new(0xF15);
+    let est = EstimationConfig::paper_default();
+    let up = ChannelGrid::random(Direction::Uplink, 8, 3, 2, 2, &mut rng).estimated(&est, &mut rng);
+    let down =
+        ChannelGrid::random(Direction::Downlink, 3, 8, 2, 2, &mut rng).estimated(&est, &mut rng);
+    let group = [4usize, 1, 6];
+
+    let before = allocations();
+    let sub = ChannelGrid::new(
+        Direction::Uplink,
+        group
+            .iter()
+            .map(|&t| (0..3).map(|r| up.link(t, r).clone()).collect())
+            .collect(),
+    );
+    let rate = optimize::uplink4_optimized(&sub, 1.0, 0.05).map(|o| o.rate);
+    let uplink = allocations() - before;
+    assert!(rate.expect("uplink aligns") > 0.0);
+
+    let before = allocations();
+    let sub = ChannelGrid::new(
+        Direction::Downlink,
+        (0..3)
+            .map(|a| group.iter().map(|&c| down.link(a, c).clone()).collect())
+            .collect(),
+    );
+    let rate = optimize::downlink3_optimized(&sub, 1.0, 0.05).map(|o| o.rate);
+    let downlink = allocations() - before;
+    assert!(rate.expect("downlink aligns") > 0.0);
+
+    assert!(
+        uplink <= UPLINK_SCORE_CEILING,
+        "one uplink group score allocated {uplink} times (ceiling {UPLINK_SCORE_CEILING})"
+    );
+    assert!(
+        downlink <= DOWNLINK_SCORE_CEILING,
+        "one downlink group score allocated {downlink} times (ceiling {DOWNLINK_SCORE_CEILING})"
+    );
+    println!(
+        "alloc_count: one fig15 group score made {uplink} heap allocations uplink, \
+         {downlink} downlink — ok"
+    );
+}
+
 fn main() {
+    group_scores_stay_under_ceiling();
     des_steady_state_is_allocation_free();
     observed_des_steady_state_is_allocation_free();
     let mut pipe = Pipeline::new();

@@ -16,7 +16,7 @@
 
 use crate::grid::ChannelGrid;
 use crate::schedule::DecodeSchedule;
-use crate::solver::decoding_vectors;
+use crate::solver::step_decoding_vectors;
 use iac_linalg::{CVec, Result};
 
 /// Post-processing SINR of one decoded packet.
@@ -67,13 +67,10 @@ impl DecodeOutcome {
 /// sending one packet puts its whole budget (both antennas) behind it —
 /// the source of IAC's diversity gain in §10.1.
 pub fn equal_split_powers(schedule: &DecodeSchedule, per_node_power: f64) -> Vec<f64> {
-    let n = schedule.n_packets();
-    let mut per_owner = std::collections::HashMap::new();
-    for &o in &schedule.owners {
-        *per_owner.entry(o).or_insert(0usize) += 1;
-    }
-    (0..n)
-        .map(|p| per_node_power / per_owner[&schedule.owners[p]] as f64)
+    let owners = &schedule.owners;
+    owners
+        .iter()
+        .map(|&o| per_node_power / owners.iter().filter(|&&x| x == o).count() as f64)
         .collect()
 }
 
@@ -105,8 +102,9 @@ impl IacDecoder<'_> {
         for (step_idx, step) in self.schedule.steps.iter().enumerate() {
             // Decoding vectors are computed from the ESTIMATED grid: this is
             // all the receiver knows.
-            let us = decoding_vectors(self.est_grid, self.schedule, step_idx, self.encoding)?;
             let (receiver, ref interf, _) = sets[step_idx];
+            let us =
+                step_decoding_vectors(self.est_grid, self.schedule, step_idx, interf, self.encoding)?;
             for (u, &p) in us.iter().zip(&step.decode) {
                 let mut num = 0.0;
                 let mut den = self.noise_power; // ‖u‖ = 1

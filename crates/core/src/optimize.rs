@@ -20,6 +20,7 @@ use crate::decoder::{equal_split_powers, IacDecoder};
 use crate::grid::{ChannelGrid, Direction};
 use crate::schedule::{DecodeSchedule, DecodeStep};
 use iac_linalg::{eig2, CVec, LinAlgError, Result, Rng64};
+use std::ops::Deref;
 
 /// How many random alignment seeds the leader scores per configuration.
 pub const DEFAULT_SEED_CANDIDATES: usize = 8;
@@ -34,17 +35,98 @@ pub fn predicted_rate(
     noise: f64,
 ) -> f64 {
     let powers = equal_split_powers(&config.schedule, per_node_power);
+    rate_on_estimates(est_grid, &config.schedule, &config.encoding, powers, noise)
+}
+
+/// The body of [`predicted_rate`], for callers that hold the schedule and
+/// the power split already.
+fn rate_on_estimates(
+    est_grid: &ChannelGrid,
+    schedule: &DecodeSchedule,
+    encoding: &[CVec],
+    packet_power: Vec<f64>,
+    noise: f64,
+) -> f64 {
     IacDecoder {
         true_grid: est_grid,
         est_grid,
-        schedule: &config.schedule,
-        encoding: &config.encoding,
-        packet_power: powers,
+        schedule,
+        encoding,
+        packet_power,
         noise_power: noise,
     }
     .decode()
     .map(|o| o.rate_bits_per_hz())
     .unwrap_or(0.0)
+}
+
+/// An optimiser's chosen configuration and the predicted rate it won with.
+///
+/// `rate` is bit-for-bit [`predicted_rate`] of `config` on the grid, power
+/// and noise the optimiser was given, so a caller that only needs the score
+/// does not decode the winner again. Derefs to the configuration.
+#[derive(Debug, Clone)]
+pub struct Optimized {
+    /// The winning configuration.
+    pub config: AlignedConfig,
+    /// Its predicted Eq. 9 rate on the estimated grid.
+    pub rate: f64,
+}
+
+impl Deref for Optimized {
+    type Target = AlignedConfig;
+    fn deref(&self) -> &AlignedConfig {
+        &self.config
+    }
+}
+
+/// Scores candidate encodings for one schedule and keeps the best; the
+/// first of equal scores wins.
+struct Contest<'a> {
+    est_grid: &'a ChannelGrid,
+    schedule: DecodeSchedule,
+    powers: Vec<f64>,
+    noise: f64,
+    best: Option<(f64, Vec<CVec>)>,
+}
+
+impl<'a> Contest<'a> {
+    fn new(
+        est_grid: &'a ChannelGrid,
+        schedule: DecodeSchedule,
+        per_node_power: f64,
+        noise: f64,
+    ) -> Self {
+        let powers = equal_split_powers(&schedule, per_node_power);
+        Self {
+            est_grid,
+            schedule,
+            powers,
+            noise,
+            best: None,
+        }
+    }
+
+    fn offer(&mut self, encoding: Vec<CVec>) {
+        let score = rate_on_estimates(
+            self.est_grid,
+            &self.schedule,
+            &encoding,
+            self.powers.clone(),
+            self.noise,
+        );
+        if self.best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
+            self.best = Some((score, encoding));
+        }
+    }
+
+    fn winner(self) -> Option<Optimized> {
+        let Self { schedule, best, .. } = self;
+        best.map(|(rate, encoding)| Optimized {
+            config: AlignedConfig { schedule, encoding },
+            rate,
+        })
+    }
 }
 
 /// Beamform an unconstrained packet: given the receive projection `u` its AP
@@ -65,7 +147,7 @@ pub fn uplink3_optimized(
     noise: f64,
     candidates: usize,
     rng: &mut Rng64,
-) -> Result<AlignedConfig> {
+) -> Result<Optimized> {
     if est_grid.direction() != Direction::Uplink
         || est_grid.transmitters() != 2
         || est_grid.receivers() != 2
@@ -90,7 +172,7 @@ pub fn uplink3_optimized(
     };
     let h00_inv = est_grid.link(0, 0).inverse()?;
     let h10_inv = est_grid.link(1, 0).inverse()?;
-    let mut best: Option<(f64, AlignedConfig)> = None;
+    let mut contest = Contest::new(est_grid, schedule, per_node_power, noise);
     for _ in 0..candidates.max(1) {
         let g = CVec::random_unit(2, rng);
         let v1 = h00_inv.mul_vec(&g).normalize()?;
@@ -100,16 +182,9 @@ pub fn uplink3_optimized(
         let aligned = est_grid.link(0, 0).mul_vec(&v1);
         let u0 = aligned.orth_2d()?;
         let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
-        let config = AlignedConfig {
-            schedule: schedule.clone(),
-            encoding: vec![v0, v1, v2],
-        };
-        let score = predicted_rate(est_grid, &config, per_node_power, noise);
-        if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
-            best = Some((score, config));
-        }
+        contest.offer(vec![v0, v1, v2]);
     }
-    Ok(best.expect("candidates >= 1").1)
+    Ok(contest.winner().expect("candidates >= 1"))
 }
 
 /// Optimised four-packet uplink (Fig. 5 / footnote 4).
@@ -121,50 +196,43 @@ pub fn uplink4_optimized(
     est_grid: &ChannelGrid,
     per_node_power: f64,
     noise: f64,
-) -> Result<AlignedConfig> {
+) -> Result<Optimized> {
     if est_grid.direction() != Direction::Uplink
         || est_grid.transmitters() != 3
         || est_grid.receivers() != 3
     {
         return Err(LinAlgError::Degenerate("uplink4 needs 3 clients and 3 APs"));
     }
+    let h00_inv = est_grid.link(0, 0).inverse()?;
+    let h10_inv = est_grid.link(1, 0).inverse()?;
     let prod = est_grid
         .link(2, 1)
         .inverse()?
         .mul_mat(est_grid.link(1, 1))
-        .mul_mat(&est_grid.link(1, 0).inverse()?)
+        .mul_mat(&h10_inv)
         .mul_mat(est_grid.link(2, 0));
     let pairs = eig2(&prod)?;
-    let schedule = DecodeSchedule::uplink_2m(2);
-    let mut best: Option<(f64, AlignedConfig)> = None;
+    // v2 and v1 follow from each eigenvector v3 through fixed products.
+    let to_v2 = h10_inv.mul_mat(est_grid.link(2, 0));
+    let to_v1 = h00_inv.mul_mat(est_grid.link(2, 0));
+    let mut contest = Contest::new(
+        est_grid,
+        DecodeSchedule::uplink_2m(2),
+        per_node_power,
+        noise,
+    );
     for (_, v3) in pairs {
         let v3 = v3.normalize()?;
-        let v2 = est_grid
-            .link(1, 0)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 0))
-            .mul_vec(&v3)
-            .normalize()?;
-        let v1 = est_grid
-            .link(0, 0)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 0))
-            .mul_vec(&v3)
-            .normalize()?;
+        let v2 = to_v2.mul_vec(&v3).normalize()?;
+        let v1 = to_v1.mul_vec(&v3).normalize()?;
         // AP0 projects orthogonally to the aligned triple; beamform v0 to it.
         let aligned = est_grid.link(0, 0).mul_vec(&v1);
         let u0 = aligned.orth_2d()?;
         let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
-        let config = AlignedConfig {
-            schedule: schedule.clone(),
-            encoding: vec![v0, v1, v2, v3],
-        };
-        let score = predicted_rate(est_grid, &config, per_node_power, noise);
-        if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
-            best = Some((score, config));
-        }
+        contest.offer(vec![v0, v1, v2, v3]);
     }
-    best.map(|(_, c)| c)
+    contest
+        .winner()
         .ok_or(LinAlgError::Degenerate("no eigen solution"))
 }
 
@@ -175,48 +243,42 @@ pub fn downlink3_optimized(
     est_grid: &ChannelGrid,
     per_node_power: f64,
     noise: f64,
-) -> Result<AlignedConfig> {
+) -> Result<Optimized> {
     if est_grid.direction() != Direction::Downlink
         || est_grid.transmitters() != 3
         || est_grid.receivers() != 3
     {
         return Err(LinAlgError::Degenerate("downlink3 needs 3 APs and 3 clients"));
     }
+    let h10_inv = est_grid.link(1, 0).inverse()?;
+    let h01_inv = est_grid.link(0, 1).inverse()?;
     let a = est_grid
         .link(1, 2)
-        .mul_mat(&est_grid.link(1, 0).inverse()?)
+        .mul_mat(&h10_inv)
         .mul_mat(est_grid.link(2, 0));
     let b = est_grid
         .link(0, 2)
-        .mul_mat(&est_grid.link(0, 1).inverse()?)
+        .mul_mat(&h01_inv)
         .mul_mat(est_grid.link(2, 1));
     let prod = a.inverse()?.mul_mat(&b);
     let pairs = eig2(&prod)?;
-    let mut best: Option<(f64, AlignedConfig)> = None;
+    // v1 and v0 follow from each eigenvector v2 through fixed products.
+    let to_v1 = h10_inv.mul_mat(est_grid.link(2, 0));
+    let to_v0 = h01_inv.mul_mat(est_grid.link(2, 1));
+    let mut contest = Contest::new(
+        est_grid,
+        DecodeSchedule::downlink_3_packets(),
+        per_node_power,
+        noise,
+    );
     for (_, v2) in pairs {
         let v2 = v2.normalize()?;
-        let v1 = est_grid
-            .link(1, 0)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 0))
-            .mul_vec(&v2)
-            .normalize()?;
-        let v0 = est_grid
-            .link(0, 1)
-            .inverse()?
-            .mul_mat(est_grid.link(2, 1))
-            .mul_vec(&v2)
-            .normalize()?;
-        let config = AlignedConfig {
-            schedule: DecodeSchedule::downlink_3_packets(),
-            encoding: vec![v0, v1, v2],
-        };
-        let score = predicted_rate(est_grid, &config, per_node_power, noise);
-        if best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
-            best = Some((score, config));
-        }
+        let v1 = to_v1.mul_vec(&v2).normalize()?;
+        let v0 = to_v0.mul_vec(&v2).normalize()?;
+        contest.offer(vec![v0, v1, v2]);
     }
-    best.map(|(_, c)| c)
+    contest
+        .winner()
         .ok_or(LinAlgError::Degenerate("no eigen solution"))
 }
 

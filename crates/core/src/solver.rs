@@ -22,7 +22,7 @@
 
 use crate::grid::ChannelGrid;
 use crate::schedule::DecodeSchedule;
-use iac_linalg::eig::smallest_eigvecs_hermitian;
+use iac_linalg::eig::{smallest_eigvec_hermitian, smallest_eigvecs_hermitian};
 use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64};
 
 /// Solver knobs.
@@ -91,7 +91,7 @@ impl AlignmentProblem<'_> {
                         self.grid,
                         self.schedule,
                         *receiver,
-                        interf,
+                        interf.iter().copied(),
                         &encoding,
                     );
                     subspaces.push(smallest_eigvecs_hermitian(&q, d)?);
@@ -117,9 +117,7 @@ impl AlignmentProblem<'_> {
                         }
                     }
                     if constrained {
-                        *enc = smallest_eigvecs_hermitian(&b, 1)?
-                            .pop()
-                            .expect("k=1 eigenvector");
+                        *enc = smallest_eigvec_hermitian(&b)?;
                     }
                 }
                 let leakage = self.relative_leakage(&encoding, &subspaces, &sets);
@@ -190,17 +188,17 @@ impl AlignmentProblem<'_> {
 }
 
 /// Covariance of the interference arriving at `receiver` from the given
-/// packets: `Q = Σ_j (H_j v_j)(H_j v_j)ᴴ`.
+/// packets, summed in the order given: `Q = Σ_j (H_j v_j)(H_j v_j)ᴴ`.
 pub fn interference_covariance(
     grid: &ChannelGrid,
     schedule: &DecodeSchedule,
     receiver: usize,
-    packets: &[usize],
+    packets: impl IntoIterator<Item = usize>,
     encoding: &[CVec],
 ) -> CMat {
     let m = grid.rx_antennas();
     let mut q = CMat::zeros(m, m);
-    for &p in packets {
+    for p in packets {
         let img = grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]);
         for r in 0..m {
             for c in 0..m {
@@ -223,18 +221,30 @@ pub fn decoding_vectors(
     step_index: usize,
     encoding: &[CVec],
 ) -> Result<Vec<CVec>> {
-    let step = &schedule.steps[step_index];
     let sets = schedule.interference_sets();
-    let (receiver, ref interf, _) = sets[step_index];
+    step_decoding_vectors(grid, schedule, step_index, &sets[step_index].1, encoding)
+}
+
+/// [`decoding_vectors`] given the step's interference set `interf` (from
+/// [`DecodeSchedule::interference_sets`]), for callers that walk every step.
+pub(crate) fn step_decoding_vectors(
+    grid: &ChannelGrid,
+    schedule: &DecodeSchedule,
+    step_index: usize,
+    interf: &[usize],
+    encoding: &[CVec],
+) -> Result<Vec<CVec>> {
+    let step = &schedule.steps[step_index];
+    let receiver = step.receiver;
     let mut out = Vec::with_capacity(step.decode.len());
     for &p in &step.decode {
         // Constraint covariance: true interferers + co-scheduled packets.
-        let mut nuisance: Vec<usize> = interf.clone();
-        nuisance.extend(step.decode.iter().filter(|&&q| q != p));
-        let q = interference_covariance(grid, schedule, receiver, &nuisance, encoding);
-        let mut u = smallest_eigvecs_hermitian(&q, 1)?
-            .pop()
-            .expect("k=1 eigenvector");
+        let nuisance = interf
+            .iter()
+            .copied()
+            .chain(step.decode.iter().copied().filter(|&q| q != p));
+        let q = interference_covariance(grid, schedule, receiver, nuisance, encoding);
+        let mut u = smallest_eigvec_hermitian(&q)?;
         // Phase-normalise so u·(H v_p) is real positive (cosmetic: makes the
         // effective scalar channel deterministic for tests).
         let sig = u.dot(&grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]));

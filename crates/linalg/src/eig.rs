@@ -12,6 +12,7 @@
 //!   general complex matrices of modest size (the M-antenna generalisations
 //!   of the footnote-4 eigenproblem).
 
+use crate::small::Small;
 use crate::{C64, CMat, CVec, LinAlgError, Lu, Result};
 
 /// Closed-form eigenpairs of a 2×2 complex matrix: `[(λ₁,v₁), (λ₂,v₂)]`.
@@ -46,7 +47,7 @@ fn eigvec2(a: &CMat, lambda: C64) -> Result<CVec> {
         // A − λI ≈ 0: every vector is an eigenvector.
         CVec::basis(2, 0)
     } else {
-        CVec::new(vec![row[1], -row[0]])
+        [row[1], -row[0]].into_iter().collect()
     };
     v.normalize()
 }
@@ -161,8 +162,8 @@ pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
     }
 
     // Sort ascending by (real) diagonal.
-    let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
+    let mut order: Small<usize, 4> = (0..n).collect();
+    let diag: Small<f64, 4> = (0..n).map(|i| m[(i, i)].re).collect();
     order.sort_by(|&i, &j| diag[i].partial_cmp(&diag[j]).unwrap());
     let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut vv = CMat::zeros(n, n);

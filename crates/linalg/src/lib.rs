@@ -20,10 +20,12 @@
 //!   every experiment in the workspace is bit-reproducible from a `u64` seed.
 //!
 //! Design notes: matrices here are tiny, so the implementations favour
-//! numerical robustness and clarity over blocking/SIMD tricks; all fallible
-//! operations return [`LinAlgError`] rather than panicking on singular input
-//! (a singular channel matrix is a legitimate physical event the caller must
-//! handle — see footnote 3 of the paper).
+//! numerical robustness and clarity over blocking/SIMD tricks, and
+//! `CVec`/`CMat` store up to four entries inline (a 2×2 channel never
+//! touches the heap). All fallible operations return [`LinAlgError`] rather
+//! than panicking on singular input (a singular channel matrix is a
+//! legitimate physical event the caller must handle — see footnote 3 of the
+//! paper).
 
 pub mod approx;
 pub mod c64;
@@ -32,6 +34,7 @@ pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod rng;
+mod small;
 pub mod svd;
 pub mod vector;
 

@@ -5,6 +5,7 @@
 //! robust way to apply those inverses; this module also backs
 //! [`CMat::inverse`](crate::CMat::inverse) and determinants.
 
+use crate::small::Small;
 use crate::{C64, CMat, CVec, LinAlgError, Result};
 
 /// A computed LU factorisation `P·A = L·U`.
@@ -13,7 +14,7 @@ pub struct Lu {
     /// Combined L (unit lower, below diagonal) and U (upper) factors.
     lu: CMat,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
-    perm: Vec<usize>,
+    perm: Small<usize, 4>,
     /// Permutation parity (+1/-1), for the determinant.
     sign: f64,
 }
@@ -34,7 +35,7 @@ impl Lu {
             return Err(LinAlgError::Degenerate("empty matrix"));
         }
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut perm: Small<usize, 4> = (0..n).collect();
         let mut sign = 1.0;
         // Scale-aware singularity threshold.
         let scale = a.norm_inf().max(f64::MIN_POSITIVE);

@@ -4,15 +4,17 @@
 //! all `CMat`s. Matrices in this workspace are small (antennas-per-node
 //! squared), so the operations are written for clarity and robustness.
 
+use crate::small::Entries;
 use crate::{C64, CVec, LinAlgError, Result, Rng64};
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-/// A dense complex matrix with row-major storage.
+/// A dense complex matrix with row-major storage (a 2×2 matrix is stored
+/// inline, off the heap).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CMat {
     rows: usize,
     cols: usize,
-    data: Vec<C64>,
+    data: Entries,
 }
 
 impl CMat {
@@ -24,12 +26,20 @@ impl CMat {
             "storage length {} does not match {rows}x{cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: Entries::from_vec(data),
+        }
     }
 
     /// All-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self::new(rows, cols, vec![C64::zero(); rows * cols])
+        Self {
+            rows,
+            cols,
+            data: Entries::filled(rows * cols, C64::zero()),
+        }
     }
 
     /// Identity matrix.
@@ -43,13 +53,11 @@ impl CMat {
 
     /// Build with a function of `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> C64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
+        Self {
+            rows,
+            cols,
+            data: (0..rows * cols).map(|i| f(i / cols, i % cols)).collect(),
         }
-        Self::new(rows, cols, data)
     }
 
     /// Build from rows.
@@ -122,7 +130,10 @@ impl CMat {
     /// Extract row `r` as a vector.
     pub fn row(&self, r: usize) -> CVec {
         assert!(r < self.rows);
-        CVec::new(self.data[r * self.cols..(r + 1) * self.cols].to_vec())
+        self.data[r * self.cols..(r + 1) * self.cols]
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// Extract column `c` as a vector.

@@ -6,25 +6,28 @@
 //! onto a decoding vector `u` is `⟨u, y⟩` and "orthogonal to the aligned
 //! interference" (paper §4b) means that Hermitian product is zero.
 
+use crate::small::Entries;
 use crate::{C64, LinAlgError, Result, Rng64};
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense complex column vector.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CVec {
-    data: Vec<C64>,
+    data: Entries,
 }
 
 impl CVec {
     /// Construct from parts.
     pub fn new(data: Vec<C64>) -> Self {
-        Self { data }
+        Self {
+            data: Entries::from_vec(data),
+        }
     }
 
     /// All-zero vector of dimension `n`.
     pub fn zeros(n: usize) -> Self {
         Self {
-            data: vec![C64::zero(); n],
+            data: Entries::filled(n, C64::zero()),
         }
     }
 
@@ -42,12 +45,12 @@ impl CVec {
 
     /// Construct from real parts.
     pub fn from_real(xs: &[f64]) -> Self {
-        Self::new(xs.iter().map(|&x| C64::real(x)).collect())
+        xs.iter().map(|&x| C64::real(x)).collect()
     }
 
     /// Build with a function of the index.
     pub fn from_fn(n: usize, mut f: impl FnMut(usize) -> C64) -> Self {
-        Self::new((0..n).map(&mut f).collect())
+        (0..n).map(&mut f).collect()
     }
 
     /// i.i.d. `CN(0,1)` entries — the "random (but unequal) values" the paper
@@ -92,13 +95,13 @@ impl CVec {
 
     /// Consume into the underlying storage.
     pub fn into_vec(self) -> Vec<C64> {
-        self.data
+        self.data.into_vec()
     }
 
     /// Resize to dimension `n`, zero-filling any new entries (a no-op when
     /// the dimension already matches — reused buffers never reallocate).
     pub fn resize(&mut self, n: usize) {
-        self.data.resize(n, C64::zero());
+        self.data.resize(n);
     }
 
     /// Hermitian inner product `⟨self, other⟩ = Σ conj(selfᵢ)·otherᵢ`.
@@ -106,7 +109,7 @@ impl CVec {
         assert_eq!(self.len(), other.len(), "dot of mismatched dimensions");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(a, b)| a.conj() * *b)
             .sum()
     }
@@ -118,7 +121,7 @@ impl CVec {
         assert_eq!(self.len(), other.len(), "dot of mismatched dimensions");
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(a, b)| *a * *b)
             .sum()
     }
@@ -150,23 +153,23 @@ impl CVec {
 
     /// Scale by a real factor.
     pub fn scale(&self, k: f64) -> Self {
-        Self::new(self.data.iter().map(|z| z.scale(k)).collect())
+        self.data.iter().map(|z| z.scale(k)).collect()
     }
 
     /// Scale by a complex factor.
     pub fn scale_c(&self, k: C64) -> Self {
-        Self::new(self.data.iter().map(|z| *z * k).collect())
+        self.data.iter().map(|z| *z * k).collect()
     }
 
     /// Elementwise conjugate.
     pub fn conj(&self) -> Self {
-        Self::new(self.data.iter().map(|z| z.conj()).collect())
+        self.data.iter().map(|z| z.conj()).collect()
     }
 
     /// `self += k·other` in place.
     pub fn axpy(&mut self, k: C64, other: &Self) {
         assert_eq!(self.len(), other.len(), "axpy of mismatched dimensions");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
+        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += k * *b;
         }
     }
@@ -197,7 +200,7 @@ impl CVec {
                 got: (self.len(), 1),
             });
         }
-        let v = Self::new(vec![-self.data[1].conj(), self.data[0].conj()]);
+        let v: Self = [-self.data[1].conj(), self.data[0].conj()].into_iter().collect();
         v.normalize()
     }
 
@@ -221,6 +224,16 @@ impl CVec {
     }
 }
 
+/// Collects straight into the vector's storage: up to four entries stay off
+/// the heap.
+impl FromIterator<C64> for CVec {
+    fn from_iter<I: IntoIterator<Item = C64>>(iter: I) -> Self {
+        Self {
+            data: iter.into_iter().collect(),
+        }
+    }
+}
+
 impl Index<usize> for CVec {
     type Output = C64;
     #[inline]
@@ -240,13 +253,11 @@ impl Add for &CVec {
     type Output = CVec;
     fn add(self, rhs: &CVec) -> CVec {
         assert_eq!(self.len(), rhs.len(), "adding mismatched dimensions");
-        CVec::new(
-            self.data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| *a + *b)
-                .collect(),
-        )
+        self.data
+            .iter()
+            .zip(rhs.data.iter())
+            .map(|(a, b)| *a + *b)
+            .collect()
     }
 }
 
@@ -254,20 +265,18 @@ impl Sub for &CVec {
     type Output = CVec;
     fn sub(self, rhs: &CVec) -> CVec {
         assert_eq!(self.len(), rhs.len(), "subtracting mismatched dimensions");
-        CVec::new(
-            self.data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| *a - *b)
-                .collect(),
-        )
+        self.data
+            .iter()
+            .zip(rhs.data.iter())
+            .map(|(a, b)| *a - *b)
+            .collect()
     }
 }
 
 impl Neg for &CVec {
     type Output = CVec;
     fn neg(self) -> CVec {
-        CVec::new(self.data.iter().map(|z| -*z).collect())
+        self.data.iter().map(|z| -*z).collect()
     }
 }
 

@@ -401,16 +401,6 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Format an `f64` the way the registry's report JSON does: plain `{}`
-/// rendering, `null` for non-finite values.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,12 +506,5 @@ mod tests {
             let enc = escape(s);
             assert_eq!(p(&enc).unwrap(), Value::Str(s.to_string()), "{enc}");
         }
-    }
-
-    #[test]
-    fn json_f64_matches_report_convention() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

@@ -37,7 +37,7 @@
 //! the cold path's, which is what the integrity suite pins.
 
 use crate::json::{self, JsonError, Value};
-use iac_sim::registry::Quality;
+use iac_sim::registry::{json_f64, Quality};
 
 /// Hard cap on one protocol line, bytes (including the newline). Longer
 /// lines are consumed and answered with a typed `oversized` error.
@@ -340,7 +340,7 @@ pub fn replicate_line(id: &str, replicate: usize, metrics: &[(&'static str, f64)
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!("\"{name}\":{}", json::json_f64(*v)));
+        s.push_str(&format!("\"{name}\":{}", json_f64(*v)));
     }
     s.push_str("}}");
     s

@@ -497,7 +497,10 @@ pub struct ScenarioReport {
     pub metrics: Vec<MetricAggregate>,
 }
 
-fn json_f64(v: f64) -> String {
+/// Format an `f64` for report JSON: the shortest round-trip `{}` rendering,
+/// `null` for non-finite values. The one JSON number format of the workspace
+/// (`iac-serve` streams replicate metrics with it too).
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -680,6 +683,13 @@ pub fn reduce_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_f64_matches_report_convention() {
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+    }
 
     #[test]
     fn registry_names_are_unique_and_findable() {

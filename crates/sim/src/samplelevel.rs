@@ -192,6 +192,7 @@ pub fn run_uplink3(config: &SampleLevelConfig) -> SampleLevelReport {
         8,
         &mut rng,
     )
+    .map(|o| o.config)
     .or_else(|_| closed_form::uplink3(&est_grid, &mut rng))
     .expect("alignment");
     let schedule = &cfg.schedule;

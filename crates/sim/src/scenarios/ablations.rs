@@ -143,6 +143,7 @@ pub fn alignment_ablation(seed: u64, trials: usize) -> AlignmentAblation {
     for _ in 0..trials {
         let grid = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng);
         let cfg = optimize::uplink3_optimized(&grid, 1.0, 0.05, 4, &mut rng)
+            .map(|o| o.config)
             .or_else(|_| closed_form::uplink3(&grid, &mut rng))
             .expect("alignment");
         let powers = equal_split_powers(&cfg.schedule, 1.0);

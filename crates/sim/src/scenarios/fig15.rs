@@ -289,48 +289,25 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                     }
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
-                let base_cfg = cfg.base.clone();
+                let (power, noise) = (cfg.base.per_node_power, cfg.base.noise);
                 let mut score = |group: &[u16]| -> f64 {
                     if group.len() < 3 {
                         return 0.0;
                     }
-                    let order: Vec<usize> = group.iter().map(|&c| c as usize).collect();
-                    match direction {
-                        Direction15::Uplink => {
-                            let sub = subgrid_uplink(&slot_est, &order, cfg.n_aps);
-                            optimize::uplink4_optimized(
-                                &sub,
-                                base_cfg.per_node_power,
-                                base_cfg.noise,
-                            )
-                            .map(|c| {
-                                optimize::predicted_rate(
-                                    &sub,
-                                    &c,
-                                    base_cfg.per_node_power,
-                                    base_cfg.noise,
-                                )
-                            })
-                            .unwrap_or(0.0)
-                        }
-                        Direction15::Downlink => {
-                            let sub = subgrid_downlink(&slot_est, &order, cfg.n_aps);
-                            optimize::downlink3_optimized(
-                                &sub,
-                                base_cfg.per_node_power,
-                                base_cfg.noise,
-                            )
-                            .map(|c| {
-                                optimize::predicted_rate(
-                                    &sub,
-                                    &c,
-                                    base_cfg.per_node_power,
-                                    base_cfg.noise,
-                                )
-                            })
-                            .unwrap_or(0.0)
-                        }
-                    }
+                    // The optimisers report the winner's predicted rate.
+                    let scored = match direction {
+                        Direction15::Uplink => optimize::uplink4_optimized(
+                            &subgrid_uplink(&slot_est, group),
+                            power,
+                            noise,
+                        ),
+                        Direction15::Downlink => optimize::downlink3_optimized(
+                            &subgrid_downlink(&slot_est, group, cfg.n_aps),
+                            power,
+                            noise,
+                        ),
+                    };
+                    scored.map(|o| o.rate).unwrap_or(0.0)
                 };
                 let companions =
                     policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
@@ -375,28 +352,25 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
     Fig15Report { direction, gains }
 }
 
-/// Extract the 3-client sub-grid (uplink) for a candidate group.
-fn subgrid_uplink(grid: &ChannelGrid, order: &[usize], _n_aps: usize) -> ChannelGrid {
-    permute_transmitters_sub(grid, order)
-}
-
-/// Extract the 3-client sub-grid (downlink): transmitters are APs, so select
-/// receiver columns instead.
-fn subgrid_downlink(grid: &ChannelGrid, order: &[usize], n_aps: usize) -> ChannelGrid {
-    let h: Vec<Vec<CMat>> = (0..n_aps)
-        .map(|a| order.iter().map(|&c| grid.link(a, c).clone()).collect())
+/// Extract the sub-grid (uplink) of a candidate group, transmitters in
+/// group order.
+fn subgrid_uplink(grid: &ChannelGrid, group: &[u16]) -> ChannelGrid {
+    let h: Vec<Vec<CMat>> = group
+        .iter()
+        .map(|&t| {
+            (0..grid.receivers())
+                .map(|r| grid.link(t as usize, r).clone())
+                .collect()
+        })
         .collect();
     ChannelGrid::new(grid.direction(), h)
 }
 
-fn permute_transmitters_sub(grid: &ChannelGrid, order: &[usize]) -> ChannelGrid {
-    let h: Vec<Vec<CMat>> = order
-        .iter()
-        .map(|&t| {
-            (0..grid.receivers())
-                .map(|r| grid.link(t, r).clone())
-                .collect()
-        })
+/// Extract the sub-grid (downlink) of a candidate group: transmitters are
+/// APs, so select receiver columns instead.
+fn subgrid_downlink(grid: &ChannelGrid, group: &[u16], n_aps: usize) -> ChannelGrid {
+    let h: Vec<Vec<CMat>> = (0..n_aps)
+        .map(|a| group.iter().map(|&c| grid.link(a, c as usize).clone()).collect())
         .collect();
     ChannelGrid::new(grid.direction(), h)
 }
