@@ -79,6 +79,7 @@
 pub mod count;
 pub mod event;
 pub mod fault;
+mod hash;
 pub mod log;
 pub mod metrics;
 pub mod net;

@@ -29,6 +29,7 @@
 //! terminates. All randomness (PHY draws, grouping policies) flows through
 //! the simulation's seeded RNG, so a run is bit-reproducible.
 
+use crate::hash::FixedMap;
 use crate::metrics::{PacketRecord, QueueDepthSample, SharedMetrics};
 use crate::net::NetEvent;
 use crate::simulation::{Ctx, EventHandler};
@@ -40,7 +41,7 @@ use iac_mac::pcf::{form_group, GroupPlan, GroupScorer, PcfConfig, PhyOutcome};
 use iac_mac::queue::{QueuedPacket, TrafficQueue};
 use iac_mac::GroupPolicy;
 use iac_linalg::CVec;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Parameters of the event-driven MAC beyond the slot-level [`PcfConfig`].
 #[derive(Debug, Clone)]
@@ -134,7 +135,7 @@ pub struct EventPcf<P: PhyOutcome> {
     /// Wired sink component per AP (index = AP id).
     sinks: Vec<crate::event::ComponentId>,
     /// Arrival timestamp by (client, seq, uplink), joined at delivery.
-    arrivals: HashMap<(u16, u16, bool), f64>,
+    arrivals: FixedMap<(u16, u16, bool), f64>,
     /// Uplink packets decoded this CFP, acked in the next beacon.
     pending_acks: Vec<(u16, u16)>,
     /// Uplink packets sent but not yet acked. BTreeMap, not HashMap: its
@@ -143,7 +144,7 @@ pub struct EventPcf<P: PhyOutcome> {
     awaiting_ack: BTreeMap<(u16, u16), QueuedPacket>,
     /// Retransmission attempts by (client, seq, uplink) — the direction flag
     /// keeps a client's uplink and downlink packets with equal seqs apart.
-    retx_count: HashMap<(u16, u16, bool), u8>,
+    retx_count: FixedMap<(u16, u16, bool), u8>,
     /// Reused per-beacon scratch for the unacked-packet sweep (capacity
     /// survives across CFPs, so the steady state does not allocate).
     retx_scratch: Vec<QueuedPacket>,
@@ -181,10 +182,10 @@ impl<P: PhyOutcome> EventPcf<P> {
             uplink_policy,
             scorer: Box::new(|_, _| 0.0),
             sinks,
-            arrivals: HashMap::new(),
+            arrivals: FixedMap::default(),
             pending_acks: Vec::new(),
             awaiting_ack: BTreeMap::new(),
-            retx_count: HashMap::new(),
+            retx_count: FixedMap::default(),
             retx_scratch: Vec::new(),
             phase: Phase::Idle,
             groups_this_phase: 0,

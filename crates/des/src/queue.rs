@@ -7,9 +7,10 @@
 //! makes every run bit-reproducible.
 
 use crate::event::{ComponentId, Event, EventId};
+use crate::hash::FixedSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Max-heap entry with reversed ordering, so the heap pops the earliest
 /// `(time, id)` first.
@@ -47,7 +48,7 @@ pub struct EventQueue<E> {
     /// Cancellation just removes the id here; `pop` skips heap entries whose
     /// id is no longer live. Bounded by the number of pending events, so
     /// cancelling fired ids cannot accumulate state.
-    live: HashSet<EventId>,
+    live: FixedSet<EventId>,
     next_id: EventId,
     /// Deepest the heap has ever been (pending events, cancelled included).
     high_water: usize,
@@ -74,7 +75,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(capacity),
-            live: HashSet::with_capacity(capacity),
+            live: FixedSet::with_capacity_and_hasher(capacity, Default::default()),
             next_id: 0,
             high_water: 0,
             cancelled: 0,

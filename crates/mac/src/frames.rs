@@ -336,9 +336,24 @@ impl MacFrame {
         }
     }
 
-    /// Encoded size in bytes (metadata overhead accounting, §7e).
+    /// Encoded size in bytes (metadata overhead accounting, §7e), computed
+    /// from the field sizes [`MacFrame::encode`] writes: the type byte, the
+    /// body and the 4-byte CRC trailer.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let entries_len = |entries: &[PollEntry]| -> usize {
+            1 + entries
+                .iter()
+                .map(|e| 2 + e.encoding.encoded_len() + e.decoding.encoded_len())
+                .sum::<usize>()
+        };
+        let body = match self {
+            MacFrame::Beacon(b) => 6 + 4 * b.ack_map.len(),
+            MacFrame::DataPoll(p) => 5 + entries_len(&p.entries),
+            MacFrame::Grant(g) => 3 + entries_len(&g.entries),
+            MacFrame::DataReq(_) => 5,
+            MacFrame::CfEnd(_) => 2,
+        };
+        1 + body + 4
     }
 }
 

@@ -26,6 +26,10 @@ pub struct QueuedPacket {
 #[derive(Debug, Clone, Default)]
 pub struct TrafficQueue {
     q: VecDeque<QueuedPacket>,
+    /// Queued packets per client, indexed by client id (grown on demand).
+    per_client: Vec<usize>,
+    /// Clients with at least one queued packet (non-zero `per_client`).
+    distinct: usize,
     capacity: Option<usize>,
     dropped: u64,
     high_water: usize,
@@ -41,10 +45,27 @@ impl TrafficQueue {
     /// tail-dropped and counted.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            q: VecDeque::new(),
             capacity: Some(capacity),
-            dropped: 0,
-            high_water: 0,
+            ..Self::default()
+        }
+    }
+
+    fn admit(&mut self, client: u16) {
+        let c = client as usize;
+        if c >= self.per_client.len() {
+            self.per_client.resize(c + 1, 0);
+        }
+        if self.per_client[c] == 0 {
+            self.distinct += 1;
+        }
+        self.per_client[c] += 1;
+    }
+
+    fn release(&mut self, client: u16) {
+        let n = &mut self.per_client[client as usize];
+        *n -= 1;
+        if *n == 0 {
+            self.distinct -= 1;
         }
     }
 
@@ -57,6 +78,7 @@ impl TrafficQueue {
                 return false;
             }
         }
+        self.admit(p.client);
         self.q.push_back(p);
         self.high_water = self.high_water.max(self.q.len());
         true
@@ -68,6 +90,7 @@ impl TrafficQueue {
     /// slot when it was first admitted, so a retransmission is never the
     /// packet that overflows the queue.
     pub fn push_front(&mut self, p: QueuedPacket) {
+        self.admit(p.client);
         self.q.push_front(p);
         self.high_water = self.high_water.max(self.q.len());
     }
@@ -95,19 +118,31 @@ impl TrafficQueue {
 
     /// Pop the head.
     pub fn pop(&mut self) -> Option<QueuedPacket> {
-        self.q.pop_front()
+        let p = self.q.pop_front()?;
+        self.release(p.client);
+        Some(p)
     }
 
     /// Remove and return the first queued packet of `client`.
     pub fn pop_for_client(&mut self, client: u16) -> Option<QueuedPacket> {
+        if self.count_for(client) == 0 {
+            return None;
+        }
         let pos = self.q.iter().position(|p| p.client == client)?;
-        self.q.remove(pos)
+        let p = self.q.remove(pos)?;
+        self.release(client);
+        Some(p)
     }
 
-    /// Distinct clients with pending traffic, in queue order.
+    /// Distinct clients with pending traffic, in queue order. The scan stops
+    /// as soon as every client with queued traffic has been seen, so a deep
+    /// queue over few clients costs a short prefix, not the whole queue.
     pub fn clients(&self) -> Vec<u16> {
-        let mut seen = Vec::new();
+        let mut seen = Vec::with_capacity(self.distinct);
         for p in &self.q {
+            if seen.len() == self.distinct {
+                break;
+            }
             if !seen.contains(&p.client) {
                 seen.push(p.client);
             }
@@ -128,7 +163,7 @@ impl TrafficQueue {
 
     /// Total queued packets for one client.
     pub fn count_for(&self, client: u16) -> usize {
-        self.q.iter().filter(|p| p.client == client).count()
+        self.per_client.get(client as usize).copied().unwrap_or(0)
     }
 }
 
@@ -243,6 +278,53 @@ mod tests {
         b.push(p(1, 1));
         b.push(p(2, 1)); // dropped
         assert_eq!(b.high_water(), 1);
+    }
+
+    /// First-appearance client scan over the raw queue: the definition
+    /// `clients()` must keep while it tracks counts and exits early.
+    fn naive_clients(q: &TrafficQueue) -> Vec<u16> {
+        let mut seen = Vec::new();
+        for p in &q.q {
+            if !seen.contains(&p.client) {
+                seen.push(p.client);
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn client_bookkeeping_matches_naive_scan() {
+        for seed in 0..200u64 {
+            let mut rng = iac_linalg::Rng64::new(seed);
+            // Small capacities so tail-drops happen; few clients so queues
+            // hold long runs of repeats (the early-exit case).
+            let cap = 1 + rng.below(12) as usize;
+            let n_clients = 1 + rng.below(6) as u16;
+            let mut q = TrafficQueue::with_capacity(cap);
+            for step in 0..120u16 {
+                let client = rng.below(n_clients as u64) as u16;
+                let packet = p(client, step);
+                match rng.below(4) {
+                    0 => {
+                        q.push(packet);
+                    }
+                    1 => q.push_front(packet),
+                    2 => {
+                        q.pop();
+                    }
+                    _ => {
+                        q.pop_for_client(client);
+                    }
+                }
+                let naive = naive_clients(&q);
+                assert_eq!(q.clients(), naive, "seed {seed} step {step}");
+                for c in 0..n_clients + 1 {
+                    let direct = q.q.iter().filter(|p| p.client == c).count();
+                    assert_eq!(q.count_for(c), direct, "seed {seed} step {step} client {c}");
+                }
+                assert_eq!(q.distinct, naive.len(), "seed {seed} step {step}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use iac_linalg::{CVec, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 use iac_mac::ethernet::{Hub, WirePacket};
-use iac_mac::frames::{Beacon, DataPoll, DataReqHeader, Grant, MacFrame, PollEntry, VectorQ};
+use iac_mac::frames::{
+    Beacon, CfEnd, DataPoll, DataReqHeader, Grant, MacFrame, PollEntry, VectorQ,
+};
 use iac_mac::queue::{QueuedPacket, TrafficQueue};
 use proptest::prelude::*;
 
@@ -20,8 +22,45 @@ fn arb_entries(seed: u64, n: usize) -> Vec<PollEntry> {
         .collect()
 }
 
+/// `n` entries whose vectors carry 0–4 quantised parts each.
+fn ragged_entries(seed: u64, n: usize) -> Vec<PollEntry> {
+    let mut rng = Rng64::new(seed);
+    let vector = |rng: &mut Rng64| VectorQ {
+        parts: (0..rng.below(5))
+            .map(|_| (rng.cn01().re as f32, rng.cn01().im as f32))
+            .collect(),
+    };
+    (0..n)
+        .map(|k| PollEntry {
+            client: k as u16,
+            encoding: vector(&mut rng),
+            decoding: vector(&mut rng),
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn encoded_len_matches_encoding(seed in any::<u64>(), n in 0usize..9, acks in 0usize..301,
+                                    id in any::<u16>(), more in any::<bool>()) {
+        let ack_map = (0..acks as u16).map(|k| (k, k.wrapping_mul(7))).collect();
+        for f in [
+            MacFrame::Beacon(Beacon { cfp_id: id, duration_slots: 9, ack_map }),
+            MacFrame::DataPoll(DataPoll {
+                fid: id,
+                n_aps: 3,
+                max_len: 1440,
+                entries: ragged_entries(seed, n),
+            }),
+            MacFrame::Grant(Grant { fid: id, n_aps: 2, entries: ragged_entries(!seed, n) }),
+            MacFrame::DataReq(DataReqHeader { client: id, seq: 4, more_traffic: more }),
+            MacFrame::CfEnd(CfEnd { cfp_id: id }),
+        ] {
+            prop_assert_eq!(f.encoded_len(), f.encode().len(), "{:?}", f);
+        }
+    }
 
     #[test]
     fn beacon_roundtrips(cfp_id in any::<u16>(), dur in any::<u16>(),

@@ -99,6 +99,12 @@ pub fn estimate_cfo(received: &[C64], known: &[C64], sample_rate_hz: f64) -> f64
 /// decision-directed cancellation refit uses — at that point the whole
 /// packet is known, so the peak (width ≈ 1/T) is located to a small
 /// fraction of a Hz.
+///
+/// All grid hypotheses are scored in one pass over the samples: each keeps
+/// its own rotor and accumulator (split into re/im arrays, so the
+/// per-sample update runs across hypotheses), and `r·conj(k)` is formed
+/// once per sample. Every hypothesis still performs the same float
+/// operations in the same order as a one-hypothesis-at-a-time loop.
 pub fn matched_cfo_search(
     streams: &[Vec<C64>],
     known: &[C64],
@@ -109,30 +115,40 @@ pub fn matched_cfo_search(
 ) -> f64 {
     assert!(steps >= 3, "need at least three grid points");
     assert!(half_width_hz > 0.0, "search width must be positive");
-    let score = |f_hz: f64| -> f64 {
-        let step = C64::cis(-std::f64::consts::TAU * f_hz / sample_rate_hz);
-        let mut total = 0.0;
-        for stream in streams {
-            let mut rot = C64::one();
-            let mut acc = C64::zero();
-            for (r, k) in stream.iter().zip(known) {
-                acc += *r * k.conj() * rot;
-                rot *= step;
-            }
-            total += acc.norm_sqr();
-        }
-        total
-    };
-    let mut best_idx = 0;
-    let mut scores = Vec::with_capacity(steps);
+    let (mut step_re, mut step_im) = (vec![0.0; steps], vec![0.0; steps]);
     for i in 0..steps {
-        let f = center_hz - half_width_hz
-            + 2.0 * half_width_hz * i as f64 / (steps - 1) as f64;
-        let s = score(f);
-        if s > scores.get(best_idx).copied().unwrap_or(f64::NEG_INFINITY) {
+        let f_hz = center_hz - half_width_hz + 2.0 * half_width_hz * i as f64 / (steps - 1) as f64;
+        let step = C64::cis(-std::f64::consts::TAU * f_hz / sample_rate_hz);
+        (step_re[i], step_im[i]) = (step.re, step.im);
+    }
+    let mut scores = vec![0.0; steps];
+    let (mut rot_re, mut rot_im) = (vec![0.0; steps], vec![0.0; steps]);
+    let (mut acc_re, mut acc_im) = (vec![0.0; steps], vec![0.0; steps]);
+    for stream in streams {
+        rot_re.fill(1.0);
+        rot_im.fill(0.0);
+        acc_re.fill(0.0);
+        acc_im.fill(0.0);
+        for (r, k) in stream.iter().zip(known) {
+            let rk = *r * k.conj();
+            for h in 0..steps {
+                let (c, s) = (rot_re[h], rot_im[h]);
+                // acc += rk · rot, then rot *= step — `C64`'s own formulas.
+                acc_re[h] += rk.re * c - rk.im * s;
+                acc_im[h] += rk.re * s + rk.im * c;
+                rot_re[h] = c * step_re[h] - s * step_im[h];
+                rot_im[h] = c * step_im[h] + s * step_re[h];
+            }
+        }
+        for h in 0..steps {
+            scores[h] += acc_re[h] * acc_re[h] + acc_im[h] * acc_im[h];
+        }
+    }
+    let mut best_idx = 0;
+    for i in 1..steps {
+        if scores[i] > scores[best_idx] {
             best_idx = i;
         }
-        scores.push(s);
     }
     let grid_step = 2.0 * half_width_hz / (steps - 1) as f64;
     let f_best = center_hz - half_width_hz + grid_step * best_idx as f64;
@@ -368,6 +384,98 @@ mod tests {
             let est = matched_cfo_search(&streams, &known, fs, 0.0, 60.0, 121);
             assert!((est - df).abs() < 1.0, "df {df}: estimated {est}");
         }
+    }
+
+    /// The one-hypothesis-at-a-time search the single-pass version must
+    /// reproduce bit for bit.
+    fn matched_cfo_search_reference(
+        streams: &[Vec<C64>],
+        known: &[C64],
+        sample_rate_hz: f64,
+        center_hz: f64,
+        half_width_hz: f64,
+        steps: usize,
+    ) -> f64 {
+        let score = |f_hz: f64| -> f64 {
+            let step = C64::cis(-std::f64::consts::TAU * f_hz / sample_rate_hz);
+            let mut total = 0.0;
+            for stream in streams {
+                let mut rot = C64::one();
+                let mut acc = C64::zero();
+                for (r, k) in stream.iter().zip(known) {
+                    acc += *r * k.conj() * rot;
+                    rot *= step;
+                }
+                total += acc.norm_sqr();
+            }
+            total
+        };
+        let mut best_idx = 0;
+        let mut scores = Vec::with_capacity(steps);
+        for i in 0..steps {
+            let f = center_hz - half_width_hz
+                + 2.0 * half_width_hz * i as f64 / (steps - 1) as f64;
+            let s = score(f);
+            if s > scores.get(best_idx).copied().unwrap_or(f64::NEG_INFINITY) {
+                best_idx = i;
+            }
+            scores.push(s);
+        }
+        let grid_step = 2.0 * half_width_hz / (steps - 1) as f64;
+        let f_best = center_hz - half_width_hz + grid_step * best_idx as f64;
+        if best_idx == 0 || best_idx == steps - 1 {
+            return f_best;
+        }
+        let (s_l, s_c, s_r) = (scores[best_idx - 1], scores[best_idx], scores[best_idx + 1]);
+        let denom = s_l - 2.0 * s_c + s_r;
+        if denom.abs() < 1e-30 {
+            return f_best;
+        }
+        let delta = 0.5 * (s_l - s_r) / denom;
+        f_best + delta.clamp(-1.0, 1.0) * grid_step
+    }
+
+    #[test]
+    fn matched_search_is_bit_identical_to_reference() {
+        let fs = 500_000.0;
+        let mut rng = Rng64::new(23);
+        let mut edge_hits = 0;
+        for case in 0..60 {
+            let steps = [3, 4, 121][case % 3];
+            let n_streams = 1 + (case / 3) % 2;
+            let known_len = 50 + rng.below(400) as usize;
+            let known: Vec<C64> = (0..known_len).map(|_| rng.cn01()).collect();
+            let (center, half_width) = (rng.uniform(-50.0, 50.0), rng.uniform(5.0, 60.0));
+            // Every fourth case puts the true offset past the grid's upper
+            // edge, so the peak lands on the last grid point.
+            let df = if case % 4 == 0 {
+                center + 3.0 * half_width
+            } else {
+                center + rng.uniform(-half_width, half_width)
+            };
+            let cfo = Cfo::new(df, fs);
+            let streams: Vec<Vec<C64>> = (0..n_streams)
+                .map(|a| {
+                    // Stream 0 is shorter than `known`, stream 1 longer:
+                    // both sides of the `zip` get cut.
+                    let len = if a == 0 { known_len - 7 } else { known_len + 11 };
+                    (0..len)
+                        .map(|t| {
+                            let k = known.get(t).copied().unwrap_or_else(C64::one);
+                            k * cfo.phasor_at(t) + rng.cn(0.05)
+                        })
+                        .collect()
+                })
+                .collect();
+            let got = matched_cfo_search(&streams, &known, fs, center, half_width, steps);
+            let want =
+                matched_cfo_search_reference(&streams, &known, fs, center, half_width, steps);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {got} vs {want}");
+            if (got - (center + half_width)).abs() < 1e-9 {
+                edge_hits += 1;
+            }
+        }
+        assert!(edge_hits > 0, "no case exercised a peak on the grid edge");
     }
 
     #[test]
