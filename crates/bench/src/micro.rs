@@ -219,10 +219,15 @@ pub fn register_parallel_sweep(c: &mut Criterion) {
         );
     }
     // Raw claim/reduce cost of the chunked work-stealing dispatcher at an
-    // exact worker count (`run_trials_on` bypasses the core clamp, so the
+    // exact worker count (the plan bypasses the core clamp, so the
     // two-worker machinery is measured even on a single-core runner).
+    let plan = iac_sim::engine::RunPlan {
+        workers: 2,
+        deadline: iac_sim::engine::Deadline::none(),
+        observe: false,
+    };
     group.bench_function("engine_dispatch_4k_trials", |b| {
-        b.iter(|| iac_sim::engine::run_trials_on(4096, 2, |i| (i as u64).wrapping_mul(3)))
+        b.iter(|| iac_sim::engine::run(4096, &plan, |i| (i as u64).wrapping_mul(3)).outputs)
     });
     group.finish();
 }

@@ -18,9 +18,7 @@
 
 use std::time::Duration;
 
-use iac_sim::registry::{Quality, TrialOutput};
-
-use crate::pool::ScenarioFn;
+use iac_sim::registry::{Quality, Scenario, TrialOutput};
 
 /// Name the daemon maps to [`crate::pool::JobKind::Kill`] submissions.
 pub const KILL_SCENARIO: &str = "chaos_kill_worker";
@@ -58,17 +56,25 @@ pub fn chaos_sleepy(_quality: Quality, seed: u64) -> TrialOutput {
     metric(seed)
 }
 
-/// The chaos scenario table: `(name, entry point, default replicates)`.
-/// [`KILL_SCENARIO`] is listed with a no-op entry point; the daemon
-/// special-cases the name into Kill jobs before any trial would run.
-pub fn scenarios() -> Vec<(&'static str, ScenarioFn, usize)> {
-    vec![
-        ("chaos_panic", chaos_panic, 2),
+/// The chaos scenario table, as registry rows. [`KILL_SCENARIO`] is listed
+/// with a no-op entry point; the daemon special-cases the name into Kill
+/// jobs before any trial would run.
+pub fn scenarios() -> Vec<Scenario> {
+    [
+        ("chaos_panic", chaos_panic as fn(Quality, u64) -> TrialOutput, 2),
         ("chaos_flaky", chaos_flaky, 2),
         ("chaos_slow", chaos_slow, 4),
         ("chaos_sleepy", chaos_sleepy, 1),
         (KILL_SCENARIO, metric_entry, 1),
     ]
+    .into_iter()
+    .map(|(name, run, default_replicates)| Scenario {
+        name,
+        about: "chaos injection (see iac_serve::chaos)",
+        default_replicates,
+        run,
+    })
+    .collect()
 }
 
 fn metric_entry(_quality: Quality, seed: u64) -> TrialOutput {

@@ -12,10 +12,10 @@
 //!
 //! Robustness decisions, in one place:
 //!
-//! - **Panic isolation**: trials run under `catch_unwind` in the pool; a
-//!   panicking scenario yields a typed `panic` error response. Worker
-//!   *loss* yields `worker_lost` and an automatic respawn. The daemon
-//!   process never dies for either.
+//! - **Panic isolation**: the pool runs trials under the trial engine's
+//!   panic capture; a panicking scenario yields a typed `panic` error
+//!   response. Worker *loss* yields `worker_lost` and an automatic
+//!   respawn. The daemon process never dies for either.
 //! - **Deadlines**: cooperative, checked between replicates
 //!   ([`iac_sim::engine::Deadline`], the same machinery
 //!   `sweep --timeout-secs` uses). On expiry the completed contiguous
@@ -39,12 +39,12 @@ use std::time::Duration;
 
 use iac_obs::{Counter, Registry, Snapshot};
 use iac_sim::engine::{self, Deadline};
-use iac_sim::registry::{self, Quality};
+use iac_sim::registry::{self, Quality, Scenario};
 use iac_sim::{desrec, DEFAULT_SEED};
 
 use crate::cache::{CacheKey, CacheLookup, RecoveryReport, ResultCache};
 use crate::chaos;
-use crate::pool::{run_batch, BatchError, ScenarioFn, WorkerPool};
+use crate::pool::{run_batch, BatchError, WorkerPool};
 use crate::protocol::{
     self, bye_line, error_line, pong_line, replicate_line, result_line, stats_line, ProtoError,
     Request, RunRequest, RunStatus,
@@ -143,12 +143,6 @@ impl Default for ServeMetrics {
     }
 }
 
-struct ServeScenario {
-    name: &'static str,
-    run: ScenarioFn,
-    default_replicates: usize,
-}
-
 /// Whether the connection should keep reading after a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
@@ -175,7 +169,7 @@ pub struct Daemon {
     cache: Option<ResultCache>,
     recovery: RecoveryReport,
     metrics: ServeMetrics,
-    scenarios: Vec<ServeScenario>,
+    scenarios: Vec<Scenario>,
     inflight: AtomicUsize,
     stop: AtomicBool,
 }
@@ -197,22 +191,9 @@ impl Daemon {
         if let Some(dir) = &cfg.audit_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let mut scenarios: Vec<ServeScenario> = registry::all()
-            .iter()
-            .map(|s| ServeScenario {
-                name: s.name,
-                run: s.run,
-                default_replicates: s.default_replicates,
-            })
-            .collect();
+        let mut scenarios = registry::all();
         if cfg.chaos {
-            scenarios.extend(chaos::scenarios().into_iter().map(
-                |(name, run, default_replicates)| ServeScenario {
-                    name,
-                    run,
-                    default_replicates,
-                },
-            ));
+            scenarios.extend(chaos::scenarios());
         }
         let pool = WorkerPool::new(cfg.workers);
         Ok(Daemon {
@@ -296,7 +277,7 @@ impl Daemon {
         emit(&error_line(None, e.code(), &e.to_string()));
     }
 
-    fn find(&self, name: &str) -> Option<&ServeScenario> {
+    fn find(&self, name: &str) -> Option<&Scenario> {
         self.scenarios.iter().find(|s| s.name == name)
     }
 
@@ -421,12 +402,12 @@ impl Daemon {
         );
 
         match outcome.error {
-            Some(BatchError::Panicked { replicate, message }) => {
+            Some(BatchError::Panicked(p)) => {
                 self.metrics.panics.inc();
                 emit(&error_line(
                     Some(&rr.id),
                     "panic",
-                    &format!("replicate {replicate} panicked: {message}"),
+                    &format!("replicate {} panicked: {}", p.replicate, p.message),
                 ));
             }
             Some(BatchError::WorkerLost) => {

@@ -2,10 +2,11 @@
 //! respawn, and deadline-aware batch execution.
 //!
 //! Workers are plain OS threads pulling [`Job`]s off one shared FIFO. Each
-//! trial runs under `catch_unwind`, so a panicking scenario produces a
-//! typed [`JobOutcome::Panicked`] reply and the worker survives to take the
-//! next job. Worker *loss* (simulated by [`JobKind::Kill`], which makes the
-//! worker exit its loop without replying — the moral equivalent of a
+//! trial runs under the trial engine's panic capture
+//! ([`iac_sim::engine::catch_trial`]), so a panicking scenario produces an
+//! `Err(message)` reply and the worker survives to take the next job.
+//! Worker *loss* (simulated by [`JobKind::Kill`], which makes the worker
+//! exit its loop without replying — the moral equivalent of a
 //! `pthread_kill` mid-trial) is detected through the reply channel: every
 //! in-flight job holds the only clones of its batch's reply sender, so a
 //! dead worker dropping its job eventually disconnects the channel and the
@@ -21,24 +22,19 @@
 //! unbounded run, which is what makes partial (timeout) reports meaningful
 //! and complete runs bit-identical to `registry::run_scenario`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use iac_sim::engine::Deadline;
+use iac_sim::engine::{catch_trial, Deadline, TrialPanic};
 use iac_sim::registry::{Quality, TrialOutput};
-
-/// A scenario entry point, same shape as `registry::Scenario::run`.
-pub type ScenarioFn = fn(Quality, u64) -> TrialOutput;
 
 /// What a worker should do.
 pub enum JobKind {
     /// Run one replicate of a scenario.
     Trial {
-        /// Scenario entry point.
-        run: ScenarioFn,
+        /// Scenario entry point (`registry::Scenario::run`).
+        run: fn(Quality, u64) -> TrialOutput,
         /// Trial sizing.
         quality: Quality,
         /// This replicate's derived seed.
@@ -63,27 +59,8 @@ pub struct Job {
 pub struct JobResult {
     /// Replicate index the job carried.
     pub index: usize,
-    /// How it went.
-    pub outcome: JobOutcome,
-}
-
-/// Trial outcome.
-pub enum JobOutcome {
-    /// The trial completed.
-    Done(TrialOutput),
-    /// The scenario panicked; the payload is the panic message. The worker
-    /// itself survived.
-    Panicked(String),
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    /// The trial's output, or its panic message (the worker survived).
+    pub outcome: Result<TrialOutput, String>,
 }
 
 fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>) {
@@ -106,10 +83,7 @@ fn worker_loop(queue: Arc<Mutex<Receiver<Job>>>) {
                 seed,
                 index,
             } => {
-                let outcome = match catch_unwind(AssertUnwindSafe(|| run(quality, seed))) {
-                    Ok(out) => JobOutcome::Done(out),
-                    Err(payload) => JobOutcome::Panicked(panic_message(payload)),
-                };
+                let outcome = catch_trial(|| run(quality, seed));
                 // A dropped batch receiver (request already answered) is fine.
                 let _ = job.reply.send(JobResult { index, outcome });
             }
@@ -207,12 +181,7 @@ impl WorkerPool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchError {
     /// A replicate panicked; the request fails with a typed error.
-    Panicked {
-        /// Which replicate.
-        replicate: usize,
-        /// The panic message.
-        message: String,
-    },
+    Panicked(TrialPanic),
     /// A worker died mid-batch without replying.
     WorkerLost,
 }
@@ -236,7 +205,7 @@ pub struct BatchOutcome {
 /// at most one per configured worker so none can strand in an empty pool.
 pub fn run_batch(
     pool: &WorkerPool,
-    run: ScenarioFn,
+    run: fn(Quality, u64) -> TrialOutput,
     quality: Quality,
     seeds: &[u64],
     deadline: Deadline,
@@ -263,7 +232,7 @@ pub fn run_batch(
     let mut streamed = 0usize; // replicates handed to on_replicate so far
     let mut slots: Vec<Option<TrialOutput>> = Vec::new();
     slots.resize_with(total, || None);
-    let mut first_panic: Option<(usize, String)> = None;
+    let mut first_panic: Option<TrialPanic> = None;
     let mut timed_out = false;
 
     loop {
@@ -304,7 +273,7 @@ pub fn run_batch(
             Ok(JobResult { index, outcome }) => {
                 received += 1;
                 match outcome {
-                    JobOutcome::Done(out) => {
+                    Ok(out) => {
                         slots[index] = Some(out);
                         while streamed < total {
                             match &slots[streamed] {
@@ -316,10 +285,11 @@ pub fn run_batch(
                             }
                         }
                     }
-                    JobOutcome::Panicked(message) => {
-                        if first_panic.is_none() {
-                            first_panic = Some((index, message));
-                        }
+                    Err(message) => {
+                        first_panic.get_or_insert(TrialPanic {
+                            replicate: index,
+                            message,
+                        });
                     }
                 }
             }
@@ -334,11 +304,11 @@ pub fn run_batch(
         }
     }
 
-    if let Some((replicate, message)) = first_panic {
+    if let Some(panic) = first_panic {
         return BatchOutcome {
             outputs: Vec::new(),
             complete: false,
-            error: Some(BatchError::Panicked { replicate, message }),
+            error: Some(BatchError::Panicked(panic)),
         };
     }
     // No panic and fully drained ⇒ every submitted index completed, and
@@ -353,14 +323,10 @@ pub fn run_batch(
     }
 }
 
-/// Convenience for tests: a deadline that has already expired.
-pub fn expired_deadline() -> Deadline {
-    Deadline::after(Duration::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn ok_trial(_q: Quality, seed: u64) -> TrialOutput {
         TrialOutput {
@@ -414,13 +380,13 @@ mod tests {
             |_, _| {},
         );
         match out.error {
-            Some(BatchError::Panicked { replicate, message }) => {
+            Some(BatchError::Panicked(TrialPanic { replicate, message })) => {
                 assert_eq!(replicate, 2);
                 assert!(message.contains("injected panic for seed 7"), "{message}");
             }
             other => panic!("expected panic error, got {other:?}"),
         }
-        // catch_unwind means nobody died; the pool serves the next batch.
+        // The capture means nobody died; the pool serves the next batch.
         assert_eq!(pool.dead_workers(), 0);
         let ok = run_batch(
             &pool,
@@ -477,7 +443,7 @@ mod tests {
             ok_trial,
             Quality::Quick,
             &[1, 2, 3],
-            expired_deadline(),
+            Deadline::after(Duration::ZERO),
             false,
             |_, _| {},
         );

@@ -11,7 +11,7 @@
 use crate::engine::Deadline;
 use crate::experiment::DEFAULT_SEED;
 use crate::obs::SweepObs;
-use crate::registry::{self, Quality};
+use crate::registry::{self, Quality, Scenario};
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -39,10 +39,10 @@ pub struct SweepArgs {
     /// Announce each scenario on stderr before running it.
     pub progress: bool,
     /// Wall-clock budget for the whole sweep, in seconds. The deadline is
-    /// checked cooperatively between replicates (the daemon's machinery,
-    /// [`crate::engine::run_trials_deadline`]): on expiry the current
-    /// scenario reports its completed prefix, remaining scenarios are
-    /// skipped, and the sweep exits with [`SweepOutcome::TimedOut`].
+    /// checked cooperatively between replicates ([`crate::engine::Deadline`],
+    /// shared with the daemon): on expiry the current scenario reports its
+    /// completed prefix, remaining scenarios are skipped, and the sweep
+    /// exits with [`SweepOutcome::TimedOut`].
     pub timeout_secs: Option<u64>,
 }
 
@@ -65,7 +65,7 @@ impl Default for SweepArgs {
 }
 
 /// How a sweep ended; `examples/sweep.rs` maps these to exit codes
-/// (0 / 2 / 124).
+/// (0 / 2 / 124 / 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepOutcome {
     /// Every selected scenario ran all its replicates.
@@ -75,6 +75,9 @@ pub enum SweepOutcome {
     /// `--timeout-secs` expired: partial results were printed, remaining
     /// work was skipped (exit 124, the `timeout(1)` convention).
     TimedOut,
+    /// A replicate panicked: its scenario's report was skipped (named on
+    /// stderr), the other scenarios still ran (exit 1).
+    Panicked,
 }
 
 /// The usage text `examples/sweep.rs` prints on a parse error.
@@ -98,8 +101,7 @@ pub const USAGE: &str = "usage: sweep [--scenario <name>|all] [--replicates N] [
               current scenario reports the replicates completed so far,\n\
               remaining scenarios are skipped, and sweep exits 124.\n\
               Checked between replicates — a started replicate always\n\
-              finishes. Scenario-level telemetry folding is skipped on\n\
-              the deadline path (exports still written, engine facts only)";
+              finishes.";
 
 /// Parse `--seed`: decimal or 0x-prefixed hex.
 pub fn parse_seed(s: &str) -> Option<u64> {
@@ -164,10 +166,11 @@ pub fn parse_sweep_args(args: impl IntoIterator<Item = String>) -> Result<SweepA
 }
 
 /// Run a sweep. Aggregate output (tables or `--json`) goes to `stdout`;
-/// timing, progress, and telemetry notices go to `stderr`; metric/trace
-/// exports go to their `--metrics`/`--trace` files. Returns the outcome
-/// (`examples/sweep.rs` maps [`SweepOutcome::UnknownScenario`] to exit 2
-/// and [`SweepOutcome::TimedOut`] to exit 124).
+/// timing, progress, panic and telemetry notices go to `stderr`;
+/// metric/trace exports go to their `--metrics`/`--trace` files. Returns
+/// the outcome (`examples/sweep.rs` maps [`SweepOutcome::UnknownScenario`]
+/// to exit 2, [`SweepOutcome::TimedOut`] to exit 124 and
+/// [`SweepOutcome::Panicked`] to exit 1).
 ///
 /// The stdout bytes are bit-identical for every `--threads` value and for
 /// every combination of telemetry flags: telemetry is folded from passive
@@ -205,6 +208,16 @@ pub fn run_sweep(
         }
     };
 
+    run_selected(args, &selected, stdout, stderr)
+}
+
+/// The run loop of [`run_sweep`] over the selected scenarios.
+fn run_selected(
+    args: &SweepArgs,
+    selected: &[Scenario],
+    stdout: &mut dyn Write,
+    stderr: &mut dyn Write,
+) -> std::io::Result<SweepOutcome> {
     let deadline = match args.timeout_secs {
         Some(s) => Deadline::after(Duration::from_secs(s)),
         None => Deadline::none(),
@@ -212,7 +225,8 @@ pub fn run_sweep(
     let telemetry = args.metrics_path.is_some() || args.trace_path.is_some();
     let mut obs = SweepObs::new();
     let mut timed_out = false;
-    for spec in &selected {
+    let mut panicked = false;
+    for spec in selected {
         if deadline.expired() {
             writeln!(
                 stderr,
@@ -234,38 +248,34 @@ pub fn run_sweep(
             )?;
         }
         let started = Instant::now();
-        let report = if deadline.is_bounded() {
-            // The daemon's deadline machinery: stop claiming replicates
-            // once the budget is gone, report the completed prefix.
-            let (report, complete) = registry::run_scenario_deadline(
-                spec,
-                args.quality,
-                args.seed,
-                replicates,
-                args.threads,
-                deadline,
-            );
-            if !complete {
+        let (report, complete) = match registry::run_replicates(
+            spec,
+            args.quality,
+            args.seed,
+            replicates,
+            args.threads,
+            deadline,
+            telemetry.then_some(&mut obs),
+        ) {
+            Ok(done) => done,
+            Err(p) => {
                 writeln!(
                     stderr,
-                    "[timeout] {}: {} of {} replicates completed before the deadline",
-                    spec.name, report.replicates, replicates
+                    "[panic] {}: replicate {} panicked: {}; report skipped",
+                    spec.name, p.replicate, p.message
                 )?;
-                timed_out = true;
+                panicked = true;
+                continue;
             }
-            report
-        } else if telemetry {
-            registry::run_scenario_observed(
-                spec,
-                args.quality,
-                args.seed,
-                replicates,
-                args.threads,
-                &mut obs,
-            )
-        } else {
-            registry::run_scenario(spec, args.quality, args.seed, replicates, args.threads)
         };
+        if !complete {
+            writeln!(
+                stderr,
+                "[timeout] {}: {} of {} replicates completed before the deadline",
+                spec.name, report.replicates, replicates
+            )?;
+            timed_out = true;
+        }
         // Timing is execution-dependent — stderr only, so stdout stays
         // bit-identical across thread counts.
         writeln!(
@@ -293,7 +303,9 @@ pub fn run_sweep(
         std::fs::write(path, obs.trace_json())?;
         writeln!(stderr, "chrome trace written to {path}")?;
     }
-    Ok(if timed_out {
+    Ok(if panicked {
+        SweepOutcome::Panicked
+    } else if timed_out {
         SweepOutcome::TimedOut
     } else {
         SweepOutcome::Completed
@@ -396,5 +408,38 @@ mod tests {
             SweepOutcome::Completed
         );
         assert_eq!(plain, bounded, "a deadline that never fires must not change stdout");
+    }
+
+    fn broken(_q: Quality, _seed: u64) -> registry::TrialOutput {
+        panic!("broken scenario")
+    }
+
+    #[test]
+    fn panicking_scenario_is_named_skipped_and_the_rest_still_run() {
+        let broken = Scenario {
+            name: "broken",
+            about: "every replicate panics",
+            default_replicates: 2,
+            run: broken,
+        };
+        let fine = registry::find("sec7_overhead").unwrap();
+        let args = SweepArgs {
+            threads: 1,
+            json: true,
+            ..SweepArgs::default()
+        };
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        assert_eq!(
+            run_selected(&args, &[broken, fine], &mut out, &mut err).unwrap(),
+            SweepOutcome::Panicked
+        );
+        let out = String::from_utf8(out).unwrap();
+        assert!(!out.contains("\"broken\""), "the broken report is skipped: {out}");
+        assert!(out.contains("\"sec7_overhead\""), "later scenarios still run: {out}");
+        let err = String::from_utf8(err).unwrap();
+        assert!(
+            err.contains("[panic] broken: replicate 0 panicked: broken scenario"),
+            "{err}"
+        );
     }
 }

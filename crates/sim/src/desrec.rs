@@ -159,43 +159,9 @@ pub fn des_runs(name: &str, quality: Quality, trial_seed: u64) -> Vec<DesRun> {
     }
 }
 
-/// Run one constituent simulation without recording.
-pub fn run_plain(run: &DesRun) -> NetSimOutcome {
-    netsim::run_netsim(&run.spec, run.phy.clone())
-}
-
-/// Run one constituent simulation with the passive kind-counting observer
-/// attached and its telemetry facts harvested. The outcome is identical to
-/// [`run_plain`]'s.
-pub fn run_observed(run: &DesRun) -> (NetSimOutcome, netsim::DesRunFacts) {
-    let (out, mut facts) = netsim::run_netsim_observed(&run.spec, run.phy.clone());
-    facts.label.clone_from(&run.label);
-    (out, facts)
-}
-
-/// One full trial with telemetry: every constituent run observed, the
-/// [`TrialOutput`] reconstructed through [`trial_output_from`] — the same
-/// pure path replay verification uses, so the output is bit-identical to
-/// the live registry entry's (pinned by `tests/obs_invariance.rs`).
-pub fn observed_trial(
-    name: &str,
-    quality: Quality,
-    trial_seed: u64,
-) -> (TrialOutput, Vec<netsim::DesRunFacts>) {
-    let runs = des_runs(name, quality, trial_seed);
-    let mut outcomes = Vec::with_capacity(runs.len());
-    let mut facts = Vec::with_capacity(runs.len());
-    for run in &runs {
-        let (out, f) = run_observed(run);
-        outcomes.push(out);
-        facts.push(f);
-    }
-    (trial_output_from(name, quality, trial_seed, outcomes), facts)
-}
-
 /// Run one constituent simulation with recording; returns the encoded event
-/// log alongside the outcome. The outcome is identical to [`run_plain`]'s
-/// (the recorder is a passive observer).
+/// log alongside the outcome. The outcome is identical to an unrecorded
+/// [`netsim::run_netsim`]'s (the recorder is a passive observer).
 pub fn record(run: &DesRun) -> (Vec<u8>, NetSimOutcome) {
     let sink = iac_des::log::MemorySink::default();
     let out = netsim::run_netsim_recorded(&run.spec, run.phy.clone(), sink.clone())

@@ -29,27 +29,35 @@
 //! lane 0 — one fewer spawn, and the lane with the warmest arena (it
 //! persists across engine runs) always participates.
 //!
-//! [`run_trials`] resolves the *requested* thread count and then clamps it
-//! to the machine's available parallelism: workers beyond the core count
+//! [`run`] is the one entry point. Its [`RunPlan`] names an **exact** worker
+//! count, a cooperative [`Deadline`], and whether to observe. Callers that
+//! start from a *requested* thread count clamp it first with
+//! [`effective_workers`] (the registry does): workers beyond the core count
 //! cannot run concurrently and only add spawn/switch overhead and cold
 //! arenas (outputs are bit-identical at every worker count, so the clamp is
-//! unobservable in results). The `_on` variants take an exact worker count
-//! for tests and scaling studies.
+//! unobservable in results). Tests and scaling studies pass an exact count.
+//! One worker runs every trial on the calling thread, with no thread scope.
+//!
+//! A panicking trial never takes the run down: the panic is caught, the
+//! lanes stop claiming trials above it, and [`run`] reports the
+//! lowest-index panic as a [`TrialPanic`] next to the completed prefix.
 //!
 //! Construction of non-[`Send`] machinery (e.g. the `Rc`-based metrics log
 //! of `iac-des` simulations) happens *inside* the worker closure, so only
 //! the plain-data outputs ever cross a thread boundary.
 
+use crate::netsim::DesRunFacts;
 use iac_linalg::Rng64;
 use iac_obs::{ProfileTree, Profiler, TraceEvent};
 use iac_phy::ScratchStats;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// A cooperative wall-clock deadline, shared by the deadline-aware trial
-/// runner ([`run_trials_deadline`]), the sweep CLI's `--timeout-secs`, and
-/// the `iac-serve` daemon's per-request deadlines.
+/// A cooperative wall-clock deadline, shared by the trial engine
+/// ([`RunPlan::deadline`]), the sweep CLI's `--timeout-secs`, and the
+/// `iac-serve` daemon's per-request deadlines.
 ///
 /// A deadline is only ever *checked between units of work* (between
 /// replicates here, between queue claims in the daemon) — a trial that has
@@ -67,32 +75,17 @@ impl Deadline {
         Deadline { at: None }
     }
 
-    /// Expire `d` from now.
+    /// Expire `d` from now. A `d` too far out to be an instant on this
+    /// clock is unbounded.
     pub fn after(d: Duration) -> Self {
         Deadline {
-            at: Some(Instant::now() + d),
+            at: Instant::now().checked_add(d),
         }
-    }
-
-    /// Expire at the given instant.
-    pub fn at(instant: Instant) -> Self {
-        Deadline { at: Some(instant) }
-    }
-
-    /// Whether the deadline is bounded at all.
-    pub fn is_bounded(&self) -> bool {
-        self.at.is_some()
     }
 
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         self.at.is_some_and(|at| Instant::now() >= at)
-    }
-
-    /// Time left: `None` for an unbounded deadline, `Some(ZERO)` once
-    /// expired.
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at.map(|at| at.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -147,12 +140,12 @@ fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// The worker count [`run_trials`] actually uses for `n` trials at a
-/// requested thread count: [`resolve_threads`], then clamped to the
-/// machine's cores (oversubscribed workers cannot run concurrently — they
-/// only add spawn overhead and cold thread-local arenas) and to the trial
-/// count. Outputs are bit-identical at every worker count, so the clamp
-/// never changes results — only wall-clock.
+/// The worker count for `n` trials at a requested thread count:
+/// [`resolve_threads`], then clamped to the machine's cores (oversubscribed
+/// workers cannot run concurrently — they only add spawn overhead and cold
+/// thread-local arenas) and to the trial count. Outputs are bit-identical
+/// at every worker count, so the clamp never changes results — only
+/// wall-clock.
 pub fn effective_workers(requested: usize, n: usize) -> usize {
     resolve_threads(requested)
         .min(available_cores())
@@ -184,167 +177,220 @@ fn claim_chunk(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<u
     }
 }
 
-/// One worker's claim loop: drain chunks off the cursor, run every trial in
-/// each, keep `(index, output)` pairs locally.
-fn worker_shard<T, F>(cursor: &AtomicUsize, n: usize, workers: usize, run: &F) -> Vec<(usize, T)>
-where
-    F: Fn(usize) -> T + Sync,
-{
-    let mut shard: Vec<(usize, T)> = Vec::new();
-    while let Some(range) = claim_chunk(cursor, n, workers) {
-        for i in range {
-            shard.push((i, run(i)));
+/// How [`run`] executes a batch of trials.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunPlan {
+    /// Exact worker count, clamped to `1..=n` only (see
+    /// [`effective_workers`]). Lane 0 is the calling thread.
+    pub workers: usize,
+    /// Checked before each trial starts; a started trial always finishes.
+    pub deadline: Deadline,
+    /// Collect [`EngineFacts`] alongside the outputs.
+    pub observe: bool,
+}
+
+/// A trial that panicked: its index and its panic message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TrialPanic {
+    /// Trial index within the run.
+    pub replicate: usize,
+    /// The panic payload, when it was a string.
+    pub message: String,
+}
+
+/// What [`run`] returns.
+#[derive(Debug)]
+pub struct RunOutcome<T> {
+    /// Outputs of the completed prefix `0..k`, in trial order. Only `k`
+    /// depends on timing (deadline) or on a panic.
+    pub outputs: Vec<T>,
+    /// Whether all `n` trials completed.
+    pub complete: bool,
+    /// The run's execution facts, when the plan observed.
+    pub facts: Option<EngineFacts>,
+    /// The lowest-index panic; the completed prefix ends just below it.
+    pub panic: Option<TrialPanic>,
+}
+
+/// Run one trial, catching a panic as its message. The engine's lanes and
+/// the `iac-serve` pool's workers both isolate trials through here.
+pub fn catch_trial<T>(trial: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(trial)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
         }
-    }
-    shard
+    })
 }
 
-/// Run `n` trials on the *effective* worker count for `threads` (see
-/// [`effective_workers`]) and return the outputs **in trial order** —
-/// bit-identical to `(0..n).map(run).collect()` for every thread count,
-/// provided `run(i)` is a pure function of `i` (which the seeding contract
-/// guarantees for registry scenarios).
-pub fn run_trials<T, F>(n: usize, threads: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_trials_on(n, effective_workers(threads, n), run)
-}
-
-/// [`run_trials`] on an **exact** worker count — no environment lookup, no
-/// core clamp. The ordinary entry point is [`run_trials`]; this variant
-/// exists for tests and scaling studies that must exercise a specific pool
-/// size regardless of the machine (the determinism contract holds for any
-/// `workers`).
-pub fn run_trials_on<T, F>(n: usize, workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(run).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut merged: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                let run = &run;
-                let cursor = &cursor;
-                scope.spawn(move || worker_shard(cursor, n, workers, run))
-            })
-            .collect();
-        // The caller is worker lane 0: no spawn for it, and its thread-local
-        // scratch arena (warm from previous runs) serves a share of trials.
-        merged.extend(worker_shard(&cursor, n, workers, &run));
-        for h in handles {
-            merged.extend(h.join().expect("trial worker panicked"));
-        }
-    });
-    // The order-independent reduce: whatever interleaving the workers saw,
-    // the caller observes trial order.
-    merged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(merged.len(), n);
-    merged.into_iter().map(|(_, t)| t).collect()
-}
-
-/// [`run_trials`] under a cooperative [`Deadline`]: workers check the
-/// deadline **before starting** each trial and stop once it has passed; a
-/// trial that has started always runs to completion. Returns the completed
-/// outputs and whether the run finished all `n` trials.
-///
-/// The returned partial result is always the contiguous prefix `0..k` —
-/// bit-identical to the first `k` trials of an unbounded run, whatever the
-/// thread count (only `k` itself is timing-dependent). With chunked
-/// claiming a worker may abandon the tail of its chunk at expiry; the
-/// reducer keeps the longest contiguous prefix and discards any trials
-/// completed beyond the first gap, so the contract survives mid-chunk
-/// expiry.
-pub fn run_trials_deadline<T, F>(
-    n: usize,
-    threads: usize,
-    deadline: Deadline,
-    run: F,
-) -> (Vec<T>, bool)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_trials_deadline_on(n, effective_workers(threads, n), deadline, run)
-}
-
-/// [`run_trials_deadline`] on an **exact** worker count (see
-/// [`run_trials_on`] for when that is the right tool).
-pub fn run_trials_deadline_on<T, F>(
+/// The claim state every lane of one [`run`] shares.
+struct Claims {
+    cursor: AtomicUsize,
     n: usize,
     workers: usize,
     deadline: Deadline,
-    run: F,
-) -> (Vec<T>, bool)
+    /// Lowest trial index seen to panic (`usize::MAX`: none yet). Lanes stop
+    /// at chunks above it but run every trial below it, so the reported
+    /// panic is the lowest panicking index whatever the interleaving.
+    lowest_panic: AtomicUsize,
+}
+
+impl Claims {
+    /// One lane's claim loop: drain chunks off the cursor and keep `(index,
+    /// output)` pairs locally, until the deadline or past a panic.
+    fn drain<T>(&self, mut trial: impl FnMut(usize) -> T) -> Shard<T> {
+        // Per-trial reads stay off the cursor's contended cache line.
+        let deadline = self.deadline;
+        let mut outputs = Vec::new();
+        let mut panic = None;
+        while let Some(range) = claim_chunk(&self.cursor, self.n, self.workers) {
+            if range.start > self.lowest_panic.load(Ordering::Relaxed) {
+                break;
+            }
+            // One capture per chunk: every trial before the one that unwinds
+            // has pushed its output, so the count names the panicking trial.
+            let (start, before) = (range.start, outputs.len());
+            let chunk = catch_trial(|| {
+                if deadline == Deadline::none() {
+                    // No clock read in the loop: it would cost the trivial
+                    // trials of the dispatch micro-benchmark about a third.
+                    for i in range {
+                        outputs.push((i, trial(i)));
+                    }
+                    return true;
+                }
+                for i in range {
+                    if deadline.expired() {
+                        return false;
+                    }
+                    outputs.push((i, trial(i)));
+                }
+                true
+            });
+            match chunk {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(message) => {
+                    // Lanes claim ascending indices: the rest lies above it.
+                    let replicate = start + outputs.len() - before;
+                    self.lowest_panic.fetch_min(replicate, Ordering::Relaxed);
+                    panic = Some(TrialPanic { replicate, message });
+                    break;
+                }
+            }
+        }
+        Shard {
+            outputs,
+            panic,
+            facts: None,
+        }
+    }
+}
+
+/// One lane's harvest, shipped back to the reducer.
+struct Shard<T> {
+    outputs: Vec<(usize, T)>,
+    panic: Option<TrialPanic>,
+    facts: Option<LaneFacts>,
+}
+
+/// Run trials `0..n` as `plan` says and return the completed prefix **in
+/// trial order** — bit-identical to the first `k` of `(0..n).map(f)` for
+/// every worker count, provided `f(i)` is a pure function of `i`.
+///
+/// Workers check the deadline **before starting** each trial; a lane may
+/// abandon the tail of its chunk at expiry (or past a panic), so the reducer
+/// keeps the longest contiguous prefix. Observed facts never influence the
+/// outputs.
+pub fn run<T, F>(n: usize, plan: &RunPlan, f: F) -> RunOutcome<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if !deadline.is_bounded() {
-        return (run_trials_on(n, workers, run), true);
-    }
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            if deadline.expired() {
-                return (out, false);
-            }
-            out.push(run(i));
-        }
-        return (out, true);
-    }
-    let deadline_shard = |cursor: &AtomicUsize| {
-        let mut shard: Vec<(usize, T)> = Vec::new();
-        'claims: while let Some(range) = claim_chunk(cursor, n, workers) {
-            for i in range {
-                if deadline.expired() {
-                    break 'claims;
-                }
-                shard.push((i, run(i)));
-            }
-        }
-        shard
+    let workers = plan.workers.clamp(1, n.max(1));
+    let claims = Claims {
+        cursor: AtomicUsize::new(0),
+        n,
+        workers,
+        deadline: plan.deadline,
+        lowest_panic: AtomicUsize::new(usize::MAX),
     };
-    let cursor = AtomicUsize::new(0);
-    let mut merged: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| {
-                let shard = &deadline_shard;
-                let cursor = &cursor;
-                scope.spawn(move || shard(cursor))
-            })
-            .collect();
-        merged.extend(deadline_shard(&cursor));
-        for h in handles {
-            merged.extend(h.join().expect("trial worker panicked"));
+    let origin = Instant::now();
+    let lane = |id: u32| {
+        if !plan.observe {
+            return claims.drain(&f);
         }
-    });
+        let mut lane = Lane::start(id, origin);
+        let shard = claims.drain(|i| lane.observe(i, &f));
+        Shard {
+            facts: Some(lane.finish()),
+            ..shard
+        }
+    };
+    let shards = if workers == 1 {
+        vec![lane(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers as u32)
+                .map(|id| {
+                    let lane = &lane;
+                    scope.spawn(move || lane(id))
+                })
+                .collect();
+            // The caller is lane 0: no spawn for it, and its thread-local
+            // scratch arena (warm from previous runs) serves a share of trials.
+            let mut shards = vec![lane(0)];
+            for h in handles {
+                // Trial panics are caught inside the lane; anything reaching
+                // here is an engine fault, so it propagates as-is.
+                shards.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            shards
+        })
+    };
+
+    // The order-independent reduce: whatever interleaving the workers saw,
+    // the caller observes trial order.
+    let mut merged: Vec<(usize, T)> = Vec::new();
+    let mut panic: Option<TrialPanic> = None;
+    let mut facts = plan.observe.then(EngineFacts::default);
+    for shard in shards {
+        if merged.is_empty() {
+            merged = shard.outputs;
+        } else {
+            merged.extend(shard.outputs);
+        }
+        panic = panic.into_iter().chain(shard.panic).min_by_key(|p| p.replicate);
+        if let (Some(facts), Some(lane)) = (facts.as_mut(), shard.facts) {
+            lane.fold_into(facts);
+        }
+    }
     merged.sort_by_key(|&(i, _)| i);
-    // Longest contiguous prefix: trials completed beyond a mid-chunk
-    // abandonment are dropped so the partial result stays the exact serial
-    // prefix 0..k.
-    let k = merged
-        .iter()
-        .enumerate()
-        .take_while(|&(k, &(i, _))| i == k)
-        .count();
+    // Indices are distinct, so all `n` present means the prefix is whole.
+    let k = if merged.len() == n {
+        n
+    } else {
+        merged.iter().enumerate().take_while(|&(k, &(i, _))| i == k).count()
+    };
     merged.truncate(k);
-    let complete = k == n;
-    (merged.into_iter().map(|(_, t)| t).collect(), complete)
+    if let Some(facts) = facts.as_mut() {
+        facts.timings.sort_by_key(|t| t.index);
+        facts.workers.sort_by_key(|w| w.lane);
+    }
+    RunOutcome {
+        outputs: merged.into_iter().map(|(_, t)| t).collect(),
+        complete: k == n,
+        facts,
+        panic,
+    }
 }
 
-/// Wall-clock timing of one trial, as observed by
-/// [`run_trials_observed`]. Timestamps are relative to the run's start, so
-/// all lanes share one time base (the Chrome-trace convention).
+/// Wall-clock timing of one trial, as observed by [`run`]. Timestamps are
+/// relative to the run's start, so all lanes share one time base (the
+/// Chrome-trace convention).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrialTiming {
     /// Trial index within the run.
@@ -357,12 +403,12 @@ pub struct TrialTiming {
     pub dur_ns: u64,
 }
 
-/// One worker lane's contribution to a [`run_trials_observed`] run.
+/// One worker lane's contribution to an observed [`run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerFacts {
-    /// Lane id, `0..threads` (lane 0 is the calling thread).
+    /// Lane id, `0..workers` (lane 0 is the calling thread).
     pub lane: u32,
-    /// Trials this lane claimed.
+    /// Trials this lane ran.
     pub trials: u64,
     /// The lane's scratch-arena activity **delta** over the run
     /// ([`iac_phy::fft::thread_scratch_stats`] before/after — the arena is
@@ -370,9 +416,9 @@ pub struct WorkerFacts {
     pub scratch: ScratchStats,
 }
 
-/// Everything [`run_trials_observed`] learns about a run beyond its
-/// outputs. Entirely execution-dependent (wall-clock, lane assignment) —
-/// never feed any of it back into simulation results.
+/// Everything an observed [`run`] learns beyond its outputs. Entirely
+/// execution-dependent (wall-clock, lane assignment) — never feed any of it
+/// back into simulation results.
 #[derive(Debug, Clone, Default)]
 pub struct EngineFacts {
     /// Per-trial wall-clock timings, in trial order. Empty when the `obs`
@@ -384,10 +430,14 @@ pub struct EngineFacts {
     pub profile: ProfileTree,
     /// Chrome-trace events (one per trial span), unsorted across lanes.
     pub trace: Vec<TraceEvent>,
+    /// Facts of every DES run the trials made (from each lane's
+    /// `obs::DES_SINK`), unsorted across lanes.
+    pub des_runs: Vec<DesRunFacts>,
 }
 
 /// Per-lane observation state: a tracing profiler, the claim order (to map
 /// trace events back to trial indices), and the scratch-stats baseline.
+/// While a lane lives, its thread's DES sink is open.
 struct Lane {
     lane: u32,
     prof: Profiler,
@@ -397,6 +447,7 @@ struct Lane {
 
 impl Lane {
     fn start(lane: u32, origin: Instant) -> Self {
+        crate::obs::DES_SINK.set(Some(Vec::new()));
         Lane {
             lane,
             prof: Profiler::with_trace(lane, origin),
@@ -412,7 +463,7 @@ impl Lane {
     }
 
     /// Seal the lane's observations. Must run **on the lane's own thread**:
-    /// the scratch-arena delta reads the thread-local stats.
+    /// the scratch-arena delta and the DES sink are thread-local.
     fn finish(self) -> LaneFacts {
         LaneFacts {
             lane: self.lane,
@@ -420,6 +471,7 @@ impl Lane {
             tree: self.prof.tree(),
             events: self.prof.take_trace_events(),
             order: self.order,
+            des_runs: crate::obs::DES_SINK.take().unwrap_or_default(),
         }
     }
 }
@@ -431,6 +483,7 @@ struct LaneFacts {
     tree: ProfileTree,
     events: Vec<TraceEvent>,
     scratch: ScratchStats,
+    des_runs: Vec<DesRunFacts>,
 }
 
 impl LaneFacts {
@@ -454,107 +507,69 @@ impl LaneFacts {
         });
         facts.profile.merge(&self.tree);
         facts.trace.extend(self.events);
+        facts.des_runs.extend(self.des_runs);
     }
-}
-
-/// A lane's chunked claim loop: like [`worker_shard`] but each trial runs
-/// under the lane's observation ([`Lane::observe`] records the claim order
-/// and wraps the trial in a span).
-fn observed_shard<T, F>(
-    cursor: &AtomicUsize,
-    n: usize,
-    workers: usize,
-    run: &F,
-    lane: &mut Lane,
-) -> Vec<(usize, T)>
-where
-    F: Fn(usize) -> T + Sync,
-{
-    let mut shard: Vec<(usize, T)> = Vec::new();
-    while let Some(range) = claim_chunk(cursor, n, workers) {
-        for i in range {
-            shard.push((i, lane.observe(i, run)));
-        }
-    }
-    shard
-}
-
-/// [`run_trials`] plus passive observation: per-trial wall-clock timings,
-/// per-lane scratch-arena deltas, and a merged span profile. The outputs are
-/// computed by the identical claim/merge/sort machinery, so they are
-/// bit-identical to [`run_trials`]'s for every thread count — the facts ride
-/// alongside and never influence them.
-pub fn run_trials_observed<T, F>(n: usize, threads: usize, run: F) -> (Vec<T>, EngineFacts)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_trials_observed_on(n, effective_workers(threads, n), run)
-}
-
-/// [`run_trials_observed`] on an **exact** worker count (see
-/// [`run_trials_on`]). Lane 0 is always the calling thread.
-pub fn run_trials_observed_on<T, F>(n: usize, workers: usize, run: F) -> (Vec<T>, EngineFacts)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let origin = Instant::now();
-    let mut facts = EngineFacts::default();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut lane = Lane::start(0, origin);
-        let out: Vec<T> = (0..n).map(|i| lane.observe(i, &run)).collect();
-        lane.finish().fold_into(&mut facts);
-        return (out, facts);
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut merged: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers as u32)
-            .map(|lane_id| {
-                let run = &run;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut lane = Lane::start(lane_id, origin);
-                    let shard = observed_shard(cursor, n, workers, run, &mut lane);
-                    (shard, lane.finish())
-                })
-            })
-            .collect();
-        let mut lane0 = Lane::start(0, origin);
-        merged.extend(observed_shard(&cursor, n, workers, &run, &mut lane0));
-        lane0.finish().fold_into(&mut facts);
-        for h in handles {
-            let (shard, lane) = h.join().expect("trial worker panicked");
-            merged.extend(shard);
-            lane.fold_into(&mut facts);
-        }
-    });
-    merged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(merged.len(), n);
-    facts.timings.sort_by_key(|t| t.index);
-    facts.workers.sort_by_key(|w| w.lane);
-    (merged.into_iter().map(|(_, t)| t).collect(), facts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn plan(workers: usize, deadline: Deadline) -> RunPlan {
+        RunPlan {
+            workers,
+            deadline,
+            observe: false,
+        }
+    }
+
+    /// Outputs of an unbounded, unobserved run on an exact worker count.
+    fn run_on<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let done = run(n, &plan(workers, Deadline::none()), f);
+        assert!(done.complete && done.panic.is_none() && done.facts.is_none());
+        done.outputs
+    }
+
+    /// Outputs and completeness of a run under `deadline`.
+    fn run_until<T: Send>(
+        n: usize,
+        workers: usize,
+        deadline: Deadline,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, bool) {
+        let done = run(n, &plan(workers, deadline), f);
+        (done.outputs, done.complete)
+    }
+
+    /// Outputs and facts of an observed, unbounded run.
+    fn observed<T: Send>(
+        n: usize,
+        workers: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, EngineFacts) {
+        let plan = RunPlan {
+            observe: true,
+            ..plan(workers, Deadline::none())
+        };
+        let done = run(n, &plan, f);
+        (done.outputs, done.facts.expect("observed runs return facts"))
+    }
+
     #[test]
     fn trial_order_is_restored_for_every_worker_count() {
-        // `run_trials_on`, not `run_trials`: the public entry clamps to the
-        // machine's cores, and this test must exercise real multi-worker
-        // chunk claiming even on a single-core container.
+        // Exact worker counts above the machine's cores: this test must
+        // exercise real multi-worker chunk claiming even on a single-core
+        // container.
         let serial: Vec<u64> = (0..37).map(|i| Rng64::derive(9, i as u64).next_u64()).collect();
         for workers in [1, 2, 3, 7, 16] {
-            let parallel = run_trials_on(37, workers, |i| Rng64::derive(9, i as u64).next_u64());
+            let parallel = run_on(37, workers, |i| Rng64::derive(9, i as u64).next_u64());
             assert_eq!(parallel, serial, "workers = {workers}");
         }
-        // The clamped public entry agrees, whatever the machine.
+        // Counts clamped to the machine agree too.
         for threads in [0, 1, 2, 7] {
-            let clamped = run_trials(37, threads, |i| Rng64::derive(9, i as u64).next_u64());
+            let clamped = run_on(37, effective_workers(threads, 37), |i| {
+                Rng64::derive(9, i as u64).next_u64()
+            });
             assert_eq!(clamped, serial, "threads = {threads}");
         }
     }
@@ -585,7 +600,7 @@ mod tests {
     fn uneven_trial_costs_still_reduce_in_order() {
         // Early trials sleep, late ones return immediately: workers finish
         // out of order, the reducer must not care.
-        let out = run_trials_on(12, 4, |i| {
+        let out = run_on(12, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -596,10 +611,10 @@ mod tests {
 
     #[test]
     fn zero_and_one_trials_work() {
-        assert_eq!(run_trials(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_trials(1, 4, |i| i + 1), vec![1]);
-        assert_eq!(run_trials_on(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_trials_on(1, 4, |i| i + 1), vec![1]);
+        for workers in [1, 4] {
+            assert_eq!(run_on(0, workers, |i| i), Vec::<usize>::new());
+            assert_eq!(run_on(1, workers, |i| i + 1), vec![1]);
+        }
     }
 
     #[test]
@@ -645,8 +660,7 @@ mod tests {
     fn observed_outputs_match_plain_for_every_worker_count() {
         let serial: Vec<u64> = (0..23).map(|i| Rng64::derive(3, i as u64).next_u64()).collect();
         for workers in [1, 2, 4] {
-            let (out, facts) =
-                run_trials_observed_on(23, workers, |i| Rng64::derive(3, i as u64).next_u64());
+            let (out, facts) = observed(23, workers, |i| Rng64::derive(3, i as u64).next_u64());
             assert_eq!(out, serial, "workers = {workers}");
             assert_eq!(
                 facts.workers.iter().map(|w| w.trials).sum::<u64>(),
@@ -676,12 +690,10 @@ mod tests {
 
     #[test]
     fn unbounded_deadline_runs_everything() {
-        let (out, complete) =
-            run_trials_deadline(9, 3, Deadline::none(), |i| i * 2);
+        let (out, complete) = run_until(9, 3, Deadline::none(), |i| i * 2);
         assert!(complete);
         assert_eq!(out, (0..9).map(|i| i * 2).collect::<Vec<_>>());
         assert!(!Deadline::none().expired());
-        assert_eq!(Deadline::none().remaining(), None);
     }
 
     #[test]
@@ -689,10 +701,9 @@ mod tests {
         // Already-expired deadline: zero trials run (serial and parallel) —
         // the k == 0 corner of the contiguous-prefix contract.
         for workers in [1, 4] {
-            let past = Deadline::at(Instant::now() - Duration::from_millis(1));
+            let past = Deadline::after(Duration::ZERO);
             assert!(past.expired());
-            assert_eq!(past.remaining(), Some(Duration::ZERO));
-            let (out, complete) = run_trials_deadline_on(8, workers, past, |i| i);
+            let (out, complete) = run_until(8, workers, past, |i| i);
             assert!(!complete, "workers = {workers}");
             assert!(out.is_empty(), "workers = {workers}");
         }
@@ -706,7 +717,7 @@ mod tests {
         // gives up inside its claimed range leaves a hole the reducer must
         // truncate at.
         for workers in [1, 3, 4] {
-            let (out, complete) = run_trials_deadline_on(
+            let (out, complete) = run_until(
                 64,
                 workers,
                 Deadline::after(Duration::from_millis(30)),
@@ -735,24 +746,18 @@ mod tests {
             Rng64::derive(13, i as u64).next_u64()
         };
         // k == 0: already expired.
-        let (out, complete) = run_trials_deadline_on(
-            n,
-            4,
-            Deadline::at(Instant::now() - Duration::from_millis(1)),
-            trial,
-        );
+        let (out, complete) = run_until(n, 4, Deadline::after(Duration::ZERO), trial);
         assert!(!complete);
         assert_eq!(out, Vec::<u64>::new());
         // k == n: generous deadline completes and matches serial exactly.
-        let (out, complete) =
-            run_trials_deadline_on(n, 4, Deadline::after(Duration::from_secs(3600)), trial);
+        let (out, complete) = run_until(n, 4, Deadline::after(Duration::from_secs(3600)), trial);
         assert!(complete);
         assert_eq!(out, serial);
         // Mid-run expiry at several horizons: every partial is the exact
         // serial prefix (bit-identical u64s), whatever k lands on.
         for ms in [1u64, 3, 7] {
             let (out, complete) =
-                run_trials_deadline_on(n, 4, Deadline::after(Duration::from_millis(ms)), trial);
+                run_until(n, 4, Deadline::after(Duration::from_millis(ms)), trial);
             assert_eq!(out.as_slice(), &serial[..out.len()], "horizon {ms}ms");
             assert_eq!(complete, out.len() == n, "horizon {ms}ms");
         }
@@ -761,12 +766,9 @@ mod tests {
     #[test]
     fn generous_deadline_completes_and_matches_unbounded() {
         let serial: Vec<u64> = (0..11).map(|i| Rng64::derive(5, i as u64).next_u64()).collect();
-        let (out, complete) = run_trials_deadline(
-            11,
-            2,
-            Deadline::after(Duration::from_secs(3600)),
-            |i| Rng64::derive(5, i as u64).next_u64(),
-        );
+        let (out, complete) = run_until(11, 2, Deadline::after(Duration::from_secs(3600)), |i| {
+            Rng64::derive(5, i as u64).next_u64()
+        });
         assert!(complete);
         assert_eq!(out, serial);
     }
@@ -776,11 +778,11 @@ mod tests {
         // A trial that exercises the thread-local FFT arena must show up in
         // its lane's delta — and only the delta, not the thread's lifetime
         // totals (the arena persists across runs on one thread).
-        let (_, first) = run_trials_observed(2, 1, |_| {
+        let (_, first) = observed(2, 1, |_| {
             let mut x = vec![iac_linalg::C64::one(); 64];
             iac_phy::fft::fft(&mut x);
         });
-        let (_, second) = run_trials_observed(2, 1, |_| {
+        let (_, second) = observed(2, 1, |_| {
             let mut x = vec![iac_linalg::C64::one(); 64];
             iac_phy::fft::fft(&mut x);
         });
@@ -804,7 +806,7 @@ mod tests {
         // on *this* thread, so any trial lane 0 claims must be a plan hit.
         trial(0);
         let before = iac_phy::fft::thread_scratch_stats();
-        let (_, facts) = run_trials_observed_on(3, 2, trial);
+        let (_, facts) = observed(3, 2, trial);
         let lane0 = facts.workers.iter().find(|w| w.lane == 0).expect("lane 0 reported");
         let on_caller = iac_phy::fft::thread_scratch_stats().since(&before);
         assert_eq!(
@@ -814,6 +816,60 @@ mod tests {
         assert_eq!(
             lane0.scratch.plan_misses, 0,
             "lane 0 reuses the plan the calling thread cached before the run"
+        );
+    }
+
+    #[test]
+    fn overflowing_deadline_is_unbounded() {
+        // Outside input (`--timeout-secs 18446744073709551615`) must not
+        // panic: a duration past the clock's range never expires.
+        let far = Deadline::after(Duration::from_secs(u64::MAX));
+        assert_eq!(far, Deadline::none());
+        assert!(!far.expired());
+        assert_ne!(Deadline::after(Duration::from_secs(3600)), Deadline::none());
+    }
+
+    #[test]
+    fn lowest_panic_is_reported_with_the_same_prefix_at_every_worker_count() {
+        // Trials 5 and 9 panic: every worker count must report trial 5 and
+        // the outputs of 0..5, and the calling thread must survive it.
+        let trial = |i: usize| {
+            if i == 5 || i == 9 {
+                panic!("trial {i} failed");
+            }
+            Rng64::derive(21, i as u64).next_u64()
+        };
+        let prefix: Vec<u64> = (0..5).map(|i| Rng64::derive(21, i as u64).next_u64()).collect();
+        for workers in [1, 2, 4] {
+            for observe in [false, true] {
+                let plan = RunPlan {
+                    observe,
+                    ..plan(workers, Deadline::none())
+                };
+                let done = run(16, &plan, trial);
+                assert_eq!(
+                    done.panic,
+                    Some(TrialPanic {
+                        replicate: 5,
+                        message: "trial 5 failed".to_string()
+                    }),
+                    "workers = {workers}, observe = {observe}"
+                );
+                assert_eq!(done.outputs, prefix, "workers = {workers}, observe = {observe}");
+                assert!(!done.complete);
+            }
+        }
+    }
+
+    #[test]
+    fn catch_trial_keeps_the_message() {
+        assert_eq!(catch_trial(|| 7), Ok(7));
+        assert_eq!(catch_trial(|| -> u8 { panic!("boom") }), Err("boom".to_string()));
+        let n = 3;
+        assert_eq!(catch_trial(|| -> u8 { panic!("boom {n}") }), Err("boom 3".to_string()));
+        assert_eq!(
+            catch_trial(|| -> u8 { std::panic::panic_any(42u32) }),
+            Err("non-string panic payload".to_string())
         );
     }
 }

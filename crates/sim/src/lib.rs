@@ -10,9 +10,9 @@
 //!
 //! * [`testbed`] — node placement and per-experiment channel grids.
 //! * [`experiment`] — the shared baseline-vs-IAC measurement loop.
-//! * [`engine`] — the deterministic parallel trial runner: scoped-thread
-//!   worker pool, trial-indexed seed derivation, order-independent reduce
-//!   (N-thread output is bit-identical to serial).
+//! * [`engine`] — the deterministic parallel trial runner: one panic-safe
+//!   core over a scoped-thread worker pool, trial-indexed seed derivation,
+//!   order-independent reduce (N-thread output is bit-identical to serial).
 //! * [`registry`] — the unified scenario registry: every scenario behind
 //!   one `(Quality, seed) → metrics` entry point, replicated through the
 //!   engine and reduced to `mean ± 95 % CI` (see `docs/EXPERIMENTS.md`).
@@ -28,7 +28,7 @@
 //!   uplink with churn; the offered-load latency sweep).
 //! * [`netsim`] — plumbing for the time-domain scenarios: the calibrated
 //!   SINR-pool PHY and the declarative component-graph builder, with
-//!   plain / recorded / replayed execution variants.
+//!   live / recorded / replayed execution.
 //! * [`desrec`] — record/replay plumbing for the DES scenarios: enumerate a
 //!   trial's constituent runs, record each to an event log, replay under
 //!   bit-exact verification, and reconstruct the trial's registry metrics
@@ -55,11 +55,8 @@ pub mod scenarios;
 pub mod stats;
 pub mod testbed;
 
-pub use engine::{
-    effective_workers, run_trials, run_trials_deadline, run_trials_deadline_on, run_trials_on,
-    run_trials_observed, run_trials_observed_on, Deadline, EngineFacts, Trial,
-};
-pub use obs::{SweepObs, TrialFacts};
+pub use engine::{effective_workers, Deadline, EngineFacts, RunPlan, Trial, TrialPanic};
+pub use obs::SweepObs;
 pub use experiment::{ExperimentConfig, ScatterPoint, DEFAULT_SEED};
 pub use netsim::{CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
 pub use registry::{Quality, Scenario, ScenarioReport, TrialOutput};

@@ -322,10 +322,25 @@ fn outcome_of(sim: &Simulation<NetEvent>, metrics: &SharedMetrics, events: u64) 
 /// Grouping uses the FIFO policy in both directions: the calibrated PHY has
 /// no per-group channel knowledge for a rate scorer to exploit, so FIFO
 /// keeps the comparison between MAC configurations policy-neutral.
+///
+/// Under an observing engine lane, the run also attaches a passive
+/// event-kind counter and hands its [`DesRunFacts`] to the lane's sink. The
+/// outcome is identical either way: the observer cannot touch events, and
+/// every fact is read from state the run accumulates anyway.
 pub fn run_netsim(spec: &NetSim, phy: CalibratedPhy) -> NetSimOutcome {
     let (mut sim, metrics) = build_netsim(spec, phy);
+    if crate::obs::DES_SINK.with_borrow(Option::is_none) {
+        let events = sim.step_until_no_events();
+        return outcome_of(&sim, &metrics, events);
+    }
+    let kinds = iac_des::SharedKindCounts::new();
+    sim.set_observer(Box::new(iac_des::EventKindCounter::new(kinds.clone())));
     let events = sim.step_until_no_events();
-    outcome_of(&sim, &metrics, events)
+    sim.take_observer();
+    let out = outcome_of(&sim, &metrics, events);
+    let facts = facts_of(&sim, &out, kinds.counts());
+    crate::obs::DES_SINK.with_borrow_mut(|sink| sink.get_or_insert_default().push(facts));
+    out
 }
 
 /// Telemetry facts harvested from one completed run — engine queue
@@ -334,8 +349,8 @@ pub fn run_netsim(spec: &NetSim, phy: CalibratedPhy) -> NetSimOutcome {
 /// Everything here is read *after* the run finishes; nothing feeds back.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesRunFacts {
-    /// Run label within its trial (see `desrec::DesRun`); empty when the
-    /// run was not launched through `desrec`.
+    /// Run label within its trial (see `desrec::DesRun`); empty for runs
+    /// observed through the engine lane's sink.
     pub label: String,
     /// Events the engine dispatched.
     pub events_processed: u64,
@@ -418,21 +433,6 @@ fn facts_of(
         wire_expired: out.log.wire_expired,
         degraded_groups: out.log.degraded_groups,
     }
-}
-
-/// [`run_netsim`] with a passive event-kind counter attached and the run's
-/// telemetry facts harvested afterwards. The outcome is identical to
-/// [`run_netsim`]'s — the observer sees events but cannot touch them, and
-/// every fact is read from state the plain run accumulates anyway.
-pub fn run_netsim_observed(spec: &NetSim, phy: CalibratedPhy) -> (NetSimOutcome, DesRunFacts) {
-    let (mut sim, metrics) = build_netsim(spec, phy);
-    let kinds = iac_des::SharedKindCounts::new();
-    sim.set_observer(Box::new(iac_des::EventKindCounter::new(kinds.clone())));
-    let events = sim.step_until_no_events();
-    sim.take_observer();
-    let out = outcome_of(&sim, &metrics, events);
-    let facts = facts_of(&sim, &out, kinds.counts());
-    (out, facts)
 }
 
 /// [`run_netsim`] with every fired event streamed to `sink` in the
@@ -553,7 +553,13 @@ mod tests {
         };
         let phy = CalibratedPhy::new(iac, 0.5, 0.01, 3);
         let plain = run_netsim(&spec, phy.clone());
-        let (observed, facts) = run_netsim_observed(&spec, phy);
+        assert!(crate::obs::DES_SINK.replace(Some(Vec::new())).is_none(), "no lane observed");
+        let observed = run_netsim(&spec, phy);
+        let [facts]: [DesRunFacts; 1] = crate::obs::DES_SINK
+            .take()
+            .unwrap()
+            .try_into()
+            .expect("one run, one fact record");
         // The observer is passive: same log, same event count, same clock.
         assert_eq!(plain.log, observed.log);
         assert_eq!(plain.events, observed.events);

@@ -3,10 +3,10 @@
 //! The hot layers (`iac-des`, `iac-mac`, `iac-phy`) keep plain, always-on
 //! counters — they are part of deterministic simulation state, so a run's
 //! outputs cannot depend on whether anyone reads them. This module is the
-//! *read side*: after a sweep finishes, the per-trial
-//! [`TrialFacts`] and per-run-pool [`EngineFacts`]
-//! are folded into an [`iac_obs::Registry`] (for the `--metrics` snapshot),
-//! a merged [`ProfileTree`] and a Chrome-trace event list (for `--trace`).
+//! *read side*: after each scenario's run, the engine's [`EngineFacts`]
+//! (which carry the DES run facts each observing lane's sink collected) are
+//! folded into an [`iac_obs::Registry`] (for the `--metrics` snapshot), a
+//! merged [`ProfileTree`] and a Chrome-trace event list (for `--trace`).
 //!
 //! Folding is strictly additive and commutative per metric (counters sum,
 //! gauges take the max), so the snapshot is independent of scenario order
@@ -16,14 +16,13 @@
 use crate::engine::EngineFacts;
 use crate::netsim::DesRunFacts;
 use iac_obs::{ProfileTree, Registry, TraceEvent};
+use std::cell::RefCell;
 
-/// Telemetry facts from one trial: one [`DesRunFacts`] per constituent
-/// simulation run. Non-DES scenarios produce an empty default — their
-/// telemetry is the engine-level timing only.
-#[derive(Debug, Clone, Default)]
-pub struct TrialFacts {
-    /// Per-run facts, in `desrec::des_runs` order.
-    pub des_runs: Vec<DesRunFacts>,
+thread_local! {
+    /// DES run facts for this thread's observing engine lane, which opens
+    /// the sink (`Some`) and takes it back; `netsim::run_netsim` fills it.
+    pub(crate) static DES_SINK: RefCell<Option<Vec<DesRunFacts>>> =
+        const { RefCell::new(None) };
 }
 
 /// Accumulates one sweep's telemetry across scenarios: the metric registry,
@@ -44,16 +43,12 @@ impl SweepObs {
         Self::default()
     }
 
-    /// Fold one scenario's engine facts and per-trial facts in.
-    pub fn record_scenario(
-        &mut self,
-        scenario: &str,
-        engine: &EngineFacts,
-        trials: &[TrialFacts],
-    ) {
+    /// Fold one scenario's engine facts in; `trials` is the number of
+    /// replicates it completed.
+    pub fn record_scenario(&mut self, scenario: &str, engine: &EngineFacts, trials: usize) {
         self.registry
             .counter(&format!("engine.{scenario}.trials"))
-            .add(trials.len() as u64);
+            .add(trials as u64);
         let trial_ns = self.registry.histogram(&format!("engine.{scenario}.trial_ns"));
         for t in &engine.timings {
             trial_ns.observe(t.dur_ns);
@@ -68,10 +63,8 @@ impl SweepObs {
             self.registry.counter("phy.scratch.plan_hits").add(s.plan_hits);
             self.registry.counter("phy.scratch.plan_misses").add(s.plan_misses);
         }
-        for trial in trials {
-            for run in &trial.des_runs {
-                self.record_des_run(run);
-            }
+        for run in &engine.des_runs {
+            self.record_des_run(run);
         }
         self.profile.merge(&engine.profile);
         // Engine spans are all named "trial"; retag with the scenario id so
@@ -83,8 +76,8 @@ impl SweepObs {
     }
 
     /// Fold one DES run's facts in. [`record_scenario`](Self::record_scenario)
-    /// calls this per constituent run; the replay CLI calls it directly for
-    /// runs verified outside the sweep engine.
+    /// calls this per run; the replay CLI calls it directly for runs
+    /// verified outside the sweep engine.
     pub fn record_des_run(&mut self, run: &DesRunFacts) {
         let c = |name: &str, v: u64| self.registry.counter(name).add(v);
         c("des.events_processed", run.events_processed);
@@ -141,8 +134,8 @@ mod tests {
     use crate::engine::{TrialTiming, WorkerFacts};
     use iac_phy::ScratchStats;
 
-    fn facts() -> (EngineFacts, Vec<TrialFacts>) {
-        let engine = EngineFacts {
+    fn facts() -> EngineFacts {
+        EngineFacts {
             timings: vec![
                 TrialTiming { index: 0, lane: 0, start_ns: 10, dur_ns: 1_000 },
                 TrialTiming { index: 1, lane: 1, start_ns: 20, dur_ns: 3_000 },
@@ -157,8 +150,6 @@ mod tests {
             ],
             profile: ProfileTree::default(),
             trace: vec![TraceEvent { name: "trial".into(), ts_ns: 10, dur_ns: 1_000, lane: 0 }],
-        };
-        let trial = TrialFacts {
             des_runs: vec![DesRunFacts {
                 label: "campus".into(),
                 events_processed: 100,
@@ -182,15 +173,13 @@ mod tests {
                 wire_expired: 1,
                 degraded_groups: 3,
             }],
-        };
-        (engine, vec![trial])
+        }
     }
 
     #[test]
     fn recording_folds_every_layer_into_the_registry() {
         let mut obs = SweepObs::new();
-        let (engine, trials) = facts();
-        obs.record_scenario("des_campus", &engine, &trials);
+        obs.record_scenario("des_campus", &facts(), 1);
         let json = obs.metrics_json();
         for key in [
             "\"engine.des_campus.trials\":1",
@@ -212,13 +201,13 @@ mod tests {
 
     #[test]
     fn recording_is_commutative_across_scenarios() {
-        let (engine, trials) = facts();
+        let engine = facts();
         let mut ab = SweepObs::new();
-        ab.record_scenario("a", &engine, &trials);
-        ab.record_scenario("b", &engine, &trials);
+        ab.record_scenario("a", &engine, 1);
+        ab.record_scenario("b", &engine, 1);
         let mut ba = SweepObs::new();
-        ba.record_scenario("b", &engine, &trials);
-        ba.record_scenario("a", &engine, &trials);
+        ba.record_scenario("b", &engine, 1);
+        ba.record_scenario("a", &engine, 1);
         assert_eq!(ab.metrics_json(), ba.metrics_json());
         assert_eq!(ab.trace_json(), ba.trace_json());
     }

@@ -27,14 +27,17 @@
 //! Write a `fn(Quality, u64) -> TrialOutput` wrapper that builds the
 //! scenario's config from the seed (use its `quick(seed)` /
 //! `paper_default(seed)` constructors; never a constant), extract a few
-//! stable headline metrics, and push a [`Scenario`] row in [`all`]. Then
-//! regenerate the golden snapshots (`UPDATE_GOLDENS=1 cargo test -p iac-sim
-//! --test goldens`) if the scenario is golden-gated. See
-//! `docs/EXPERIMENTS.md` for the longer walkthrough.
+//! stable headline metrics, and push a [`Scenario`] row in [`all`]. That
+//! one function is the whole trial: telemetry needs no second entry point,
+//! because every `netsim::run_netsim` call inside an observed trial reports
+//! its DES facts to the engine lane on its own. Then regenerate the golden
+//! snapshots (`UPDATE_GOLDENS=1 cargo test -p iac-sim --test goldens`) if
+//! the scenario is golden-gated. See `docs/EXPERIMENTS.md` for the longer
+//! walkthrough.
 
-use crate::engine;
+use crate::engine::{self, Deadline, TrialPanic};
 use crate::experiment::ExperimentConfig;
-use crate::obs::{SweepObs, TrialFacts};
+use crate::obs::SweepObs;
 use crate::scenarios::{
     ablations, clustered, des_campus, des_load, fig12, fig13, fig14, fig15, fig16, lemmas, ofdm,
     overhead, robustness, sec6,
@@ -76,10 +79,6 @@ impl TrialOutput {
     }
 }
 
-/// An observed trial entry point: same trial as [`Scenario::run`], plus
-/// the run facts a `--metrics`/`--trace` sweep folds into its registry.
-pub type ObservedTrialFn = fn(Quality, u64) -> (TrialOutput, TrialFacts);
-
 /// A registered scenario: a name, a one-line description, and the uniform
 /// entry point.
 #[derive(Clone, Copy)]
@@ -92,10 +91,6 @@ pub struct Scenario {
     pub default_replicates: usize,
     /// The uniform entry point: one independent trial from one seed.
     pub run: fn(Quality, u64) -> TrialOutput,
-    /// Telemetry variant: same trial, identical [`TrialOutput`] (pinned by
-    /// `tests/obs_invariance.rs`), plus the harvested run facts. `None`
-    /// for scenarios whose only telemetry is engine-level timing.
-    pub run_obs: Option<ObservedTrialFn>,
 }
 
 /// FNV-1a over the scenario name: a stable, dependency-free name hash for
@@ -370,24 +365,9 @@ fn run_des_load(q: Quality, seed: u64) -> TrialOutput {
     crate::desrec::load_trial_output(&r)
 }
 
-fn run_des_campus_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("des_campus", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
-fn run_des_load_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("des_load", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
 fn run_rob_ap_churn(q: Quality, seed: u64) -> TrialOutput {
     let r = robustness::run_churn(&crate::desrec::churn_config(q, seed));
     crate::desrec::churn_trial_output(&r)
-}
-
-fn run_rob_ap_churn_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("rob_ap_churn", q, seed);
-    (out, TrialFacts { des_runs })
 }
 
 fn run_rob_backhaul_partition(q: Quality, seed: u64) -> TrialOutput {
@@ -395,19 +375,9 @@ fn run_rob_backhaul_partition(q: Quality, seed: u64) -> TrialOutput {
     crate::desrec::partition_trial_output(&r)
 }
 
-fn run_rob_backhaul_partition_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("rob_backhaul_partition", q, seed);
-    (out, TrialFacts { des_runs })
-}
-
 fn run_rob_csi_aging(q: Quality, seed: u64) -> TrialOutput {
     let r = robustness::run_csi_aging(&crate::desrec::aging_config(q, seed));
     crate::desrec::aging_trial_output(&r)
-}
-
-fn run_rob_csi_aging_obs(q: Quality, seed: u64) -> (TrialOutput, TrialFacts) {
-    let (out, des_runs) = crate::desrec::observed_trial("rob_csi_aging", q, seed);
-    (out, TrialFacts { des_runs })
 }
 
 /// Every registered scenario, in presentation order.
@@ -423,20 +393,6 @@ pub fn all() -> Vec<Scenario> {
             about,
             default_replicates,
             run,
-            run_obs: None,
-        }
-    }
-    // A DES row: same as `s`, plus the telemetry-harvesting trial variant.
-    fn sd(
-        name: &'static str,
-        about: &'static str,
-        default_replicates: usize,
-        run: fn(Quality, u64) -> TrialOutput,
-        run_obs: fn(Quality, u64) -> (TrialOutput, TrialFacts),
-    ) -> Scenario {
-        Scenario {
-            run_obs: Some(run_obs),
-            ..s(name, about, default_replicates, run)
         }
     }
     vec![
@@ -456,11 +412,11 @@ pub fn all() -> Vec<Scenario> {
         s("ablation_estimation", "gain vs channel-estimation SNR", 8, run_ablation_estimation),
         s("ablation_similarity", "gain vs client-channel similarity", 8, run_ablation_similarity),
         s("ablation_alignment", "alignment on/off SINR contrast", 8, run_ablation_alignment),
-        sd("des_campus", "dynamic-arrival campus uplink with churn", 4, run_des_campus, run_des_campus_obs),
-        sd("des_load", "offered-load sweep: latency knees", 4, run_des_load, run_des_load_obs),
-        sd("rob_ap_churn", "decoding APs crash/recover; groups shrink", 4, run_rob_ap_churn, run_rob_ap_churn_obs),
-        sd("rob_backhaul_partition", "backhaul partitions; MIMO fallback + recovery", 4, run_rob_backhaul_partition, run_rob_backhaul_partition_obs),
-        sd("rob_csi_aging", "CSI staleness sweep: IAC degrades toward MIMO", 4, run_rob_csi_aging, run_rob_csi_aging_obs),
+        s("des_campus", "dynamic-arrival campus uplink with churn", 4, run_des_campus),
+        s("des_load", "offered-load sweep: latency knees", 4, run_des_load),
+        s("rob_ap_churn", "decoding APs crash/recover; groups shrink", 4, run_rob_ap_churn),
+        s("rob_backhaul_partition", "backhaul partitions; MIMO fallback + recovery", 4, run_rob_backhaul_partition),
+        s("rob_csi_aging", "CSI staleness sweep: IAC degrades toward MIMO", 4, run_rob_csi_aging),
     ]
 }
 
@@ -558,9 +514,50 @@ impl std::fmt::Display for ScenarioReport {
     }
 }
 
-/// Run one scenario's replicated sweep on the parallel engine and reduce to
-/// `mean ± 95 % CI` per metric. Bit-identical for every `threads` value
-/// (`0` = auto, see [`engine::resolve_threads`]).
+/// Run `replicates` trials of `spec` on the engine and reduce them to
+/// `mean ± 95 % CI` per metric — the one runner behind every sweep.
+/// `threads` is a requested count (`0` = auto, see
+/// [`engine::effective_workers`]); no replicate starts after `deadline`;
+/// with `obs` the run's facts fold into it.
+///
+/// `Ok` carries the report over the completed prefix (its `replicates` is
+/// the completed count) and whether every replicate ran. The report is
+/// bit-identical for every `threads` and with or without `obs` (pinned by
+/// `tests/obs_invariance.rs`). A panicking replicate comes back as `Err`.
+pub fn run_replicates(
+    spec: &Scenario,
+    quality: Quality,
+    master_seed: u64,
+    replicates: usize,
+    threads: usize,
+    deadline: Deadline,
+    obs: Option<&mut SweepObs>,
+) -> Result<(ScenarioReport, bool), TrialPanic> {
+    let trials = engine::trials_for(scenario_seed(master_seed, spec.name), replicates);
+    let plan = engine::RunPlan {
+        workers: engine::effective_workers(threads, replicates),
+        deadline,
+        observe: obs.is_some(),
+    };
+    let run = spec.run;
+    let done = engine::run(replicates, &plan, |i| run(quality, trials[i].seed));
+    let completed = done.outputs.len();
+    if let (Some(obs), Some(facts)) = (obs, &done.facts) {
+        obs.record_scenario(spec.name, facts, completed);
+    }
+    match done.panic {
+        Some(panic) => Err(panic),
+        None => Ok((
+            reduce_outputs(spec.name, quality, master_seed, completed, &done.outputs),
+            done.complete,
+        )),
+    }
+}
+
+/// [`run_replicates`] to completion, unobserved.
+///
+/// # Panics
+/// Re-panics, naming the scenario and the replicate, if a replicate panics.
 pub fn run_scenario(
     spec: &Scenario,
     quality: Quality,
@@ -568,49 +565,15 @@ pub fn run_scenario(
     replicates: usize,
     threads: usize,
 ) -> ScenarioReport {
-    let scen_seed = scenario_seed(master_seed, spec.name);
-    let trials = engine::trials_for(scen_seed, replicates);
-    let run = spec.run;
-    let outputs = engine::run_trials(trials.len(), threads, |i| run(quality, trials[i].seed));
-    reduce_outputs(spec.name, quality, master_seed, replicates, &outputs)
+    let r = run_replicates(spec, quality, master_seed, replicates, threads, Deadline::none(), None);
+    completed(spec, r)
 }
 
-/// [`run_scenario`] under a cooperative [`engine::Deadline`]: the engine
-/// stops claiming replicates once the deadline passes (each claimed
-/// replicate still completes). Returns the report over the completed prefix
-/// — its `replicates` field is the *completed* count — plus whether the
-/// sweep finished every requested replicate.
+/// [`run_replicates`] to completion, observed into `obs`. The report is
+/// bit-identical to [`run_scenario`]'s.
 ///
-/// The completed replicates are bit-identical to the first `k` of an
-/// unbounded run (see [`engine::run_trials_deadline`]); only `k` itself
-/// depends on timing, so partial reports are never cached or golden-gated.
-pub fn run_scenario_deadline(
-    spec: &Scenario,
-    quality: Quality,
-    master_seed: u64,
-    replicates: usize,
-    threads: usize,
-    deadline: engine::Deadline,
-) -> (ScenarioReport, bool) {
-    let scen_seed = scenario_seed(master_seed, spec.name);
-    let trials = engine::trials_for(scen_seed, replicates);
-    let run = spec.run;
-    let (outputs, complete) = engine::run_trials_deadline(trials.len(), threads, deadline, |i| {
-        run(quality, trials[i].seed)
-    });
-    let completed = outputs.len();
-    (
-        reduce_outputs(spec.name, quality, master_seed, completed, &outputs),
-        complete,
-    )
-}
-
-/// [`run_scenario`] with telemetry: trials run through the observed engine
-/// (per-trial timings, lane scratch deltas) and, for scenarios with a
-/// `run_obs` variant, per-run DES/MAC facts; everything folds into `obs`.
-/// The returned report is **bit-identical** to [`run_scenario`]'s — the
-/// facts ride alongside the outputs and never touch them (pinned by
-/// `tests/obs_invariance.rs`).
+/// # Panics
+/// Re-panics, naming the scenario and the replicate, if a replicate panics.
 pub fn run_scenario_observed(
     spec: &Scenario,
     quality: Quality,
@@ -619,23 +582,21 @@ pub fn run_scenario_observed(
     threads: usize,
     obs: &mut SweepObs,
 ) -> ScenarioReport {
-    let scen_seed = scenario_seed(master_seed, spec.name);
-    let trials = engine::trials_for(scen_seed, replicates);
-    let run = spec.run;
-    let run_obs = spec.run_obs;
-    let (pairs, engine_facts) =
-        engine::run_trials_observed(trials.len(), threads, |i| match run_obs {
-            Some(ro) => ro(quality, trials[i].seed),
-            None => (run(quality, trials[i].seed), TrialFacts::default()),
-        });
-    let (outputs, trial_facts): (Vec<TrialOutput>, Vec<TrialFacts>) = pairs.into_iter().unzip();
-    obs.record_scenario(spec.name, &engine_facts, &trial_facts);
-    reduce_outputs(spec.name, quality, master_seed, replicates, &outputs)
+    let obs = Some(obs);
+    let r = run_replicates(spec, quality, master_seed, replicates, threads, Deadline::none(), obs);
+    completed(spec, r)
+}
+
+fn completed(spec: &Scenario, run: Result<(ScenarioReport, bool), TrialPanic>) -> ScenarioReport {
+    match run {
+        Ok((report, _)) => report,
+        Err(p) => panic!("{} replicate {} panicked: {}", spec.name, p.replicate, p.message),
+    }
 }
 
 /// The shared order-independent reduce: trial outputs (already in trial
-/// order) to `mean ± 95 % CI` per metric. Every `run_scenario` variant goes
-/// through here, so an observed sweep cannot drift from a plain one —
+/// order) to `mean ± 95 % CI` per metric. [`run_replicates`] goes through
+/// here, so an observed sweep cannot drift from a plain one —
 /// public so out-of-crate schedulers (the `iac-serve` daemon runs
 /// replicates through its own worker pool) reduce through the identical
 /// code path and their reports stay bit-identical to [`run_scenario`]'s.
@@ -749,29 +710,52 @@ mod tests {
     fn deadline_scenario_matches_unbounded_when_generous() {
         let spec = find("sec7_overhead").unwrap();
         let plain = run_scenario(&spec, Quality::Quick, 7, 3, 1);
-        let (bounded, complete) = run_scenario_deadline(
-            &spec,
-            Quality::Quick,
-            7,
-            3,
-            1,
-            engine::Deadline::after(std::time::Duration::from_secs(3600)),
-        );
+        let bounded = |deadline| run_replicates(&spec, Quality::Quick, 7, 3, 1, deadline, None);
+        let (report, complete) = bounded(Deadline::after(std::time::Duration::from_secs(3600)))
+            .expect("no replicate panics");
         assert!(complete);
-        assert_eq!(plain, bounded);
+        assert_eq!(plain, report);
         // An already-expired deadline yields a well-formed empty report.
-        let (empty, complete) = run_scenario_deadline(
-            &spec,
-            Quality::Quick,
-            7,
-            3,
-            1,
-            engine::Deadline::at(std::time::Instant::now() - std::time::Duration::from_millis(1)),
-        );
+        let (empty, complete) =
+            bounded(Deadline::after(std::time::Duration::ZERO)).expect("no replicate panics");
         assert!(!complete);
         assert_eq!(empty.replicates, 0);
         assert!(empty.metrics.is_empty());
         assert!(empty.to_json().contains("\"replicates\":0"));
+    }
+
+    fn panicky(_q: Quality, seed: u64) -> TrialOutput {
+        let replicate = (0..4)
+            .position(|i| Rng64::derive_seed(scenario_seed(7, "panicky"), i) == seed)
+            .expect("a panicky trial seed");
+        assert_ne!(replicate, 2, "replicate 2 is broken");
+        TrialOutput::new(vec![("replicate", replicate as f64)])
+    }
+
+    #[test]
+    fn panicking_replicate_is_an_error_not_an_abort() {
+        let spec = Scenario {
+            name: "panicky",
+            about: "replicate 2 panics",
+            default_replicates: 4,
+            run: panicky,
+        };
+        for threads in [1, 2] {
+            let err = run_replicates(&spec, Quality::Quick, 7, 4, threads, Deadline::none(), None)
+                .expect_err("replicate 2 panics");
+            assert_eq!(err.replicate, 2, "threads = {threads}");
+            assert!(err.message.contains("replicate 2 is broken"), "{}", err.message);
+        }
+        // The observed path folds what ran and still reports the panic.
+        let mut obs = SweepObs::new();
+        let err = run_replicates(&spec, Quality::Quick, 7, 4, 1, Deadline::none(), Some(&mut obs))
+            .expect_err("replicate 2 panics");
+        assert_eq!(err.replicate, 2);
+        assert!(obs.metrics_json().contains("\"engine.panicky.trials\":2"));
+        // The completing wrappers re-panic with the scenario and replicate.
+        let message = crate::engine::catch_trial(|| run_scenario(&spec, Quality::Quick, 7, 4, 1))
+            .expect_err("run_scenario re-panics");
+        assert!(message.starts_with("panicky replicate 2 panicked: "), "{message}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use iac_sim::registry::{self, Quality};
 
 #[test]
 fn every_scenario_is_bit_identical_across_thread_counts() {
-    // 7 replicates, not 2: `run_trials` caps the pool at the trial count,
+    // 7 replicates, not 2: the engine caps the pool at the trial count,
     // so anything fewer would silently turn the 7-thread leg into a re-run
     // of the 2-thread leg and never exercise >2 concurrent workers.
     const REPLICATES: usize = 7;

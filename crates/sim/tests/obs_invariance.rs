@@ -7,8 +7,9 @@
 //!    at 1 and 4 worker threads.
 //! 2. **Sweep CLI**: `run_sweep`'s stdout bytes are invariant across
 //!    `--threads` values and across telemetry flags
-//!    (`--metrics`/`--trace`/`--progress` on or off) — execution-dependent
-//!    output is confined to stderr and the export files.
+//!    (`--metrics`/`--trace`/`--progress` on or off, with or without a
+//!    `--timeout-secs` that never fires) — execution-dependent output is
+//!    confined to stderr and the export files.
 //! 3. **Exports**: the `--metrics` and `--trace` files are valid JSON with
 //!    the promised keys (engine trial timings, DES queue high-water, MAC
 //!    retx/drop counters, scratch-pool counters).
@@ -162,4 +163,38 @@ fn metrics_snapshot_merge_matches_single_registry() {
     // deterministic counters via the structure of the counter section.
     let counters = |s: &str| s.split("\"gauges\"").next().unwrap().to_string();
     assert_eq!(counters(&ab.metrics_json()), counters(&ba.metrics_json()));
+}
+
+#[test]
+fn generous_timeout_keeps_stdout_and_telemetry() {
+    // A deadline that never fires must change nothing: not the stdout
+    // bytes, and not the telemetry — the deadline path observes like any
+    // other run.
+    let base = SweepArgs {
+        scenario: "des_load".to_string(),
+        replicates: Some(2),
+        threads: 1,
+        json: true,
+        ..SweepArgs::default()
+    };
+    let (reference, _) = sweep_stdout(&base);
+    let metrics_of = |timeout_secs: Option<u64>, tag: &str| {
+        let path = unique_path(tag);
+        let (out, _) = sweep_stdout(&SweepArgs {
+            timeout_secs,
+            metrics_path: Some(path.display().to_string()),
+            ..base.clone()
+        });
+        assert_eq!(out, reference, "stdout changed ({tag})");
+        let metrics = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        metrics
+    };
+    let unbounded = metrics_of(None, "unbounded");
+    let bounded = metrics_of(Some(3600), "bounded");
+    for key in ["\"des.events_processed\":", "\"mac.retx\":", "\"engine.des_load.trials\":2"] {
+        assert!(bounded.contains(key), "missing {key} in {bounded}");
+    }
+    let counters = |s: &str| s.split("\"gauges\"").next().unwrap().to_string();
+    assert_eq!(counters(&bounded), counters(&unbounded));
 }

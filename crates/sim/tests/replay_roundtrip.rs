@@ -39,7 +39,7 @@ fn every_des_scenario_roundtrips_bit_identically() {
         let mut plain_outcomes = Vec::with_capacity(runs.len());
         let mut replayed_outcomes = Vec::with_capacity(runs.len());
         for run in &runs {
-            let plain = desrec::run_plain(run);
+            let plain = iac_sim::netsim::run_netsim(&run.spec, run.phy.clone());
             let (bytes, recorded) = desrec::record(run);
 
             // Recording is a passive observer: identical outcome.

@@ -21,6 +21,10 @@
 //! the rest are skipped, and the process exits 124 (the `timeout(1)`
 //! convention) instead of running unbounded.
 //!
+//! A panicking replicate does not abort the sweep: stderr names the
+//! scenario and the replicate, that scenario's report is skipped, the rest
+//! still run, and the process exits 1.
+//!
 //! Determinism guarantee (see `docs/EXPERIMENTS.md` and
 //! `docs/OBSERVABILITY.md`): the aggregate output on **stdout** is
 //! bit-identical for every `--threads` value and every telemetry-flag
@@ -46,6 +50,7 @@ fn main() {
         Ok(cli::SweepOutcome::Completed) => {}
         Ok(cli::SweepOutcome::UnknownScenario) => std::process::exit(2),
         Ok(cli::SweepOutcome::TimedOut) => std::process::exit(124),
+        Ok(cli::SweepOutcome::Panicked) => std::process::exit(1),
         Err(e) => {
             eprintln!("sweep: {e}");
             std::process::exit(1);
