@@ -110,6 +110,18 @@ pub fn compare(baseline: &[(String, f64)], measured: &[(String, f64)]) -> Vec<Co
         .collect()
 }
 
+/// Whether `baseline record` may overwrite a committed baseline. It may
+/// not when that would raise an existing target's median by more than
+/// `threshold` — the regression would become the new reference — unless
+/// `accept_regression` says the rise is intended. Retired targets
+/// (`measured_ns` is `None`) and new ones never block a re-record.
+pub fn may_record(comparisons: &[Comparison], threshold: f64, accept_regression: bool) -> bool {
+    accept_regression
+        || comparisons
+            .iter()
+            .all(|c| c.delta.is_none_or(|d| d <= threshold))
+}
+
 /// Targets present in the measurement but absent from the baseline (new
 /// benchmarks that need a `baseline record` run to become gated).
 pub fn ungated<'a>(
@@ -150,6 +162,19 @@ mod tests {
         assert!(!exactly[0].failed(0.25), "exactly at threshold passes");
         let above = compare(&base, &map(&[("g/a", 126.0)]));
         assert!(above[0].failed(0.25));
+    }
+
+    #[test]
+    fn record_refuses_a_raised_median_unless_accepted() {
+        let base = map(&[("g/a", 100.0), ("g/gone", 50.0)]);
+        let faster = compare(&base, &map(&[("g/a", 60.0), ("g/new", 1.0)]));
+        assert!(may_record(&faster, 0.25, false), "speedups and retirements record");
+        let at_threshold = compare(&base, &map(&[("g/a", 125.0)]));
+        assert!(may_record(&at_threshold, 0.25, false));
+        let raised = compare(&base, &map(&[("g/a", 126.0)]));
+        assert!(!may_record(&raised, 0.25, false), "a >25% rise is refused");
+        assert!(may_record(&raised, 0.25, true), "--accept-regression records it");
+        assert!(may_record(&compare(&[], &map(&[("g/a", 1.0)])), 0.25, false), "first record");
     }
 
     #[test]

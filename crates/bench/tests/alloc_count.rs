@@ -288,8 +288,8 @@ fn observed_des_steady_state_is_allocation_free() {
 /// Most heap allocations one fig15 uplink / downlink group score may make.
 /// The count is deterministic; 2×2 values live inline, so what remains is
 /// the grid and schedule `Vec`s and the decoder's per-step lists.
-const UPLINK_SCORE_CEILING: u64 = 50;
-const DOWNLINK_SCORE_CEILING: u64 = 45;
+const UPLINK_SCORE_CEILING: u64 = 27;
+const DOWNLINK_SCORE_CEILING: u64 = 24;
 
 /// One fig15 leader-side group score, as `scenarios/fig15.rs` computes it:
 /// cut the group's 3×3 sub-grid out of the slot's estimates, align it, and

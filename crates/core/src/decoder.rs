@@ -16,7 +16,7 @@
 
 use crate::grid::ChannelGrid;
 use crate::schedule::DecodeSchedule;
-use crate::solver::step_decoding_vectors;
+use crate::solver::{step_vectors, Images};
 use iac_linalg::{CVec, Result};
 
 /// Post-processing SINR of one decoded packet.
@@ -40,8 +40,7 @@ pub struct DecodeOutcome {
 impl DecodeOutcome {
     /// Eq. 9 achievable rate over all concurrent packets.
     pub fn rate_bits_per_hz(&self) -> f64 {
-        let s: Vec<f64> = self.sinrs.iter().map(|p| p.sinr).collect();
-        crate::rate::rate_bits_per_hz(&s)
+        crate::rate::sum_rates(self.sinrs.iter().map(|p| p.sinr))
     }
 
     /// SINR of a specific packet.
@@ -94,52 +93,63 @@ pub struct IacDecoder<'a> {
 
 impl IacDecoder<'_> {
     /// Run the chain and report every packet's post-processing SINR.
+    ///
+    /// Each step computes every image `H(owner(q), receiver)·v_q` it needs
+    /// once and shares it between the decoding vectors, the signal and the
+    /// interference terms. When both grids are the same object (the leader
+    /// scoring on its own estimates), `H − Ĥ` is exactly zero and each
+    /// cancellation residual would add an exact `+0.0` to a positive
+    /// denominator, so those terms are skipped. That is exact for finite
+    /// channels and encodings; with an infinite entry `H − Ĥ` would be NaN.
     pub fn decode(&self) -> Result<DecodeOutcome> {
-        assert_eq!(self.encoding.len(), self.schedule.n_packets());
-        assert_eq!(self.packet_power.len(), self.schedule.n_packets());
+        let n = self.schedule.n_packets();
+        assert_eq!(self.encoding.len(), n);
+        assert_eq!(self.packet_power.len(), n);
+        let one_grid = std::ptr::eq(self.true_grid, self.est_grid);
         let sets = self.schedule.interference_sets();
-        let mut sinrs = Vec::with_capacity(self.schedule.n_packets());
-        for (step_idx, step) in self.schedule.steps.iter().enumerate() {
+        let mut est = Images::new(n);
+        let mut truth = Images::new(if one_grid { 0 } else { n });
+        let mut residual = Images::new(if one_grid { 0 } else { n });
+        let mut us = Vec::with_capacity(self.schedule.antennas);
+        let mut sinrs = Vec::with_capacity(n);
+        for (step, (receiver, interf, _)) in self.schedule.steps.iter().zip(&sets) {
+            let receiver = *receiver;
+            let seen = || interf.iter().chain(&step.decode);
             // Decoding vectors are computed from the ESTIMATED grid: this is
             // all the receiver knows.
-            let (receiver, ref interf, _) = sets[step_idx];
-            let us =
-                step_decoding_vectors(self.est_grid, self.schedule, step_idx, interf, self.encoding)?;
-            for (u, &p) in us.iter().zip(&step.decode) {
-                let mut num = 0.0;
-                let mut den = self.noise_power; // ‖u‖ = 1
-                // Signal through the true channel.
-                let own = self
-                    .true_grid
-                    .link(self.schedule.owners[p], receiver)
-                    .mul_vec(&self.encoding[p]);
-                num += self.packet_power[p] * u.dot(&own).norm_sqr();
-                // Residual aligned interference (true channel ≠ estimate).
-                for &q in interf {
-                    let img = self
-                        .true_grid
-                        .link(self.schedule.owners[q], receiver)
-                        .mul_vec(&self.encoding[q]);
-                    den += self.packet_power[q] * u.dot(&img).norm_sqr();
-                }
-                // Cross-talk from co-decoded packets of this step.
-                for &q in &step.decode {
-                    if q == p {
-                        continue;
-                    }
-                    let img = self
-                        .true_grid
-                        .link(self.schedule.owners[q], receiver)
-                        .mul_vec(&self.encoding[q]);
-                    den += self.packet_power[q] * u.dot(&img).norm_sqr();
-                }
+            est.fill(self.est_grid, self.schedule, receiver, seen(), self.encoding);
+            us.clear();
+            step_vectors(step, interf, &est, &mut us)?;
+            if !one_grid {
+                truth.fill(self.true_grid, self.schedule, receiver, seen(), self.encoding);
                 // Cancellation residuals: subtracted via the estimate, so
                 // what remains is the packet through (H − Ĥ).
                 for &c in &step.cancel {
-                    let h_err = self.true_grid.link(self.schedule.owners[c], receiver)
-                        - self.est_grid.link(self.schedule.owners[c], receiver);
-                    let img = h_err.mul_vec(&self.encoding[c]);
-                    den += self.packet_power[c] * u.dot(&img).norm_sqr();
+                    let owner = self.schedule.owners[c];
+                    let h_err =
+                        self.true_grid.link(owner, receiver) - self.est_grid.link(owner, receiver);
+                    h_err.mul_vec_into(&self.encoding[c], &mut residual[c]);
+                }
+            }
+            let through_air: &[CVec] = if one_grid { &est } else { &truth };
+            for (u, &p) in us.iter().zip(&step.decode) {
+                let power = |q: usize, img: &CVec| self.packet_power[q] * u.dot(img).norm_sqr();
+                let mut num = 0.0;
+                let mut den = self.noise_power; // ‖u‖ = 1
+                // Signal through the true channel.
+                num += power(p, &through_air[p]);
+                // Residual aligned interference (true channel ≠ estimate).
+                for &q in interf {
+                    den += power(q, &through_air[q]);
+                }
+                // Cross-talk from co-decoded packets of this step.
+                for &q in step.decode.iter().filter(|&&q| q != p) {
+                    den += power(q, &through_air[q]);
+                }
+                if !one_grid {
+                    for &c in &step.cancel {
+                        den += power(c, &residual[c]);
+                    }
                 }
                 sinrs.push(PacketSinr {
                     packet: p,

@@ -34,30 +34,32 @@ pub fn predicted_rate(
     per_node_power: f64,
     noise: f64,
 ) -> f64 {
-    let powers = equal_split_powers(&config.schedule, per_node_power);
-    rate_on_estimates(est_grid, &config.schedule, &config.encoding, powers, noise)
+    let mut powers = equal_split_powers(&config.schedule, per_node_power);
+    rate_on_estimates(est_grid, &config.schedule, &config.encoding, &mut powers, noise)
 }
 
 /// The body of [`predicted_rate`], for callers that hold the schedule and
-/// the power split already.
+/// the power split already. The decoder borrows `packet_power` for the
+/// call and hands it back, so a caller scoring many candidates never
+/// copies it.
 fn rate_on_estimates(
     est_grid: &ChannelGrid,
     schedule: &DecodeSchedule,
     encoding: &[CVec],
-    packet_power: Vec<f64>,
+    packet_power: &mut Vec<f64>,
     noise: f64,
 ) -> f64 {
-    IacDecoder {
+    let decoder = IacDecoder {
         true_grid: est_grid,
         est_grid,
         schedule,
         encoding,
-        packet_power,
+        packet_power: std::mem::take(packet_power),
         noise_power: noise,
-    }
-    .decode()
-    .map(|o| o.rate_bits_per_hz())
-    .unwrap_or(0.0)
+    };
+    let rate = decoder.decode().map(|o| o.rate_bits_per_hz()).unwrap_or(0.0);
+    *packet_power = decoder.packet_power;
+    rate
 }
 
 /// An optimiser's chosen configuration and the predicted rate it won with.
@@ -112,7 +114,7 @@ impl<'a> Contest<'a> {
             self.est_grid,
             &self.schedule,
             &encoding,
-            self.powers.clone(),
+            &mut self.powers,
             self.noise,
         );
         if self.best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {

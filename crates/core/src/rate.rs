@@ -8,9 +8,13 @@
 
 /// Eq. 9: achievable rate in bit/s/Hz for a set of concurrent packet SINRs.
 pub fn rate_bits_per_hz(sinrs: &[f64]) -> f64 {
+    sum_rates(sinrs.iter().copied())
+}
+
+/// [`rate_bits_per_hz`] over any sequence of SINRs, summed in order.
+pub(crate) fn sum_rates(sinrs: impl Iterator<Item = f64>) -> f64 {
     sinrs
-        .iter()
-        .map(|&s| {
+        .map(|s| {
             assert!(s >= 0.0, "negative SINR {s}");
             (1.0 + s).log2()
         })

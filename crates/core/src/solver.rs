@@ -21,7 +21,7 @@
 //! not appear in its interference covariance.
 
 use crate::grid::ChannelGrid;
-use crate::schedule::DecodeSchedule;
+use crate::schedule::{DecodeSchedule, DecodeStep};
 use iac_linalg::eig::{smallest_eigvec_hermitian, smallest_eigvecs_hermitian};
 use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64};
 
@@ -199,14 +199,19 @@ pub fn interference_covariance(
     let m = grid.rx_antennas();
     let mut q = CMat::zeros(m, m);
     for p in packets {
-        let img = grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]);
-        for r in 0..m {
-            for c in 0..m {
-                q[(r, c)] += img[r] * img[c].conj();
-            }
-        }
+        add_outer(&mut q, &grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]));
     }
     q
+}
+
+/// `q += img·imgᴴ`.
+fn add_outer(q: &mut CMat, img: &CVec) {
+    let m = img.len();
+    for r in 0..m {
+        for c in 0..m {
+            q[(r, c)] += img[r] * img[c].conj();
+        }
+    }
 }
 
 /// Zero-forcing decoding vectors for one step, computed from (estimated)
@@ -222,38 +227,109 @@ pub fn decoding_vectors(
     encoding: &[CVec],
 ) -> Result<Vec<CVec>> {
     let sets = schedule.interference_sets();
-    step_decoding_vectors(grid, schedule, step_index, &sets[step_index].1, encoding)
+    let (receiver, ref interf, _) = sets[step_index];
+    let step = &schedule.steps[step_index];
+    let mut images = Images::new(schedule.n_packets());
+    images.fill(grid, schedule, receiver, interf.iter().chain(&step.decode), encoding);
+    let mut out = Vec::with_capacity(step.decode.len());
+    step_vectors(step, interf, &images, &mut out)?;
+    Ok(out)
 }
 
-/// [`decoding_vectors`] given the step's interference set `interf` (from
-/// [`DecodeSchedule::interference_sets`]), for callers that walk every step.
-pub(crate) fn step_decoding_vectors(
-    grid: &ChannelGrid,
-    schedule: &DecodeSchedule,
-    step_index: usize,
+/// [`decoding_vectors`] of `step` from precomputed images: `images[q]` must
+/// hold `H(owner(q), receiver)·v_q` for every packet of `interf` (the
+/// step's interference set, from [`DecodeSchedule::interference_sets`]) and
+/// of `step.decode`. The vectors are appended to `out` in decode order.
+pub(crate) fn step_vectors(
+    step: &DecodeStep,
     interf: &[usize],
-    encoding: &[CVec],
-) -> Result<Vec<CVec>> {
-    let step = &schedule.steps[step_index];
-    let receiver = step.receiver;
-    let mut out = Vec::with_capacity(step.decode.len());
+    images: &[CVec],
+    out: &mut Vec<CVec>,
+) -> Result<()> {
     for &p in &step.decode {
         // Constraint covariance: true interferers + co-scheduled packets.
+        let m = images[p].len();
+        let mut q = CMat::zeros(m, m);
         let nuisance = interf
             .iter()
-            .copied()
-            .chain(step.decode.iter().copied().filter(|&q| q != p));
-        let q = interference_covariance(grid, schedule, receiver, nuisance, encoding);
+            .chain(step.decode.iter().filter(|&&q| q != p));
+        for &j in nuisance {
+            add_outer(&mut q, &images[j]);
+        }
         let mut u = smallest_eigvec_hermitian(&q)?;
         // Phase-normalise so u·(H v_p) is real positive (cosmetic: makes the
         // effective scalar channel deterministic for tests).
-        let sig = u.dot(&grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]));
-        if sig.abs() > 1e-12 {
-            u = u.scale_c((sig * (1.0 / sig.abs())).conj());
+        let sig = u.dot(&images[p]);
+        let mag = sig.abs();
+        if mag > 1e-12 {
+            u = u.scale_c((sig * (1.0 / mag)).conj());
         }
         out.push(u);
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Per-packet images `H(owner(q), rx)·v_q` at one receiver, indexed by
+/// packet. Up to [`Images::INLINE`] packets live on the stack, and a
+/// 2-antenna image is itself inline, so filling them does not allocate.
+pub(crate) struct Images {
+    inline: [CVec; Images::INLINE],
+    heap: Vec<CVec>,
+}
+
+impl Images {
+    /// Packets that fit without a heap block (a 2m-packet schedule up to
+    /// m = 4 does).
+    const INLINE: usize = 8;
+
+    /// Slots for packets `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            inline: Default::default(),
+            heap: if n > Self::INLINE {
+                vec![CVec::default(); n]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Compute `slot[q] = grid.link(owner(q), receiver)·encoding[q]` for
+    /// each listed packet; other slots keep what they held.
+    pub(crate) fn fill<'p>(
+        &mut self,
+        grid: &ChannelGrid,
+        schedule: &DecodeSchedule,
+        receiver: usize,
+        packets: impl IntoIterator<Item = &'p usize>,
+        encoding: &[CVec],
+    ) {
+        for &q in packets {
+            grid.link(schedule.owners[q], receiver)
+                .mul_vec_into(&encoding[q], &mut self[q]);
+        }
+    }
+}
+
+impl std::ops::Deref for Images {
+    type Target = [CVec];
+    fn deref(&self) -> &[CVec] {
+        if self.heap.is_empty() {
+            &self.inline
+        } else {
+            &self.heap
+        }
+    }
+}
+
+impl std::ops::DerefMut for Images {
+    fn deref_mut(&mut self) -> &mut [CVec] {
+        if self.heap.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.heap
+        }
+    }
 }
 
 #[cfg(test)]

@@ -79,18 +79,23 @@ pub fn power_iteration(a: &CMat, iters: usize, seed_vec: &CVec) -> Result<(C64, 
 ///
 /// Returns `(eigenvalues ascending, V)` with `A = V·diag(λ)·Vᴴ` and `V`
 /// unitary. Input must be Hermitian (checked loosely; the computation
-/// symmetrises implicitly through the rotations).
+/// symmetrises implicitly through the rotations). A NaN or infinite entry
+/// is an error. A 2×2 input runs the same iteration written out for its
+/// one pair.
 pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
-    if !a.is_square() {
-        return Err(LinAlgError::ShapeMismatch {
-            expected: (a.rows(), a.rows()),
-            got: a.shape(),
-        });
+    check_eigh_input(a)?;
+    if a.rows() == 2 {
+        let (d, v) = jacobi2(a);
+        let (lo, hi) = if ascending2(d)? { (0, 1) } else { (1, 0) };
+        let vv = CMat::from_fn(2, 2, |r, c| v[2 * r + if c == 0 { lo } else { hi }]);
+        return Ok((vec![d[lo], d[hi]], vv));
     }
+    jacobi(a)
+}
+
+/// [`eigh`]'s cyclic Jacobi for any checked square input.
+fn jacobi(a: &CMat) -> Result<(Vec<f64>, CMat)> {
     let n = a.rows();
-    if n == 0 {
-        return Err(LinAlgError::Degenerate("empty matrix"));
-    }
     let mut m = a.clone();
     let mut v = CMat::identity(n);
     let tol = 1e-14 * a.frobenius_norm().max(1.0);
@@ -127,16 +132,7 @@ pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
                     v[(i, q)] *= pc;
                 }
                 // Real symmetric Jacobi rotation annihilating m[p][q] = g.
-                let app = m[(p, p)].re;
-                let aqq = m[(q, q)].re;
-                let tau = (aqq - app) / (2.0 * g);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = c * t;
+                let (c, s) = jacobi_rotation(m[(p, p)].re, m[(q, q)].re, g);
                 // Columns p,q.
                 for i in 0..n {
                     let xp = m[(i, p)];
@@ -164,6 +160,9 @@ pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
     // Sort ascending by (real) diagonal.
     let mut order: Small<usize, 4> = (0..n).collect();
     let diag: Small<f64, 4> = (0..n).map(|i| m[(i, i)].re).collect();
+    if diag.iter().any(|d| d.is_nan()) {
+        return Err(NON_FINITE);
+    }
     order.sort_by(|&i, &j| diag[i].partial_cmp(&diag[j]).unwrap());
     let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut vv = CMat::zeros(n, n);
@@ -173,10 +172,97 @@ pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
     Ok((eigenvalues, vv))
 }
 
+/// [`eigh`]'s error for a NaN or infinite input, or a NaN eigenvalue.
+const NON_FINITE: LinAlgError = LinAlgError::Degenerate("non-finite Hermitian matrix");
+
+/// The shape and finiteness checks [`eigh`] makes before iterating.
+fn check_eigh_input(a: &CMat) -> Result<()> {
+    if !a.is_square() {
+        return Err(LinAlgError::ShapeMismatch {
+            expected: (a.rows(), a.rows()),
+            got: a.shape(),
+        });
+    }
+    if a.rows() == 0 {
+        return Err(LinAlgError::Degenerate("empty matrix"));
+    }
+    if !a.as_slice().iter().all(|z| z.is_finite()) {
+        return Err(NON_FINITE);
+    }
+    Ok(())
+}
+
+/// The real symmetric Jacobi rotation `(c, s)` that annihilates the
+/// (real, positive) off-diagonal `g` between diagonal entries `app`, `aqq`.
+#[inline]
+fn jacobi_rotation(app: f64, aqq: f64, g: f64) -> (f64, f64) {
+    let tau = (aqq - app) / (2.0 * g);
+    let t = if tau >= 0.0 {
+        1.0 / (tau + (1.0 + tau * tau).sqrt())
+    } else {
+        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+    };
+    let c = 1.0 / (1.0 + t * t).sqrt();
+    (c, c * t)
+}
+
+/// [`eigh`]'s cyclic Jacobi on a checked 2×2 input, written out for its one
+/// pair `(p, q) = (0, 1)`: the same tolerance, sweep cap, phase step and
+/// rotation, each float operation with the same operands in the same
+/// order. Returns the final diagonal (unsorted) and `V` row-major.
+fn jacobi2(a: &CMat) -> ([f64; 2], [C64; 4]) {
+    let [mut m00, mut m01, mut m10, mut m11] = [a[(0, 0)], a[(0, 1)], a[(1, 0)], a[(1, 1)]];
+    let [mut v00, mut v01, mut v10, mut v11] = [C64::one(), C64::zero(), C64::zero(), C64::one()];
+    let tol = 1e-14 * a.frobenius_norm().max(1.0);
+    for _ in 0..60 {
+        let off = 0.0 + m01.norm_sqr();
+        if off.sqrt() <= tol {
+            break;
+        }
+        let g = m01.abs();
+        if g <= tol * 1e-2 {
+            continue;
+        }
+        let phase = m01 * (1.0 / g);
+        let pc = phase.conj();
+        m01 *= pc;
+        m11 *= pc;
+        m10 *= phase;
+        m11 *= phase;
+        v01 *= pc;
+        v11 *= pc;
+        let (c, s) = jacobi_rotation(m00.re, m11.re, g);
+        let rot = |xp: C64, xq: C64| (xp.scale(c) - xq.scale(s), xp.scale(s) + xq.scale(c));
+        (m00, m01) = rot(m00, m01);
+        (m10, m11) = rot(m10, m11);
+        (m00, m10) = rot(m00, m10);
+        (m01, m11) = rot(m01, m11);
+        (v00, v01) = rot(v00, v01);
+        (v10, v11) = rot(v10, v11);
+    }
+    ([m00.re, m11.re], [v00, v01, v10, v11])
+}
+
+/// Whether [`eigh`]'s stable ascending sort keeps a 2×2 diagonal in place
+/// (a tie keeps it); a NaN is an error.
+fn ascending2(d: [f64; 2]) -> Result<bool> {
+    match d[1].partial_cmp(&d[0]) {
+        Some(o) => Ok(o != std::cmp::Ordering::Less),
+        None => Err(NON_FINITE),
+    }
+}
+
 /// The eigenvector of a Hermitian matrix with the smallest eigenvalue — the
 /// least-interfered direction, used by the leakage-minimising alignment
-/// solver (receive side) and its reciprocal (transmit side).
+/// solver (receive side) and its reciprocal (transmit side). A 2×2 input
+/// forms neither the eigenvalue list nor `V`.
 pub fn smallest_eigvec_hermitian(a: &CMat) -> Result<CVec> {
+    if a.shape() == (2, 2) {
+        check_eigh_input(a)?;
+        let (d, v) = jacobi2(a);
+        let j = if ascending2(d)? { 0 } else { 1 };
+        return Ok([v[j], v[2 + j]].into_iter().collect());
+    }
     let (_, v) = eigh(a)?;
     Ok(v.col(0))
 }
@@ -520,6 +606,94 @@ mod tests {
     #[test]
     fn eigh_rejects_non_square() {
         assert!(eigh(&CMat::zeros(2, 3)).is_err());
+    }
+
+    /// Bit patterns of a matrix's entries, for exact comparison.
+    fn bits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// The 2×2 paths of `eigh` and `smallest_eigvec_hermitian` must match
+    /// the generic Jacobi bit for bit.
+    fn assert_eigh2_matches_jacobi(a: &CMat) {
+        let (ls, v) = eigh(a).unwrap();
+        let (ls_ref, v_ref) = jacobi(a).unwrap();
+        let lbits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(lbits(&ls), lbits(&ls_ref), "eigenvalues of\n{a}");
+        assert_eq!(bits(&v), bits(&v_ref), "eigenvectors of\n{a}");
+        let u = smallest_eigvec_hermitian(a).unwrap();
+        assert_eq!(
+            bits(&CMat::from_cols(&[u])),
+            bits(&CMat::from_cols(&[v_ref.col(0)])),
+            "smallest eigenvector of\n{a}"
+        );
+    }
+
+    /// A random 2×2 Hermitian matrix — a covariance `B·Bᴴ` or a plain
+    /// `B + Bᴴ` — at an occasionally extreme scale.
+    fn random_hermitian2(rng: &mut Rng64) -> CMat {
+        let b = CMat::random(2, 2, rng);
+        let h = if rng.chance(0.5) {
+            b.mul_mat(&b.hermitian())
+        } else {
+            &b + &b.hermitian()
+        };
+        h.scale(*rng.pick(&[1.0, 1.0, 1e-150, 1e150, 1e-300]))
+    }
+
+    #[test]
+    fn eigh2_matches_generic_jacobi_bitwise() {
+        let mut rng = Rng64::new(410);
+        for _ in 0..10_000 {
+            assert_eigh2_matches_jacobi(&random_hermitian2(&mut rng));
+        }
+        // The 2×2 path runs on any finite square input, Hermitian or not.
+        for _ in 0..1_000 {
+            assert_eigh2_matches_jacobi(&CMat::random(2, 2, &mut rng));
+        }
+    }
+
+    #[test]
+    fn eigh2_matches_generic_jacobi_on_edge_cases() {
+        let r = C64::real;
+        let m = |e: [C64; 4]| CMat::new(2, 2, e.to_vec());
+        let cases = [
+            // Zero off-diagonal: no rotation; ascending and descending.
+            m([r(1.0), r(0.0), r(0.0), r(2.0)]),
+            m([r(2.0), r(0.0), r(0.0), r(1.0)]),
+            // Equal eigenvalues: the stable sort keeps the order.
+            m([r(3.0), r(0.0), r(0.0), r(3.0)]),
+            m([r(-0.0), r(0.0), r(0.0), r(0.0)]),
+            m([C64::zero(); 4]),
+            // Rank one, with a complex off-diagonal.
+            m([r(1.0), C64::new(1.0, 1.0), C64::new(1.0, -1.0), r(2.0)]),
+            // Off-diagonal below the rotation floor and at extreme scales.
+            m([r(1.0), r(1e-20), r(1e-20), r(1.0)]),
+            m([r(1e-150), r(1e-150), r(1e-150), r(1e-150)]),
+            m([r(1e150), C64::new(0.0, 1e150), C64::new(0.0, -1e150), r(1e150)]),
+        ];
+        for a in &cases {
+            assert_eigh2_matches_jacobi(a);
+        }
+    }
+
+    #[test]
+    fn eigh_rejects_non_finite_entries() {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for n in [2, 3] {
+            for &x in &bad {
+                for slot in [(0, 0), (0, 1)] {
+                    let mut a = CMat::identity(n);
+                    a[slot] = C64::new(x, 0.0);
+                    assert_eq!(eigh(&a).unwrap_err(), NON_FINITE, "n={n} {x} at {slot:?}");
+                    assert!(smallest_eigvec_hermitian(&a).is_err());
+                    assert!(smallest_eigvecs_hermitian(&a, 1).is_err());
+                }
+            }
+        }
     }
 
     #[test]

@@ -142,6 +142,54 @@ impl Lu {
     }
 }
 
+/// `Lu::factor(a)?.inverse()` for a 2×2 `a`, as straight-line code.
+///
+/// Every float operation of the generic path is kept, with the same
+/// operands in the same order: the `norm_inf` fold, the pivot magnitudes
+/// (`hypot`; the two first-column ones are the `norm_inf` values, reused),
+/// Smith division, and the products with the identity's zero entries,
+/// which decide the sign of zero entries of the result. Only the clone,
+/// the loops, the identity matrix and the column copies are gone.
+pub(crate) fn inverse2(a: &CMat) -> Result<CMat> {
+    debug_assert_eq!(a.shape(), (2, 2));
+    let [a00, a01, a10, a11] = [a[(0, 0)], a[(0, 1)], a[(1, 0)], a[(1, 1)]];
+    let (m00, m10) = (a00.abs(), a10.abs());
+    let scale = 0.0f64
+        .max(m00)
+        .max(a01.abs())
+        .max(m10)
+        .max(a11.abs())
+        .max(f64::MIN_POSITIVE);
+    let tiny = scale * 1e-14 * 2.0;
+    // Column 0: pivot on the larger magnitude; the first wins a tie.
+    let swap = m10 > m00;
+    if (if swap { m10 } else { m00 }) <= tiny {
+        return Err(LinAlgError::Singular);
+    }
+    let ([u00, u01], [l10, r11]) = if swap {
+        ([a10, a11], [a00, a01])
+    } else {
+        ([a00, a01], [a10, a11])
+    };
+    let l10 = l10 / u00;
+    let u11 = r11 - l10 * u01;
+    if u11.abs() <= tiny {
+        return Err(LinAlgError::Singular);
+    }
+    // Column c of the inverse solves `A·x = e_c`; the permuted right-hand
+    // side is `[e_c[perm[0]], e_c[perm[1]]]`.
+    let (one, zero) = (C64::one(), C64::zero());
+    let solve = |b0: C64, b1: C64| {
+        let x1 = (b1 - l10 * b0) / u11;
+        let x0 = (b0 - u01 * x1) / u00;
+        (x0, x1)
+    };
+    let (p00, p10) = if swap { solve(zero, one) } else { solve(one, zero) };
+    let (p01, p11) = if swap { solve(one, zero) } else { solve(zero, one) };
+    let out = [p00, p01, p10, p11];
+    Ok(CMat::from_fn(2, 2, |r, c| out[2 * r + c]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +279,85 @@ mod tests {
         let a = CMat::identity(3);
         let lu = Lu::factor(&a).unwrap();
         assert!(lu.solve(&CVec::zeros(2)).is_err());
+    }
+
+    /// Bit patterns of every entry, for exact comparison.
+    fn bits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// `CMat::inverse`'s 2×2 path must match the generic `Lu` route bit for
+    /// bit, errors included.
+    fn assert_inverse_matches_lu(a: &CMat) {
+        let fast = a.inverse();
+        let generic = Lu::factor(a).and_then(|lu| lu.inverse());
+        match (&fast, &generic) {
+            (Ok(f), Ok(g)) => assert_eq!(bits(f), bits(g), "inverse of\n{a}"),
+            (Err(f), Err(g)) => assert_eq!(f, g, "inverse of\n{a}"),
+            _ => panic!("inverse of\n{a}: fast {fast:?}, generic {generic:?}"),
+        }
+    }
+
+    /// A random 2×2 with, now and then, signed-zero parts, an extreme scale
+    /// or a magnitude tie between the two first-column entries.
+    fn spiky2(rng: &mut Rng64) -> CMat {
+        let mut a = CMat::random(2, 2, rng);
+        for i in 0..2 {
+            for j in 0..2 {
+                match rng.below(8) {
+                    0 => a[(i, j)].re = 0.0,
+                    1 => a[(i, j)].im = -0.0,
+                    _ => {}
+                }
+            }
+        }
+        if rng.chance(0.2) {
+            // |a10| == |a00|: swapped parts have the same hypot.
+            let z = a[(0, 0)];
+            a[(1, 0)] = C64::new(z.im, z.re);
+        }
+        let scale = *rng.pick(&[1.0, 1.0, 1e-150, 1e150, 1e-300, 1e300]);
+        a.scale(scale)
+    }
+
+    #[test]
+    fn inverse2_matches_generic_lu_bitwise() {
+        let mut rng = Rng64::new(107);
+        for _ in 0..10_000 {
+            assert_inverse_matches_lu(&spiky2(&mut rng));
+        }
+    }
+
+    #[test]
+    fn inverse2_matches_generic_lu_on_edge_cases() {
+        let c = |re: f64, im: f64| C64::new(re, im);
+        let m = |e: [C64; 4]| CMat::new(2, 2, e.to_vec());
+        let cases = [
+            // Equal-magnitude pivots: the first row keeps the pivot.
+            m([c(1.0, 0.0), c(2.0, 0.0), c(0.0, 1.0), c(3.0, 0.0)]),
+            m([c(3.0, 4.0), c(1.0, 0.0), c(4.0, 3.0), c(0.0, 2.0)]),
+            // Exactly singular, and all zero.
+            m([c(1.0, 0.0), c(2.0, 0.0), c(2.0, 0.0), c(4.0, 0.0)]),
+            m([C64::zero(); 4]),
+            // Signed zeros that the identity's zero entries must keep.
+            m([c(2.0, -0.0), c(-0.0, 0.0), c(0.0, -0.0), c(3.0, 0.0)]),
+            m([c(-0.0, -0.0), c(1.0, 0.0), c(1.0, 0.0), c(-0.0, 0.0)]),
+            // Non-finite entries.
+            m([c(f64::NAN, 0.0), c(1.0, 0.0), c(0.0, 1.0), c(2.0, 0.0)]),
+            m([c(f64::INFINITY, 0.0), c(1.0, 0.0), c(0.0, 1.0), c(2.0, 0.0)]),
+        ];
+        for a in &cases {
+            assert_inverse_matches_lu(a);
+        }
+        // Second pivots straddling the `tiny` threshold (2e-14 × scale).
+        for k in 0..60 {
+            let d = k as f64 * 1e-15;
+            assert_inverse_matches_lu(&m([c(1.0, 0.0), c(1.0, 0.0), c(1.0, 0.0), c(1.0 + d, 0.0)]));
+            assert_inverse_matches_lu(&m([c(1.0, 0.0), c(1.0, 0.0), c(1.0, d), c(1.0, 0.0)]));
+        }
     }
 
     #[test]

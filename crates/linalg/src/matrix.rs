@@ -272,8 +272,12 @@ impl CMat {
         crate::lu::Lu::factor(self)?.solve(b)
     }
 
-    /// Matrix inverse via LU.
+    /// Matrix inverse via LU (a 2×2 takes a straight-line copy of the same
+    /// operations, bit for bit).
     pub fn inverse(&self) -> Result<Self> {
+        if self.shape() == (2, 2) {
+            return crate::lu::inverse2(self);
+        }
         crate::lu::Lu::factor(self)?.inverse()
     }
 
@@ -307,9 +311,9 @@ impl CMat {
 
     /// 2-norm condition number `σ_max/σ_min` (∞ when singular).
     pub fn condition_number(&self) -> f64 {
-        let svd = crate::svd::Svd::compute(self);
-        let smax = svd.singular_values.first().copied().unwrap_or(0.0);
-        let smin = svd.singular_values.last().copied().unwrap_or(0.0);
+        let sigma = crate::svd::singular_values(self);
+        let smax = sigma.first().copied().unwrap_or(0.0);
+        let smin = sigma.last().copied().unwrap_or(0.0);
         if smin <= 0.0 {
             f64::INFINITY
         } else {

@@ -7,6 +7,7 @@
 //! slow for large matrices but extremely robust and accurate for the tiny
 //! matrices used here.
 
+use crate::small::Small;
 use crate::{C64, CMat, CVec};
 
 /// A computed decomposition `A = U·diag(σ)·Vᴴ` with `σ` sorted descending.
@@ -43,64 +44,7 @@ impl Svd {
         debug_assert!(m >= n);
         let mut g = a.clone(); // columns will be driven orthogonal
         let mut v = CMat::identity(n);
-        let tol = 1e-14;
-        let max_sweeps = 60;
-
-        for _sweep in 0..max_sweeps {
-            let mut rotated = false;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    // Hermitian 2×2 Gram block of columns p and q.
-                    let gp = g.col(p);
-                    let gq = g.col(q);
-                    let app = gp.norm_sqr();
-                    let aqq = gq.norm_sqr();
-                    let apq = gp.dot(&gq); // ⟨gp, gq⟩ (conjugated on gp)
-                    let off = apq.abs();
-                    // The absolute floor prevents 1/off from overflowing to
-                    // infinity when a column has converged to (near) zero.
-                    if off <= tol * (app * aqq).sqrt() || off < 1e-150 {
-                        continue;
-                    }
-                    rotated = true;
-                    // Phase-rotate column q so the cross term becomes real,
-                    // then apply a real Jacobi rotation.
-                    let phase = apq * (1.0 / off); // e^{iφ}
-                    let phase_conj = phase.conj();
-                    for i in 0..m {
-                        g[(i, q)] *= phase_conj;
-                    }
-                    for i in 0..n {
-                        v[(i, q)] *= phase_conj;
-                    }
-                    let gamma = off; // now real and positive
-                    let tau = (aqq - app) / (2.0 * gamma);
-                    let t = if tau >= 0.0 {
-                        1.0 / (tau + (1.0 + tau * tau).sqrt())
-                    } else {
-                        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = c * t;
-                    // Columns p,q ← (c·p − s·q, s·p + c·q).
-                    for i in 0..m {
-                        let xp = g[(i, p)];
-                        let xq = g[(i, q)];
-                        g[(i, p)] = xp.scale(c) - xq.scale(s);
-                        g[(i, q)] = xp.scale(s) + xq.scale(c);
-                    }
-                    for i in 0..n {
-                        let xp = v[(i, p)];
-                        let xq = v[(i, q)];
-                        v[(i, p)] = xp.scale(c) - xq.scale(s);
-                        v[(i, q)] = xp.scale(s) + xq.scale(c);
-                    }
-                }
-            }
-            if !rotated {
-                break;
-            }
-        }
+        orthogonalize_columns(&mut g, Some(&mut v));
 
         // Singular values are the column norms; U is the normalised columns.
         let mut order: Vec<usize> = (0..n).collect();
@@ -144,6 +88,91 @@ impl Svd {
             }
         });
         self.u.mul_mat(&s).mul_mat(&self.v.hermitian())
+    }
+}
+
+/// Singular values of `a`, descending: [`Svd::compute`]'s
+/// `singular_values`, bit for bit, without forming `U` or `V`.
+pub(crate) fn singular_values(a: &CMat) -> Small<f64, 4> {
+    let mut g = if a.rows() >= a.cols() {
+        a.clone()
+    } else {
+        a.hermitian()
+    };
+    orthogonalize_columns(&mut g, None);
+    let mut sigma: Small<f64, 4> = (0..g.cols()).map(|j| g.col(j).norm()).collect();
+    sigma.sort_by(|x, y| y.total_cmp(x));
+    sigma
+}
+
+/// Drive the columns of a tall (or square) `g` mutually orthogonal by
+/// one-sided Jacobi rotations, applying each rotation to the columns of `v`
+/// too when one is given. The updates of `g` never read `v`, so `g` ends
+/// the same with or without it.
+fn orthogonalize_columns(g: &mut CMat, mut v: Option<&mut CMat>) {
+    let (m, n) = g.shape();
+    debug_assert!(m >= n);
+    let tol = 1e-14;
+    let max_sweeps = 60;
+
+    for _sweep in 0..max_sweeps {
+        let mut rotated = false;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                // Hermitian 2×2 Gram block of columns p and q.
+                let gp = g.col(p);
+                let gq = g.col(q);
+                let app = gp.norm_sqr();
+                let aqq = gq.norm_sqr();
+                let apq = gp.dot(&gq); // ⟨gp, gq⟩ (conjugated on gp)
+                let off = apq.abs();
+                // The absolute floor prevents 1/off from overflowing to
+                // infinity when a column has converged to (near) zero.
+                if off <= tol * (app * aqq).sqrt() || off < 1e-150 {
+                    continue;
+                }
+                rotated = true;
+                // Phase-rotate column q so the cross term becomes real,
+                // then apply a real Jacobi rotation.
+                let phase = apq * (1.0 / off); // e^{iφ}
+                let phase_conj = phase.conj();
+                for i in 0..m {
+                    g[(i, q)] *= phase_conj;
+                }
+                if let Some(v) = v.as_deref_mut() {
+                    for i in 0..n {
+                        v[(i, q)] *= phase_conj;
+                    }
+                }
+                let gamma = off; // now real and positive
+                let tau = (aqq - app) / (2.0 * gamma);
+                let t = if tau >= 0.0 {
+                    1.0 / (tau + (1.0 + tau * tau).sqrt())
+                } else {
+                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = c * t;
+                // Columns p,q ← (c·p − s·q, s·p + c·q).
+                rotate_columns(g, p, q, c, s);
+                if let Some(v) = v.as_deref_mut() {
+                    rotate_columns(v, p, q, c, s);
+                }
+            }
+        }
+        if !rotated {
+            break;
+        }
+    }
+}
+
+/// Columns `p, q` of `x` ← `(c·p − s·q, s·p + c·q)`.
+fn rotate_columns(x: &mut CMat, p: usize, q: usize, c: f64, s: f64) {
+    for i in 0..x.rows() {
+        let xp = x[(i, p)];
+        let xq = x[(i, q)];
+        x[(i, p)] = xp.scale(c) - xq.scale(s);
+        x[(i, q)] = xp.scale(s) + xq.scale(c);
     }
 }
 
@@ -246,6 +275,38 @@ mod tests {
             let resid = (&gv - &vj.scale(s * s)).norm();
             assert!(resid < 1e-8, "column {j}: residual {resid}");
         }
+    }
+
+    /// `singular_values` (and so `condition_number`) must match the full
+    /// decomposition's σ bit for bit.
+    fn assert_sigma_matches_svd(a: &CMat) {
+        let fast = singular_values(a);
+        let full = Svd::compute(a).singular_values;
+        let b = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(b(&fast), b(&full), "σ of\n{a}");
+        let cond = match (full.first(), full.last()) {
+            (Some(&hi), Some(&lo)) if lo > 0.0 => hi / lo,
+            _ => f64::INFINITY,
+        };
+        assert_eq!(a.condition_number().to_bits(), cond.to_bits(), "κ of\n{a}");
+    }
+
+    #[test]
+    fn singular_values_match_full_svd_bitwise() {
+        let mut rng = Rng64::new(306);
+        for _ in 0..10_000 {
+            let scale = *rng.pick(&[1.0, 1.0, 1e-150, 1e150]);
+            assert_sigma_matches_svd(&CMat::random(2, 2, &mut rng).scale(scale));
+        }
+        for &(m, n) in &[(3, 3), (4, 4), (2, 3), (3, 2), (4, 2), (1, 2)] {
+            for _ in 0..200 {
+                assert_sigma_matches_svd(&CMat::random(m, n, &mut rng));
+            }
+        }
+        let c = CVec::from_real(&[1.0, 2.0]);
+        assert_sigma_matches_svd(&CMat::from_cols(&[c.clone(), c.scale(-3.0)]));
+        assert_sigma_matches_svd(&CMat::zeros(2, 2));
+        assert_sigma_matches_svd(&CMat::identity(2));
     }
 
     #[test]
