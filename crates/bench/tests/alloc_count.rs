@@ -2,7 +2,8 @@
 //! wraps `System`, the full steady-state sample loop (precode → medium mix →
 //! project → cancel-reconstruct/subtract → OFDM symbol → planned FFT → fast
 //! convolution) runs on warm `_into` buffers, and the heap counter must not
-//! move. The same counter caps the heap traffic of one fig15 group score.
+//! move. The same counter caps the heap traffic of one fig15 group score, through
+//! the optimisers and through the per-slot scoring context.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
 //! window must be the only live thread in the process — libtest's harness
@@ -11,7 +12,7 @@
 use iac_channel::estimation::EstimationConfig;
 use iac_channel::{Awgn, Cfo};
 use iac_core::grid::{ChannelGrid, Direction};
-use iac_core::optimize;
+use iac_core::optimize::{self, ScoringContext};
 use iac_linalg::{C64, CMat, CVec, Rng64};
 use iac_phy::cancel::{reconstruct_into, subtract};
 use iac_phy::dsp::Scratch;
@@ -285,15 +286,21 @@ fn observed_des_steady_state_is_allocation_free() {
     println!("alloc_count: 1000 observed DES steps performed 0 heap allocations — ok");
 }
 
-/// Most heap allocations one fig15 uplink / downlink group score may make.
-/// The count is deterministic; 2×2 values live inline, so what remains is
-/// the grid and schedule `Vec`s and the decoder's per-step lists.
-const UPLINK_SCORE_CEILING: u64 = 27;
-const DOWNLINK_SCORE_CEILING: u64 = 24;
+/// Most heap allocations one uplink / downlink group score through the
+/// optimisers may make, sub-grid included. The count is deterministic; 2×2
+/// values live inline, so what remains is the grid and schedule `Vec`s and
+/// the decoder's output lists.
+const UPLINK_SCORE_CEILING: u64 = 22;
+const DOWNLINK_SCORE_CEILING: u64 = 17;
 
-/// One fig15 leader-side group score, as `scenarios/fig15.rs` computes it:
-/// cut the group's 3×3 sub-grid out of the slot's estimates, align it, and
-/// take the rate the optimiser reports for its winner.
+/// Most heap allocations one fig15 group score through a built
+/// [`ScoringContext`] may make, in either direction: the decoder's output
+/// lists, twice.
+const CONTEXT_SCORE_CEILING: u64 = 4;
+
+/// One group score through the optimisers: cut the group's 3×3 sub-grid
+/// out of the slot's estimates, align it, and take the rate the optimiser
+/// reports for its winner.
 fn group_scores_stay_under_ceiling() {
     let mut rng = Rng64::new(0xF15);
     let est = EstimationConfig::paper_default();
@@ -301,6 +308,7 @@ fn group_scores_stay_under_ceiling() {
     let down =
         ChannelGrid::random(Direction::Downlink, 3, 8, 2, 2, &mut rng).estimated(&est, &mut rng);
     let group = [4usize, 1, 6];
+    context_scores_stay_under_ceiling(&up, &down, group);
 
     let before = allocations();
     let sub = ChannelGrid::new(
@@ -335,6 +343,33 @@ fn group_scores_stay_under_ceiling() {
     );
     println!(
         "alloc_count: one fig15 group score made {uplink} heap allocations uplink, \
+         {downlink} downlink — ok"
+    );
+}
+
+/// One fig15 leader-side group score, as `scenarios/fig15.rs` computes it:
+/// through the slot's [`ScoringContext`], once its first score has built
+/// the per-slot state. The companions are new to the context, so their
+/// terms are computed inside the measured window.
+fn context_scores_stay_under_ceiling(up: &ChannelGrid, down: &ChannelGrid, group: [usize; 3]) {
+    let [head, a, b] = group;
+    let mut counts = [0; 2];
+    for (count, grid) in counts.iter_mut().zip([up, down]) {
+        let mut context = ScoringContext::new(grid, head, 1.0, 0.05);
+        assert!(context.score(2, 3) > 0.0, "warm-up group aligns");
+        let before = allocations();
+        let rate = context.score(a, b);
+        *count = allocations() - before;
+        assert!(rate > 0.0, "{:?} group aligns", grid.direction());
+    }
+    let [uplink, downlink] = counts;
+    assert!(
+        uplink <= CONTEXT_SCORE_CEILING && downlink <= CONTEXT_SCORE_CEILING,
+        "one context group score allocated {uplink} times uplink, {downlink} downlink \
+         (ceiling {CONTEXT_SCORE_CEILING})"
+    );
+    println!(
+        "alloc_count: one fig15 context group score made {uplink} heap allocations uplink, \
          {downlink} downlink — ok"
     );
 }

@@ -43,7 +43,7 @@ pub fn well_conditioned_rayleigh(rx: usize, tx: usize, max_cond: f64, rng: &mut 
     assert!(max_cond > 1.0, "condition bound must exceed 1");
     loop {
         let h = rayleigh(rx, tx, rng);
-        if h.condition_number() <= max_cond {
+        if h.condition_number_at_most(max_cond) {
             return h;
         }
     }

@@ -57,7 +57,18 @@ pub fn eigenmode_rate(
     p_total: f64,
     noise: f64,
 ) -> (f64, Vec<f64>) {
-    let svd_est = Svd::compute(h_est);
+    eigenmode_rate_from(&Svd::compute(h_est), h_true, p_total, noise)
+}
+
+/// [`eigenmode_rate`] from the SVD of the estimated channel, for callers
+/// that predict a link's rate (`h_true` = the estimate) and then realise
+/// it under the true channel: one SVD serves both.
+pub(crate) fn eigenmode_rate_from(
+    svd_est: &Svd,
+    h_true: &CMat,
+    p_total: f64,
+    noise: f64,
+) -> (f64, Vec<f64>) {
     let n_streams = svd_est.singular_values.len();
     let gains: Vec<f64> = svd_est.singular_values.iter().map(|s| s * s).collect();
     let powers = waterfill(&gains, p_total, noise);
@@ -96,16 +107,17 @@ pub fn best_ap_rate(
 ) -> (usize, f64, Vec<f64>) {
     assert_eq!(links_true.len(), links_est.len());
     assert!(!links_true.is_empty(), "need at least one AP");
+    let svds: Vec<Svd> = links_est.iter().map(Svd::compute).collect();
     let mut best_ap = 0;
     let mut best_predicted = f64::NEG_INFINITY;
-    for (i, est) in links_est.iter().enumerate() {
-        let (predicted, _) = eigenmode_rate(est, est, p_total, noise);
+    for (i, (est, svd)) in links_est.iter().zip(&svds).enumerate() {
+        let (predicted, _) = eigenmode_rate_from(svd, est, p_total, noise);
         if predicted > best_predicted {
             best_predicted = predicted;
             best_ap = i;
         }
     }
-    let (rate, sinrs) = eigenmode_rate(&links_true[best_ap], &links_est[best_ap], p_total, noise);
+    let (rate, sinrs) = eigenmode_rate_from(&svds[best_ap], &links_true[best_ap], p_total, noise);
     (best_ap, rate, sinrs)
 }
 

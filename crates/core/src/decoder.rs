@@ -14,9 +14,9 @@
 //!   through the estimation *error* `(H − Ĥ)·v` (§6, footnote 5).
 //! * **Noise** — AWGN of configurable power at every receive antenna.
 
-use crate::grid::ChannelGrid;
+use crate::grid::{ChannelGrid, Links};
 use crate::schedule::DecodeSchedule;
-use crate::solver::{step_vectors, Images};
+use crate::solver::{step_vectors, Images, Interferers};
 use iac_linalg::{CVec, Result};
 
 /// Post-processing SINR of one decoded packet.
@@ -73,14 +73,15 @@ pub fn equal_split_powers(schedule: &DecodeSchedule, per_node_power: f64) -> Vec
         .collect()
 }
 
-/// The matrix-level IAC decoder.
+/// The matrix-level IAC decoder, over a whole [`ChannelGrid`] or any other
+/// [`Links`].
 #[derive(Debug)]
-pub struct IacDecoder<'a> {
+pub struct IacDecoder<'a, G: Links = ChannelGrid> {
     /// What the air actually does.
-    pub true_grid: &'a ChannelGrid,
+    pub true_grid: &'a G,
     /// What the leader AP thinks the channels are (vectors and cancellation
     /// both use this).
-    pub est_grid: &'a ChannelGrid,
+    pub est_grid: &'a G,
     /// The decode schedule.
     pub schedule: &'a DecodeSchedule,
     /// Unit-norm encoding vectors (computed from `est_grid`).
@@ -91,7 +92,7 @@ pub struct IacDecoder<'a> {
     pub noise_power: f64,
 }
 
-impl IacDecoder<'_> {
+impl<G: Links> IacDecoder<'_, G> {
     /// Run the chain and report every packet's post-processing SINR.
     ///
     /// Each step computes every image `H(owner(q), receiver)·v_q` it needs
@@ -106,14 +107,16 @@ impl IacDecoder<'_> {
         assert_eq!(self.encoding.len(), n);
         assert_eq!(self.packet_power.len(), n);
         let one_grid = std::ptr::eq(self.true_grid, self.est_grid);
-        let sets = self.schedule.interference_sets();
+        let mut interferers = Interferers::new(n);
         let mut est = Images::new(n);
         let mut truth = Images::new(if one_grid { 0 } else { n });
         let mut residual = Images::new(if one_grid { 0 } else { n });
         let mut us = Vec::with_capacity(self.schedule.antennas);
         let mut sinrs = Vec::with_capacity(n);
-        for (step, (receiver, interf, _)) in self.schedule.steps.iter().zip(&sets) {
-            let receiver = *receiver;
+        for step in &self.schedule.steps {
+            let receiver = step.receiver;
+            interferers.fill(step, n);
+            let interf: &[usize] = &interferers;
             let seen = || interf.iter().chain(&step.decode);
             // Decoding vectors are computed from the ESTIMATED grid: this is
             // all the receiver knows.

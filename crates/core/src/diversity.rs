@@ -12,7 +12,7 @@
 //! comparison "can be done merely by computing the capacity using our
 //! knowledge of the channel matrices" (§10.2, footnote 10).
 
-use crate::baseline::eigenmode_rate;
+use crate::baseline::eigenmode_rate_from;
 use iac_linalg::{CMat, Result, Svd};
 
 /// The option the leader AP selected.
@@ -89,9 +89,10 @@ pub fn best_downlink_option(
     noise: f64,
 ) -> Result<DiversityOutcome> {
     // Predict every option from the estimates alone.
+    let svds = links_est.each_ref().map(Svd::compute);
     let mut candidates: Vec<(DiversityOption, f64)> = Vec::with_capacity(3);
-    for (ap, link) in links_est.iter().enumerate() {
-        let (predicted, _) = eigenmode_rate(link, link, p_per_ap, noise);
+    for (ap, (link, svd)) in links_est.iter().zip(&svds).enumerate() {
+        let (predicted, _) = eigenmode_rate_from(svd, link, p_per_ap, noise);
         candidates.push((DiversityOption::BothFrom(ap), predicted));
     }
     let (predicted_split, _) = one_from_each(links_est, links_est, p_per_ap, noise)?;
@@ -105,7 +106,7 @@ pub fn best_downlink_option(
     // Realise the chosen option under the true channels.
     let (rate, sinrs) = match option {
         DiversityOption::BothFrom(ap) => {
-            eigenmode_rate(&links_true[ap], &links_est[ap], p_per_ap, noise)
+            eigenmode_rate_from(&svds[ap], &links_true[ap], p_per_ap, noise)
         }
         DiversityOption::OneFromEach => one_from_each(links_true, links_est, p_per_ap, noise)?,
     };

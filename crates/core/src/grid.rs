@@ -18,6 +18,20 @@ pub enum Direction {
     Downlink,
 }
 
+/// Channels addressed by `(transmitter, receiver)`: a whole
+/// [`ChannelGrid`], or a view of part of one. The decoder reads links
+/// through this, so a candidate group can be decoded in place.
+pub trait Links {
+    /// Channel from transmitter `tx` to receiver `rx`.
+    fn link(&self, tx: usize, rx: usize) -> &CMat;
+}
+
+impl Links for ChannelGrid {
+    fn link(&self, tx: usize, rx: usize) -> &CMat {
+        ChannelGrid::link(self, tx, rx)
+    }
+}
+
 /// A dense grid of MIMO channels between every transmitter and receiver.
 #[derive(Debug, Clone)]
 pub struct ChannelGrid {
@@ -99,23 +113,16 @@ impl ChannelGrid {
         self.h[0][0].cols()
     }
 
-    /// Apply per-link scalar amplitude gains (large-scale path loss):
-    /// `gains[tx][rx]` multiplies every entry of the corresponding link.
-    pub fn with_amplitudes(&self, gains: &[Vec<f64>]) -> Self {
-        assert_eq!(gains.len(), self.transmitters());
-        let h = self
-            .h
-            .iter()
-            .enumerate()
-            .map(|(t, row)| {
-                assert_eq!(gains[t].len(), self.receivers());
-                row.iter()
-                    .enumerate()
-                    .map(|(r, m)| m.scale(gains[t][r]))
-                    .collect()
-            })
-            .collect();
-        Self::new(self.direction, h)
+    /// Apply per-link scalar amplitude gains (large-scale path loss) in
+    /// place: `gain(tx, rx)` multiplies every entry of the corresponding
+    /// link.
+    pub fn with_amplitudes(mut self, gain: impl Fn(usize, usize) -> f64) -> Self {
+        for (t, row) in self.h.iter_mut().enumerate() {
+            for (r, m) in row.iter_mut().enumerate() {
+                m.scale_in_place(gain(t, r));
+            }
+        }
+        self
     }
 
     /// Produce the estimated version of this grid under the given estimation
@@ -160,8 +167,8 @@ mod tests {
     fn amplitudes_scale_links() {
         let mut rng = Rng64::new(3);
         let g = ChannelGrid::random(Direction::Downlink, 2, 2, 2, 2, &mut rng);
-        let gains = vec![vec![1.0, 2.0], vec![0.5, 1.0]];
-        let scaled = g.with_amplitudes(&gains);
+        let gains = [[1.0, 2.0], [0.5, 1.0]];
+        let scaled = g.clone().with_amplitudes(|t, r| gains[t][r]);
         let ratio = scaled.link(0, 1).frobenius_norm() / g.link(0, 1).frobenius_norm();
         assert!((ratio - 2.0).abs() < 1e-12);
         let ratio2 = scaled.link(1, 0).frobenius_norm() / g.link(1, 0).frobenius_norm();

@@ -17,9 +17,9 @@
 
 use crate::closed_form::AlignedConfig;
 use crate::decoder::{equal_split_powers, IacDecoder};
-use crate::grid::{ChannelGrid, Direction};
+use crate::grid::{ChannelGrid, Direction, Links};
 use crate::schedule::{DecodeSchedule, DecodeStep};
-use iac_linalg::{eig2, CVec, LinAlgError, Result, Rng64};
+use iac_linalg::{eig2, CMat, CVec, LinAlgError, Result, Rng64};
 use std::ops::Deref;
 
 /// How many random alignment seeds the leader scores per configuration.
@@ -41,9 +41,10 @@ pub fn predicted_rate(
 /// The body of [`predicted_rate`], for callers that hold the schedule and
 /// the power split already. The decoder borrows `packet_power` for the
 /// call and hands it back, so a caller scoring many candidates never
-/// copies it.
-fn rate_on_estimates(
-    est_grid: &ChannelGrid,
+/// copies it. A decode that fails, or that yields a NaN SINR (a NaN
+/// estimate), scores 0.0.
+fn rate_on_estimates<G: Links>(
+    est_grid: &G,
     schedule: &DecodeSchedule,
     encoding: &[CVec],
     packet_power: &mut Vec<f64>,
@@ -57,7 +58,12 @@ fn rate_on_estimates(
         packet_power: std::mem::take(packet_power),
         noise_power: noise,
     };
-    let rate = decoder.decode().map(|o| o.rate_bits_per_hz()).unwrap_or(0.0);
+    let rate = decoder
+        .decode()
+        .ok()
+        .filter(|o| !o.sinrs.iter().any(|p| p.sinr.is_nan()))
+        .map(|o| o.rate_bits_per_hz())
+        .unwrap_or(0.0);
     *packet_power = decoder.packet_power;
     rate
 }
@@ -84,24 +90,23 @@ impl Deref for Optimized {
 
 /// Scores candidate encodings for one schedule and keeps the best; the
 /// first of equal scores wins.
-struct Contest<'a> {
-    est_grid: &'a ChannelGrid,
-    schedule: DecodeSchedule,
-    powers: Vec<f64>,
+struct Contest<'a, G, E> {
+    links: &'a G,
+    schedule: &'a DecodeSchedule,
+    powers: &'a mut Vec<f64>,
     noise: f64,
-    best: Option<(f64, Vec<CVec>)>,
+    best: Option<(f64, E)>,
 }
 
-impl<'a> Contest<'a> {
+impl<'a, G: Links, E: AsRef<[CVec]>> Contest<'a, G, E> {
     fn new(
-        est_grid: &'a ChannelGrid,
-        schedule: DecodeSchedule,
-        per_node_power: f64,
+        links: &'a G,
+        schedule: &'a DecodeSchedule,
+        powers: &'a mut Vec<f64>,
         noise: f64,
     ) -> Self {
-        let powers = equal_split_powers(&schedule, per_node_power);
         Self {
-            est_grid,
+            links,
             schedule,
             powers,
             noise,
@@ -109,31 +114,23 @@ impl<'a> Contest<'a> {
         }
     }
 
-    fn offer(&mut self, encoding: Vec<CVec>) {
+    fn offer(&mut self, encoding: E) {
         let score = rate_on_estimates(
-            self.est_grid,
-            &self.schedule,
-            &encoding,
-            &mut self.powers,
+            self.links,
+            self.schedule,
+            encoding.as_ref(),
+            self.powers,
             self.noise,
         );
         if self.best.as_ref().map(|(s, _)| score > *s).unwrap_or(true) {
             self.best = Some((score, encoding));
         }
     }
-
-    fn winner(self) -> Option<Optimized> {
-        let Self { schedule, best, .. } = self;
-        best.map(|(rate, encoding)| Optimized {
-            config: AlignedConfig { schedule, encoding },
-            rate,
-        })
-    }
 }
 
 /// Beamform an unconstrained packet: given the receive projection `u` its AP
 /// will use, the best unit encoding vector is the matched filter `Hᴴu`.
-fn matched_encoding(h: &iac_linalg::CMat, u: &CVec) -> Result<CVec> {
+fn matched_encoding(h: &CMat, u: &CVec) -> Result<CVec> {
     h.hermitian().mul_vec(u).normalize()
 }
 
@@ -174,7 +171,8 @@ pub fn uplink3_optimized(
     };
     let h00_inv = est_grid.link(0, 0).inverse()?;
     let h10_inv = est_grid.link(1, 0).inverse()?;
-    let mut contest = Contest::new(est_grid, schedule, per_node_power, noise);
+    let mut powers = equal_split_powers(&schedule, per_node_power);
+    let mut contest = Contest::new(est_grid, &schedule, &mut powers, noise);
     for _ in 0..candidates.max(1) {
         let g = CVec::random_unit(2, rng);
         let v1 = h00_inv.mul_vec(&g).normalize()?;
@@ -184,16 +182,24 @@ pub fn uplink3_optimized(
         let aligned = est_grid.link(0, 0).mul_vec(&v1);
         let u0 = aligned.orth_2d()?;
         let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
-        contest.offer(vec![v0, v1, v2]);
+        contest.offer([v0, v1, v2]);
     }
-    Ok(contest.winner().expect("candidates >= 1"))
+    let (rate, encoding) = contest.best.expect("candidates >= 1");
+    Ok(Optimized {
+        config: AlignedConfig {
+            schedule,
+            encoding: encoding.into(),
+        },
+        rate,
+    })
 }
 
 /// Optimised four-packet uplink (Fig. 5 / footnote 4).
 ///
 /// The eigenproblem admits exactly two alignment solutions (the two
 /// eigenvectors); the free packet `v0` is beamformed per solution and the
-/// leader keeps the better of the two.
+/// leader keeps the better of the two. This is [`ScoringContext`] scoring
+/// the group `[0, 1, 2]` of a 3×3 grid.
 pub fn uplink4_optimized(
     est_grid: &ChannelGrid,
     per_node_power: f64,
@@ -205,42 +211,15 @@ pub fn uplink4_optimized(
     {
         return Err(LinAlgError::Degenerate("uplink4 needs 3 clients and 3 APs"));
     }
-    let h00_inv = est_grid.link(0, 0).inverse()?;
-    let h10_inv = est_grid.link(1, 0).inverse()?;
-    let prod = est_grid
-        .link(2, 1)
-        .inverse()?
-        .mul_mat(est_grid.link(1, 1))
-        .mul_mat(&h10_inv)
-        .mul_mat(est_grid.link(2, 0));
-    let pairs = eig2(&prod)?;
-    // v2 and v1 follow from each eigenvector v3 through fixed products.
-    let to_v2 = h10_inv.mul_mat(est_grid.link(2, 0));
-    let to_v1 = h00_inv.mul_mat(est_grid.link(2, 0));
-    let mut contest = Contest::new(
-        est_grid,
-        DecodeSchedule::uplink_2m(2),
-        per_node_power,
-        noise,
-    );
-    for (_, v3) in pairs {
-        let v3 = v3.normalize()?;
-        let v2 = to_v2.mul_vec(&v3).normalize()?;
-        let v1 = to_v1.mul_vec(&v3).normalize()?;
-        // AP0 projects orthogonally to the aligned triple; beamform v0 to it.
-        let aligned = est_grid.link(0, 0).mul_vec(&v1);
-        let u0 = aligned.orth_2d()?;
-        let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
-        contest.offer(vec![v0, v1, v2, v3]);
-    }
-    contest
-        .winner()
-        .ok_or(LinAlgError::Degenerate("no eigen solution"))
+    let mut context = ScoringContext::new(est_grid, 0, per_node_power, noise);
+    let (rate, encoding) = context.uplink_best(1, 2)?;
+    Ok(context.into_optimized(rate, encoding.into()))
 }
 
 /// Optimised three-packet downlink (Fig. 6 / Eqs. 5–7): the eigenproblem's
 /// two solutions are both evaluated; there are no free packets to beamform
-/// (every vector is constrained by two clients at once).
+/// (every vector is constrained by two clients at once). This is
+/// [`ScoringContext`] scoring the group `[0, 1, 2]` of a 3×3 grid.
 pub fn downlink3_optimized(
     est_grid: &ChannelGrid,
     per_node_power: f64,
@@ -252,36 +231,280 @@ pub fn downlink3_optimized(
     {
         return Err(LinAlgError::Degenerate("downlink3 needs 3 APs and 3 clients"));
     }
-    let h10_inv = est_grid.link(1, 0).inverse()?;
-    let h01_inv = est_grid.link(0, 1).inverse()?;
-    let a = est_grid
-        .link(1, 2)
-        .mul_mat(&h10_inv)
-        .mul_mat(est_grid.link(2, 0));
-    let b = est_grid
-        .link(0, 2)
-        .mul_mat(&h01_inv)
-        .mul_mat(est_grid.link(2, 1));
-    let prod = a.inverse()?.mul_mat(&b);
-    let pairs = eig2(&prod)?;
-    // v1 and v0 follow from each eigenvector v2 through fixed products.
-    let to_v1 = h10_inv.mul_mat(est_grid.link(2, 0));
-    let to_v0 = h01_inv.mul_mat(est_grid.link(2, 1));
-    let mut contest = Contest::new(
-        est_grid,
-        DecodeSchedule::downlink_3_packets(),
-        per_node_power,
-        noise,
-    );
-    for (_, v2) in pairs {
-        let v2 = v2.normalize()?;
-        let v1 = to_v1.mul_vec(&v2).normalize()?;
-        let v0 = to_v0.mul_vec(&v2).normalize()?;
-        contest.offer(vec![v0, v1, v2]);
+    let mut context = ScoringContext::new(est_grid, 0, per_node_power, noise);
+    let (rate, encoding) = context.downlink_best(1, 2)?;
+    Ok(context.into_optimized(rate, encoding.into()))
+}
+
+/// The leader AP's group scoring for one slot (§7.2).
+///
+/// The grid holds the slot's estimates for three APs and every client:
+/// clients transmit on the uplink (`clients × 3`), APs on the downlink
+/// (`3 × clients`). A group is `[head, a, b]` by client index, and
+/// [`ScoringContext::score`] returns, bit for bit, the rate
+/// [`uplink4_optimized`] / [`downlink3_optimized`] report for the group's
+/// 3×3 sub-grid (0.0 where they fail), without cutting the sub-grid.
+///
+/// Everything that depends on the head alone or on one companion in one
+/// role is computed once, on first use, and kept with its error:
+///
+/// | | uplink | downlink |
+/// |---|---|---|
+/// | slot | schedule, power split, `H(h,0)⁻¹` | schedule, power split, `Hᵈ(1,h)⁻¹`, `Hᵈ(1,h)⁻¹·Hᵈ(2,h)` |
+/// | `a` | `H(a,0)⁻¹` | `Hᵈ(0,a)⁻¹`, `Hᵈ(0,a)⁻¹·Hᵈ(2,a)` |
+/// | `b` | `H(b,1)⁻¹`, `H(h,0)⁻¹·H(b,0)` | `(Hᵈ(1,b)·Hᵈ(1,h)⁻¹·Hᵈ(2,h))⁻¹` |
+///
+/// Each cached value is the matrix the sub-grid computation forms, from
+/// the same links in the same order; products whose factors mix `a` and
+/// `b` stay per group.
+#[derive(Debug)]
+pub struct ScoringContext<'g> {
+    grid: &'g ChannelGrid,
+    head: usize,
+    per_node_power: f64,
+    noise: f64,
+    slot: Option<Slot>,
+}
+
+/// The per-slot state, built by the first score.
+#[derive(Debug)]
+struct Slot {
+    schedule: DecodeSchedule,
+    powers: Vec<f64>,
+    terms: Result<Terms>,
+}
+
+/// The head-only terms and the per-companion caches of one direction.
+#[derive(Debug)]
+enum Terms {
+    Uplink {
+        /// `H(head, AP0)⁻¹`.
+        head_inv: CMat,
+        /// Per first companion `a`: `H(a, AP0)⁻¹`.
+        first: Memo<CMat>,
+        /// Per second companion `b`: `H(b, AP1)⁻¹` and `to_v1 =
+        /// H(head, AP0)⁻¹·H(b, AP0)`.
+        second: Memo<[CMat; 2]>,
+    },
+    Downlink {
+        /// `Hᵈ(AP1, head)⁻¹`.
+        head_inv: CMat,
+        /// `to_v1 = Hᵈ(AP1, head)⁻¹·Hᵈ(AP2, head)`.
+        to_v1: CMat,
+        /// Per first companion `a`: `Hᵈ(AP0, a)⁻¹` and `to_v0 =
+        /// Hᵈ(AP0, a)⁻¹·Hᵈ(AP2, a)`.
+        first: Memo<[CMat; 2]>,
+        /// Per second companion `b`: the inverse of the left factor
+        /// `Hᵈ(AP1, b)·Hᵈ(AP1, head)⁻¹·Hᵈ(AP2, head)`.
+        second: Memo<CMat>,
+    },
+}
+
+/// One value per client, computed on first use; a failure is kept too.
+#[derive(Debug)]
+struct Memo<T>(Vec<Option<Result<T>>>);
+
+impl<T> Memo<T> {
+    fn new(clients: usize) -> Self {
+        Self((0..clients).map(|_| None).collect())
     }
-    contest
-        .winner()
-        .ok_or(LinAlgError::Degenerate("no eigen solution"))
+
+    fn get(&mut self, client: usize, compute: impl FnOnce() -> Result<T>) -> Result<&T> {
+        self.0[client]
+            .get_or_insert_with(compute)
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+impl Slot {
+    fn new(grid: &ChannelGrid, head: usize, per_node_power: f64) -> Self {
+        let schedule = match grid.direction() {
+            Direction::Uplink => DecodeSchedule::uplink_2m(2),
+            Direction::Downlink => DecodeSchedule::downlink_3_packets(),
+        };
+        let powers = equal_split_powers(&schedule, per_node_power);
+        let terms = match grid.direction() {
+            Direction::Uplink if grid.receivers() == 3 => {
+                grid.link(head, 0).inverse().map(|head_inv| Terms::Uplink {
+                    head_inv,
+                    first: Memo::new(grid.transmitters()),
+                    second: Memo::new(grid.transmitters()),
+                })
+            }
+            Direction::Downlink if grid.transmitters() == 3 => {
+                grid.link(1, head)
+                    .inverse()
+                    .map(|head_inv| Terms::Downlink {
+                        to_v1: head_inv.mul_mat(grid.link(2, head)),
+                        head_inv,
+                        first: Memo::new(grid.receivers()),
+                        second: Memo::new(grid.receivers()),
+                    })
+            }
+            _ => Err(LinAlgError::Degenerate("group scoring needs 3 APs")),
+        };
+        Self {
+            schedule,
+            powers,
+            terms,
+        }
+    }
+}
+
+impl<'g> ScoringContext<'g> {
+    /// A context for the slot's estimated grid and the group head. Nothing
+    /// is computed until the first score.
+    pub fn new(est_grid: &'g ChannelGrid, head: usize, per_node_power: f64, noise: f64) -> Self {
+        Self {
+            grid: est_grid,
+            head,
+            per_node_power,
+            noise,
+            slot: None,
+        }
+    }
+
+    /// Predicted rate of the group `[head, a, b]` on the estimates: the
+    /// better of its two alignment solutions, or 0.0 when it cannot be
+    /// aligned.
+    pub fn score(&mut self, a: usize, b: usize) -> f64 {
+        let best = match self.grid.direction() {
+            Direction::Uplink => self.uplink_best(a, b).map(|(rate, _)| rate),
+            Direction::Downlink => self.downlink_best(a, b).map(|(rate, _)| rate),
+        };
+        best.unwrap_or(0.0)
+    }
+
+    fn slot(&mut self) -> &mut Slot {
+        let (grid, head, power) = (self.grid, self.head, self.per_node_power);
+        self.slot
+            .get_or_insert_with(|| Slot::new(grid, head, power))
+    }
+
+    /// The winning configuration, once its rate and encoding are known.
+    fn into_optimized(self, rate: f64, encoding: Vec<CVec>) -> Optimized {
+        let schedule = self.slot.expect("a scored context has its slot").schedule;
+        Optimized {
+            config: AlignedConfig { schedule, encoding },
+            rate,
+        }
+    }
+
+    /// The uplink alignment of `[head, a, b]`: `v3` solves the Fig. 5
+    /// eigenproblem, `v2` and `v1` follow through fixed products, and AP0
+    /// projects orthogonally to the aligned triple, with `v0` beamformed
+    /// to that projection.
+    fn uplink_best(&mut self, a: usize, b: usize) -> Result<(f64, [CVec; 4])> {
+        let (grid, head, noise) = (self.grid, self.head, self.noise);
+        let Slot {
+            schedule,
+            powers,
+            terms,
+        } = self.slot();
+        let Terms::Uplink {
+            head_inv,
+            first,
+            second,
+        } = terms.as_mut().map_err(|e| e.clone())?
+        else {
+            unreachable!("an uplink grid builds uplink terms");
+        };
+        let h00_inv = &*head_inv;
+        let h10_inv = first.get(a, || grid.link(a, 0).inverse())?;
+        let [h21_inv, to_v1] = second.get(b, || {
+            Ok([grid.link(b, 1).inverse()?, h00_inv.mul_mat(grid.link(b, 0))])
+        })?;
+        let prod = h21_inv
+            .mul_mat(grid.link(a, 1))
+            .mul_mat(h10_inv)
+            .mul_mat(grid.link(b, 0));
+        let pairs = eig2(&prod)?;
+        let to_v2 = h10_inv.mul_mat(grid.link(b, 0));
+        let h00 = grid.link(head, 0);
+        let group = GroupLinks {
+            grid,
+            tx: [head, a, b],
+            rx: [0, 1, 2],
+        };
+        let mut contest = Contest::new(&group, schedule, powers, noise);
+        for (_, v3) in pairs {
+            let v3 = v3.normalize()?;
+            let v2 = to_v2.mul_vec(&v3).normalize()?;
+            let v1 = to_v1.mul_vec(&v3).normalize()?;
+            let aligned = h00.mul_vec(&v1);
+            let u0 = aligned.orth_2d()?;
+            let v0 = matched_encoding(h00, &u0)?;
+            contest.offer([v0, v1, v2, v3]);
+        }
+        contest
+            .best
+            .ok_or(LinAlgError::Degenerate("no eigen solution"))
+    }
+
+    /// The downlink alignment of `[head, a, b]`: `v2` solves the Eq. 5–7
+    /// eigenproblem and `v1`, `v0` follow through fixed products.
+    fn downlink_best(&mut self, a: usize, b: usize) -> Result<(f64, [CVec; 3])> {
+        let (grid, head, noise) = (self.grid, self.head, self.noise);
+        let Slot {
+            schedule,
+            powers,
+            terms,
+        } = self.slot();
+        let Terms::Downlink {
+            head_inv,
+            to_v1,
+            first,
+            second,
+        } = terms.as_mut().map_err(|e| e.clone())?
+        else {
+            unreachable!("a downlink grid builds downlink terms");
+        };
+        let h10_inv = &*head_inv;
+        let [h01_inv, to_v0] = first.get(a, || {
+            let inv = grid.link(0, a).inverse()?;
+            let to_v0 = inv.mul_mat(grid.link(2, a));
+            Ok([inv, to_v0])
+        })?;
+        let left_inv = second.get(b, || {
+            grid.link(1, b)
+                .mul_mat(h10_inv)
+                .mul_mat(grid.link(2, head))
+                .inverse()
+        })?;
+        let right = grid.link(0, b).mul_mat(h01_inv).mul_mat(grid.link(2, a));
+        let pairs = eig2(&left_inv.mul_mat(&right))?;
+        let group = GroupLinks {
+            grid,
+            tx: [0, 1, 2],
+            rx: [head, a, b],
+        };
+        let mut contest = Contest::new(&group, schedule, powers, noise);
+        for (_, v2) in pairs {
+            let v2 = v2.normalize()?;
+            let v1 = to_v1.mul_vec(&v2).normalize()?;
+            let v0 = to_v0.mul_vec(&v2).normalize()?;
+            contest.offer([v0, v1, v2]);
+        }
+        contest
+            .best
+            .ok_or(LinAlgError::Degenerate("no eigen solution"))
+    }
+}
+
+/// The 3×3 sub-grid of one group, read in place: link `(t, r)` is the
+/// slot grid's link `(tx[t], rx[r])`.
+#[derive(Debug)]
+struct GroupLinks<'g> {
+    grid: &'g ChannelGrid,
+    tx: [usize; 3],
+    rx: [usize; 3],
+}
+
+impl Links for GroupLinks<'_> {
+    fn link(&self, tx: usize, rx: usize) -> &CMat {
+        self.grid.link(self.tx[tx], self.rx[rx])
+    }
 }
 
 #[cfg(test)]

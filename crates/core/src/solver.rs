@@ -20,7 +20,7 @@
 //! cancellation-aware interference sets: packets cancelled at an AP simply do
 //! not appear in its interference covariance.
 
-use crate::grid::ChannelGrid;
+use crate::grid::{ChannelGrid, Links};
 use crate::schedule::{DecodeSchedule, DecodeStep};
 use iac_linalg::eig::{smallest_eigvec_hermitian, smallest_eigvecs_hermitian};
 use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64};
@@ -296,9 +296,9 @@ impl Images {
 
     /// Compute `slot[q] = grid.link(owner(q), receiver)·encoding[q]` for
     /// each listed packet; other slots keep what they held.
-    pub(crate) fn fill<'p>(
+    pub(crate) fn fill<'p, G: Links>(
         &mut self,
-        grid: &ChannelGrid,
+        grid: &G,
         schedule: &DecodeSchedule,
         receiver: usize,
         packets: impl IntoIterator<Item = &'p usize>,
@@ -307,6 +307,53 @@ impl Images {
         for &q in packets {
             grid.link(schedule.owners[q], receiver)
                 .mul_vec_into(&encoding[q], &mut self[q]);
+        }
+    }
+}
+
+/// One step's interference set: the packets neither cancelled nor decoded
+/// there, ascending, as [`DecodeSchedule::interference_sets`] lists them.
+/// Up to [`Images::INLINE`] packets live on the stack.
+pub(crate) struct Interferers {
+    len: usize,
+    inline: [usize; Images::INLINE],
+    heap: Vec<usize>,
+}
+
+impl Interferers {
+    /// An empty list for schedules of `n` packets.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            len: 0,
+            inline: [0; Images::INLINE],
+            heap: if n > Images::INLINE { vec![0; n] } else { Vec::new() },
+        }
+    }
+
+    /// Replace the list with the interference set of `step` among packets
+    /// `0..n`.
+    pub(crate) fn fill(&mut self, step: &DecodeStep, n: usize) {
+        let buf: &mut [usize] = if self.heap.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.heap
+        };
+        let mut len = 0;
+        for p in (0..n).filter(|p| !step.cancel.contains(p) && !step.decode.contains(p)) {
+            buf[len] = p;
+            len += 1;
+        }
+        self.len = len;
+    }
+}
+
+impl std::ops::Deref for Interferers {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        if self.heap.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.heap[..self.len]
         }
     }
 }

@@ -321,6 +321,40 @@ impl CMat {
         }
     }
 
+    /// Whether [`CMat::condition_number`] is at most `max_cond`: the same
+    /// decision as `self.condition_number() <= max_cond`, for every input.
+    ///
+    /// A 2×2 matrix well inside the bound skips the SVD. Its singular values
+    /// satisfy σ₁² + σ₂² = ‖A‖F² and σ₁σ₂ = |det A|, so κ + 1/κ =
+    /// ‖A‖F²/|det A|, and ‖A‖F² < (max_cond/10)·|det A| proves κ <
+    /// max_cond/10. When both squared sums are normal floats and `max_cond`
+    /// is at most 1e8, their rounding is below 1e-8 relative, far inside
+    /// the tenfold margin, so the SVD would have accepted too. Everything
+    /// else (other shapes, NaN or infinite entries, a zero or underflowing
+    /// determinant, the band near the bound) takes the exact test.
+    pub fn condition_number_at_most(&self, max_cond: f64) -> bool {
+        if self.shape() == (2, 2) && max_cond <= 1e8 {
+            let (a, b, c, d) = (self[(0, 0)], self[(0, 1)], self[(1, 0)], self[(1, 1)]);
+            let frob_sq = a.norm_sqr() + b.norm_sqr() + c.norm_sqr() + d.norm_sqr();
+            let det_sq = (a * d - b * c).norm_sqr();
+            if frob_sq.is_normal()
+                && det_sq.is_normal()
+                && frob_sq < max_cond / 10.0 * det_sq.sqrt()
+            {
+                return true;
+            }
+        }
+        self.condition_number() <= max_cond
+    }
+
+    /// Multiply every entry by `k` in place: bit for bit [`CMat::scale`].
+    pub fn scale_in_place(&mut self, k: f64) {
+        let k = C64::real(k);
+        for z in self.data.iter_mut() {
+            *z *= k;
+        }
+    }
+
     /// Sub-matrix copy: rows `r0..r0+h`, cols `c0..c0+w`.
     pub fn submatrix(&self, r0: usize, c0: usize, h: usize, w: usize) -> Self {
         assert!(r0 + h <= self.rows && c0 + w <= self.cols, "submatrix bounds");

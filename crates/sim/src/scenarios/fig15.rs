@@ -11,9 +11,9 @@
 use crate::experiment::ExperimentConfig;
 use crate::stats::{mean, render_cdfs};
 use crate::testbed::Testbed;
+use iac_core::baseline;
 use iac_core::decoder::{equal_split_powers, IacDecoder};
-use iac_core::grid::ChannelGrid;
-use iac_core::{baseline, optimize};
+use iac_core::optimize::{self, ScoringContext};
 use iac_linalg::{CMat, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 use std::collections::VecDeque;
@@ -277,9 +277,10 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                 let head = *queue.front().expect("infinite demand");
                 let candidates: Vec<u16> =
                     queue.iter().copied().filter(|&c| c != head).collect();
-                // Leader-side scoring: predicted group rate from this slot's
-                // estimates. Draw the slot's channels once, reuse in scoring
-                // and in the actual transmission.
+                // Leader-side scoring: predicted group rate from estimates
+                // of this slot's channels. The transmission below draws
+                // fresh channels (and estimates) for the chosen group, so
+                // the leader scores on one draw and transmits on another.
                 let slot_grid = match direction {
                     Direction15::Uplink => {
                         testbed.uplink_grid(&clients, &aps, &mut policy_rng)
@@ -289,25 +290,18 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                     }
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
-                let (power, noise) = (cfg.base.per_node_power, cfg.base.noise);
+                let mut context = ScoringContext::new(
+                    &slot_est,
+                    head as usize,
+                    cfg.base.per_node_power,
+                    cfg.base.noise,
+                );
                 let mut score = |group: &[u16]| -> f64 {
                     if group.len() < 3 {
                         return 0.0;
                     }
-                    // The optimisers report the winner's predicted rate.
-                    let scored = match direction {
-                        Direction15::Uplink => optimize::uplink4_optimized(
-                            &subgrid_uplink(&slot_est, group),
-                            power,
-                            noise,
-                        ),
-                        Direction15::Downlink => optimize::downlink3_optimized(
-                            &subgrid_downlink(&slot_est, group, cfg.n_aps),
-                            power,
-                            noise,
-                        ),
-                    };
-                    scored.map(|o| o.rate).unwrap_or(0.0)
+                    debug_assert_eq!(group[0], head, "groups start with the head");
+                    context.score(group[1] as usize, group[2] as usize)
                 };
                 let companions =
                     policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
@@ -350,29 +344,6 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
         })
         .collect();
     Fig15Report { direction, gains }
-}
-
-/// Extract the sub-grid (uplink) of a candidate group, transmitters in
-/// group order.
-fn subgrid_uplink(grid: &ChannelGrid, group: &[u16]) -> ChannelGrid {
-    let h: Vec<Vec<CMat>> = group
-        .iter()
-        .map(|&t| {
-            (0..grid.receivers())
-                .map(|r| grid.link(t as usize, r).clone())
-                .collect()
-        })
-        .collect();
-    ChannelGrid::new(grid.direction(), h)
-}
-
-/// Extract the sub-grid (downlink) of a candidate group: transmitters are
-/// APs, so select receiver columns instead.
-fn subgrid_downlink(grid: &ChannelGrid, group: &[u16], n_aps: usize) -> ChannelGrid {
-    let h: Vec<Vec<CMat>> = (0..n_aps)
-        .map(|a| group.iter().map(|&c| grid.link(a, c as usize).clone()).collect())
-        .collect();
-    ChannelGrid::new(grid.direction(), h)
 }
 
 impl std::fmt::Display for Fig15Report {

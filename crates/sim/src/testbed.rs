@@ -4,14 +4,22 @@ use iac_channel::estimation::EstimationConfig;
 use iac_channel::{db_to_linear, Position, Room};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_linalg::Rng64;
+use std::sync::OnceLock;
 
 /// A deployed testbed: node positions in a calibrated room.
+///
+/// The room and positions are fixed at deployment, so the amplitude of an
+/// ordered node pair is computed once, on first use, and every later draw
+/// reads it. (Filling all n² pairs at deployment would cost a scenario that
+/// deploys per trial and reads a few pairs, like fig16, more than it
+/// saves.)
 #[derive(Debug, Clone)]
 pub struct Testbed {
-    /// The room and link-budget model.
-    pub room: Room,
-    /// Node positions (20 for the paper's testbed).
-    pub positions: Vec<Position>,
+    room: Room,
+    positions: Vec<Position>,
+    /// `amplitudes[a * n + b]` holds [`Testbed::amplitude`]`(a, b)` once
+    /// it has been asked for.
+    amplitudes: Vec<OnceLock<f64>>,
     /// Antennas per node (2 on the paper's USRPs).
     pub antennas: usize,
 }
@@ -21,11 +29,23 @@ impl Testbed {
     pub fn deploy(n: usize, antennas: usize, rng: &mut Rng64) -> Self {
         let room = Room::testbed_default();
         let positions = room.place_nodes(n, rng);
+        let amplitudes = (0..n * n).map(|_| OnceLock::new()).collect();
         Self {
             room,
             positions,
+            amplitudes,
             antennas,
         }
+    }
+
+    /// The room and link-budget model.
+    pub fn room(&self) -> &Room {
+        &self.room
+    }
+
+    /// Node positions (20 for the paper's testbed).
+    pub fn positions(&self) -> &[Position] {
+        &self.positions
     }
 
     /// The paper's testbed: 20 two-antenna nodes.
@@ -47,42 +67,37 @@ impl Testbed {
     /// scaled by this, so with unit noise power the average per-antenna SNR
     /// equals the link budget.
     pub fn amplitude(&self, a: usize, b: usize) -> f64 {
-        db_to_linear(self.room.link_snr_db(&self.positions[a], &self.positions[b])).sqrt()
+        assert!(b < self.len(), "node {b} out of range");
+        *self.amplitudes[a * self.len() + b].get_or_init(|| {
+            db_to_linear(self.room.link_snr_db(&self.positions[a], &self.positions[b])).sqrt()
+        })
     }
 
     /// Draw one slot's uplink channel grid for the given client and AP node
     /// indices: independent Rayleigh fading scaled by each pair's path loss.
     pub fn uplink_grid(&self, clients: &[usize], aps: &[usize], rng: &mut Rng64) -> ChannelGrid {
-        let grid = ChannelGrid::random(
+        ChannelGrid::random(
             Direction::Uplink,
             clients.len(),
             aps.len(),
             self.antennas,
             self.antennas,
             rng,
-        );
-        let amps: Vec<Vec<f64>> = clients
-            .iter()
-            .map(|&c| aps.iter().map(|&a| self.amplitude(c, a)).collect())
-            .collect();
-        grid.with_amplitudes(&amps)
+        )
+        .with_amplitudes(|t, r| self.amplitude(clients[t], aps[r]))
     }
 
     /// Draw one slot's downlink grid (APs transmit).
     pub fn downlink_grid(&self, aps: &[usize], clients: &[usize], rng: &mut Rng64) -> ChannelGrid {
-        let grid = ChannelGrid::random(
+        ChannelGrid::random(
             Direction::Downlink,
             aps.len(),
             clients.len(),
             self.antennas,
             self.antennas,
             rng,
-        );
-        let amps: Vec<Vec<f64>> = aps
-            .iter()
-            .map(|&a| clients.iter().map(|&c| self.amplitude(a, c)).collect())
-            .collect();
-        grid.with_amplitudes(&amps)
+        )
+        .with_amplitudes(|t, r| self.amplitude(aps[t], clients[r]))
     }
 
     /// Estimated grid under the given estimation model.
@@ -147,7 +162,7 @@ mod tests {
         let mut worst = (0, 1, 0.0f64);
         for i in 0..tb.len() {
             for j in (i + 1)..tb.len() {
-                let d = tb.positions[i].distance_to(&tb.positions[j]);
+                let d = tb.positions()[i].distance_to(&tb.positions()[j]);
                 if d < best.2 {
                     best = (i, j, d);
                 }
@@ -157,6 +172,23 @@ mod tests {
             }
         }
         assert!(tb.amplitude(best.0, best.1) > tb.amplitude(worst.0, worst.1));
+    }
+
+    #[test]
+    fn cached_amplitudes_match_the_link_budget() {
+        let mut rng = Rng64::new(6);
+        let tb = Testbed::paper_default(&mut rng);
+        let pos = tb.positions();
+        for a in 0..tb.len() {
+            for b in 0..tb.len() {
+                let direct = db_to_linear(tb.room().link_snr_db(&pos[a], &pos[b])).sqrt();
+                assert_eq!(
+                    tb.amplitude(a, b).to_bits(),
+                    direct.to_bits(),
+                    "pair ({a}, {b})"
+                );
+            }
+        }
     }
 
     #[test]
