@@ -4,8 +4,8 @@
 //! this crate adds the missing dimension: **simulated time**. It provides a
 //! small, deterministic discrete-event engine and, on top of it, the network
 //! components that turn the repo into a real network simulator — stochastic
-//! traffic sources, an event-driven re-implementation of the extended-PCF
-//! MAC (§7.1) priced by the `iac-mac` airtime model, and a latency-modelled
+//! traffic sources, the event-driven extended-PCF MAC (§7.1) priced by the
+//! `iac-mac` airtime model, and a latency-modelled
 //! Ethernet backplane. Packet latency, queueing delay, overflow drops, and
 //! client churn — none of which a slot counter can express — all become
 //! measurable.

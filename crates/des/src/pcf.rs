@@ -1,13 +1,14 @@
 //! The event-driven extended-PCF MAC (paper §7.1, Fig. 9, in simulated time).
 //!
-//! [`EventPcf`] re-implements the contention-free period of
-//! `iac_mac::pcf::PcfSim` as a component of the discrete-event engine: the
-//! same protocol steps (beacon with the deferred uplink ACK map, downlink
-//! DATA+Poll groups with synchronous client acks, uplink Grant groups with
-//! Ethernet forwarding, CF-End, constant contention period) now *take time*,
-//! priced by the [`Airtime`] model, and the Ethernet hop is priced by the
-//! hub's [`WireModel`]. The PHY stays the pluggable
+//! [`EventPcf`] is the §7.1 protocol as a component of the discrete-event
+//! engine: each protocol step (beacon with the deferred uplink ACK map,
+//! downlink DATA+Poll groups with synchronous client acks, uplink Grant
+//! groups with Ethernet forwarding, CF-End, constant contention period)
+//! *takes time*, priced by the [`Airtime`] model, and the Ethernet hop is
+//! priced by the hub's [`WireModel`]. The PHY is the pluggable
 //! [`PhyOutcome`] trait, so matrix-level IAC decoding plugs in unchanged.
+//! Its tests (`pcf/tests.rs`) pin the protocol against delivery times
+//! derived by hand from the airtime model and the frame sizes.
 //!
 //! State machine, one event per protocol step:
 //!
@@ -43,10 +44,11 @@ use iac_mac::GroupPolicy;
 use iac_linalg::CVec;
 use std::collections::BTreeMap;
 
-/// Parameters of the event-driven MAC beyond the slot-level [`PcfConfig`].
+/// Parameters of the event-driven MAC: the protocol's [`PcfConfig`] plus
+/// timing, queueing and fault handling.
 #[derive(Debug, Clone)]
 pub struct EventPcfConfig {
-    /// The protocol parameters shared with the slot-level simulation.
+    /// The protocol parameters (group size, payload, retx budget, CP).
     pub protocol: PcfConfig,
     /// Frame-duration model.
     pub airtime: Airtime,
@@ -478,16 +480,31 @@ impl<P: PhyOutcome> EventPcf<P> {
     ) {
         let now_us = ctx.time().micros();
         let payload = self.cfg.protocol.payload_bytes;
-        // Pair each popped packet with its PHY result. Well-behaved PHYs
-        // return results positionally aligned with `plan.clients`; fall back
-        // to a client-id scan (and treat a missing result as a loss) so a
-        // degenerate PHY cannot make packets vanish.
+        // Pair each popped packet with its own PHY result. Well-behaved PHYs
+        // answer positionally (`results[i]` belongs to `plan.clients[i]`);
+        // otherwise a packet takes the first result of its client that no
+        // other packet holds, so one result never serves two packets, and a
+        // packet left without a result counts as lost.
+        let positional = |j: usize| {
+            results
+                .get(j)
+                .zip(plan.packets.get(j))
+                .is_some_and(|(r, p)| r.client == p.client)
+        };
+        // Results taken by the client-id scan; stays unallocated while every
+        // packet finds its result at its own position.
+        let mut scanned: Vec<usize> = Vec::new();
         for (i, &packet) in plan.packets.iter().enumerate() {
-            let mut result = results
-                .get(i)
-                .filter(|r| r.client == packet.client)
-                .or_else(|| results.iter().find(|r| r.client == packet.client))
-                .copied();
+            let j = if positional(i) {
+                Some(i)
+            } else {
+                let j = (0..results.len()).find(|&j| {
+                    results[j].client == packet.client && !positional(j) && !scanned.contains(&j)
+                });
+                scanned.extend(j);
+                j
+            };
+            let mut result = j.map(|j| results[j]);
             // A crashed AP answers no poll: the leader observes a timeout
             // and voids the result, so the packet follows the ordinary
             // loss/retransmission path instead of vanishing.
@@ -696,450 +713,4 @@ impl<P: PhyOutcome> EventHandler<NetEvent> for EventPcf<P> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::net::{TrafficSource, WiredSink};
-    use crate::simulation::Simulation;
-    use crate::traffic::ArrivalProcess;
-    use iac_linalg::Rng64;
-    use iac_mac::concurrency::FifoPolicy;
-    use iac_mac::pcf::PacketResult;
-
-    /// Deterministic PHY stub: every packet succeeds at a fixed SINR except
-    /// clients listed in `fail_always`.
-    struct StubPhy {
-        fail_always: Vec<u16>,
-    }
-
-    impl PhyOutcome for StubPhy {
-        fn downlink_group(&mut self, clients: &[u16], _rng: &mut Rng64) -> Vec<PacketResult> {
-            clients
-                .iter()
-                .map(|&c| PacketResult {
-                    client: c,
-                    seq: 0,
-                    sinr: 12.0,
-                    ok: !self.fail_always.contains(&c),
-                    ap: 0,
-                })
-                .collect()
-        }
-        fn uplink_group(&mut self, clients: &[u16], rng: &mut Rng64) -> Vec<PacketResult> {
-            self.downlink_group(clients, rng)
-        }
-    }
-
-    fn build(
-        seed: u64,
-        cfg: EventPcfConfig,
-        phy: StubPhy,
-        n_up: u16,
-        rate_pps: f64,
-    ) -> (Simulation<NetEvent>, SharedMetrics, crate::event::ComponentId) {
-        let mut sim = Simulation::new(seed);
-        let metrics = SharedMetrics::new();
-        let n_aps = cfg.protocol.n_aps;
-        let horizon = cfg.horizon;
-        let sinks: Vec<_> = (0..n_aps)
-            .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
-            .collect();
-        let mac = sim.add_component(
-            "leader",
-            EventPcf::new(
-                cfg,
-                phy,
-                Box::new(FifoPolicy),
-                Box::new(FifoPolicy),
-                sinks,
-                metrics.clone(),
-            ),
-        );
-        for c in 0..n_up {
-            let src = sim.add_component(
-                format!("src{c}"),
-                TrafficSource::new(
-                    c,
-                    mac,
-                    true,
-                    ArrivalProcess::poisson(rate_pps),
-                    horizon,
-                    metrics.clone(),
-                ),
-            );
-            sim.schedule(SimTime::ZERO, src, NetEvent::Join);
-        }
-        sim.schedule(SimTime::ZERO, mac, NetEvent::CfpStart);
-        (sim, metrics, mac)
-    }
-
-    fn small_cfg(horizon_ms: f64) -> EventPcfConfig {
-        EventPcfConfig {
-            horizon: SimTime::from_millis(horizon_ms),
-            ..EventPcfConfig::default()
-        }
-    }
-
-    #[test]
-    fn uplink_packets_deliver_with_deferred_ack_latency() {
-        let (mut sim, metrics, _mac) = build(
-            1,
-            small_cfg(60.0),
-            StubPhy { fail_always: vec![] },
-            3,
-            400.0,
-        );
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert!(log.offered > 10, "only {} packets offered", log.offered);
-        assert!(
-            log.delivered_count(true) >= log.offered.saturating_sub(12),
-            "{} of {} delivered",
-            log.delivered_count(true),
-            log.offered
-        );
-        // Deferred ack: uplink latency is at least one full beacon+CP cycle.
-        for r in &log.delivered {
-            assert!(r.latency_us() > 100.0, "implausibly fast ack: {r:?}");
-        }
-        // Every delivered packet crossed the wire once, and reached the two
-        // non-decoding APs.
-        assert!(log.wire_packets >= log.delivered_count(true));
-        assert_eq!(log.wire_delivered, log.wire_packets * 2);
-        assert!(log.cfps > 3);
-    }
-
-    #[test]
-    fn always_failing_client_is_dropped_not_starved() {
-        let (mut sim, metrics, _mac) = build(
-            2,
-            small_cfg(50.0),
-            StubPhy {
-                fail_always: vec![1],
-            },
-            3,
-            300.0,
-        );
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert!(log.drops_retx > 0, "failing client never dropped");
-        // Clients 0 and 2 still get served.
-        let per = log.per_client_delivered();
-        assert!(per.iter().any(|&(c, n)| c == 0 && n > 0));
-        assert!(per.iter().any(|&(c, n)| c == 2 && n > 0));
-        assert!(!per.iter().any(|&(c, _)| c == 1));
-    }
-
-    #[test]
-    fn bidirectional_same_seq_traffic_keeps_budgets_apart() {
-        // Retransmission budgets are keyed by direction as well as
-        // (client, seq). Client 0 runs both a failing uplink flow and a
-        // clean downlink flow with overlapping sequence numbers: the
-        // downlink must deliver untouched while the uplink exhausts its
-        // budget and drops — neither flow's bookkeeping may leak into the
-        // other's.
-        struct UplinkOnlyFail;
-        impl PhyOutcome for UplinkOnlyFail {
-            fn downlink_group(&mut self, clients: &[u16], _rng: &mut Rng64) -> Vec<PacketResult> {
-                clients
-                    .iter()
-                    .map(|&c| PacketResult {
-                        client: c,
-                        seq: 0,
-                        sinr: 12.0,
-                        ok: true,
-                        ap: 0,
-                    })
-                    .collect()
-            }
-            fn uplink_group(&mut self, clients: &[u16], rng: &mut Rng64) -> Vec<PacketResult> {
-                let mut r = self.downlink_group(clients, rng);
-                for p in &mut r {
-                    p.ok = false;
-                }
-                r
-            }
-        }
-
-        let mut cfg = small_cfg(150.0);
-        // One failed retransmission is the whole budget: drops show up
-        // within a handful of CFPs instead of dozens.
-        cfg.protocol.retx_limit = 1;
-        let mut sim = Simulation::new(7);
-        let metrics = SharedMetrics::new();
-        let horizon = cfg.horizon;
-        let sinks: Vec<_> = (0..cfg.protocol.n_aps)
-            .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
-            .collect();
-        let mac = sim.add_component(
-            "leader",
-            EventPcf::new(
-                cfg,
-                UplinkOnlyFail,
-                Box::new(FifoPolicy),
-                Box::new(FifoPolicy),
-                sinks,
-                metrics.clone(),
-            ),
-        );
-        // Same client, same CBR cadence, both directions. The downlink
-        // source joins mid-run, so its fresh seqs (0, 1, 2, …) collide with
-        // uplink seqs still cycling through their retransmission budget.
-        for (uplink, join_ms) in [(true, 0.0), (false, 60.0)] {
-            let src = sim.add_component(
-                format!("src0-{}", if uplink { "up" } else { "down" }),
-                TrafficSource::new(
-                    0,
-                    mac,
-                    uplink,
-                    ArrivalProcess::cbr(SimTime::from_micros(800.0)),
-                    horizon,
-                    metrics.clone(),
-                ),
-            );
-            sim.schedule(SimTime::from_millis(join_ms), src, NetEvent::Join);
-        }
-        sim.schedule(SimTime::ZERO, mac, NetEvent::CfpStart);
-        sim.step_until_no_events();
-
-        let log = metrics.snapshot();
-        assert!(log.delivered_count(false) > 10, "downlink flow starved");
-        assert_eq!(log.delivered_count(true), 0, "failing uplink delivered?");
-        assert!(
-            log.drops_retx > 0,
-            "uplink packets retried forever: their budget was reset"
-        );
-    }
-
-    #[test]
-    fn bounded_queue_overflows_under_overload() {
-        let cfg = EventPcfConfig {
-            queue_capacity: Some(8),
-            ..small_cfg(40.0)
-        };
-        // 3 clients at 20k pps ≫ service rate → the 8-slot queue must spill.
-        let (mut sim, metrics, _mac) = build(3, cfg, StubPhy { fail_always: vec![] }, 3, 20_000.0);
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert!(log.drops_overflow > 0, "no tail drops under overload");
-        // Depth samples never exceed the bound.
-        assert!(log.queue_depth.iter().all(|s| s.uplink <= 8));
-    }
-
-    #[test]
-    fn run_is_bit_reproducible_from_seed() {
-        let run = |seed: u64| {
-            let (mut sim, metrics, _mac) = build(
-                seed,
-                small_cfg(30.0),
-                StubPhy { fail_always: vec![] },
-                4,
-                800.0,
-            );
-            let events = sim.step_until_no_events();
-            (events, sim.time(), metrics.snapshot())
-        };
-        let (e1, t1, m1) = run(7);
-        let (e2, t2, m2) = run(7);
-        assert_eq!(e1, e2);
-        assert_eq!(t1, t2);
-        assert_eq!(m1.delivered, m2.delivered);
-        assert_eq!(m1.queue_depth, m2.queue_depth);
-        assert_eq!(
-            (m1.offered, m1.control_bytes, m1.data_bytes, m1.wire_bytes),
-            (m2.offered, m2.control_bytes, m2.data_bytes, m2.wire_bytes)
-        );
-        let (_, _, m3) = run(8);
-        assert_ne!(m1.delivered, m3.delivered, "seed has no effect?");
-    }
-
-    #[test]
-    fn idle_cfp_shrinks_and_run_terminates() {
-        // No sources at all: beacons + CF-End cycle until the horizon, the
-        // queue drains, and the event count stays small.
-        let (mut sim, metrics, _mac) = build(4, small_cfg(20.0), StubPhy { fail_always: vec![] }, 0, 1.0);
-        let events = sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert!(log.cfps > 10, "MAC did not cycle: {} cfps", log.cfps);
-        assert_eq!(log.offered, 0);
-        assert_eq!(log.delivered.len(), 0);
-        // Two MAC events per idle CFP (CfpStart, BeaconDone) + slack.
-        assert!(events < log.cfps * 3 + 5);
-        assert!(sim.time() <= SimTime::from_millis(21.0));
-    }
-
-    #[test]
-    fn churn_leave_stops_arrivals() {
-        let mut sim = Simulation::new(5);
-        let metrics = SharedMetrics::new();
-        let cfg = small_cfg(40.0);
-        let horizon = cfg.horizon;
-        let sinks: Vec<_> = (0..3)
-            .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
-            .collect();
-        let mac = sim.add_component(
-            "leader",
-            EventPcf::new(
-                cfg,
-                StubPhy { fail_always: vec![] },
-                Box::new(FifoPolicy),
-                Box::new(FifoPolicy),
-                sinks,
-                metrics.clone(),
-            ),
-        );
-        let src = sim.add_component(
-            "src0",
-            TrafficSource::new(
-                0,
-                mac,
-                true,
-                ArrivalProcess::cbr(SimTime::from_micros(500.0)),
-                horizon,
-                metrics.clone(),
-            ),
-        );
-        sim.schedule(SimTime::ZERO, src, NetEvent::Join);
-        sim.schedule(SimTime::from_millis(10.0), src, NetEvent::Leave);
-        sim.schedule(SimTime::from_millis(30.0), src, NetEvent::Join);
-        sim.schedule(SimTime::ZERO, mac, NetEvent::CfpStart);
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        // ~20 packets in [0,10) ms, none in [10,30), ~20 in [30,40): the
-        // leave gap must cut the CBR total roughly in half.
-        assert!(
-            log.offered > 25 && log.offered < 55,
-            "offered {} inconsistent with a 20ms leave gap",
-            log.offered
-        );
-    }
-
-    #[test]
-    fn ap_crash_voids_polls_and_shrinks_groups() {
-        let (mut sim, metrics, mac) = build(
-            11,
-            small_cfg(60.0),
-            StubPhy { fail_always: vec![] },
-            3,
-            400.0,
-        );
-        // The stub PHY decodes everything at AP 0; crash exactly that AP.
-        sim.schedule(SimTime::from_millis(10.0), mac, NetEvent::ApDown { ap: 0 });
-        sim.schedule(SimTime::from_millis(40.0), mac, NetEvent::ApUp { ap: 0 });
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert_eq!(log.faults, 2);
-        assert!(log.poll_timeouts > 0, "down AP kept answering polls");
-        assert!(log.degraded_groups > 0, "outage never shrank a group");
-        assert!(
-            log.delivered.iter().any(|r| r.delivered_us > 40_000.0),
-            "service never resumed after recovery"
-        );
-    }
-
-    #[test]
-    fn backhaul_partition_expires_forwards_then_heals() {
-        let (mut sim, metrics, mac) = build(
-            12,
-            small_cfg(60.0),
-            StubPhy { fail_always: vec![] },
-            3,
-            400.0,
-        );
-        sim.schedule(SimTime::from_millis(5.0), mac, NetEvent::BackhaulDown);
-        sim.schedule(SimTime::from_millis(30.0), mac, NetEvent::BackhaulUp);
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert!(log.wire_expired > 0, "partition never blocked a forward");
-        assert!(
-            log.degraded_groups > 0,
-            "partition never dissolved a group to standalone MIMO"
-        );
-        assert!(
-            log.delivered.iter().any(|r| r.delivered_us > 30_000.0),
-            "no deliveries after the partition healed"
-        );
-    }
-
-    #[test]
-    fn wire_loss_retries_and_still_delivers() {
-        let mut cfg = small_cfg(40.0);
-        cfg.wire_retry = RetryPolicy {
-            max_attempts: 6,
-            base_backoff_us: 5.0,
-            deadline_us: 10_000.0,
-        };
-        let (mut sim, metrics, mac) = build(13, cfg, StubPhy { fail_always: vec![] }, 3, 400.0);
-        sim.schedule(
-            SimTime::ZERO,
-            mac,
-            NetEvent::WireImpair {
-                loss_ppm: 300_000,
-                corrupt_ppm: 0,
-            },
-        );
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert!(log.wire_lost > 0, "30% loss never lost an attempt");
-        assert!(log.wire_retries > 0, "losses never retried");
-        assert_eq!(log.wire_corrupt, 0);
-        assert!(
-            log.delivered_count(true) > log.offered / 2,
-            "bounded retry failed to carry the bulk of the load: {} of {}",
-            log.delivered_count(true),
-            log.offered
-        );
-    }
-
-    #[test]
-    fn csi_staleness_dissolves_groups_past_threshold() {
-        let mut cfg = small_cfg(40.0);
-        cfg.csi_fallback_age_slots = Some(8);
-        let (mut sim, metrics, mac) = build(14, cfg, StubPhy { fail_always: vec![] }, 3, 400.0);
-        // 4 slots is within tolerance; 16 crosses the threshold for the
-        // rest of the run.
-        sim.schedule(SimTime::from_millis(5.0), mac, NetEvent::CsiStale { slots: 4 });
-        sim.schedule(SimTime::from_millis(20.0), mac, NetEvent::CsiStale { slots: 16 });
-        sim.step_until_no_events();
-        let log = metrics.snapshot();
-        assert_eq!(log.faults, 2);
-        assert!(
-            log.degraded_groups > 0,
-            "stale CSI never dissolved a group"
-        );
-        assert!(
-            log.delivered.iter().any(|r| r.delivered_us > 20_000.0),
-            "fallback mode starved the clients"
-        );
-    }
-
-    #[test]
-    fn faulty_run_is_bit_reproducible_from_seed() {
-        let run = |seed: u64| {
-            let mut cfg = small_cfg(40.0);
-            cfg.csi_fallback_age_slots = Some(8);
-            let (mut sim, metrics, mac) =
-                build(seed, cfg, StubPhy { fail_always: vec![] }, 3, 500.0);
-            sim.schedule(SimTime::from_millis(4.0), mac, NetEvent::ApDown { ap: 0 });
-            sim.schedule(SimTime::from_millis(9.0), mac, NetEvent::ApUp { ap: 0 });
-            sim.schedule(SimTime::from_millis(12.0), mac, NetEvent::BackhaulDown);
-            sim.schedule(SimTime::from_millis(16.0), mac, NetEvent::BackhaulUp);
-            sim.schedule(
-                SimTime::from_millis(18.0),
-                mac,
-                NetEvent::WireImpair {
-                    loss_ppm: 200_000,
-                    corrupt_ppm: 50_000,
-                },
-            );
-            sim.schedule(SimTime::from_millis(25.0), mac, NetEvent::CsiStale { slots: 12 });
-            let events = sim.step_until_no_events();
-            (events, sim.time(), metrics.snapshot())
-        };
-        let (e1, t1, m1) = run(21);
-        let (e2, t2, m2) = run(21);
-        assert_eq!(e1, e2);
-        assert_eq!(t1, t2);
-        assert_eq!(m1, m2, "faulty runs diverged under one seed");
-        assert_eq!(m1.faults, 6);
-    }
-}
+mod tests;

@@ -1,12 +1,12 @@
 //! Frame airtime accounting.
 //!
-//! The protocol simulation in [`crate::pcf`] counts *slots*; the
-//! discrete-event simulator (`iac-des`) needs *time*. This module converts
-//! frame sizes to on-air durations with the usual 802.11a/g decomposition:
-//! a fixed PLCP preamble+header, the payload at the selected rate, and a
-//! SIFS before whatever follows. Control frames (beacons, polls, grants,
-//! CF-End, ACKs) go out at a conservative base rate so the farthest client
-//! can hear them; data frames use the negotiated data rate.
+//! The event-driven MAC in `iac-des` prices every protocol step in *time*.
+//! This module converts frame sizes to on-air durations with the usual
+//! 802.11a/g decomposition: a fixed PLCP preamble+header, the payload at the
+//! selected rate, and a SIFS before whatever follows. Control frames
+//! (beacons, polls, grants, CF-End, ACKs) go out at a conservative base rate
+//! so the farthest client can hear them; data frames use the negotiated
+//! data rate.
 //!
 //! Concurrency note: an IAC transmission group is *concurrent in time* — 3
 //! aligned packets cost one payload airtime, which is exactly where the

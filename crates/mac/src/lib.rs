@@ -21,9 +21,10 @@
 //!   discrete-event simulator (`iac-des`).
 //! * [`concurrency`] — the three grouping policies of §7.2/§10.3: brute
 //!   force, FIFO order, and best-of-two-choices with credit counters.
-//! * [`pcf`] — the CFP/CP protocol simulation gluing it together, generic
-//!   over a PHY outcome model so it can run against the matrix-level decoder
-//!   or a stub.
+//! * [`pcf`] — what the CFP/CP protocol is built from: its parameters, the
+//!   transmission-group former, and the pluggable PHY outcome model (the
+//!   matrix-level decoder or a stub). The protocol runs in simulated time
+//!   as `iac_des::pcf::EventPcf`.
 
 pub mod airtime;
 pub mod concurrency;
@@ -36,5 +37,5 @@ pub use airtime::Airtime;
 pub use concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 pub use ethernet::{Annotation, Hub, WireModel, WirePacket};
 pub use frames::{Beacon, CfEnd, DataPoll, DataReqHeader, Grant, MacFrame, PollEntry, VectorQ};
-pub use pcf::{form_group, GroupPlan, PacketResult, PcfConfig, PcfSim, PhyOutcome};
+pub use pcf::{form_group, GroupPlan, PacketResult, PcfConfig, PhyOutcome};
 pub use queue::{QueuedPacket, TrafficQueue};

@@ -1,4 +1,4 @@
-//! The extended-PCF protocol simulation (paper §7.1, Fig. 9).
+//! The building blocks of the extended-PCF protocol (paper §7.1, Fig. 9).
 //!
 //! Each contention-free period (CFP):
 //!
@@ -13,19 +13,18 @@
 //!    and Ethernet forwarding of every decoded packet (which is also what
 //!    enables cancellation at later APs);
 //! 4. a **CF-End** closes the CFP; the constant-length contention period
-//!    follows (association and legacy traffic — outside this simulation's
-//!    scoring, but accounted as slots).
+//!    follows (association and legacy traffic).
 //!
-//! The PHY is pluggable via [`PhyOutcome`], so the protocol logic can be
-//! tested deterministically and driven by the matrix-level IAC decoder in
-//! `iac-sim`.
+//! The protocol itself runs in simulated time as `iac_des::pcf::EventPcf`.
+//! This module holds what it is parameterised by: the [`PcfConfig`], the
+//! group former [`form_group`] and its [`GroupPlan`], the leader-side
+//! [`GroupScorer`], and the pluggable PHY [`PhyOutcome`] with its
+//! [`PacketResult`], so the protocol logic can be tested deterministically
+//! and driven by the matrix-level IAC decoder in `iac-sim`.
 
 use crate::concurrency::GroupPolicy;
-use crate::ethernet::{Hub, WirePacket};
-use crate::frames::{Beacon, CfEnd, DataPoll, Grant, MacFrame, PollEntry, VectorQ};
 use crate::queue::{QueuedPacket, TrafficQueue};
-use iac_linalg::{CVec, Rng64};
-use std::collections::{BTreeMap, HashMap};
+use iac_linalg::Rng64;
 
 /// Result of one packet inside a transmission group.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,8 +52,8 @@ pub trait PhyOutcome {
     fn uplink_group(&mut self, clients: &[u16], rng: &mut Rng64) -> Vec<PacketResult>;
     /// Fault-injection hook: the channel-state feedback the PHY decodes with
     /// has aged to `slots` slots (0 = fresh). PHYs that model CSI aging
-    /// override this; the default ignores it, so scripted test PHYs and the
-    /// slot-level plane are unaffected.
+    /// override this; the default ignores it, so scripted test PHYs are
+    /// unaffected.
     fn csi_aged(&mut self, _slots: u16) {}
 }
 
@@ -86,79 +85,6 @@ impl Default for PcfConfig {
             cp_slots: 10,
         }
     }
-}
-
-/// Accumulated statistics.
-#[derive(Debug, Clone, Default)]
-pub struct PcfStats {
-    /// Successfully delivered downlink packets.
-    pub downlink_delivered: u64,
-    /// Successfully delivered (and acked) uplink packets.
-    pub uplink_delivered: u64,
-    /// Packets dropped after exhausting retransmissions.
-    pub dropped: u64,
-    /// Control bytes broadcast on the air (beacons, polls, grants, CF-End).
-    pub control_bytes: u64,
-    /// Data bytes carried on the air.
-    pub data_bytes: u64,
-    /// Per-client delivered packet counts.
-    pub per_client_delivered: HashMap<u16, u64>,
-    /// Sum of achievable rate (Eq. 9 terms) per client, for rate accounting.
-    pub per_client_rate_sum: HashMap<u16, f64>,
-    /// Retransmission attempts (a packet re-entering the retry path after a
-    /// failed or unconfirmed transmission, both directions).
-    pub retx: u64,
-    /// Poll rounds issued (DATA+Poll and Grant frames, one per group).
-    pub polls: u64,
-    /// Packets tail-dropped by a bounded queue at offer time.
-    pub drops_overflow: u64,
-}
-
-/// One CFP's report.
-#[derive(Debug, Clone)]
-pub struct CfpReport {
-    /// CFP sequence number.
-    pub cfp_id: u16,
-    /// Downlink results in group order.
-    pub downlink: Vec<PacketResult>,
-    /// Uplink results in group order.
-    pub uplink: Vec<PacketResult>,
-    /// ACK map that went out in this CFP's beacon (from the previous CFP).
-    pub beacon_acks: Vec<(u16, u16)>,
-    /// Groups served this CFP (both directions).
-    pub groups: usize,
-}
-
-/// The leader-AP protocol simulation.
-pub struct PcfSim<P: PhyOutcome> {
-    /// Protocol parameters.
-    pub config: PcfConfig,
-    phy: P,
-    downlink_policy: Box<dyn GroupPolicy>,
-    uplink_policy: Box<dyn GroupPolicy>,
-    /// Downlink traffic pending at the leader.
-    pub downlink_queue: TrafficQueue,
-    /// Uplink requests learned from Data+Req frames.
-    pub uplink_queue: TrafficQueue,
-    hub: Hub,
-    /// Uplink packets decoded this CFP, acked in the next beacon.
-    pending_acks: Vec<(u16, u16)>,
-    /// Uplink packets sent but not yet acked: client re-requests on silence.
-    /// BTreeMap, not HashMap: its drain order feeds the retransmission queue,
-    /// and that order must be run-independent for reproducibility.
-    awaiting_ack: BTreeMap<(u16, u16), QueuedPacket>,
-    /// Retransmission attempts by (client, seq, uplink) — the direction flag
-    /// keeps a client's uplink and downlink packets with equal seqs apart.
-    retx_count: HashMap<(u16, u16, bool), u8>,
-    /// Reused per-beacon scratch for the unacked-packet sweep (capacity
-    /// survives across CFPs, so the steady state does not allocate).
-    retx_scratch: Vec<QueuedPacket>,
-    cfp_id: u16,
-    /// Running statistics.
-    pub stats: PcfStats,
-    /// Group rate scorer (leader-side prediction); defaults to zero (used by
-    /// Fifo which ignores scores). `iac-sim` installs the real estimator.
-    pub scorer: GroupScorer,
 }
 
 /// Leader-side predictor of a candidate group's rate: `(group, is_downlink)`
@@ -194,8 +120,7 @@ impl GroupPlan {
 /// Assemble one transmission group from `queue`: anchor on the FIFO head
 /// (starvation rule, §7.2), let `policy` pick up to `group_size − 1`
 /// companions, then pop up to `streams_per_client` packets per grouped
-/// client. Returns `None` when the queue is empty. Shared by the slot-level
-/// [`PcfSim`] and the event-driven MAC in `iac-des`.
+/// client. Returns `None` when the queue is empty.
 pub fn form_group(
     queue: &mut TrafficQueue,
     policy: &mut dyn GroupPolicy,
@@ -231,473 +156,4 @@ pub fn form_group(
         }
     }
     Some(GroupPlan { clients, packets })
-}
-
-impl<P: PhyOutcome> PcfSim<P> {
-    /// Build a simulation.
-    pub fn new(
-        config: PcfConfig,
-        phy: P,
-        downlink_policy: Box<dyn GroupPolicy>,
-        uplink_policy: Box<dyn GroupPolicy>,
-    ) -> Self {
-        let hub = Hub::new(config.n_aps as usize);
-        Self {
-            config,
-            phy,
-            downlink_policy,
-            uplink_policy,
-            downlink_queue: TrafficQueue::new(),
-            uplink_queue: TrafficQueue::new(),
-            hub,
-            pending_acks: Vec::new(),
-            awaiting_ack: BTreeMap::new(),
-            retx_count: HashMap::new(),
-            retx_scratch: Vec::new(),
-            cfp_id: 0,
-            stats: PcfStats::default(),
-            scorer: Box::new(|_, _| 0.0),
-        }
-    }
-
-    /// Offer downlink traffic (the wired network delivered a packet for a
-    /// client). Returns whether the queue accepted it; a tail-drop at a
-    /// bounded queue is counted in [`PcfStats::drops_overflow`].
-    pub fn offer_downlink(&mut self, client: u16, seq: u16) -> bool {
-        let accepted = self.downlink_queue.push(QueuedPacket {
-            client,
-            seq,
-            bytes: self.config.payload_bytes,
-        });
-        if !accepted {
-            self.stats.drops_overflow += 1;
-        }
-        accepted
-    }
-
-    /// Offer uplink traffic (a client signalled `more_traffic` in Data+Req,
-    /// or requested during the contention period). Returns whether the queue
-    /// accepted it; tail-drops are counted in [`PcfStats::drops_overflow`].
-    pub fn offer_uplink(&mut self, client: u16, seq: u16) -> bool {
-        let accepted = self.uplink_queue.push(QueuedPacket {
-            client,
-            seq,
-            bytes: self.config.payload_bytes,
-        });
-        if !accepted {
-            self.stats.drops_overflow += 1;
-        }
-        accepted
-    }
-
-    /// Access the backplane statistics.
-    pub fn hub(&self) -> &Hub {
-        &self.hub
-    }
-
-    fn control_frame(&mut self, frame: &MacFrame) {
-        self.stats.control_bytes += frame.encoded_len() as u64;
-    }
-
-    /// Placeholder vectors for control-frame sizing: the protocol layer does
-    /// not compute alignments (the leader's solver does, in `iac-sim`), but
-    /// the frames must carry correctly-sized fields for byte accounting.
-    fn placeholder_entry(client: u16) -> PollEntry {
-        let v = VectorQ::from_cvec(&CVec::basis(2, 0));
-        PollEntry {
-            client,
-            encoding: v.clone(),
-            decoding: v,
-        }
-    }
-
-    /// Run one full CFP; returns its report.
-    pub fn run_cfp(&mut self, rng: &mut Rng64) -> CfpReport {
-        self.cfp_id = self.cfp_id.wrapping_add(1);
-        let mut groups = 0usize;
-
-        // 1. Beacon with the deferred uplink ACK map. The vec moves into the
-        // frame for byte accounting and is reclaimed (no clone) — it moves
-        // on into the CFP report at the end.
-        let beacon = MacFrame::Beacon(Beacon {
-            cfp_id: self.cfp_id,
-            duration_slots: 0, // filled conceptually; duration varies (§7.1a)
-            ack_map: std::mem::take(&mut self.pending_acks),
-        });
-        self.control_frame(&beacon);
-        let MacFrame::Beacon(Beacon {
-            ack_map: beacon_acks,
-            ..
-        }) = beacon
-        else {
-            unreachable!("beacon frame was just constructed")
-        };
-        // Clients process the ACK map: confirmed packets leave the awaiting
-        // set; silent ones are re-requested (or dropped past the limit).
-        for &(client, seq) in &beacon_acks {
-            if self.awaiting_ack.remove(&(client, seq)).is_some() {
-                self.stats.uplink_delivered += 1;
-                *self.stats.per_client_delivered.entry(client).or_insert(0) += 1;
-            }
-        }
-        let mut unacked = std::mem::take(&mut self.retx_scratch);
-        unacked.extend(std::mem::take(&mut self.awaiting_ack).into_values());
-        for p in unacked.drain(..) {
-            let tries = self.retx_count.entry((p.client, p.seq, true)).or_insert(0);
-            *tries += 1;
-            self.stats.retx += 1;
-            if *tries > self.config.retx_limit {
-                self.stats.dropped += 1;
-            } else {
-                // "Asks for a new transmission slot next time it is polled."
-                self.uplink_queue.push_front(p);
-            }
-        }
-        self.retx_scratch = unacked;
-
-        // 2. Downlink groups.
-        let mut downlink_results = Vec::new();
-        for _ in 0..self.config.max_groups_per_cfp {
-            let scorer = &mut self.scorer;
-            let mut score = |group: &[u16]| (scorer)(group, true);
-            let Some(plan) = form_group(
-                &mut self.downlink_queue,
-                self.downlink_policy.as_mut(),
-                &mut score,
-                self.config.group_size,
-                1,
-                rng,
-            ) else {
-                break;
-            };
-            groups += 1;
-            // DATA+Poll broadcast.
-            let poll = MacFrame::DataPoll(DataPoll {
-                fid: self.cfp_id.wrapping_mul(64).wrapping_add(groups as u16),
-                n_aps: self.config.n_aps as u8,
-                max_len: self.config.payload_bytes as u16,
-                entries: plan
-                    .unique_clients()
-                    .into_iter()
-                    .map(Self::placeholder_entry)
-                    .collect(),
-            });
-            self.control_frame(&poll);
-            self.stats.polls += 1;
-            // Concurrent data + synchronous client acks.
-            let results = self.phy.downlink_group(&plan.clients, rng);
-            for r in &results {
-                self.stats.data_bytes += self.config.payload_bytes as u64;
-                if r.ok {
-                    self.stats.downlink_delivered += 1;
-                    *self
-                        .stats
-                        .per_client_delivered
-                        .entry(r.client)
-                        .or_insert(0) += 1;
-                    *self.stats.per_client_rate_sum.entry(r.client).or_insert(0.0) +=
-                        (1.0 + r.sinr).log2();
-                } else {
-                    // Missing client ack → the serving AP asks the leader
-                    // for a retransmission (§7.1a).
-                    if let Some(p) = plan.packets.iter().find(|p| p.client == r.client) {
-                        let tries = self.retx_count.entry((p.client, p.seq, false)).or_insert(0);
-                        *tries += 1;
-                        self.stats.retx += 1;
-                        if *tries > self.config.retx_limit {
-                            self.stats.dropped += 1;
-                        } else {
-                            self.downlink_queue.push_front(*p);
-                        }
-                    }
-                }
-            }
-            downlink_results.extend(results);
-        }
-
-        // 3. Uplink groups.
-        let mut uplink_results = Vec::new();
-        for _ in 0..self.config.max_groups_per_cfp {
-            let scorer = &mut self.scorer;
-            let mut score = |group: &[u16]| (scorer)(group, false);
-            let Some(plan) = form_group(
-                &mut self.uplink_queue,
-                self.uplink_policy.as_mut(),
-                &mut score,
-                self.config.group_size,
-                1,
-                rng,
-            ) else {
-                break;
-            };
-            groups += 1;
-            let grant = MacFrame::Grant(Grant {
-                fid: self.cfp_id.wrapping_mul(64).wrapping_add(32 + groups as u16),
-                n_aps: self.config.n_aps as u8,
-                entries: plan
-                    .unique_clients()
-                    .into_iter()
-                    .map(Self::placeholder_entry)
-                    .collect(),
-            });
-            self.control_frame(&grant);
-            self.stats.polls += 1;
-            let results = self.phy.uplink_group(&plan.clients, rng);
-            for r in &results {
-                self.stats.data_bytes += self.config.payload_bytes as u64;
-                let packet = plan
-                    .packets
-                    .iter()
-                    .find(|p| p.client == r.client)
-                    .copied()
-                    .unwrap_or(QueuedPacket {
-                        client: r.client,
-                        seq: r.seq,
-                        bytes: self.config.payload_bytes,
-                    });
-                if r.ok {
-                    // Decoded at AP r.ap: forwarded once over the hub (both
-                    // for cancellation at later APs and toward the wired
-                    // destination), acked in the NEXT beacon.
-                    self.hub.broadcast(WirePacket {
-                        from_ap: r.ap,
-                        client: r.client,
-                        seq: packet.seq,
-                        payload_bytes: self.config.payload_bytes,
-                        annotations: vec![],
-                    });
-                    self.pending_acks.push((r.client, packet.seq));
-                    *self.stats.per_client_rate_sum.entry(r.client).or_insert(0.0) +=
-                        (1.0 + r.sinr).log2();
-                }
-                // Ok or not, the client waits for the beacon to learn.
-                self.awaiting_ack.insert((r.client, packet.seq), packet);
-            }
-            uplink_results.extend(results);
-        }
-
-        // 4. CF-End; the constant contention period follows.
-        let cf_end = MacFrame::CfEnd(CfEnd { cfp_id: self.cfp_id });
-        self.control_frame(&cf_end);
-
-        CfpReport {
-            cfp_id: self.cfp_id,
-            downlink: downlink_results,
-            uplink: uplink_results,
-            beacon_acks,
-            groups,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::concurrency::FifoPolicy;
-
-    /// A deterministic PHY stub: fails packets whose (client, call index)
-    /// matches a configured set; everything else succeeds at a fixed SINR.
-    struct StubPhy {
-        calls: usize,
-        fail: Vec<(u16, usize)>,
-    }
-
-    impl StubPhy {
-        fn all_ok() -> Self {
-            Self {
-                calls: 0,
-                fail: vec![],
-            }
-        }
-        fn failing(fail: Vec<(u16, usize)>) -> Self {
-            Self { calls: 0, fail }
-        }
-        fn results(&mut self, clients: &[u16]) -> Vec<PacketResult> {
-            let call = self.calls;
-            self.calls += 1;
-            clients
-                .iter()
-                .map(|&c| PacketResult {
-                    client: c,
-                    seq: 0,
-                    sinr: 15.0,
-                    ok: !self.fail.contains(&(c, call)),
-                    ap: 0,
-                })
-                .collect()
-        }
-    }
-
-    impl PhyOutcome for StubPhy {
-        fn downlink_group(&mut self, clients: &[u16], _rng: &mut Rng64) -> Vec<PacketResult> {
-            self.results(clients)
-        }
-        fn uplink_group(&mut self, clients: &[u16], _rng: &mut Rng64) -> Vec<PacketResult> {
-            self.results(clients)
-        }
-    }
-
-    fn sim(phy: StubPhy) -> PcfSim<StubPhy> {
-        PcfSim::new(
-            PcfConfig::default(),
-            phy,
-            Box::new(FifoPolicy),
-            Box::new(FifoPolicy),
-        )
-    }
-
-    #[test]
-    fn downlink_delivery_and_grouping() {
-        let mut s = sim(StubPhy::all_ok());
-        let mut rng = Rng64::new(1);
-        for c in 0..6u16 {
-            s.offer_downlink(c, 100 + c);
-        }
-        let report = s.run_cfp(&mut rng);
-        // 6 clients in groups of 3 → 2 downlink groups, all delivered.
-        assert_eq!(report.downlink.len(), 6);
-        assert_eq!(s.stats.downlink_delivered, 6);
-        assert!(s.downlink_queue.is_empty());
-    }
-
-    #[test]
-    fn uplink_acks_are_deferred_one_cfp() {
-        let mut s = sim(StubPhy::all_ok());
-        let mut rng = Rng64::new(2);
-        s.offer_uplink(1, 7);
-        s.offer_uplink(2, 8);
-        let first = s.run_cfp(&mut rng);
-        // Decoded, forwarded, but NOT yet acknowledged.
-        assert!(first.beacon_acks.is_empty());
-        assert_eq!(s.stats.uplink_delivered, 0);
-        assert_eq!(s.hub().packets_broadcast(), 2);
-        // The next beacon carries the ACK map; only then counts delivery.
-        let second = s.run_cfp(&mut rng);
-        let mut acks = second.beacon_acks.clone();
-        acks.sort_unstable();
-        assert_eq!(acks, vec![(1, 7), (2, 8)]);
-        assert_eq!(s.stats.uplink_delivered, 2);
-    }
-
-    #[test]
-    fn lost_uplink_packet_is_retransmitted() {
-        // Client 5's first uplink transmission fails (call index 0).
-        let mut s = sim(StubPhy::failing(vec![(5, 0)]));
-        let mut rng = Rng64::new(3);
-        s.offer_uplink(5, 50);
-        let r1 = s.run_cfp(&mut rng);
-        assert!(!r1.uplink[0].ok);
-        // Next CFP: no ack appears, the client re-requests, transmission
-        // succeeds (only call 0 fails).
-        let _r2 = s.run_cfp(&mut rng);
-        let r3 = s.run_cfp(&mut rng);
-        assert!(
-            r3.beacon_acks.contains(&(5, 50)),
-            "retransmission not acked: {:?}",
-            r3.beacon_acks
-        );
-        assert_eq!(s.stats.uplink_delivered, 1);
-        assert_eq!(s.stats.dropped, 0);
-    }
-
-    #[test]
-    fn lost_downlink_packet_requeued_immediately() {
-        let mut s = sim(StubPhy::failing(vec![(5, 0)]));
-        let mut rng = Rng64::new(4);
-        s.offer_downlink(5, 50);
-        let r1 = s.run_cfp(&mut rng);
-        // First attempt failed, but the packet was requeued and served again
-        // within the same CFP (max_groups allows it).
-        assert!(!r1.downlink[0].ok);
-        assert!(r1.downlink.len() >= 2, "no retransmission happened");
-        assert_eq!(s.stats.downlink_delivered, 1);
-    }
-
-    #[test]
-    fn packet_dropped_after_retx_limit() {
-        // Client 5 fails every time.
-        let fails: Vec<(u16, usize)> = (0..64).map(|k| (5u16, k)).collect();
-        let mut s = sim(StubPhy::failing(fails));
-        s.config.retx_limit = 2;
-        let mut rng = Rng64::new(5);
-        s.offer_downlink(5, 50);
-        let _ = s.run_cfp(&mut rng);
-        assert_eq!(s.stats.dropped, 1);
-        assert_eq!(s.stats.downlink_delivered, 0);
-        assert!(s.downlink_queue.is_empty());
-    }
-
-    #[test]
-    fn offered_overflow_is_counted_not_ignored() {
-        let mut s = sim(StubPhy::all_ok());
-        s.downlink_queue = TrafficQueue::with_capacity(2);
-        s.uplink_queue = TrafficQueue::with_capacity(1);
-        for c in 0..4u16 {
-            let accepted = s.offer_downlink(c, c);
-            assert_eq!(accepted, c < 2, "bounded queue accepted packet {c}");
-        }
-        assert!(s.offer_uplink(0, 9));
-        assert!(!s.offer_uplink(1, 9));
-        assert_eq!(s.stats.drops_overflow, 3);
-        assert_eq!(s.downlink_queue.dropped() + s.uplink_queue.dropped(), 3);
-    }
-
-    #[test]
-    fn cfp_shrinks_when_idle() {
-        // "When congestion is low and queues are empty, the CFP naturally
-        // shrinks": an idle CFP serves zero groups.
-        let mut s = sim(StubPhy::all_ok());
-        let mut rng = Rng64::new(6);
-        let report = s.run_cfp(&mut rng);
-        assert_eq!(report.groups, 0);
-        assert!(report.downlink.is_empty() && report.uplink.is_empty());
-    }
-
-    #[test]
-    fn control_overhead_is_small() {
-        let mut s = sim(StubPhy::all_ok());
-        let mut rng = Rng64::new(7);
-        for c in 0..9u16 {
-            s.offer_downlink(c, c);
-            s.offer_uplink(c, 1000 + c);
-        }
-        let _ = s.run_cfp(&mut rng);
-        let overhead = s.stats.control_bytes as f64 / s.stats.data_bytes as f64;
-        assert!(
-            overhead < 0.05,
-            "control overhead {overhead} exceeds the §7e budget"
-        );
-        assert!(overhead > 0.0);
-    }
-
-    #[test]
-    fn wire_broadcasts_match_decoded_uplink_packets() {
-        let mut s = sim(StubPhy::failing(vec![(2, 0)]));
-        let mut rng = Rng64::new(8);
-        for c in 0..3u16 {
-            s.offer_uplink(c, c);
-        }
-        let _ = s.run_cfp(&mut rng);
-        // 3 packets sent, 1 failed → 2 crossed the wire, each exactly once.
-        assert_eq!(s.hub().packets_broadcast(), 2);
-    }
-
-    #[test]
-    fn groups_never_mix_directions_or_duplicate_clients() {
-        let mut s = sim(StubPhy::all_ok());
-        let mut rng = Rng64::new(9);
-        for c in 0..5u16 {
-            s.offer_downlink(c, c);
-            s.offer_uplink(c, 100 + c);
-        }
-        let report = s.run_cfp(&mut rng);
-        for results in [&report.downlink, &report.uplink] {
-            for chunk in results.chunks(3) {
-                let mut ids: Vec<u16> = chunk.iter().map(|r| r.client).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                assert_eq!(ids.len(), chunk.len(), "duplicate client in group");
-            }
-        }
-    }
 }

@@ -58,10 +58,12 @@ fn sample_level_and_matrix_level_agree() {
     }
 }
 
-/// mac + core: the PCF protocol driven by the real matrix-level PHY.
+/// mac + des + core: the event-driven PCF MAC driven by the real
+/// matrix-level PHY.
 #[test]
 fn pcf_protocol_over_real_phy() {
-    use iac_lan::mac::pcf::{PacketResult, PcfConfig, PcfSim, PhyOutcome};
+    use iac_lan::des::{NetEvent, SharedMetrics, WiredSink};
+    use iac_lan::mac::pcf::{PacketResult, PhyOutcome};
 
     /// A PHY backed by actual IAC decoding over testbed channels.
     struct RealPhy {
@@ -130,31 +132,50 @@ fn pcf_protocol_over_real_phy() {
         aps,
         est: EstimationConfig::paper_default(),
     };
-    let mut sim = PcfSim::new(
-        PcfConfig::default(),
-        phy,
-        Box::new(mac::concurrency::BestOfTwo::default()),
-        Box::new(mac::concurrency::BestOfTwo::default()),
+    // 27 packets each way at t = 0. The first CFP serves them all (9 groups
+    // per direction, ~14 ms); the horizon leaves room for retransmissions
+    // and the acking beacons, and every idle CFP after that still costs
+    // control bytes.
+    let cfg = EventPcfConfig {
+        horizon: SimTime::from_millis(20.0),
+        ..EventPcfConfig::default()
+    };
+    let mut sim = Simulation::new(3);
+    let metrics = SharedMetrics::new();
+    let sinks = (0..cfg.protocol.n_aps)
+        .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
+        .collect();
+    let mac = sim.add_component(
+        "leader",
+        EventPcf::new(
+            cfg,
+            phy,
+            Box::new(mac::concurrency::BestOfTwo::default()),
+            Box::new(mac::concurrency::BestOfTwo::default()),
+            sinks,
+            metrics.clone(),
+        ),
     );
-    for c in 0..9u16 {
+    for client in 0..9u16 {
         for seq in 0..3u16 {
-            sim.offer_downlink(c, seq);
-            sim.offer_uplink(c, 100 + seq);
+            for (seq, uplink) in [(seq, false), (100 + seq, true)] {
+                sim.schedule(SimTime::ZERO, mac, NetEvent::Arrival { client, seq, uplink });
+            }
         }
     }
-    for _ in 0..12 {
-        let _ = sim.run_cfp(&mut rng);
-    }
+    sim.schedule(SimTime::ZERO, mac, NetEvent::CfpStart);
+    sim.step_until_no_events();
+    let log = metrics.snapshot();
     // Most packets must make it through; the wire carried each decoded
     // uplink packet once; control overhead stays in budget.
     assert!(
-        sim.stats.downlink_delivered + sim.stats.uplink_delivered > 40,
+        log.delivered.len() > 40,
         "only {} + {} delivered",
-        sim.stats.downlink_delivered,
-        sim.stats.uplink_delivered
+        log.delivered_count(false),
+        log.delivered_count(true)
     );
-    assert!(sim.hub().packets_broadcast() >= sim.stats.uplink_delivered);
-    let overhead = sim.stats.control_bytes as f64 / sim.stats.data_bytes as f64;
+    assert!(log.wire_packets >= log.delivered_count(true));
+    let overhead = log.control_bytes as f64 / log.data_bytes as f64;
     assert!(overhead < 0.05, "control overhead {overhead}");
 }
 
