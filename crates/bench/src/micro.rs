@@ -21,7 +21,6 @@ use iac_phy::dsp::Scratch;
 use iac_phy::medium::{AirTransmission, Medium};
 use iac_phy::precode::precode_into;
 use iac_phy::project::combine_into;
-use iac_phy::soa;
 use iac_channel::{Awgn, Cfo};
 
 /// Samples per packet in the sample-plane workloads: a 1500-byte BPSK
@@ -147,37 +146,6 @@ pub fn register_sample_ops(c: &mut Criterion) {
         })
     });
 
-    // The raw SoA kernels underneath the adapters above, on packet-sized
-    // split planes: these expose the packed inner loops directly (no
-    // split/merge at the edges), so a vectorization regression shows up
-    // here even when the adapter numbers are dominated by memory traffic.
-    let (s_re, s_im): (Vec<f64>, Vec<f64>) =
-        samples.iter().map(|z| (z.re, z.im)).unzip();
-    let w = samples[1];
-    let mut acc_re = vec![0.0; PACKET_SAMPLES];
-    let mut acc_im = vec![0.0; PACKET_SAMPLES];
-    group.bench_function("soa_axpy_12k", |b| {
-        b.iter(|| soa::axpy(w, &s_re, &s_im, &mut acc_re, &mut acc_im))
-    });
-    let mut rot_re = vec![0.0; PACKET_SAMPLES];
-    let mut rot_im = vec![0.0; PACKET_SAMPLES];
-    group.bench_function("soa_fill_phasors_12k", |b| {
-        b.iter(|| soa::fill_phasors(cfo.phasor_at(0), cfo.phasor_at(1), &mut rot_re, &mut rot_im))
-    });
-    group.bench_function("soa_rotate_scale_12k", |b| {
-        b.iter(|| {
-            soa::rotate_scale(w, &s_re, &s_im, &rot_re, &rot_im, &mut acc_re, &mut acc_im)
-        })
-    });
-    let mut f_re: Vec<f64> = s_re[..1024].to_vec();
-    let mut f_im: Vec<f64> = s_im[..1024].to_vec();
-    group.bench_function("fft_split_1024", |b| {
-        b.iter(|| {
-            let plan = scratch.plan(1024);
-            plan.fft_split(&mut f_re, &mut f_im);
-            plan.ifft_split(&mut f_re, &mut f_im);
-        })
-    });
     group.finish();
 }
 

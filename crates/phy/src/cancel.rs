@@ -7,8 +7,8 @@
 //! classical interference cancellation — the decoding of the first packet is
 //! done by alignment, not by SIC.
 
+use crate::dsp::fill_phasors;
 use crate::fft::with_thread_scratch;
-use crate::soa;
 use iac_linalg::{C64, CMat, CVec};
 
 /// Reconstruct the per-rx-antenna signal a known packet contributed:
@@ -32,12 +32,8 @@ pub fn reconstruct(
 /// `h_est.rows()` streams of `symbols.len()` entries, reusing capacity).
 /// Zero allocations once warm.
 ///
-/// Structure-of-arrays adapter (see [`crate::soa`]): the symbols are split
-/// once, the CFO phasor recurrence is filled once and **shared across rx
-/// antennas** (the historical per-antenna loops recomputed the identical
-/// sequence), and each antenna is one packed [`soa::rotate_scale`] pass.
-/// Per sample the operations are `eff · (s · rot)` in that exact order, so
-/// the reconstruction is bit-identical to the interleaved form.
+/// The CFO phasor sequence is computed once, into one pooled buffer shared
+/// by every rx antenna; each antenna is then one `eff · (s · rot)` pass.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_into(
     symbols: &[C64],
@@ -57,20 +53,8 @@ pub fn reconstruct_into(
         std::f64::consts::TAU * cfo_hz * start as f64 / sample_rate_hz,
     );
     crate::dsp::shape_streams(out, rx_antennas);
-    let n = symbols.len();
-    let (mut s_re, mut s_im, mut rot_re, mut rot_im, mut o_re, mut o_im) =
-        with_thread_scratch(|s| {
-            (
-                s.take_f64(n),
-                s.take_f64(n),
-                s.take_f64(n),
-                s.take_f64(n),
-                s.take_f64(n),
-                s.take_f64(n),
-            )
-        });
-    soa::split_into(symbols, &mut s_re, &mut s_im);
-    soa::fill_phasors(rot0, step, &mut rot_re, &mut rot_im);
+    let mut rot = with_thread_scratch(|s| s.take(symbols.len()));
+    fill_phasors(&mut rot, rot0, step);
     for (a, stream) in out.iter_mut().enumerate() {
         // Effective coefficient for this rx antenna: (ĥ·v)[a]·sqrt(power) —
         // computed on the stack so the steady-state loop stays allocation-free.
@@ -79,17 +63,10 @@ pub fn reconstruct_into(
             eff = h_est[(a, b)].mul_add(v[b], eff);
         }
         eff = eff.scale(amp);
-        soa::rotate_scale(eff, &s_re, &s_im, &rot_re, &rot_im, &mut o_re, &mut o_im);
-        soa::merge_into(&o_re, &o_im, stream);
+        stream.clear();
+        stream.extend(symbols.iter().zip(&rot).map(|(&s, &r)| eff * (s * r)));
     }
-    with_thread_scratch(|s| {
-        s.put_f64(s_re);
-        s.put_f64(s_im);
-        s.put_f64(rot_re);
-        s.put_f64(rot_im);
-        s.put_f64(o_re);
-        s.put_f64(o_im);
-    });
+    with_thread_scratch(|s| s.put(rot));
 }
 
 /// Subtract a reconstructed contribution from the received streams in place,

@@ -32,6 +32,17 @@ pub(crate) fn shape_streams(out: &mut Vec<Vec<C64>>, antennas: usize) {
     }
 }
 
+/// Fill `rot` with the CFO phasor recurrence `rot0, rot0·step, …` — one
+/// serial product chain, computed once per transmission and then shared by
+/// every antenna that applies it.
+pub(crate) fn fill_phasors(rot: &mut [C64], rot0: C64, step: C64) {
+    let mut r = rot0;
+    for x in rot {
+        *x = r;
+        r *= step;
+    }
+}
+
 /// A radix-2 decimation-in-time FFT plan for one power-of-two size.
 ///
 /// Holds the bit-reversal permutation and the forward twiddle table
@@ -91,28 +102,6 @@ impl FftPlan {
         let scale = 1.0 / self.n as f64;
         for v in x.iter_mut() {
             *v = v.scale(scale);
-        }
-    }
-
-    /// In-place forward FFT over split re/im slices (the structure-of-arrays
-    /// layout of [`crate::soa`]). Identical butterfly schedule and scalar
-    /// operations as [`FftPlan::fft`], so results are bit-identical to
-    /// transforming the interleaved form — but every butterfly is a packed
-    /// operation over homogeneous lanes instead of a shuffle.
-    pub fn fft_split(&self, re: &mut [f64], im: &mut [f64]) {
-        self.transform_split(re, im, false);
-    }
-
-    /// In-place inverse FFT (normalised by `1/n`) over split re/im slices.
-    /// Bit-identical to [`FftPlan::ifft`] on the interleaved form.
-    pub fn ifft_split(&self, re: &mut [f64], im: &mut [f64]) {
-        self.transform_split(re, im, true);
-        let scale = 1.0 / self.n as f64;
-        for v in re.iter_mut() {
-            *v *= scale;
-        }
-        for v in im.iter_mut() {
-            *v *= scale;
         }
     }
 
@@ -180,84 +169,6 @@ impl FftPlan {
             len <<= 1;
         }
     }
-
-    /// [`FftPlan::transform`], mirrored over split re/im slices: same swap
-    /// pass, same fused radix-4 pass, same stage order, same scalar
-    /// expressions — only the storage differs.
-    fn transform_split(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        let n = self.n;
-        assert_eq!(re.len(), n, "buffer length does not match plan size");
-        assert_eq!(im.len(), n, "buffer length does not match plan size");
-        if n <= 1 {
-            return;
-        }
-        for &(i, j) in &self.swaps {
-            re.swap(i as usize, j as usize);
-            im.swap(i as usize, j as usize);
-        }
-        if n == 2 {
-            let (ur, ui, tr, ti) = (re[0], im[0], re[1], im[1]);
-            re[0] = ur + tr;
-            im[0] = ui + ti;
-            re[1] = ur - tr;
-            im[1] = ui - ti;
-            return;
-        }
-        for base in (0..n).step_by(4) {
-            let q = |k: usize| (re[base + k], im[base + k]);
-            let (q0, q1, q2, q3) = (q(0), q(1), q(2), q(3));
-            let s0 = (q0.0 + q1.0, q0.1 + q1.1);
-            let d0 = (q0.0 - q1.0, q0.1 - q1.1);
-            let s1 = (q2.0 + q3.0, q2.1 + q3.1);
-            let d1 = (q2.0 - q3.0, q2.1 - q3.1);
-            let r1 = if inverse { (-d1.1, d1.0) } else { (d1.1, -d1.0) };
-            re[base] = s0.0 + s1.0;
-            im[base] = s0.1 + s1.1;
-            re[base + 1] = d0.0 + r1.0;
-            im[base + 1] = d0.1 + r1.1;
-            re[base + 2] = s0.0 - s1.0;
-            im[base + 2] = s0.1 - s1.1;
-            re[base + 3] = d0.0 - r1.0;
-            im[base + 3] = d0.1 - r1.1;
-        }
-        if inverse {
-            self.stages_split::<true>(re, im);
-        } else {
-            self.stages_split::<false>(re, im);
-        }
-    }
-
-    /// [`FftPlan::stages`] over split slices. Each butterfly computes
-    /// `t = h·w` with the same two-FMA chains as [`C64::mul_add`] (the
-    /// interleaved path's `h.mul_add(w, 0)`), then `l = u + t`, `h = u − t`
-    /// — packed adds/subs over homogeneous lanes.
-    fn stages_split<const INVERSE: bool>(&self, re: &mut [f64], im: &mut [f64]) {
-        let n = self.n;
-        let mut len = 8;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            let mut base = 0;
-            while base < n {
-                let (lo_re, hi_re) = re[base..base + len].split_at_mut(half);
-                let (lo_im, hi_im) = im[base..base + len].split_at_mut(half);
-                for k in 0..half {
-                    let w = self.twiddles[k * stride];
-                    let (w_re, w_im) = if INVERSE { (w.re, -w.im) } else { (w.re, w.im) };
-                    let (ur, ui) = (lo_re[k], lo_im[k]);
-                    let (hr, hi) = (hi_re[k], hi_im[k]);
-                    let t_re = hr.mul_add(w_re, hi.mul_add(-w_im, 0.0));
-                    let t_im = hr.mul_add(w_im, hi.mul_add(w_re, 0.0));
-                    lo_re[k] = ur + t_re;
-                    lo_im[k] = ui + t_im;
-                    hi_re[k] = ur - t_re;
-                    hi_im[k] = ui - t_im;
-                }
-                base += len;
-            }
-            len <<= 1;
-        }
-    }
 }
 
 /// Reusable buffer arena for the sample plane.
@@ -269,10 +180,6 @@ impl FftPlan {
 #[derive(Debug, Default)]
 pub struct Scratch {
     pool: Vec<Vec<C64>>,
-    /// Split re/im buffers for the structure-of-arrays kernels
-    /// ([`crate::soa`]); pooled separately so a `C64` buffer's capacity is
-    /// never wasted holding halves.
-    pool_f64: Vec<Vec<f64>>,
     plans: Vec<FftPlan>,
     stats: ScratchStats,
 }
@@ -349,32 +256,6 @@ impl Scratch {
     /// its capacity is kept.
     pub fn put(&mut self, buf: Vec<C64>) {
         self.pool.push(buf);
-    }
-
-    /// Borrow a zero-filled `f64` buffer of length `len` — the split-slice
-    /// counterpart of [`Scratch::take`], for the [`crate::soa`] kernels.
-    /// Counted in the same pool hit/miss statistics. Return it with
-    /// [`Scratch::put_f64`].
-    pub fn take_f64(&mut self, len: usize) -> Vec<f64> {
-        let mut buf = match self.pool_f64.pop() {
-            Some(buf) => {
-                self.stats.pool_hits += 1;
-                buf
-            }
-            None => {
-                self.stats.pool_misses += 1;
-                Vec::new()
-            }
-        };
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Return an `f64` buffer to the split-slice pool (contents discarded,
-    /// capacity kept).
-    pub fn put_f64(&mut self, buf: Vec<f64>) {
-        self.pool_f64.push(buf);
     }
 
     /// The cached plan for size `n`, computing it on first request.

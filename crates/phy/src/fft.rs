@@ -54,19 +54,6 @@ pub fn ifft(x: &mut [C64]) {
     with_thread_scratch(|s| s.plan(x.len()).ifft(x));
 }
 
-/// In-place forward FFT over split re/im slices (the structure-of-arrays
-/// layout of [`crate::soa`]), through the same thread-local plan cache as
-/// [`fft`]. Bit-identical to transforming the interleaved form.
-pub fn fft_split(re: &mut [f64], im: &mut [f64]) {
-    with_thread_scratch(|s| s.plan(re.len()).fft_split(re, im));
-}
-
-/// In-place inverse FFT (normalised by 1/N) over split re/im slices.
-/// Bit-identical to [`ifft`] on the interleaved form.
-pub fn ifft_split(re: &mut [f64], im: &mut [f64]) {
-    with_thread_scratch(|s| s.plan(re.len()).ifft_split(re, im));
-}
-
 /// Above this many taps, [`convolve`] switches from the O(N·K) direct form to
 /// FFT-based overlap-add. Direct convolution of a 12 000-sample packet with a
 /// 32-tap channel already costs ~384k complex MACs — about where the

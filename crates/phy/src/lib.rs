@@ -24,9 +24,6 @@
 //! * [`dsp`] — the [`FftPlan`] planner and [`Scratch`] buffer arena behind
 //!   the zero-allocation `_into` variants of the sample-plane operations
 //!   (see `docs/PERFORMANCE.md`).
-//! * [`soa`] — structure-of-arrays kernels over split re/im slices: the
-//!   SIMD-friendly layout behind the hot `_into` operations, bit-identical
-//!   to the interleaved forms (see `docs/BENCHMARKS.md`).
 //! * [`fft`], [`ofdm`] — radix-2 FFT and an OFDM layer with cyclic prefix,
 //!   used to test the §6c per-subcarrier alignment conjecture on
 //!   frequency-selective channels.
@@ -44,7 +41,6 @@ pub mod ofdm;
 pub mod preamble;
 pub mod precode;
 pub mod project;
-pub mod soa;
 pub mod training;
 
 pub use dsp::{FftPlan, Scratch, ScratchStats};

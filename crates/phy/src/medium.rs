@@ -9,8 +9,8 @@
 //! y_a(t) = Σ_tx Σ_b H_tx[a][b]·x_tx,b(t)·e^{j2πΔf_tx·t/fs} + n_a(t)
 //! ```
 
+use crate::dsp::fill_phasors;
 use crate::fft::with_thread_scratch;
-use crate::soa;
 use iac_channel::{Awgn, Cfo};
 use iac_linalg::{C64, CMat, Rng64};
 
@@ -52,15 +52,13 @@ impl Medium {
     /// capacity) before the transmissions and noise are accumulated. Zero
     /// allocations once warm.
     ///
-    /// Structure-of-arrays inner loops (see [`crate::soa`]): per
-    /// transmission the CFO phasor recurrence is hoisted into a split
-    /// rot\[t\] array, each transmit stream is deinterleaved once, and the
-    /// channel application becomes per-(a,b) packed [`soa::axpy`] passes
-    /// into split per-rx-antenna accumulators, finished by one rotate-and-
-    /// add pass onto the air buffer. Per output sample the scalar operation
-    /// sequence is identical to the historical t-outer interleaved loop
-    /// (accumulate over `b` ascending, then `+= acc·rot`), so the mix is
-    /// bit-identical — only the loop nesting and storage changed.
+    /// Per transmission the CFO phasor sequence is computed once into a
+    /// pooled buffer. Then, for each rx antenna, the channel row is applied
+    /// stream by stream (`b` ascending) into one pooled accumulator, and the
+    /// last stream's term is added in the same pass that rotates the
+    /// accumulator onto the air buffer. Per output sample that is the same
+    /// operation sequence as a sample-major loop, so the result is
+    /// bit-identical to it, but every inner loop is one sequential pass.
     pub fn mix_into(
         transmissions: &[AirTransmission<'_>],
         rx_antennas: usize,
@@ -92,50 +90,30 @@ impl Medium {
             if len == 0 {
                 continue;
             }
-            // Split scratch: the phasor pair, one deinterleaved stream pair,
-            // and [re|im] accumulator pairs for every rx antenna packed into
-            // one flat buffer (so the buffer count stays constant whatever
-            // the antenna count).
-            let (mut rot_re, mut rot_im, mut s_re, mut s_im, mut acc) =
-                with_thread_scratch(|s| {
-                    (
-                        s.take_f64(len),
-                        s.take_f64(len),
-                        s.take_f64(len),
-                        s.take_f64(len),
-                        s.take_f64(2 * rx_antennas * len),
-                    )
-                });
-            // Incremental CFO phasor (one rotation per sample), hoisted out
-            // of the antenna loops — the historical code advanced it once
-            // per sample and reused the value for every rx antenna.
+            let (mut rot, mut acc) = with_thread_scratch(|s| (s.take(len), s.take(len)));
             let step = C64::cis(
                 std::f64::consts::TAU * tx.cfo.delta_f_hz / tx.cfo.sample_rate_hz,
             );
-            soa::fill_phasors(tx.cfo.phasor_at(tx.start), step, &mut rot_re, &mut rot_im);
-            for (b, stream) in tx.streams.iter().enumerate() {
-                soa::split_into(&stream[..len], &mut s_re, &mut s_im);
-                for (a, pair) in acc.chunks_exact_mut(2 * len).enumerate() {
-                    let (acc_re, acc_im) = pair.split_at_mut(len);
-                    soa::axpy(tx.channel[(a, b)], &s_re, &s_im, acc_re, acc_im);
+            fill_phasors(&mut rot, tx.cfo.phasor_at(tx.start), step);
+            // `len > 0`, so there is at least one transmit stream.
+            let (last, rest) = tx.streams.split_last().expect("non-empty transmission");
+            for (a, out_stream) in out.iter_mut().enumerate() {
+                acc.fill(C64::zero());
+                for (b, stream) in rest.iter().enumerate() {
+                    let h = tx.channel[(a, b)];
+                    for (x, &s) in acc.iter_mut().zip(stream) {
+                        *x = h.mul_add(s, *x);
+                    }
+                }
+                let h = tx.channel[(a, rest.len())];
+                let window = &mut out_stream[tx.start..tx.start + len];
+                for (((o, &x), &s), &r) in window.iter_mut().zip(&acc).zip(last).zip(&rot) {
+                    *o += h.mul_add(s, x) * r;
                 }
             }
-            for (pair, out_stream) in acc.chunks_exact(2 * len).zip(out.iter_mut()) {
-                let (acc_re, acc_im) = pair.split_at(len);
-                soa::accumulate_rotated(
-                    acc_re,
-                    acc_im,
-                    &rot_re,
-                    &rot_im,
-                    &mut out_stream[tx.start..tx.start + len],
-                );
-            }
             with_thread_scratch(|s| {
-                s.put_f64(rot_re);
-                s.put_f64(rot_im);
-                s.put_f64(s_re);
-                s.put_f64(s_im);
-                s.put_f64(acc);
+                s.put(rot);
+                s.put(acc);
             });
         }
         for stream in out.iter_mut() {

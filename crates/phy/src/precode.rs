@@ -6,8 +6,6 @@
 //! 2-dimensional vector, one on each antenna" (§4b).
 
 use crate::dsp::shape_streams;
-use crate::fft::with_thread_scratch;
-use crate::soa;
 use iac_linalg::{C64, CVec};
 
 /// Multiply every sample by the encoding vector, producing one stream per
@@ -23,35 +21,15 @@ pub fn precode(samples: &[C64], v: &CVec, power: f64) -> Vec<Vec<C64>> {
 /// [`precode`] into a caller-owned stream set: `out` is reshaped to
 /// `v.len()` streams of `samples.len()` entries, reusing existing buffer
 /// capacity. Zero allocations once warm.
-///
-/// Thin adapter over the structure-of-arrays kernel [`soa::scale`]: the
-/// samples are split into re/im halves **once** (pooled buffers from the
-/// thread-local arena), every antenna's weight is applied as packed
-/// multiplies over the split slices, and each result merges into its
-/// stream. Bit-identical to the interleaved loop `s * w` per sample.
 pub fn precode_into(samples: &[C64], v: &CVec, power: f64, out: &mut Vec<Vec<C64>>) {
     assert!(power >= 0.0, "power must be non-negative");
     let amp = power.sqrt();
     shape_streams(out, v.len());
-    let n = samples.len();
-    // Fine-grained arena borrows: take the buffers, end the borrow, compute
-    // on plain slices, return them — this adapter can never collide with
-    // another borrow of the thread-local scratch.
-    let (mut s_re, mut s_im, mut o_re, mut o_im) = with_thread_scratch(|s| {
-        (s.take_f64(n), s.take_f64(n), s.take_f64(n), s.take_f64(n))
-    });
-    soa::split_into(samples, &mut s_re, &mut s_im);
     for (antenna, stream) in out.iter_mut().enumerate() {
         let w = v[antenna] * amp;
-        soa::scale(&s_re, &s_im, w, &mut o_re, &mut o_im);
-        soa::merge_into(&o_re, &o_im, stream);
+        stream.clear();
+        stream.extend(samples.iter().map(|&s| s * w));
     }
-    with_thread_scratch(|s| {
-        s.put_f64(s_re);
-        s.put_f64(s_im);
-        s.put_f64(o_re);
-        s.put_f64(o_im);
-    });
 }
 
 /// Sum several per-antenna stream sets element-wise (a node transmitting

@@ -5,8 +5,6 @@
 //! projection combines the per-antenna streams into one scalar stream:
 //! `z(t) = Σ_a conj(u_a)·y_a(t)`.
 
-use crate::fft::with_thread_scratch;
-use crate::soa;
 use iac_linalg::{C64, CVec};
 
 /// Project multi-antenna received streams onto a decoding vector.
@@ -29,26 +27,18 @@ pub fn combine_into(rx_streams: &[Vec<C64>], u: &CVec, out: &mut Vec<C64>) {
         rx_streams.iter().all(|s| s.len() == len),
         "ragged receive streams"
     );
-    // Antenna-major accumulation over split re/im slices ([`soa::axpy`]):
-    // the conjugated weight is hoisted out of the sample loop and each
-    // component is a packed FMA chain. Per sample this performs the same
-    // `mul_add` chain in the same order as the naive sample-major
-    // interleaved loop, so results are bit-identical.
-    let (mut s_re, mut s_im, mut acc_re, mut acc_im) = with_thread_scratch(|s| {
-        (s.take_f64(len), s.take_f64(len), s.take_f64(len), s.take_f64(len))
-    });
+    out.clear();
+    out.resize(len, C64::zero());
+    // Antenna-major accumulation: the conjugated weight is hoisted out of
+    // the sample loop and both slices stream sequentially. Per sample this
+    // performs the same `mul_add` chain in the same order as the naive
+    // sample-major loop, so results are bit-identical.
     for (a, stream) in rx_streams.iter().enumerate() {
         let w = u[a].conj();
-        soa::split_into(stream, &mut s_re, &mut s_im);
-        soa::axpy(w, &s_re, &s_im, &mut acc_re, &mut acc_im);
+        for (o, &s) in out.iter_mut().zip(stream) {
+            *o = w.mul_add(s, *o);
+        }
     }
-    soa::merge_into(&acc_re, &acc_im, out);
-    with_thread_scratch(|s| {
-        s.put_f64(s_re);
-        s.put_f64(s_im);
-        s.put_f64(acc_re);
-        s.put_f64(acc_im);
-    });
 }
 
 /// Equalise a projected stream by a scalar effective channel estimate:
@@ -60,11 +50,6 @@ pub fn equalize(stream: &[C64], g: C64) -> Vec<C64> {
 
 /// [`equalize`] in place: scales every sample by `1/g` (or zeroes the stream
 /// when `g` is not invertible).
-///
-/// Deliberately *not* routed through the split-slice kernels: a single
-/// in-place pass beats a split → [`soa::scale_in_place`] → merge round trip
-/// (three passes) for an op this thin. Native structure-of-arrays callers
-/// should use [`soa::scale_in_place`] directly.
 pub fn equalize_in_place(stream: &mut [C64], g: C64) {
     let inv = g.recip().unwrap_or(C64::zero());
     for s in stream.iter_mut() {

@@ -1,18 +1,20 @@
-//! Bit-identity pins for the structure-of-arrays kernel layer.
+//! Bit-identity pins for the sample-plane `_into` operations.
 //!
-//! Every SoA kernel (and every interleaved `_into` adapter built on one)
-//! promises results **bit-identical** to the historical interleaved scalar
-//! code — that is what keeps the golden-snapshot suite and the cross-thread
-//! determinism contract intact across the layout change. These tests pin
-//! each kernel against an independent scalar reference (a re-implementation
-//! of the pre-SoA loop, not a call back into the library), sweeping odd
-//! lengths, zero length, and non-power-of-two sizes. Comparisons use exact
-//! equality on `f64` bit patterns via `assert_eq!` — no tolerances.
+//! Precoding, projection, the medium's mix and cancellation's reconstruction
+//! promise results **bit-identical** to the plain sample-by-sample scalar
+//! loops they replace — that is what keeps the golden-snapshot suite and the
+//! cross-thread determinism contract intact when their loop order changes
+//! (the medium and the reconstruction compute the CFO phasors once and share
+//! them across antennas). These tests pin each operation against an
+//! independent scalar reference (a re-implementation of the sample-major
+//! loop, not a call back into the library), sweeping odd lengths, zero
+//! length, and non-power-of-two sizes. Comparisons use exact equality on
+//! `f64` bit patterns via `assert_eq!` — no tolerances.
 
 use iac_channel::{Awgn, Cfo};
 use iac_linalg::{C64, CMat, CVec, Rng64};
 use iac_phy::medium::{AirTransmission, Medium};
-use iac_phy::{cancel, precode, project, soa};
+use iac_phy::{cancel, precode, project};
 
 /// Length sweep: zero, one, odd primes, non-powers-of-two, and one size
 /// past any vectorizer's unroll tail.
@@ -21,10 +23,6 @@ const LENGTHS: &[usize] = &[0, 1, 3, 5, 7, 12, 33, 100, 257, 1000];
 fn samples(n: usize, seed: u64) -> Vec<C64> {
     let mut rng = Rng64::new(seed);
     (0..n).map(|_| rng.cn01()).collect()
-}
-
-fn split(src: &[C64]) -> (Vec<f64>, Vec<f64>) {
-    (src.iter().map(|z| z.re).collect(), src.iter().map(|z| z.im).collect())
 }
 
 #[test]
@@ -120,7 +118,9 @@ fn mix_into_matches_scalar_reference() {
 
 #[test]
 fn reconstruct_into_matches_scalar_reference() {
-    for &n in LENGTHS {
+    // Walking the lengths up and then back down reuses the pooled phasor
+    // buffer at shorter lengths than it last held.
+    for &n in LENGTHS.iter().chain(LENGTHS.iter().rev()) {
         let fs = 500_000.0;
         let mut rng = Rng64::new(53 + n as u64);
         let h = CMat::random(2, 2, &mut rng);
@@ -152,95 +152,4 @@ fn reconstruct_into_matches_scalar_reference() {
         let out = cancel::reconstruct(&syms, &v, &h, power, cfo_hz, fs, start);
         assert_eq!(out, reference, "n={n}");
     }
-}
-
-#[test]
-fn equalize_soa_kernel_matches_in_place_loop() {
-    for &n in LENGTHS {
-        let s = samples(n, 61 + n as u64);
-        let g = C64::new(0.8, -0.3);
-        let inv = g.recip().unwrap();
-        // Interleaved in-place form (still the shipping adapter).
-        let mut interleaved = s.clone();
-        project::equalize_in_place(&mut interleaved, g);
-        // Split kernel.
-        let (mut re, mut im) = split(&s);
-        soa::scale_in_place(&mut re, &mut im, inv);
-        for t in 0..n {
-            assert_eq!((re[t], im[t]), (interleaved[t].re, interleaved[t].im), "n={n} t={t}");
-        }
-    }
-}
-
-#[test]
-fn fft_split_matches_interleaved_bitwise() {
-    // Forward and inverse, across all OFDM-relevant power-of-two sizes:
-    // the split path must produce the same f64 bit patterns as the
-    // interleaved path, not merely close values.
-    for &n in &[1usize, 2, 4, 8, 16, 64, 256, 1024] {
-        let orig = samples(n, 67 + n as u64);
-        let mut interleaved = orig.clone();
-        iac_phy::fft::fft(&mut interleaved);
-        let (mut re, mut im) = split(&orig);
-        iac_phy::fft::fft_split(&mut re, &mut im);
-        for t in 0..n {
-            assert_eq!(
-                (re[t], im[t]),
-                (interleaved[t].re, interleaved[t].im),
-                "forward n={n} t={t}"
-            );
-        }
-        iac_phy::fft::ifft(&mut interleaved);
-        iac_phy::fft::ifft_split(&mut re, &mut im);
-        for t in 0..n {
-            assert_eq!(
-                (re[t], im[t]),
-                (interleaved[t].re, interleaved[t].im),
-                "roundtrip n={n} t={t}"
-            );
-        }
-    }
-}
-
-#[test]
-fn fft_split_roundtrip_recovers_signal() {
-    let n = 512;
-    let orig = samples(n, 71);
-    let (mut re, mut im) = split(&orig);
-    iac_phy::fft::fft_split(&mut re, &mut im);
-    iac_phy::fft::ifft_split(&mut re, &mut im);
-    for t in 0..n {
-        assert!(
-            (re[t] - orig[t].re).abs() < 1e-9 && (im[t] - orig[t].im).abs() < 1e-9,
-            "t={t}"
-        );
-    }
-}
-
-#[test]
-#[should_panic(expected = "power of two")]
-fn fft_split_rejects_non_power_of_two() {
-    let mut re = vec![0.0; 12];
-    let mut im = vec![0.0; 12];
-    iac_phy::fft::fft_split(&mut re, &mut im);
-}
-
-#[test]
-fn adapters_are_deterministic_across_repeat_calls() {
-    // The pooled split buffers must not leak state between calls: running
-    // the same adapter twice (warm pool) returns byte-identical output.
-    let s = samples(257, 73);
-    let mut rng = Rng64::new(79);
-    let v = CVec::random_unit(2, &mut rng);
-    let mut first = Vec::new();
-    precode::precode_into(&s, &v, 1.0, &mut first);
-    let mut second = Vec::new();
-    precode::precode_into(&s, &v, 1.0, &mut second);
-    assert_eq!(first, second);
-    let u = CVec::random_unit(2, &mut rng);
-    let mut c1 = Vec::new();
-    project::combine_into(&first, &u, &mut c1);
-    let mut c2 = Vec::new();
-    project::combine_into(&first, &u, &mut c2);
-    assert_eq!(c1, c2);
 }
