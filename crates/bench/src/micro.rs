@@ -11,11 +11,12 @@
 //! so the numbers reflect the DSP, not the allocator.
 
 use criterion::{BenchmarkId, Criterion};
+use iac_core::decoder::{equal_split_powers, IacDecoder};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::schedule::DecodeSchedule;
 use iac_core::solver::{AlignmentProblem, SolverConfig};
 use iac_core::{closed_form, optimize};
-use iac_linalg::{CMat, CVec, Rng64};
+use iac_linalg::{CMat, CVec, Rng64, Svd};
 use iac_phy::cancel::reconstruct_into;
 use iac_phy::dsp::Scratch;
 use iac_phy::medium::{AirTransmission, Medium};
@@ -27,8 +28,8 @@ use iac_channel::{Awgn, Cfo};
 /// payload at 1 sample/bit, the paper's prototype shape.
 pub const PACKET_SAMPLES: usize = 12_000;
 
-/// Alignment-solver costs (closed form, optimised seed scoring, iterative
-/// leakage minimisation) as functions of the antenna count.
+/// Alignment-solver costs (closed form, optimised seed scoring, one decode,
+/// iterative leakage minimisation) as functions of the antenna count.
 pub fn register_alignment(c: &mut Criterion) {
     let mut group = c.benchmark_group("alignment");
     let mut rng = Rng64::new(1);
@@ -40,6 +41,18 @@ pub fn register_alignment(c: &mut Criterion) {
     group.bench_function("uplink4_optimized_2x2", |b| {
         b.iter(|| optimize::uplink4_optimized(&grid3, 1.0, 0.05).unwrap())
     });
+    // The leader's decode of one aligned configuration on its own
+    // estimates: the two-antenna step loop the group scores run twice.
+    let cfg = closed_form::uplink4(&grid3, &mut Rng64::new(2)).unwrap();
+    let decoder = IacDecoder {
+        true_grid: &grid3,
+        est_grid: &grid3,
+        schedule: &cfg.schedule,
+        encoding: &cfg.encoding,
+        packet_power: equal_split_powers(&cfg.schedule, 1.0),
+        noise_power: 0.05,
+    };
+    group.bench_function("decode_uplink4_2x2", |b| b.iter(|| decoder.decode().unwrap()));
     for m in [3usize, 4] {
         let schedule = DecodeSchedule::uplink_2m(m);
         let clients = schedule.owners.iter().max().unwrap() + 1;
@@ -150,7 +163,7 @@ pub fn register_sample_ops(c: &mut Criterion) {
 }
 
 /// Small-matrix linear algebra on the alignment path: inversion, Hermitian
-/// eigendecomposition, and the raw `mul_mat` kernel.
+/// eigendecomposition, the 2×2 SVD, and the raw `mul_mat` kernel.
 pub fn register_linalg(c: &mut Criterion) {
     let mut group = c.benchmark_group("linalg");
     let mut rng = Rng64::new(5);
@@ -163,6 +176,12 @@ pub fn register_linalg(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("eigh", m), &m, |b, _| {
             b.iter(|| iac_linalg::eigh(&h).unwrap())
         });
+        if m == 2 {
+            // The 802.11-MIMO baseline's per-link decomposition.
+            group.bench_with_input(BenchmarkId::new("svd", m), &m, |b, _| {
+                b.iter(|| Svd::compute(&a))
+            });
+        }
     }
     let a = CMat::random(8, 8, &mut rng);
     let b8 = CMat::random(8, 8, &mut rng);

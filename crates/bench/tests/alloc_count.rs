@@ -11,6 +11,7 @@
 
 use iac_channel::estimation::EstimationConfig;
 use iac_channel::{Awgn, Cfo};
+use iac_core::baseline;
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::optimize::{self, ScoringContext};
 use iac_linalg::{C64, CMat, CVec, Rng64};
@@ -288,15 +289,20 @@ fn observed_des_steady_state_is_allocation_free() {
 
 /// Most heap allocations one uplink / downlink group score through the
 /// optimisers may make, sub-grid included. The count is deterministic; 2×2
-/// values live inline, so what remains is the grid and schedule `Vec`s and
-/// the decoder's output lists.
-const UPLINK_SCORE_CEILING: u64 = 22;
-const DOWNLINK_SCORE_CEILING: u64 = 17;
+/// values live inline and the scoring decodes sum their SINRs on the stack,
+/// so what remains is the grid, schedule and power-split `Vec`s.
+const UPLINK_SCORE_CEILING: u64 = 18;
+const DOWNLINK_SCORE_CEILING: u64 = 13;
 
 /// Most heap allocations one fig15 group score through a built
-/// [`ScoringContext`] may make, in either direction: the decoder's output
-/// lists, twice.
-const CONTEXT_SCORE_CEILING: u64 = 4;
+/// [`ScoringContext`] may make, in either direction: none.
+const CONTEXT_SCORE_CEILING: u64 = 0;
+
+/// Most heap allocations one `baseline::best_ap_rate` over three 2×2 links
+/// may make: the `Svd` list and each link's singular values, then the
+/// gains, water-filling and SINR lists of four eigenmode rates (three
+/// predicted, one realised).
+const BEST_AP_CEILING: u64 = 20;
 
 /// One group score through the optimisers: cut the group's 3×3 sub-grid
 /// out of the slot's estimates, align it, and take the rate the optimiser
@@ -363,8 +369,9 @@ fn context_scores_stay_under_ceiling(up: &ChannelGrid, down: &ChannelGrid, group
         assert!(rate > 0.0, "{:?} group aligns", grid.direction());
     }
     let [uplink, downlink] = counts;
-    assert!(
-        uplink <= CONTEXT_SCORE_CEILING && downlink <= CONTEXT_SCORE_CEILING,
+    assert_eq!(
+        [uplink, downlink],
+        [CONTEXT_SCORE_CEILING; 2],
         "one context group score allocated {uplink} times uplink, {downlink} downlink \
          (ceiling {CONTEXT_SCORE_CEILING})"
     );
@@ -374,8 +381,29 @@ fn context_scores_stay_under_ceiling(up: &ChannelGrid, down: &ChannelGrid, group
     );
 }
 
+/// One 802.11-MIMO baseline association, as fig12–14 compute it: three
+/// estimated 2×2 links, the best predicted one realised on its true link.
+fn best_ap_rate_stays_under_ceiling() {
+    let mut rng = Rng64::new(0xBE57);
+    let truth: Vec<CMat> = (0..3).map(|_| CMat::random(2, 2, &mut rng)).collect();
+    let est: Vec<CMat> = truth
+        .iter()
+        .map(|h| h + &CMat::random(2, 2, &mut rng).scale(0.1))
+        .collect();
+    let before = allocations();
+    let (_, rate, _) = baseline::best_ap_rate(&truth, &est, 1.0, 0.05);
+    let count = allocations() - before;
+    assert!(rate > 0.0, "the baseline link carries a stream");
+    assert!(
+        count <= BEST_AP_CEILING,
+        "one best-AP rate allocated {count} times (ceiling {BEST_AP_CEILING})"
+    );
+    println!("alloc_count: one best-AP baseline rate made {count} heap allocations — ok");
+}
+
 fn main() {
     group_scores_stay_under_ceiling();
+    best_ap_rate_stays_under_ceiling();
     des_steady_state_is_allocation_free();
     observed_des_steady_state_is_allocation_free();
     let mut pipe = Pipeline::new();

@@ -15,9 +15,10 @@
 //! * **Noise** — AWGN of configurable power at every receive antenna.
 
 use crate::grid::{ChannelGrid, Links};
+use crate::rate::sum_rates;
 use crate::schedule::DecodeSchedule;
-use crate::solver::{step_vectors, Images, Interferers};
-use iac_linalg::{CVec, Result};
+use crate::solver::{step_vectors, AntennaVector, Images, Interferers, INLINE};
+use iac_linalg::{CVec, LinAlgError, Result, C64};
 
 /// Post-processing SINR of one decoded packet.
 #[derive(Debug, Clone, Copy)]
@@ -102,17 +103,79 @@ impl<G: Links> IacDecoder<'_, G> {
     /// cancellation residual would add an exact `+0.0` to a positive
     /// denominator, so those terms are skipped. That is exact for finite
     /// channels and encodings; with an infinite entry `H − Ĥ` would be NaN.
+    ///
+    /// When every link is 2×2, every encoding has two entries and there
+    /// are at most eight packets, the images, covariances and decoding
+    /// vectors are `[C64; 2]`/`[C64; 4]` arrays on the stack; otherwise
+    /// they are [`CVec`]s. Both compute the same bits. A NaN SINR (from a
+    /// NaN or infinite channel) is [`LinAlgError::Degenerate`].
     pub fn decode(&self) -> Result<DecodeOutcome> {
+        let mut sinrs = Vec::with_capacity(self.schedule.n_packets());
+        self.for_each_sinr(&mut |p| sinrs.push(p))?;
+        Ok(DecodeOutcome { sinrs })
+    }
+
+    /// [`DecodeOutcome::rate_bits_per_hz`] of [`IacDecoder::decode`], bit
+    /// for bit, with the SINRs summed from a stack buffer: a two-antenna
+    /// decode of at most eight packets does not touch the heap.
+    pub(crate) fn rate(&self) -> Result<f64> {
+        let decoded: usize = self.schedule.steps.iter().map(|s| s.decode.len()).sum();
+        if decoded > INLINE {
+            return self.decode().map(|o| o.rate_bits_per_hz());
+        }
+        let mut sinrs = [0.0; INLINE];
+        let mut len = 0;
+        self.for_each_sinr(&mut |p| {
+            sinrs[len] = p.sinr;
+            len += 1;
+        })?;
+        Ok(sum_rates(sinrs[..len].iter().copied()))
+    }
+
+    /// Hand each packet's SINR to `sink`, in schedule order.
+    fn for_each_sinr(&self, sink: &mut dyn FnMut(PacketSinr)) -> Result<()> {
         let n = self.schedule.n_packets();
         assert_eq!(self.encoding.len(), n);
         assert_eq!(self.packet_power.len(), n);
         let one_grid = std::ptr::eq(self.true_grid, self.est_grid);
+        if self.is_two_antenna() {
+            let mut encoding = [[C64::zero(); 2]; INLINE];
+            for (e, v) in encoding.iter_mut().zip(self.encoding) {
+                *e = [v[0], v[1]];
+            }
+            self.run(&encoding[..n], one_grid, sink)
+        } else {
+            self.run(self.encoding, one_grid, sink)
+        }
+    }
+
+    /// Whether the decode can hold its vectors as `[C64; 2]`: two antennas,
+    /// at most [`INLINE`] packets, two-entry encodings, and 2×2 links in
+    /// both grids.
+    fn is_two_antenna(&self) -> bool {
+        self.schedule.antennas == 2
+            && self.schedule.n_packets() <= INLINE
+            && self.encoding.iter().all(|v| v.len() == 2)
+            && self.est_grid.link_shape() == (2, 2)
+            && self.true_grid.link_shape() == (2, 2)
+    }
+
+    /// The step loop, on images and decoding vectors of type `V`. Kept out
+    /// of line: `decode` and `rate` share one copy per representation.
+    #[inline(never)]
+    fn run<V: AntennaVector>(
+        &self,
+        encoding: &[V],
+        one_grid: bool,
+        sink: &mut dyn FnMut(PacketSinr),
+    ) -> Result<()> {
+        let n = self.schedule.n_packets();
+        let most_decoded = self.schedule.steps.iter().map(|s| s.decode.len()).max();
         let mut interferers = Interferers::new(n);
-        let mut est = Images::new(n);
-        let mut truth = Images::new(if one_grid { 0 } else { n });
-        let mut residual = Images::new(if one_grid { 0 } else { n });
-        let mut us = Vec::with_capacity(self.schedule.antennas);
-        let mut sinrs = Vec::with_capacity(n);
+        let mut est = Images::<V>::new(n);
+        let mut truth = Images::<V>::new(if one_grid { 0 } else { n });
+        let mut residual = Images::<V>::new(if one_grid { 0 } else { n });
+        let mut us = Images::<V>::new(most_decoded.unwrap_or(0));
         for step in &self.schedule.steps {
             let receiver = step.receiver;
             interferers.fill(step, n);
@@ -120,23 +183,26 @@ impl<G: Links> IacDecoder<'_, G> {
             let seen = || interf.iter().chain(&step.decode);
             // Decoding vectors are computed from the ESTIMATED grid: this is
             // all the receiver knows.
-            est.fill(self.est_grid, self.schedule, receiver, seen(), self.encoding);
-            us.clear();
-            step_vectors(step, interf, &est, &mut us)?;
+            est.fill(self.est_grid, self.schedule, receiver, seen(), encoding);
+            let us = &mut us[..step.decode.len()];
+            step_vectors(step, interf, &est, us)?;
             if !one_grid {
-                truth.fill(self.true_grid, self.schedule, receiver, seen(), self.encoding);
+                truth.fill(self.true_grid, self.schedule, receiver, seen(), encoding);
                 // Cancellation residuals: subtracted via the estimate, so
                 // what remains is the packet through (H − Ĥ).
                 for &c in &step.cancel {
                     let owner = self.schedule.owners[c];
-                    let h_err =
-                        self.true_grid.link(owner, receiver) - self.est_grid.link(owner, receiver);
-                    h_err.mul_vec_into(&self.encoding[c], &mut residual[c]);
+                    V::residual_into(
+                        self.true_grid.link(owner, receiver),
+                        self.est_grid.link(owner, receiver),
+                        &encoding[c],
+                        &mut residual[c],
+                    );
                 }
             }
-            let through_air: &[CVec] = if one_grid { &est } else { &truth };
+            let through_air: &[V] = if one_grid { &est } else { &truth };
             for (u, &p) in us.iter().zip(&step.decode) {
-                let power = |q: usize, img: &CVec| self.packet_power[q] * u.dot(img).norm_sqr();
+                let power = |q: usize, img: &V| self.packet_power[q] * u.dot(img).norm_sqr();
                 let mut num = 0.0;
                 let mut den = self.noise_power; // ‖u‖ = 1
                 // Signal through the true channel.
@@ -154,14 +220,18 @@ impl<G: Links> IacDecoder<'_, G> {
                         den += power(c, &residual[c]);
                     }
                 }
-                sinrs.push(PacketSinr {
+                let sinr = num / den;
+                if sinr.is_nan() {
+                    return Err(LinAlgError::Degenerate("NaN SINR"));
+                }
+                sink(PacketSinr {
                     packet: p,
                     receiver,
-                    sinr: num / den,
+                    sinr,
                 });
             }
         }
-        Ok(DecodeOutcome { sinrs })
+        Ok(())
     }
 }
 

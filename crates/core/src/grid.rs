@@ -24,11 +24,19 @@ pub enum Direction {
 pub trait Links {
     /// Channel from transmitter `tx` to receiver `rx`.
     fn link(&self, tx: usize, rx: usize) -> &CMat;
+
+    /// The `(rows, cols)` shape every link has.
+    fn link_shape(&self) -> (usize, usize);
 }
 
 impl Links for ChannelGrid {
     fn link(&self, tx: usize, rx: usize) -> &CMat {
         ChannelGrid::link(self, tx, rx)
+    }
+
+    /// [`ChannelGrid::new`] checks that every link has this shape.
+    fn link_shape(&self) -> (usize, usize) {
+        (self.rx_antennas(), self.tx_antennas())
     }
 }
 

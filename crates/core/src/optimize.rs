@@ -41,8 +41,8 @@ pub fn predicted_rate(
 /// The body of [`predicted_rate`], for callers that hold the schedule and
 /// the power split already. The decoder borrows `packet_power` for the
 /// call and hands it back, so a caller scoring many candidates never
-/// copies it. A decode that fails, or that yields a NaN SINR (a NaN
-/// estimate), scores 0.0.
+/// copies it. A decode that fails, a NaN SINR from a non-finite estimate
+/// included, scores 0.0.
 fn rate_on_estimates<G: Links>(
     est_grid: &G,
     schedule: &DecodeSchedule,
@@ -58,12 +58,7 @@ fn rate_on_estimates<G: Links>(
         packet_power: std::mem::take(packet_power),
         noise_power: noise,
     };
-    let rate = decoder
-        .decode()
-        .ok()
-        .filter(|o| !o.sinrs.iter().any(|p| p.sinr.is_nan()))
-        .map(|o| o.rate_bits_per_hz())
-        .unwrap_or(0.0);
+    let rate = decoder.rate().unwrap_or(0.0);
     *packet_power = decoder.packet_power;
     rate
 }
@@ -504,6 +499,10 @@ struct GroupLinks<'g> {
 impl Links for GroupLinks<'_> {
     fn link(&self, tx: usize, rx: usize) -> &CMat {
         self.grid.link(self.tx[tx], self.rx[rx])
+    }
+
+    fn link_shape(&self) -> (usize, usize) {
+        self.grid.link_shape()
     }
 }
 

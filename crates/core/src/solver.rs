@@ -22,8 +22,9 @@
 
 use crate::grid::{ChannelGrid, Links};
 use crate::schedule::{DecodeSchedule, DecodeStep};
-use iac_linalg::eig::{smallest_eigvec_hermitian, smallest_eigvecs_hermitian};
-use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64};
+use iac_linalg::eig::{smallest_eigvec2, smallest_eigvec_hermitian, smallest_eigvecs_hermitian};
+use iac_linalg::matrix::mul_vec2;
+use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64, C64};
 
 /// Solver knobs.
 #[derive(Debug, Clone)]
@@ -231,7 +232,7 @@ pub fn decoding_vectors(
     let step = &schedule.steps[step_index];
     let mut images = Images::new(schedule.n_packets());
     images.fill(grid, schedule, receiver, interf.iter().chain(&step.decode), encoding);
-    let mut out = Vec::with_capacity(step.decode.len());
+    let mut out = vec![CVec::default(); step.decode.len()];
     step_vectors(step, interf, &images, &mut out)?;
     Ok(out)
 }
@@ -239,24 +240,20 @@ pub fn decoding_vectors(
 /// [`decoding_vectors`] of `step` from precomputed images: `images[q]` must
 /// hold `H(owner(q), receiver)·v_q` for every packet of `interf` (the
 /// step's interference set, from [`DecodeSchedule::interference_sets`]) and
-/// of `step.decode`. The vectors are appended to `out` in decode order.
-pub(crate) fn step_vectors(
+/// of `step.decode`. The vector of `step.decode[k]` is written to `out[k]`.
+pub(crate) fn step_vectors<V: AntennaVector>(
     step: &DecodeStep,
     interf: &[usize],
-    images: &[CVec],
-    out: &mut Vec<CVec>,
+    images: &[V],
+    out: &mut [V],
 ) -> Result<()> {
-    for &p in &step.decode {
+    for (&p, slot) in step.decode.iter().zip(out) {
         // Constraint covariance: true interferers + co-scheduled packets.
-        let m = images[p].len();
-        let mut q = CMat::zeros(m, m);
         let nuisance = interf
             .iter()
-            .chain(step.decode.iter().filter(|&&q| q != p));
-        for &j in nuisance {
-            add_outer(&mut q, &images[j]);
-        }
-        let mut u = smallest_eigvec_hermitian(&q)?;
+            .chain(step.decode.iter().filter(|&&q| q != p))
+            .map(|&j| &images[j]);
+        let mut u = V::least_captured(&images[p], nuisance)?;
         // Phase-normalise so u·(H v_p) is real positive (cosmetic: makes the
         // effective scalar channel deterministic for tests).
         let sig = u.dot(&images[p]);
@@ -264,30 +261,120 @@ pub(crate) fn step_vectors(
         if mag > 1e-12 {
             u = u.scale_c((sig * (1.0 / mag)).conj());
         }
-        out.push(u);
+        *slot = u;
     }
     Ok(())
 }
 
-/// Per-packet images `H(owner(q), rx)·v_q` at one receiver, indexed by
-/// packet. Up to [`Images::INLINE`] packets live on the stack, and a
-/// 2-antenna image is itself inline, so filling them does not allocate.
-pub(crate) struct Images {
-    inline: [CVec; Images::INLINE],
-    heap: Vec<CVec>,
+/// An image `H·v` or a decoding vector, as one decode holds it: a [`CVec`]
+/// for any antenna count, or a `[C64; 2]` whose arithmetic is written out
+/// for two antennas. Each operation computes the same bits in both.
+pub(crate) trait AntennaVector: Clone + Default {
+    /// `out = link·x`, as [`CMat::mul_vec_into`].
+    fn image_into(link: &CMat, x: &Self, out: &mut Self);
+    /// `out = (truth − est)·x`: a cancellation residual.
+    fn residual_into(truth: &CMat, est: &CMat, x: &Self, out: &mut Self);
+    /// The smallest eigenvector of `Σ x·xᴴ` over `nuisance`, summed in the
+    /// order given, in the dimension of `signal`.
+    fn least_captured<'a>(
+        signal: &Self,
+        nuisance: impl Iterator<Item = &'a Self>,
+    ) -> Result<Self>
+    where
+        Self: 'a;
+    /// The Hermitian inner product `⟨self, x⟩`, as [`CVec::dot`].
+    fn dot(&self, x: &Self) -> C64;
+    /// Every entry times `k`, as [`CVec::scale_c`].
+    fn scale_c(&self, k: C64) -> Self;
 }
 
-impl Images {
-    /// Packets that fit without a heap block (a 2m-packet schedule up to
-    /// m = 4 does).
-    const INLINE: usize = 8;
+impl AntennaVector for CVec {
+    fn image_into(link: &CMat, x: &Self, out: &mut Self) {
+        link.mul_vec_into(x, out);
+    }
 
+    fn residual_into(truth: &CMat, est: &CMat, x: &Self, out: &mut Self) {
+        (truth - est).mul_vec_into(x, out);
+    }
+
+    fn least_captured<'a>(
+        signal: &Self,
+        nuisance: impl Iterator<Item = &'a Self>,
+    ) -> Result<Self> {
+        let m = signal.len();
+        let mut q = CMat::zeros(m, m);
+        for img in nuisance {
+            add_outer(&mut q, img);
+        }
+        smallest_eigvec_hermitian(&q)
+    }
+
+    fn dot(&self, x: &Self) -> C64 {
+        CVec::dot(self, x)
+    }
+
+    fn scale_c(&self, k: C64) -> Self {
+        CVec::scale_c(self, k)
+    }
+}
+
+/// The 2×2 link of a two-antenna decode.
+fn link2(link: &CMat) -> &[C64; 4] {
+    link.as_2x2().expect("a two-antenna decode reads 2×2 links")
+}
+
+impl AntennaVector for [C64; 2] {
+    fn image_into(link: &CMat, x: &Self, out: &mut Self) {
+        *out = mul_vec2(link2(link), x);
+    }
+
+    fn residual_into(truth: &CMat, est: &CMat, x: &Self, out: &mut Self) {
+        let (t, e) = (link2(truth), link2(est));
+        *out = mul_vec2(&std::array::from_fn(|k| t[k] - e[k]), x);
+    }
+
+    fn least_captured<'a>(_: &Self, nuisance: impl Iterator<Item = &'a Self>) -> Result<Self> {
+        // `add_outer`, entry by entry.
+        let mut q = [C64::zero(); 4];
+        for img in nuisance {
+            for r in 0..2 {
+                for c in 0..2 {
+                    q[2 * r + c] += img[r] * img[c].conj();
+                }
+            }
+        }
+        smallest_eigvec2(&q)
+    }
+
+    fn dot(&self, x: &Self) -> C64 {
+        self.iter().zip(x).map(|(a, b)| a.conj() * *b).sum()
+    }
+
+    fn scale_c(&self, k: C64) -> Self {
+        self.map(|z| z * k)
+    }
+}
+
+/// Packets whose images fit without a heap block (a 2m-packet schedule up
+/// to m = 4 does).
+pub(crate) const INLINE: usize = 8;
+
+/// Per-packet images `H(owner(q), rx)·v_q` at one receiver (or one step's
+/// decoding vectors), indexed by packet. Up to [`INLINE`] packets live on
+/// the stack, and a 2-antenna vector is itself inline, so filling them does
+/// not allocate.
+pub(crate) struct Images<V> {
+    inline: [V; INLINE],
+    heap: Vec<V>,
+}
+
+impl<V: AntennaVector> Images<V> {
     /// Slots for packets `0..n`.
     pub(crate) fn new(n: usize) -> Self {
         Self {
             inline: Default::default(),
-            heap: if n > Self::INLINE {
-                vec![CVec::default(); n]
+            heap: if n > INLINE {
+                vec![V::default(); n]
             } else {
                 Vec::new()
             },
@@ -302,21 +389,21 @@ impl Images {
         schedule: &DecodeSchedule,
         receiver: usize,
         packets: impl IntoIterator<Item = &'p usize>,
-        encoding: &[CVec],
+        encoding: &[V],
     ) {
         for &q in packets {
-            grid.link(schedule.owners[q], receiver)
-                .mul_vec_into(&encoding[q], &mut self[q]);
+            let link = grid.link(schedule.owners[q], receiver);
+            V::image_into(link, &encoding[q], &mut self[q]);
         }
     }
 }
 
 /// One step's interference set: the packets neither cancelled nor decoded
 /// there, ascending, as [`DecodeSchedule::interference_sets`] lists them.
-/// Up to [`Images::INLINE`] packets live on the stack.
+/// Up to [`INLINE`] packets live on the stack.
 pub(crate) struct Interferers {
     len: usize,
-    inline: [usize; Images::INLINE],
+    inline: [usize; INLINE],
     heap: Vec<usize>,
 }
 
@@ -325,8 +412,8 @@ impl Interferers {
     pub(crate) fn new(n: usize) -> Self {
         Self {
             len: 0,
-            inline: [0; Images::INLINE],
-            heap: if n > Images::INLINE { vec![0; n] } else { Vec::new() },
+            inline: [0; INLINE],
+            heap: if n > INLINE { vec![0; n] } else { Vec::new() },
         }
     }
 
@@ -358,9 +445,9 @@ impl std::ops::Deref for Interferers {
     }
 }
 
-impl std::ops::Deref for Images {
-    type Target = [CVec];
-    fn deref(&self) -> &[CVec] {
+impl<V> std::ops::Deref for Images<V> {
+    type Target = [V];
+    fn deref(&self) -> &[V] {
         if self.heap.is_empty() {
             &self.inline
         } else {
@@ -369,8 +456,8 @@ impl std::ops::Deref for Images {
     }
 }
 
-impl std::ops::DerefMut for Images {
-    fn deref_mut(&mut self) -> &mut [CVec] {
+impl<V> std::ops::DerefMut for Images<V> {
+    fn deref_mut(&mut self) -> &mut [V] {
         if self.heap.is_empty() {
             &mut self.inline
         } else {

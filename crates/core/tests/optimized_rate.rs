@@ -1,11 +1,13 @@
 //! The rate an optimiser reports for its winner is the winner's
 //! `predicted_rate`, bit for bit. fig15's group scorer relies on this to
-//! skip a second decode of every winning configuration.
+//! skip a second decode of every winning configuration. A non-finite
+//! estimate scores, decodes and rates without a panic.
 
 use iac_channel::estimation::EstimationConfig;
+use iac_core::decoder::{equal_split_powers, IacDecoder};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::optimize::{self, predicted_rate, Optimized};
-use iac_linalg::{Result, Rng64};
+use iac_linalg::{CMat, LinAlgError, Result, Rng64, C64};
 
 const GRIDS: usize = 200;
 const POWER: f64 = 1.0;
@@ -62,4 +64,67 @@ fn downlink3_reports_its_winners_predicted_rate() {
     check(Direction::Downlink, 3, 33, |g, _| {
         optimize::downlink3_optimized(g, POWER, NOISE)
     });
+}
+
+/// `grid` with entry `(0, 0)` of link `(tx, rx)` set to `value`.
+fn with_entry(grid: &ChannelGrid, tx: usize, rx: usize, value: C64) -> ChannelGrid {
+    let h: Vec<Vec<CMat>> = (0..grid.transmitters())
+        .map(|t| {
+            (0..grid.receivers())
+                .map(|r| {
+                    let mut link = grid.link(t, r).clone();
+                    if (t, r) == (tx, rx) {
+                        link[(0, 0)] = value;
+                    }
+                    link
+                })
+                .collect()
+        })
+        .collect();
+    ChannelGrid::new(grid.direction(), h)
+}
+
+/// A NaN or +∞ entry in one estimated link, through `uplink4_optimized`,
+/// the decode of its winner on the true and on the estimated channels, and
+/// `rate_bits_per_hz`: each step returns an error or a rate that is not NaN
+/// (0.0 for a failed score). A NaN SINR used to reach the rate sum's
+/// `assert!(s >= 0.0)` and panic; the decoder now returns an error instead.
+#[test]
+fn non_finite_estimates_score_and_decode_without_panicking() {
+    let mut rng = Rng64::new(29);
+    let est_cfg = EstimationConfig::paper_default();
+    let mut errors = 0;
+    for _ in 0..20 {
+        let truth = ChannelGrid::random(Direction::Uplink, 3, 3, 2, 2, &mut rng);
+        let est = truth.estimated(&est_cfg, &mut rng);
+        for (tx, rx) in (0..3).flat_map(|t| (0..3).map(move |r| (t, r))) {
+            for value in [C64::new(f64::NAN, 0.0), C64::new(f64::INFINITY, 0.0)] {
+                let bad = with_entry(&est, tx, rx, value);
+                let Ok(best) = optimize::uplink4_optimized(&bad, POWER, NOISE) else {
+                    errors += 1;
+                    continue;
+                };
+                assert!(!best.rate.is_nan(), "score of a {value} link");
+                for true_grid in [&truth, &bad] {
+                    let decoded = IacDecoder {
+                        true_grid,
+                        est_grid: &bad,
+                        schedule: &best.schedule,
+                        encoding: &best.encoding,
+                        packet_power: equal_split_powers(&best.schedule, POWER),
+                        noise_power: NOISE,
+                    }
+                    .decode();
+                    match decoded {
+                        Ok(out) => assert!(!out.rate_bits_per_hz().is_nan()),
+                        Err(e) => {
+                            assert!(matches!(e, LinAlgError::Degenerate(_)), "{e}");
+                            errors += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(errors > 0, "no hostile estimate reached an error path");
 }

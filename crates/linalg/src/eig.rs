@@ -38,12 +38,18 @@ pub fn eig2(a: &CMat) -> Result<[(C64, CVec); 2]> {
 fn eigvec2(a: &CMat, lambda: C64) -> Result<CVec> {
     // (A − λI)v = 0. Rows of (A − λI) are both orthogonal (unconjugated) to
     // v; use whichever row is better conditioned.
+    // Each `|·|` is one `hypot`, computed once for both the row choice and
+    // the zero test.
     let r0 = [a[(0, 0)] - lambda, a[(0, 1)]];
     let r1 = [a[(1, 0)], a[(1, 1)] - lambda];
-    let n0 = r0[0].abs() + r0[1].abs();
-    let n1 = r1[0].abs() + r1[1].abs();
-    let row = if n0 >= n1 { r0 } else { r1 };
-    let v = if row[0].abs().max(row[1].abs()) < 1e-14 {
+    let m0 = [r0[0].abs(), r0[1].abs()];
+    let m1 = [r1[0].abs(), r1[1].abs()];
+    let (row, mag) = if m0[0] + m0[1] >= m1[0] + m1[1] {
+        (r0, m0)
+    } else {
+        (r1, m1)
+    };
+    let v = if mag[0].max(mag[1]) < 1e-14 {
         // A − λI ≈ 0: every vector is an eigenvector.
         CVec::basis(2, 0)
     } else {
@@ -84,7 +90,7 @@ pub fn power_iteration(a: &CMat, iters: usize, seed_vec: &CVec) -> Result<(C64, 
 /// one pair.
 pub fn eigh(a: &CMat) -> Result<(Vec<f64>, CMat)> {
     check_eigh_input(a)?;
-    if a.rows() == 2 {
+    if let Some(a) = a.as_2x2() {
         let (d, v) = jacobi2(a);
         let (lo, hi) = if ascending2(d)? { (0, 1) } else { (1, 0) };
         let vv = CMat::from_fn(2, 2, |r, c| v[2 * r + if c == 0 { lo } else { hi }]);
@@ -206,14 +212,16 @@ fn jacobi_rotation(app: f64, aqq: f64, g: f64) -> (f64, f64) {
     (c, c * t)
 }
 
-/// [`eigh`]'s cyclic Jacobi on a checked 2×2 input, written out for its one
-/// pair `(p, q) = (0, 1)`: the same tolerance, sweep cap, phase step and
-/// rotation, each float operation with the same operands in the same
-/// order. Returns the final diagonal (unsorted) and `V` row-major.
-fn jacobi2(a: &CMat) -> ([f64; 2], [C64; 4]) {
-    let [mut m00, mut m01, mut m10, mut m11] = [a[(0, 0)], a[(0, 1)], a[(1, 0)], a[(1, 1)]];
+/// [`eigh`]'s cyclic Jacobi on a checked 2×2 input (row-major), written out
+/// for its one pair `(p, q) = (0, 1)`: the same tolerance, sweep cap, phase
+/// step and rotation, each float operation with the same operands in the
+/// same order. Returns the final diagonal (unsorted) and `V` row-major.
+fn jacobi2(a: &[C64; 4]) -> ([f64; 2], [C64; 4]) {
+    let [mut m00, mut m01, mut m10, mut m11] = *a;
     let [mut v00, mut v01, mut v10, mut v11] = [C64::one(), C64::zero(), C64::zero(), C64::one()];
-    let tol = 1e-14 * a.frobenius_norm().max(1.0);
+    // `CMat::frobenius_norm` of the entries.
+    let frobenius = a.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt();
+    let tol = 1e-14 * frobenius.max(1.0);
     for _ in 0..60 {
         let off = 0.0 + m01.norm_sqr();
         if off.sqrt() <= tol {
@@ -255,16 +263,26 @@ fn ascending2(d: [f64; 2]) -> Result<bool> {
 /// The eigenvector of a Hermitian matrix with the smallest eigenvalue — the
 /// least-interfered direction, used by the leakage-minimising alignment
 /// solver (receive side) and its reciprocal (transmit side). A 2×2 input
-/// forms neither the eigenvalue list nor `V`.
+/// takes [`smallest_eigvec2`].
 pub fn smallest_eigvec_hermitian(a: &CMat) -> Result<CVec> {
-    if a.shape() == (2, 2) {
-        check_eigh_input(a)?;
-        let (d, v) = jacobi2(a);
-        let j = if ascending2(d)? { 0 } else { 1 };
-        return Ok([v[j], v[2 + j]].into_iter().collect());
+    if let Some(a) = a.as_2x2() {
+        return smallest_eigvec2(a).map(|u| u.into_iter().collect());
     }
     let (_, v) = eigh(a)?;
     Ok(v.col(0))
+}
+
+/// [`smallest_eigvec_hermitian`] of a 2×2 Hermitian matrix given row-major,
+/// bit for bit, forming neither the eigenvalue list nor `V`: the same
+/// finiteness check, [`eigh`]'s Jacobi iteration and its sort order. A NaN
+/// or infinite entry is an error.
+pub fn smallest_eigvec2(a: &[C64; 4]) -> Result<[C64; 2]> {
+    if !a.iter().all(|z| z.is_finite()) {
+        return Err(NON_FINITE);
+    }
+    let (d, v) = jacobi2(a);
+    let j = if ascending2(d)? { 0 } else { 1 };
+    Ok([v[j], v[2 + j]])
 }
 
 /// The `k` eigenvectors with smallest eigenvalues of a Hermitian matrix.

@@ -127,6 +127,26 @@ impl CMat {
         &self.data
     }
 
+    /// The entries of a 2×2 matrix, row-major; `None` for any other shape.
+    #[inline]
+    pub fn as_2x2(&self) -> Option<&[C64; 4]> {
+        if self.shape() == (2, 2) {
+            (*self.data).try_into().ok()
+        } else {
+            None
+        }
+    }
+
+    /// A 2×2 matrix from its entries, row-major.
+    #[inline]
+    pub(crate) fn from_2x2(entries: [C64; 4]) -> Self {
+        Self {
+            rows: 2,
+            cols: 2,
+            data: entries.into_iter().collect(),
+        }
+    }
+
     /// Extract row `r` as a vector.
     pub fn row(&self, r: usize) -> CVec {
         assert!(r < self.rows);
@@ -176,6 +196,7 @@ impl CMat {
 
     /// [`CMat::mul_vec`] into a caller-owned vector (resized to `rows` only
     /// when it does not already fit, so a reused buffer never reallocates).
+    /// A 2×2 matrix takes [`mul_vec2`], the same chains written out.
     pub fn mul_vec_into(&self, x: &CVec, out: &mut CVec) {
         assert_eq!(
             x.len(),
@@ -186,8 +207,16 @@ impl CMat {
             x.len()
         );
         out.resize(self.rows);
-        let xs = x.as_slice();
-        for (row, o) in self.data.chunks_exact(self.cols).zip(out.as_mut_slice()) {
+        match (self.as_2x2(), x.as_slice()) {
+            (Some(a), &[x0, x1]) => out.as_mut_slice().copy_from_slice(&mul_vec2(a, &[x0, x1])),
+            (_, xs) => self.mul_vec_loop(xs, out.as_mut_slice()),
+        }
+    }
+
+    /// The generic body of [`CMat::mul_vec_into`]: one `mul_add` chain per
+    /// row, from a zero accumulator.
+    fn mul_vec_loop(&self, xs: &[C64], out: &mut [C64]) {
+        for (row, o) in self.data.chunks_exact(self.cols).zip(out) {
             let mut acc = C64::zero();
             for (&a, &xc) in row.iter().zip(xs) {
                 acc = a.mul_add(xc, acc);
@@ -199,13 +228,21 @@ impl CMat {
     /// Matrix product `A·B`: i-k-j loop order over the raw row-major slices,
     /// so the inner loop walks both `B`'s row and the output row
     /// sequentially (cache-friendly, `mul_add` accumulation, no per-element
-    /// index arithmetic).
+    /// index arithmetic). Two 2×2 factors take the same chains written out.
     pub fn mul_mat(&self, b: &Self) -> Self {
         assert_eq!(
             self.cols, b.rows,
             "mul_mat: {}x{} by {}x{}",
             self.rows, self.cols, b.rows, b.cols
         );
+        match (self.as_2x2(), b.as_2x2()) {
+            (Some(a2), Some(b2)) => Self::from_2x2(mul_mat2(a2, b2)),
+            _ => self.mul_mat_loop(b),
+        }
+    }
+
+    /// The generic body of [`CMat::mul_mat`].
+    fn mul_mat_loop(&self, b: &Self) -> Self {
         let mut out = Self::zeros(self.rows, b.cols);
         for (arow, orow) in self
             .data
@@ -384,6 +421,26 @@ impl CMat {
             }
         })
     }
+}
+
+/// [`CMat::mul_vec`] of a 2×2 matrix, given row-major, by a two-entry
+/// vector: each row's `mul_add` chain from a zero accumulator, written out.
+#[inline]
+pub fn mul_vec2(a: &[C64; 4], x: &[C64; 2]) -> [C64; 2] {
+    let z = C64::zero();
+    [
+        a[1].mul_add(x[1], a[0].mul_add(x[0], z)),
+        a[3].mul_add(x[1], a[2].mul_add(x[0], z)),
+    ]
+}
+
+/// [`CMat::mul_mat`] of two row-major 2×2 matrices: entry `(r, c)` is the
+/// generic loop's `mul_add` chain over `k`, from a zero entry.
+#[inline]
+fn mul_mat2(a: &[C64; 4], b: &[C64; 4]) -> [C64; 4] {
+    let z = C64::zero();
+    let entry = |r: usize, c: usize| a[2 * r + 1].mul_add(b[2 + c], a[2 * r].mul_add(b[c], z));
+    [entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1)]
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -603,6 +660,58 @@ mod tests {
         let h = &a + &a.hermitian(); // A + Aᴴ is Hermitian
         assert!(h.is_hermitian(1e-12));
         assert!(!a.is_hermitian(1e-12));
+    }
+
+    fn bits(z: &[C64]) -> Vec<(u64, u64)> {
+        z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// A 2×2 matrix or 2-vector entry: a `CN(0,1)` draw, scaled by 1 or
+    /// 1e±150, or (one time in five) a signed zero in either part.
+    fn spiky(rng: &mut Rng64) -> C64 {
+        let z = rng.cn01().scale(*rng.pick(&[1.0, 1.0, 1e-150, 1e150]));
+        match rng.next_u64() % 10 {
+            0 => C64::new(-0.0, z.im),
+            1 => C64::new(z.re, -0.0),
+            2 => C64::new(0.0, -0.0),
+            _ => z,
+        }
+    }
+
+    /// The 2×2 `mul_mat` and `mul_vec_into` bodies against the generic loops,
+    /// bit for bit: the same `mul_add` chains from a `+0` accumulator decide
+    /// even the sign of a zero result.
+    #[test]
+    fn products_2x2_match_generic_loops_bitwise() {
+        let mut rng = Rng64::new(10);
+        let zeros = [C64::new(-0.0, -0.0), C64::new(0.0, -0.0), C64::new(-0.0, 0.0)];
+        for i in 0..20_000 {
+            let (a, b, x) = if i < 27 {
+                // Every signed-zero pattern against a signed zero.
+                let z = |k: usize| zeros[k % 3];
+                (
+                    CMat::from_fn(2, 2, |r, c| z(i + r + c)),
+                    CMat::from_fn(2, 2, |r, c| z(i / 3 + r * c)),
+                    CVec::from_fn(2, |r| z(i / 9 + r)),
+                )
+            } else {
+                (
+                    CMat::from_fn(2, 2, |_, _| spiky(&mut rng)),
+                    CMat::from_fn(2, 2, |_, _| spiky(&mut rng)),
+                    CVec::from_fn(2, |_| spiky(&mut rng)),
+                )
+            };
+            assert_eq!(
+                bits(a.mul_mat(&b).as_slice()),
+                bits(a.mul_mat_loop(&b).as_slice()),
+                "mul_mat of\n{a}by\n{b}"
+            );
+            let mut fast = CVec::zeros(3);
+            a.mul_vec_into(&x, &mut fast);
+            let mut slow = [C64::zero(); 2];
+            a.mul_vec_loop(x.as_slice(), &mut slow);
+            assert_eq!(bits(fast.as_slice()), bits(&slow), "mul_vec of\n{a}by {x}");
+        }
     }
 
     #[test]

@@ -22,10 +22,13 @@ pub struct Svd {
 }
 
 impl Svd {
-    /// Compute the SVD of any rectangular matrix.
+    /// Compute the SVD of any rectangular matrix. A 2×2 input runs the
+    /// one-sided Jacobi written out for its two columns.
     pub fn compute(a: &CMat) -> Self {
         let (m, n) = a.shape();
-        if m >= n {
+        if let Some(entries) = a.as_2x2() {
+            compute2(entries).unwrap_or_else(|| Self::compute_tall(a))
+        } else if m >= n {
             Self::compute_tall(a)
         } else {
             // A = U Σ Vᴴ  ⇔  Aᴴ = V Σ Uᴴ; compute on the transpose and swap.
@@ -89,6 +92,80 @@ impl Svd {
         });
         self.u.mul_mat(&s).mul_mat(&self.v.hermitian())
     }
+}
+
+/// [`Svd::compute_tall`] of a 2×2 matrix (row-major), bit for bit: the same
+/// rotations of the column pair `(0, 1)` as [`orthogonalize_columns`], each
+/// float operation with the same operands in the same order, then the same
+/// descending `total_cmp` order and column scaling. `None` when a singular
+/// value fails the `s > smax·1e-300` test (a zero or NaN column), where
+/// `compute_tall` completes `U` instead.
+fn compute2(a: &[C64; 4]) -> Option<Svd> {
+    let [mut g00, mut g01, mut g10, mut g11] = *a;
+    let [mut v00, mut v01, mut v10, mut v11] = [C64::one(), C64::zero(), C64::zero(), C64::one()];
+    // `CVec::norm_sqr` and `CVec::dot` of two columns.
+    let norm_sqr = |x: [C64; 2]| x.iter().map(|z| z.norm_sqr()).sum::<f64>();
+    let dot =
+        |x: [C64; 2], y: [C64; 2]| -> C64 { x.iter().zip(&y).map(|(a, b)| a.conj() * *b).sum() };
+    let tol = 1e-14;
+    for _sweep in 0..60 {
+        let app = norm_sqr([g00, g10]);
+        let aqq = norm_sqr([g01, g11]);
+        let apq = dot([g00, g10], [g01, g11]);
+        let off = apq.abs();
+        if off <= tol * (app * aqq).sqrt() || off < 1e-150 {
+            break;
+        }
+        let phase = apq * (1.0 / off);
+        let phase_conj = phase.conj();
+        g01 *= phase_conj;
+        g11 *= phase_conj;
+        v01 *= phase_conj;
+        v11 *= phase_conj;
+        let gamma = off;
+        let tau = (aqq - app) / (2.0 * gamma);
+        let t = if tau >= 0.0 {
+            1.0 / (tau + (1.0 + tau * tau).sqrt())
+        } else {
+            -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+        };
+        let c = 1.0 / (1.0 + t * t).sqrt();
+        let s = c * t;
+        let rot = |xp: C64, xq: C64| (xp.scale(c) - xq.scale(s), xp.scale(s) + xq.scale(c));
+        (g00, g01) = rot(g00, g01);
+        (g10, g11) = rot(g10, g11);
+        (v00, v01) = rot(v00, v01);
+        (v10, v11) = rot(v10, v11);
+    }
+    let cols = [[g00, g10], [g01, g11]];
+    let v_cols = [[v00, v10], [v01, v11]];
+    let norms = cols.map(|x| norm_sqr(x).sqrt());
+    // The stable descending sort puts column 1 first only when its norm is
+    // strictly larger in the total order.
+    let order = if norms[0].total_cmp(&norms[1]).is_lt() {
+        [1, 0]
+    } else {
+        [0, 1]
+    };
+    let smax = norms[order[0]];
+    let mut u = [C64::zero(); 4];
+    let mut v = [C64::zero(); 4];
+    for (slot, j) in order.into_iter().enumerate() {
+        let s = norms[j];
+        if !(smax > 0.0 && s > smax * 1e-300 && s > 0.0) {
+            return None;
+        }
+        let k = 1.0 / s;
+        for r in 0..2 {
+            u[2 * r + slot] = cols[j][r].scale(k);
+            v[2 * r + slot] = v_cols[j][r];
+        }
+    }
+    Some(Svd {
+        u: CMat::from_2x2(u),
+        singular_values: vec![norms[order[0]], norms[order[1]]],
+        v: CMat::from_2x2(v),
+    })
 }
 
 /// Singular values of `a`, descending: [`Svd::compute`]'s
@@ -307,6 +384,65 @@ mod tests {
         assert_sigma_matches_svd(&CMat::from_cols(&[c.clone(), c.scale(-3.0)]));
         assert_sigma_matches_svd(&CMat::zeros(2, 2));
         assert_sigma_matches_svd(&CMat::identity(2));
+    }
+
+    fn bits(m: &CMat) -> Vec<(u64, u64)> {
+        m.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// The 2×2 path of `Svd::compute` must match `compute_tall` bit for bit,
+    /// in `U`, `σ` and `V`.
+    fn assert_svd2_matches_tall(a: &CMat) {
+        let fast = Svd::compute(a);
+        let tall = Svd::compute_tall(a);
+        let sigma = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            sigma(&fast.singular_values),
+            sigma(&tall.singular_values),
+            "σ of\n{a}"
+        );
+        assert_eq!(bits(&fast.u), bits(&tall.u), "U of\n{a}");
+        assert_eq!(bits(&fast.v), bits(&tall.v), "V of\n{a}");
+    }
+
+    #[test]
+    fn svd2_matches_compute_tall_bitwise() {
+        let mut rng = Rng64::new(307);
+        for _ in 0..10_000 {
+            let scale = *rng.pick(&[1.0, 1.0, 1e-150, 1e150]);
+            assert_svd2_matches_tall(&CMat::random(2, 2, &mut rng).scale(scale));
+        }
+        let r = C64::real;
+        let m = |e: [C64; 4]| CMat::new(2, 2, e.to_vec());
+        let c = CVec::from_real(&[1.0, 2.0]);
+        let cases = [
+            // Diagonal, either order, and a tie.
+            m([r(3.0), r(0.0), r(0.0), r(1.0)]),
+            m([r(1.0), r(0.0), r(0.0), r(3.0)]),
+            m([r(2.0), r(0.0), r(0.0), C64::new(0.0, 2.0)]),
+            CMat::identity(2),
+            // Rank one: parallel columns.
+            CMat::from_cols(&[c.clone(), c.scale(-3.0)]),
+            CMat::from_cols(&[c.clone(), c.scale_c(C64::new(0.5, -2.0))]),
+            // A zero column, first or second, and all zero: U is completed.
+            CMat::from_cols(&[CVec::zeros(2), c.clone()]),
+            CMat::from_cols(&[c.clone(), CVec::zeros(2)]),
+            CMat::zeros(2, 2),
+            // Signed zeros.
+            m([C64::new(-0.0, 0.0), r(1.0), r(1.0), C64::new(0.0, -0.0)]),
+            // Extreme scales, mixed within one matrix.
+            m([r(1e150), r(1e-150), r(1e-150), r(1e150)]),
+            m([r(1e-150), r(0.0), r(0.0), r(1e150)]),
+            // Non-finite entries.
+            m([C64::new(f64::NAN, 0.0), r(1.0), r(0.0), r(1.0)]),
+            m([C64::new(f64::INFINITY, 0.0), r(1.0), r(0.0), r(1.0)]),
+        ];
+        for a in &cases {
+            assert_svd2_matches_tall(a);
+        }
     }
 
     #[test]
