@@ -2,8 +2,10 @@
 //! step, skips the cancellation residuals when both grids are one object,
 //! and holds a two-antenna decode's vectors as `[C64; 2]` arrays. None of
 //! that may change a single bit: this test pins its SINRs against a copy of
-//! the straightforward per-term loop, on separate true and estimated grids,
-//! on one shared grid, and on two equal grids. Every fixture but
+//! the straightforward per-term loop, which forms every residual, on
+//! separate true and estimated grids, on one shared grid, and on two equal
+//! grids; the shared and equal decodes must also agree with each other.
+//! Every fixture but
 //! `uplink6_m3_decode_matches_reference` is two-antenna, so those pin the
 //! array path; the three-antenna schedule pins the `CVec` path. Hostile
 //! links (NaN, ±∞, zero, 1e±150, rank one) must give the same bits or the
@@ -21,13 +23,22 @@ use iac_linalg::{CMat, CVec, LinAlgError, Result, Rng64, C64};
 const DRAWS: usize = 300;
 const NOISE: f64 = 0.05;
 
+/// Whether every entry of every link of `grid` is finite.
+fn all_finite(grid: &ChannelGrid) -> bool {
+    (0..grid.transmitters()).all(|t| {
+        (0..grid.receivers()).all(|r| grid.link(t, r).as_slice().iter().all(|z| z.is_finite()))
+    })
+}
+
 /// The decode loop as a direct transcription of the model: every term
-/// recomputes its own image, and every cancellation residual is formed
-/// unless both grids are one object (the decoder defines that decode as
-/// the leader's, with `H − Ĥ` exactly zero). A NaN SINR is an error.
+/// recomputes its own image, and every cancellation residual is formed.
+/// The one exception is a shared grid with a non-finite link: the decoder
+/// defines `H − Ĥ` on one grid as exactly zero, which the formula gives for
+/// finite links only (`∞ − ∞` is NaN), so there the residuals are left out.
+/// A NaN SINR is an error.
 fn reference_sinrs(dec: &IacDecoder) -> Result<Vec<f64>> {
     let schedule = dec.schedule;
-    let one_grid = std::ptr::eq(dec.true_grid, dec.est_grid);
+    let residuals = !std::ptr::eq(dec.true_grid, dec.est_grid) || all_finite(dec.est_grid);
     let sets = schedule.interference_sets();
     let mut sinrs = Vec::new();
     for (step_idx, step) in schedule.steps.iter().enumerate() {
@@ -64,7 +75,7 @@ fn reference_sinrs(dec: &IacDecoder) -> Result<Vec<f64>> {
                 }
                 den += dec.packet_power[q] * u.dot(&image(dec.true_grid, q)).norm_sqr();
             }
-            for &c in step.cancel.iter().filter(|_| !one_grid) {
+            for &c in step.cancel.iter().filter(|_| residuals) {
                 let h_err = dec.true_grid.link(schedule.owners[c], receiver)
                     - dec.est_grid.link(schedule.owners[c], receiver);
                 let img = h_err.mul_vec(&dec.encoding[c]);
@@ -79,14 +90,18 @@ fn reference_sinrs(dec: &IacDecoder) -> Result<Vec<f64>> {
     Ok(sinrs)
 }
 
-/// Compare the decoder with the reference; returns whether it decoded.
-fn assert_same(dec: &IacDecoder, what: &str) -> bool {
-    let fast = dec
-        .decode()
-        .map(|o| o.sinrs.iter().map(|p| p.sinr.to_bits()).collect::<Vec<_>>());
+/// The decoder's SINR bits, or its error.
+fn decoded_bits(dec: &IacDecoder) -> Result<Vec<u64>> {
+    dec.decode()
+        .map(|o| o.sinrs.iter().map(|p| p.sinr.to_bits()).collect())
+}
+
+/// Compare the decoder with the reference; returns the decoder's bits.
+fn assert_same(dec: &IacDecoder, what: &str) -> Result<Vec<u64>> {
+    let fast = decoded_bits(dec);
     let slow = reference_sinrs(dec).map(|s| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
     assert_eq!(fast, slow, "{what}");
-    fast.is_ok()
+    fast
 }
 
 /// The decoder on `(true_grid, est_grid)` with the paper's power split.
@@ -106,7 +121,8 @@ fn decoder<'a>(
 }
 
 /// Draw grids of one shape, align on the estimates, and compare the decoder
-/// with the reference three ways.
+/// with the reference three ways; the one-grid decode, which skips the
+/// residuals, must also give the bits of the decode on an equal copy.
 fn check(
     direction: Direction,
     nodes: usize,
@@ -123,10 +139,15 @@ fn check(
             continue;
         };
         let copy = est.clone();
-        for (true_grid, label) in [(&truth, "separate"), (&est, "shared"), (&copy, "equal")] {
-            let dec = decoder(true_grid, &est, &cfg);
-            assert_same(&dec, &format!("{direction:?} draw {i}, {label} grids"));
-        }
+        let [_, shared, equal] =
+            [(&truth, "separate"), (&est, "shared"), (&copy, "equal")].map(|(true_grid, label)| {
+                let dec = decoder(true_grid, &est, &cfg);
+                assert_same(&dec, &format!("{direction:?} draw {i}, {label} grids"))
+            });
+        assert_eq!(
+            shared, equal,
+            "{direction:?} draw {i}, shared vs equal grids"
+        );
         decoded += 1;
     }
     assert!(
@@ -184,13 +205,14 @@ fn uplink6_m3_decode_matches_reference() {
             encoding: solution.encoding,
         };
         let copy = est.clone();
-        for (true_grid, label) in [(&truth, "separate"), (&est, "shared"), (&copy, "equal")] {
-            let dec = decoder(true_grid, &est, &cfg);
-            assert!(
-                assert_same(&dec, &format!("m = 3 draw {i}, {label} grids")),
-                "m = 3 draw {i} decodes"
-            );
-        }
+        let [_, shared, equal] =
+            [(&truth, "separate"), (&est, "shared"), (&copy, "equal")].map(|(true_grid, label)| {
+                let dec = decoder(true_grid, &est, &cfg);
+                let bits = assert_same(&dec, &format!("m = 3 draw {i}, {label} grids"));
+                assert!(bits.is_ok(), "m = 3 draw {i}, {label} grids decodes");
+                bits
+            });
+        assert_eq!(shared, equal, "m = 3 draw {i}, shared vs equal grids");
     }
 }
 
@@ -256,7 +278,8 @@ fn with_link(grid: &ChannelGrid, tx: usize, rx: usize, link: CMat) -> ChannelGri
 
 /// One hostile link in the true grid, the estimate, or the one grid both
 /// share, for every kind of [`Hostile`], on grids aligned before the link
-/// turned hostile. The decoder must give the reference's bits or its error.
+/// turned hostile. The decoder must give the reference's bits or its error,
+/// and a shared grid whose links stay finite the bits of an equal copy.
 fn check_hostile(
     direction: Direction,
     nodes: usize,
@@ -285,10 +308,16 @@ fn check_hostile(
             for (true_grid, est_grid, label) in cases {
                 let what =
                     format!("{direction:?} draw {i}, {kind:?} link ({tx}, {rx}) in the {label}");
-                if assert_same(&decoder(true_grid, est_grid, &cfg), &what) {
+                let bits = assert_same(&decoder(true_grid, est_grid, &cfg), &what);
+                if bits.is_ok() {
                     decoded += 1;
                 } else {
                     failed += 1;
+                }
+                if std::ptr::eq(true_grid, est_grid) && all_finite(est_grid) {
+                    let copy = est_grid.clone();
+                    let equal = decoded_bits(&decoder(&copy, est_grid, &cfg));
+                    assert_eq!(bits, equal, "{what}, vs an equal copy");
                 }
             }
         }

@@ -196,7 +196,6 @@ impl CMat {
 
     /// [`CMat::mul_vec`] into a caller-owned vector (resized to `rows` only
     /// when it does not already fit, so a reused buffer never reallocates).
-    /// A 2×2 matrix takes [`mul_vec2`], the same chains written out.
     pub fn mul_vec_into(&self, x: &CVec, out: &mut CVec) {
         assert_eq!(
             x.len(),
@@ -207,16 +206,8 @@ impl CMat {
             x.len()
         );
         out.resize(self.rows);
-        match (self.as_2x2(), x.as_slice()) {
-            (Some(a), &[x0, x1]) => out.as_mut_slice().copy_from_slice(&mul_vec2(a, &[x0, x1])),
-            (_, xs) => self.mul_vec_loop(xs, out.as_mut_slice()),
-        }
-    }
-
-    /// The generic body of [`CMat::mul_vec_into`]: one `mul_add` chain per
-    /// row, from a zero accumulator.
-    fn mul_vec_loop(&self, xs: &[C64], out: &mut [C64]) {
-        for (row, o) in self.data.chunks_exact(self.cols).zip(out) {
+        let xs = x.as_slice();
+        for (row, o) in self.data.chunks_exact(self.cols).zip(out.as_mut_slice()) {
             let mut acc = C64::zero();
             for (&a, &xc) in row.iter().zip(xs) {
                 acc = a.mul_add(xc, acc);
@@ -228,21 +219,13 @@ impl CMat {
     /// Matrix product `A·B`: i-k-j loop order over the raw row-major slices,
     /// so the inner loop walks both `B`'s row and the output row
     /// sequentially (cache-friendly, `mul_add` accumulation, no per-element
-    /// index arithmetic). Two 2×2 factors take the same chains written out.
+    /// index arithmetic).
     pub fn mul_mat(&self, b: &Self) -> Self {
         assert_eq!(
             self.cols, b.rows,
             "mul_mat: {}x{} by {}x{}",
             self.rows, self.cols, b.rows, b.cols
         );
-        match (self.as_2x2(), b.as_2x2()) {
-            (Some(a2), Some(b2)) => Self::from_2x2(mul_mat2(a2, b2)),
-            _ => self.mul_mat_loop(b),
-        }
-    }
-
-    /// The generic body of [`CMat::mul_mat`].
-    fn mul_mat_loop(&self, b: &Self) -> Self {
         let mut out = Self::zeros(self.rows, b.cols);
         for (arow, orow) in self
             .data
@@ -432,15 +415,6 @@ pub fn mul_vec2(a: &[C64; 4], x: &[C64; 2]) -> [C64; 2] {
         a[1].mul_add(x[1], a[0].mul_add(x[0], z)),
         a[3].mul_add(x[1], a[2].mul_add(x[0], z)),
     ]
-}
-
-/// [`CMat::mul_mat`] of two row-major 2×2 matrices: entry `(r, c)` is the
-/// generic loop's `mul_add` chain over `k`, from a zero entry.
-#[inline]
-fn mul_mat2(a: &[C64; 4], b: &[C64; 4]) -> [C64; 4] {
-    let z = C64::zero();
-    let entry = |r: usize, c: usize| a[2 * r + 1].mul_add(b[2 + c], a[2 * r].mul_add(b[c], z));
-    [entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1)]
 }
 
 impl Index<(usize, usize)> for CMat {
@@ -678,39 +652,38 @@ mod tests {
         }
     }
 
-    /// The 2×2 `mul_mat` and `mul_vec_into` bodies against the generic loops,
-    /// bit for bit: the same `mul_add` chains from a `+0` accumulator decide
-    /// even the sign of a zero result.
+    /// [`mul_vec2`], which the two-antenna decode uses, against
+    /// [`CMat::mul_vec`], bit for bit: the same `mul_add` chains from a `+0`
+    /// accumulator decide even the sign of a zero result.
     #[test]
-    fn products_2x2_match_generic_loops_bitwise() {
+    fn mul_vec2_matches_mul_vec_bitwise() {
         let mut rng = Rng64::new(10);
-        let zeros = [C64::new(-0.0, -0.0), C64::new(0.0, -0.0), C64::new(-0.0, 0.0)];
+        let zeros = [
+            C64::new(-0.0, -0.0),
+            C64::new(0.0, -0.0),
+            C64::new(-0.0, 0.0),
+        ];
         for i in 0..20_000 {
-            let (a, b, x) = if i < 27 {
+            let (a, x) = if i < 27 {
                 // Every signed-zero pattern against a signed zero.
                 let z = |k: usize| zeros[k % 3];
                 (
-                    CMat::from_fn(2, 2, |r, c| z(i + r + c)),
-                    CMat::from_fn(2, 2, |r, c| z(i / 3 + r * c)),
+                    CMat::from_fn(2, 2, |r, c| z(i + r + c + (i / 3) * r * c)),
                     CVec::from_fn(2, |r| z(i / 9 + r)),
                 )
             } else {
                 (
                     CMat::from_fn(2, 2, |_, _| spiky(&mut rng)),
-                    CMat::from_fn(2, 2, |_, _| spiky(&mut rng)),
                     CVec::from_fn(2, |_| spiky(&mut rng)),
                 )
             };
+            let a2 = a.as_2x2().expect("2×2");
+            let fast = mul_vec2(a2, &[x[0], x[1]]);
             assert_eq!(
-                bits(a.mul_mat(&b).as_slice()),
-                bits(a.mul_mat_loop(&b).as_slice()),
-                "mul_mat of\n{a}by\n{b}"
+                bits(&fast),
+                bits(a.mul_vec(&x).as_slice()),
+                "mul_vec of\n{a}by {x}"
             );
-            let mut fast = CVec::zeros(3);
-            a.mul_vec_into(&x, &mut fast);
-            let mut slow = [C64::zero(); 2];
-            a.mul_vec_loop(x.as_slice(), &mut slow);
-            assert_eq!(bits(fast.as_slice()), bits(&slow), "mul_vec of\n{a}by {x}");
         }
     }
 
