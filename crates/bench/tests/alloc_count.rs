@@ -3,7 +3,8 @@
 //! project → cancel-reconstruct/subtract → OFDM symbol → planned FFT → fast
 //! convolution) runs on warm `_into` buffers, and the heap counter must not
 //! move. The same counter caps the heap traffic of one fig15 group score, through
-//! the optimisers and through the per-slot scoring context.
+//! the optimisers and through the per-slot scoring context, and of one
+//! transmission group of the event-driven PCF MAC.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
 //! window must be the only live thread in the process — libtest's harness
@@ -304,6 +305,42 @@ const CONTEXT_SCORE_CEILING: u64 = 0;
 /// predicted, one realised).
 const BEST_AP_CEILING: u64 = 20;
 
+/// Most heap allocations the event-driven PCF MAC may make per transmission
+/// group, averaged over a window of a `des_load`-shaped IAC run (every event
+/// in the window counted: arrivals, beacons, groups, wire deliveries). What
+/// remains per group is the plan's two `Vec`s (they travel in the
+/// `GroupDone` event), the PHY's result list, the FIFO policy's companion
+/// list, and amortised growth of the metric logs and the un-acked map.
+const PCF_GROUP_CEILING: u64 = 5;
+
+/// A `des_load` point at paper sizing (6 uplink clients at 650 packets/s,
+/// 3-client IAC groups): warm up to 100 ms of simulated time, then count
+/// the allocations and the groups formed up to 300 ms.
+fn pcf_group_stays_under_ceiling() {
+    use iac_sim::scenarios::des_load::{self, LoadSweepConfig};
+    let cfg = LoadSweepConfig::paper_default(0x10AD);
+    let (iac_phy, _) = des_load::phys_for(&cfg);
+    let spec = des_load::point_spec(&cfg, 650.0, true);
+    let (mut sim, metrics) = iac_sim::netsim::build_netsim(&spec, iac_phy);
+    sim.step_until_time(iac_des::SimTime::from_millis(100.0));
+    let groups_before = metrics.snapshot().poll_rounds;
+    let before = allocations();
+    sim.step_until_time(iac_des::SimTime::from_millis(300.0));
+    let allocs = allocations() - before;
+    let groups = metrics.snapshot().poll_rounds - groups_before;
+    assert!(groups > 100, "the window formed only {groups} groups");
+    assert!(
+        allocs <= PCF_GROUP_CEILING * groups,
+        "{groups} PCF groups made {allocs} heap allocations, {:.2} per group \
+         (ceiling {PCF_GROUP_CEILING})",
+        allocs as f64 / groups as f64
+    );
+    println!(
+        "alloc_count: {groups} PCF groups made {allocs} heap allocations, {:.2} per group — ok",
+        allocs as f64 / groups as f64
+    );
+}
+
 /// One group score through the optimisers: cut the group's 3×3 sub-grid
 /// out of the slot's estimates, align it, and take the rate the optimiser
 /// reports for its winner.
@@ -391,7 +428,7 @@ fn best_ap_rate_stays_under_ceiling() {
         .map(|h| h + &CMat::random(2, 2, &mut rng).scale(0.1))
         .collect();
     let before = allocations();
-    let (_, rate, _) = baseline::best_ap_rate(&truth, &est, 1.0, 0.05);
+    let (_, rate, _) = baseline::best_ap_rate(&truth, &est, 1.0, 0.05).expect("finite links");
     let count = allocations() - before;
     assert!(rate > 0.0, "the baseline link carries a stream");
     assert!(
@@ -406,6 +443,7 @@ fn main() {
     best_ap_rate_stays_under_ceiling();
     des_steady_state_is_allocation_free();
     observed_des_steady_state_is_allocation_free();
+    pcf_group_stays_under_ceiling();
     let mut pipe = Pipeline::new();
     // Warm-up: first iterations size every buffer and build the FFT plans.
     for _ in 0..3 {

@@ -8,7 +8,7 @@
 //! eigenmodes. With multiple APs available, each 802.11-MIMO client uses the
 //! single AP with the best channel (diversity, not multiplexing).
 
-use iac_linalg::{CMat, Svd};
+use iac_linalg::{CMat, LinAlgError, Result, Svd};
 
 /// Water-filling power allocation over parallel channels with gains
 /// `gains[i] = σᵢ²` (power gain of eigenmode `i`), total power `p_total` and
@@ -50,13 +50,15 @@ pub fn waterfill(gains: &[f64], p_total: f64, noise: f64) -> Vec<f64> {
 /// Eigenmode transmission over one MIMO link with channel-state mismatch:
 /// the precoder/combiner and the power allocation are computed from the
 /// *estimated* channel, while the air applies the *true* channel. Returns
-/// `(achievable_rate, per_stream_sinrs)`.
+/// `(achievable_rate, per_stream_sinrs)`, or [`LinAlgError::Degenerate`]
+/// when a stream's SINR is NaN: a true channel with a NaN, ±∞ or
+/// overflowing entry makes signal and interference both infinite.
 pub fn eigenmode_rate(
     h_true: &CMat,
     h_est: &CMat,
     p_total: f64,
     noise: f64,
-) -> (f64, Vec<f64>) {
+) -> Result<(f64, Vec<f64>)> {
     eigenmode_rate_from(&Svd::compute(h_est), h_true, p_total, noise)
 }
 
@@ -68,7 +70,7 @@ pub(crate) fn eigenmode_rate_from(
     h_true: &CMat,
     p_total: f64,
     noise: f64,
-) -> (f64, Vec<f64>) {
+) -> Result<(f64, Vec<f64>)> {
     let n_streams = svd_est.singular_values.len();
     let gains: Vec<f64> = svd_est.singular_values.iter().map(|s| s * s).collect();
     let powers = waterfill(&gains, p_total, noise);
@@ -92,33 +94,44 @@ pub(crate) fn eigenmode_rate_from(
         }
         sinrs.push(signal / (interference + noise));
     }
-    (crate::rate::rate_bits_per_hz(&sinrs), sinrs)
+    Ok((checked_rate(&sinrs)?, sinrs))
+}
+
+/// [`crate::rate::rate_bits_per_hz`] of `sinrs`, or a typed error for a NaN
+/// SINR (which the rate would reject with a panic).
+pub(crate) fn checked_rate(sinrs: &[f64]) -> Result<f64> {
+    if sinrs.iter().any(|s| s.is_nan()) {
+        return Err(LinAlgError::Degenerate("NaN SINR"));
+    }
+    Ok(crate::rate::rate_bits_per_hz(sinrs))
 }
 
 /// Best-AP selection with estimated channels: the client associates with the
 /// AP whose *estimated* eigenmode rate is highest (that is all the client can
 /// know), then realises the rate the *true* channel delivers. Returns
-/// `(ap_index, realised_rate, realised_sinrs)`.
+/// `(ap_index, realised_rate, realised_sinrs)`. An AP whose estimate gives a
+/// NaN SINR predicts 0.0; a NaN SINR on the chosen AP's true channel is
+/// [`LinAlgError::Degenerate`], as in [`eigenmode_rate`].
 pub fn best_ap_rate(
     links_true: &[CMat],
     links_est: &[CMat],
     p_total: f64,
     noise: f64,
-) -> (usize, f64, Vec<f64>) {
+) -> Result<(usize, f64, Vec<f64>)> {
     assert_eq!(links_true.len(), links_est.len());
     assert!(!links_true.is_empty(), "need at least one AP");
     let svds: Vec<Svd> = links_est.iter().map(Svd::compute).collect();
     let mut best_ap = 0;
     let mut best_predicted = f64::NEG_INFINITY;
     for (i, (est, svd)) in links_est.iter().zip(&svds).enumerate() {
-        let (predicted, _) = eigenmode_rate_from(svd, est, p_total, noise);
+        let predicted = eigenmode_rate_from(svd, est, p_total, noise).map_or(0.0, |(rate, _)| rate);
         if predicted > best_predicted {
             best_predicted = predicted;
             best_ap = i;
         }
     }
-    let (rate, sinrs) = eigenmode_rate_from(&svds[best_ap], &links_true[best_ap], p_total, noise);
-    (best_ap, rate, sinrs)
+    let (rate, sinrs) = eigenmode_rate_from(&svds[best_ap], &links_true[best_ap], p_total, noise)?;
+    Ok((best_ap, rate, sinrs))
 }
 
 #[cfg(test)]
@@ -161,7 +174,7 @@ mod tests {
         // With perfect CSI the rate equals Σ log2(1 + σᵢ²·pᵢ/noise).
         let mut rng = Rng64::new(1);
         let h = CMat::random(2, 2, &mut rng);
-        let (rate, sinrs) = eigenmode_rate(&h, &h, 2.0, 0.01);
+        let (rate, sinrs) = eigenmode_rate(&h, &h, 2.0, 0.01).unwrap();
         let svd = Svd::compute(&h);
         let gains: Vec<f64> = svd.singular_values.iter().map(|s| s * s).collect();
         let powers = waterfill(&gains, 2.0, 0.01);
@@ -179,7 +192,7 @@ mod tests {
     fn eigenmode_perfect_csi_has_no_cross_talk() {
         let mut rng = Rng64::new(2);
         let h = CMat::random(2, 2, &mut rng);
-        let (_, sinrs) = eigenmode_rate(&h, &h, 2.0, 1e-9);
+        let (_, sinrs) = eigenmode_rate(&h, &h, 2.0, 1e-9).unwrap();
         // With essentially no noise and no mismatch, SINRs are astronomically
         // high (pure signal / zero interference).
         for s in sinrs {
@@ -202,8 +215,8 @@ mod tests {
                 },
                 &mut rng,
             );
-            perfect_acc += eigenmode_rate(&h, &h, 2.0, 0.01).0;
-            noisy_acc += eigenmode_rate(&h, &h_est, 2.0, 0.01).0;
+            perfect_acc += eigenmode_rate(&h, &h, 2.0, 0.01).unwrap().0;
+            noisy_acc += eigenmode_rate(&h, &h_est, 2.0, 0.01).unwrap().0;
         }
         assert!(
             noisy_acc < perfect_acc,
@@ -217,7 +230,7 @@ mod tests {
         let weak = CMat::random(2, 2, &mut rng).scale(0.1);
         let strong = CMat::random(2, 2, &mut rng).scale(3.0);
         let links = vec![weak.clone(), strong.clone()];
-        let (ap, rate, _) = best_ap_rate(&links, &links, 2.0, 0.01);
+        let (ap, rate, _) = best_ap_rate(&links, &links, 2.0, 0.01).unwrap();
         assert_eq!(ap, 1);
         assert!(rate > 0.0);
     }
@@ -232,9 +245,9 @@ mod tests {
         for _ in 0..300 {
             let a = CMat::random(2, 2, &mut rng);
             let b = CMat::random(2, 2, &mut rng);
-            single += eigenmode_rate(&a, &a, 2.0, 0.1).0;
+            single += eigenmode_rate(&a, &a, 2.0, 0.1).unwrap().0;
             let links = vec![a, b];
-            double += best_ap_rate(&links, &links, 2.0, 0.1).1;
+            double += best_ap_rate(&links, &links, 2.0, 0.1).unwrap().1;
         }
         assert!(double > single * 1.02, "no diversity gain: {double} vs {single}");
     }

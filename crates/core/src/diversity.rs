@@ -76,7 +76,7 @@ fn one_from_each(
         let cross = p_per_ap * us[i].dot(&other).norm_sqr();
         sinrs.push(signal / (cross + noise));
     }
-    Ok((crate::rate::rate_bits_per_hz(&sinrs), sinrs))
+    Ok((crate::baseline::checked_rate(&sinrs)?, sinrs))
 }
 
 /// The leader AP's search. `links_*[i]` is the downlink channel from AP `i`
@@ -92,7 +92,9 @@ pub fn best_downlink_option(
     let svds = links_est.each_ref().map(Svd::compute);
     let mut candidates: Vec<(DiversityOption, f64)> = Vec::with_capacity(3);
     for (ap, (link, svd)) in links_est.iter().zip(&svds).enumerate() {
-        let (predicted, _) = eigenmode_rate_from(svd, link, p_per_ap, noise);
+        // A degenerate estimate predicts 0.0.
+        let predicted =
+            eigenmode_rate_from(svd, link, p_per_ap, noise).map_or(0.0, |(rate, _)| rate);
         candidates.push((DiversityOption::BothFrom(ap), predicted));
     }
     let (predicted_split, _) = one_from_each(links_est, links_est, p_per_ap, noise)?;
@@ -106,7 +108,7 @@ pub fn best_downlink_option(
     // Realise the chosen option under the true channels.
     let (rate, sinrs) = match option {
         DiversityOption::BothFrom(ap) => {
-            eigenmode_rate_from(&svds[ap], &links_true[ap], p_per_ap, noise)
+            eigenmode_rate_from(&svds[ap], &links_true[ap], p_per_ap, noise)?
         }
         DiversityOption::OneFromEach => one_from_each(links_true, links_est, p_per_ap, noise)?,
     };
@@ -142,7 +144,8 @@ mod tests {
                 CMat::random(2, 2, &mut rng),
             ];
             let iac = best_downlink_option(&links, &links, 1.0, 0.05).unwrap();
-            let base = crate::baseline::best_ap_rate(links.as_ref(), links.as_ref(), 1.0, 0.05);
+            let base =
+                crate::baseline::best_ap_rate(links.as_ref(), links.as_ref(), 1.0, 0.05).unwrap();
             assert!(
                 iac.rate >= base.1 - 1e-9,
                 "IAC {} < baseline {}",
@@ -165,7 +168,9 @@ mod tests {
                 CMat::random(2, 2, &mut rng).scale(0.7),
             ];
             iac_acc += best_downlink_option(&links, &links, 1.0, 0.1).unwrap().rate;
-            base_acc += crate::baseline::best_ap_rate(links.as_ref(), links.as_ref(), 1.0, 0.1).1;
+            base_acc += crate::baseline::best_ap_rate(links.as_ref(), links.as_ref(), 1.0, 0.1)
+                .unwrap()
+                .1;
         }
         let gain = iac_acc / base_acc;
         assert!(gain > 1.02, "no diversity gain: {gain}");

@@ -1,9 +1,11 @@
 //! The rate an optimiser reports for its winner is the winner's
 //! `predicted_rate`, bit for bit. fig15's group scorer relies on this to
 //! skip a second decode of every winning configuration. A non-finite
-//! estimate scores, decodes and rates without a panic.
+//! estimate scores, decodes and rates without a panic, and so does the
+//! best-AP eigenmode baseline on a non-finite or overflowing true channel.
 
 use iac_channel::estimation::EstimationConfig;
+use iac_core::baseline::{best_ap_rate, eigenmode_rate};
 use iac_core::decoder::{equal_split_powers, IacDecoder};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::optimize::{self, predicted_rate, Optimized};
@@ -127,4 +129,51 @@ fn non_finite_estimates_score_and_decode_without_panicking() {
         }
     }
     assert!(errors > 0, "no hostile estimate reached an error path");
+}
+
+/// The 802.11-MIMO baseline realised on a hostile *true* link: one entry
+/// NaN, ±∞ or a finite 1e300, with a clean estimate. Signal and
+/// interference then overflow together and the SINR is ∞/∞ = NaN, which
+/// used to reach the rate sum's `assert!(s >= 0.0)` and panic. Now
+/// `eigenmode_rate` and `best_ap_rate` return `LinAlgError::Degenerate` or
+/// a rate that is not NaN, and the clean links keep their exact bits.
+#[test]
+fn eigenmode_baseline_on_hostile_true_links_is_typed() {
+    let mut rng = Rng64::new(31);
+    let est_cfg = EstimationConfig::paper_default();
+    let mut errors = 0;
+    for _ in 0..40 {
+        let truth: Vec<CMat> = (0..3).map(|_| CMat::random(2, 2, &mut rng)).collect();
+        let est: Vec<CMat> = truth
+            .iter()
+            .map(|h| iac_channel::estimation::estimate_with_error(h, &est_cfg, &mut rng))
+            .collect();
+        let (clean_ap, clean_rate, _) = best_ap_rate(&truth, &est, POWER, NOISE).unwrap();
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let r = (rng.next_u64() % 2) as usize;
+            let c = (rng.next_u64() % 2) as usize;
+            let mut hostile = truth.clone();
+            for h in &mut hostile {
+                h[(r, c)] = C64::new(value, 0.0);
+            }
+            for outcome in [
+                eigenmode_rate(&hostile[0], &est[0], POWER, NOISE).map(|(rate, _)| rate),
+                best_ap_rate(&hostile, &est, POWER, NOISE).map(|(ap, rate, _)| {
+                    assert_eq!(ap, clean_ap, "the choice reads only the estimates");
+                    rate
+                }),
+            ] {
+                match outcome {
+                    Ok(rate) => assert!(!rate.is_nan(), "rate of a {value} link"),
+                    Err(e) => {
+                        assert!(matches!(e, LinAlgError::Degenerate(_)), "{e}");
+                        errors += 1;
+                    }
+                }
+            }
+        }
+        let again = best_ap_rate(&truth, &est, POWER, NOISE).unwrap();
+        assert_eq!(again.1.to_bits(), clean_rate.to_bits());
+    }
+    assert!(errors > 0, "no hostile link reached an error path");
 }

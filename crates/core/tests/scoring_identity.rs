@@ -152,13 +152,14 @@ fn reference_best_ap(
     let mut best_ap = 0;
     let mut best_predicted = f64::NEG_INFINITY;
     for (i, est) in links_est.iter().enumerate() {
-        let (predicted, _) = eigenmode_rate(est, est, p_total, noise);
+        let (predicted, _) = eigenmode_rate(est, est, p_total, noise).unwrap();
         if predicted > best_predicted {
             best_predicted = predicted;
             best_ap = i;
         }
     }
-    let (rate, sinrs) = eigenmode_rate(&links_true[best_ap], &links_est[best_ap], p_total, noise);
+    let (rate, sinrs) =
+        eigenmode_rate(&links_true[best_ap], &links_est[best_ap], p_total, noise).unwrap();
     (best_ap, rate, sinrs)
 }
 
@@ -171,7 +172,7 @@ fn assert_best_ap_matches(links_true: &[CMat], links_est: &[CMat], what: &str) {
         )
     };
     assert_eq!(
-        bits(best_ap_rate(links_true, links_est, POWER, NOISE)),
+        bits(best_ap_rate(links_true, links_est, POWER, NOISE).unwrap()),
         bits(reference_best_ap(links_true, links_est, POWER, NOISE)),
         "{what}"
     );
@@ -204,14 +205,22 @@ fn best_ap_rate_ties_and_nan_links_match_reference() {
     let links_true = vec![weak.clone(), strong.clone(), strong.clone()];
     let tie = vec![weak.clone(), strong.clone(), strong.clone()];
     assert_best_ap_matches(&links_true, &tie, "tie between APs 1 and 2");
-    assert_eq!(best_ap_rate(&links_true, &tie, POWER, NOISE).0, 1);
+    assert_eq!(best_ap_rate(&links_true, &tie, POWER, NOISE).unwrap().0, 1);
     let all_equal = vec![strong.clone(), strong.clone(), strong];
     assert_best_ap_matches(&links_true, &all_equal, "three-way tie");
-    assert_eq!(best_ap_rate(&links_true, &all_equal, POWER, NOISE).0, 0);
+    assert_eq!(
+        best_ap_rate(&links_true, &all_equal, POWER, NOISE)
+            .unwrap()
+            .0,
+        0
+    );
 
     let nan = CMat::from_fn(2, 2, |_, _| C64::new(f64::NAN, f64::NAN));
-    assert_eq!(eigenmode_rate(&nan, &nan, POWER, NOISE).0, 0.0);
+    assert_eq!(eigenmode_rate(&nan, &nan, POWER, NOISE).unwrap().0, 0.0);
     let all_nan = vec![nan.clone(), nan.clone(), nan];
     assert_best_ap_matches(&links_true, &all_nan, "every estimate NaN");
-    assert_eq!(best_ap_rate(&links_true, &all_nan, POWER, NOISE).0, 0);
+    assert_eq!(
+        best_ap_rate(&links_true, &all_nan, POWER, NOISE).unwrap().0,
+        0
+    );
 }

@@ -1,18 +1,18 @@
-//! A fixed, cheap hasher for the engine's integer-keyed maps.
+//! A fixed, cheap hasher for the MAC's integer-keyed maps.
 //!
 //! std's default `RandomState` runs SipHash-1-3 under a per-process random
 //! key: DoS-resistant, but several times the cost of the lookups it guards,
-//! and every DES event pays at least one insert and one remove. The keys
-//! here are small integers the simulation itself generates (event ids,
-//! `(client, seq, direction)` triples), so a multiply-rotate word hash is
+//! and every packet the MAC queues pays an insert and a remove. The keys
+//! here are small integers the simulation itself generates
+//! (`(client, seq, direction)` triples), so a multiply-rotate word hash is
 //! enough.
 //!
-//! Rule: a map or set built on [`FixedState`] is only ever looked up by key,
+//! Rule: a map built on [`FixedState`] is only ever looked up by key,
 //! never iterated. Its iteration order depends on the hash, so an iterating
 //! caller would tie results to this function; lookups cannot. Maps whose
 //! order feeds results stay `BTreeMap`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd 64-bit multiplier (the golden-ratio constant used by FxHash).
@@ -68,9 +68,6 @@ pub(crate) type FixedState = BuildHasherDefault<MulRotHasher>;
 
 /// A `HashMap` on the fixed hasher (look up by key only; never iterate).
 pub(crate) type FixedMap<K, V> = HashMap<K, V, FixedState>;
-
-/// A `HashSet` on the fixed hasher (look up by key only; never iterate).
-pub(crate) type FixedSet<T> = HashSet<T, FixedState>;
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,8 @@
 //!
 //! * [`time`] — [`SimTime`], f64 microseconds with total ordering.
 //! * [`event`] — events, component ids, the insertion-order tie-breaker.
-//! * [`queue`] — the pending-event min-heap on `(time, id)` with stable
-//!   FIFO tie-breaking and O(1)-amortised cancellation.
+//! * [`queue`] — the pending-event min-heap of `(time, id)` keys over an
+//!   event slab, with stable FIFO tie-breaking and lazy cancellation.
 //! * [`simulation`] — the [`Simulation`] driver: `step()`,
 //!   `step_until_time()`, `step_until_no_events()`, one boxed
 //!   [`EventHandler`] per component, one seeded RNG.

@@ -150,6 +150,10 @@ pub struct EventPcf<P: PhyOutcome> {
     /// Reused per-beacon scratch for the unacked-packet sweep (capacity
     /// survives across CFPs, so the steady state does not allocate).
     retx_scratch: Vec<QueuedPacket>,
+    /// Placeholder poll entries reused by every group's DATA+Poll or Grant
+    /// frame, and those a shorter group left over (see `price_poll`).
+    poll_entries: Vec<PollEntry>,
+    spare_entries: Vec<PollEntry>,
     phase: Phase,
     groups_this_phase: usize,
     cfp_id: u16,
@@ -189,6 +193,8 @@ impl<P: PhyOutcome> EventPcf<P> {
             awaiting_ack: BTreeMap::new(),
             retx_count: FixedMap::default(),
             retx_scratch: Vec::new(),
+            poll_entries: Vec::new(),
+            spare_entries: Vec::new(),
             phase: Phase::Idle,
             groups_this_phase: 0,
             cfp_id: 0,
@@ -268,6 +274,50 @@ impl<P: PhyOutcome> EventPcf<P> {
             encoding: v.clone(),
             decoding: v,
         }
+    }
+
+    /// Price a group's DATA+Poll (downlink) or Grant (uplink) frame: one
+    /// entry per distinct client of `clients`, in first-appearance order.
+    /// Returns the frame's bytes and its entry count. The entries are
+    /// placeholders kept across groups, so pricing does not allocate.
+    fn price_poll(&mut self, fid: u16, uplink: bool, clients: &[u16]) -> (usize, usize) {
+        let mut entries = std::mem::take(&mut self.poll_entries);
+        let mut polled = 0;
+        for (i, &c) in clients.iter().enumerate() {
+            if clients[..i].contains(&c) {
+                continue;
+            }
+            match entries.get_mut(polled) {
+                Some(entry) => entry.client = c,
+                None => entries.push(Self::placeholder_entry(c)),
+            }
+            polled += 1;
+        }
+        // A shorter group parks the surplus entries for the next longer one.
+        self.spare_entries.extend(entries.drain(polled..));
+        let n_aps = self.cfg.protocol.n_aps as u8;
+        let frame = if uplink {
+            MacFrame::Grant(Grant {
+                fid,
+                n_aps,
+                entries,
+            })
+        } else {
+            MacFrame::DataPoll(DataPoll {
+                fid,
+                n_aps,
+                max_len: self.cfg.protocol.payload_bytes as u16,
+                entries,
+            })
+        };
+        let bytes = self.control_frame(&frame);
+        if let MacFrame::Grant(Grant { mut entries, .. })
+        | MacFrame::DataPoll(DataPoll { mut entries, .. }) = frame
+        {
+            entries.append(&mut self.spare_entries);
+            self.poll_entries = entries;
+        }
+        (bytes, polled)
     }
 
     fn control_frame(&mut self, frame: &MacFrame) -> usize {
@@ -409,39 +459,19 @@ impl<P: PhyOutcome> EventPcf<P> {
     /// `GroupDone` event when the airtime elapses.
     fn start_group(&mut self, plan: GroupPlan, uplink: bool, ctx: &mut Ctx<'_, NetEvent>) {
         self.groups_this_phase += 1;
-        let unique = plan.unique_clients();
         let fid = self
             .cfp_id
             .wrapping_mul(64)
             .wrapping_add(if uplink { 32 } else { 0 })
             .wrapping_add(self.groups_this_phase as u16);
-        let entries: Vec<PollEntry> = unique
-            .iter()
-            .map(|&c| Self::placeholder_entry(c))
-            .collect();
-        let (ctrl_bytes, acks) = if uplink {
-            let grant = MacFrame::Grant(Grant {
-                fid,
-                n_aps: self.cfg.protocol.n_aps as u8,
-                entries,
-            });
-            // IAC defers uplink acks to the next beacon (no ack airtime);
-            // plain 802.11 PCF pays a synchronous CF-ACK per polled client.
-            let acks = if self.cfg.immediate_uplink_ack {
-                unique.len()
-            } else {
-                0
-            };
-            (self.control_frame(&grant), acks)
+        let (ctrl_bytes, polled) = self.price_poll(fid, uplink, &plan.clients);
+        // Each polled client acks a downlink group synchronously. IAC defers
+        // uplink acks to the next beacon (no ack airtime); plain 802.11 PCF
+        // pays a synchronous CF-ACK per polled client.
+        let acks = if uplink && !self.cfg.immediate_uplink_ack {
+            0
         } else {
-            let poll = MacFrame::DataPoll(DataPoll {
-                fid,
-                n_aps: self.cfg.protocol.n_aps as u8,
-                max_len: self.cfg.protocol.payload_bytes as u16,
-                entries,
-            });
-            // Each polled client acks synchronously, one ack frame apiece.
-            (self.control_frame(&poll), unique.len())
+            polled
         };
         let payload = self.cfg.protocol.payload_bytes;
         self.metrics

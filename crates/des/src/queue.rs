@@ -1,41 +1,70 @@
-//! The pending-event set: a binary min-heap on `(time, id)`.
+//! The pending-event set: a binary min-heap of `(time, id)` keys over an
+//! event slab.
 //!
 //! `BinaryHeap` alone is not deterministic for equal keys, so the ordering
 //! key includes the insertion-order [`EventId`]: events scheduled for the
 //! same instant fire in the order they were scheduled (stable FIFO
 //! tie-breaking). Together with the single seeded RNG in the driver this
 //! makes every run bit-reproducible.
+//!
+//! The heap moves 24-byte `Key`s, not events: each event body waits in a
+//! free-listed slab slot until it fires, so a sift never copies a payload.
+//! Nothing is hashed per event. Cancellation keeps a small set of cancelled
+//! ids that `pop` and `peek_time` consult only while it is non-empty.
 
 use crate::event::{ComponentId, Event, EventId};
-use crate::hash::FixedSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Max-heap entry with reversed ordering, so the heap pops the earliest
-/// `(time, id)` first.
-struct HeapEntry<E>(Event<E>);
+/// One pending event's place in fire order, and where its body lives.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    /// The fire time under `f64::total_cmp`'s key transform, made unsigned:
+    /// two times compare as these integers do exactly when `total_cmp`
+    /// orders them the same way.
+    time: u64,
+    id: EventId,
+    /// Index of the event's slab slot.
+    slot: u32,
+}
 
-impl<E> PartialEq for HeapEntry<E> {
+impl Key {
+    fn new(time: SimTime, id: EventId, slot: u32) -> Self {
+        // `total_cmp` flips every bit but the sign of a negative value and
+        // compares the result as `i64`; flipping the sign bit as well turns
+        // that signed order into the unsigned one.
+        let bits = time.micros().to_bits() as i64;
+        let ordered = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        Self {
+            time: ordered as u64 ^ (1 << 63),
+            id,
+            slot,
+        }
+    }
+
+    /// `(time, id)` as one integer.
+    fn rank(&self) -> u128 {
+        (u128::from(self.time) << 64) | u128::from(self.id)
+    }
+}
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.0.id == other.0.id
+        self.rank() == other.rank()
     }
 }
 
-impl<E> Eq for HeapEntry<E> {}
+impl Eq for Key {}
 
-impl<E> Ord for HeapEntry<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: smaller time (then smaller id) compares greater.
-        other
-            .0
-            .time
-            .cmp(&self.0.time)
-            .then_with(|| other.0.id.cmp(&self.0.id))
+        // Reversed, so the max-heap pops the smallest rank first.
+        other.rank().cmp(&self.rank())
     }
 }
 
-impl<E> PartialOrd for HeapEntry<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -43,12 +72,15 @@ impl<E> PartialOrd for HeapEntry<E> {
 
 /// The event queue: push in any order, pop in `(time, insertion)` order.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    /// Ids of pending (scheduled, not yet fired or cancelled) events.
-    /// Cancellation just removes the id here; `pop` skips heap entries whose
-    /// id is no longer live. Bounded by the number of pending events, so
-    /// cancelling fired ids cannot accumulate state.
-    live: FixedSet<EventId>,
+    heap: BinaryHeap<Key>,
+    /// Event bodies by slot; `None` marks a free slot.
+    slab: Vec<Option<Event<E>>>,
+    /// Free slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// Ids cancelled while pending whose keys are still in the heap. Each
+    /// leaves when `pop` or `peek_time` skips its key, so it never holds a
+    /// fired or unknown id.
+    cancelled_ids: Vec<EventId>,
     next_id: EventId,
     /// Deepest the heap has ever been (pending events, cancelled included).
     high_water: usize,
@@ -69,13 +101,15 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with room for `capacity` pending events, so the heap
-    /// and the live set do not re-allocate while the simulation warms up.
+    /// and the slab do not re-allocate while the simulation warms up.
     /// A good hint is the expected peak of concurrently scheduled events
     /// (components × pending self-ticks), not the total event count.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(capacity),
-            live: FixedSet::with_capacity_and_hasher(capacity, Default::default()),
+            slab: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+            cancelled_ids: Vec::new(),
             next_id: 0,
             high_water: 0,
             cancelled: 0,
@@ -86,30 +120,62 @@ impl<E> EventQueue<E> {
     /// the current length.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-        self.live.reserve(additional);
+        self.slab.reserve(additional);
+        self.free.reserve(additional);
     }
 
     /// Schedule an event at absolute time `time`; returns its id.
     pub fn push(&mut self, time: SimTime, src: ComponentId, dst: ComponentId, payload: E) -> EventId {
         let id = self.next_id;
         self.next_id += 1;
-        self.live.insert(id);
-        self.heap.push(HeapEntry(Event {
+        let event = Some(Event {
             id,
             time,
             src,
             dst,
             payload,
-        }));
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = event;
+                slot
+            }
+            None => {
+                self.slab.push(event);
+                u32::try_from(self.slab.len() - 1).expect("more than 2^32 pending events")
+            }
+        };
+        self.heap.push(Key::new(time, id, slot));
         self.high_water = self.high_water.max(self.heap.len());
         id
     }
 
+    /// Free `key`'s slot and return its event.
+    fn take(&mut self, key: Key) -> Event<E> {
+        self.free.push(key.slot);
+        self.slab[key.slot as usize]
+            .take()
+            .expect("a heap key points at an occupied slot")
+    }
+
+    /// Whether `key`'s event was cancelled; if so, forget the id (its key
+    /// is about to leave the heap). With nothing cancelled this is one
+    /// length check.
+    fn was_cancelled(&mut self, key: &Key) -> bool {
+        let Some(at) = self.cancelled_ids.iter().position(|&id| id == key.id) else {
+            return false;
+        };
+        self.cancelled_ids.swap_remove(at);
+        true
+    }
+
     /// Remove and return the earliest pending event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<Event<E>> {
-        while let Some(HeapEntry(ev)) = self.heap.pop() {
-            if self.live.remove(&ev.id) {
-                return Some(ev);
+        while let Some(key) = self.heap.pop() {
+            let cancelled = self.was_cancelled(&key);
+            let event = self.take(key);
+            if !cancelled {
+                return Some(event);
             }
         }
         None
@@ -117,22 +183,28 @@ impl<E> EventQueue<E> {
 
     /// The fire time of the earliest pending (non-cancelled) event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(HeapEntry(ev)) = self.heap.peek() {
-            if self.live.contains(&ev.id) {
-                return Some(ev.time);
+        while let Some(&key) = self.heap.peek() {
+            if !self.was_cancelled(&key) {
+                let event = self.slab[key.slot as usize].as_ref();
+                return Some(event.expect("a heap key points at an occupied slot").time);
             }
             self.heap.pop();
+            self.take(key);
         }
         None
     }
 
     /// Mark a scheduled event as cancelled; it will be silently skipped.
     /// Cancelling an id that already fired (or was already cancelled) is a
-    /// true no-op: nothing is retained.
+    /// true no-op: nothing is retained. Nothing in the engine's own
+    /// components cancels, so this scans the pending keys rather than keep
+    /// per-event bookkeeping on the fire path.
     pub fn cancel(&mut self, id: EventId) {
-        if self.live.remove(&id) {
-            self.cancelled += 1;
+        if self.cancelled_ids.contains(&id) || !self.heap.iter().any(|key| key.id == id) {
+            return;
         }
+        self.cancelled_ids.push(id);
+        self.cancelled += 1;
     }
 
     /// Pending events, *including* any not-yet-skipped cancelled ones.
@@ -214,10 +286,19 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, "a");
         q.cancel(a); // already fired
         q.cancel(9999); // never scheduled
-        assert_eq!(q.live.len(), 1, "only b is pending");
+        assert_eq!(q.cancelled(), 0, "neither call cancelled anything");
+        assert_eq!(q.len(), 1, "only b is pending");
+        assert_eq!(q.peek_time(), Some(t(2.0)), "b is still live");
         q.cancel(b);
-        assert!(q.live.is_empty(), "cancel must not accumulate state");
+        assert_eq!(q.cancelled(), 1);
         assert!(q.pop().is_none());
+        assert!(q.is_empty(), "the skipped key left nothing behind");
+        // A cancelled id that was skipped is gone for good: cancelling it
+        // again counts nothing, and later events are untouched.
+        q.cancel(b);
+        assert_eq!(q.cancelled(), 1, "cancel must not accumulate state");
+        q.push(t(3.0), 0, 0, "c");
+        assert_eq!(q.pop().unwrap().payload, "c");
     }
 
     #[test]
@@ -258,5 +339,31 @@ mod tests {
         assert_eq!(q.peek_time(), Some(t(7.0)));
         let ev = q.pop().unwrap();
         assert_eq!((ev.src, ev.dst, ev.time), (1, 2, t(7.0)));
+    }
+
+    #[test]
+    fn rank_orders_like_total_cmp_then_id() {
+        let times = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+        ];
+        for &a in &times {
+            for &b in &times {
+                for (ia, ib) in [(0, 0), (0, 1), (1, 0), (u64::MAX, 0)] {
+                    let ka = Key::new(t(a), ia, 0);
+                    let kb = Key::new(t(b), ib, 0);
+                    let want = a.total_cmp(&b).then(ia.cmp(&ib));
+                    assert_eq!(ka.rank().cmp(&kb.rank()), want, "{a} #{ia} vs {b} #{ib}");
+                }
+            }
+        }
     }
 }

@@ -223,15 +223,12 @@ impl<E> Simulation<E> {
         if let Some(obs) = self.observer.as_mut() {
             obs.on_fire(&ev);
         }
-        let dst = ev.dst as usize;
-        if dst >= self.handlers.len() {
+        let Some(handler) = self.handlers.get_mut(ev.dst as usize) else {
             self.undeliverable += 1;
             return true;
-        }
-        // Temporarily replace the handler so it can borrow the rest of the
-        // simulation mutably through `Ctx` (components talk to each other via
-        // events, never by direct call, so re-entry is impossible).
-        let mut handler = std::mem::replace(&mut self.handlers[dst], Box::new(NoOp));
+        };
+        // The handler and `Ctx` borrow disjoint fields of the simulation;
+        // components talk to each other only through events.
         let mut ctx = Ctx {
             time: self.time,
             self_id: ev.dst,
@@ -239,7 +236,6 @@ impl<E> Simulation<E> {
             queue: &mut self.queue,
         };
         handler.on_event(ev, &mut ctx);
-        self.handlers[dst] = handler;
         true
     }
 
@@ -269,16 +265,6 @@ impl<E> Simulation<E> {
             n += 1;
         }
         n
-    }
-}
-
-/// Placeholder handler installed while a component's real handler is
-/// executing; it can never receive an event.
-struct NoOp;
-
-impl<E> EventHandler<E> for NoOp {
-    fn on_event(&mut self, _event: Event<E>, _ctx: &mut Ctx<'_, E>) {
-        unreachable!("NoOp handler dispatched — re-entrant step()?");
     }
 }
 

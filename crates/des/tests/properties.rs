@@ -1,5 +1,6 @@
 //! Property-based tests for the event engine's core guarantees: temporal
-//! order, stable FIFO tie-breaking, and bit-reproducibility from the seed.
+//! order, stable FIFO tie-breaking, bit-reproducibility from the seed, and
+//! the queue's whole public contract against a sorted reference model.
 
 use iac_des::prelude::*;
 use iac_des::queue::EventQueue;
@@ -139,5 +140,121 @@ proptest! {
         prop_assert_eq!(n1, n2);
         prop_assert_eq!(t1, t2);
         prop_assert_eq!(trace1, trace2);
+    }
+
+    #[test]
+    fn queue_matches_sorted_reference_model(seed in any::<u64>(), n in 1usize..400) {
+        let mut rng = Rng64::new(seed);
+        let mut q = EventQueue::new();
+        let mut model = Model::default();
+        for step in 0..n {
+            match rng.below(10) {
+                0..=4 => {
+                    let time = TIMES[rng.below(TIMES.len() as u64) as usize];
+                    let time = SimTime::from_micros(time);
+                    let payload = step as u32;
+                    let id = q.push(time, 0, 0, payload);
+                    prop_assert_eq!(id, model.push(time, payload));
+                }
+                5 | 6 => {
+                    let got = q.pop().map(|ev| (ev.time, ev.id, ev.payload));
+                    prop_assert_eq!(got, model.pop(), "pop at step {}", step);
+                }
+                7 => prop_assert_eq!(q.peek_time(), model.peek_time(), "peek at step {}", step),
+                _ => {
+                    // Pending, fired, cancelled and never-scheduled ids alike.
+                    let id = rng.below(model.next_id + 3);
+                    q.cancel(id);
+                    model.cancel(id);
+                }
+            }
+            prop_assert_eq!(q.len(), model.pending.len());
+            prop_assert_eq!(q.is_empty(), model.pending.is_empty());
+            prop_assert_eq!(q.high_water(), model.high_water);
+            prop_assert_eq!(q.cancelled(), model.cancelled);
+            prop_assert_eq!(q.scheduled(), model.next_id);
+        }
+        // Draining fires every live event in model order.
+        loop {
+            let got = q.pop().map(|ev| (ev.time, ev.id, ev.payload));
+            prop_assert_eq!(got, model.pop());
+            if got.is_none() {
+                break;
+            }
+        }
+        prop_assert!(q.is_empty());
+    }
+}
+
+/// Fire times for the reference-model test: few enough to collide often,
+/// with zero, both infinities and negative times (which only a direct
+/// `EventQueue::push` can schedule).
+const TIMES: [f64; 9] = [
+    0.0,
+    0.0,
+    1.0,
+    1.0,
+    2.5,
+    1e9,
+    f64::INFINITY,
+    -3.0,
+    f64::NEG_INFINITY,
+];
+
+/// The queue's contract, written plainly: pending entries (cancelled ones
+/// included until a pop or peek skips them), fired in `(time, id)` order
+/// with times compared by `total_cmp`.
+#[derive(Default)]
+struct Model {
+    /// `(time, id, payload, cancelled)`.
+    pending: Vec<(SimTime, u64, u32, bool)>,
+    next_id: u64,
+    high_water: usize,
+    cancelled: u64,
+}
+
+impl Model {
+    fn push(&mut self, time: SimTime, payload: u32) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.pending.push((time, id, payload, false));
+        self.high_water = self.high_water.max(self.pending.len());
+        id
+    }
+
+    /// Index of the earliest pending entry.
+    fn first(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by(|&a, &b| {
+            let (ta, ia, _, _) = self.pending[a];
+            let (tb, ib, _, _) = self.pending[b];
+            ta.micros().total_cmp(&tb.micros()).then(ia.cmp(&ib))
+        })
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
+        while let Some(at) = self.first() {
+            let (time, id, payload, cancelled) = self.pending.remove(at);
+            if !cancelled {
+                return Some((time, id, payload));
+            }
+        }
+        None
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(at) = self.first() {
+            if !self.pending[at].3 {
+                return Some(self.pending[at].0);
+            }
+            self.pending.remove(at);
+        }
+        None
+    }
+
+    fn cancel(&mut self, id: u64) {
+        if let Some(entry) = self.pending.iter_mut().find(|e| e.1 == id && !e.3) {
+            entry.3 = true;
+            self.cancelled += 1;
+        }
     }
 }

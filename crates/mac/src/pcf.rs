@@ -103,20 +103,6 @@ pub struct GroupPlan {
     pub packets: Vec<QueuedPacket>,
 }
 
-impl GroupPlan {
-    /// Distinct clients in first-appearance order (what a DATA+Poll or Grant
-    /// frame carries one entry for).
-    pub fn unique_clients(&self) -> Vec<u16> {
-        let mut seen = Vec::new();
-        for &c in &self.clients {
-            if !seen.contains(&c) {
-                seen.push(c);
-            }
-        }
-        seen
-    }
-}
-
 /// Assemble one transmission group from `queue`: anchor on the FIFO head
 /// (starvation rule, §7.2), let `policy` pick up to `group_size − 1`
 /// companions, then pop up to `streams_per_client` packets per grouped
@@ -130,30 +116,28 @@ pub fn form_group(
     rng: &mut Rng64,
 ) -> Option<GroupPlan> {
     let head = queue.head()?;
-    let candidates: Vec<u16> = queue
-        .clients()
-        .into_iter()
-        .filter(|&c| c != head.client)
-        .collect();
+    // The queue lists the head's client first; the rest are candidates.
     let companions = policy.select(
         head.client,
-        &candidates,
+        &queue.clients()[1..],
         group_size.saturating_sub(1),
         score,
         rng,
     );
-    let mut group_clients = vec![head.client];
-    group_clients.extend(companions);
-    let mut clients = Vec::new();
-    let mut packets = Vec::new();
-    for &c in &group_clients {
-        for _ in 0..streams_per_client.max(1) {
+    let streams = streams_per_client.max(1);
+    let room = (1 + companions.len()) * streams;
+    let mut plan = GroupPlan {
+        clients: Vec::with_capacity(room),
+        packets: Vec::with_capacity(room),
+    };
+    for c in std::iter::once(head.client).chain(companions) {
+        for _ in 0..streams {
             let Some(p) = queue.pop_for_client(c) else {
                 break;
             };
-            clients.push(c);
-            packets.push(p);
+            plan.clients.push(c);
+            plan.packets.push(p);
         }
     }
-    Some(GroupPlan { clients, packets })
+    Some(plan)
 }

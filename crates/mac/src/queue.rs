@@ -17,7 +17,21 @@ pub struct QueuedPacket {
     pub bytes: usize,
 }
 
+/// A packet and its position in the queue's single FIFO order.
+#[derive(Debug, Clone, Copy)]
+struct Stamped {
+    /// Queue position: `push` stamps ascending from 0, `push_front`
+    /// descending from −1, so a smaller stamp is nearer the head.
+    stamp: i64,
+    packet: QueuedPacket,
+}
+
 /// A FIFO of pending packets with client-indexed helpers.
+///
+/// Stored as one FIFO per client whose packets carry their position in the
+/// single queue the FIFOs together represent, so the head, a client's
+/// earliest packet and the clients in queue order cost O(clients), not a
+/// scan of every packet.
 ///
 /// Optionally bounded: [`TrafficQueue::with_capacity`] sets a hard limit on
 /// pending packets and tail-drops (with counting) beyond it, so arrival
@@ -25,11 +39,17 @@ pub struct QueuedPacket {
 /// remains unbounded, preserving the original saturated-queue behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficQueue {
-    q: VecDeque<QueuedPacket>,
-    /// Queued packets per client, indexed by client id (grown on demand).
-    per_client: Vec<usize>,
-    /// Clients with at least one queued packet (non-zero `per_client`).
-    distinct: usize,
+    /// Pending packets per client, indexed by client id (grown on demand),
+    /// each in stamp order.
+    fifos: Vec<VecDeque<Stamped>>,
+    /// Clients with pending packets, ordered by their earliest packet's
+    /// stamp: first-appearance order in the queue.
+    order: Vec<u16>,
+    /// The stamp the next `push_front` takes is `front - 1`; the next
+    /// `push` takes `back`.
+    front: i64,
+    back: i64,
+    len: usize,
     capacity: Option<usize>,
     dropped: u64,
     high_water: usize,
@@ -50,37 +70,50 @@ impl TrafficQueue {
         }
     }
 
-    fn admit(&mut self, client: u16) {
+    fn fifo(&mut self, client: u16) -> &mut VecDeque<Stamped> {
         let c = client as usize;
-        if c >= self.per_client.len() {
-            self.per_client.resize(c + 1, 0);
+        if c >= self.fifos.len() {
+            self.fifos.resize_with(c + 1, VecDeque::new);
         }
-        if self.per_client[c] == 0 {
-            self.distinct += 1;
-        }
-        self.per_client[c] += 1;
+        &mut self.fifos[c]
     }
 
-    fn release(&mut self, client: u16) {
-        let n = &mut self.per_client[client as usize];
-        *n -= 1;
-        if *n == 0 {
-            self.distinct -= 1;
+    /// Re-place `client` in `order` after its earliest packet changed.
+    fn reorder(&mut self, client: u16) {
+        if let Some(at) = self.order.iter().position(|&c| c == client) {
+            self.order.remove(at);
         }
+        let fifos = &self.fifos;
+        let Some(first) = fifos[client as usize].front() else {
+            return;
+        };
+        let at = self
+            .order
+            .partition_point(|&c| fifos[c as usize][0].stamp < first.stamp);
+        self.order.insert(at, client);
+    }
+
+    fn admitted(&mut self) {
+        self.len += 1;
+        self.high_water = self.high_water.max(self.len);
     }
 
     /// Append a packet. Returns `false` (and counts a drop) if the queue is
     /// at capacity — tail-drop, the arriving packet is discarded.
     pub fn push(&mut self, p: QueuedPacket) -> bool {
-        if let Some(cap) = self.capacity {
-            if self.q.len() >= cap {
-                self.dropped += 1;
-                return false;
-            }
+        if self.capacity.is_some_and(|cap| self.len >= cap) {
+            self.dropped += 1;
+            return false;
         }
-        self.admit(p.client);
-        self.q.push_back(p);
-        self.high_water = self.high_water.max(self.q.len());
+        let stamp = self.back;
+        self.back += 1;
+        let fifo = self.fifo(p.client);
+        fifo.push_back(Stamped { stamp, packet: p });
+        if fifo.len() == 1 {
+            // The newest stamp: the client goes last.
+            self.order.push(p.client);
+        }
+        self.admitted();
         true
     }
 
@@ -90,9 +123,11 @@ impl TrafficQueue {
     /// slot when it was first admitted, so a retransmission is never the
     /// packet that overflows the queue.
     pub fn push_front(&mut self, p: QueuedPacket) {
-        self.admit(p.client);
-        self.q.push_front(p);
-        self.high_water = self.high_water.max(self.q.len());
+        self.front -= 1;
+        let stamp = self.front;
+        self.fifo(p.client).push_front(Stamped { stamp, packet: p });
+        self.reorder(p.client);
+        self.admitted();
     }
 
     /// The capacity bound, if any.
@@ -113,57 +148,44 @@ impl TrafficQueue {
 
     /// The head packet, if any.
     pub fn head(&self) -> Option<QueuedPacket> {
-        self.q.front().copied()
+        let &client = self.order.first()?;
+        Some(self.fifos[client as usize][0].packet)
     }
 
     /// Pop the head.
     pub fn pop(&mut self) -> Option<QueuedPacket> {
-        let p = self.q.pop_front()?;
-        self.release(p.client);
-        Some(p)
+        let &client = self.order.first()?;
+        self.pop_for_client(client)
     }
 
     /// Remove and return the first queued packet of `client`.
     pub fn pop_for_client(&mut self, client: u16) -> Option<QueuedPacket> {
-        if self.count_for(client) == 0 {
-            return None;
-        }
-        let pos = self.q.iter().position(|p| p.client == client)?;
-        let p = self.q.remove(pos)?;
-        self.release(client);
-        Some(p)
+        let p = self.fifos.get_mut(client as usize)?.pop_front()?;
+        self.len -= 1;
+        self.reorder(client);
+        Some(p.packet)
     }
 
-    /// Distinct clients with pending traffic, in queue order. The scan stops
-    /// as soon as every client with queued traffic has been seen, so a deep
-    /// queue over few clients costs a short prefix, not the whole queue.
-    pub fn clients(&self) -> Vec<u16> {
-        let mut seen = Vec::with_capacity(self.distinct);
-        for p in &self.q {
-            if seen.len() == self.distinct {
-                break;
-            }
-            if !seen.contains(&p.client) {
-                seen.push(p.client);
-            }
-        }
-        seen
+    /// Distinct clients with pending traffic, in queue order (each where
+    /// its earliest packet stands). The head's client comes first.
+    pub fn clients(&self) -> &[u16] {
+        &self.order
     }
 
     /// Number of queued packets.
     pub fn len(&self) -> usize {
-        self.q.len()
+        self.len
     }
 
     /// True when no traffic is pending — the condition that naturally
     /// shrinks the CFP (§7.1a).
     pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
+        self.len == 0
     }
 
     /// Total queued packets for one client.
     pub fn count_for(&self, client: u16) -> usize {
-        self.per_client.get(client as usize).copied().unwrap_or(0)
+        self.fifos.get(client as usize).map_or(0, VecDeque::len)
     }
 }
 
@@ -280,11 +302,11 @@ mod tests {
         assert_eq!(b.high_water(), 1);
     }
 
-    /// First-appearance client scan over the raw queue: the definition
-    /// `clients()` must keep while it tracks counts and exits early.
-    fn naive_clients(q: &TrafficQueue) -> Vec<u16> {
+    /// First-appearance client scan over a plain deque of the same
+    /// packets: the definition `clients()` must keep.
+    fn naive_clients(model: &VecDeque<QueuedPacket>) -> Vec<u16> {
         let mut seen = Vec::new();
-        for p in &q.q {
+        for p in model {
             if !seen.contains(&p.client) {
                 seen.push(p.client);
             }
@@ -297,32 +319,44 @@ mod tests {
         for seed in 0..200u64 {
             let mut rng = iac_linalg::Rng64::new(seed);
             // Small capacities so tail-drops happen; few clients so queues
-            // hold long runs of repeats (the early-exit case).
+            // hold long runs of repeats.
             let cap = 1 + rng.below(12) as usize;
             let n_clients = 1 + rng.below(6) as u16;
             let mut q = TrafficQueue::with_capacity(cap);
+            let mut model = VecDeque::new();
             for step in 0..120u16 {
                 let client = rng.below(n_clients as u64) as u16;
                 let packet = p(client, step);
                 match rng.below(4) {
                     0 => {
-                        q.push(packet);
+                        if q.push(packet) {
+                            model.push_back(packet);
+                        }
                     }
-                    1 => q.push_front(packet),
+                    1 => {
+                        q.push_front(packet);
+                        model.push_front(packet);
+                    }
                     2 => {
-                        q.pop();
+                        assert_eq!(q.pop(), model.pop_front(), "seed {seed} step {step}");
                     }
                     _ => {
-                        q.pop_for_client(client);
+                        let at = model.iter().position(|p| p.client == client);
+                        let want = at.and_then(|at| model.remove(at));
+                        assert_eq!(q.pop_for_client(client), want, "seed {seed} step {step}");
                     }
                 }
-                let naive = naive_clients(&q);
-                assert_eq!(q.clients(), naive, "seed {seed} step {step}");
+                assert_eq!(
+                    q.clients(),
+                    naive_clients(&model),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(q.head(), model.front().copied(), "seed {seed} step {step}");
                 for c in 0..n_clients + 1 {
-                    let direct = q.q.iter().filter(|p| p.client == c).count();
+                    let direct = model.iter().filter(|p| p.client == c).count();
                     assert_eq!(q.count_for(c), direct, "seed {seed} step {step} client {c}");
                 }
-                assert_eq!(q.distinct, naive.len(), "seed {seed} step {step}");
+                assert_eq!(q.len(), model.len(), "seed {seed} step {step}");
             }
         }
     }

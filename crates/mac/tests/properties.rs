@@ -1,6 +1,7 @@
 //! Property-based tests for the MAC: frame codecs must round-trip arbitrary
-//! contents, the hub must conserve packets, and the grouping policies must
-//! respect their structural contracts under arbitrary scorers.
+//! contents, the hub must conserve packets, the grouping policies must
+//! respect their structural contracts under arbitrary scorers, and the
+//! traffic queue must behave as one plain deque.
 
 use iac_linalg::{CVec, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
@@ -10,6 +11,7 @@ use iac_mac::frames::{
 };
 use iac_mac::queue::{QueuedPacket, TrafficQueue};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn arb_entries(seed: u64, n: usize) -> Vec<PollEntry> {
     let mut rng = Rng64::new(seed);
@@ -176,5 +178,89 @@ proptest! {
         let v = CVec::random_unit(2, &mut rng);
         let q = VectorQ::from_cvec(&v).to_cvec();
         prop_assert!((q.norm() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn traffic_queue_matches_deque_model(seed in any::<u64>(), n in 1usize..300) {
+        let mut rng = Rng64::new(seed);
+        let capacity = match rng.below(3) {
+            0 => None,
+            _ => Some(rng.below(10) as usize),
+        };
+        let mut q = match capacity {
+            Some(cap) => TrafficQueue::with_capacity(cap),
+            None => TrafficQueue::new(),
+        };
+        let mut model = DequeModel { capacity, ..DequeModel::default() };
+        // A sparse id among the few busy ones exercises a grown client table.
+        let clients = [0u16, 1, 2, 3, 4, 37];
+        for step in 0..n {
+            let client = clients[rng.below(clients.len() as u64) as usize];
+            let p = QueuedPacket { client, seq: step as u16, bytes: 1 + step };
+            match rng.below(8) {
+                0..=2 => prop_assert_eq!(q.push(p), model.push(p)),
+                3 => {
+                    q.push_front(p);
+                    model.push_front(p);
+                }
+                4 => prop_assert_eq!(q.pop(), model.q.pop_front()),
+                5 | 6 => prop_assert_eq!(q.pop_for_client(client), model.pop_for_client(client)),
+                _ => prop_assert_eq!(q.head(), model.q.front().copied()),
+            }
+            prop_assert_eq!(q.clients(), model.clients(), "step {}", step);
+            for &c in &clients {
+                prop_assert_eq!(q.count_for(c), model.q.iter().filter(|p| p.client == c).count());
+            }
+            prop_assert_eq!(q.count_for(9999), 0);
+            prop_assert_eq!(q.head(), model.q.front().copied());
+            prop_assert_eq!(q.len(), model.q.len());
+            prop_assert_eq!(q.is_empty(), model.q.is_empty());
+            prop_assert_eq!(q.high_water(), model.high_water);
+            prop_assert_eq!(q.dropped(), model.dropped);
+            prop_assert_eq!(q.capacity(), capacity);
+        }
+    }
+}
+
+/// `TrafficQueue`'s contract as one `VecDeque`: tail-drop at capacity,
+/// `push_front` past it, and client lookups by scanning.
+#[derive(Default)]
+struct DequeModel {
+    q: VecDeque<QueuedPacket>,
+    capacity: Option<usize>,
+    dropped: u64,
+    high_water: usize,
+}
+
+impl DequeModel {
+    fn push(&mut self, p: QueuedPacket) -> bool {
+        if self.capacity.is_some_and(|cap| self.q.len() >= cap) {
+            self.dropped += 1;
+            return false;
+        }
+        self.q.push_back(p);
+        self.high_water = self.high_water.max(self.q.len());
+        true
+    }
+
+    fn push_front(&mut self, p: QueuedPacket) {
+        self.q.push_front(p);
+        self.high_water = self.high_water.max(self.q.len());
+    }
+
+    fn pop_for_client(&mut self, client: u16) -> Option<QueuedPacket> {
+        let at = self.q.iter().position(|p| p.client == client)?;
+        self.q.remove(at)
+    }
+
+    /// Distinct clients in first-appearance order.
+    fn clients(&self) -> Vec<u16> {
+        let mut seen = Vec::new();
+        for p in &self.q {
+            if !seen.contains(&p.client) {
+                seen.push(p.client);
+            }
+        }
+        seen
     }
 }

@@ -120,7 +120,9 @@ pub fn baseline_uplink_slot(
         let links_est: Vec<CMat> = (0..grid_true.receivers())
             .map(|a| grid_est.link(c, a).clone())
             .collect();
-        acc += baseline::best_ap_rate(&links_true, &links_est, cfg.per_node_power, cfg.noise).1;
+        // A degenerate link scores 0.0.
+        acc += baseline::best_ap_rate(&links_true, &links_est, cfg.per_node_power, cfg.noise)
+            .map_or(0.0, |(_, rate, _)| rate);
     }
     acc / grid_true.transmitters() as f64
 }
@@ -140,7 +142,9 @@ pub fn baseline_downlink_slot(
         let links_est: Vec<CMat> = (0..grid_true.transmitters())
             .map(|a| grid_est.link(a, c).clone())
             .collect();
-        acc += baseline::best_ap_rate(&links_true, &links_est, cfg.per_node_power, cfg.noise).1;
+        // A degenerate link scores 0.0.
+        acc += baseline::best_ap_rate(&links_true, &links_est, cfg.per_node_power, cfg.noise)
+            .map_or(0.0, |(_, rate, _)| rate);
     }
     acc / grid_true.receivers() as f64
 }

@@ -184,8 +184,10 @@ pub fn calibrate_mimo_pool(
         let est_grid = grid.estimated(est, rng);
         let links_true: Vec<CMat> = (0..3).map(|a| grid.link(0, a).clone()).collect();
         let links_est: Vec<CMat> = (0..3).map(|a| est_grid.link(0, a).clone()).collect();
-        let (_, _, sinrs) = baseline::best_ap_rate(&links_true, &links_est, 1.0, 1.0);
-        pool.extend(sinrs);
+        // A degenerate link carries no stream, so it adds no sample.
+        if let Ok((_, _, sinrs)) = baseline::best_ap_rate(&links_true, &links_est, 1.0, 1.0) {
+            pool.extend(sinrs);
+        }
     }
     assert!(!pool.is_empty(), "calibration produced no SINR samples");
     pool

@@ -62,13 +62,14 @@ pub fn run(cfg: &ExperimentConfig) -> Fig14Report {
             let est = grid.estimated(&cfg.est, &mut rng);
             let links_true: [CMat; 2] = [grid.link(0, 0).clone(), grid.link(1, 0).clone()];
             let links_est: [CMat; 2] = [est.link(0, 0).clone(), est.link(1, 0).clone()];
+            // A degenerate link scores 0.0.
             base += best_ap_rate(
                 links_true.as_ref(),
                 links_est.as_ref(),
                 cfg.per_node_power,
                 cfg.noise,
             )
-            .1;
+            .map_or(0.0, |(_, rate, _)| rate);
             match best_downlink_option(&links_true, &links_est, cfg.per_node_power, cfg.noise) {
                 Ok(out) => {
                     iac += out.rate;

@@ -254,13 +254,14 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                     (0..cfg.n_aps).map(|a| est.link(a, 0).clone()).collect(),
                 ),
             };
+            // A degenerate link scores 0.0.
             baseline_rates[c] += baseline::best_ap_rate(
                 &links_true,
                 &links_est,
                 cfg.base.per_node_power,
                 cfg.base.noise,
             )
-            .1;
+            .map_or(0.0, |(_, rate, _)| rate);
         }
 
         // IAC with each policy.

@@ -21,7 +21,10 @@ fn matrix_level_uplink_chain_beats_baseline() {
         for c in 0..2 {
             let lt: Vec<CMat> = (0..2).map(|a| grid.link(c, a).clone()).collect();
             let le: Vec<CMat> = (0..2).map(|a| est.link(c, a).clone()).collect();
-            base_acc += iac_lan::core::baseline::best_ap_rate(&lt, &le, 1.0, 1.0).1 / 2.0;
+            base_acc += iac_lan::core::baseline::best_ap_rate(&lt, &le, 1.0, 1.0)
+                .unwrap()
+                .1
+                / 2.0;
         }
         // IAC: three concurrent packets.
         let config = optimize::uplink3_optimized(&est, 1.0, 1.0, 8, &mut rng).unwrap();
