@@ -1,9 +1,9 @@
 //! Proof of the zero-allocation sample plane: a counting global allocator
 //! wraps `System`, the full steady-state sample loop (precode → medium mix →
-//! project → cancel-reconstruct/subtract → OFDM symbol → planned FFT → fast
-//! convolution) runs on warm `_into` buffers, and the heap counter must not
-//! move. The same counter caps the heap traffic of one fig15 group score, through
-//! the optimisers and through the per-slot scoring context, and of one
+//! project → equalize → cancel-reconstruct/subtract → planned FFT) runs on
+//! warm `_into` buffers, and the heap counter must not move. The same
+//! counter caps the heap traffic of one fig15 group score, through the
+//! optimisers and through the per-slot scoring context, and of one
 //! transmission group of the event-driven PCF MAC.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
@@ -18,9 +18,7 @@ use iac_core::optimize::{self, ScoringContext};
 use iac_linalg::{C64, CMat, CVec, Rng64};
 use iac_phy::cancel::{reconstruct_into, subtract};
 use iac_phy::dsp::Scratch;
-use iac_phy::fft::convolve_into;
 use iac_phy::medium::{AirTransmission, Medium};
-use iac_phy::ofdm::{ofdm_demodulate_into, ofdm_modulate_into, OfdmConfig};
 use iac_phy::precode::{precode_into, sum_streams_into};
 use iac_phy::project::{combine_into, equalize_in_place};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,9 +60,6 @@ struct Pipeline {
     u: CVec,
     h: CMat,
     cfo: Cfo,
-    taps: Vec<C64>,
-    freq: Vec<C64>,
-    cfg: OfdmConfig,
     // Reused output buffers.
     precoded_a: Vec<Vec<C64>>,
     precoded_b: Vec<Vec<C64>>,
@@ -72,9 +67,6 @@ struct Pipeline {
     mixed: Vec<Vec<C64>>,
     projected: Vec<C64>,
     reconstruction: Vec<Vec<C64>>,
-    convolved: Vec<C64>,
-    ofdm_air: Vec<C64>,
-    ofdm_back: Vec<C64>,
 }
 
 impl Pipeline {
@@ -84,9 +76,6 @@ impl Pipeline {
         let v = CVec::random_unit(2, &mut rng);
         let u = CVec::random_unit(2, &mut rng);
         let h = CMat::random(2, 2, &mut rng);
-        let taps: Vec<C64> = (0..48).map(|_| rng.cn01()).collect();
-        let cfg = OfdmConfig::wifi_like();
-        let freq: Vec<C64> = (0..cfg.n_subcarriers).map(|_| rng.cn01()).collect();
         Self {
             rng,
             scratch: Scratch::new(),
@@ -95,18 +84,12 @@ impl Pipeline {
             u,
             h,
             cfo: Cfo::new(300.0, 500_000.0),
-            taps,
-            freq,
-            cfg,
             precoded_a: Vec::new(),
             precoded_b: Vec::new(),
             summed: Vec::new(),
             mixed: Vec::new(),
             projected: Vec::new(),
             reconstruction: Vec::new(),
-            convolved: Vec::new(),
-            ofdm_air: Vec::new(),
-            ofdm_back: Vec::new(),
         }
     }
 
@@ -149,19 +132,6 @@ impl Pipeline {
             &mut self.reconstruction,
         );
         subtract(&mut self.mixed, &self.reconstruction, 0);
-        convolve_into(
-            &self.projected,
-            &self.taps,
-            &mut self.convolved,
-            &mut self.scratch,
-        );
-        ofdm_modulate_into(&self.cfg, &self.freq, &mut self.ofdm_air, &mut self.scratch);
-        ofdm_demodulate_into(
-            &self.cfg,
-            &self.ofdm_air,
-            &mut self.ofdm_back,
-            &mut self.scratch,
-        );
         // Planned FFT straight off the scratch plan cache.
         let mut spectrum = self.scratch.take(1024);
         spectrum.copy_from_slice(&self.projected[..1024]);

@@ -44,7 +44,7 @@ impl EstimationConfig {
 
     /// Per-entry error variance of the resulting estimate, relative to unit
     /// channel-entry power.
-    pub fn error_variance(&self) -> f64 {
+    pub(crate) fn error_variance(&self) -> f64 {
         if self.estimation_snr_db.is_infinite() {
             return 0.0;
         }
@@ -93,7 +93,7 @@ impl CsiImpairment {
 
     /// Extra per-entry error variance this impairment adds (relative to
     /// unit channel-entry power).
-    pub fn extra_error_variance(&self) -> f64 {
+    pub(crate) fn extra_error_variance(&self) -> f64 {
         let quant = match self.quant_bits {
             Some(b) => (2.0f64).powi(-2 * i32::from(b)),
             None => 0.0,

@@ -5,30 +5,11 @@
 //! Entries are normalised to unit average power so that large-scale gain is
 //! applied separately by the link budget ([`crate::pathloss`]).
 
-use iac_linalg::{C64, CMat, Rng64};
+use iac_linalg::{CMat, Rng64};
 
 /// Draw an `rx×tx` Rayleigh block-fading channel: i.i.d. `CN(0,1)` entries.
 pub fn rayleigh(rx: usize, tx: usize, rng: &mut Rng64) -> CMat {
     CMat::random(rx, tx, rng)
-}
-
-/// Draw a Ricean channel with K-factor `k` (linear, not dB): a fixed
-/// line-of-sight component of relative power `k/(k+1)` plus Rayleigh scatter.
-/// `k = 0` degenerates to pure Rayleigh.
-///
-/// The LOS component uses unit-modulus phase ramps across the arrays, the
-/// standard far-field model.
-pub fn ricean(rx: usize, tx: usize, k: f64, rng: &mut Rng64) -> CMat {
-    assert!(k >= 0.0, "Ricean K-factor must be non-negative");
-    let los_scale = (k / (k + 1.0)).sqrt();
-    let nlos_scale = (1.0 / (k + 1.0)).sqrt();
-    // Random but fixed angles of departure/arrival for this draw.
-    let theta_t = rng.uniform(0.0, std::f64::consts::TAU);
-    let theta_r = rng.uniform(0.0, std::f64::consts::TAU);
-    CMat::from_fn(rx, tx, |r, t| {
-        let los = C64::cis(theta_r * r as f64 - theta_t * t as f64);
-        los * los_scale + rng.cn01() * nlos_scale
-    })
 }
 
 /// Rayleigh draw rejected until the condition number is below `max_cond`.
@@ -52,6 +33,7 @@ pub fn well_conditioned_rayleigh(rx: usize, tx: usize, max_cond: f64, rng: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iac_linalg::C64;
 
     #[test]
     fn rayleigh_unit_average_power() {
@@ -80,56 +62,6 @@ mod tests {
             "cross-correlation {}",
             cross.abs() / n as f64
         );
-    }
-
-    #[test]
-    fn ricean_k0_is_rayleigh_like() {
-        let mut rng = Rng64::new(3);
-        let n = 2000;
-        let mut power = 0.0;
-        for _ in 0..n {
-            let h = ricean(2, 2, 0.0, &mut rng);
-            power += h.frobenius_norm().powi(2) / 4.0;
-        }
-        assert!((power / n as f64 - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn ricean_high_k_concentrates() {
-        // With K → ∞ the channel is deterministic; variance shrinks as 1/(K+1).
-        let mut rng = Rng64::new(4);
-        let k = 100.0;
-        let n = 500;
-        let mut dev = 0.0;
-        for _ in 0..n {
-            let h = ricean(2, 2, k, &mut rng);
-            // Every entry should have modulus close to the LOS scale.
-            for r in 0..2 {
-                for c in 0..2 {
-                    dev += (h[(r, c)].abs() - (k / (k + 1.0)).sqrt()).abs();
-                }
-            }
-        }
-        assert!(dev / f64::from(n * 4) < 0.15);
-    }
-
-    #[test]
-    fn ricean_preserves_unit_power() {
-        let mut rng = Rng64::new(5);
-        let n = 2000;
-        let mut power = 0.0;
-        for _ in 0..n {
-            let h = ricean(2, 2, 3.0, &mut rng);
-            power += h.frobenius_norm().powi(2) / 4.0;
-        }
-        assert!((power / n as f64 - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn ricean_rejects_negative_k() {
-        let mut rng = Rng64::new(6);
-        let _ = ricean(2, 2, -1.0, &mut rng);
     }
 
     #[test]

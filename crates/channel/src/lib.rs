@@ -6,7 +6,7 @@
 //! to the attenuation and phase refers to the delay along the path" (§6c).
 //! This crate synthesises that world:
 //!
-//! * [`fading`] — Rayleigh/Ricean block-fading MIMO channel draws, with
+//! * [`fading`] — Rayleigh block-fading MIMO channel draws, with
 //!   conditioning guards (antennas spaced > λ/2 ⇒ invertible channels, paper
 //!   footnote 3).
 //! * [`pathloss`] — log-distance path loss and dB helpers, calibrated so the
@@ -35,7 +35,7 @@ pub mod time;
 pub mod topology;
 
 pub use estimation::{estimate_with_error, ls_estimate, CsiImpairment, EstimationConfig};
-pub use fading::{rayleigh, ricean, well_conditioned_rayleigh};
+pub use fading::{rayleigh, well_conditioned_rayleigh};
 pub use noise::Awgn;
 pub use offset::Cfo;
 pub use pathloss::{db_to_linear, linear_to_db, LogDistance};

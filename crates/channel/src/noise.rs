@@ -1,6 +1,6 @@
 //! Additive white Gaussian noise and SNR accounting.
 
-use iac_linalg::{C64, CVec, Rng64};
+use iac_linalg::{C64, Rng64};
 
 /// An AWGN source with a fixed per-sample complex noise power.
 #[derive(Debug, Clone, Copy)]
@@ -14,11 +14,6 @@ impl Awgn {
     pub fn new(power: f64) -> Self {
         assert!(power >= 0.0, "noise power must be non-negative");
         Self { power }
-    }
-
-    /// Noise power for a target SNR (in dB) against unit signal power.
-    pub fn for_snr_db(snr_db: f64) -> Self {
-        Self::new(crate::pathloss::db_to_linear(-snr_db))
     }
 
     /// One noise sample.
@@ -38,13 +33,6 @@ impl Awgn {
         }
         for s in samples.iter_mut() {
             *s += rng.cn(self.power);
-        }
-    }
-
-    /// Add noise to each entry of a spatial snapshot vector.
-    pub fn add_to_vec(&self, v: &mut CVec, rng: &mut Rng64) {
-        for i in 0..v.len() {
-            v[i] += self.sample(rng);
         }
     }
 }
@@ -76,13 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn for_snr_db_calibration() {
-        // Unit-power signal at 20 dB SNR → noise power 0.01.
-        let awgn = Awgn::for_snr_db(20.0);
-        assert!((awgn.power - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_power_adds_nothing() {
         let awgn = Awgn::new(0.0);
         let mut rng = Rng64::new(2);
@@ -95,7 +76,7 @@ mod tests {
     fn measured_snr_tracks_configuration() {
         let mut rng = Rng64::new(3);
         for &snr_db in &[0.0, 10.0, 25.0] {
-            let awgn = Awgn::for_snr_db(snr_db);
+            let awgn = Awgn::new(crate::pathloss::db_to_linear(-snr_db));
             let n = 200_000;
             let noise_power: f64 =
                 (0..n).map(|_| awgn.sample(&mut rng).norm_sqr()).sum::<f64>() / n as f64;
@@ -111,16 +92,5 @@ mod tests {
     fn sinr_ceiling() {
         assert_eq!(sinr(1.0, 0.0), 1e7);
         assert!(sinr(1.0, 1.0) == 1.0);
-    }
-
-    #[test]
-    fn add_to_vec_perturbs_every_entry() {
-        let awgn = Awgn::new(1.0);
-        let mut rng = Rng64::new(4);
-        let mut v = CVec::zeros(4);
-        awgn.add_to_vec(&mut v, &mut rng);
-        for i in 0..4 {
-            assert!(v[i].abs() > 0.0);
-        }
     }
 }

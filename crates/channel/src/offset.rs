@@ -40,11 +40,6 @@ impl Cfo {
         C64::cis(phase)
     }
 
-    /// Total phase accumulated over a packet of `n` samples, in radians.
-    pub fn phase_over(&self, n: usize) -> f64 {
-        std::f64::consts::TAU * self.delta_f_hz * n as f64 / self.sample_rate_hz
-    }
-
     /// Apply the rotation in place to a sample stream starting at sample
     /// index `start`.
     pub fn apply(&self, samples: &mut [C64], start: usize) {
@@ -111,16 +106,6 @@ mod tests {
         let p0 = cfo.phasor_at(0);
         let pn = cfo.phasor_at(n);
         assert!((p0 - pn).abs() < 1e-9);
-    }
-
-    #[test]
-    fn phase_over_packet_matches_paper_scale() {
-        // A 500 Hz offset over a 1500-byte BPSK packet at 500 kS/s rotates
-        // by many radians — "completely misaligned by the end of the packet"
-        // in the I-Q domain (yet spatial alignment survives; see iac-phy).
-        let cfo = Cfo::new(500.0, 500_000.0);
-        let samples = 12_000; // 1500 bytes × 8 bits at 1 sample/bit
-        assert!(cfo.phase_over(samples) > std::f64::consts::TAU);
     }
 
     #[test]

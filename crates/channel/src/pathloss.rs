@@ -55,7 +55,7 @@ impl LogDistance {
     }
 
     /// Average per-link SNR in dB for a given link budget.
-    pub fn snr_db(&self, d_m: f64, budget_db: f64) -> f64 {
+    pub(crate) fn snr_db(&self, d_m: f64, budget_db: f64) -> f64 {
         budget_db - self.loss_db(d_m)
     }
 }

@@ -23,22 +23,16 @@ pub struct Ar1Evolution {
 }
 
 impl Ar1Evolution {
-    /// A nearly static indoor channel (ρ = 0.995 per slot).
-    pub fn nearly_static() -> Self {
-        Self {
-            rho: 0.995,
-            entry_power: 1.0,
-        }
-    }
-
-    /// Construct with explicit parameters.
+    /// Construct with explicit parameters. Public without a production
+    /// caller yet: the planned channel-coherence ablation (ROADMAP.md) uses it.
     pub fn new(rho: f64, entry_power: f64) -> Self {
         assert!((0.0..=1.0).contains(&rho), "rho must be in [0,1]");
         assert!(entry_power > 0.0, "entry power must be positive");
         Self { rho, entry_power }
     }
 
-    /// Advance a channel one slot in place.
+    /// Advance a channel one slot in place. Public for the same planned
+    /// coherence ablation as [`Ar1Evolution::new`].
     pub fn step(&self, h: &mut CMat, rng: &mut Rng64) {
         let innov = (1.0 - self.rho * self.rho).sqrt() * self.entry_power.sqrt();
         for r in 0..h.rows() {
@@ -46,18 +40,6 @@ impl Ar1Evolution {
                 h[(r, c)] = h[(r, c)].scale(self.rho) + rng.cn01() * innov;
             }
         }
-    }
-
-    /// Evolve `n` slots, returning the trajectory (including the start).
-    pub fn trajectory(&self, start: &CMat, n: usize, rng: &mut Rng64) -> Vec<CMat> {
-        let mut out = Vec::with_capacity(n + 1);
-        let mut h = start.clone();
-        out.push(h.clone());
-        for _ in 0..n {
-            self.step(&mut h, rng);
-            out.push(h.clone());
-        }
-        out
     }
 }
 
@@ -90,7 +72,7 @@ mod tests {
 
     #[test]
     fn marginal_power_is_invariant() {
-        let model = Ar1Evolution::nearly_static();
+        let model = Ar1Evolution::new(0.995, 1.0);
         let mut rng = Rng64::new(3);
         let mut h = CMat::random(2, 2, &mut rng);
         let mut acc = 0.0;
@@ -128,16 +110,6 @@ mod tests {
             "measured {measured}, expected {}",
             rho.powi(k)
         );
-    }
-
-    #[test]
-    fn trajectory_length() {
-        let model = Ar1Evolution::nearly_static();
-        let mut rng = Rng64::new(5);
-        let h = CMat::random(2, 2, &mut rng);
-        let traj = model.trajectory(&h, 10, &mut rng);
-        assert_eq!(traj.len(), 11);
-        assert_eq!(traj[0], h);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::grid::{ChannelGrid, Direction};
 use crate::schedule::{DecodeSchedule, DecodeStep};
-use iac_linalg::{eig2, general_eigenvectors, CMat, CVec, LinAlgError, Result, Rng64};
+use iac_linalg::{eig2, CMat, CVec, LinAlgError, Result, Rng64};
 
 /// A closed-form (or solver-produced) IAC transmit configuration.
 #[derive(Debug, Clone)]
@@ -211,25 +211,6 @@ pub fn downlink_2m_minus_2(grid: &ChannelGrid, rng: &mut Rng64) -> Result<Aligne
     })
 }
 
-/// General-M uplink configuration via the iterative solver (the closed-form
-/// chain for `m = 2` is [`uplink4`]); provided here so callers have a single
-/// entry point per lemma.
-pub fn uplink_2m(grid: &ChannelGrid, m: usize, rng: &mut Rng64) -> Result<AlignedConfig> {
-    if m == 2 {
-        return uplink4(grid, rng);
-    }
-    let schedule = DecodeSchedule::uplink_2m(m);
-    let problem = crate::solver::AlignmentProblem {
-        grid,
-        schedule: &schedule,
-    };
-    let solution = problem.solve(&crate::solver::SolverConfig::default(), rng)?;
-    Ok(AlignedConfig {
-        schedule,
-        encoding: solution.encoding,
-    })
-}
-
 /// Relative misalignment of an encoding against a schedule: for every
 /// interference set that must fit in an `s`-dimensional subspace, the ratio
 /// `σ_{s+1}/σ_1` of the stacked interference images (0 = perfectly aligned).
@@ -257,22 +238,6 @@ pub fn alignment_residual(
         }
     }
     worst
-}
-
-/// The eigenvector entry point used by the general-M constructions (kept
-/// public for the benches that sweep antenna counts).
-pub fn any_eigvec(prod: &CMat) -> Result<CVec> {
-    if prod.rows() == 2 {
-        let pairs = eig2(prod)?;
-        Ok(pairs[0].1.clone())
-    } else {
-        let pairs = general_eigenvectors(prod)?;
-        pairs
-            .into_iter()
-            .next()
-            .map(|(_, v)| v)
-            .ok_or(LinAlgError::Degenerate("no eigenvector found"))
-    }
 }
 
 #[cfg(test)]

@@ -21,22 +21,6 @@ pub fn max_downlink_packets(m: usize) -> usize {
     a.max(b)
 }
 
-/// Number of APs Lemma 5.1's construction needs on the downlink: `m−1` for
-/// `m > 2`; the `m = 2` case reaches 3 packets with 3 APs (Fig. 6).
-pub fn downlink_aps_needed(m: usize) -> usize {
-    assert!(m >= 2, "MIMO needs at least two antennas");
-    if m == 2 {
-        3
-    } else {
-        m - 1
-    }
-}
-
-/// Number of APs Lemma 5.2's construction needs on the uplink (three).
-pub fn uplink_aps_needed(_m: usize) -> usize {
-    3
-}
-
 /// Degrees-of-freedom accounting for a set of alignment requirements.
 ///
 /// `interference_sets` lists, per receiver, `(packets_that_interfere,
@@ -44,7 +28,7 @@ pub fn uplink_aps_needed(_m: usize) -> usize {
 /// subspace of `C^m` costs `(k−s)·(m−s)` scalar constraints when `k > s`
 /// (the first `s` vectors *define* the subspace for free). The total must
 /// not exceed the `(m−1)` projective freedoms of each encoding vector.
-pub fn dof_feasible(m: usize, n_packets: usize, interference_sets: &[(usize, usize)]) -> bool {
+pub(crate) fn dof_feasible(m: usize, n_packets: usize, interference_sets: &[(usize, usize)]) -> bool {
     let freedoms = n_packets * (m - 1);
     let mut constraints = 0usize;
     for &(k, s) in interference_sets {
@@ -102,14 +86,6 @@ mod tests {
         for m in 1..=8 {
             assert_eq!(max_uplink_packets(m), 2 * m);
         }
-    }
-
-    #[test]
-    fn ap_requirements() {
-        assert_eq!(downlink_aps_needed(2), 3);
-        assert_eq!(downlink_aps_needed(3), 2);
-        assert_eq!(downlink_aps_needed(5), 4);
-        assert_eq!(uplink_aps_needed(2), 3);
     }
 
     #[test]

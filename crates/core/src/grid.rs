@@ -112,12 +112,12 @@ impl ChannelGrid {
     }
 
     /// Receiver antenna count.
-    pub fn rx_antennas(&self) -> usize {
+    pub(crate) fn rx_antennas(&self) -> usize {
         self.h[0][0].rows()
     }
 
     /// Transmitter antenna count.
-    pub fn tx_antennas(&self) -> usize {
+    pub(crate) fn tx_antennas(&self) -> usize {
         self.h[0][0].cols()
     }
 

@@ -47,6 +47,6 @@ pub use baseline::{best_ap_rate, eigenmode_rate, waterfill};
 pub use decoder::{DecodeOutcome, IacDecoder, PacketSinr};
 pub use feasibility::{max_downlink_packets, max_uplink_packets};
 pub use grid::{ChannelGrid, Direction};
-pub use rate::{gain, rate_bits_per_hz};
+pub use rate::gain;
 pub use schedule::{DecodeSchedule, DecodeStep};
 pub use solver::{AlignmentProblem, AlignmentSolution, SolverConfig};

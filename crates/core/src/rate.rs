@@ -7,7 +7,7 @@
 //! SNRs. Gains are ratios of average achievable rates (Eq. 10).
 
 /// Eq. 9: achievable rate in bit/s/Hz for a set of concurrent packet SINRs.
-pub fn rate_bits_per_hz(sinrs: &[f64]) -> f64 {
+pub(crate) fn rate_bits_per_hz(sinrs: &[f64]) -> f64 {
     sum_rates(sinrs.iter().copied())
 }
 

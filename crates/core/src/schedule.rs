@@ -253,7 +253,7 @@ impl DecodeSchedule {
     /// Downlink schedules have no cancellation; when modelling them the
     /// steps are independent (every client decodes simultaneously). This
     /// normalises such a schedule's `cancel` lists for validation.
-    pub fn is_downlink_style(&self) -> bool {
+    pub(crate) fn is_downlink_style(&self) -> bool {
         self.steps.iter().all(|s| s.cancel.is_empty())
     }
 }

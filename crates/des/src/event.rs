@@ -19,7 +19,7 @@ pub struct Event<E> {
     /// When the event fires.
     pub time: SimTime,
     /// Component that scheduled it (the destination itself for self-ticks,
-    /// or [`crate::simulation::EXTERNAL`] for events injected from outside).
+    /// or `crate::simulation::EXTERNAL` for events injected from outside).
     pub src: ComponentId,
     /// Component whose handler receives it.
     pub dst: ComponentId,

@@ -26,7 +26,7 @@ use crate::time::SimTime;
 use iac_linalg::Rng64;
 
 /// What goes wrong (plain data; converts to the event vocabulary via
-/// [`FaultKind::to_event`]).
+/// `FaultKind::to_event`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// AP `ap` crashes.
@@ -51,7 +51,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The [`NetEvent`] this fault is delivered as.
-    pub fn to_event(self) -> NetEvent {
+    pub(crate) fn to_event(self) -> NetEvent {
         match self {
             FaultKind::ApDown(ap) => NetEvent::ApDown { ap },
             FaultKind::ApUp(ap) => NetEvent::ApUp { ap },

@@ -99,7 +99,7 @@ pub use metrics::{MetricsLog, PacketRecord, QueueDepthSample, SharedMetrics};
 pub use net::{NetEvent, TrafficSource, WiredSink};
 pub use pcf::{EventPcf, EventPcfConfig};
 pub use queue::EventQueue;
-pub use simulation::{Ctx, EventHandler, EventObserver, Simulation, EXTERNAL};
+pub use simulation::{Ctx, EventHandler, EventObserver, Simulation};
 pub use time::SimTime;
 pub use traffic::ArrivalProcess;
 

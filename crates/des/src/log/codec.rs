@@ -32,10 +32,10 @@ pub const MAGIC: [u8; 4] = *b"IACL";
 pub const VERSION: u16 = 1;
 
 /// Record tag: one fired event follows.
-pub const TAG_EVENT: u8 = 0x01;
+pub(crate) const TAG_EVENT: u8 = 0x01;
 
 /// Record tag: end of log; the total event count follows.
-pub const TAG_END: u8 = 0x02;
+pub(crate) const TAG_END: u8 = 0x02;
 
 /// Why a log (or a single record) failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,14 +183,14 @@ impl EventRecord {
 }
 
 /// Append the log header to `buf`.
-pub fn write_header(buf: &mut BytesMut) {
+pub(crate) fn write_header(buf: &mut BytesMut) {
     buf.put_slice(&MAGIC);
     buf.put_u16(VERSION);
     buf.put_u16(0); // flags, reserved
 }
 
 /// Read and validate the header; returns the version.
-pub fn read_header(b: &mut Bytes) -> Result<u16, CodecError> {
+pub(crate) fn read_header(b: &mut Bytes) -> Result<u16, CodecError> {
     if b.remaining() < 4 {
         return Err(CodecError::Truncated("magic"));
     }
@@ -208,7 +208,7 @@ pub fn read_header(b: &mut Bytes) -> Result<u16, CodecError> {
 }
 
 /// Append one event record (framing + pre-encoded payload) to `buf`.
-pub fn write_event(
+pub(crate) fn write_event(
     buf: &mut BytesMut,
     id: EventId,
     time: SimTime,

@@ -199,7 +199,7 @@ impl SharedMetrics {
     }
 
     /// Mutate the log.
-    pub fn with<R>(&self, f: impl FnOnce(&mut MetricsLog) -> R) -> R {
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut MetricsLog) -> R) -> R {
         f(&mut self.0.borrow_mut())
     }
 

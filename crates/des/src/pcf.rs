@@ -587,7 +587,7 @@ impl<P: PhyOutcome> EventPcf<P> {
                         let loss_ppm = self.fault.wire_loss_ppm;
                         let outcome = {
                             let rng = ctx.rng();
-                            self.hub.broadcast_with_retry_at(
+                            self.hub.broadcast(
                                 &wire,
                                 now_us,
                                 &self.cfg.wire_retry,

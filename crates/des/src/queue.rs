@@ -116,14 +116,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Grow the pending-event reservation to at least `additional` more than
-    /// the current length.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        self.slab.reserve(additional);
-        self.free.reserve(additional);
-    }
-
     /// Schedule an event at absolute time `time`; returns its id.
     pub fn push(&mut self, time: SimTime, src: ComponentId, dst: ComponentId, payload: E) -> EventId {
         let id = self.next_id;

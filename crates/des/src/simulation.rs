@@ -16,7 +16,7 @@ use iac_linalg::Rng64;
 
 /// Pseudo-source id for events injected from outside any handler (e.g. the
 /// initial kick-off events a scenario schedules before running).
-pub const EXTERNAL: ComponentId = ComponentId::MAX;
+pub(crate) const EXTERNAL: ComponentId = ComponentId::MAX;
 
 /// A component's view of the running simulation while it handles an event:
 /// the current time, the shared RNG, and the ability to schedule (or cancel)
@@ -32,11 +32,6 @@ impl<E> Ctx<'_, E> {
     /// Current simulated time.
     pub fn time(&self) -> SimTime {
         self.time
-    }
-
-    /// The handling component's own id.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
     }
 
     /// The simulation's seeded random source.
@@ -60,7 +55,7 @@ impl<E> Ctx<'_, E> {
 
     /// Cancel a previously scheduled event. Cancelling an already-fired id is
     /// a no-op.
-    pub fn cancel(&mut self, id: EventId) {
+    pub(crate) fn cancel(&mut self, id: EventId) {
         self.queue.cancel(id);
     }
 }
@@ -164,11 +159,6 @@ impl<E> Simulation<E> {
         self.queue.push(self.time + delay, EXTERNAL, dst, payload)
     }
 
-    /// Cancel a scheduled event by id (no-op if it already fired).
-    pub fn cancel(&mut self, id: EventId) {
-        self.queue.cancel(id);
-    }
-
     /// Current simulated time.
     pub fn time(&self) -> SimTime {
         self.time
@@ -192,11 +182,6 @@ impl<E> Simulation<E> {
     /// Events cancelled while still pending (see [`EventQueue::cancelled`]).
     pub fn events_cancelled(&self) -> u64 {
         self.queue.cancelled()
-    }
-
-    /// Currently pending events (cancelled-but-unskipped included).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Deepest the pending-event set has ever been (see
@@ -291,6 +276,17 @@ mod tests {
         }
     }
 
+    /// Cancels `target` from inside a handler, the way a component does.
+    struct Canceller {
+        target: EventId,
+    }
+
+    impl EventHandler<u32> for Canceller {
+        fn on_event(&mut self, _event: Event<u32>, ctx: &mut Ctx<'_, u32>) {
+            ctx.cancel(self.target);
+        }
+    }
+
     #[test]
     fn ping_pong_terminates_and_orders() {
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
@@ -367,14 +363,13 @@ mod tests {
         );
         sim.schedule(SimTime::ZERO, a, 2);
         let doomed = sim.schedule(SimTime::from_micros(50.0), a, 0);
-        assert_eq!(sim.queue_len(), 2);
         assert_eq!(sim.queue_high_water(), 2);
-        sim.cancel(doomed);
+        let c = sim.add_component("c", Canceller { target: doomed });
+        sim.schedule(SimTime::ZERO, c, 0);
         sim.step_until_no_events();
-        assert_eq!(sim.queue_len(), 0);
-        assert_eq!(sim.queue_high_water(), 2);
+        assert_eq!(sim.queue_high_water(), 3);
         assert_eq!(sim.events_cancelled(), 1);
-        assert_eq!(sim.events_scheduled(), 4); // 2 injected + 2 relays
+        assert_eq!(sim.events_scheduled(), 5); // 3 injected + 2 relays
     }
 
     #[test]
@@ -390,8 +385,9 @@ mod tests {
             },
         );
         let id = sim.schedule(SimTime::from_micros(5.0), a, 0);
-        sim.cancel(id);
-        assert_eq!(sim.step_until_no_events(), 0);
+        let c = sim.add_component("c", Canceller { target: id });
+        sim.schedule(SimTime::ZERO, c, 0);
+        assert_eq!(sim.step_until_no_events(), 1, "only the canceller fires");
         assert!(log.borrow().is_empty());
     }
 

@@ -42,7 +42,7 @@ impl SimTime {
     }
 
     /// From seconds.
-    pub fn from_secs(s: f64) -> Self {
+    pub(crate) fn from_secs(s: f64) -> Self {
         Self::from_micros(s * 1e6)
     }
 
@@ -52,12 +52,12 @@ impl SimTime {
     }
 
     /// As milliseconds.
-    pub fn millis(self) -> f64 {
+    pub(crate) fn millis(self) -> f64 {
         self.0 * 1e-3
     }
 
     /// As seconds.
-    pub fn secs(self) -> f64 {
+    pub(crate) fn secs(self) -> f64 {
         self.0 * 1e-6
     }
 

@@ -80,25 +80,8 @@ impl ArrivalProcess {
         }
     }
 
-    /// Long-run average arrival rate in packets per second.
-    pub fn mean_rate_pps(&self) -> f64 {
-        match &self.kind {
-            Kind::Poisson { rate_pps } => *rate_pps,
-            Kind::Cbr { interval } => 1e6 / interval.micros(),
-            Kind::OnOff {
-                on_mean,
-                off_mean,
-                rate_pps,
-                ..
-            } => {
-                let duty = on_mean.micros() / (on_mean.micros() + off_mean.micros());
-                rate_pps * duty
-            }
-        }
-    }
-
     /// The gap from the previous packet (or from process start) to the next.
-    pub fn next_gap(&mut self, rng: &mut Rng64) -> SimTime {
+    pub(crate) fn next_gap(&mut self, rng: &mut Rng64) -> SimTime {
         match &mut self.kind {
             Kind::Poisson { rate_pps } => SimTime::from_secs(exp_mean(1.0 / *rate_pps, rng)),
             Kind::Cbr { interval } => *interval,
@@ -139,7 +122,6 @@ mod tests {
         let total: f64 = (0..n).map(|_| p.next_gap(&mut rng).micros()).sum();
         let mean_us = total / n as f64;
         assert!((mean_us - 1000.0).abs() < 30.0, "mean gap {mean_us}us");
-        assert!((p.mean_rate_pps() - 1000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -149,7 +131,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(c.next_gap(&mut rng), SimTime::from_micros(250.0));
         }
-        assert!((c.mean_rate_pps() - 4000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -160,7 +141,6 @@ mod tests {
             SimTime::from_millis(30.0),
             2000.0,
         );
-        assert!((b.mean_rate_pps() - 500.0).abs() < 1e-9);
         let mut rng = Rng64::new(3);
         let n = 20_000;
         let total_s: f64 = (0..n).map(|_| b.next_gap(&mut rng).secs()).sum();

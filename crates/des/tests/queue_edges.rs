@@ -108,10 +108,9 @@ fn with_capacity_matches_new_exactly() {
 }
 
 #[test]
-fn with_capacity_zero_and_reserve_work() {
+fn with_capacity_zero_works() {
     let mut q = EventQueue::<u8>::with_capacity(0);
     assert!(q.is_empty());
-    q.reserve(16);
     q.push(t(1.0), 0, 0, 1);
     assert_eq!(q.len(), 1);
     assert_eq!(q.pop().unwrap().payload, 1);

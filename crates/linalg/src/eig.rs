@@ -1,6 +1,6 @@
 //! Eigendecompositions.
 //!
-//! Three flavours, each needed by a different part of IAC:
+//! Two flavours, each needed by a different part of IAC:
 //!
 //! * [`eig2`] — closed-form eigenpairs of a general complex 2×2 matrix. The
 //!   paper's four-packet uplink alignment is literally "an eigenvector of
@@ -8,12 +8,9 @@
 //! * [`eigh`] — cyclic Jacobi for Hermitian matrices. The iterative alignment
 //!   solver picks decode subspaces as the smallest-eigenvalue eigenvectors of
 //!   interference covariance matrices, which are Hermitian PSD.
-//! * [`general_eigenvectors`] — shifted QR iteration on a Hessenberg form for
-//!   general complex matrices of modest size (the M-antenna generalisations
-//!   of the footnote-4 eigenproblem).
 
 use crate::small::Small;
-use crate::{C64, CMat, CVec, LinAlgError, Lu, Result};
+use crate::{C64, CMat, CVec, LinAlgError, Result};
 
 /// Closed-form eigenpairs of a 2×2 complex matrix: `[(λ₁,v₁), (λ₂,v₂)]`.
 ///
@@ -56,29 +53,6 @@ fn eigvec2(a: &CMat, lambda: C64) -> Result<CVec> {
         [row[1], -row[0]].into_iter().collect()
     };
     v.normalize()
-}
-
-/// Dominant eigenpair via power iteration (utility for quick spectral-radius
-/// style queries; converges when a strictly dominant eigenvalue exists).
-pub fn power_iteration(a: &CMat, iters: usize, seed_vec: &CVec) -> Result<(C64, CVec)> {
-    if !a.is_square() {
-        return Err(LinAlgError::ShapeMismatch {
-            expected: (a.rows(), a.rows()),
-            got: a.shape(),
-        });
-    }
-    let mut v = seed_vec.normalize()?;
-    let mut lambda = C64::zero();
-    for _ in 0..iters {
-        let w = a.mul_vec(&v);
-        let n = w.norm();
-        if n < 1e-300 {
-            return Err(LinAlgError::Degenerate("power iteration hit zero vector"));
-        }
-        v = w.scale(1.0 / n);
-        lambda = v.dot(&a.mul_vec(&v)); // Rayleigh quotient (v is unit)
-    }
-    Ok((lambda, v))
 }
 
 /// Hermitian eigendecomposition by cyclic complex Jacobi.
@@ -294,257 +268,6 @@ pub fn smallest_eigvecs_hermitian(a: &CMat, k: usize) -> Result<Vec<CVec>> {
     Ok((0..k).map(|j| v.col(j)).collect())
 }
 
-/// All eigenvalues of a general complex square matrix, via Hessenberg
-/// reduction and shifted QR iteration.
-pub fn eigenvalues(a: &CMat) -> Result<Vec<C64>> {
-    if !a.is_square() {
-        return Err(LinAlgError::ShapeMismatch {
-            expected: (a.rows(), a.rows()),
-            got: a.shape(),
-        });
-    }
-    let n = a.rows();
-    match n {
-        0 => Err(LinAlgError::Degenerate("empty matrix")),
-        1 => Ok(vec![a[(0, 0)]]),
-        2 => {
-            let pairs = eig2(a)?;
-            Ok(vec![pairs[0].0, pairs[1].0])
-        }
-        _ => {
-            let mut h = hessenberg(a);
-            let mut out = Vec::with_capacity(n);
-            qr_eigenvalues(&mut h, &mut out)?;
-            Ok(out)
-        }
-    }
-}
-
-/// Eigenpairs of a general complex square matrix. Eigenvalues come from the
-/// QR iteration; eigenvectors from inverse iteration with a perturbed shift.
-///
-/// Intended for matrices of modest dimension (≤ ~12) with non-pathological
-/// spectra — exactly the alignment-product matrices of the paper.
-pub fn general_eigenvectors(a: &CMat) -> Result<Vec<(C64, CVec)>> {
-    let lambdas = eigenvalues(a)?;
-    let n = a.rows();
-    let scale = a.frobenius_norm().max(1.0);
-    let mut out = Vec::with_capacity(lambdas.len());
-    for lambda in lambdas {
-        let v = inverse_iteration(a, lambda, scale, n)?;
-        out.push((lambda, v));
-    }
-    Ok(out)
-}
-
-fn inverse_iteration(a: &CMat, lambda: C64, scale: f64, n: usize) -> Result<CVec> {
-    // Perturb the shift slightly so (A − λ̃I) is invertible, then iterate.
-    let mut shift_eps = 1e-10 * scale;
-    'retry: for _attempt in 0..6 {
-        let shifted = {
-            let mut m = a.clone();
-            for i in 0..n {
-                m[(i, i)] -= lambda + C64::real(shift_eps);
-            }
-            m
-        };
-        let lu = match Lu::factor(&shifted) {
-            Ok(lu) => lu,
-            Err(_) => {
-                shift_eps *= 10.0;
-                continue 'retry;
-            }
-        };
-        // Deterministic non-degenerate start vector.
-        let mut v = CVec::from_fn(n, |i| C64::new(1.0, (i as f64 + 1.0) * 0.1)).normalized();
-        for _ in 0..8 {
-            let w = match lu.solve(&v) {
-                Ok(w) => w,
-                Err(_) => {
-                    shift_eps *= 10.0;
-                    continue 'retry;
-                }
-            };
-            let nw = w.norm();
-            if !nw.is_finite() || nw < 1e-300 {
-                shift_eps *= 10.0;
-                continue 'retry;
-            }
-            v = w.scale(1.0 / nw);
-        }
-        // Validate the residual; retry with bigger perturbation if poor.
-        let resid = (&a.mul_vec(&v) - &v.scale_c(lambda)).norm();
-        if resid <= 1e-6 * scale {
-            return Ok(v);
-        }
-        shift_eps *= 10.0;
-    }
-    Err(LinAlgError::NoConvergence { iterations: 6 })
-}
-
-/// Reduce to upper Hessenberg form by Householder similarity transforms.
-fn hessenberg(a: &CMat) -> CMat {
-    let n = a.rows();
-    let mut h = a.clone();
-    for k in 0..n.saturating_sub(2) {
-        // Zero column k below the first subdiagonal.
-        let mut x = CVec::zeros(n - k - 1);
-        for i in (k + 1)..n {
-            x[i - k - 1] = h[(i, k)];
-        }
-        let xnorm = x.norm();
-        if xnorm < 1e-300 {
-            continue;
-        }
-        let x0 = x[0];
-        let phase = if x0.abs() < 1e-300 {
-            C64::one()
-        } else {
-            x0 * (1.0 / x0.abs())
-        };
-        let alpha = -(phase * xnorm);
-        let mut v = x;
-        v[0] -= alpha;
-        let vns = v.norm_sqr();
-        if vns < 1e-300 {
-            continue;
-        }
-        let tau = 2.0 / vns;
-        // H ← P·H with P = I − τ·v·vᴴ acting on rows k+1..n.
-        for c in 0..n {
-            let mut dot = C64::zero();
-            for i in (k + 1)..n {
-                dot += v[i - k - 1].conj() * h[(i, c)];
-            }
-            let f = dot.scale(tau);
-            for i in (k + 1)..n {
-                let sub = f * v[i - k - 1];
-                h[(i, c)] -= sub;
-            }
-        }
-        // H ← H·P acting on columns k+1..n.
-        for r in 0..n {
-            let mut dot = C64::zero();
-            for i in (k + 1)..n {
-                dot += h[(r, i)] * v[i - k - 1];
-            }
-            let f = dot.scale(tau);
-            for i in (k + 1)..n {
-                let sub = f * v[i - k - 1].conj();
-                h[(r, i)] -= sub;
-            }
-        }
-    }
-    h
-}
-
-/// Shifted QR iteration on a Hessenberg matrix, deflating eigenvalues into
-/// `out`. Uses Wilkinson shifts and complex Givens rotations.
-fn qr_eigenvalues(h: &mut CMat, out: &mut Vec<C64>) -> Result<()> {
-    let mut n = h.rows();
-    let scale = h.frobenius_norm().max(1.0);
-    let eps = 1e-14 * scale;
-    let mut budget = 200 * n;
-
-    while n > 0 {
-        if n == 1 {
-            out.push(h[(0, 0)]);
-            break;
-        }
-        if n == 2 {
-            let sub = h.submatrix(0, 0, 2, 2);
-            let pairs = eig2(&sub)?;
-            out.push(pairs[0].0);
-            out.push(pairs[1].0);
-            break;
-        }
-        // Look for a negligible subdiagonal to deflate at.
-        let mut deflated = false;
-        for i in (1..n).rev() {
-            if h[(i, i - 1)].abs() <= eps * (h[(i - 1, i - 1)].abs() + h[(i, i)].abs() + eps) {
-                if i == n - 1 {
-                    out.push(h[(n - 1, n - 1)]);
-                    n -= 1;
-                } else {
-                    // Split: solve the trailing block separately.
-                    let mut tail = h.submatrix(i, i, n - i, n - i);
-                    qr_eigenvalues(&mut tail, out)?;
-                    n = i;
-                }
-                deflated = true;
-                break;
-            }
-        }
-        if deflated {
-            continue;
-        }
-        if budget == 0 {
-            return Err(LinAlgError::NoConvergence { iterations: 200 });
-        }
-        budget -= 1;
-
-        // Wilkinson shift: eigenvalue of trailing 2×2 closest to h[n−1,n−1].
-        let block = h.submatrix(n - 2, n - 2, 2, 2);
-        let pairs = eig2(&block)?;
-        let target = h[(n - 1, n - 1)];
-        let mu = if (pairs[0].0 - target).abs() <= (pairs[1].0 - target).abs() {
-            pairs[0].0
-        } else {
-            pairs[1].0
-        };
-
-        // One implicit QR step: factor (H − μI) with Givens, form RQ + μI.
-        for i in 0..n {
-            h[(i, i)] -= mu;
-        }
-        let mut rotations: Vec<(usize, f64, C64)> = Vec::with_capacity(n - 1);
-        for k in 0..(n - 1) {
-            let a = h[(k, k)];
-            let b = h[(k + 1, k)];
-            let (c, s) = givens(a, b);
-            rotations.push((k, c, s));
-            // Apply Gᴴ from the left to rows k, k+1 (columns k..n).
-            for col in k..n {
-                let x = h[(k, col)];
-                let y = h[(k + 1, col)];
-                h[(k, col)] = x.scale(c) + s * y;
-                h[(k + 1, col)] = y.scale(c) - s.conj() * x;
-            }
-        }
-        for &(k, c, s) in &rotations {
-            // Apply G from the right to columns k, k+1 (rows 0..=k+1).
-            for row in 0..=(k + 1).min(n - 1) {
-                let x = h[(row, k)];
-                let y = h[(row, k + 1)];
-                h[(row, k)] = x.scale(c) + y * s.conj();
-                h[(row, k + 1)] = y.scale(c) - x * s;
-            }
-        }
-        for i in 0..n {
-            h[(i, i)] += mu;
-        }
-    }
-    Ok(())
-}
-
-/// Complex Givens pair (c real, s complex) with
-/// `[c, s; −s̄, c]ᴴ · [a; b] = [r; 0]`.
-fn givens(a: C64, b: C64) -> (f64, C64) {
-    let bmag = b.abs();
-    if bmag == 0.0 {
-        return (1.0, C64::zero());
-    }
-    let amag = a.abs();
-    let r = (amag * amag + bmag * bmag).sqrt();
-    if amag == 0.0 {
-        // Rotate b straight into the first slot.
-        return (0.0, b.conj() * (1.0 / r));
-    }
-    let c = amag / r;
-    let s = (a * (1.0 / amag)) * b.conj() * (1.0 / r);
-    (c, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,7 +339,8 @@ mod tests {
         // exactly the decoding-vector computation.
         let mut rng = Rng64::new(404);
         let dir = CVec::random(2, &mut rng);
-        let q = crate::qr::projector(&[dir.normalized()]);
+        let d = dir.normalized();
+        let q = CMat::from_fn(2, 2, |r, c| d[r] * d[c].conj()); // projector d·dᴴ
         let u = smallest_eigvec_hermitian(&q).unwrap();
         assert!(dir.dot(&u).abs() < 1e-9);
     }
@@ -712,82 +436,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn general_eigen_matches_eig2_for_2x2() {
-        let mut rng = Rng64::new(405);
-        let a = CMat::random(2, 2, &mut rng);
-        let pairs = general_eigenvectors(&a).unwrap();
-        assert_eq!(pairs.len(), 2);
-        for (l, v) in pairs {
-            assert!(residual(&a, l, &v) < 1e-8);
-        }
-    }
-
-    #[test]
-    fn general_eigen_known_triangular() {
-        // Upper triangular ⇒ eigenvalues are the diagonal.
-        let n = 4;
-        let mut rng = Rng64::new(406);
-        let mut a = CMat::random(n, n, &mut rng);
-        for r in 1..n {
-            for c in 0..r {
-                a[(r, c)] = C64::zero();
-            }
-        }
-        let mut expect: Vec<C64> = (0..n).map(|i| a[(i, i)]).collect();
-        let mut got = eigenvalues(&a).unwrap();
-        let key = |z: &C64| (z.re * 1e6) as i64;
-        expect.sort_by_key(key);
-        got.sort_by_key(key);
-        for (e, g) in expect.iter().zip(&got) {
-            assert!(approx_eq_c(*e, *g, 1e-7), "{e} vs {g}");
-        }
-    }
-
-    #[test]
-    fn general_eigen_random_residuals() {
-        let mut rng = Rng64::new(407);
-        for n in 3..=6 {
-            let a = CMat::random(n, n, &mut rng);
-            let pairs = general_eigenvectors(&a).unwrap();
-            assert_eq!(pairs.len(), n);
-            for (l, v) in pairs {
-                let r = residual(&a, l, &v);
-                assert!(r < 1e-6, "n={n}: residual {r} for λ={l}");
-            }
-        }
-    }
-
-    #[test]
-    fn general_eigen_footnote4_shape() {
-        // The alignment-product matrix of the paper's footnote 4:
-        // eig(H32⁻¹ H22 H21⁻¹ H31) for random 2×2 channels.
-        let mut rng = Rng64::new(408);
-        let h21 = CMat::random(2, 2, &mut rng);
-        let h22 = CMat::random(2, 2, &mut rng);
-        let h31 = CMat::random(2, 2, &mut rng);
-        let h32 = CMat::random(2, 2, &mut rng);
-        let prod = h32
-            .inverse()
-            .unwrap()
-            .mul_mat(&h22)
-            .mul_mat(&h21.inverse().unwrap())
-            .mul_mat(&h31);
-        let pairs = general_eigenvectors(&prod).unwrap();
-        for (l, v) in pairs {
-            assert!(residual(&prod, l, &v) < 1e-8);
-        }
-    }
-
-    #[test]
-    fn power_iteration_dominant() {
-        let a = CMat::diag(&[C64::real(5.0), C64::real(1.0), C64::real(0.1)]);
-        let seed_vec = CVec::from_real(&[1.0, 1.0, 1.0]);
-        let (l, v) = power_iteration(&a, 100, &seed_vec).unwrap();
-        assert!(approx_eq(l.re, 5.0, 1e-8));
-        assert!(v[0].abs() > 0.999);
     }
 
     #[test]

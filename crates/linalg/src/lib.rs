@@ -3,7 +3,7 @@
 //! Interference alignment is, computationally, small dense complex linear
 //! algebra: channel matrices are `M×M` with `M` between 2 and ~8, encoding and
 //! decoding vectors live in `C^M`, and the alignment equations of the paper
-//! reduce to inversions, null spaces and eigenproblems of such matrices
+//! reduce to inversions and eigenproblems of such matrices
 //! (e.g. footnote 4 of the paper: `v4 = eig(H32⁻¹ H22 H21⁻¹ H31)`).
 //!
 //! This crate provides exactly that toolbox, self-contained and deterministic:
@@ -12,9 +12,9 @@
 //! * [`CVec`] — dense complex vector with Hermitian inner product.
 //! * [`CMat`] — dense complex matrix (row-major).
 //! * [`lu`] — LU factorisation with partial pivoting (solve/inverse/det).
-//! * [`qr`] — Householder QR (orthonormal bases, projectors, least squares).
-//! * [`eig`] — eigendecomposition: closed form 2×2, shifted-QR general case,
-//!   and Jacobi for Hermitian matrices.
+//! * [`qr`] — Householder QR (least squares).
+//! * [`eig`] — eigendecomposition: closed form 2×2 and Jacobi for Hermitian
+//!   matrices.
 //! * [`svd`] — one-sided Jacobi SVD (used by the 802.11n eigenmode baseline).
 //! * [`rng`] — xoshiro256++ PRNG with Gaussian and complex-Gaussian draws, so
 //!   every experiment in the workspace is bit-reproducible from a `u64` seed.
@@ -40,7 +40,7 @@ pub mod vector;
 
 pub use approx::{approx_eq, approx_eq_c};
 pub use c64::C64;
-pub use eig::{eig2, eigh, general_eigenvectors, power_iteration};
+pub use eig::{eig2, eigh};
 pub use lu::Lu;
 pub use matrix::CMat;
 pub use qr::Qr;

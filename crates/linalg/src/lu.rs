@@ -78,7 +78,7 @@ impl Lu {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -111,7 +111,7 @@ impl Lu {
     }
 
     /// Solve for multiple right-hand sides stacked as matrix columns.
-    pub fn solve_mat(&self, b: &CMat) -> Result<CMat> {
+    pub(crate) fn solve_mat(&self, b: &CMat) -> Result<CMat> {
         let n = self.dim();
         if b.rows() != n {
             return Err(LinAlgError::ShapeMismatch {
@@ -128,12 +128,12 @@ impl Lu {
     }
 
     /// Matrix inverse.
-    pub fn inverse(&self) -> Result<CMat> {
+    pub(crate) fn inverse(&self) -> Result<CMat> {
         self.solve_mat(&CMat::identity(self.dim()))
     }
 
     /// Determinant (product of pivots times permutation sign).
-    pub fn det(&self) -> C64 {
+    pub(crate) fn det(&self) -> C64 {
         let mut d = C64::real(self.sign);
         for i in 0..self.dim() {
             d *= self.lu[(i, i)];

@@ -117,7 +117,7 @@ impl CMat {
 
     /// True when the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -242,7 +242,7 @@ impl CMat {
     }
 
     /// Scale by a complex factor.
-    pub fn scale_c(&self, k: C64) -> Self {
+    pub(crate) fn scale_c(&self, k: C64) -> Self {
         Self::from_fn(self.rows, self.cols, |r, c| self[(r, c)] * k)
     }
 
@@ -267,24 +267,8 @@ impl CMat {
     }
 
     /// Maximum absolute entry.
-    pub fn norm_inf(&self) -> f64 {
+    pub(crate) fn norm_inf(&self) -> f64 {
         self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)
-    }
-
-    /// True when `‖A − Aᴴ‖` is tiny relative to `‖A‖`.
-    pub fn is_hermitian(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        let scale = self.frobenius_norm().max(1.0);
-        for r in 0..self.rows {
-            for c in r..self.cols {
-                if (self[(r, c)] - self[(c, r)].conj()).abs() > tol * scale {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Solve `A·x = b` via LU with partial pivoting.
@@ -379,30 +363,6 @@ impl CMat {
     pub fn submatrix(&self, r0: usize, c0: usize, h: usize, w: usize) -> Self {
         assert!(r0 + h <= self.rows && c0 + w <= self.cols, "submatrix bounds");
         Self::from_fn(h, w, |r, c| self[(r0 + r, c0 + c)])
-    }
-
-    /// Horizontal concatenation `[A | B]`.
-    pub fn hcat(&self, b: &Self) -> Self {
-        assert_eq!(self.rows, b.rows, "hcat row mismatch");
-        Self::from_fn(self.rows, self.cols + b.cols, |r, c| {
-            if c < self.cols {
-                self[(r, c)]
-            } else {
-                b[(r, c - self.cols)]
-            }
-        })
-    }
-
-    /// Vertical concatenation.
-    pub fn vcat(&self, b: &Self) -> Self {
-        assert_eq!(self.cols, b.cols, "vcat column mismatch");
-        Self::from_fn(self.rows + b.rows, self.cols, |r, c| {
-            if r < self.rows {
-                self[(r, c)]
-            } else {
-                b[(r - self.rows, c)]
-            }
-        })
     }
 }
 
@@ -611,29 +571,11 @@ mod tests {
     }
 
     #[test]
-    fn hcat_vcat_shapes() {
-        let a = CMat::zeros(2, 3);
-        let b = CMat::zeros(2, 1);
-        assert_eq!(a.hcat(&b).shape(), (2, 4));
-        let c = CMat::zeros(1, 3);
-        assert_eq!(a.vcat(&c).shape(), (3, 3));
-    }
-
-    #[test]
     fn submatrix_extracts() {
         let m = CMat::from_fn(3, 3, |r, c| C64::real((r * 3 + c) as f64));
         let s = m.submatrix(1, 1, 2, 2);
         assert_eq!(s[(0, 0)], C64::real(4.0));
         assert_eq!(s[(1, 1)], C64::real(8.0));
-    }
-
-    #[test]
-    fn is_hermitian_detects() {
-        let mut rng = Rng64::new(9);
-        let a = CMat::random(3, 3, &mut rng);
-        let h = &a + &a.hermitian(); // A + Aᴴ is Hermitian
-        assert!(h.is_hermitian(1e-12));
-        assert!(!a.is_hermitian(1e-12));
     }
 
     fn bits(z: &[C64]) -> Vec<(u64, u64)> {

@@ -1,8 +1,7 @@
 //! Householder QR factorisation.
 //!
-//! Used for orthonormal bases of signal subspaces, least-squares channel
-//! estimation (paper §8a), and as a building block of the Hessenberg
-//! reduction in [`crate::eig`].
+//! Used for least-squares channel estimation (paper §8a) and as a building
+//! block of the Hessenberg reduction in [`crate::eig`].
 
 use crate::{C64, CMat, CVec, LinAlgError, Result};
 
@@ -141,85 +140,9 @@ impl Qr {
     }
 }
 
-/// Orthonormal basis for the span of the given vectors (columns), via SVD to
-/// be robust to rank deficiency. Returns `min(rank, vectors)` basis vectors.
-pub fn orthonormal_basis(vectors: &[CVec], tol: f64) -> Vec<CVec> {
-    if vectors.is_empty() {
-        return Vec::new();
-    }
-    let a = CMat::from_cols(vectors);
-    let svd = crate::svd::Svd::compute(&a);
-    let smax = svd.singular_values.first().copied().unwrap_or(0.0);
-    let mut basis = Vec::new();
-    for (j, &s) in svd.singular_values.iter().enumerate() {
-        if smax > 0.0 && s > tol * smax {
-            basis.push(svd.u.col(j));
-        }
-    }
-    basis
-}
-
-/// Orthogonal projector `P = U·Uᴴ` onto the span of an orthonormal set.
-pub fn projector(basis: &[CVec]) -> CMat {
-    assert!(!basis.is_empty(), "projector of empty basis");
-    let n = basis[0].len();
-    let mut p = CMat::zeros(n, n);
-    for u in basis {
-        assert_eq!(u.len(), n, "ragged basis");
-        for r in 0..n {
-            for c in 0..n {
-                p[(r, c)] += u[r] * u[c].conj();
-            }
-        }
-    }
-    p
-}
-
-/// A unit vector orthogonal to all the given vectors (the decoding-vector
-/// computation: "project on a vector orthogonal to the aligned interference",
-/// paper §4b). Returns an error when the vectors already span the space.
-pub fn orthogonal_complement_vector(vectors: &[CVec], dim: usize) -> Result<CVec> {
-    if vectors.is_empty() {
-        return Ok(CVec::basis(dim, 0));
-    }
-    // Null space of the matrix whose ROWS are the conjugated constraints:
-    // u ⟂ v  ⇔  vᴴ·u = 0.
-    let rows: Vec<CVec> = vectors.iter().map(|v| v.conj()).collect();
-    let a = CMat::from_rows(&rows);
-    let null = null_space(&a, 1e-9);
-    null.into_iter()
-        .next()
-        .ok_or(LinAlgError::Degenerate("no orthogonal complement exists"))
-}
-
-/// Null space of `A` (right null vectors), via SVD. Returns an orthonormal
-/// set spanning `{x : A·x = 0}` with singular values below `tol·σ_max`
-/// treated as zero.
-pub fn null_space(a: &CMat, tol: f64) -> Vec<CVec> {
-    let n = a.cols();
-    // Pad wide matrices with zero rows (same null space) so the one-sided
-    // Jacobi SVD returns the full right-singular basis V (n×n).
-    let work = if a.rows() < n {
-        a.vcat(&CMat::zeros(n - a.rows(), n))
-    } else {
-        a.clone()
-    };
-    let svd = crate::svd::Svd::compute(&work);
-    let smax = svd.singular_values.first().copied().unwrap_or(0.0);
-    let mut out = Vec::new();
-    for j in 0..n {
-        let s = svd.singular_values.get(j).copied().unwrap_or(0.0);
-        if smax <= 0.0 || s <= tol * smax {
-            out.push(svd.v.col(j));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::approx_eq;
     use crate::Rng64;
 
     #[test]
@@ -282,76 +205,5 @@ mod tests {
         // Normal equations: Aᴴ·residual ≈ 0 at the minimiser.
         let grad = a.hermitian().mul_vec(&residual);
         assert!(grad.norm() < 1e-9, "gradient norm {}", grad.norm());
-    }
-
-    #[test]
-    fn orthonormal_basis_dimensions() {
-        let mut rng = Rng64::new(206);
-        let v1 = CVec::random(4, &mut rng);
-        let v2 = CVec::random(4, &mut rng);
-        let v3 = v1.scale(2.0); // dependent
-        let basis = orthonormal_basis(&[v1, v2, v3], 1e-9);
-        assert_eq!(basis.len(), 2);
-        for (i, a) in basis.iter().enumerate() {
-            assert!(approx_eq(a.norm(), 1.0, 1e-10));
-            for b in basis.iter().skip(i + 1) {
-                assert!(a.dot(b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn projector_is_idempotent_and_fixes_span() {
-        let mut rng = Rng64::new(207);
-        let v1 = CVec::random(3, &mut rng);
-        let v2 = CVec::random(3, &mut rng);
-        let basis = orthonormal_basis(&[v1.clone(), v2], 1e-9);
-        let p = projector(&basis);
-        // P² = P
-        assert!((&p.mul_mat(&p) - &p).frobenius_norm() < 1e-9);
-        // P fixes vectors in the span.
-        let pv = p.mul_vec(&v1);
-        assert!((&pv - &v1).norm() < 1e-9);
-    }
-
-    #[test]
-    fn orthogonal_complement_is_orthogonal() {
-        let mut rng = Rng64::new(208);
-        // 2 vectors in C^3 leave a 1-dim complement.
-        let v1 = CVec::random(3, &mut rng);
-        let v2 = CVec::random(3, &mut rng);
-        let u = orthogonal_complement_vector(&[v1.clone(), v2.clone()], 3).unwrap();
-        assert!(v1.dot(&u).abs() < 1e-9);
-        assert!(v2.dot(&u).abs() < 1e-9);
-        assert!(approx_eq(u.norm(), 1.0, 1e-9));
-    }
-
-    #[test]
-    fn orthogonal_complement_of_full_span_fails() {
-        let mut rng = Rng64::new(209);
-        let vs: Vec<CVec> = (0..2).map(|_| CVec::random(2, &mut rng)).collect();
-        assert!(orthogonal_complement_vector(&vs, 2).is_err());
-    }
-
-    #[test]
-    fn orthogonal_complement_aligned_interference() {
-        // The Fig. 4b situation: two ALIGNED interference vectors in C^2
-        // leave room for a decoding vector even though there are two of them.
-        let mut rng = Rng64::new(210);
-        let v = CVec::random(2, &mut rng);
-        let aligned = v.scale_c(C64::new(0.3, -1.2)); // same direction
-        let u = orthogonal_complement_vector(&[v.clone(), aligned], 2).unwrap();
-        assert!(v.dot(&u).abs() < 1e-9);
-    }
-
-    #[test]
-    fn null_space_of_rank_one() {
-        let c = CVec::from_real(&[1.0, 2.0, 3.0]);
-        let a = CMat::from_rows(&[c]);
-        let ns = null_space(&a, 1e-9);
-        assert_eq!(ns.len(), 2);
-        for v in &ns {
-            assert!(a.mul_vec(v).norm() < 1e-9);
-        }
     }
 }

@@ -135,7 +135,7 @@ impl Rng64 {
     }
 
     /// Standard normal via Box–Muller (cached pair).
-    pub fn gaussian(&mut self) -> f64 {
+    pub(crate) fn gaussian(&mut self) -> f64 {
         if let Some(g) = self.spare_gaussian.take() {
             return g;
         }
@@ -149,12 +149,6 @@ impl Rng64 {
         let theta = std::f64::consts::TAU * v;
         self.spare_gaussian = Some(r * theta.sin());
         r * theta.cos()
-    }
-
-    /// Normal with given mean and standard deviation.
-    #[inline]
-    pub fn gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.gaussian()
     }
 
     /// Circularly-symmetric complex Gaussian `CN(0, 1)`: `E|z|² = 1`, so each

@@ -49,7 +49,7 @@ impl CVec {
     }
 
     /// Build with a function of the index.
-    pub fn from_fn(n: usize, mut f: impl FnMut(usize) -> C64) -> Self {
+    pub(crate) fn from_fn(n: usize, mut f: impl FnMut(usize) -> C64) -> Self {
         (0..n).map(&mut f).collect()
     }
 
@@ -89,7 +89,7 @@ impl CVec {
 
     /// Mutably borrow the underlying storage.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [C64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [C64] {
         &mut self.data
     }
 
@@ -100,7 +100,7 @@ impl CVec {
 
     /// Resize to dimension `n`, zero-filling any new entries (a no-op when
     /// the dimension already matches — reused buffers never reallocate).
-    pub fn resize(&mut self, n: usize) {
+    pub(crate) fn resize(&mut self, n: usize) {
         self.data.resize(n);
     }
 
@@ -111,18 +111,6 @@ impl CVec {
             .iter()
             .zip(other.data.iter())
             .map(|(a, b)| a.conj() * *b)
-            .sum()
-    }
-
-    /// Unconjugated product `Σ selfᵢ·otherᵢ` (the paper's `vᵀHw` expressions
-    /// treat the decoding vector transposed, not conjugated; both conventions
-    /// are provided).
-    pub fn dot_unconj(&self, other: &Self) -> C64 {
-        assert_eq!(self.len(), other.len(), "dot of mismatched dimensions");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| *a * *b)
             .sum()
     }
 
@@ -147,7 +135,7 @@ impl CVec {
 
     /// Unit-norm copy; panics on zero input (use [`CVec::normalize`] where
     /// zero is a legitimate possibility).
-    pub fn normalized(&self) -> Self {
+    pub(crate) fn normalized(&self) -> Self {
         self.normalize().expect("normalized() on zero vector")
     }
 
@@ -167,25 +155,11 @@ impl CVec {
     }
 
     /// `self += k·other` in place.
-    pub fn axpy(&mut self, k: C64, other: &Self) {
+    pub(crate) fn axpy(&mut self, k: C64, other: &Self) {
         assert_eq!(self.len(), other.len(), "axpy of mismatched dimensions");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += k * *b;
         }
-    }
-
-    /// Orthogonal projection of `self` onto the line spanned by `dir`.
-    pub fn project_onto(&self, dir: &Self) -> Self {
-        let d = dir.dot(dir);
-        if d.abs() < 1e-300 {
-            return Self::zeros(self.len());
-        }
-        dir.scale_c(dir.dot(self) / d)
-    }
-
-    /// Component of `self` orthogonal to `dir`.
-    pub fn reject_from(&self, dir: &Self) -> Self {
-        self - &self.project_onto(dir)
     }
 
     /// For a 2-dimensional vector, the (unique up to phase) unit vector
@@ -348,24 +322,6 @@ mod tests {
     #[test]
     fn normalize_zero_errors() {
         assert!(CVec::zeros(2).normalize().is_err());
-    }
-
-    #[test]
-    fn projection_decomposition() {
-        let mut rng = Rng64::new(3);
-        let a = CVec::random(4, &mut rng);
-        let d = CVec::random(4, &mut rng);
-        let p = a.project_onto(&d);
-        let r = a.reject_from(&d);
-        // p + r == a
-        let back = &p + &r;
-        for i in 0..4 {
-            assert!(approx_eq_c(back[i], a[i], 1e-12));
-        }
-        // r ⟂ d
-        assert!(d.dot(&r).abs() < 1e-10);
-        // p ∥ d
-        assert!(approx_eq(p.alignment_with(&d).max(0.0), 1.0, 1e-9) || p.norm() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! with random matrices while skipping genuinely ill-conditioned draws (which
 //! the library is entitled to reject as singular).
 
-use iac_linalg::qr::{null_space, orthogonal_complement_vector, orthonormal_basis};
 use iac_linalg::{eig2, eigh, C64, CMat, CVec, Lu, Qr, Rng64, Svd};
 use proptest::prelude::*;
 
@@ -92,45 +91,6 @@ proptest! {
         for (j, &l) in ls.iter().enumerate().take(n) {
             let resid = (&a.mul_vec(&v.col(j)) - &v.col(j).scale(l)).norm();
             prop_assert!(resid < 1e-7 * a.frobenius_norm().max(1.0));
-        }
-    }
-
-    #[test]
-    fn null_space_vectors_annihilate(seed in seeds()) {
-        // A random 2×4 matrix has a 2-dimensional null space.
-        let mut rng = Rng64::new(seed);
-        let a = CMat::random(2, 4, &mut rng);
-        let ns = null_space(&a, 1e-9);
-        prop_assert_eq!(ns.len(), 2);
-        for v in &ns {
-            prop_assert!(a.mul_vec(v).norm() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn orthogonal_complement_hits_everything(seed in seeds()) {
-        let mut rng = Rng64::new(seed);
-        let v1 = CVec::random(3, &mut rng);
-        let v2 = CVec::random(3, &mut rng);
-        prop_assume!(v1.alignment_with(&v2) < 0.999);
-        let u = orthogonal_complement_vector(&[v1.clone(), v2.clone()], 3).unwrap();
-        prop_assert!(v1.dot(&u).abs() < 1e-8);
-        prop_assert!(v2.dot(&u).abs() < 1e-8);
-    }
-
-    #[test]
-    fn orthonormal_basis_spans_inputs(seed in seeds(), k in 1usize..4) {
-        let mut rng = Rng64::new(seed);
-        let vs: Vec<CVec> = (0..k).map(|_| CVec::random(4, &mut rng)).collect();
-        let basis = orthonormal_basis(&vs, 1e-9);
-        prop_assert_eq!(basis.len(), k); // random vectors: independent a.s.
-        // Every input reconstructs from its projections on the basis.
-        for v in &vs {
-            let mut recon = CVec::zeros(4);
-            for b in &basis {
-                recon.axpy(b.dot(v), b);
-            }
-            prop_assert!((&recon - v).norm() < 1e-8 * v.norm().max(1.0));
         }
     }
 

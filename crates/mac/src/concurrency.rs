@@ -122,7 +122,7 @@ pub struct BestOfTwo {
 
 impl BestOfTwo {
     /// Policy with the given starvation threshold.
-    pub fn new(threshold: u32) -> Self {
+    pub(crate) fn new(threshold: u32) -> Self {
         assert!(threshold > 0, "threshold must be positive");
         Self {
             credits: HashMap::new(),
@@ -131,7 +131,7 @@ impl BestOfTwo {
     }
 
     /// Current credit of a client (0 if never considered).
-    pub fn credit_of(&self, client: u16) -> u32 {
+    pub(crate) fn credit_of(&self, client: u16) -> u32 {
         self.credits.get(&client).copied().unwrap_or(0)
     }
 }

@@ -8,7 +8,7 @@
 //! 1440-byte payload.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use iac_linalg::{C64, CVec};
+use iac_linalg::CVec;
 use iac_phy::frame::crc32;
 
 /// Frame-type discriminants on the wire.
@@ -61,18 +61,8 @@ impl VectorQ {
         }
     }
 
-    /// Reconstruct the (quantised) full-precision vector.
-    pub fn to_cvec(&self) -> CVec {
-        CVec::new(
-            self.parts
-                .iter()
-                .map(|&(re, im)| C64::new(re as f64, im as f64))
-                .collect(),
-        )
-    }
-
     /// Bytes on the wire: 1 length byte + 8 per antenna.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         1 + self.parts.len() * 8
     }
 
@@ -357,16 +347,15 @@ impl MacFrame {
     }
 }
 
-/// §7e: metadata overhead of a transmission group — control bytes divided by
-/// the data bytes they coordinate.
-pub fn metadata_overhead(control: &MacFrame, payload_bytes_per_client: usize, clients: usize) -> f64 {
-    control.encoded_len() as f64 / (payload_bytes_per_client * clients) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iac_linalg::Rng64;
+    use iac_linalg::{Rng64, C64};
+
+    /// The full-precision vector a quantised one stands for.
+    fn dequantise(q: &VectorQ) -> CVec {
+        CVec::new(q.parts.iter().map(|&(re, im)| C64::new(re as f64, im as f64)).collect())
+    }
 
     fn sample_entries(n: usize, seed: u64) -> Vec<PollEntry> {
         let mut rng = Rng64::new(seed);
@@ -453,7 +442,7 @@ mod tests {
         let mut rng = Rng64::new(4);
         for _ in 0..50 {
             let v = CVec::random_unit(2, &mut rng);
-            let q = VectorQ::from_cvec(&v).to_cvec();
+            let q = dequantise(&VectorQ::from_cvec(&v));
             // f32 quantisation: ~1e-7 relative error — far below channel
             // estimation error, so the quantised vectors still align.
             assert!((&q - &v).norm() < 1e-6);
@@ -470,7 +459,8 @@ mod tests {
             max_len: 1440,
             entries: sample_entries(3, 5),
         });
-        let overhead = metadata_overhead(&p, 1440, 3);
+        // Control bytes divided by the data bytes they coordinate.
+        let overhead = p.encoded_len() as f64 / (1440 * 3) as f64;
         assert!(
             overhead > 0.005 && overhead < 0.05,
             "metadata overhead {overhead} outside the paper's band"

@@ -182,11 +182,6 @@ impl TrafficQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total queued packets for one client.
-    pub fn count_for(&self, client: u16) -> usize {
-        self.fifos.get(client as usize).map_or(0, VecDeque::len)
-    }
 }
 
 #[cfg(test)]
@@ -352,10 +347,6 @@ mod tests {
                     "seed {seed} step {step}"
                 );
                 assert_eq!(q.head(), model.front().copied(), "seed {seed} step {step}");
-                for c in 0..n_clients + 1 {
-                    let direct = model.iter().filter(|p| p.client == c).count();
-                    assert_eq!(q.count_for(c), direct, "seed {seed} step {step} client {c}");
-                }
                 assert_eq!(q.len(), model.len(), "seed {seed} step {step}");
             }
         }
@@ -368,8 +359,7 @@ mod tests {
         q.push(p(1, 1));
         q.push(p(1, 2));
         q.push(p(2, 1));
-        assert_eq!(q.count_for(1), 2);
-        assert_eq!(q.count_for(3), 0);
+        assert!(!q.is_empty());
         assert_eq!(q.len(), 3);
     }
 }

@@ -5,7 +5,7 @@
 
 use iac_linalg::{CVec, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
-use iac_mac::ethernet::{Hub, WirePacket};
+use iac_mac::ethernet::{Hub, RetryPolicy, WireOutcome, WirePacket};
 use iac_mac::frames::{
     Beacon, CfEnd, DataPoll, DataReqHeader, Grant, MacFrame, PollEntry, VectorQ,
 };
@@ -111,21 +111,19 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let mut hub = Hub::new(n_aps);
         for k in 0..sends {
-            hub.broadcast(WirePacket {
+            let packet = WirePacket {
                 from_ap: rng.below(n_aps as u64) as u16,
                 client: 0,
                 seq: k as u16,
                 payload_bytes: 100,
                 annotations: vec![],
-            });
+            };
+            let got = hub.broadcast(&packet, 0.0, &RetryPolicy::default(), |_| false);
+            prop_assert!(matches!(got, WireOutcome::Delivered { attempts: 1, .. }));
         }
+        // One wire transmission per packet, however many APs listen.
         prop_assert_eq!(hub.packets_broadcast(), sends as u64);
-        // Every packet lands in exactly n_aps−1 inboxes.
-        let mut delivered = 0usize;
-        for ap in 0..n_aps {
-            delivered += hub.drain(ap as u16).len();
-        }
-        prop_assert_eq!(delivered, sends * (n_aps - 1));
+        prop_assert_eq!(hub.bytes_broadcast(), sends as u64 * 106);
     }
 
     #[test]
@@ -176,8 +174,9 @@ proptest! {
     fn quantised_vectors_stay_unit_norm(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
         let v = CVec::random_unit(2, &mut rng);
-        let q = VectorQ::from_cvec(&v).to_cvec();
-        prop_assert!((q.norm() - 1.0).abs() < 1e-5);
+        let q = VectorQ::from_cvec(&v);
+        let norm = q.parts.iter().map(|&(re, im)| (re as f64).powi(2) + (im as f64).powi(2)).sum::<f64>().sqrt();
+        prop_assert!((norm - 1.0).abs() < 1e-5);
     }
 
     #[test]
@@ -208,10 +207,6 @@ proptest! {
                 _ => prop_assert_eq!(q.head(), model.q.front().copied()),
             }
             prop_assert_eq!(q.clients(), model.clients(), "step {}", step);
-            for &c in &clients {
-                prop_assert_eq!(q.count_for(c), model.q.iter().filter(|p| p.client == c).count());
-            }
-            prop_assert_eq!(q.count_for(9999), 0);
             prop_assert_eq!(q.head(), model.q.front().copied());
             prop_assert_eq!(q.len(), model.q.len());
             prop_assert_eq!(q.is_empty(), model.q.is_empty());

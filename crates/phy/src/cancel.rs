@@ -11,26 +11,12 @@ use crate::dsp::fill_phasors;
 use crate::fft::with_thread_scratch;
 use iac_linalg::{C64, CMat, CVec};
 
-/// Reconstruct the per-rx-antenna signal a known packet contributed:
-/// its symbols, precoded by `v`, through the estimated channel `ĥ`, with the
+/// Reconstruct the per-rx-antenna signal a known packet contributed: its
+/// symbols, precoded by `v`, through the estimated channel `ĥ`, with the
 /// estimated carrier frequency offset re-applied, starting at `start`.
-pub fn reconstruct(
-    symbols: &[C64],
-    v: &CVec,
-    h_est: &CMat,
-    power: f64,
-    cfo_hz: f64,
-    sample_rate_hz: f64,
-    start: usize,
-) -> Vec<Vec<C64>> {
-    let mut out = Vec::new();
-    reconstruct_into(symbols, v, h_est, power, cfo_hz, sample_rate_hz, start, &mut out);
-    out
-}
-
-/// [`reconstruct`] into a caller-owned stream set (reshaped to
-/// `h_est.rows()` streams of `symbols.len()` entries, reusing capacity).
-/// Zero allocations once warm.
+///
+/// `out` is reshaped to `h_est.rows()` streams of `symbols.len()` entries,
+/// reusing capacity. Zero allocations once warm.
 ///
 /// The CFO phasor sequence is computed once, into one pooled buffer shared
 /// by every rx antenna; each antenna is then one `eff · (s · rot)` pass.
@@ -127,7 +113,8 @@ mod tests {
         let symbols: Vec<C64> = (0..512).map(|_| rng.cn01()).collect();
         let v = CVec::random_unit(2, &mut rng);
         let streams = precode(&symbols, &v, 1.0);
-        let mut rx = Medium::mix(
+        let mut rx = Vec::new();
+        Medium::mix_into(
             &[AirTransmission {
                 streams: &streams,
                 channel: h_true,
@@ -138,9 +125,11 @@ mod tests {
             512,
             Awgn::new(noise),
             &mut rng,
+            &mut rx,
         );
         let before = rx.clone();
-        let rec = reconstruct(&symbols, &v, h_est, 1.0, cfo_est_hz, fs, 0);
+        let mut rec = Vec::new();
+        reconstruct_into(&symbols, &v, h_est, 1.0, cfo_est_hz, fs, 0, &mut rec);
         subtract(&mut rx, &rec, 0);
         residual_fraction(&before, &rx, 0, 512)
     }

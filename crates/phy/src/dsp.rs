@@ -61,7 +61,7 @@ pub struct FftPlan {
 
 impl FftPlan {
     /// Plan a transform of size `n` (must be a power of two).
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
         let bits = n.trailing_zeros();
         let mut swaps = Vec::new();
@@ -81,7 +81,7 @@ impl FftPlan {
 
     /// The transform size this plan serves.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
@@ -184,7 +184,7 @@ pub struct Scratch {
     stats: ScratchStats,
 }
 
-/// Cumulative arena counters (see [`Scratch::stats`]). Plain data: copy it
+/// Cumulative arena counters (see `Scratch::stats`). Plain data: copy it
 /// out, subtract two copies for a delta. A pool *hit* reuses a pooled
 /// buffer; a *miss* allocates a fresh one. A plan hit finds the FFT plan
 /// cached for that size; a miss computes (and caches) it.
@@ -274,18 +274,8 @@ impl Scratch {
         }
     }
 
-    /// Number of pooled buffers currently at rest (diagnostics/tests).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Number of cached FFT plans (diagnostics/tests).
-    pub fn plans_cached(&self) -> usize {
-        self.plans.len()
-    }
-
     /// Cumulative hit/miss counters since the arena was created.
-    pub fn stats(&self) -> ScratchStats {
+    pub(crate) fn stats(&self) -> ScratchStats {
         self.stats
     }
 }
@@ -371,7 +361,7 @@ mod tests {
         assert_eq!(again.capacity(), cap);
         assert!(again.iter().all(|&z| z == C64::zero()));
         s.put(again);
-        assert_eq!(s.pooled(), 1);
+        assert_eq!(s.pool.len(), 1);
     }
 
     #[test]
@@ -410,6 +400,6 @@ mod tests {
         let _ = s.plan(64);
         let _ = s.plan(256);
         let _ = s.plan(64);
-        assert_eq!(s.plans_cached(), 2);
+        assert_eq!(s.plans.len(), 2);
     }
 }

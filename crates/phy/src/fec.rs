@@ -15,7 +15,7 @@ impl Hamming74 {
     /// Encode a nibble (d0..d3) into 7 bits (p1 p2 d0 p3 d1 d2 d3), the
     /// classic positional layout where parity bit `p_k` covers positions
     /// with bit `k` set.
-    pub fn encode_nibble(d: [bool; 4]) -> [bool; 7] {
+    pub(crate) fn encode_nibble(d: [bool; 4]) -> [bool; 7] {
         let (d0, d1, d2, d3) = (d[0], d[1], d[2], d[3]);
         let p1 = d0 ^ d1 ^ d3;
         let p2 = d0 ^ d2 ^ d3;
@@ -24,7 +24,7 @@ impl Hamming74 {
     }
 
     /// Decode 7 bits, correcting up to one flipped bit. Returns the nibble.
-    pub fn decode_block(mut c: [bool; 7]) -> [bool; 4] {
+    pub(crate) fn decode_block(mut c: [bool; 7]) -> [bool; 4] {
         let s1 = c[0] ^ c[2] ^ c[4] ^ c[6];
         let s2 = c[1] ^ c[2] ^ c[5] ^ c[6];
         let s3 = c[3] ^ c[4] ^ c[5] ^ c[6];

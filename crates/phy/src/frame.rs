@@ -92,7 +92,7 @@ impl Frame {
     pub const PAPER_PAYLOAD: usize = 1500;
 
     /// Total encoded length in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         HEADER_LEN + self.payload.len() + TRAILER_LEN
     }
 

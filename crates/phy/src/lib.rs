@@ -10,7 +10,7 @@
 //!
 //! * [`modulation`] — BPSK (the paper's choice), QPSK and 16-QAM.
 //! * [`frame`] — CRC-32 framing: preamble + header + payload + checksum.
-//! * [`preamble`] — PN-sequence generation and correlation detection.
+//! * [`preamble`] — PN-sequence generation for training.
 //! * [`precode`] — encoding-vector application: one packet stream in, one
 //!   stream per antenna out (§4b's `v·p` product).
 //! * [`medium`] — the single-collision-domain air: every concurrent
@@ -22,11 +22,11 @@
 //! * [`training`] — sample-level least-squares channel estimation using
 //!   per-antenna time-orthogonal preambles (§8a).
 //! * [`dsp`] — the [`FftPlan`] planner and [`Scratch`] buffer arena behind
-//!   the zero-allocation `_into` variants of the sample-plane operations
-//!   (see `docs/PERFORMANCE.md`).
-//! * [`fft`], [`ofdm`] — radix-2 FFT and an OFDM layer with cyclic prefix,
-//!   used to test the §6c per-subcarrier alignment conjecture on
-//!   frequency-selective channels.
+//!   the zero-allocation `_into` sample-plane operations (see
+//!   `docs/PERFORMANCE.md`).
+//! * [`fft`], [`ofdm`] — radix-2 FFT and the per-subcarrier MIMO model of a
+//!   multi-tap channel, used to test the §6c per-subcarrier alignment
+//!   conjecture on frequency-selective channels.
 //! * [`fec`] — Hamming(7,4) and a K=3 convolutional code with Viterbi
 //!   decoding, demonstrating that IAC is FEC-agnostic.
 

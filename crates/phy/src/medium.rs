@@ -33,21 +33,8 @@ pub struct AirTransmission<'a> {
 pub struct Medium;
 
 impl Medium {
-    /// Mix all transmissions at a receiver with `rx_antennas` antennas,
-    /// producing `n_samples` received samples per antenna.
-    pub fn mix(
-        transmissions: &[AirTransmission<'_>],
-        rx_antennas: usize,
-        n_samples: usize,
-        noise: Awgn,
-        rng: &mut Rng64,
-    ) -> Vec<Vec<C64>> {
-        let mut out = Vec::new();
-        Self::mix_into(transmissions, rx_antennas, n_samples, noise, rng, &mut out);
-        out
-    }
-
-    /// [`Medium::mix`] into a caller-owned stream set: `out` is reshaped to
+    /// Mix all transmissions at a receiver with `rx_antennas` antennas into
+    /// `n_samples` received samples per antenna. `out` is reshaped to
     /// `rx_antennas` streams of `n_samples` zeroed entries (reusing buffer
     /// capacity) before the transmissions and noise are accumulated. Zero
     /// allocations once warm.
@@ -122,6 +109,20 @@ impl Medium {
     }
 }
 
+/// Test shorthand: [`Medium::mix_into`] into a fresh stream set.
+#[cfg(test)]
+pub(crate) fn mix(
+    transmissions: &[AirTransmission<'_>],
+    rx_antennas: usize,
+    n_samples: usize,
+    noise: Awgn,
+    rng: &mut Rng64,
+) -> Vec<Vec<C64>> {
+    let mut out = Vec::new();
+    Medium::mix_into(transmissions, rx_antennas, n_samples, noise, rng, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +138,7 @@ mod tests {
         let h = CMat::random(2, 2, &mut rng);
         let streams = vec![vec![C64::one()], vec![C64::real(2.0)]];
         let cfo = Cfo::none(1e6);
-        let rx = Medium::mix(
+        let rx = mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
@@ -164,7 +165,7 @@ mod tests {
         let s1 = vec![vec![C64::one(); 4], vec![C64::zero(); 4]];
         let s2 = vec![vec![C64::zero(); 4], vec![C64::real(-1.0); 4]];
         let cfo = Cfo::none(1e6);
-        let both = Medium::mix(
+        let both = mix(
             &[
                 AirTransmission {
                     streams: &s1,
@@ -184,7 +185,7 @@ mod tests {
             no_noise(),
             &mut rng,
         );
-        let only1 = Medium::mix(
+        let only1 = mix(
             &[AirTransmission {
                 streams: &s1,
                 channel: &h1,
@@ -196,7 +197,7 @@ mod tests {
             no_noise(),
             &mut rng,
         );
-        let only2 = Medium::mix(
+        let only2 = mix(
             &[AirTransmission {
                 streams: &s2,
                 channel: &h2,
@@ -222,7 +223,7 @@ mod tests {
         let h = CMat::identity(1);
         let streams = vec![vec![C64::one(); 100]];
         let cfo = Cfo::new(1000.0, 100_000.0); // fast rotation
-        let rx = Medium::mix(
+        let rx = mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
@@ -246,7 +247,7 @@ mod tests {
         let mut rng = Rng64::new(4);
         let h = CMat::identity(1);
         let streams = vec![vec![C64::one(); 3]];
-        let rx = Medium::mix(
+        let rx = mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
@@ -273,7 +274,7 @@ mod tests {
         let mut rng = Rng64::new(5);
         let h = CMat::identity(1);
         let streams = vec![vec![C64::one(); 100]];
-        let rx = Medium::mix(
+        let rx = mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
@@ -291,7 +292,7 @@ mod tests {
     #[test]
     fn noise_power_is_injected() {
         let mut rng = Rng64::new(6);
-        let rx = Medium::mix(&[], 2, 50_000, Awgn::new(0.5), &mut rng);
+        let rx = mix(&[], 2, 50_000, Awgn::new(0.5), &mut rng);
         let p: f64 = rx[0].iter().map(|z| z.norm_sqr()).sum::<f64>() / 50_000.0;
         assert!((p - 0.5).abs() < 0.02, "noise power {p}");
     }
@@ -302,7 +303,7 @@ mod tests {
         let mut rng = Rng64::new(7);
         let h = CMat::identity(2); // 2×2 but tx has 1 antenna
         let streams = vec![vec![C64::one()]];
-        let _ = Medium::mix(
+        let _ = mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,

@@ -1,4 +1,4 @@
-//! OFDM with cyclic prefix, and the per-subcarrier alignment machinery.
+//! The per-subcarrier channel model behind the §6c experiment.
 //!
 //! §6c of the paper: "We conjecture that even if the channel is not quite
 //! flat, one can still do the alignment separately in each OFDM subcarrier
@@ -8,94 +8,18 @@
 //! runnable experiment: a multi-tap (frequency-selective) channel is flat
 //! *per subcarrier* after the FFT, and the alignment equations can be solved
 //! independently in each bin.
+//!
+//! The experiment works in the frequency domain: [`MultitapChannel::per_subcarrier`]
+//! gives each bin's flat MIMO matrix directly. The tests below check that
+//! model against a time-domain OFDM symbol (IFFT, cyclic prefix, linear
+//! convolution with the taps, FFT).
 
-use crate::dsp::Scratch;
-use crate::fft::{convolve_into, fft, with_thread_scratch};
+use crate::fft::fft;
 use iac_linalg::{C64, CMat, Rng64};
-
-/// OFDM parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct OfdmConfig {
-    /// FFT size (number of subcarriers, power of two).
-    pub n_subcarriers: usize,
-    /// Cyclic-prefix length in samples (must cover the channel delay spread
-    /// for perfect per-subcarrier flatness).
-    pub cp_len: usize,
-}
-
-impl OfdmConfig {
-    /// 64 subcarriers with a 16-sample CP — the classic 802.11a/g shape.
-    pub fn wifi_like() -> Self {
-        Self {
-            n_subcarriers: 64,
-            cp_len: 16,
-        }
-    }
-
-    /// Samples per OFDM symbol on the air.
-    pub fn symbol_len(&self) -> usize {
-        self.n_subcarriers + self.cp_len
-    }
-}
-
-/// Modulate frequency-domain symbols (one per subcarrier) into one OFDM
-/// time-domain symbol with cyclic prefix.
-pub fn ofdm_modulate(config: &OfdmConfig, freq_symbols: &[C64]) -> Vec<C64> {
-    let mut out = Vec::new();
-    with_thread_scratch(|s| ofdm_modulate_into(config, freq_symbols, &mut out, s));
-    out
-}
-
-/// [`ofdm_modulate`] into a caller-owned buffer, drawing the IFFT temporary
-/// from `scratch`. `out` is cleared and refilled with the
-/// `config.symbol_len()` air samples. Zero allocations once warm.
-pub fn ofdm_modulate_into(
-    config: &OfdmConfig,
-    freq_symbols: &[C64],
-    out: &mut Vec<C64>,
-    scratch: &mut Scratch,
-) {
-    assert_eq!(
-        freq_symbols.len(),
-        config.n_subcarriers,
-        "need one symbol per subcarrier"
-    );
-    let mut time = scratch.take_copy(freq_symbols);
-    scratch.plan(config.n_subcarriers).ifft(&mut time);
-    out.clear();
-    out.extend_from_slice(&time[config.n_subcarriers - config.cp_len..]);
-    out.extend_from_slice(&time);
-    scratch.put(time);
-}
-
-/// Demodulate one OFDM symbol (starting at the cyclic prefix) back to
-/// per-subcarrier frequency-domain symbols.
-pub fn ofdm_demodulate(config: &OfdmConfig, samples: &[C64]) -> Vec<C64> {
-    let mut out = Vec::new();
-    with_thread_scratch(|s| ofdm_demodulate_into(config, samples, &mut out, s));
-    out
-}
-
-/// [`ofdm_demodulate`] into a caller-owned buffer (cleared and refilled with
-/// one frequency-domain symbol per subcarrier). Zero allocations once warm.
-pub fn ofdm_demodulate_into(
-    config: &OfdmConfig,
-    samples: &[C64],
-    out: &mut Vec<C64>,
-    scratch: &mut Scratch,
-) {
-    assert!(
-        samples.len() >= config.symbol_len(),
-        "short OFDM symbol buffer"
-    );
-    out.clear();
-    out.extend_from_slice(&samples[config.cp_len..config.symbol_len()]);
-    scratch.plan(config.n_subcarriers).fft(out);
-}
 
 /// A frequency-selective SISO channel as taps; OFDM turns it into one
 /// complex coefficient per subcarrier.
-pub fn taps_to_subcarrier_gains(taps: &[C64], n_subcarriers: usize) -> Vec<C64> {
+pub(crate) fn taps_to_subcarrier_gains(taps: &[C64], n_subcarriers: usize) -> Vec<C64> {
     let mut padded = taps.to_vec();
     padded.resize(n_subcarriers, C64::zero());
     fft(&mut padded);
@@ -133,50 +57,6 @@ impl MultitapChannel {
         Self { taps }
     }
 
-    /// Apply the channel to per-antenna transmit streams, producing
-    /// per-rx-antenna streams (length grows by `taps−1`).
-    pub fn apply(&self, streams: &[Vec<C64>]) -> Vec<Vec<C64>> {
-        let mut out = Vec::new();
-        with_thread_scratch(|s| self.apply_into(streams, &mut out, s));
-        out
-    }
-
-    /// [`MultitapChannel::apply`] into a caller-owned stream set, drawing the
-    /// per-antenna-pair SISO tap and convolution temporaries from `scratch`.
-    /// Zero allocations once warm.
-    pub fn apply_into(&self, streams: &[Vec<C64>], out: &mut Vec<Vec<C64>>, scratch: &mut Scratch) {
-        let rx = self.taps[0].rows();
-        let tx = self.taps[0].cols();
-        assert_eq!(streams.len(), tx, "stream count must match tx antennas");
-        let in_len = streams[0].len();
-        assert!(
-            streams.iter().all(|s| s.len() == in_len),
-            "ragged transmit streams"
-        );
-        let out_len = in_len + self.taps.len() - 1;
-        crate::dsp::shape_streams(out, rx);
-        for stream in out.iter_mut() {
-            stream.clear();
-            stream.resize(out_len, C64::zero());
-        }
-        let mut siso = scratch.take(self.taps.len());
-        let mut conv = scratch.take(0);
-        for b in 0..tx {
-            // SISO taps for the (a,b) antenna pair.
-            for a in 0..rx {
-                for (tap, m) in siso.iter_mut().zip(&self.taps) {
-                    *tap = m[(a, b)];
-                }
-                convolve_into(&streams[b], &siso, &mut conv, scratch);
-                for (o, &v) in out[a].iter_mut().zip(conv.iter()) {
-                    *o += v;
-                }
-            }
-        }
-        scratch.put(conv);
-        scratch.put(siso);
-    }
-
     /// The per-subcarrier MIMO channel matrices after OFDM: one `rx×tx`
     /// matrix per bin. Within each bin the channel is *flat* — which is what
     /// makes per-subcarrier alignment possible.
@@ -195,54 +75,53 @@ impl MultitapChannel {
         }
         out
     }
-
-    /// Delay spread in samples (taps − 1).
-    pub fn delay_spread(&self) -> usize {
-        self.taps.len() - 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::convolve;
+    use crate::fft::ifft;
     use iac_linalg::CVec;
 
-    #[test]
-    fn ofdm_roundtrip_clean() {
-        let cfg = OfdmConfig::wifi_like();
-        let mut rng = Rng64::new(1);
-        let freq: Vec<C64> = (0..64).map(|_| rng.cn01()).collect();
-        let time = ofdm_modulate(&cfg, &freq);
-        assert_eq!(time.len(), 80);
-        let back = ofdm_demodulate(&cfg, &time);
-        for (a, b) in back.iter().zip(&freq) {
-            assert!((*a - *b).abs() < 1e-9);
-        }
+    /// One time-domain OFDM symbol: the IFFT of `freq` behind a `cp`-sample
+    /// cyclic prefix.
+    fn modulate(freq: &[C64], cp: usize) -> Vec<C64> {
+        let mut body = freq.to_vec();
+        ifft(&mut body);
+        let mut out = body[body.len() - cp..].to_vec();
+        out.extend_from_slice(&body);
+        out
     }
 
-    #[test]
-    fn cyclic_prefix_is_a_copy_of_the_tail() {
-        let cfg = OfdmConfig::wifi_like();
-        let mut rng = Rng64::new(2);
-        let freq: Vec<C64> = (0..64).map(|_| rng.cn01()).collect();
-        let time = ofdm_modulate(&cfg, &freq);
-        for k in 0..cfg.cp_len {
-            assert!((time[k] - time[cfg.n_subcarriers + k]).abs() < 1e-12);
+    /// Drop the `cp`-sample prefix of the symbol at the start of `samples`
+    /// and FFT its `n`-sample body back to one symbol per subcarrier.
+    fn demodulate(samples: &[C64], n: usize, cp: usize) -> Vec<C64> {
+        let mut freq = samples[cp..cp + n].to_vec();
+        fft(&mut freq);
+        freq
+    }
+
+    /// Direct linear convolution: what the multi-tap channel does on the air.
+    fn convolve(signal: &[C64], taps: &[C64]) -> Vec<C64> {
+        let mut out = vec![C64::zero(); signal.len() + taps.len() - 1];
+        for (i, &s) in signal.iter().enumerate() {
+            for (j, &t) in taps.iter().enumerate() {
+                out[i + j] += s * t;
+            }
         }
+        out
     }
 
     #[test]
     fn multipath_channel_is_one_tap_per_subcarrier() {
         // The core OFDM property: a multi-tap channel becomes per-bin
         // scalar multiplication, as long as CP ≥ delay spread.
-        let cfg = OfdmConfig::wifi_like();
         let mut rng = Rng64::new(3);
         let taps: Vec<C64> = (0..5).map(|_| rng.cn(0.2)).collect();
         let freq: Vec<C64> = (0..64).map(|_| rng.cn01()).collect();
-        let time = ofdm_modulate(&cfg, &freq);
+        let time = modulate(&freq, 16);
         let rxed = convolve(&time, &taps);
-        let back = ofdm_demodulate(&cfg, &rxed);
+        let back = demodulate(&rxed, 64, 16);
         let gains = taps_to_subcarrier_gains(&taps, 64);
         for bin in 0..64 {
             let expect = freq[bin] * gains[bin];
@@ -259,49 +138,23 @@ mod tests {
         // With delay spread beyond the CP, inter-symbol energy leaks in and
         // per-bin equalisation is no longer exact — the failure mode §6c
         // warns about for very wide channels.
-        let cfg = OfdmConfig {
-            n_subcarriers: 64,
-            cp_len: 2,
-        };
+        let cp = 2;
         let mut rng = Rng64::new(4);
         let taps: Vec<C64> = (0..8).map(|_| rng.cn(0.2)).collect();
         let f1: Vec<C64> = (0..64).map(|_| rng.cn01()).collect();
         let f2: Vec<C64> = (0..64).map(|_| rng.cn01()).collect();
         // Two consecutive symbols so the first one's tail smears into the
         // second one's window.
-        let mut time = ofdm_modulate(&cfg, &f1);
-        time.extend(ofdm_modulate(&cfg, &f2));
+        let mut time = modulate(&f1, cp);
+        time.extend(modulate(&f2, cp));
         let rxed = convolve(&time, &taps);
-        let back2 = ofdm_demodulate(&cfg, &rxed[cfg.symbol_len()..]);
+        let back2 = demodulate(&rxed[64 + cp..], 64, cp);
         let gains = taps_to_subcarrier_gains(&taps, 64);
         let mut err = 0.0;
         for bin in 0..64 {
             err += (back2[bin] - f2[bin] * gains[bin]).norm_sqr();
         }
         assert!(err > 1e-3, "expected ISI leakage, got {err}");
-    }
-
-    #[test]
-    fn mimo_multitap_matches_manual_convolution() {
-        let mut rng = Rng64::new(5);
-        let ch = MultitapChannel::random(2, 2, 3, 0.5, &mut rng);
-        let streams: Vec<Vec<C64>> = (0..2)
-            .map(|_| (0..16).map(|_| rng.cn01()).collect())
-            .collect();
-        let out = ch.apply(&streams);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].len(), 18);
-        // Check one output sample by hand.
-        let t = 5;
-        let mut expect = C64::zero();
-        for (k, tap) in ch.taps.iter().enumerate() {
-            if t >= k {
-                for b in 0..2 {
-                    expect += tap[(0, b)] * streams[b][t - k];
-                }
-            }
-        }
-        assert!((out[0][t] - expect).abs() < 1e-10);
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Preambles: known symbol sequences for detection and channel estimation.
+//! Preambles: known symbol sequences for channel estimation.
 //!
-//! The paper uses a 32-bit preamble (§10c). Receivers correlate against the
-//! known sequence to find packet starts, then use the known symbols to
-//! estimate the channel (§8a). For MIMO training the antennas take turns
+//! The paper uses a 32-bit preamble (§10c). Receivers find packet starts with
+//! it and use the known symbols to estimate the channel (§8a); the simulated
+//! receivers know the packet starts, so only the estimation role is modelled
+//! here. For MIMO training the antennas take turns
 //! (time-orthogonal preambles) so the per-antenna coefficients separate —
 //! "standard MIMO channel estimation \[2\]".
 
@@ -54,54 +55,11 @@ impl Preamble {
     pub fn samples(&self) -> Vec<C64> {
         self.chips.iter().map(|&c| C64::real(c)).collect()
     }
-
-    /// Normalised cross-correlation magnitude of the preamble against the
-    /// stream at offset `at` — in \[0,1\], 1 for a perfect (scaled/rotated)
-    /// match. Phase rotations (CFO, channel) do not reduce the peak.
-    pub fn correlation_at(&self, stream: &[C64], at: usize) -> f64 {
-        let n = self.len();
-        if at + n > stream.len() {
-            return 0.0;
-        }
-        let mut acc = C64::zero();
-        let mut energy = 0.0;
-        for (k, &chip) in self.chips.iter().enumerate() {
-            let s = stream[at + k];
-            acc += s * chip;
-            energy += s.norm_sqr();
-        }
-        if energy <= 0.0 {
-            return 0.0;
-        }
-        acc.abs() / (energy.sqrt() * (n as f64).sqrt())
-    }
-
-    /// Detect the packet start: the first offset whose correlation exceeds
-    /// `threshold` (scanning forward). Returns `None` when nothing matches.
-    pub fn detect(&self, stream: &[C64], threshold: f64) -> Option<usize> {
-        if stream.len() < self.len() {
-            return None;
-        }
-        (0..=(stream.len() - self.len()))
-            .find(|&at| self.correlation_at(stream, at) >= threshold)
-    }
-
-    /// Detect by the *best* correlation in the stream (more robust when the
-    /// threshold is uncertain); returns `(offset, correlation)`.
-    pub fn detect_best(&self, stream: &[C64]) -> Option<(usize, f64)> {
-        if stream.len() < self.len() {
-            return None;
-        }
-        (0..=(stream.len() - self.len()))
-            .map(|at| (at, self.correlation_at(stream, at)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iac_linalg::Rng64;
 
     #[test]
     fn default_preamble_is_32_chips() {
@@ -120,66 +78,15 @@ mod tests {
 
     #[test]
     fn autocorrelation_peaks_at_zero_lag() {
-        let p = Preamble::paper_default();
-        let stream = p.samples();
-        let peak = p.correlation_at(&stream, 0);
-        assert!((peak - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn detection_in_noise() {
-        let p = Preamble::paper_default();
-        let mut rng = Rng64::new(1);
-        // 100 noise samples, then the preamble, then more noise.
-        let mut stream: Vec<C64> = (0..100).map(|_| rng.cn(0.05)).collect();
-        stream.extend(p.samples());
-        stream.extend((0..100).map(|_| rng.cn(0.05)));
-        for s in stream.iter_mut() {
-            *s += rng.cn(0.02);
+        // One period of the maximal-length sequence: its periodic
+        // autocorrelation is 31 at lag 0 and −1 at every other lag.
+        let p = Preamble::from_lfsr(31, 0b1_0101);
+        let c = &p.chips;
+        let at = |lag: usize| -> f64 { (0..31).map(|k| c[k] * c[(k + lag) % 31]).sum() };
+        assert_eq!(at(0), 31.0);
+        for lag in 1..31 {
+            assert_eq!(at(lag), -1.0, "lag {lag}");
         }
-        let (at, corr) = p.detect_best(&stream).unwrap();
-        assert_eq!(at, 100, "detected at {at} with corr {corr}");
-        assert!(corr > 0.9);
-    }
-
-    #[test]
-    fn detection_survives_phase_rotation_and_scaling() {
-        // A flat channel multiplies by h; CFO rotates slowly. The magnitude
-        // correlation still peaks at the right offset.
-        let p = Preamble::paper_default();
-        let mut rng = Rng64::new(2);
-        let h = C64::from_polar(0.3, 1.9);
-        let mut stream: Vec<C64> = (0..50).map(|_| rng.cn(0.001)).collect();
-        stream.extend(p.samples().iter().map(|&s| s * h));
-        stream.extend((0..50).map(|_| rng.cn(0.001)));
-        let (at, corr) = p.detect_best(&stream).unwrap();
-        assert_eq!(at, 50);
-        assert!(corr > 0.95, "corr {corr}");
-    }
-
-    #[test]
-    fn threshold_detection_finds_first_hit() {
-        let p = Preamble::paper_default();
-        let mut stream = vec![C64::zero(); 10];
-        stream.extend(p.samples());
-        assert_eq!(p.detect(&stream, 0.9), Some(10));
-    }
-
-    #[test]
-    fn no_false_detection_in_pure_noise() {
-        let p = Preamble::paper_default();
-        let mut rng = Rng64::new(3);
-        let stream: Vec<C64> = (0..2000).map(|_| rng.cn(1.0)).collect();
-        // Normalised correlation of noise against a 32-chip sequence stays
-        // well below 0.9.
-        assert_eq!(p.detect(&stream, 0.9), None);
-    }
-
-    #[test]
-    fn short_stream_yields_none() {
-        let p = Preamble::paper_default();
-        assert!(p.detect(&[C64::one(); 8], 0.5).is_none());
-        assert!(p.detect_best(&[]).is_none());
     }
 
     #[test]

@@ -58,19 +58,6 @@ pub fn sum_streams_into(sets: &[Vec<Vec<C64>>], out: &mut Vec<Vec<C64>>) {
     }
 }
 
-/// Zero-pad streams on the left by `offset` samples (a transmitter that
-/// starts late; IAC needs no symbol synchronisation on flat channels, §6c).
-pub fn delay_streams(streams: &[Vec<C64>], offset: usize) -> Vec<Vec<C64>> {
-    streams
-        .iter()
-        .map(|s| {
-            let mut out = vec![C64::zero(); offset];
-            out.extend_from_slice(s);
-            out
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,15 +111,6 @@ mod tests {
         let s = sum_streams(&[a, b]);
         assert_eq!(s[0][0], C64::real(2.0));
         assert_eq!(s[1][0], C64::real(3.0));
-    }
-
-    #[test]
-    fn delay_prepends_silence() {
-        let streams = vec![vec![C64::one(); 3]];
-        let delayed = delay_streams(&streams, 2);
-        assert_eq!(delayed[0].len(), 5);
-        assert_eq!(delayed[0][0], C64::zero());
-        assert_eq!(delayed[0][2], C64::one());
     }
 
     #[test]

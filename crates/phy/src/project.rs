@@ -7,15 +7,9 @@
 
 use iac_linalg::{C64, CVec};
 
-/// Project multi-antenna received streams onto a decoding vector.
-pub fn combine(rx_streams: &[Vec<C64>], u: &CVec) -> Vec<C64> {
-    let mut out = Vec::new();
-    combine_into(rx_streams, u, &mut out);
-    out
-}
-
-/// [`combine`] into a caller-owned buffer (cleared and refilled, reusing
-/// capacity). Zero allocations once warm.
+/// Project multi-antenna received streams onto a decoding vector, into a
+/// caller-owned buffer (cleared and refilled, reusing capacity). Zero
+/// allocations once warm.
 pub fn combine_into(rx_streams: &[Vec<C64>], u: &CVec, out: &mut Vec<C64>) {
     assert_eq!(
         rx_streams.len(),
@@ -41,15 +35,9 @@ pub fn combine_into(rx_streams: &[Vec<C64>], u: &CVec, out: &mut Vec<C64>) {
     }
 }
 
-/// Equalise a projected stream by a scalar effective channel estimate:
-/// divides every sample by `g` (the post-projection channel `uᴴĤv`).
-pub fn equalize(stream: &[C64], g: C64) -> Vec<C64> {
-    let inv = g.recip().unwrap_or(C64::zero());
-    stream.iter().map(|&s| s * inv).collect()
-}
-
-/// [`equalize`] in place: scales every sample by `1/g` (or zeroes the stream
-/// when `g` is not invertible).
+/// Equalise a projected stream in place by a scalar effective channel
+/// estimate `g` (the post-projection channel `uᴴĤv`): scales every sample by
+/// `1/g`, or zeroes the stream when `g` is not invertible.
 pub fn equalize_in_place(stream: &mut [C64], g: C64) {
     let inv = g.recip().unwrap_or(C64::zero());
     for s in stream.iter_mut() {
@@ -112,6 +100,18 @@ pub fn costas_bpsk(samples: &[C64], loop_gain: f64) -> Vec<C64> {
 mod tests {
     use super::*;
     use iac_linalg::{CMat, Rng64};
+
+    fn combine(rx_streams: &[Vec<C64>], u: &CVec) -> Vec<C64> {
+        let mut out = Vec::new();
+        combine_into(rx_streams, u, &mut out);
+        out
+    }
+
+    fn equalize(stream: &[C64], g: C64) -> Vec<C64> {
+        let mut out = stream.to_vec();
+        equalize_in_place(&mut out, g);
+        out
+    }
 
     #[test]
     fn combine_is_hermitian_projection() {

@@ -181,7 +181,7 @@ pub fn derotate(samples: &mut [C64], delta_f_hz: f64, sample_rate_hz: f64, start
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::medium::{AirTransmission, Medium};
+    use crate::medium::AirTransmission;
     use iac_channel::{Awgn, Cfo};
     use iac_linalg::Rng64;
 
@@ -204,7 +204,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let h = CMat::random(2, 2, &mut rng);
         let streams = training_streams(&p, 2);
-        let rx = Medium::mix(
+        let rx = crate::medium::mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
@@ -230,7 +230,7 @@ mod tests {
         for &noise in &[0.001, 0.1] {
             let mut total = 0.0;
             for _ in 0..50 {
-                let rx = Medium::mix(
+                let rx = crate::medium::mix(
                     &[AirTransmission {
                         streams: &streams,
                         channel: &h,
@@ -258,7 +258,7 @@ mod tests {
         let mut rng = Rng64::new(3);
         let h = CMat::random(2, 2, &mut rng);
         let streams = training_streams(&p, 2);
-        let rx = Medium::mix(
+        let rx = crate::medium::mix(
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,

@@ -111,7 +111,8 @@ fn mix_into_matches_scalar_reference() {
             }
         }
         let mut mix_rng = Rng64::new(1);
-        let out = Medium::mix(&txs, 2, n, Awgn::new(0.0), &mut mix_rng);
+        let mut out = Vec::new();
+        Medium::mix_into(&txs, 2, n, Awgn::new(0.0), &mut mix_rng, &mut out);
         assert_eq!(out, reference, "n={n}");
     }
 }
@@ -149,7 +150,8 @@ fn reconstruct_into_matches_scalar_reference() {
                     .collect()
             })
             .collect();
-        let out = cancel::reconstruct(&syms, &v, &h, power, cfo_hz, fs, start);
+        let mut out = Vec::new();
+        cancel::reconstruct_into(&syms, &v, &h, power, cfo_hz, fs, start, &mut out);
         assert_eq!(out, reference, "n={n}");
     }
 }

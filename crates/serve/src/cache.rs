@@ -39,7 +39,7 @@ use iac_sim::registry::Quality;
 
 /// FNV-1a 64-bit, the same construction the scenario registry uses for
 /// name-derived seeds.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -66,7 +66,7 @@ impl CacheKey {
     /// The canonical key string embedded in entries and hashed for the
     /// file name. Spaces cannot occur in scenario names, so the encoding
     /// is unambiguous.
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         format!(
             "{} {} {:#018x} {}",
             self.scenario,
@@ -219,7 +219,7 @@ impl ResultCache {
 
     /// [`ResultCache::get`] distinguishing a clean miss from a corrupt
     /// entry that was just quarantined (the daemon counts the latter).
-    pub fn get_detailed(&self, key: &CacheKey) -> CacheLookup {
+    pub(crate) fn get_detailed(&self, key: &CacheKey) -> CacheLookup {
         let path = self.entry_path(key);
         let Ok(bytes) = fs::read(&path) else {
             return CacheLookup::Miss;

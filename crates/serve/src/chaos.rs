@@ -21,7 +21,7 @@ use std::time::Duration;
 use iac_sim::registry::{Quality, Scenario, TrialOutput};
 
 /// Name the daemon maps to [`crate::pool::JobKind::Kill`] submissions.
-pub const KILL_SCENARIO: &str = "chaos_kill_worker";
+pub(crate) const KILL_SCENARIO: &str = "chaos_kill_worker";
 
 fn metric(seed: u64) -> TrialOutput {
     TrialOutput {
@@ -31,12 +31,12 @@ fn metric(seed: u64) -> TrialOutput {
 }
 
 /// Panics unconditionally.
-pub fn chaos_panic(_quality: Quality, seed: u64) -> TrialOutput {
+pub(crate) fn chaos_panic(_quality: Quality, seed: u64) -> TrialOutput {
     panic!("chaos_panic: injected failure (trial seed {seed:#x})");
 }
 
 /// Panics on odd trial seeds, succeeds on even ones.
-pub fn chaos_flaky(_quality: Quality, seed: u64) -> TrialOutput {
+pub(crate) fn chaos_flaky(_quality: Quality, seed: u64) -> TrialOutput {
     if seed % 2 == 1 {
         panic!("chaos_flaky: injected failure (trial seed {seed:#x})");
     }
@@ -44,14 +44,14 @@ pub fn chaos_flaky(_quality: Quality, seed: u64) -> TrialOutput {
 }
 
 /// Sleeps ~30 ms, then succeeds — slow enough to trip tight deadlines.
-pub fn chaos_slow(_quality: Quality, seed: u64) -> TrialOutput {
+pub(crate) fn chaos_slow(_quality: Quality, seed: u64) -> TrialOutput {
     std::thread::sleep(Duration::from_millis(30));
     metric(seed)
 }
 
 /// Sleeps ~300 ms, then succeeds — long enough that a fast request issued
 /// concurrently must finish first unless the daemon serializes.
-pub fn chaos_sleepy(_quality: Quality, seed: u64) -> TrialOutput {
+pub(crate) fn chaos_sleepy(_quality: Quality, seed: u64) -> TrialOutput {
     std::thread::sleep(Duration::from_millis(300));
     metric(seed)
 }
@@ -59,7 +59,7 @@ pub fn chaos_sleepy(_quality: Quality, seed: u64) -> TrialOutput {
 /// The chaos scenario table, as registry rows. [`KILL_SCENARIO`] is listed
 /// with a no-op entry point; the daemon special-cases the name into Kill
 /// jobs before any trial would run.
-pub fn scenarios() -> Vec<Scenario> {
+pub(crate) fn scenarios() -> Vec<Scenario> {
     [
         ("chaos_panic", chaos_panic as fn(Quality, u64) -> TrialOutput, 2),
         ("chaos_flaky", chaos_flaky, 2),

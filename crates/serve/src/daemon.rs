@@ -112,7 +112,7 @@ pub struct ServeMetrics {
 impl ServeMetrics {
     /// Fresh registry with every counter registered (so `stats` responses
     /// always carry the full schema, zeros included).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Registry::new();
         let c = |name: &str| registry.counter(name);
         ServeMetrics {
@@ -226,7 +226,7 @@ impl Daemon {
 
     /// Whether a stop was requested (by `shutdown`, or by `SIGTERM` when
     /// [`install_sigterm`] is active).
-    pub fn stopping(&self) -> bool {
+    pub(crate) fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || sigterm_received()
     }
 
@@ -271,7 +271,7 @@ impl Daemon {
 
     /// Report an oversized line (already consumed by the framer) without
     /// decoding it.
-    pub fn handle_oversized(&self, len: usize, emit: &mut dyn FnMut(&str)) {
+    pub(crate) fn handle_oversized(&self, len: usize, emit: &mut dyn FnMut(&str)) {
         let e = ProtoError::Oversized { len };
         self.metrics.protocol_errors.inc();
         emit(&error_line(None, e.code(), &e.to_string()));
@@ -687,7 +687,7 @@ extern "C" fn on_sigterm(_sig: i32) {
 }
 
 /// Install a `SIGTERM`/`SIGINT` handler that flips the process-wide stop
-/// flag [`Daemon::stopping`] polls, turning an external kill into the same
+/// flag `Daemon::stopping` polls, turning an external kill into the same
 /// graceful drain as a `shutdown` request. `std` already links `libc`, so
 /// `signal(2)` is declared directly rather than pulling in a crate.
 #[cfg(unix)]

@@ -5,7 +5,7 @@
 //! truncated lines, garbage bytes, pathological nesting, and oversized
 //! tokens arriving on a long-lived socket. Every failure is a typed
 //! [`JsonError`] carrying a byte offset — parsing never panics, never
-//! recurses unboundedly ([`MAX_DEPTH`]), and never allocates more than the
+//! recurses unboundedly (`MAX_DEPTH`), and never allocates more than the
 //! input's own length (the caller caps line length before parsing; see
 //! `protocol::MAX_LINE_BYTES`).
 //!
@@ -16,7 +16,7 @@
 use std::fmt;
 
 /// Maximum nesting depth accepted by the parser.
-pub const MAX_DEPTH: usize = 16;
+pub(crate) const MAX_DEPTH: usize = 16;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,7 @@ impl Value {
     }
 
     /// The value as a `u64`, if it is an integer in range.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(i) => u64::try_from(*i).ok(),
             _ => None,
@@ -64,7 +64,7 @@ impl Value {
     }
 
     /// The value as a `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -88,7 +88,7 @@ pub enum JsonErrorKind {
     Truncated,
     /// A byte that cannot start or continue the expected token.
     UnexpectedByte(u8),
-    /// Nesting beyond [`MAX_DEPTH`].
+    /// Nesting beyond `MAX_DEPTH`.
     TooDeep,
     /// A number token that is not a valid JSON number (or overflows f64
     /// parsing).
@@ -383,7 +383,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Escape a string for embedding in JSON output (with surrounding quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -11,7 +11,7 @@
 //! in-flight job holds the only clones of its batch's reply sender, so a
 //! dead worker dropping its job eventually disconnects the channel and the
 //! collector reports [`BatchError::WorkerLost`] instead of hanging.
-//! [`WorkerPool::respawn_dead`] then tops the pool back up.
+//! `WorkerPool::respawn_dead` then tops the pool back up.
 //!
 //! [`run_batch`] is the determinism-preserving scheduler the daemon uses:
 //! replicates are submitted in index order with at most `workers`
@@ -122,12 +122,12 @@ impl WorkerPool {
     }
 
     /// Configured pool size.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
     /// Enqueue one job (FIFO; any live worker may take it).
-    pub fn submit(&self, job: Job) {
+    pub(crate) fn submit(&self, job: Job) {
         let tx = self.inject.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let _ = tx.send(job);
     }
@@ -144,7 +144,7 @@ impl WorkerPool {
 
     /// Replace every dead worker with a fresh thread on the same queue.
     /// Returns how many were respawned.
-    pub fn respawn_dead(&self) -> usize {
+    pub(crate) fn respawn_dead(&self) -> usize {
         let mut handles = self.handles.lock().unwrap_or_else(|e| e.into_inner());
         let mut respawned = 0;
         for h in handles.iter_mut() {

@@ -44,13 +44,13 @@ use iac_sim::registry::{json_f64, Quality};
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Hard cap on a request `id`, bytes.
-pub const MAX_ID_BYTES: usize = 256;
+pub(crate) const MAX_ID_BYTES: usize = 256;
 
 /// Hard cap on a scenario name, bytes.
-pub const MAX_SCENARIO_BYTES: usize = 128;
+pub(crate) const MAX_SCENARIO_BYTES: usize = 128;
 
 /// Hard cap on `replicates` per request.
-pub const MAX_REPLICATES: usize = 100_000;
+pub(crate) const MAX_REPLICATES: usize = 100_000;
 
 /// A decoded request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -322,7 +322,7 @@ pub enum RunStatus {
 
 impl RunStatus {
     /// Wire label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::Timeout => "timeout",
@@ -331,7 +331,7 @@ impl RunStatus {
 }
 
 /// One streamed per-replicate line: the replicate's metrics in trial order.
-pub fn replicate_line(id: &str, replicate: usize, metrics: &[(&'static str, f64)]) -> String {
+pub(crate) fn replicate_line(id: &str, replicate: usize, metrics: &[(&'static str, f64)]) -> String {
     let mut s = format!(
         "{{\"type\":\"replicate\",\"id\":{},\"replicate\":{replicate},\"metrics\":{{",
         json::escape(id)
@@ -348,7 +348,7 @@ pub fn replicate_line(id: &str, replicate: usize, metrics: &[(&'static str, f64)
 
 /// The final line of a successful (or timed-out-partial) `run`.
 /// `report_json` is spliced verbatim.
-pub fn result_line(
+pub(crate) fn result_line(
     id: &str,
     status: RunStatus,
     cached: bool,
@@ -366,7 +366,7 @@ pub fn result_line(
 
 /// A typed failure line. `id` is absent for lines that failed before an id
 /// could be decoded.
-pub fn error_line(id: Option<&str>, code: &str, detail: &str) -> String {
+pub(crate) fn error_line(id: Option<&str>, code: &str, detail: &str) -> String {
     match id {
         Some(id) => format!(
             "{{\"type\":\"error\",\"id\":{},\"error\":{},\"detail\":{}}}",
@@ -383,7 +383,7 @@ pub fn error_line(id: Option<&str>, code: &str, detail: &str) -> String {
 }
 
 /// The `stats` response: the daemon's metric snapshot, spliced verbatim.
-pub fn stats_line(id: &str, metrics_json: &str) -> String {
+pub(crate) fn stats_line(id: &str, metrics_json: &str) -> String {
     format!(
         "{{\"type\":\"stats\",\"id\":{},\"metrics\":{metrics_json}}}",
         json::escape(id)
@@ -391,12 +391,12 @@ pub fn stats_line(id: &str, metrics_json: &str) -> String {
 }
 
 /// The `ping` response.
-pub fn pong_line(id: &str) -> String {
+pub(crate) fn pong_line(id: &str) -> String {
     format!("{{\"type\":\"pong\",\"id\":{}}}", json::escape(id))
 }
 
 /// The `shutdown` acknowledgement.
-pub fn bye_line(id: &str) -> String {
+pub(crate) fn bye_line(id: &str) -> String {
     format!("{{\"type\":\"bye\",\"id\":{}}}", json::escape(id))
 }
 

@@ -81,7 +81,7 @@ pub enum SweepOutcome {
 }
 
 /// The usage text `examples/sweep.rs` prints on a parse error.
-pub const USAGE: &str = "usage: sweep [--scenario <name>|all] [--replicates N] [--threads N] \
+pub(crate) const USAGE: &str = "usage: sweep [--scenario <name>|all] [--replicates N] [--threads N] \
 [--seed N] [--paper] [--json] [--list] [--metrics <path>] [--trace <path>] [--progress] \
 [--timeout-secs N]\n\
 \n\
@@ -104,7 +104,7 @@ pub const USAGE: &str = "usage: sweep [--scenario <name>|all] [--replicates N] [
               finishes.";
 
 /// Parse `--seed`: decimal or 0x-prefixed hex.
-pub fn parse_seed(s: &str) -> Option<u64> {
+pub(crate) fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
     } else {

@@ -44,7 +44,7 @@ pub struct DesRun {
 }
 
 /// The campus config for a quality/seed pair (the registry's sizing rule).
-pub fn campus_config(quality: Quality, trial_seed: u64) -> des_campus::CampusConfig {
+pub(crate) fn campus_config(quality: Quality, trial_seed: u64) -> des_campus::CampusConfig {
     match quality {
         Quality::Quick => des_campus::CampusConfig::quick(trial_seed),
         Quality::Paper => des_campus::CampusConfig::paper_default(trial_seed),
@@ -53,7 +53,7 @@ pub fn campus_config(quality: Quality, trial_seed: u64) -> des_campus::CampusCon
 
 /// The load-sweep config for a quality/seed pair (the registry's sizing
 /// rule).
-pub fn load_config(quality: Quality, trial_seed: u64) -> des_load::LoadSweepConfig {
+pub(crate) fn load_config(quality: Quality, trial_seed: u64) -> des_load::LoadSweepConfig {
     match quality {
         Quality::Quick => des_load::LoadSweepConfig::quick(trial_seed),
         Quality::Paper => des_load::LoadSweepConfig::paper_default(trial_seed),
@@ -62,7 +62,7 @@ pub fn load_config(quality: Quality, trial_seed: u64) -> des_load::LoadSweepConf
 
 /// The AP-churn config for a quality/seed pair (the registry's sizing
 /// rule).
-pub fn churn_config(quality: Quality, trial_seed: u64) -> robustness::ChurnConfig {
+pub(crate) fn churn_config(quality: Quality, trial_seed: u64) -> robustness::ChurnConfig {
     match quality {
         Quality::Quick => robustness::ChurnConfig::quick(trial_seed),
         Quality::Paper => robustness::ChurnConfig::paper_default(trial_seed),
@@ -71,7 +71,7 @@ pub fn churn_config(quality: Quality, trial_seed: u64) -> robustness::ChurnConfi
 
 /// The backhaul-partition config for a quality/seed pair (the registry's
 /// sizing rule).
-pub fn partition_config(quality: Quality, trial_seed: u64) -> robustness::PartitionConfig {
+pub(crate) fn partition_config(quality: Quality, trial_seed: u64) -> robustness::PartitionConfig {
     match quality {
         Quality::Quick => robustness::PartitionConfig::quick(trial_seed),
         Quality::Paper => robustness::PartitionConfig::paper_default(trial_seed),
@@ -80,7 +80,7 @@ pub fn partition_config(quality: Quality, trial_seed: u64) -> robustness::Partit
 
 /// The CSI-aging config for a quality/seed pair (the registry's sizing
 /// rule).
-pub fn aging_config(quality: Quality, trial_seed: u64) -> robustness::CsiAgingConfig {
+pub(crate) fn aging_config(quality: Quality, trial_seed: u64) -> robustness::CsiAgingConfig {
     match quality {
         Quality::Quick => robustness::CsiAgingConfig::quick(trial_seed),
         Quality::Paper => robustness::CsiAgingConfig::paper_default(trial_seed),
@@ -190,7 +190,7 @@ pub fn replay_observed(
 
 /// The campus trial's registry metrics from its report — the single metric
 /// extraction both the live registry entry and replay reconstruction use.
-pub fn campus_trial_output(r: &des_campus::CampusReport) -> TrialOutput {
+pub(crate) fn campus_trial_output(r: &des_campus::CampusReport) -> TrialOutput {
     TrialOutput {
         metrics: vec![
             ("delivered_uplink", r.log.delivered_count(true) as f64),
@@ -211,7 +211,7 @@ pub fn campus_trial_output(r: &des_campus::CampusReport) -> TrialOutput {
 /// grid-interpolated (see `des_load::interpolated_knee`), so these are
 /// continuous in the underlying measurements rather than snapping to swept
 /// grid loads.
-pub fn load_trial_output(r: &des_load::LoadSweepReport) -> TrialOutput {
+pub(crate) fn load_trial_output(r: &des_load::LoadSweepReport) -> TrialOutput {
     TrialOutput {
         metrics: vec![
             ("load_gain", r.gain()),
@@ -233,7 +233,7 @@ pub fn load_trial_output(r: &des_load::LoadSweepReport) -> TrialOutput {
 }
 
 /// The AP-churn trial's registry metrics from its report.
-pub fn churn_trial_output(r: &robustness::ChurnReport) -> TrialOutput {
+pub(crate) fn churn_trial_output(r: &robustness::ChurnReport) -> TrialOutput {
     TrialOutput {
         metrics: vec![
             ("delivery_ratio", r.delivery_ratio),
@@ -246,7 +246,7 @@ pub fn churn_trial_output(r: &robustness::ChurnReport) -> TrialOutput {
 }
 
 /// The backhaul-partition trial's registry metrics from its report.
-pub fn partition_trial_output(r: &robustness::PartitionReport) -> TrialOutput {
+pub(crate) fn partition_trial_output(r: &robustness::PartitionReport) -> TrialOutput {
     TrialOutput {
         metrics: vec![
             ("delivery_ratio", r.delivery_ratio),
@@ -262,7 +262,7 @@ pub fn partition_trial_output(r: &robustness::PartitionReport) -> TrialOutput {
 /// worst-severity IAC/MIMO ratios plus the sweep-wide floor — the
 /// graceful-degradation contract in three numbers (gain shrinks with
 /// severity, the floor stays at or above the baseline).
-pub fn aging_trial_output(r: &robustness::CsiAgingReport) -> TrialOutput {
+pub(crate) fn aging_trial_output(r: &robustness::CsiAgingReport) -> TrialOutput {
     TrialOutput {
         metrics: vec![
             ("gain_clean", r.ratio(0)),

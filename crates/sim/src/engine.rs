@@ -23,7 +23,7 @@
 //! claim takes `remaining / (4 · workers)` trials, at least one — big chunks
 //! early so per-claim synchronisation amortises and each worker's
 //! thread-local scratch arenas (FFT plans, pooled buffers — see
-//! [`iac_phy::fft::with_thread_scratch`]) stay warm across a run of trials,
+//! `iac_phy::fft::with_thread_scratch`) stay warm across a run of trials,
 //! geometrically shrinking toward the end so an unlucky run of slow trials
 //! cannot idle the other workers. The caller's own thread acts as worker
 //! lane 0 — one fewer spawn, and the lane with the warmest arena (it
@@ -32,7 +32,7 @@
 //! [`run`] is the one entry point. Its [`RunPlan`] names an **exact** worker
 //! count, a cooperative [`Deadline`], and whether to observe. Callers that
 //! start from a *requested* thread count clamp it first with
-//! [`effective_workers`] (the registry does): workers beyond the core count
+//! `effective_workers` (the registry does): workers beyond the core count
 //! cannot run concurrently and only add spawn/switch overhead and cold
 //! arenas (outputs are bit-identical at every worker count, so the clamp is
 //! unobservable in results). Tests and scaling studies pass an exact count.
@@ -146,7 +146,7 @@ fn available_cores() -> usize {
 /// thread-local arenas) and to the trial count. Outputs are bit-identical
 /// at every worker count, so the clamp never changes results — only
 /// wall-clock.
-pub fn effective_workers(requested: usize, n: usize) -> usize {
+pub(crate) fn effective_workers(requested: usize, n: usize) -> usize {
     resolve_threads(requested)
         .min(available_cores())
         .clamp(1, n.max(1))
@@ -181,7 +181,7 @@ fn claim_chunk(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<u
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPlan {
     /// Exact worker count, clamped to `1..=n` only (see
-    /// [`effective_workers`]). Lane 0 is the calling thread.
+    /// `effective_workers`). Lane 0 is the calling thread.
     pub workers: usize,
     /// Checked before each trial starts; a started trial always finishes.
     pub deadline: Deadline,

@@ -91,7 +91,7 @@ impl ScatterPoint {
 
 /// Permute the transmitters of a grid (used to rotate which client plays
 /// which role in a closed-form configuration).
-pub fn permute_transmitters(grid: &ChannelGrid, order: &[usize]) -> ChannelGrid {
+pub(crate) fn permute_transmitters(grid: &ChannelGrid, order: &[usize]) -> ChannelGrid {
     assert_eq!(order.len(), grid.transmitters(), "bad permutation length");
     let h: Vec<Vec<CMat>> = order
         .iter()
@@ -106,7 +106,7 @@ pub fn permute_transmitters(grid: &ChannelGrid, order: &[usize]) -> ChannelGrid 
 
 /// 802.11-MIMO uplink slot: each client alone on its best AP; with the TDMA
 /// budget split evenly, the slot-average rate is the mean over clients.
-pub fn baseline_uplink_slot(
+pub(crate) fn baseline_uplink_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     cfg: &ExperimentConfig,
@@ -128,7 +128,7 @@ pub fn baseline_uplink_slot(
 }
 
 /// 802.11-MIMO downlink slot: each client downloads from its best AP.
-pub fn baseline_downlink_slot(
+pub(crate) fn baseline_downlink_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     cfg: &ExperimentConfig,
@@ -151,7 +151,7 @@ pub fn baseline_downlink_slot(
 
 /// IAC 3-packet uplink slot (Fig. 4b), with the paper's role alternation:
 /// average of "client 0 doubles" and "client 1 doubles".
-pub fn iac_uplink3_slot(
+pub(crate) fn iac_uplink3_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     cfg: &ExperimentConfig,
@@ -169,7 +169,7 @@ pub fn iac_uplink3_slot(
 /// IAC 4-packet uplink slot (Fig. 5), rotating which client uploads two
 /// packets round-robin (§10.1: "we choose the client that transmits the two
 /// packets in each timeslot in a round robin manner").
-pub fn iac_uplink4_slot(
+pub(crate) fn iac_uplink4_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     cfg: &ExperimentConfig,
@@ -187,7 +187,7 @@ pub fn iac_uplink4_slot(
 }
 
 /// IAC 3-packet downlink slot (Fig. 6).
-pub fn iac_downlink3_slot(
+pub(crate) fn iac_downlink3_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     cfg: &ExperimentConfig,
@@ -244,7 +244,7 @@ fn iac_rate_for(
 
 /// Run a generic pick loop: `slot_fn(testbed, rng) -> ScatterPoint-components`
 /// per pick, averaging over `cfg.slots` slots.
-pub fn run_picks(
+pub(crate) fn run_picks(
     cfg: &ExperimentConfig,
     mut pick_fn: impl FnMut(&Testbed, &mut Rng64) -> ScatterPoint,
 ) -> Vec<ScatterPoint> {

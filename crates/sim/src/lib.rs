@@ -55,10 +55,10 @@ pub mod scenarios;
 pub mod stats;
 pub mod testbed;
 
-pub use engine::{effective_workers, Deadline, EngineFacts, RunPlan, Trial, TrialPanic};
+pub use engine::{Deadline, EngineFacts, RunPlan, Trial, TrialPanic};
 pub use obs::SweepObs;
 pub use experiment::{ExperimentConfig, ScatterPoint, DEFAULT_SEED};
 pub use netsim::{CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
 pub use registry::{Quality, Scenario, ScenarioReport, TrialOutput};
-pub use stats::{cdf_points, ci95_half_width, mean, Summary};
+pub use stats::Summary;
 pub use testbed::Testbed;

@@ -10,7 +10,7 @@ use iac_des::metrics::MetricsLog;
 
 /// Per-packet latencies in milliseconds, optionally filtered by direction
 /// (`Some(true)` = uplink only).
-pub fn latencies_ms(log: &MetricsLog, direction: Option<bool>) -> Vec<f64> {
+pub(crate) fn latencies_ms(log: &MetricsLog, direction: Option<bool>) -> Vec<f64> {
     log.delivered
         .iter()
         .filter(|r| direction.is_none_or(|up| r.uplink == up))
@@ -26,7 +26,7 @@ pub fn latency_cdf_ms(log: &MetricsLog, direction: Option<bool>) -> Vec<(f64, f6
 /// Jain's fairness index `(Σx)² / (n·Σx²)`: 1 when perfectly fair, → 1/n
 /// when one value dominates. Empty or all-zero input scores 1 (nothing is
 /// unfair about nothing).
-pub fn jain_fairness(xs: &[f64]) -> f64 {
+pub(crate) fn jain_fairness(xs: &[f64]) -> f64 {
     let sum: f64 = xs.iter().sum();
     let sq: f64 = xs.iter().map(|x| x * x).sum();
     if xs.is_empty() || sq == 0.0 {
@@ -37,35 +37,12 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 }
 
 /// Aggregate delivered throughput in Mbit/s over `[0, horizon_us]`.
-pub fn throughput_mbps(log: &MetricsLog, payload_bytes: usize, horizon_us: f64) -> f64 {
+pub(crate) fn throughput_mbps(log: &MetricsLog, payload_bytes: usize, horizon_us: f64) -> f64 {
     if horizon_us <= 0.0 {
         return 0.0;
     }
     let bits = log.delivered.len() as f64 * payload_bytes as f64 * 8.0;
     bits / horizon_us // bits per µs == Mbit/s
-}
-
-/// Delivered throughput per window: `(window_start_ms, mbps)` for
-/// consecutive windows of `window_us` covering `[0, horizon_us)`.
-pub fn windowed_throughput_mbps(
-    log: &MetricsLog,
-    payload_bytes: usize,
-    window_us: f64,
-    horizon_us: f64,
-) -> Vec<(f64, f64)> {
-    assert!(window_us > 0.0, "window must be positive");
-    let n_windows = (horizon_us / window_us).ceil() as usize;
-    let mut bits = vec![0.0f64; n_windows.max(1)];
-    for r in &log.delivered {
-        let w = (r.delivered_us / window_us) as usize;
-        if w < bits.len() {
-            bits[w] += payload_bytes as f64 * 8.0;
-        }
-    }
-    bits.iter()
-        .enumerate()
-        .map(|(w, b)| (w as f64 * window_us * 1e-3, b / window_us))
-        .collect()
 }
 
 /// Jain fairness of per-client delivered throughput inside each window:
@@ -108,7 +85,7 @@ pub fn windowed_jain(log: &MetricsLog, window_us: f64, horizon_us: f64) -> Vec<(
 }
 
 /// Peak queue depth over the run, `(downlink, uplink)`.
-pub fn peak_queue_depth(log: &MetricsLog) -> (usize, usize) {
+pub(crate) fn peak_queue_depth(log: &MetricsLog) -> (usize, usize) {
     log.queue_depth.iter().fold((0, 0), |(d, u), s| {
         (d.max(s.downlink), u.max(s.uplink))
     })
@@ -154,13 +131,9 @@ mod tests {
     }
 
     #[test]
-    fn windowed_throughput_buckets_by_delivery_time() {
-        // Two packets in window 0, one in window 1; payload 1250 B = 10 kbit.
+    fn throughput_counts_delivered_bits() {
+        // Three delivered packets of 1250 B = 10 kbit each over 2 ms.
         let log = log_with(&[(0, 0.0, 100.0), (0, 0.0, 900.0), (0, 0.0, 1500.0)]);
-        let w = windowed_throughput_mbps(&log, 1250, 1000.0, 2000.0);
-        assert_eq!(w.len(), 2);
-        assert!((w[0].1 - 20.0).abs() < 1e-9, "{w:?}");
-        assert!((w[1].1 - 10.0).abs() < 1e-9);
         assert!((throughput_mbps(&log, 1250, 2000.0) - 15.0).abs() < 1e-9);
     }
 

@@ -22,7 +22,7 @@ use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
 
 /// A PHY whose per-packet post-processing SINRs are drawn from an empirical
-/// pool (see [`calibrate_iac_pool`] / [`calibrate_mimo_pool`]). Packet
+/// pool (see `calibrate_iac_pool` / `calibrate_mimo_pool`). Packet
 /// success is `SINR > threshold` (CRC proxy, as in the end-to-end tests)
 /// with an optional extra loss probability for un-modelled effects.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ pub struct CalibratedPhy {
 
 impl CalibratedPhy {
     /// Build from a non-empty SINR pool.
-    pub fn new(pool: Vec<f64>, threshold: f64, extra_loss: f64, n_aps: u16) -> Self {
+    pub(crate) fn new(pool: Vec<f64>, threshold: f64, extra_loss: f64, n_aps: u16) -> Self {
         assert!(!pool.is_empty(), "empty SINR pool");
         assert!((0.0..1.0).contains(&extra_loss));
         Self {
@@ -62,7 +62,7 @@ impl CalibratedPhy {
 
     /// Use `pool` for standalone-MIMO fallback groups (one client carrying
     /// ≥ 2 streams) instead of the primary pool.
-    pub fn with_fallback_pool(mut self, pool: Vec<f64>) -> Self {
+    pub(crate) fn with_fallback_pool(mut self, pool: Vec<f64>) -> Self {
         assert!(!pool.is_empty(), "empty fallback SINR pool");
         self.fallback_pool = Some(pool);
         self
@@ -70,17 +70,10 @@ impl CalibratedPhy {
 
     /// Penalize multi-client (aligned) groups by `db_per_slot` dB of SINR
     /// per slot of CSI staleness.
-    pub fn with_aging_penalty(mut self, db_per_slot: f64) -> Self {
+    pub(crate) fn with_aging_penalty(mut self, db_per_slot: f64) -> Self {
         assert!(db_per_slot >= 0.0);
         self.aging_penalty_db_per_slot = db_per_slot;
         self
-    }
-
-    /// Fraction of pool samples that clear the threshold (upper bound on
-    /// per-attempt delivery probability).
-    pub fn pool_success_rate(&self) -> f64 {
-        let ok = self.pool.iter().filter(|&&s| s > self.threshold).count();
-        (1.0 - self.extra_loss) * ok as f64 / self.pool.len() as f64
     }
 
     fn group(&mut self, clients: &[u16], rng: &mut Rng64) -> Vec<PacketResult> {
@@ -135,7 +128,7 @@ impl PhyOutcome for CalibratedPhy {
 /// testbed channels: per draw, three random clients and three APs, channels
 /// estimated with error, closed-form + optimised alignment, and the
 /// cross-AP successive decode — exactly the §10(e) measurement chain.
-pub fn calibrate_iac_pool(
+pub(crate) fn calibrate_iac_pool(
     testbed: &Testbed,
     est: &EstimationConfig,
     draws: usize,
@@ -171,7 +164,7 @@ pub fn calibrate_iac_pool(
 /// each draw associates one random client with its best AP (chosen from
 /// estimated channels) and realises 2-stream eigenmode SINRs on the true
 /// channel.
-pub fn calibrate_mimo_pool(
+pub(crate) fn calibrate_mimo_pool(
     testbed: &Testbed,
     est: &EstimationConfig,
     draws: usize,
@@ -209,7 +202,7 @@ pub struct SourceSpec {
 
 impl SourceSpec {
     /// An always-on source.
-    pub fn steady(client: u16, uplink: bool, process: ArrivalProcess) -> Self {
+    pub(crate) fn steady(client: u16, uplink: bool, process: ArrivalProcess) -> Self {
         Self {
             client,
             uplink,
@@ -460,7 +453,7 @@ pub fn run_netsim_recorded(
 /// event matches `log` bit-for-bit. On success the outcome (and its
 /// [`MetricsLog`]) is bit-identical to the recorded run's; on mismatch the
 /// first divergent event comes back with context.
-pub fn run_netsim_replayed(
+pub(crate) fn run_netsim_replayed(
     spec: &NetSim,
     phy: CalibratedPhy,
     log: &iac_des::EventLog,
@@ -475,7 +468,7 @@ pub fn run_netsim_replayed(
 /// `event_kinds` stays empty; every other fact (queue statistics, MAC
 /// counters) is read from the same post-run state the live observed runner
 /// uses, and the outcome is bit-identical to [`run_netsim_replayed`]'s.
-pub fn run_netsim_replayed_observed(
+pub(crate) fn run_netsim_replayed_observed(
     spec: &NetSim,
     phy: CalibratedPhy,
     log: &iac_des::EventLog,
@@ -507,8 +500,8 @@ mod tests {
         assert!(iac.len() >= 9, "IAC pool too small: {}", iac.len());
         assert!(mimo.len() >= 6, "MIMO pool too small: {}", mimo.len());
         // Most samples decode (the testbed is a working deployment).
-        let phy = CalibratedPhy::new(iac, 0.5, 0.0, 3);
-        assert!(phy.pool_success_rate() > 0.6, "{}", phy.pool_success_rate());
+        let ok = iac.iter().filter(|&&s| s > 0.5).count() as f64 / iac.len() as f64;
+        assert!(ok > 0.6, "{ok}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl SweepObs {
 
     /// Fold one scenario's engine facts in; `trials` is the number of
     /// replicates it completed.
-    pub fn record_scenario(&mut self, scenario: &str, engine: &EngineFacts, trials: usize) {
+    pub(crate) fn record_scenario(&mut self, scenario: &str, engine: &EngineFacts, trials: usize) {
         self.registry
             .counter(&format!("engine.{scenario}.trials"))
             .add(trials as u64);
@@ -75,7 +75,7 @@ impl SweepObs {
         }));
     }
 
-    /// Fold one DES run's facts in. [`record_scenario`](Self::record_scenario)
+    /// Fold one DES run's facts in. `record_scenario`
     /// calls this per run; the replay CLI calls it directly for runs
     /// verified outside the sweep engine.
     pub fn record_des_run(&mut self, run: &DesRunFacts) {

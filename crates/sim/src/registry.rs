@@ -524,7 +524,7 @@ impl std::fmt::Display for ScenarioReport {
 /// the completed count) and whether every replicate ran. The report is
 /// bit-identical for every `threads` and with or without `obs` (pinned by
 /// `tests/obs_invariance.rs`). A panicking replicate comes back as `Err`.
-pub fn run_replicates(
+pub(crate) fn run_replicates(
     spec: &Scenario,
     quality: Quality,
     master_seed: u64,
@@ -554,7 +554,7 @@ pub fn run_replicates(
     }
 }
 
-/// [`run_replicates`] to completion, unobserved.
+/// `run_replicates` to completion, unobserved.
 ///
 /// # Panics
 /// Re-panics, naming the scenario and the replicate, if a replicate panics.
@@ -569,7 +569,7 @@ pub fn run_scenario(
     completed(spec, r)
 }
 
-/// [`run_replicates`] to completion, observed into `obs`. The report is
+/// `run_replicates` to completion, observed into `obs`. The report is
 /// bit-identical to [`run_scenario`]'s.
 ///
 /// # Panics
@@ -595,7 +595,7 @@ fn completed(spec: &Scenario, run: Result<(ScenarioReport, bool), TrialPanic>) -
 }
 
 /// The shared order-independent reduce: trial outputs (already in trial
-/// order) to `mean ± 95 % CI` per metric. [`run_replicates`] goes through
+/// order) to `mean ± 95 % CI` per metric. `run_replicates` goes through
 /// here, so an observed sweep cannot drift from a plain one —
 /// public so out-of-crate schedulers (the `iac-serve` daemon runs
 /// replicates through its own worker pool) reduce through the identical

@@ -25,17 +25,17 @@ pub struct ClusteredReport {
 
 impl ClusteredReport {
     /// End-to-end flow rate = min(intra, bottleneck) for a two-hop path.
-    pub fn flow_mimo(&self) -> f64 {
+    pub(crate) fn flow_mimo(&self) -> f64 {
         self.intra_rate.min(self.bottleneck_mimo)
     }
 
     /// Same with IAC on the bottleneck.
-    pub fn flow_iac(&self) -> f64 {
+    pub(crate) fn flow_iac(&self) -> f64 {
         self.intra_rate.min(self.bottleneck_iac)
     }
 
     /// End-to-end gain.
-    pub fn gain(&self) -> f64 {
+    pub(crate) fn gain(&self) -> f64 {
         self.flow_iac() / self.flow_mimo()
     }
 }

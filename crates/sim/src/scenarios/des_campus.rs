@@ -175,7 +175,7 @@ pub fn spec_for(config: &CampusConfig) -> NetSim {
 /// Derive the report from a completed run's outcome. Every reported figure
 /// is a pure function of `(config, spec, outcome)`, so a replayed outcome
 /// reconstructs the identical report.
-pub fn report_from(
+pub(crate) fn report_from(
     config: &CampusConfig,
     spec: &NetSim,
     out: crate::netsim::NetSimOutcome,

@@ -95,7 +95,7 @@ pub struct SystemPoint {
 
 impl SystemPoint {
     /// Whether this point counts as sustained under `threshold_ms`.
-    pub fn sustained(&self, threshold_ms: f64) -> bool {
+    pub(crate) fn sustained(&self, threshold_ms: f64) -> bool {
         self.p95_latency_ms < threshold_ms && self.delivery_ratio > 0.9
     }
 }
@@ -120,7 +120,7 @@ pub struct LoadSweepReport {
     pub points: Vec<LoadPoint>,
     /// Sustained-load knee for IAC, pps/client — the interpolated crossing
     /// of the sustainability boundary between the last sustained and first
-    /// unsustained grid loads (see [`interpolated_knee`]).
+    /// unsustained grid loads (see `interpolated_knee`).
     pub iac_sustained_pps: f64,
     /// Sustained-load knee for the 802.11-MIMO baseline, pps/client.
     pub mimo_sustained_pps: f64,
@@ -128,7 +128,7 @@ pub struct LoadSweepReport {
 
 impl LoadSweepReport {
     /// Load-sustained gain (IAC / baseline).
-    pub fn gain(&self) -> f64 {
+    pub(crate) fn gain(&self) -> f64 {
         self.iac_sustained_pps / self.mimo_sustained_pps
     }
 }
@@ -173,7 +173,7 @@ pub fn point_spec(cfg: &LoadSweepConfig, load_pps: f64, iac: bool) -> NetSim {
 /// Reduce a completed run's outcome to its [`SystemPoint`]. Pure in
 /// `(config, system, outcome)`, so a replayed outcome reconstructs the
 /// identical point.
-pub fn point_from(
+pub(crate) fn point_from(
     cfg: &LoadSweepConfig,
     iac: bool,
     out: &crate::netsim::NetSimOutcome,
@@ -247,7 +247,7 @@ fn measure(cfg: &LoadSweepConfig, load_pps: f64, iac: bool, phy: &CalibratedPhy)
 /// interpolant (first unsustained point's p95 non-finite *and* delivery
 /// not below 0.9 — e.g. nothing was delivered at all) falls back to the
 /// interval midpoint.
-pub fn interpolated_knee(points: &[(f64, SystemPoint)], threshold_ms: f64) -> f64 {
+pub(crate) fn interpolated_knee(points: &[(f64, SystemPoint)], threshold_ms: f64) -> f64 {
     let mut last_sustained = None;
     for (i, (_, p)) in points.iter().enumerate() {
         if p.sustained(threshold_ms) {
@@ -279,7 +279,7 @@ pub fn interpolated_knee(points: &[(f64, SystemPoint)], threshold_ms: f64) -> f6
 /// Derive the report (interpolated knees included) from the measured
 /// points. Pure in `(config, points)`, so replayed points reconstruct the
 /// identical report.
-pub fn report_from(config: &LoadSweepConfig, points: Vec<LoadPoint>) -> LoadSweepReport {
+pub(crate) fn report_from(config: &LoadSweepConfig, points: Vec<LoadPoint>) -> LoadSweepReport {
     let series = |pick: fn(&LoadPoint) -> SystemPoint| -> Vec<(f64, SystemPoint)> {
         points.iter().map(|p| (p.load_pps, pick(p))).collect()
     };

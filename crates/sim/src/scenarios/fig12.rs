@@ -21,12 +21,12 @@ pub struct Fig12Report {
 
 impl Fig12Report {
     /// Average Eq. 10 gain across picks.
-    pub fn average_gain(&self) -> f64 {
+    pub(crate) fn average_gain(&self) -> f64 {
         mean(&self.points.iter().map(|p| p.gain()).collect::<Vec<_>>())
     }
 
     /// Gain spread summary.
-    pub fn gain_summary(&self) -> Summary {
+    pub(crate) fn gain_summary(&self) -> Summary {
         Summary::of(&self.points.iter().map(|p| p.gain()).collect::<Vec<_>>())
     }
 }

@@ -30,18 +30,18 @@ pub struct Fig13Report {
 
 impl Fig13Report {
     /// Average Eq. 10 gain.
-    pub fn average_gain(&self) -> f64 {
+    pub(crate) fn average_gain(&self) -> f64 {
         mean(&self.points.iter().map(|p| p.gain()).collect::<Vec<_>>())
     }
 
     /// Gain spread.
-    pub fn gain_summary(&self) -> Summary {
+    pub(crate) fn gain_summary(&self) -> Summary {
         Summary::of(&self.points.iter().map(|p| p.gain()).collect::<Vec<_>>())
     }
 
     /// Check the "gains at both low and high rates" property: split picks at
     /// the median baseline rate and return (low-half gain, high-half gain).
-    pub fn gain_by_rate_half(&self) -> (f64, f64) {
+    pub(crate) fn gain_by_rate_half(&self) -> (f64, f64) {
         let mut sorted = self.points.clone();
         sorted.sort_by(|a, b| a.baseline.partial_cmp(&b.baseline).unwrap());
         let mid = sorted.len() / 2;

@@ -23,18 +23,18 @@ pub struct Fig14Report {
 
 impl Fig14Report {
     /// Average Eq. 10 gain.
-    pub fn average_gain(&self) -> f64 {
+    pub(crate) fn average_gain(&self) -> f64 {
         mean(&self.points.iter().map(|p| p.gain()).collect::<Vec<_>>())
     }
 
     /// Gain spread.
-    pub fn gain_summary(&self) -> Summary {
+    pub(crate) fn gain_summary(&self) -> Summary {
         Summary::of(&self.points.iter().map(|p| p.gain()).collect::<Vec<_>>())
     }
 
     /// Gains split at the median baseline rate (the paper: diversity helps
     /// most at low SNR).
-    pub fn gain_by_rate_half(&self) -> (f64, f64) {
+    pub(crate) fn gain_by_rate_half(&self) -> (f64, f64) {
         let mut sorted = self.points.clone();
         sorted.sort_by(|a, b| a.baseline.partial_cmp(&b.baseline).unwrap());
         let mid = sorted.len() / 2;

@@ -35,7 +35,7 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// All three, in the paper's presentation order.
-    pub const ALL: [PolicyKind; 3] = [
+    pub(crate) const ALL: [PolicyKind; 3] = [
         PolicyKind::BruteForce,
         PolicyKind::Fifo,
         PolicyKind::BestOfTwo,
@@ -87,7 +87,7 @@ impl Fig15Config {
     }
 
     /// Reduced size for unit tests.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             base: ExperimentConfig {
                 slots: 60,
@@ -111,7 +111,7 @@ pub struct Fig15Report {
 
 impl Fig15Report {
     /// Average gain of one policy.
-    pub fn average_gain(&self, kind: PolicyKind) -> f64 {
+    pub(crate) fn average_gain(&self, kind: PolicyKind) -> f64 {
         self.gains
             .iter()
             .find(|(k, _)| *k == kind)
@@ -120,7 +120,7 @@ impl Fig15Report {
     }
 
     /// Fraction of clients whose gain fell below 1 (the unfairness marker).
-    pub fn losers_fraction(&self, kind: PolicyKind) -> f64 {
+    pub(crate) fn losers_fraction(&self, kind: PolicyKind) -> f64 {
         self.gains
             .iter()
             .find(|(k, _)| *k == kind)
@@ -129,7 +129,7 @@ impl Fig15Report {
     }
 
     /// Minimum per-client gain (fairness floor).
-    pub fn min_gain(&self, kind: PolicyKind) -> f64 {
+    pub(crate) fn min_gain(&self, kind: PolicyKind) -> f64 {
         self.gains
             .iter()
             .find(|(k, _)| *k == kind)

@@ -26,12 +26,12 @@ pub struct Fig16Report {
 
 impl Fig16Report {
     /// Mean error across pairs.
-    pub fn average_error(&self) -> f64 {
+    pub(crate) fn average_error(&self) -> f64 {
         mean(&self.errors)
     }
 
     /// Worst pair.
-    pub fn worst_error(&self) -> f64 {
+    pub(crate) fn worst_error(&self) -> f64 {
         self.errors.iter().cloned().fold(0.0, f64::max)
     }
 }

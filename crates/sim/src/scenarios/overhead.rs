@@ -7,7 +7,7 @@
 //! MIMO would ship raw samples at orders of magnitude more).
 
 use iac_linalg::{CVec, Rng64};
-use iac_mac::ethernet::{Hub, WirePacket};
+use iac_mac::ethernet::{Hub, RetryPolicy, WirePacket};
 use iac_mac::frames::{DataPoll, Grant, MacFrame, PollEntry, VectorQ};
 
 /// The overhead report.
@@ -55,13 +55,14 @@ pub fn run(clients: usize, payload_bytes: usize, seed: u64) -> OverheadReport {
     let mut hub = Hub::new(3);
     let n = 100u16;
     for seq in 0..n {
-        hub.broadcast(WirePacket {
+        let packet = WirePacket {
             from_ap: (seq % 3),
             client: seq % 8,
             seq,
             payload_bytes,
             annotations: vec![],
-        });
+        };
+        hub.broadcast(&packet, 0.0, &RetryPolicy::default(), |_| false);
     }
     let wireless_bytes = n as u64 * payload_bytes as u64;
     let wire_bytes_per_wireless_byte = hub.bytes_broadcast() as f64 / wireless_bytes as f64;

@@ -5,21 +5,21 @@
 //! `iac-des` fault layer (`iac_des::fault`) so every fault is an ordinary
 //! recorded event and a faulty run replays bit-exactly:
 //!
-//! * [`run_churn`] (`rob_ap_churn`) — decoding APs crash and recover on a
+//! * `run_churn` (`rob_ap_churn`) — decoding APs crash and recover on a
 //!   seeded exponential process. The leader observes unanswered polls,
 //!   voids those results, and shrinks transmission groups to the live-AP
 //!   count.
-//! * [`run_partition`] (`rob_backhaul_partition`) — the inter-AP Ethernet
+//! * `run_partition` (`rob_backhaul_partition`) — the inter-AP Ethernet
 //!   partitions and heals. Decoded-packet forwards expire (bounded
 //!   retry/deadline at the hub), IAC grouping dissolves to the
 //!   standalone-MIMO fallback, and service recovers after the heal.
-//! * [`run_csi_aging`] (`rob_csi_aging`) — the CSI feedback loop ages: a
+//! * `run_csi_aging` (`rob_csi_aging`) — the CSI feedback loop ages: a
 //!   staleness ramp plus a per-slot SINR penalty on *aligned* groups and an
 //!   impaired calibration pool (`iac_channel::CsiImpairment`). IAC's
 //!   throughput degrades **toward, never below,** the 802.11-MIMO baseline
 //!   — past the trust threshold the MAC itself falls back to exactly that
 //!   baseline shape (the graceful-degradation contract, pinned by
-//!   [`CsiAgingReport::min_ratio`] assertions).
+//!   `CsiAgingReport::min_ratio` assertions).
 
 use crate::metrics;
 use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
@@ -93,7 +93,7 @@ pub struct ChurnConfig {
 
 impl ChurnConfig {
     /// Full-quality defaults, reproducible from `seed`.
-    pub fn paper_default(seed: u64) -> Self {
+    pub(crate) fn paper_default(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -107,7 +107,7 @@ impl ChurnConfig {
     }
 
     /// A fast variant for unit tests and smoke runs.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -173,7 +173,7 @@ pub struct ChurnReport {
 }
 
 /// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub fn churn_report_from(config: &ChurnConfig, out: &NetSimOutcome) -> ChurnReport {
+pub(crate) fn churn_report_from(config: &ChurnConfig, out: &NetSimOutcome) -> ChurnReport {
     ChurnReport {
         faults: out.log.faults,
         poll_timeouts: out.log.poll_timeouts,
@@ -186,7 +186,7 @@ pub fn churn_report_from(config: &ChurnConfig, out: &NetSimOutcome) -> ChurnRepo
 }
 
 /// Run the churn scenario.
-pub fn run_churn(config: &ChurnConfig) -> ChurnReport {
+pub(crate) fn run_churn(config: &ChurnConfig) -> ChurnReport {
     let spec = churn_spec(config);
     let out = netsim::run_netsim(&spec, churn_phy(config));
     churn_report_from(config, &out)
@@ -237,7 +237,7 @@ pub struct PartitionConfig {
 
 impl PartitionConfig {
     /// Full-quality defaults, reproducible from `seed`.
-    pub fn paper_default(seed: u64) -> Self {
+    pub(crate) fn paper_default(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -249,7 +249,7 @@ impl PartitionConfig {
     }
 
     /// A fast variant for unit tests and smoke runs.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -264,14 +264,14 @@ impl PartitionConfig {
 /// The partition timeline: two outage windows at fixed fractions of the
 /// horizon (25–40 % and 60–72 %), so roughly a quarter of the run has no
 /// backhaul.
-pub fn partition_schedule(config: &PartitionConfig) -> Vec<FaultAt> {
+pub(crate) fn partition_schedule(config: &PartitionConfig) -> Vec<FaultAt> {
     let h = config.horizon_ms;
     partition_windows(&[(0.25 * h, 0.40 * h), (0.60 * h, 0.72 * h)])
 }
 
 /// The run description: IAC MAC plus the partition timeline. Pure in
 /// `config`.
-pub fn partition_spec(config: &PartitionConfig) -> NetSim {
+pub(crate) fn partition_spec(config: &PartitionConfig) -> NetSim {
     NetSim {
         seed: config.seed ^ 0xBAC_4A01,
         cfg: mac_config(true, config.queue_capacity, config.horizon_ms),
@@ -285,7 +285,7 @@ pub fn partition_spec(config: &PartitionConfig) -> NetSim {
 /// The calibrated IAC PHY (with the MIMO fallback pool attached: during a
 /// partition the MAC dissolves groups to the standalone-MIMO shape, whose
 /// SINRs come from the baseline's own calibration).
-pub fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
+pub(crate) fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
@@ -314,7 +314,7 @@ pub struct PartitionReport {
 }
 
 /// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub fn partition_report_from(config: &PartitionConfig, out: &NetSimOutcome) -> PartitionReport {
+pub(crate) fn partition_report_from(config: &PartitionConfig, out: &NetSimOutcome) -> PartitionReport {
     PartitionReport {
         faults: out.log.faults,
         wire_expired: out.log.wire_expired,
@@ -327,7 +327,7 @@ pub fn partition_report_from(config: &PartitionConfig, out: &NetSimOutcome) -> P
 }
 
 /// Run the partition scenario.
-pub fn run_partition(config: &PartitionConfig) -> PartitionReport {
+pub(crate) fn run_partition(config: &PartitionConfig) -> PartitionReport {
     let spec = partition_spec(config);
     let out = netsim::run_netsim(&spec, partition_phy(config));
     partition_report_from(config, &out)
@@ -383,7 +383,7 @@ pub struct CsiAgingConfig {
 
 impl CsiAgingConfig {
     /// Full-quality defaults, reproducible from `seed`.
-    pub fn paper_default(seed: u64) -> Self {
+    pub(crate) fn paper_default(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -398,7 +398,7 @@ impl CsiAgingConfig {
     }
 
     /// A fast variant for unit tests and smoke runs.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -415,7 +415,7 @@ impl CsiAgingConfig {
     /// The feedback-loop impairment at severity `level` (used for the
     /// calibration pools; the in-run staleness ramp comes from
     /// [`aging_schedule`]).
-    pub fn impairment(&self, level: usize) -> CsiImpairment {
+    pub(crate) fn impairment(&self, level: usize) -> CsiImpairment {
         CsiImpairment {
             feedback_delay_slots: 4 * level as u16,
             quant_bits: None,
@@ -426,7 +426,7 @@ impl CsiAgingConfig {
 
 /// The in-run staleness ramp at severity `level`: age grows by `3·level`
 /// slots every eighth of the horizon (level 0 = no faults at all).
-pub fn aging_schedule(config: &CsiAgingConfig, level: usize) -> Vec<FaultAt> {
+pub(crate) fn aging_schedule(config: &CsiAgingConfig, level: usize) -> Vec<FaultAt> {
     if level == 0 {
         return Vec::new();
     }
@@ -435,7 +435,7 @@ pub fn aging_schedule(config: &CsiAgingConfig, level: usize) -> Vec<FaultAt> {
 }
 
 /// The IAC run description at severity `level`. Pure in `(config, level)`.
-pub fn aging_iac_spec(config: &CsiAgingConfig, level: usize) -> NetSim {
+pub(crate) fn aging_iac_spec(config: &CsiAgingConfig, level: usize) -> NetSim {
     let mut cfg = mac_config(true, config.queue_capacity, config.horizon_ms);
     cfg.csi_fallback_age_slots = Some(config.fallback_age_slots);
     NetSim {
@@ -451,7 +451,7 @@ pub fn aging_iac_spec(config: &CsiAgingConfig, level: usize) -> NetSim {
 /// The 802.11-MIMO baseline run description (immune to the feedback-loop
 /// impairment: its client trains its own AP link immediately before
 /// transmitting). Pure in `config`.
-pub fn aging_mimo_spec(config: &CsiAgingConfig) -> NetSim {
+pub(crate) fn aging_mimo_spec(config: &CsiAgingConfig) -> NetSim {
     NetSim {
         seed: config.seed ^ 0xC51_A60,
         cfg: mac_config(false, config.queue_capacity, config.horizon_ms),
@@ -465,7 +465,7 @@ pub fn aging_mimo_spec(config: &CsiAgingConfig) -> NetSim {
 /// The calibrated PHYs: one IAC PHY per severity (pool calibrated under
 /// that severity's impaired estimation model, MIMO fallback pool attached,
 /// aging penalty armed) and the baseline MIMO PHY.
-pub fn aging_phys(config: &CsiAgingConfig) -> (Vec<CalibratedPhy>, CalibratedPhy) {
+pub(crate) fn aging_phys(config: &CsiAgingConfig) -> (Vec<CalibratedPhy>, CalibratedPhy) {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let base = EstimationConfig::paper_default();
@@ -509,14 +509,14 @@ pub struct CsiAgingReport {
 
 impl CsiAgingReport {
     /// IAC/MIMO throughput ratio at severity `level`.
-    pub fn ratio(&self, level: usize) -> f64 {
+    pub(crate) fn ratio(&self, level: usize) -> f64 {
         self.points[level].iac_mbps / self.mimo_mbps
     }
 
     /// The worst IAC/MIMO ratio across the sweep — the graceful-degradation
     /// floor (≥ ~1 when fallback works: IAC never does *worse* than the
     /// baseline it can become).
-    pub fn min_ratio(&self) -> f64 {
+    pub(crate) fn min_ratio(&self) -> f64 {
         (0..self.points.len())
             .map(|k| self.ratio(k))
             .fold(f64::INFINITY, f64::min)
@@ -525,7 +525,7 @@ impl CsiAgingReport {
 
 /// Reduce completed runs (baseline, then IAC per severity, ascending) to
 /// the report. Pure in `(config, outcomes)`.
-pub fn aging_report_from(
+pub(crate) fn aging_report_from(
     config: &CsiAgingConfig,
     mimo_out: &NetSimOutcome,
     iac_outs: &[NetSimOutcome],
@@ -547,7 +547,7 @@ pub fn aging_report_from(
 }
 
 /// Run the aging sweep.
-pub fn run_csi_aging(config: &CsiAgingConfig) -> CsiAgingReport {
+pub(crate) fn run_csi_aging(config: &CsiAgingConfig) -> CsiAgingReport {
     let (iac_phys, mimo_phy) = aging_phys(config);
     let mimo_out = netsim::run_netsim(&aging_mimo_spec(config), mimo_phy);
     let iac_outs: Vec<NetSimOutcome> = iac_phys

@@ -1,7 +1,7 @@
 //! Statistics and rendering helpers for the experiment harness.
 
 /// Arithmetic mean (0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -10,7 +10,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Sample standard deviation (Bessel-corrected; 0 for fewer than 2 points).
-pub fn std_dev(xs: &[f64]) -> f64 {
+pub(crate) fn std_dev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -34,7 +34,7 @@ const T_975: [f64; 30] = [
 /// This is what the experiment registry reports next to every replicated
 /// metric: `mean ± ci95_half_width`. The paper's gains are statistical
 /// claims; the interval says how many replicates back a headline number.
-pub fn ci95_half_width(xs: &[f64]) -> f64 {
+pub(crate) fn ci95_half_width(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -51,7 +51,7 @@ pub fn ci95_half_width(xs: &[f64]) -> f64 {
 }
 
 /// Empirical CDF: sorted `(value, fraction ≤ value)` points.
-pub fn cdf_points(xs: &[f64]) -> Vec<(f64, f64)> {
+pub(crate) fn cdf_points(xs: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let n = sorted.len();
@@ -88,7 +88,7 @@ pub struct Summary {
 
 impl Summary {
     /// Summarise a sample (must be nonempty).
-    pub fn of(xs: &[f64]) -> Self {
+    pub(crate) fn of(xs: &[f64]) -> Self {
         assert!(!xs.is_empty(), "summary of empty sample");
         Self {
             mean: mean(xs),
@@ -113,7 +113,7 @@ impl std::fmt::Display for Summary {
 
 /// Render an ASCII scatter plot (x vs y) with the Gain=1 and Gain=2
 /// reference diagonals the paper draws in Figs. 12–14.
-pub fn render_scatter(points: &[(f64, f64)], width: usize, height: usize, title: &str) -> String {
+pub(crate) fn render_scatter(points: &[(f64, f64)], width: usize, height: usize, title: &str) -> String {
     if points.is_empty() {
         return format!("{title}\n(no data)\n");
     }
@@ -161,7 +161,7 @@ pub fn render_scatter(points: &[(f64, f64)], width: usize, height: usize, title:
 }
 
 /// Render an ASCII CDF for several named series.
-pub fn render_cdfs(series: &[(&str, &[f64])], width: usize, title: &str) -> String {
+pub(crate) fn render_cdfs(series: &[(&str, &[f64])], width: usize, title: &str) -> String {
     let mut out = format!("{title}\n");
     let xmax = series
         .iter()
@@ -197,18 +197,6 @@ pub fn render_cdfs(series: &[(&str, &[f64])], width: usize, title: &str) -> Stri
         out.push('\n');
     }
     out.push_str(&format!("  x: 0..{xmax:.1} (per-client gain), glyph density = CDF height\n"));
-    out
-}
-
-/// CSV rendering of (x, y) series.
-pub fn to_csv(header: &str, rows: &[Vec<f64>]) -> String {
-    let mut out = String::from(header);
-    out.push('\n');
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|v| format!("{v:.6}")).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
     out
 }
 
@@ -291,12 +279,5 @@ mod tests {
         let out = render_cdfs(&[("fifo", &a), ("brute", &b)], 30, "cdfs");
         assert!(out.contains("fifo"));
         assert!(out.contains("brute"));
-    }
-
-    #[test]
-    fn csv_shape() {
-        let csv = to_csv("a,b", &[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("a,b\n"));
     }
 }

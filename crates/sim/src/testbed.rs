@@ -54,7 +54,7 @@ impl Testbed {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.positions.len()
     }
 
@@ -66,7 +66,7 @@ impl Testbed {
     /// Per-link amplitude between two nodes: channel entries are `CN(0,1)`
     /// scaled by this, so with unit noise power the average per-antenna SNR
     /// equals the link budget.
-    pub fn amplitude(&self, a: usize, b: usize) -> f64 {
+    pub(crate) fn amplitude(&self, a: usize, b: usize) -> f64 {
         assert!(b < self.len(), "node {b} out of range");
         *self.amplitudes[a * self.len() + b].get_or_init(|| {
             db_to_linear(self.room.link_snr_db(&self.positions[a], &self.positions[b])).sqrt()

@@ -258,7 +258,10 @@ fn wire_quantised_vectors_still_align() {
     let quantised: Vec<CVec> = config
         .encoding
         .iter()
-        .map(|v| VectorQ::from_cvec(v).to_cvec())
+        .map(|v| {
+            let q = VectorQ::from_cvec(v);
+            CVec::new(q.parts.iter().map(|&(re, im)| C64::new(re as f64, im as f64)).collect())
+        })
         .collect();
     let residual = closed_form::alignment_residual(&grid, &config.schedule, &quantised);
     assert!(residual < 1e-6, "quantisation broke alignment: {residual}");
