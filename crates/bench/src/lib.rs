@@ -34,6 +34,8 @@ pub fn scale() -> Scale {
 }
 
 /// The per-figure experiment configuration at the chosen scale.
+///
+/// The six figure bench targets call it.
 pub fn experiment_config() -> ExperimentConfig {
     match scale() {
         Scale::Paper => ExperimentConfig {

@@ -83,7 +83,8 @@ pub struct CsiImpairment {
 
 impl CsiImpairment {
     /// No impairment: `degrade` returns the config unchanged.
-    pub fn none() -> Self {
+    #[cfg(test)]
+    pub(crate) fn none() -> Self {
         Self {
             feedback_delay_slots: 0,
             quant_bits: None,
@@ -142,6 +143,8 @@ pub fn estimate_with_error(h: &CMat, config: &EstimationConfig, rng: &mut Rng64)
 /// `received ≈ H·sent` for the `r×t` channel in the least-squares sense.
 /// Requires `L ≥ t` and linearly independent training rows (orthogonal
 /// per-antenna preambles, as standard MIMO training uses).
+///
+/// No production caller: public for `crates/channel/tests/properties.rs`.
 pub fn ls_estimate(sent: &CMat, received: &CMat) -> Result<CMat> {
     // H = Y Xᴴ (X Xᴴ)⁻¹, computed stably via QR on Xᴴ:
     // Hᴴ = lstsq(Xᴴ, Yᴴ) column by column.

@@ -17,6 +17,8 @@ impl Awgn {
     }
 
     /// One noise sample.
+    ///
+    /// No production caller: public for `crates/channel/tests/properties.rs`.
     #[inline]
     pub fn sample(&self, rng: &mut Rng64) -> C64 {
         if self.power == 0.0 {

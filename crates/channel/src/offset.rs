@@ -28,11 +28,6 @@ impl Cfo {
         }
     }
 
-    /// No offset.
-    pub fn none(sample_rate_hz: f64) -> Self {
-        Self::new(0.0, sample_rate_hz)
-    }
-
     /// Phase rotation at sample index `n`: `e^{j2πΔf·n/fs}`.
     #[inline]
     pub fn phasor_at(&self, n: usize) -> C64 {
@@ -42,6 +37,8 @@ impl Cfo {
 
     /// Apply the rotation in place to a sample stream starting at sample
     /// index `start`.
+    ///
+    /// No production caller: public for `crates/channel/tests/properties.rs`.
     pub fn apply(&self, samples: &mut [C64], start: usize) {
         if self.delta_f_hz == 0.0 {
             return;
@@ -62,7 +59,7 @@ mod tests {
 
     #[test]
     fn zero_offset_is_identity() {
-        let cfo = Cfo::none(1e6);
+        let cfo = Cfo::new(0.0, 1e6);
         let mut samples = vec![C64::new(1.0, 2.0); 16];
         let orig = samples.clone();
         cfo.apply(&mut samples, 0);

@@ -12,6 +12,8 @@ pub fn db_to_linear(db: f64) -> f64 {
 }
 
 /// Convert a linear power ratio to decibels.
+///
+/// No production caller: public for `crates/channel/tests/properties.rs`.
 #[inline]
 pub fn linear_to_db(linear: f64) -> f64 {
     10.0 * linear.log10()
@@ -31,6 +33,8 @@ pub struct LogDistance {
 
 impl LogDistance {
     /// Indoor office defaults (d0 = 1 m, PL0 = 40 dB, n = 3).
+    ///
+    /// No production caller: public for `crates/channel/tests/properties.rs`.
     pub fn indoor() -> Self {
         Self {
             d0_m: 1.0,
@@ -44,14 +48,6 @@ impl LogDistance {
     pub fn loss_db(&self, d_m: f64) -> f64 {
         let d = d_m.max(self.d0_m);
         self.pl0_db + 10.0 * self.exponent * (d / self.d0_m).log10()
-    }
-
-    /// Linear *amplitude* gain applied to channel entries at distance `d_m`
-    /// given a transmit/noise link budget `budget_db` (TX power + antenna
-    /// gains − noise floor, in dB). The resulting average per-entry SNR is
-    /// `budget_db − loss_db`.
-    pub fn amplitude_gain(&self, d_m: f64, budget_db: f64) -> f64 {
-        db_to_linear(budget_db - self.loss_db(d_m)).sqrt()
     }
 
     /// Average per-link SNR in dB for a given link budget.
@@ -96,16 +92,6 @@ mod tests {
     fn near_field_clamps() {
         let pl = LogDistance::indoor();
         assert_eq!(pl.loss_db(0.01), pl.loss_db(1.0));
-    }
-
-    #[test]
-    fn snr_consistent_with_gain() {
-        let pl = LogDistance::indoor();
-        let budget = 100.0;
-        let d = 7.0;
-        let gain = pl.amplitude_gain(d, budget);
-        let snr_lin = db_to_linear(pl.snr_db(d, budget));
-        assert!((gain * gain - snr_lin).abs() < 1e-9 * snr_lin);
     }
 
     #[test]

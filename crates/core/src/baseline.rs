@@ -53,6 +53,8 @@ pub fn waterfill(gains: &[f64], p_total: f64, noise: f64) -> Vec<f64> {
 /// `(achievable_rate, per_stream_sinrs)`, or [`LinAlgError::Degenerate`]
 /// when a stream's SINR is NaN: a true channel with a NaN, ±∞ or
 /// overflowing entry makes signal and interference both infinite.
+///
+/// No production caller: public for `crates/core/tests/optimized_rate.rs`.
 pub fn eigenmode_rate(
     h_true: &CMat,
     h_est: &CMat,

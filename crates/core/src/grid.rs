@@ -50,6 +50,15 @@ pub struct ChannelGrid {
 
 impl ChannelGrid {
     /// Build from explicit matrices, validating shape consistency.
+    ///
+    /// # Panics
+    ///
+    /// On an empty grid (no transmitter or no receiver), a ragged one (rows
+    /// of different lengths) or one that mixes matrix shapes. Every caller
+    /// builds a rectangular grid of equal-shape links from fixed loop
+    /// bounds, so a bad shape is a programming error, not an input to
+    /// handle; the checks catch it at construction instead of as a wrong
+    /// index deep in the alignment maths.
     pub fn new(direction: Direction, h: Vec<Vec<CMat>>) -> Self {
         assert!(!h.is_empty(), "grid needs at least one transmitter");
         let rx_count = h[0].len();

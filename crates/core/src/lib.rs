@@ -26,7 +26,7 @@
 //!   producing per-packet post-processing SINRs under imperfect channel
 //!   estimates (encoding vectors and cancellation both use estimates, as in
 //!   the real system).
-//! * [`rate`] — Eq. 9 achievable rates and Eq. 10 gains.
+//! * [`rate`] — Eq. 9 achievable rates.
 //! * [`baseline`] — the 802.11-MIMO comparison point: eigenmode precoding
 //!   with water-filling (QUALCOMM's proposal \[2\]) plus best-AP selection.
 //! * [`diversity`] — the 1-client/2-AP option search of §10.2 (Fig. 14).
@@ -47,6 +47,5 @@ pub use baseline::{best_ap_rate, eigenmode_rate, waterfill};
 pub use decoder::{DecodeOutcome, IacDecoder, PacketSinr};
 pub use feasibility::{max_downlink_packets, max_uplink_packets};
 pub use grid::{ChannelGrid, Direction};
-pub use rate::gain;
 pub use schedule::{DecodeSchedule, DecodeStep};
 pub use solver::{AlignmentProblem, AlignmentSolution, SolverConfig};

@@ -133,6 +133,8 @@ impl DecodeSchedule {
     }
 
     /// Degrees-of-freedom feasibility of the alignment this schedule implies.
+    ///
+    /// No production caller: public for `crates/core/tests/properties.rs`.
     pub fn dof_feasible(&self) -> bool {
         let sets: Vec<(usize, usize)> = self
             .interference_sets()

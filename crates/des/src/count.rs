@@ -33,6 +33,8 @@ impl SharedKindCounts {
     }
 
     /// Total events tallied across all kinds.
+    ///
+    /// No production caller: public for `crates/bench/tests/alloc_count.rs`.
     pub fn total(&self) -> u64 {
         self.0.borrow().values().sum()
     }

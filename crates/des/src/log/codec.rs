@@ -271,6 +271,8 @@ pub struct EventLog {
 
 impl EventLog {
     /// Serialize: header, records, counted end marker.
+    ///
+    /// No production caller: public for `crates/des/tests/log_codec.rs`.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(32 + self.records.len() * 40);
         write_header(&mut buf);
@@ -315,12 +317,16 @@ impl EventLog {
     }
 
     /// Whether the log holds no events.
+    ///
+    /// No production caller: public for `crates/des/tests/log_codec.rs`.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 }
 
 /// Encode one typed payload to its byte string (scratch-free convenience).
+///
+/// No production caller: public for `crates/des/tests/log_codec.rs`.
 pub fn encode_payload<E: EventCodec>(payload: &E) -> Vec<u8> {
     let mut buf = BytesMut::new();
     payload.encode_payload(&mut buf);

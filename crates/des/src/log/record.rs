@@ -67,15 +67,12 @@ impl<E: EventCodec> EventRecorder<E> {
 
     /// An in-memory recorder; [`MemorySink::take`] on the returned sink
     /// yields the finished log bytes.
+    ///
+    /// No production caller: public for `crates/des/tests/record_replay.rs`.
     pub fn in_memory() -> (Self, MemorySink) {
         let sink = MemorySink::default();
         let rec = Self::to_writer(sink.clone()).expect("Vec sink cannot fail");
         (rec, sink)
-    }
-
-    /// Events recorded so far.
-    pub fn events(&self) -> u64 {
-        self.inner.borrow().count
     }
 
     /// Write the counted end marker, flush the sink, and return the event
@@ -150,11 +147,15 @@ impl MemorySink {
     }
 
     /// Bytes accumulated so far.
+    ///
+    /// No production caller: public for `crates/des/tests/record_replay.rs`.
     pub fn len(&self) -> usize {
         self.0.borrow().len()
     }
 
     /// Whether nothing has been written yet.
+    ///
+    /// No production caller: public for `crates/des/tests/record_replay.rs`.
     pub fn is_empty(&self) -> bool {
         self.0.borrow().is_empty()
     }

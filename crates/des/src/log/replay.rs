@@ -132,6 +132,8 @@ impl<E: EventCodec> ReplayChecker<E> {
     }
 
     /// Events checked successfully so far.
+    ///
+    /// No production caller: public for `crates/des/tests/record_replay.rs`.
     pub fn checked(&self) -> u64 {
         self.inner.borrow().cursor as u64
     }

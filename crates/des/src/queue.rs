@@ -200,11 +200,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Pending events, *including* any not-yet-skipped cancelled ones.
+    ///
+    /// No production caller: public for `crates/des/tests/properties.rs`.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when no events (cancelled or not) are pending.
+    ///
+    /// No production caller: public for `crates/des/tests/properties.rs`.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

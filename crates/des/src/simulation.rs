@@ -142,16 +142,6 @@ impl<E> Simulation<E> {
         id
     }
 
-    /// A registered component's name.
-    pub fn name(&self, id: ComponentId) -> &str {
-        &self.names[id as usize]
-    }
-
-    /// Number of registered components.
-    pub fn components(&self) -> usize {
-        self.handlers.len()
-    }
-
     /// Inject an event from outside any handler, `delay` from the current
     /// time.
     pub fn schedule(&mut self, delay: SimTime, dst: ComponentId, payload: E) -> EventId {
@@ -162,11 +152,6 @@ impl<E> Simulation<E> {
     /// Current simulated time.
     pub fn time(&self) -> SimTime {
         self.time
-    }
-
-    /// Events dispatched so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
     }
 
     /// Events whose destination was not a registered component.
@@ -188,12 +173,6 @@ impl<E> Simulation<E> {
     /// [`EventQueue::high_water`]).
     pub fn queue_high_water(&self) -> usize {
         self.queue.high_water()
-    }
-
-    /// Direct access to the seeded RNG (e.g. for scenario setup draws that
-    /// should share the simulation's stream).
-    pub fn rng(&mut self) -> &mut Rng64 {
-        &mut self.rng
     }
 
     /// Process the earliest pending event. Returns `false` when the queue is
@@ -226,6 +205,8 @@ impl<E> Simulation<E> {
 
     /// Process every event scheduled at or before `t`, then advance the
     /// clock to exactly `t`. Returns the number of events processed.
+    ///
+    /// No production caller: public for `crates/bench/tests/alloc_count.rs`.
     pub fn step_until_time(&mut self, t: SimTime) -> u64 {
         let mut n = 0;
         while let Some(next) = self.queue.peek_time() {
@@ -344,9 +325,8 @@ mod tests {
     fn undeliverable_events_counted() {
         let mut sim: Simulation<u32> = Simulation::new(3);
         sim.schedule(SimTime::ZERO, 99, 7);
-        sim.step_until_no_events();
+        assert_eq!(sim.step_until_no_events(), 1);
         assert_eq!(sim.events_undeliverable(), 1);
-        assert_eq!(sim.events_processed(), 1);
     }
 
     #[test]
@@ -389,17 +369,5 @@ mod tests {
         sim.schedule(SimTime::ZERO, c, 0);
         assert_eq!(sim.step_until_no_events(), 1, "only the canceller fires");
         assert!(log.borrow().is_empty());
-    }
-
-    #[test]
-    fn component_names_recorded() {
-        let mut sim: Simulation<u32> = Simulation::new(5);
-        struct Sink;
-        impl EventHandler<u32> for Sink {
-            fn on_event(&mut self, _e: Event<u32>, _c: &mut Ctx<'_, u32>) {}
-        }
-        let id = sim.add_component("mac", Sink);
-        assert_eq!(sim.name(id), "mac");
-        assert_eq!(sim.components(), 1);
     }
 }

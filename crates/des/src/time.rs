@@ -60,15 +60,6 @@ impl SimTime {
     pub(crate) fn secs(self) -> f64 {
         self.0 * 1e-6
     }
-
-    /// The larger of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl Eq for SimTime {}
@@ -135,7 +126,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a + a, b);
         assert_eq!(b - a, a);
-        assert_eq!(a.max(b), b);
     }
 
     #[test]

@@ -8,6 +8,8 @@ use crate::C64;
 /// terms, or below `tol` relative to the larger magnitude. This makes the
 /// same tolerance usable for values of very different scales (e.g. SNRs in
 /// linear units vs normalised channel entries).
+///
+/// No production caller: the unit tests of every crate share it as their tolerance check.
 #[inline]
 pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     let diff = (a - b).abs();
@@ -19,6 +21,8 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
 }
 
 /// Complex analogue of [`approx_eq`], comparing in modulus.
+///
+/// No production caller: the unit tests of every crate share it as their tolerance check.
 #[inline]
 pub fn approx_eq_c(a: C64, b: C64, tol: f64) -> bool {
     let diff = (a - b).abs();

@@ -40,13 +40,6 @@ impl C64 {
         Self::new(1.0, 0.0)
     }
 
-    /// The imaginary unit `j` (engineering notation, as used by the paper's
-    /// `e^{j2πΔf t}` frequency-offset terms).
-    #[inline]
-    pub const fn i() -> Self {
-        Self::new(0.0, 1.0)
-    }
-
     /// A purely real value.
     #[inline]
     pub const fn real(re: f64) -> Self {
@@ -100,13 +93,6 @@ impl C64 {
         } else {
             Some(Self::new(self.re / d, -self.im / d))
         }
-    }
-
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        Self::new(r * self.im.cos(), r * self.im.sin())
     }
 
     /// Principal square root.
@@ -280,8 +266,9 @@ mod tests {
     #[test]
     fn construction_and_identities() {
         assert_eq!(C64::zero() + C64::one(), C64::one());
-        assert_eq!(C64::one() * C64::i(), C64::i());
-        assert_eq!(C64::i() * C64::i(), C64::real(-1.0));
+        let i = C64::new(0.0, 1.0);
+        assert_eq!(C64::one() * i, i);
+        assert_eq!(i * i, C64::real(-1.0));
         assert_eq!(C64::from(3.5), C64::new(3.5, 0.0));
     }
 
@@ -333,12 +320,6 @@ mod tests {
         let z = C64::new(0.0, 2.0);
         let r = z.recip().unwrap();
         assert!(approx_eq_c(z * r, C64::one(), 1e-12));
-    }
-
-    #[test]
-    fn exp_of_imaginary_is_rotation() {
-        let z = C64::new(0.0, std::f64::consts::PI).exp();
-        assert!(approx_eq_c(z, C64::real(-1.0), 1e-12));
     }
 
     #[test]

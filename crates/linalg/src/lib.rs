@@ -85,9 +85,3 @@ impl std::error::Error for LinAlgError {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LinAlgError>;
-
-/// Default tolerance used when classifying values as numerically zero.
-///
-/// Chosen for matrices whose entries are O(1) — channel matrices in this
-/// workspace are normalised to unit average power, so this is appropriate.
-pub const EPS: f64 = 1e-10;

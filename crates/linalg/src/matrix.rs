@@ -19,7 +19,8 @@ pub struct CMat {
 
 impl CMat {
     /// Construct from explicit storage (row-major, length `rows·cols`).
-    pub fn new(rows: usize, cols: usize, data: Vec<C64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(rows: usize, cols: usize, data: Vec<C64>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -58,17 +59,6 @@ impl CMat {
             cols,
             data: (0..rows * cols).map(|i| f(i / cols, i % cols)).collect(),
         }
-    }
-
-    /// Build from rows.
-    pub fn from_rows(rows: &[CVec]) -> Self {
-        assert!(!rows.is_empty(), "from_rows needs at least one row");
-        let cols = rows[0].len();
-        assert!(
-            rows.iter().all(|r| r.len() == cols),
-            "ragged rows in from_rows"
-        );
-        Self::from_fn(rows.len(), cols, |r, c| rows[r][c])
     }
 
     /// Build from columns.
@@ -182,11 +172,6 @@ impl CMat {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
     }
 
-    /// Elementwise conjugate.
-    pub fn conj(&self) -> Self {
-        Self::from_fn(self.rows, self.cols, |r, c| self[(r, c)].conj())
-    }
-
     /// Matrix-vector product `A·x`.
     pub fn mul_vec(&self, x: &CVec) -> CVec {
         let mut out = CVec::zeros(self.rows);
@@ -252,6 +237,8 @@ impl CMat {
     }
 
     /// Trace (sum of diagonal entries).
+    ///
+    /// No production caller: public for `crates/linalg/tests/properties.rs`.
     pub fn trace(&self) -> C64 {
         assert!(self.is_square(), "trace of non-square matrix");
         (0..self.rows).map(|i| self[(i, i)]).sum()
@@ -271,11 +258,6 @@ impl CMat {
         self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)
     }
 
-    /// Solve `A·x = b` via LU with partial pivoting.
-    pub fn solve(&self, b: &CVec) -> Result<CVec> {
-        crate::lu::Lu::factor(self)?.solve(b)
-    }
-
     /// Matrix inverse via LU (a 2×2 takes a straight-line copy of the same
     /// operations, bit for bit).
     pub fn inverse(&self) -> Result<Self> {
@@ -286,6 +268,8 @@ impl CMat {
     }
 
     /// Determinant via LU.
+    ///
+    /// No production caller: public for `crates/linalg/tests/properties.rs`.
     pub fn det(&self) -> Result<C64> {
         if !self.is_square() {
             return Err(LinAlgError::ShapeMismatch {
@@ -301,6 +285,8 @@ impl CMat {
     }
 
     /// Numerical rank via singular values above `tol·σ_max`.
+    ///
+    /// No production caller: public for `crates/channel/tests/properties.rs`.
     pub fn rank(&self, tol: f64) -> usize {
         let svd = crate::svd::Svd::compute(self);
         let smax = svd.singular_values.first().copied().unwrap_or(0.0);
@@ -357,12 +343,6 @@ impl CMat {
         for z in self.data.iter_mut() {
             *z *= k;
         }
-    }
-
-    /// Sub-matrix copy: rows `r0..r0+h`, cols `c0..c0+w`.
-    pub fn submatrix(&self, r0: usize, c0: usize, h: usize, w: usize) -> Self {
-        assert!(r0 + h <= self.rows && c0 + w <= self.cols, "submatrix bounds");
-        Self::from_fn(h, w, |r, c| self[(r0 + r, c0 + c)])
     }
 }
 
@@ -548,7 +528,7 @@ mod tests {
         let a = CMat::random(4, 4, &mut rng);
         let x_true = CVec::random(4, &mut rng);
         let b = a.mul_vec(&x_true);
-        let x = a.solve(&b).unwrap();
+        let x = crate::lu::Lu::factor(&a).unwrap().solve(&b).unwrap();
         for i in 0..4 {
             assert!(approx_eq_c(x[i], x_true[i], 1e-8));
         }
@@ -568,14 +548,6 @@ mod tests {
         let c = CVec::from_real(&[1.0, 2.0]);
         let m = CMat::from_cols(&[c.clone(), c]);
         assert!(m.det().unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn submatrix_extracts() {
-        let m = CMat::from_fn(3, 3, |r, c| C64::real((r * 3 + c) as f64));
-        let s = m.submatrix(1, 1, 2, 2);
-        assert_eq!(s[(0, 0)], C64::real(4.0));
-        assert_eq!(s[(1, 1)], C64::real(8.0));
     }
 
     fn bits(z: &[C64]) -> Vec<(u64, u64)> {

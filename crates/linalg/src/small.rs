@@ -42,14 +42,6 @@ impl<T: Copy + Default, const N: usize> Small<T, N> {
         }
     }
 
-    /// The entries as a `Vec`.
-    pub(crate) fn into_vec(self) -> Vec<T> {
-        match self {
-            Self::Inline { len, buf } => buf[..len].to_vec(),
-            Self::Heap(v) => v,
-        }
-    }
-
     /// Resize to `n` entries, filling new ones with `T::default()`. Heap
     /// storage stays on the heap, so a reused buffer never reallocates once
     /// it has grown.
@@ -155,7 +147,7 @@ mod tests {
             S::from_vec(vec![9, 8]),
             Small::Inline { len: 2, .. }
         ));
-        assert_eq!(S::filled(6, 1).into_vec(), vec![1; 6]);
+        assert_eq!(&*S::filled(6, 1), &[1; 6]);
     }
 
     #[test]

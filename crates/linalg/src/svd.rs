@@ -81,6 +81,8 @@ impl Svd {
     }
 
     /// Reconstruct `U·diag(σ)·Vᴴ` (mainly for tests/diagnostics).
+    ///
+    /// No production caller: public for `crates/core/tests/conditioning_identity.rs`.
     pub fn reconstruct(&self) -> CMat {
         let n = self.singular_values.len();
         let s = CMat::from_fn(n, n, |r, c| {

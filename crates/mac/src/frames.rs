@@ -201,6 +201,8 @@ fn get_entries(buf: &mut Bytes) -> Result<Vec<PollEntry>, MacFrameError> {
 
 impl MacFrame {
     /// Serialise with a trailing CRC-32.
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         match self {
@@ -244,6 +246,8 @@ impl MacFrame {
     }
 
     /// Parse and CRC-check.
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn decode(data: Bytes) -> Result<Self, MacFrameError> {
         if data.len() < 5 {
             return Err(MacFrameError::Truncated);

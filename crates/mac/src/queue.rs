@@ -131,17 +131,23 @@ impl TrafficQueue {
     }
 
     /// The capacity bound, if any.
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
     }
 
     /// Packets tail-dropped because the queue was full.
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// Deepest the queue has ever been (retransmission re-entries via
     /// [`TrafficQueue::push_front`] included).
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn high_water(&self) -> usize {
         self.high_water
     }
@@ -153,6 +159,8 @@ impl TrafficQueue {
     }
 
     /// Pop the head.
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn pop(&mut self) -> Option<QueuedPacket> {
         let &client = self.order.first()?;
         self.pop_for_client(client)
@@ -179,6 +187,8 @@ impl TrafficQueue {
 
     /// True when no traffic is pending — the condition that naturally
     /// shrinks the CFP (§7.1a).
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }

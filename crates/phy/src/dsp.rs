@@ -85,12 +85,6 @@ impl FftPlan {
         self.n
     }
 
-    /// True for the degenerate 0-point plan.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward FFT.
     pub fn fft(&self, x: &mut [C64]) {
         self.transform(x, false);

@@ -88,9 +88,6 @@ impl Frame {
         }
     }
 
-    /// The paper's standard payload size.
-    pub const PAPER_PAYLOAD: usize = 1500;
-
     /// Total encoded length in bytes.
     pub(crate) fn encoded_len(&self) -> usize {
         HEADER_LEN + self.payload.len() + TRAILER_LEN
@@ -204,11 +201,11 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_paper_size() {
-        let payload: Vec<u8> = (0..Frame::PAPER_PAYLOAD).map(|i| (i % 251) as u8).collect();
+        let payload: Vec<u8> = (0..1500).map(|i| (i % 251) as u8).collect();
         let f = Frame::new(1, 2, 3, payload);
         assert_eq!(f.encoded_len(), 1500 + 14);
         let decoded = Frame::decode(f.encode()).unwrap();
-        assert_eq!(decoded.payload.len(), Frame::PAPER_PAYLOAD);
+        assert_eq!(decoded.payload.len(), 1500);
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let h = CMat::random(2, 2, &mut rng);
         let streams = vec![vec![C64::one()], vec![C64::real(2.0)]];
-        let cfo = Cfo::none(1e6);
+        let cfo = Cfo::new(0.0, 1e6);
         let rx = mix(
             &[AirTransmission {
                 streams: &streams,
@@ -164,7 +164,7 @@ mod tests {
         let h2 = CMat::random(2, 2, &mut rng);
         let s1 = vec![vec![C64::one(); 4], vec![C64::zero(); 4]];
         let s2 = vec![vec![C64::zero(); 4], vec![C64::real(-1.0); 4]];
-        let cfo = Cfo::none(1e6);
+        let cfo = Cfo::new(0.0, 1e6);
         let both = mix(
             &[
                 AirTransmission {
@@ -251,7 +251,7 @@ mod tests {
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
-                cfo: Cfo::none(1e6),
+                cfo: Cfo::new(0.0, 1e6),
                 start: 5,
             }],
             1,
@@ -278,7 +278,7 @@ mod tests {
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
-                cfo: Cfo::none(1e6),
+                cfo: Cfo::new(0.0, 1e6),
                 start: 0,
             }],
             1,
@@ -307,7 +307,7 @@ mod tests {
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
-                cfo: Cfo::none(1e6),
+                cfo: Cfo::new(0.0, 1e6),
                 start: 0,
             }],
             2,

@@ -47,6 +47,8 @@ impl Preamble {
     }
 
     /// True when empty (never for generated preambles).
+    ///
+    /// No production caller: kept beside the public `len`, as clippy's `len_without_is_empty` asks.
     pub fn is_empty(&self) -> bool {
         self.chips.is_empty()
     }

@@ -208,7 +208,7 @@ mod tests {
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
-                cfo: Cfo::none(1e6),
+                cfo: Cfo::new(0.0, 1e6),
                 start: 0,
             }],
             2,
@@ -234,7 +234,7 @@ mod tests {
                     &[AirTransmission {
                         streams: &streams,
                         channel: &h,
-                        cfo: Cfo::none(1e6),
+                        cfo: Cfo::new(0.0, 1e6),
                         start: 0,
                     }],
                     2,
@@ -262,7 +262,7 @@ mod tests {
             &[AirTransmission {
                 streams: &streams,
                 channel: &h,
-                cfo: Cfo::none(1e6),
+                cfo: Cfo::new(0.0, 1e6),
                 start: 17,
             }],
             2,

@@ -197,12 +197,9 @@ impl ResultCache {
         Ok((cache, report))
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path a key's entry lives at.
+    ///
+    /// Also a hook for `tests/cache_integrity.rs`, which corrupts entries on disk.
     pub fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.dir.join(key.file_name())
     }
@@ -262,6 +259,8 @@ impl ResultCache {
     }
 
     /// Number of quarantined files (for tests and the stats endpoint).
+    ///
+    /// No production caller: a hook for `tests/cache_integrity.rs`.
     pub fn quarantined_count(&self) -> usize {
         fs::read_dir(self.dir.join("quarantine"))
             .map(|d| d.filter_map(|e| e.ok()).count())

@@ -220,6 +220,8 @@ impl Daemon {
 
     /// Ask the daemon to stop: intake loops exit at their next check;
     /// in-flight work still drains.
+    ///
+    /// Also a hook for the integration suites, which stop an in-process daemon.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }

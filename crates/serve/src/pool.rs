@@ -133,6 +133,8 @@ impl WorkerPool {
     }
 
     /// Count workers whose threads have exited (killed via chaos).
+    ///
+    /// No production caller: a hook for the pool's chaos tests.
     pub fn dead_workers(&self) -> usize {
         self.handles
             .lock()

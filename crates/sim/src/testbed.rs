@@ -1,6 +1,5 @@
 //! The 20-node testbed (Fig. 11) and per-experiment channel generation.
 
-use iac_channel::estimation::EstimationConfig;
 use iac_channel::{db_to_linear, Position, Room};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_linalg::Rng64;
@@ -38,16 +37,6 @@ impl Testbed {
         }
     }
 
-    /// The room and link-budget model.
-    pub fn room(&self) -> &Room {
-        &self.room
-    }
-
-    /// Node positions (20 for the paper's testbed).
-    pub fn positions(&self) -> &[Position] {
-        &self.positions
-    }
-
     /// The paper's testbed: 20 two-antenna nodes.
     pub fn paper_default(rng: &mut Rng64) -> Self {
         Self::deploy(20, 2, rng)
@@ -56,11 +45,6 @@ impl Testbed {
     /// Number of nodes.
     pub(crate) fn len(&self) -> usize {
         self.positions.len()
-    }
-
-    /// Whether the testbed is empty (never for deployed testbeds).
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
     }
 
     /// Per-link amplitude between two nodes: channel entries are `CN(0,1)`
@@ -100,16 +84,6 @@ impl Testbed {
         .with_amplitudes(|t, r| self.amplitude(aps[t], clients[r]))
     }
 
-    /// Estimated grid under the given estimation model.
-    pub fn estimated(
-        &self,
-        grid: &ChannelGrid,
-        est: &EstimationConfig,
-        rng: &mut Rng64,
-    ) -> ChannelGrid {
-        grid.estimated(est, rng)
-    }
-
     /// Pick `n_aps` AP nodes and `n_clients` client nodes, disjoint, at
     /// random (the paper's per-experiment methodology: "we randomly pick
     /// some nodes to act as APs and others to act as clients").
@@ -137,7 +111,7 @@ mod tests {
         let tb = Testbed::paper_default(&mut rng);
         assert_eq!(tb.len(), 20);
         assert_eq!(tb.antennas, 2);
-        assert!(!tb.is_empty());
+        assert!(!tb.positions.is_empty());
     }
 
     #[test]
@@ -162,7 +136,7 @@ mod tests {
         let mut worst = (0, 1, 0.0f64);
         for i in 0..tb.len() {
             for j in (i + 1)..tb.len() {
-                let d = tb.positions()[i].distance_to(&tb.positions()[j]);
+                let d = tb.positions[i].distance_to(&tb.positions[j]);
                 if d < best.2 {
                     best = (i, j, d);
                 }
@@ -178,10 +152,10 @@ mod tests {
     fn cached_amplitudes_match_the_link_budget() {
         let mut rng = Rng64::new(6);
         let tb = Testbed::paper_default(&mut rng);
-        let pos = tb.positions();
+        let pos = &tb.positions;
         for a in 0..tb.len() {
             for b in 0..tb.len() {
-                let direct = db_to_linear(tb.room().link_snr_db(&pos[a], &pos[b])).sqrt();
+                let direct = db_to_linear(tb.room.link_snr_db(&pos[a], &pos[b])).sqrt();
                 assert_eq!(
                     tb.amplitude(a, b).to_bits(),
                     direct.to_bits(),
