@@ -23,7 +23,7 @@
 //! claim takes `remaining / (4 · workers)` trials, at least one — big chunks
 //! early so per-claim synchronisation amortises and each worker's
 //! thread-local scratch arenas (FFT plans, pooled buffers — see
-//! `iac_phy::fft::with_thread_scratch`) stay warm across a run of trials,
+//! [`iac_phy::fft`]) stay warm across a run of trials,
 //! geometrically shrinking toward the end so an unlucky run of slow trials
 //! cannot idle the other workers. The caller's own thread acts as worker
 //! lane 0 — one fewer spawn, and the lane with the warmest arena (it
