@@ -124,10 +124,7 @@ pub fn may_record(comparisons: &[Comparison], threshold: f64, accept_regression:
 
 /// Targets present in the measurement but absent from the baseline (new
 /// benchmarks that need a `baseline record` run to become gated).
-pub fn ungated<'a>(
-    baseline: &[(String, f64)],
-    measured: &'a [(String, f64)],
-) -> Vec<&'a str> {
+pub fn ungated<'a>(baseline: &[(String, f64)], measured: &'a [(String, f64)]) -> Vec<&'a str> {
     measured
         .iter()
         .filter(|(t, _)| !baseline.iter().any(|(b, _)| b == t))
@@ -168,13 +165,22 @@ mod tests {
     fn record_refuses_a_raised_median_unless_accepted() {
         let base = map(&[("g/a", 100.0), ("g/gone", 50.0)]);
         let faster = compare(&base, &map(&[("g/a", 60.0), ("g/new", 1.0)]));
-        assert!(may_record(&faster, 0.25, false), "speedups and retirements record");
+        assert!(
+            may_record(&faster, 0.25, false),
+            "speedups and retirements record"
+        );
         let at_threshold = compare(&base, &map(&[("g/a", 125.0)]));
         assert!(may_record(&at_threshold, 0.25, false));
         let raised = compare(&base, &map(&[("g/a", 126.0)]));
         assert!(!may_record(&raised, 0.25, false), "a >25% rise is refused");
-        assert!(may_record(&raised, 0.25, true), "--accept-regression records it");
-        assert!(may_record(&compare(&[], &map(&[("g/a", 1.0)])), 0.25, false), "first record");
+        assert!(
+            may_record(&raised, 0.25, true),
+            "--accept-regression records it"
+        );
+        assert!(
+            may_record(&compare(&[], &map(&[("g/a", 1.0)])), 0.25, false),
+            "first record"
+        );
     }
 
     #[test]

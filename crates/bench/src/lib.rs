@@ -56,7 +56,10 @@ pub fn header(figure: &str, paper_headline: &str) {
     println!("==========================================================================");
     println!("{figure}");
     println!("paper headline: {paper_headline}");
-    println!("scale: {:?} (set IAC_BENCH_SCALE=quick for a smoke run)", scale());
+    println!(
+        "scale: {:?} (set IAC_BENCH_SCALE=quick for a smoke run)",
+        scale()
+    );
     println!("==========================================================================");
 }
 

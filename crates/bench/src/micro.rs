@@ -11,6 +11,7 @@
 //! so the numbers reflect the DSP, not the allocator.
 
 use criterion::{BenchmarkId, Criterion};
+use iac_channel::{Awgn, Cfo};
 use iac_core::decoder::{equal_split_powers, IacDecoder};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::schedule::DecodeSchedule;
@@ -22,7 +23,6 @@ use iac_phy::dsp::Scratch;
 use iac_phy::medium::{AirTransmission, Medium};
 use iac_phy::precode::precode_into;
 use iac_phy::project::combine_into;
-use iac_channel::{Awgn, Cfo};
 
 /// Samples per packet in the sample-plane workloads: a 1500-byte BPSK
 /// payload at 1 sample/bit, the paper's prototype shape.
@@ -52,7 +52,9 @@ pub fn register_alignment(c: &mut Criterion) {
         packet_power: equal_split_powers(&cfg.schedule, 1.0),
         noise_power: 0.05,
     };
-    group.bench_function("decode_uplink4_2x2", |b| b.iter(|| decoder.decode().unwrap()));
+    group.bench_function("decode_uplink4_2x2", |b| {
+        b.iter(|| decoder.decode().unwrap())
+    });
     for m in [3usize, 4] {
         let schedule = DecodeSchedule::uplink_2m(m);
         let clients = schedule.owners.iter().max().unwrap() + 1;

@@ -15,7 +15,7 @@ use iac_channel::{Awgn, Cfo};
 use iac_core::baseline;
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::optimize::{self, ScoringContext};
-use iac_linalg::{C64, CMat, CVec, Rng64};
+use iac_linalg::{CMat, CVec, Rng64, C64};
 use iac_phy::cancel::{reconstruct_into, subtract};
 use iac_phy::dsp::Scratch;
 use iac_phy::medium::{AirTransmission, Medium};
@@ -149,11 +149,7 @@ impl Pipeline {
 struct SelfTick;
 
 impl iac_des::EventHandler<u64> for SelfTick {
-    fn on_event(
-        &mut self,
-        event: iac_des::Event<u64>,
-        ctx: &mut iac_des::Ctx<'_, u64>,
-    ) {
+    fn on_event(&mut self, event: iac_des::Event<u64>, ctx: &mut iac_des::Ctx<'_, u64>) {
         // An RNG draw keeps the jitter path on the measured loop.
         let jitter = 1.0 + ctx.rng().next_f64();
         ctx.emit_self(iac_des::SimTime::from_micros(jitter), event.payload + 1);

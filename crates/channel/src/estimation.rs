@@ -162,7 +162,7 @@ pub fn ls_estimate(sent: &CMat, received: &CMat) -> Result<CMat> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iac_linalg::{C64, Rng64};
+    use iac_linalg::{Rng64, C64};
 
     #[test]
     fn perfect_config_is_exact() {
@@ -219,13 +219,17 @@ mod tests {
         // Orthogonal training: antenna 0 sends [1,0,1,0...], antenna 1 sends
         // [0,1,0,1...] — the "standard MIMO channel estimation" of §8a.
         let l = 8;
-        let sent = CMat::from_fn(2, l, |r, c| {
-            if c % 2 == r {
-                C64::one()
-            } else {
-                C64::zero()
-            }
-        });
+        let sent = CMat::from_fn(
+            2,
+            l,
+            |r, c| {
+                if c % 2 == r {
+                    C64::one()
+                } else {
+                    C64::zero()
+                }
+            },
+        );
         let received = h.mul_mat(&sent);
         let est = ls_estimate(&sent, &received).unwrap();
         assert!((&est - &h).frobenius_norm() < 1e-9);
@@ -238,13 +242,17 @@ mod tests {
         let noise_power = 0.01;
         let mut errs = Vec::new();
         for &l in &[8usize, 128] {
-            let sent = CMat::from_fn(2, l, |r, c| {
-                if c % 2 == r {
-                    C64::one()
-                } else {
-                    C64::zero()
-                }
-            });
+            let sent = CMat::from_fn(
+                2,
+                l,
+                |r, c| {
+                    if c % 2 == r {
+                        C64::one()
+                    } else {
+                        C64::zero()
+                    }
+                },
+            );
             let mut received = h.mul_mat(&sent);
             // Average over repeated noisy estimates.
             let trials = 200;
@@ -310,9 +318,7 @@ mod tests {
             quant_bits: Some(6),
             ..CsiImpairment::none()
         };
-        assert!(
-            coarse.degrade(&base).error_variance() > fine.degrade(&base).error_variance()
-        );
+        assert!(coarse.degrade(&base).error_variance() > fine.degrade(&base).error_variance());
         // Quantization error power is 2^(−2B).
         assert!((fine.extra_error_variance() - (2.0f64).powi(-12)).abs() < 1e-15);
         // Older CSI at a fixed Doppler → more error, saturating at full
@@ -329,7 +335,10 @@ mod tests {
             assert!(v <= 1.0);
             last = v;
         }
-        assert!(last > 0.5, "64-slot-old CSI at fd·T=0.01 should be mostly noise");
+        assert!(
+            last > 0.5,
+            "64-slot-old CSI at fd·T=0.01 should be mostly noise"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Additive white Gaussian noise and SNR accounting.
 
-use iac_linalg::{C64, Rng64};
+use iac_linalg::{Rng64, C64};
 
 /// An AWGN source with a fixed per-sample complex noise power.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +61,10 @@ mod tests {
         let awgn = Awgn::new(0.25);
         let mut rng = Rng64::new(1);
         let n = 100_000;
-        let measured: f64 = (0..n).map(|_| awgn.sample(&mut rng).norm_sqr()).sum::<f64>() / n as f64;
+        let measured: f64 = (0..n)
+            .map(|_| awgn.sample(&mut rng).norm_sqr())
+            .sum::<f64>()
+            / n as f64;
         assert!((measured - 0.25).abs() < 0.01, "measured {measured}");
     }
 
@@ -80,8 +83,10 @@ mod tests {
         for &snr_db in &[0.0, 10.0, 25.0] {
             let awgn = Awgn::new(crate::pathloss::db_to_linear(-snr_db));
             let n = 200_000;
-            let noise_power: f64 =
-                (0..n).map(|_| awgn.sample(&mut rng).norm_sqr()).sum::<f64>() / n as f64;
+            let noise_power: f64 = (0..n)
+                .map(|_| awgn.sample(&mut rng).norm_sqr())
+                .sum::<f64>()
+                / n as f64;
             let measured_db = linear_to_db(sinr(1.0, noise_power));
             assert!(
                 (measured_db - snr_db).abs() < 0.3,

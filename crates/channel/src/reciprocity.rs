@@ -15,7 +15,7 @@
 //! does not). Fig. 16 measures exactly that: the fractional error of the
 //! reciprocity-based estimate after moving the client.
 
-use iac_linalg::{C64, CMat, LinAlgError, Result, Rng64};
+use iac_linalg::{CMat, LinAlgError, Result, Rng64, C64};
 
 /// Per-pair calibration state: the diagonal hardware-chain matrices of Eq. 8.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ impl Calibration {
             });
         }
         let dt = h_down.transpose(); // r×t, equals C_rx · Hᵘ · C_tx
-        // Ratio matrix R[i][j] = dt[i][j]/Hᵘ[i][j] = c_rx[i]·c_tx[j].
+                                     // Ratio matrix R[i][j] = dt[i][j]/Hᵘ[i][j] = c_rx[i]·c_tx[j].
         let mut ratio = CMat::zeros(r, t);
         for i in 0..r {
             for j in 0..t {
@@ -107,7 +107,11 @@ impl Calibration {
 pub fn fractional_error(h_true: &CMat, h_est: &CMat) -> f64 {
     let denom = h_true.frobenius_norm();
     if denom == 0.0 {
-        return if h_est.frobenius_norm() == 0.0 { 0.0 } else { f64::INFINITY };
+        return if h_est.frobenius_norm() == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        };
     }
     (h_est - h_true).frobenius_norm() / denom
 }
@@ -253,7 +257,9 @@ mod tests {
         let mut rng = Rng64::new(6);
         let h_air = CMat::random(2, 2, &mut rng);
         let chains: Vec<CMat> = (0..4).map(|_| random_chain(2, 1.0, &mut rng)).collect();
-        let (up, down) = scenario(&mut rng, &h_air, &chains[0], &chains[1], &chains[2], &chains[3]);
+        let (up, down) = scenario(
+            &mut rng, &h_air, &chains[0], &chains[1], &chains[2], &chains[3],
+        );
         let cal = Calibration::from_measurement(&up, &down).unwrap();
         let inferred = cal.downlink_from_uplink(&up);
         // Perfect inference even though we may declare the AP side "noisy".

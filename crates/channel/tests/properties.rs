@@ -5,7 +5,7 @@ use iac_channel::reciprocity::{
     fractional_error, measured_downlink, measured_uplink, random_chain, Calibration,
 };
 use iac_channel::{db_to_linear, linear_to_db, Awgn, Cfo, LogDistance};
-use iac_linalg::{C64, CMat, Rng64};
+use iac_linalg::{CMat, Rng64, C64};
 use proptest::prelude::*;
 
 proptest! {

@@ -25,10 +25,7 @@ pub fn waterfill(gains: &[f64], p_total: f64, noise: f64) -> Vec<f64> {
         // μ = (P + Σ n/g) / k ; p_i = μ − n/g_i.
         let inv_sum: f64 = active.iter().map(|&i| noise / gains[i]).sum();
         let mu = (p_total + inv_sum) / active.len() as f64;
-        if let Some(pos) = active
-            .iter()
-            .position(|&i| mu - noise / gains[i] < 0.0)
-        {
+        if let Some(pos) = active.iter().position(|&i| mu - noise / gains[i] < 0.0) {
             // Drop the weakest offending mode and recompute.
             let worst = active
                 .iter()
@@ -77,11 +74,7 @@ pub(crate) fn eigenmode_rate_from(
     let gains: Vec<f64> = svd_est.singular_values.iter().map(|s| s * s).collect();
     let powers = waterfill(&gains, p_total, noise);
     // Effective mixing matrix G = Uᴴ·H_true·V (diagonal iff H_est == H_true).
-    let g = svd_est
-        .u
-        .hermitian()
-        .mul_mat(h_true)
-        .mul_mat(&svd_est.v);
+    let g = svd_est.u.hermitian().mul_mat(h_true).mul_mat(&svd_est.v);
     let mut sinrs = Vec::with_capacity(n_streams);
     for i in 0..n_streams {
         if powers[i] <= 0.0 {
@@ -251,6 +244,9 @@ mod tests {
             let links = vec![a, b];
             double += best_ap_rate(&links, &links, 2.0, 0.1).unwrap().1;
         }
-        assert!(double > single * 1.02, "no diversity gain: {double} vs {single}");
+        assert!(
+            double > single * 1.02,
+            "no diversity gain: {double} vs {single}"
+        );
     }
 }

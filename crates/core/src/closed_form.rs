@@ -215,11 +215,7 @@ pub fn downlink_2m_minus_2(grid: &ChannelGrid, rng: &mut Rng64) -> Result<Aligne
 /// interference set that must fit in an `s`-dimensional subspace, the ratio
 /// `σ_{s+1}/σ_1` of the stacked interference images (0 = perfectly aligned).
 /// Returns the worst ratio across all steps.
-pub fn alignment_residual(
-    grid: &ChannelGrid,
-    schedule: &DecodeSchedule,
-    encoding: &[CVec],
-) -> f64 {
+pub fn alignment_residual(grid: &ChannelGrid, schedule: &DecodeSchedule, encoding: &[CVec]) -> f64 {
     let mut worst: f64 = 0.0;
     for (receiver, interf, dim) in schedule.interference_sets() {
         if interf.len() <= dim {
@@ -227,7 +223,10 @@ pub fn alignment_residual(
         }
         let images: Vec<CVec> = interf
             .iter()
-            .map(|&p| grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]))
+            .map(|&p| {
+                grid.link(schedule.owners[p], receiver)
+                    .mul_vec(&encoding[p])
+            })
             .collect();
         let mat = CMat::from_cols(&images);
         let svd = iac_linalg::Svd::compute(&mat);
@@ -371,8 +370,7 @@ mod tests {
         // Random (unaligned) encoding must produce a large residual.
         let (g, mut rng) = uplink_grid(3, 3, 2, 900);
         let schedule = DecodeSchedule::uplink_2m(2);
-        let random_encoding: Vec<CVec> =
-            (0..4).map(|_| CVec::random_unit(2, &mut rng)).collect();
+        let random_encoding: Vec<CVec> = (0..4).map(|_| CVec::random_unit(2, &mut rng)).collect();
         let r = alignment_residual(&g, &schedule, &random_encoding);
         assert!(r > 0.05, "random encoding suspiciously aligned: {r}");
     }

@@ -205,7 +205,7 @@ impl<G: Links> IacDecoder<'_, G> {
                 let power = |q: usize, img: &V| self.packet_power[q] * u.dot(img).norm_sqr();
                 let mut num = 0.0;
                 let mut den = self.noise_power; // ‖u‖ = 1
-                // Signal through the true channel.
+                                                // Signal through the true channel.
                 num += power(p, &through_air[p]);
                 // Residual aligned interference (true channel ≠ estimate).
                 for &q in interf {

@@ -139,10 +139,7 @@ mod tests {
         // in prediction; with perfect CSI, also in realisation.
         let mut rng = Rng64::new(1);
         for _ in 0..100 {
-            let links = [
-                CMat::random(2, 2, &mut rng),
-                CMat::random(2, 2, &mut rng),
-            ];
+            let links = [CMat::random(2, 2, &mut rng), CMat::random(2, 2, &mut rng)];
             let iac = best_downlink_option(&links, &links, 1.0, 0.05).unwrap();
             let base =
                 crate::baseline::best_ap_rate(links.as_ref(), links.as_ref(), 1.0, 0.05).unwrap();
@@ -195,10 +192,7 @@ mod tests {
         let mut split_wins = 0;
         let trials = 200;
         for _ in 0..trials {
-            let links = [
-                CMat::random(2, 2, &mut rng),
-                CMat::random(2, 2, &mut rng),
-            ];
+            let links = [CMat::random(2, 2, &mut rng), CMat::random(2, 2, &mut rng)];
             let out = best_downlink_option(&links, &links, 1.0, 0.1).unwrap();
             if out.option == DiversityOption::OneFromEach {
                 split_wins += 1;

@@ -28,7 +28,11 @@ pub fn max_downlink_packets(m: usize) -> usize {
 /// subspace of `C^m` costs `(k−s)·(m−s)` scalar constraints when `k > s`
 /// (the first `s` vectors *define* the subspace for free). The total must
 /// not exceed the `(m−1)` projective freedoms of each encoding vector.
-pub(crate) fn dof_feasible(m: usize, n_packets: usize, interference_sets: &[(usize, usize)]) -> bool {
+pub(crate) fn dof_feasible(
+    m: usize,
+    n_packets: usize,
+    interference_sets: &[(usize, usize)],
+) -> bool {
     let freedoms = n_packets * (m - 1);
     let mut constraints = 0usize;
     for &(k, s) in interference_sets {

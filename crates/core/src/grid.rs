@@ -88,12 +88,14 @@ impl ChannelGrid {
         let h = (0..transmitters)
             .map(|_| {
                 (0..receivers)
-                    .map(|_| iac_channel::fading::well_conditioned_rayleigh(
-                        rx_antennas,
-                        tx_antennas,
-                        1e4,
-                        rng,
-                    ))
+                    .map(|_| {
+                        iac_channel::fading::well_conditioned_rayleigh(
+                            rx_antennas,
+                            tx_antennas,
+                            1e4,
+                            rng,
+                        )
+                    })
                     .collect()
             })
             .collect();
@@ -207,9 +209,6 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_grid_rejected() {
         let m = CMat::zeros(2, 2);
-        let _ = ChannelGrid::new(
-            Direction::Uplink,
-            vec![vec![m.clone(), m.clone()], vec![m]],
-        );
+        let _ = ChannelGrid::new(Direction::Uplink, vec![vec![m.clone(), m.clone()], vec![m]]);
     }
 }

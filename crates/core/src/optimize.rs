@@ -35,7 +35,13 @@ pub fn predicted_rate(
     noise: f64,
 ) -> f64 {
     let mut powers = equal_split_powers(&config.schedule, per_node_power);
-    rate_on_estimates(est_grid, &config.schedule, &config.encoding, &mut powers, noise)
+    rate_on_estimates(
+        est_grid,
+        &config.schedule,
+        &config.encoding,
+        &mut powers,
+        noise,
+    )
 }
 
 /// The body of [`predicted_rate`], for callers that hold the schedule and
@@ -224,7 +230,9 @@ pub fn downlink3_optimized(
         || est_grid.transmitters() != 3
         || est_grid.receivers() != 3
     {
-        return Err(LinAlgError::Degenerate("downlink3 needs 3 APs and 3 clients"));
+        return Err(LinAlgError::Degenerate(
+            "downlink3 needs 3 APs and 3 clients",
+        ));
     }
     let mut context = ScoringContext::new(est_grid, 0, per_node_power, noise);
     let (rate, encoding) = context.downlink_best(1, 2)?;

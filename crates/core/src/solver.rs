@@ -78,8 +78,7 @@ impl AlignmentProblem<'_> {
 
         let mut best: Option<AlignmentSolution> = None;
         for _restart in 0..config.restarts.max(1) {
-            let mut encoding: Vec<CVec> =
-                (0..n).map(|_| CVec::random_unit(m, rng)).collect();
+            let mut encoding: Vec<CVec> = (0..n).map(|_| CVec::random_unit(m, rng)).collect();
             let mut last_leakage = f64::INFINITY;
             let mut iterations = 0;
             for iter in 0..config.max_iters {
@@ -200,7 +199,12 @@ pub fn interference_covariance(
     let m = grid.rx_antennas();
     let mut q = CMat::zeros(m, m);
     for p in packets {
-        add_outer(&mut q, &grid.link(schedule.owners[p], receiver).mul_vec(&encoding[p]));
+        add_outer(
+            &mut q,
+            &grid
+                .link(schedule.owners[p], receiver)
+                .mul_vec(&encoding[p]),
+        );
     }
     q
 }
@@ -231,7 +235,13 @@ pub fn decoding_vectors(
     let (receiver, ref interf, _) = sets[step_index];
     let step = &schedule.steps[step_index];
     let mut images = Images::new(schedule.n_packets());
-    images.fill(grid, schedule, receiver, interf.iter().chain(&step.decode), encoding);
+    images.fill(
+        grid,
+        schedule,
+        receiver,
+        interf.iter().chain(&step.decode),
+        encoding,
+    );
     let mut out = vec![CVec::default(); step.decode.len()];
     step_vectors(step, interf, &images, &mut out)?;
     Ok(out)
@@ -276,10 +286,7 @@ pub(crate) trait AntennaVector: Clone + Default {
     fn residual_into(truth: &CMat, est: &CMat, x: &Self, out: &mut Self);
     /// The smallest eigenvector of `Σ x·xᴴ` over `nuisance`, summed in the
     /// order given, in the dimension of `signal`.
-    fn least_captured<'a>(
-        signal: &Self,
-        nuisance: impl Iterator<Item = &'a Self>,
-    ) -> Result<Self>
+    fn least_captured<'a>(signal: &Self, nuisance: impl Iterator<Item = &'a Self>) -> Result<Self>
     where
         Self: 'a;
     /// The Hermitian inner product `⟨self, x⟩`, as [`CVec::dot`].
@@ -297,10 +304,7 @@ impl AntennaVector for CVec {
         (truth - est).mul_vec_into(x, out);
     }
 
-    fn least_captured<'a>(
-        signal: &Self,
-        nuisance: impl Iterator<Item = &'a Self>,
-    ) -> Result<Self> {
+    fn least_captured<'a>(signal: &Self, nuisance: impl Iterator<Item = &'a Self>) -> Result<Self> {
         let m = signal.len();
         let mut q = CMat::zeros(m, m);
         for img in nuisance {
@@ -547,7 +551,9 @@ mod tests {
                 },
             ],
         };
-        schedule.validate().expect("structurally fine, physically hard");
+        schedule
+            .validate()
+            .expect("structurally fine, physically hard");
         let mut rng = Rng64::new(5);
         let grid = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng);
         let problem = AlignmentProblem {
@@ -584,12 +590,16 @@ mod tests {
             for (ui, &p) in us.iter().zip(&schedule.steps[step].decode) {
                 // Orthogonal to every interference image.
                 for &q in interf {
-                    let img = grid.link(schedule.owners[q], receiver).mul_vec(&sol.encoding[q]);
+                    let img = grid
+                        .link(schedule.owners[q], receiver)
+                        .mul_vec(&sol.encoding[q]);
                     let leak = ui.dot(&img).abs() / img.norm();
                     assert!(leak < 1e-3, "step {step}: leak {leak}");
                 }
                 // Captures its own packet.
-                let own = grid.link(schedule.owners[p], receiver).mul_vec(&sol.encoding[p]);
+                let own = grid
+                    .link(schedule.owners[p], receiver)
+                    .mul_vec(&sol.encoding[p]);
                 assert!(ui.dot(&own).abs() > 1e-3, "step {step}: no signal");
             }
         }
@@ -605,7 +615,9 @@ mod tests {
                 grid: &grid,
                 schedule: &schedule,
             };
-            p.solve(&SolverConfig::default(), &mut rng).unwrap().encoding
+            p.solve(&SolverConfig::default(), &mut rng)
+                .unwrap()
+                .encoding
         };
         let a = run(99);
         let b = run(99);

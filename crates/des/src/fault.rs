@@ -237,10 +237,7 @@ mod tests {
         assert!(!a.is_empty(), "200ms at a 30ms mean uptime must churn");
         // Every AP ends up: downs and ups pair off.
         for ap in [1u16, 2] {
-            let downs = a
-                .iter()
-                .filter(|f| f.kind == FaultKind::ApDown(ap))
-                .count();
+            let downs = a.iter().filter(|f| f.kind == FaultKind::ApDown(ap)).count();
             let ups = a.iter().filter(|f| f.kind == FaultKind::ApUp(ap)).count();
             assert_eq!(downs, ups, "AP {ap} left stranded down");
         }
@@ -280,7 +277,9 @@ mod tests {
         struct Tap(Rc<RefCell<Vec<(f64, NetEvent)>>>);
         impl EventHandler<NetEvent> for Tap {
             fn on_event(&mut self, event: Event<NetEvent>, ctx: &mut Ctx<'_, NetEvent>) {
-                self.0.borrow_mut().push((ctx.time().micros(), event.payload));
+                self.0
+                    .borrow_mut()
+                    .push((ctx.time().micros(), event.payload));
             }
         }
 

@@ -69,7 +69,10 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::BadMagic(m) => write!(f, "bad magic {m:02x?} (expected {MAGIC:02x?})"),
             CodecError::UnsupportedVersion(v) => {
-                write!(f, "unsupported log version {v} (this build reads {VERSION})")
+                write!(
+                    f,
+                    "unsupported log version {v} (this build reads {VERSION})"
+                )
             }
             CodecError::Truncated(ctx) => write!(f, "log truncated while reading {ctx}"),
             CodecError::BadTag(t) => write!(f, "unknown record tag {t:#04x}"),

@@ -46,7 +46,10 @@ impl Divergence {
     /// Detailed rendering with payloads decoded as event type `E`.
     pub fn render<E: EventCodec + std::fmt::Debug>(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("first divergence at fired event {}:\n", self.index));
+        out.push_str(&format!(
+            "first divergence at fired event {}:\n",
+            self.index
+        ));
         match &self.expected {
             Some(r) => out.push_str(&format!("  expected: {}\n", r.describe::<E>())),
             None => out.push_str("  expected: <end of recording — extra event fired>\n"),
@@ -90,7 +93,9 @@ impl std::error::Error for Divergence {}
 pub(crate) fn context_window(log: &EventLog, index: u64) -> Vec<(u64, EventRecord)> {
     let lo = (index as usize).saturating_sub(CONTEXT_WINDOW);
     let hi = ((index as usize) + CONTEXT_WINDOW + 1).min(log.records.len());
-    (lo..hi).map(|i| (i as u64, log.records[i].clone())).collect()
+    (lo..hi)
+        .map(|i| (i as u64, log.records[i].clone()))
+        .collect()
 }
 
 struct CheckerInner {

@@ -162,14 +162,20 @@ impl MetricsLog {
         out.push_str(&format!("  \"cfps\": {},\n", self.cfps));
         out.push_str(&format!("  \"retx\": {},\n", self.retx));
         out.push_str(&format!("  \"poll_rounds\": {},\n", self.poll_rounds));
-        out.push_str(&format!("  \"air_busy_us_bits\": {},\n", bits(self.air_busy_us)));
+        out.push_str(&format!(
+            "  \"air_busy_us_bits\": {},\n",
+            bits(self.air_busy_us)
+        ));
         out.push_str(&format!("  \"faults\": {},\n", self.faults));
         out.push_str(&format!("  \"poll_timeouts\": {},\n", self.poll_timeouts));
         out.push_str(&format!("  \"wire_lost\": {},\n", self.wire_lost));
         out.push_str(&format!("  \"wire_corrupt\": {},\n", self.wire_corrupt));
         out.push_str(&format!("  \"wire_retries\": {},\n", self.wire_retries));
         out.push_str(&format!("  \"wire_expired\": {},\n", self.wire_expired));
-        out.push_str(&format!("  \"degraded_groups\": {}\n", self.degraded_groups));
+        out.push_str(&format!(
+            "  \"degraded_groups\": {}\n",
+            self.degraded_groups
+        ));
         out.push_str("}\n");
         out
     }
@@ -240,7 +246,9 @@ mod tests {
         a.offered = 9;
         let b = a.clone();
         assert_eq!(a.to_json(), b.to_json());
-        assert!(a.to_json().contains(&format!("{:#018x}", (0.1f64 + 0.2).to_bits())));
+        assert!(a
+            .to_json()
+            .contains(&format!("{:#018x}", (0.1f64 + 0.2).to_bits())));
         let mut c = a.clone();
         c.delivered[0].delivered_us += 1e-9;
         assert_ne!(a.to_json(), c.to_json());

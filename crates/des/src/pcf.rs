@@ -35,13 +35,13 @@ use crate::metrics::{PacketRecord, QueueDepthSample, SharedMetrics};
 use crate::net::NetEvent;
 use crate::simulation::{Ctx, EventHandler};
 use crate::time::SimTime;
+use iac_linalg::CVec;
 use iac_mac::airtime::Airtime;
 use iac_mac::ethernet::{Hub, RetryPolicy, WireModel, WireOutcome, WirePacket};
 use iac_mac::frames::{Beacon, CfEnd, DataPoll, Grant, MacFrame, PollEntry, VectorQ};
 use iac_mac::pcf::{form_group, GroupPlan, GroupScorer, PcfConfig, PhyOutcome};
 use iac_mac::queue::{QueuedPacket, TrafficQueue};
 use iac_mac::GroupPolicy;
-use iac_linalg::CVec;
 use std::collections::BTreeMap;
 
 /// Parameters of the event-driven MAC: the protocol's [`PcfConfig`] plus
@@ -587,12 +587,10 @@ impl<P: PhyOutcome> EventPcf<P> {
                         let loss_ppm = self.fault.wire_loss_ppm;
                         let outcome = {
                             let rng = ctx.rng();
-                            self.hub.broadcast(
-                                &wire,
-                                now_us,
-                                &self.cfg.wire_retry,
-                                |_| loss_ppm > 0 && rng.next_f64() * 1e6 < loss_ppm as f64,
-                            )
+                            self.hub
+                                .broadcast(&wire, now_us, &self.cfg.wire_retry, |_| {
+                                    loss_ppm > 0 && rng.next_f64() * 1e6 < loss_ppm as f64
+                                })
                         };
                         match outcome {
                             WireOutcome::Delivered {
@@ -648,7 +646,8 @@ impl<P: PhyOutcome> EventPcf<P> {
                     }
                 }
                 // Ok or not, the client waits for the beacon to learn.
-                self.awaiting_ack.insert((packet.client, packet.seq), packet);
+                self.awaiting_ack
+                    .insert((packet.client, packet.seq), packet);
             } else if ok {
                 // Synchronous client ack: delivery completes now.
                 self.record_delivery(packet.client, packet.seq, false, now_us);
@@ -685,9 +684,8 @@ impl<P: PhyOutcome> EventPcf<P> {
             // after it is idle by definition and is not counted as busy.
             log.air_busy_us += cf_end_us;
         });
-        let gap = SimTime::from_micros(
-            cf_end_us + self.cfg.airtime.cp_us(self.cfg.protocol.cp_slots),
-        );
+        let gap =
+            SimTime::from_micros(cf_end_us + self.cfg.airtime.cp_us(self.cfg.protocol.cp_slots));
         self.phase = Phase::Idle;
         if ctx.time() + gap < self.cfg.horizon {
             ctx.emit_self(gap, NetEvent::CfpStart);

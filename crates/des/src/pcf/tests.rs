@@ -3,10 +3,10 @@
 //! times and attempt traces derived from the airtime model.
 
 use super::*;
+use crate::metrics::MetricsLog;
 use crate::net::{TrafficSource, WiredSink};
 use crate::simulation::Simulation;
 use crate::traffic::ArrivalProcess;
-use crate::metrics::MetricsLog;
 use iac_linalg::Rng64;
 use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::PacketResult;
@@ -58,7 +58,11 @@ fn build(
     phy: StubPhy,
     n_up: u16,
     rate_pps: f64,
-) -> (Simulation<NetEvent>, SharedMetrics, crate::event::ComponentId) {
+) -> (
+    Simulation<NetEvent>,
+    SharedMetrics,
+    crate::event::ComponentId,
+) {
     let mut sim = Simulation::new(seed);
     let metrics = SharedMetrics::new();
     let horizon = cfg.horizon;
@@ -93,7 +97,9 @@ fn uplink_packets_deliver_with_deferred_ack_latency() {
     let (mut sim, metrics, _mac) = build(
         1,
         small_cfg(60.0),
-        StubPhy { fail_always: vec![] },
+        StubPhy {
+            fail_always: vec![],
+        },
         3,
         400.0,
     );
@@ -213,7 +219,15 @@ fn bounded_queue_overflows_under_overload() {
         ..small_cfg(40.0)
     };
     // 3 clients at 20k pps ≫ service rate → the 8-slot queue must spill.
-    let (mut sim, metrics, _mac) = build(3, cfg, StubPhy { fail_always: vec![] }, 3, 20_000.0);
+    let (mut sim, metrics, _mac) = build(
+        3,
+        cfg,
+        StubPhy {
+            fail_always: vec![],
+        },
+        3,
+        20_000.0,
+    );
     sim.step_until_no_events();
     let log = metrics.snapshot();
     assert!(log.drops_overflow > 0, "no tail drops under overload");
@@ -227,7 +241,9 @@ fn run_is_bit_reproducible_from_seed() {
         let (mut sim, metrics, _mac) = build(
             seed,
             small_cfg(30.0),
-            StubPhy { fail_always: vec![] },
+            StubPhy {
+                fail_always: vec![],
+            },
             4,
             800.0,
         );
@@ -252,7 +268,15 @@ fn run_is_bit_reproducible_from_seed() {
 fn idle_cfp_shrinks_and_run_terminates() {
     // No sources at all: beacons + CF-End cycle until the horizon, the
     // queue drains, and the event count stays small.
-    let (mut sim, metrics, _mac) = build(4, small_cfg(20.0), StubPhy { fail_always: vec![] }, 0, 1.0);
+    let (mut sim, metrics, _mac) = build(
+        4,
+        small_cfg(20.0),
+        StubPhy {
+            fail_always: vec![],
+        },
+        0,
+        1.0,
+    );
     let events = sim.step_until_no_events();
     let log = metrics.snapshot();
     assert!(log.cfps > 10, "MAC did not cycle: {} cfps", log.cfps);
@@ -269,7 +293,14 @@ fn churn_leave_stops_arrivals() {
     let metrics = SharedMetrics::new();
     let cfg = small_cfg(40.0);
     let horizon = cfg.horizon;
-    let mac = add_leader(&mut sim, cfg, StubPhy { fail_always: vec![] }, &metrics);
+    let mac = add_leader(
+        &mut sim,
+        cfg,
+        StubPhy {
+            fail_always: vec![],
+        },
+        &metrics,
+    );
     let src = sim.add_component(
         "src0",
         TrafficSource::new(
@@ -301,7 +332,9 @@ fn ap_crash_voids_polls_and_shrinks_groups() {
     let (mut sim, metrics, mac) = build(
         11,
         small_cfg(60.0),
-        StubPhy { fail_always: vec![] },
+        StubPhy {
+            fail_always: vec![],
+        },
         3,
         400.0,
     );
@@ -324,7 +357,9 @@ fn backhaul_partition_expires_forwards_then_heals() {
     let (mut sim, metrics, mac) = build(
         12,
         small_cfg(60.0),
-        StubPhy { fail_always: vec![] },
+        StubPhy {
+            fail_always: vec![],
+        },
         3,
         400.0,
     );
@@ -351,7 +386,15 @@ fn wire_loss_retries_and_still_delivers() {
         base_backoff_us: 5.0,
         deadline_us: 10_000.0,
     };
-    let (mut sim, metrics, mac) = build(13, cfg, StubPhy { fail_always: vec![] }, 3, 400.0);
+    let (mut sim, metrics, mac) = build(
+        13,
+        cfg,
+        StubPhy {
+            fail_always: vec![],
+        },
+        3,
+        400.0,
+    );
     sim.schedule(
         SimTime::ZERO,
         mac,
@@ -377,18 +420,31 @@ fn wire_loss_retries_and_still_delivers() {
 fn csi_staleness_dissolves_groups_past_threshold() {
     let mut cfg = small_cfg(40.0);
     cfg.csi_fallback_age_slots = Some(8);
-    let (mut sim, metrics, mac) = build(14, cfg, StubPhy { fail_always: vec![] }, 3, 400.0);
+    let (mut sim, metrics, mac) = build(
+        14,
+        cfg,
+        StubPhy {
+            fail_always: vec![],
+        },
+        3,
+        400.0,
+    );
     // 4 slots is within tolerance; 16 crosses the threshold for the
     // rest of the run.
-    sim.schedule(SimTime::from_millis(5.0), mac, NetEvent::CsiStale { slots: 4 });
-    sim.schedule(SimTime::from_millis(20.0), mac, NetEvent::CsiStale { slots: 16 });
+    sim.schedule(
+        SimTime::from_millis(5.0),
+        mac,
+        NetEvent::CsiStale { slots: 4 },
+    );
+    sim.schedule(
+        SimTime::from_millis(20.0),
+        mac,
+        NetEvent::CsiStale { slots: 16 },
+    );
     sim.step_until_no_events();
     let log = metrics.snapshot();
     assert_eq!(log.faults, 2);
-    assert!(
-        log.degraded_groups > 0,
-        "stale CSI never dissolved a group"
-    );
+    assert!(log.degraded_groups > 0, "stale CSI never dissolved a group");
     assert!(
         log.delivered.iter().any(|r| r.delivered_us > 20_000.0),
         "fallback mode starved the clients"
@@ -400,8 +456,15 @@ fn faulty_run_is_bit_reproducible_from_seed() {
     let run = |seed: u64| {
         let mut cfg = small_cfg(40.0);
         cfg.csi_fallback_age_slots = Some(8);
-        let (mut sim, metrics, mac) =
-            build(seed, cfg, StubPhy { fail_always: vec![] }, 3, 500.0);
+        let (mut sim, metrics, mac) = build(
+            seed,
+            cfg,
+            StubPhy {
+                fail_always: vec![],
+            },
+            3,
+            500.0,
+        );
         sim.schedule(SimTime::from_millis(4.0), mac, NetEvent::ApDown { ap: 0 });
         sim.schedule(SimTime::from_millis(9.0), mac, NetEvent::ApUp { ap: 0 });
         sim.schedule(SimTime::from_millis(12.0), mac, NetEvent::BackhaulDown);
@@ -414,7 +477,11 @@ fn faulty_run_is_bit_reproducible_from_seed() {
                 corrupt_ppm: 50_000,
             },
         );
-        sim.schedule(SimTime::from_millis(25.0), mac, NetEvent::CsiStale { slots: 12 });
+        sim.schedule(
+            SimTime::from_millis(25.0),
+            mac,
+            NetEvent::CsiStale { slots: 12 },
+        );
         let events = sim.step_until_no_events();
         (events, sim.time(), metrics.snapshot())
     };
@@ -482,7 +549,13 @@ impl ScriptedPhy {
                     && !self.failures.contains(&(c, uplink, EVERY));
                 attempts.push((c, uplink, k, ok));
                 // Client c decodes at AP c mod 3: no RNG involved.
-                PacketResult { client: c, seq: 0, sinr: 11.0, ok, ap: c % 3 }
+                PacketResult {
+                    client: c,
+                    seq: 0,
+                    sinr: 11.0,
+                    ok,
+                    ap: c % 3,
+                }
             })
             .collect();
         self.trace.borrow_mut().push(attempts);
@@ -510,7 +583,15 @@ fn start<P: PhyOutcome + 'static>(
     let metrics = SharedMetrics::new();
     let mac = add_leader(&mut sim, cfg, phy, &metrics);
     for &(client, seq, uplink) in offers {
-        sim.schedule(SimTime::ZERO, mac, NetEvent::Arrival { client, seq, uplink });
+        sim.schedule(
+            SimTime::ZERO,
+            mac,
+            NetEvent::Arrival {
+                client,
+                seq,
+                uplink,
+            },
+        );
     }
     sim.schedule(SimTime::ZERO, mac, NetEvent::CfpStart);
     (sim, metrics)
@@ -522,7 +603,10 @@ fn run_scripted(
     offers: &[(u16, u16, bool)],
     failures: Vec<(u16, bool, u32)>,
 ) -> (MetricsLog, Vec<Vec<Attempt>>) {
-    let phy = ScriptedPhy { failures, ..ScriptedPhy::default() };
+    let phy = ScriptedPhy {
+        failures,
+        ..ScriptedPhy::default()
+    };
     let trace = phy.trace.clone();
     let (mut sim, metrics) = start(cfg, phy, offers);
     sim.step_until_no_events();
@@ -555,19 +639,43 @@ const CF_END_BYTES: usize = 1 + 2 + 4;
 #[test]
 fn frame_sizes_match_the_encoder() {
     for n in 0..4u16 {
-        let entries: Vec<_> = (0..n).map(EventPcf::<ScriptedPhy>::placeholder_entry).collect();
+        let entries: Vec<_> = (0..n)
+            .map(EventPcf::<ScriptedPhy>::placeholder_entry)
+            .collect();
         let ack_map = (0..n).map(|c| (c, c)).collect();
         let (fid, n_aps, max_len) = (1, 3, 1440);
-        let beacon = MacFrame::Beacon(Beacon { cfp_id: 1, duration_slots: 0, ack_map });
-        let poll = MacFrame::DataPoll(DataPoll { fid, n_aps, max_len, entries: entries.clone() });
-        let grant = MacFrame::Grant(Grant { fid, n_aps, entries });
+        let beacon = MacFrame::Beacon(Beacon {
+            cfp_id: 1,
+            duration_slots: 0,
+            ack_map,
+        });
+        let poll = MacFrame::DataPoll(DataPoll {
+            fid,
+            n_aps,
+            max_len,
+            entries: entries.clone(),
+        });
+        let grant = MacFrame::Grant(Grant {
+            fid,
+            n_aps,
+            entries,
+        });
         let n = n as usize;
         assert_eq!(beacon.encoded_len(), beacon_bytes(n));
         assert_eq!(poll.encoded_len(), poll_bytes(n));
         assert_eq!(grant.encoded_len(), grant_bytes(n));
     }
-    assert_eq!(MacFrame::CfEnd(CfEnd { cfp_id: 1 }).encoded_len(), CF_END_BYTES);
-    let sizes = (beacon_bytes(0), beacon_bytes(1), poll_bytes(1), grant_bytes(1), CF_END_BYTES);
+    assert_eq!(
+        MacFrame::CfEnd(CfEnd { cfp_id: 1 }).encoded_len(),
+        CF_END_BYTES
+    );
+    let sizes = (
+        beacon_bytes(0),
+        beacon_bytes(1),
+        poll_bytes(1),
+        grant_bytes(1),
+        CF_END_BYTES,
+    );
     assert_eq!(sizes, (11, 15, 47, 45, 7));
 }
 
@@ -598,7 +706,11 @@ fn tail_us() -> f64 {
 
 /// The log's deliveries, in order, against `(client, seq, uplink, µs)`.
 fn assert_deliveries(log: &MetricsLog, want: &[(u16, u16, bool, f64)]) {
-    let got: Vec<_> = log.delivered.iter().map(|r| (r.client, r.seq, r.uplink)).collect();
+    let got: Vec<_> = log
+        .delivered
+        .iter()
+        .map(|r| (r.client, r.seq, r.uplink))
+        .collect();
     let ids: Vec<_> = want.iter().map(|&(c, s, u, _)| (c, s, u)).collect();
     assert_eq!(got, ids, "delivery order");
     for (r, &(.., t)) in log.delivered.iter().zip(want) {
@@ -641,7 +753,10 @@ fn uplink_acks_are_deferred_one_cfp() {
     sim.step_until_time(SimTime::from_micros(cfp1 - 1e-6));
     let log = metrics.snapshot();
     assert_eq!((log.delivered_count(DN), log.delivered_count(UP)), (1, 0));
-    assert_eq!(log.wire_packets, 1, "the decoded uplink packet crossed the hub in CFP 1");
+    assert_eq!(
+        log.wire_packets, 1,
+        "the decoded uplink packet crossed the hub in CFP 1"
+    );
 
     sim.step_until_no_events();
     assert_deliveries(&metrics.snapshot(), &[(0, 7, DN, down), (1, 8, UP, up)]);
@@ -669,8 +784,16 @@ fn lost_downlink_packet_requeued_immediately() {
     let (log, trace) = run_scripted(small_cfg(20.0), &offers, vec![(5, DN, 0)]);
     let first = vec![(5, DN, 0, LOST), (6, DN, 0, OK), (7, DN, 0, OK)];
     assert_eq!(trace, vec![first, vec![(5, DN, 1, OK), (8, DN, 0, OK)]]);
-    let (t1, t2) = (beacon_us(0) + down_us(3), beacon_us(0) + down_us(3) + down_us(2));
-    let want = [(6, 60, DN, t1), (7, 70, DN, t1), (5, 50, DN, t2), (8, 80, DN, t2)];
+    let (t1, t2) = (
+        beacon_us(0) + down_us(3),
+        beacon_us(0) + down_us(3) + down_us(2),
+    );
+    let want = [
+        (6, 60, DN, t1),
+        (7, 70, DN, t1),
+        (5, 50, DN, t2),
+        (8, 80, DN, t2),
+    ];
     assert_deliveries(&log, &want);
     assert_eq!((log.retx, log.drops_retx), (1, 0));
 }
@@ -690,7 +813,10 @@ fn packet_dropped_after_retx_limit() {
 #[test]
 fn offered_overflow_is_counted_not_ignored() {
     // Capacity 2: arrivals 0 and 1 are queued, 2 and 3 are tail-dropped.
-    let cfg = EventPcfConfig { queue_capacity: Some(2), ..small_cfg(20.0) };
+    let cfg = EventPcfConfig {
+        queue_capacity: Some(2),
+        ..small_cfg(20.0)
+    };
     let offers: Vec<_> = (0..4).map(|c| (c, c, DN)).collect();
     let (log, trace) = run_scripted(cfg, &offers, vec![]);
     assert_eq!(log.drops_overflow, 2);
@@ -726,8 +852,13 @@ fn control_overhead_is_small() {
     // groups, 3 full Grant groups, CF-End. CFP 2: a 9-ack beacon, CF-End.
     // A horizon just past CFP 2's start leaves exactly those two CFPs.
     let cfp1 = beacon_us(0) + 3.0 * down_us(3) + 3.0 * up_us(3) + tail_us();
-    let cfg = EventPcfConfig { horizon: SimTime::from_micros(cfp1 + 1.0), ..small_cfg(20.0) };
-    let offers: Vec<_> = (0..9).flat_map(|c| [(c, c, DN), (c, 1000 + c, UP)]).collect();
+    let cfg = EventPcfConfig {
+        horizon: SimTime::from_micros(cfp1 + 1.0),
+        ..small_cfg(20.0)
+    };
+    let offers: Vec<_> = (0..9)
+        .flat_map(|c| [(c, c, DN), (c, 1000 + c, UP)])
+        .collect();
     let (log, _) = run_scripted(cfg, &offers, vec![]);
     assert_eq!(log.cfps, 2);
     assert_eq!((log.delivered_count(DN), log.delivered_count(UP)), (9, 9));
@@ -745,10 +876,16 @@ fn wire_broadcasts_match_decoded_uplink_packets() {
     // One CFP only (the horizon stops the second). Clients 0, 1, 2 share an
     // uplink group; 2's attempt fails. Clients 0 and 1 decode at APs 0 and
     // 1, so each forward reaches the other two APs' sinks: 2 × 2 deliveries.
-    let cfg = EventPcfConfig { horizon: SimTime::from_micros(1.0), ..small_cfg(20.0) };
+    let cfg = EventPcfConfig {
+        horizon: SimTime::from_micros(1.0),
+        ..small_cfg(20.0)
+    };
     let offers: Vec<_> = (0..3).map(|c| (c, c, UP)).collect();
     let (log, trace) = run_scripted(cfg, &offers, vec![(2, UP, 0)]);
-    assert_eq!(trace, vec![vec![(0, UP, 0, OK), (1, UP, 0, OK), (2, UP, 0, LOST)]]);
+    assert_eq!(
+        trace,
+        vec![vec![(0, UP, 0, OK), (1, UP, 0, OK), (2, UP, 0, LOST)]]
+    );
     assert_eq!((log.cfps, log.wire_packets, log.wire_delivered), (1, 2, 4));
     // No second beacon, so nothing is acked yet.
     assert_eq!(log.delivered_count(UP), 0);
@@ -758,14 +895,23 @@ fn wire_broadcasts_match_decoded_uplink_packets() {
 fn groups_never_mix_directions_or_duplicate_clients() {
     // Five clients, one packet each way: downlink {0,1,2}, {3,4}, then
     // uplink {0,1,2}, {3,4}.
-    let offers: Vec<_> = (0..5).flat_map(|c| [(c, c, DN), (c, 100 + c, UP)]).collect();
+    let offers: Vec<_> = (0..5)
+        .flat_map(|c| [(c, c, DN), (c, 100 + c, UP)])
+        .collect();
     let (log, trace) = run_scripted(small_cfg(20.0), &offers, vec![]);
     let group = |clients: &[u16], uplink| clients.iter().map(|&c| (c, uplink, 0, OK)).collect();
-    let want: Vec<Vec<Attempt>> =
-        vec![group(&[0, 1, 2], DN), group(&[3, 4], DN), group(&[0, 1, 2], UP), group(&[3, 4], UP)];
+    let want: Vec<Vec<Attempt>> = vec![
+        group(&[0, 1, 2], DN),
+        group(&[3, 4], DN),
+        group(&[0, 1, 2], UP),
+        group(&[3, 4], UP),
+    ];
     assert_eq!(trace, want);
     for group in &trace {
-        assert!(group.iter().all(|a| a.1 == group[0].1), "mixed directions: {group:?}");
+        assert!(
+            group.iter().all(|a| a.1 == group[0].1),
+            "mixed directions: {group:?}"
+        );
         let mut clients: Vec<u16> = group.iter().map(|a| a.0).collect();
         clients.sort_unstable();
         clients.dedup();
@@ -774,7 +920,9 @@ fn groups_never_mix_directions_or_duplicate_clients() {
     let d1 = beacon_us(0) + down_us(3);
     let d2 = d1 + down_us(2);
     let up = d2 + up_us(3) + up_us(2) + tail_us() + beacon_us(5);
-    let mut want: Vec<_> = (0..5).map(|c| (c, c, DN, if c < 3 { d1 } else { d2 })).collect();
+    let mut want: Vec<_> = (0..5)
+        .map(|c| (c, c, DN, if c < 3 { d1 } else { d2 }))
+        .collect();
     want.extend((0..5).map(|c| (c, 100 + c, UP, up)));
     assert_deliveries(&log, &want);
 }
@@ -786,11 +934,16 @@ fn clean_saturated_uplink_delivers_everything_one_beacon_late() {
     // {3,4,5} twice; each client's first packet goes first. All 12 decode,
     // cross the hub once each (to 2 sinks apiece), and are acked together
     // by CFP 2's 12-ack beacon.
-    let offers: Vec<_> = (0..2).flat_map(|r| (0..6).map(move |c| (c, r * 100 + c, UP))).collect();
+    let offers: Vec<_> = (0..2)
+        .flat_map(|r| (0..6).map(move |c| (c, r * 100 + c, UP)))
+        .collect();
     let (log, trace) = run_scripted(small_cfg(20.0), &offers, vec![]);
     let group = |clients: [u16; 3], k: u32| clients.map(|c| (c, UP, k, OK)).to_vec();
     let (a, b) = ([0, 1, 2], [3, 4, 5]);
-    assert_eq!(trace, vec![group(a, 0), group(b, 0), group(a, 1), group(b, 1)]);
+    assert_eq!(
+        trace,
+        vec![group(a, 0), group(b, 0), group(a, 1), group(b, 1)]
+    );
     let t = beacon_us(0) + 4.0 * up_us(3) + tail_us() + beacon_us(12);
     let want: Vec<_> = offers.iter().map(|&(c, s, u)| (c, s, u, t)).collect();
     assert_deliveries(&log, &want);
@@ -803,8 +956,9 @@ fn lossy_bidirectional_traffic_recovers_every_packet() {
     // Per client c in 0..5, in arrival order: uplink seq c, downlink seq
     // 50 + c, uplink seq 10 + c. Scripted losses: client 1's uplink attempt
     // 0, client 2's uplink attempts 0 and 1, client 4's downlink attempt 0.
-    let offers: Vec<_> =
-        (0..5).flat_map(|c| [(c, c, UP), (c, 50 + c, DN), (c, 10 + c, UP)]).collect();
+    let offers: Vec<_> = (0..5)
+        .flat_map(|c| [(c, c, UP), (c, 50 + c, DN), (c, 10 + c, UP)])
+        .collect();
     let failures = vec![(1, UP, 0), (2, UP, 0), (2, UP, 1), (4, DN, 0)];
     let (log, trace) = run_scripted(small_cfg(20.0), &offers, failures);
     assert_eq!(
@@ -868,7 +1022,10 @@ fn black_hole_client_exhausts_its_budget_alone() {
         ]
     );
     let t = beacon_us(0) + up_us(3) + up_us(2) + tail_us() + beacon_us(4);
-    assert_deliveries(&log, &[(0, 0, UP, t), (1, 1, UP, t), (2, 2, UP, t), (0, 40, UP, t)]);
+    assert_deliveries(
+        &log,
+        &[(0, 0, UP, t), (1, 1, UP, t), (2, 2, UP, t), (0, 40, UP, t)],
+    );
     assert_eq!((log.retx, log.drops_retx), (3, 1));
     assert_eq!(log.per_client_delivered(), vec![(0, 2), (1, 1), (2, 1)]);
 }
@@ -881,7 +1038,13 @@ impl PhyOutcome for OneResultPerClient {
     fn downlink_group(&mut self, clients: &[u16], _rng: &mut Rng64) -> Vec<PacketResult> {
         let mut distinct = clients.to_vec();
         distinct.dedup();
-        let result = |client| PacketResult { client, seq: 0, sinr: 11.0, ok: true, ap: 0 };
+        let result = |client| PacketResult {
+            client,
+            seq: 0,
+            sinr: 11.0,
+            ok: true,
+            ap: 0,
+        };
         distinct.into_iter().map(result).collect()
     }
     fn uplink_group(&mut self, clients: &[u16], rng: &mut Rng64) -> Vec<PacketResult> {
@@ -895,7 +1058,10 @@ fn one_phy_result_serves_one_packet() {
     // priced as one DATA+Poll entry and one ack. The PHY answers once; that
     // result is the first packet's, and the second, left without one, is
     // lost and served alone by the next group.
-    let cfg = EventPcfConfig { streams_per_client: 2, ..small_cfg(20.0) };
+    let cfg = EventPcfConfig {
+        streams_per_client: 2,
+        ..small_cfg(20.0)
+    };
     let (mut sim, metrics) = start(cfg, OneResultPerClient, &[(0, 0, DN), (0, 1, DN)]);
     sim.step_until_no_events();
     let log = metrics.snapshot();

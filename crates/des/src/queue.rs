@@ -117,7 +117,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule an event at absolute time `time`; returns its id.
-    pub fn push(&mut self, time: SimTime, src: ComponentId, dst: ComponentId, payload: E) -> EventId {
+    pub fn push(
+        &mut self,
+        time: SimTime,
+        src: ComponentId,
+        dst: ComponentId,
+        payload: E,
+    ) -> EventId {
         let id = self.next_id;
         self.next_id += 1;
         let event = Some(Event {

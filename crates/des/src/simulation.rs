@@ -45,7 +45,8 @@ impl<E> Ctx<'_, E> {
             delay >= SimTime::ZERO,
             "cannot schedule into the past (delay {delay})"
         );
-        self.queue.push(self.time + delay, self.self_id, dst, payload)
+        self.queue
+            .push(self.time + delay, self.self_id, dst, payload)
     }
 
     /// Schedule a self-event `delay` from now.

@@ -33,7 +33,13 @@ impl PhyOutcome for RoundRobinPhy {
             .map(|&c| {
                 let ap = self.next_ap;
                 self.next_ap = (self.next_ap + 1) % self.n_aps;
-                PacketResult { client: c, seq: 0, sinr: 12.0, ok: true, ap }
+                PacketResult {
+                    client: c,
+                    seq: 0,
+                    sinr: 12.0,
+                    ok: true,
+                    ap,
+                }
             })
             .collect()
     }
@@ -125,7 +131,10 @@ fn run(
 }
 
 fn at(ms: f64, kind: FaultKind) -> FaultAt {
-    FaultAt { at: SimTime::from_millis(ms), kind }
+    FaultAt {
+        at: SimTime::from_millis(ms),
+        kind,
+    }
 }
 
 /// Run the same scenario twice and insist on bit-identical metrics — the
@@ -150,10 +159,7 @@ fn client_departs_mid_poll_round_while_an_ap_is_down() {
     // (poll rounds are back-to-back there), with an AP outage bracketing
     // it: the leader keeps serving the remaining clients, the departed
     // client's queued packets still drain, and nothing panics.
-    let faults = [
-        at(8.0, FaultKind::ApDown(1)),
-        at(30.0, FaultKind::ApUp(1)),
-    ];
+    let faults = [at(8.0, FaultKind::ApDown(1)), at(30.0, FaultKind::ApUp(1))];
     let log = run_deterministic(11, 60.0, 3, 600.0, &faults, &[(2, 10.3)]);
     assert_eq!(log.faults, 2);
     assert!(log.offered > 10, "only {} packets offered", log.offered);
@@ -168,9 +174,7 @@ fn client_departs_mid_poll_round_while_an_ap_is_down() {
     assert!(from_leaver > 0, "pre-departure packets must still deliver");
     // Deliveries continue after the departure *and* after the AP recovers.
     assert!(
-        log.delivered
-            .iter()
-            .any(|r| r.delivered_us > 30_000.0),
+        log.delivered.iter().any(|r| r.delivered_us > 30_000.0),
         "service did not continue past the recovery"
     );
 }
@@ -227,10 +231,7 @@ fn partition_heals_during_cfp_and_forwards_resume() {
     assert!(log.wire_expired > 0, "partition never blocked a forward");
     assert!(log.degraded_groups > 0, "partition never dissolved a group");
     // Forwards resumed: wire deliveries continue after the heal.
-    assert!(
-        log.wire_packets > 0,
-        "no forward ever crossed the backhaul"
-    );
+    assert!(log.wire_packets > 0, "no forward ever crossed the backhaul");
     assert!(
         log.delivered
             .iter()
@@ -238,14 +239,7 @@ fn partition_heals_during_cfp_and_forwards_resume() {
         "no uplink delivery after the heal"
     );
     // The healed run still beats a permanently partitioned one.
-    let partitioned_forever = run(
-        13,
-        60.0,
-        3,
-        600.0,
-        &[at(7.0, FaultKind::BackhaulDown)],
-        &[],
-    );
+    let partitioned_forever = run(13, 60.0, 3, 600.0, &[at(7.0, FaultKind::BackhaulDown)], &[]);
     assert!(
         log.delivered_count(true) > partitioned_forever.delivered_count(true),
         "healing the partition must recover throughput"
@@ -258,14 +252,26 @@ fn overlapping_fault_storm_stays_deterministic() {
     // determinism gate (the storm includes same-timestamp faults, whose
     // FIFO tie-break is part of the frozen semantics).
     let faults = [
-        at(4.0, FaultKind::WireImpair { loss_ppm: 200_000, corrupt_ppm: 50_000 }),
+        at(
+            4.0,
+            FaultKind::WireImpair {
+                loss_ppm: 200_000,
+                corrupt_ppm: 50_000,
+            },
+        ),
         at(6.0, FaultKind::ApDown(1)),
         at(6.0, FaultKind::BackhaulDown),
         at(9.0, FaultKind::CsiStale(4)),
         at(12.0, FaultKind::BackhaulUp),
         at(14.0, FaultKind::ApUp(1)),
         at(15.0, FaultKind::CsiStale(0)),
-        at(16.0, FaultKind::WireImpair { loss_ppm: 0, corrupt_ppm: 0 }),
+        at(
+            16.0,
+            FaultKind::WireImpair {
+                loss_ppm: 0,
+                corrupt_ppm: 0,
+            },
+        ),
     ];
     let log = run_deterministic(14, 50.0, 4, 500.0, &faults, &[(0, 5.5), (3, 20.25)]);
     assert_eq!(log.faults, 8);

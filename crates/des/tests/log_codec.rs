@@ -3,9 +3,7 @@
 //! enforced, empty logs are valid, and *every* truncation or corruption is
 //! a typed [`CodecError`] — never a panic.
 
-use iac_des::log::codec::{
-    self, CodecError, EventCodec, EventLog, EventRecord, MAGIC, VERSION,
-};
+use iac_des::log::codec::{self, CodecError, EventCodec, EventLog, EventRecord, MAGIC, VERSION};
 use iac_des::{NetEvent, SimTime};
 use proptest::prelude::*;
 

@@ -116,7 +116,10 @@ fn different_seed_diverges_at_the_first_jittered_event() {
     assert_ne!(expected.time_bits, got.time_bits, "different jitter");
     let rendered = d.render::<Tick>();
     assert!(rendered.contains("first divergence at fired event 1"));
-    assert!(rendered.contains(">> [1]"), "context marker missing:\n{rendered}");
+    assert!(
+        rendered.contains(">> [1]"),
+        "context marker missing:\n{rendered}"
+    );
     assert!(!format!("{d}").is_empty(), "Display must render");
 }
 
@@ -141,7 +144,9 @@ fn overlong_recording_reports_leftover_records() {
     log.records.push(extra);
     let n = log.len();
     let mut sim = build(42);
-    let d = Replayer::new(log).run(&mut sim).expect_err("leftover record");
+    let d = Replayer::new(log)
+        .run(&mut sim)
+        .expect_err("leftover record");
     assert_eq!(d.index as usize, n - 1);
     assert!(d.expected.is_some(), "the recording still has this event");
     assert!(d.got.is_none(), "the simulation drained");
@@ -227,10 +232,7 @@ fn unfinished_recording_decodes_as_truncated() {
     assert!(!sink.is_empty());
     let bytes = sink.take();
     assert!(sink.is_empty(), "take drains the sink");
-    assert_eq!(
-        EventLog::decode(&bytes),
-        Err(CodecError::MissingEndMarker)
-    );
+    assert_eq!(EventLog::decode(&bytes), Err(CodecError::MissingEndMarker));
     drop(rec);
 }
 

@@ -14,8 +14,10 @@
 
 use iac_des::pcf::{EventPcf, EventPcfConfig};
 use iac_des::traffic::ArrivalProcess;
-use iac_des::{MetricsLog, NetEvent, PacketRecord, QueueDepthSample, SharedMetrics, SimTime,
-    Simulation, TrafficSource, WiredSink};
+use iac_des::{
+    MetricsLog, NetEvent, PacketRecord, QueueDepthSample, SharedMetrics, SimTime, Simulation,
+    TrafficSource, WiredSink,
+};
 use iac_linalg::Rng64;
 use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
@@ -108,7 +110,11 @@ fn whole_simulation_lifecycle_runs_inside_a_worker_thread() {
     assert_eq!(from_thread.delivered, from_main.delivered);
     assert_eq!(from_thread.queue_depth, from_main.queue_depth);
     assert_eq!(
-        (from_thread.offered, from_thread.cfps, from_thread.wire_packets),
+        (
+            from_thread.offered,
+            from_thread.cfps,
+            from_thread.wire_packets
+        ),
         (from_main.offered, from_main.cfps, from_main.wire_packets)
     );
 }

@@ -10,7 +10,7 @@
 //!   interference covariance matrices, which are Hermitian PSD.
 
 use crate::small::Small;
-use crate::{C64, CMat, CVec, LinAlgError, Result};
+use crate::{CMat, CVec, LinAlgError, Result, C64};
 
 /// Closed-form eigenpairs of a 2×2 complex matrix: `[(λ₁,v₁), (λ₂,v₂)]`.
 ///
@@ -262,7 +262,9 @@ pub fn smallest_eigvec2(a: &[C64; 4]) -> Result<[C64; 2]> {
 /// The `k` eigenvectors with smallest eigenvalues of a Hermitian matrix.
 pub fn smallest_eigvecs_hermitian(a: &CMat, k: usize) -> Result<Vec<CVec>> {
     if k > a.rows() {
-        return Err(LinAlgError::Degenerate("asked for more eigenvectors than dim"));
+        return Err(LinAlgError::Degenerate(
+            "asked for more eigenvectors than dim",
+        ));
     }
     let (_, v) = eigh(a)?;
     Ok((0..k).map(|j| v.col(j)).collect())
@@ -321,7 +323,11 @@ mod tests {
             .mul_mat(&q.hermitian());
         let (ls, v) = eigh(&a).unwrap();
         for (i, &expect) in d.iter().enumerate() {
-            assert!(approx_eq(ls[i], expect, 1e-8), "λ{i}: {} vs {expect}", ls[i]);
+            assert!(
+                approx_eq(ls[i], expect, 1e-8),
+                "λ{i}: {} vs {expect}",
+                ls[i]
+            );
         }
         // Unitarity of V.
         let g = v.hermitian().mul_mat(&v);
@@ -415,7 +421,12 @@ mod tests {
             // Off-diagonal below the rotation floor and at extreme scales.
             m([r(1.0), r(1e-20), r(1e-20), r(1.0)]),
             m([r(1e-150), r(1e-150), r(1e-150), r(1e-150)]),
-            m([r(1e150), C64::new(0.0, 1e150), C64::new(0.0, -1e150), r(1e150)]),
+            m([
+                r(1e150),
+                C64::new(0.0, 1e150),
+                C64::new(0.0, -1e150),
+                r(1e150),
+            ]),
         ];
         for a in &cases {
             assert_eigh2_matches_jacobi(a);

@@ -6,7 +6,7 @@
 //! [`CMat::inverse`](crate::CMat::inverse) and determinants.
 
 use crate::small::Small;
-use crate::{C64, CMat, CVec, LinAlgError, Result};
+use crate::{CMat, CVec, LinAlgError, Result, C64};
 
 /// A computed LU factorisation `P·A = L·U`.
 #[derive(Debug, Clone)]
@@ -184,8 +184,16 @@ pub(crate) fn inverse2(a: &CMat) -> Result<CMat> {
         let x0 = (b0 - u01 * x1) / u00;
         (x0, x1)
     };
-    let (p00, p10) = if swap { solve(zero, one) } else { solve(one, zero) };
-    let (p01, p11) = if swap { solve(one, zero) } else { solve(zero, one) };
+    let (p00, p10) = if swap {
+        solve(zero, one)
+    } else {
+        solve(one, zero)
+    };
+    let (p01, p11) = if swap {
+        solve(one, zero)
+    } else {
+        solve(zero, one)
+    };
     let out = [p00, p01, p10, p11];
     Ok(CMat::from_fn(2, 2, |r, c| out[2 * r + c]))
 }
@@ -363,11 +371,7 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         // a[0][0] = 0 forces a row swap; naive LU would divide by zero.
-        let a = CMat::new(
-            2,
-            2,
-            vec![C64::zero(), C64::one(), C64::one(), C64::one()],
-        );
+        let a = CMat::new(2, 2, vec![C64::zero(), C64::one(), C64::one(), C64::one()]);
         let b = CVec::from_real(&[1.0, 2.0]);
         let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
         // x0 + x1 = 2, x1 = 1 → x0 = 1.

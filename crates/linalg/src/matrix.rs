@@ -5,7 +5,7 @@
 //! squared), so the operations are written for clarity and robustness.
 
 use crate::small::Entries;
-use crate::{C64, CVec, LinAlgError, Result, Rng64};
+use crate::{CVec, LinAlgError, Result, Rng64, C64};
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// A dense complex matrix with row-major storage (a 2×2 matrix is stored
@@ -246,11 +246,7 @@ impl CMat {
 
     /// Frobenius norm `‖A‖_F`.
     pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|z| z.norm_sqr())
-            .sum::<f64>()
-            .sqrt()
+        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry.

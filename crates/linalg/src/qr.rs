@@ -3,7 +3,7 @@
 //! Used for least-squares channel estimation (paper §8a) and as a building
 //! block of the Hessenberg reduction in [`crate::eig`].
 
-use crate::{C64, CMat, CVec, LinAlgError, Result};
+use crate::{CMat, CVec, LinAlgError, Result, C64};
 
 /// A thin QR factorisation `A = Q·R` with `Q` having orthonormal columns
 /// (`m×n`, for `m ≥ n`) and `R` upper triangular (`n×n`).
@@ -81,13 +81,7 @@ impl Qr {
 
         // Form the thin Q by applying the reflectors (in reverse) to the
         // first n columns of the identity.
-        let mut q = CMat::from_fn(m, n, |i, j| {
-            if i == j {
-                C64::one()
-            } else {
-                C64::zero()
-            }
-        });
+        let mut q = CMat::from_fn(m, n, |i, j| if i == j { C64::one() } else { C64::zero() });
         for k in (0..reflectors.len()).rev() {
             let (v, tau) = &reflectors[k];
             if *tau == 0.0 {

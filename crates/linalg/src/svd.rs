@@ -8,7 +8,7 @@
 //! matrices used here.
 
 use crate::small::Small;
-use crate::{C64, CMat, CVec};
+use crate::{CMat, CVec, C64};
 
 /// A computed decomposition `A = U·diag(σ)·Vᴴ` with `σ` sorted descending.
 #[derive(Debug, Clone)]
@@ -337,7 +337,12 @@ mod tests {
         let mut rng = Rng64::new(304);
         let a = CMat::random(3, 3, &mut rng);
         let svd = Svd::compute(&a);
-        let sf: f64 = svd.singular_values.iter().map(|s| s * s).sum::<f64>().sqrt();
+        let sf: f64 = svd
+            .singular_values
+            .iter()
+            .map(|s| s * s)
+            .sum::<f64>()
+            .sqrt();
         assert!(approx_eq(sf, a.frobenius_norm(), 1e-10));
     }
 

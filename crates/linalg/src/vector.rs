@@ -7,7 +7,7 @@
 //! interference" (paper §4b) means that Hermitian product is zero.
 
 use crate::small::Entries;
-use crate::{C64, LinAlgError, Result, Rng64};
+use crate::{LinAlgError, Result, Rng64, C64};
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense complex column vector.
@@ -172,7 +172,9 @@ impl CVec {
                 got: (self.len(), 1),
             });
         }
-        let v: Self = [-self.data[1].conj(), self.data[0].conj()].into_iter().collect();
+        let v: Self = [-self.data[1].conj(), self.data[0].conj()]
+            .into_iter()
+            .collect();
         v.normalize()
     }
 

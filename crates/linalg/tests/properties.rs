@@ -5,7 +5,7 @@
 //! with random matrices while skipping genuinely ill-conditioned draws (which
 //! the library is entitled to reject as singular).
 
-use iac_linalg::{eig2, eigh, C64, CMat, CVec, Lu, Qr, Rng64, Svd};
+use iac_linalg::{eig2, eigh, CMat, CVec, Lu, Qr, Rng64, Svd, C64};
 use proptest::prelude::*;
 
 /// Strategy: a seeded RNG, so matrix entries come from our own CN(0,1)

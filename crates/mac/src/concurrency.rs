@@ -269,7 +269,12 @@ mod tests {
 
     /// A rigged scorer: group rate = sum of fixed per-client values.
     fn rigged(values: &HashMap<u16, f64>) -> impl FnMut(&[u16]) -> f64 + '_ {
-        move |group: &[u16]| group.iter().map(|c| values.get(c).copied().unwrap_or(0.0)).sum()
+        move |group: &[u16]| {
+            group
+                .iter()
+                .map(|c| values.get(c).copied().unwrap_or(0.0))
+                .sum()
+        }
     }
 
     fn values(pairs: &[(u16, f64)]) -> HashMap<u16, f64> {

@@ -316,7 +316,8 @@ mod tests {
     fn annotations_cost_bytes() {
         let bare = pkt(0, 0).wire_bytes();
         let mut p = pkt(0, 0);
-        p.annotations.push(Annotation::LossReport { client: 1, seq: 2 });
+        p.annotations
+            .push(Annotation::LossReport { client: 1, seq: 2 });
         assert_eq!(p.wire_bytes(), bare + 4);
         p.annotations.push(Annotation::ChannelUpdate {
             ap: 0,
@@ -395,7 +396,10 @@ mod tests {
                 attempts,
             } => {
                 assert_eq!(attempts, 3);
-                assert!((deliver_us - expect).abs() < 1e-9, "got {deliver_us}, want {expect}");
+                assert!(
+                    (deliver_us - expect).abs() < 1e-9,
+                    "got {deliver_us}, want {expect}"
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -438,6 +442,9 @@ mod tests {
         let d1 = send(&mut hub, &pkt(0, 1), 0.0);
         // Handed over long after the wire went idle: no queueing.
         let d2 = send(&mut hub, &pkt(0, 2), 10_000.0);
-        assert!((d2 - (10_000.0 + (d1 - 0.0))).abs() < 1e-9, "d1={d1} d2={d2}");
+        assert!(
+            (d2 - (10_000.0 + (d1 - 0.0))).abs() < 1e-9,
+            "d1={d1} d2={d2}"
+        );
     }
 }

@@ -358,7 +358,12 @@ mod tests {
 
     /// The full-precision vector a quantised one stands for.
     fn dequantise(q: &VectorQ) -> CVec {
-        CVec::new(q.parts.iter().map(|&(re, im)| C64::new(re as f64, im as f64)).collect())
+        CVec::new(
+            q.parts
+                .iter()
+                .map(|&(re, im)| C64::new(re as f64, im as f64))
+                .collect(),
+        )
     }
 
     fn sample_entries(n: usize, seed: u64) -> Vec<PollEntry> {

@@ -162,11 +162,10 @@ impl<'a> SpanGuard<'a> {
         let node = {
             let mut inner = prof.inner.borrow_mut();
             let parent = *inner.stack.last().expect("root never pops");
-            let found = inner.nodes[parent]
-                .children
-                .iter()
-                .copied()
-                .find(|&c| std::ptr::eq(inner.nodes[c].name, name) || inner.nodes[c].name == name);
+            let found =
+                inner.nodes[parent].children.iter().copied().find(|&c| {
+                    std::ptr::eq(inner.nodes[c].name, name) || inner.nodes[c].name == name
+                });
             let idx = found.unwrap_or_else(|| {
                 let idx = inner.nodes.len();
                 inner.nodes.push(Node::new(name, parent));
@@ -201,9 +200,8 @@ impl Drop for SpanGuard<'_> {
         }
         inner.nodes[parent].child_ns += dur_ns;
         if inner.trace {
-            let ts_ns =
-                u64::try_from(self.start.duration_since(self.prof.origin).as_nanos())
-                    .unwrap_or(u64::MAX);
+            let ts_ns = u64::try_from(self.start.duration_since(self.prof.origin).as_nanos())
+                .unwrap_or(u64::MAX);
             let name = inner.nodes[self.node].name;
             let lane = inner.lane;
             inner.events.push(TraceEvent {

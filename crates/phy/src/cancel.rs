@@ -9,7 +9,7 @@
 
 use crate::dsp::fill_phasors;
 use crate::fft::with_thread_scratch;
-use iac_linalg::{C64, CMat, CVec};
+use iac_linalg::{CMat, CVec, C64};
 
 /// Reconstruct the per-rx-antenna signal a known packet contributed: its
 /// symbols, precoded by `v`, through the estimated channel `ĥ`, with the
@@ -35,9 +35,7 @@ pub fn reconstruct_into(
     assert_eq!(v.len(), h_est.cols(), "precoder dimension mismatch");
     let amp = power.sqrt();
     let step = C64::cis(std::f64::consts::TAU * cfo_hz / sample_rate_hz);
-    let rot0 = C64::cis(
-        std::f64::consts::TAU * cfo_hz * start as f64 / sample_rate_hz,
-    );
+    let rot0 = C64::cis(std::f64::consts::TAU * cfo_hz * start as f64 / sample_rate_hz);
     crate::dsp::shape_streams(out, rx_antennas);
     let mut rot = with_thread_scratch(|s| s.take(symbols.len()));
     fill_phasors(&mut rot, rot0, step);

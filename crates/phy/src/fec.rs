@@ -105,8 +105,7 @@ impl ConvK3 {
         let mut metric = [INF; Self::STATES];
         metric[0] = 0;
         // survivors[t][s] = (previous state, input bit)
-        let mut survivors: Vec<[(u8, bool); Self::STATES]> =
-            Vec::with_capacity(steps);
+        let mut survivors: Vec<[(u8, bool); Self::STATES]> = Vec::with_capacity(steps);
         for t in 0..steps {
             let r1 = coded[2 * t];
             let r2 = coded[2 * t + 1];
@@ -227,11 +226,7 @@ mod tests {
             }
         }
         let decoded = ConvK3.decode(&coded);
-        let residual = bits
-            .iter()
-            .zip(&decoded)
-            .filter(|(a, b)| a != b)
-            .count();
+        let residual = bits.iter().zip(&decoded).filter(|(a, b)| a != b).count();
         assert!(channel_flips > 100, "test needs actual corruption");
         // K=3 has free distance 5: at 3% coded BER expect an order of
         // magnitude fewer residual errors than channel flips.

@@ -51,7 +51,10 @@ impl std::fmt::Display for FrameError {
             FrameError::Truncated => write!(f, "frame truncated"),
             FrameError::BadLength => write!(f, "payload length exceeds frame"),
             FrameError::BadCrc { expected, got } => {
-                write!(f, "CRC mismatch: expected {expected:#010x}, got {got:#010x}")
+                write!(
+                    f,
+                    "CRC mismatch: expected {expected:#010x}, got {got:#010x}"
+                )
             }
         }
     }
@@ -166,10 +169,7 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
 pub fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {
     bits.chunks(8)
         .filter(|c| c.len() == 8)
-        .map(|c| {
-            c.iter()
-                .fold(0u8, |acc, &bit| (acc << 1) | u8::from(bit))
-        })
+        .map(|c| c.iter().fold(0u8, |acc, &bit| (acc << 1) | u8::from(bit)))
         .collect()
 }
 

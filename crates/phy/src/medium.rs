@@ -12,7 +12,7 @@
 use crate::dsp::fill_phasors;
 use crate::fft::with_thread_scratch;
 use iac_channel::{Awgn, Cfo};
-use iac_linalg::{C64, CMat, Rng64};
+use iac_linalg::{CMat, Rng64, C64};
 
 /// One transmitter's contribution to the air, as seen by one receiver.
 #[derive(Debug)]
@@ -78,9 +78,7 @@ impl Medium {
                 continue;
             }
             let (mut rot, mut acc) = with_thread_scratch(|s| (s.take(len), s.take(len)));
-            let step = C64::cis(
-                std::f64::consts::TAU * tx.cfo.delta_f_hz / tx.cfo.sample_rate_hz,
-            );
+            let step = C64::cis(std::f64::consts::TAU * tx.cfo.delta_f_hz / tx.cfo.sample_rate_hz);
             fill_phasors(&mut rot, tx.cfo.phasor_at(tx.start), step);
             // `len > 0`, so there is at least one transmit stream.
             let (last, rest) = tx.streams.split_last().expect("non-empty transmission");

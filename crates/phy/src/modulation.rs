@@ -188,8 +188,7 @@ mod tests {
         ] {
             let bits = random_bits(40_000, &mut rng);
             let symbols = m.modulate(&bits);
-            let p: f64 =
-                symbols.iter().map(|s| s.norm_sqr()).sum::<f64>() / symbols.len() as f64;
+            let p: f64 = symbols.iter().map(|s| s.norm_sqr()).sum::<f64>() / symbols.len() as f64;
             assert!((p - 1.0).abs() < 0.02, "{name}: power {p}");
         }
     }
@@ -235,7 +234,12 @@ mod tests {
             }
             errs.push(bit_errors(&bits, &m.demodulate(&symbols)[..bits.len()]));
         }
-        assert!(errs[1] > errs[0] + 10, "bpsk {} vs qam16 {}", errs[0], errs[1]);
+        assert!(
+            errs[1] > errs[0] + 10,
+            "bpsk {} vs qam16 {}",
+            errs[0],
+            errs[1]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! convolution with the taps, FFT).
 
 use crate::fft::fft;
-use iac_linalg::{C64, CMat, Rng64};
+use iac_linalg::{CMat, Rng64, C64};
 
 /// A frequency-selective SISO channel as taps; OFDM turns it into one
 /// complex coefficient per subcarrier.
@@ -37,13 +37,7 @@ impl MultitapChannel {
     /// Random exponentially-decaying power-delay profile with `n_taps` taps
     /// and per-tap decay `decay` (0 = single tap ⇒ flat channel). The total
     /// power across taps is normalised to 1 per antenna pair.
-    pub fn random(
-        rx: usize,
-        tx: usize,
-        n_taps: usize,
-        decay: f64,
-        rng: &mut Rng64,
-    ) -> Self {
+    pub fn random(rx: usize, tx: usize, n_taps: usize, decay: f64, rng: &mut Rng64) -> Self {
         assert!(n_taps >= 1, "need at least one tap");
         let mut weights: Vec<f64> = (0..n_taps).map(|k| (-decay * k as f64).exp()).collect();
         let total: f64 = weights.iter().sum();

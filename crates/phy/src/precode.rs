@@ -6,7 +6,7 @@
 //! 2-dimensional vector, one on each antenna" (§4b).
 
 use crate::dsp::shape_streams;
-use iac_linalg::{C64, CVec};
+use iac_linalg::{CVec, C64};
 
 /// Multiply every sample by the encoding vector, producing one stream per
 /// transmit antenna, scaled so the *total* radiated power of the packet is

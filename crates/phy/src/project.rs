@@ -5,7 +5,7 @@
 //! projection combines the per-antenna streams into one scalar stream:
 //! `z(t) = Σ_a conj(u_a)·y_a(t)`.
 
-use iac_linalg::{C64, CVec};
+use iac_linalg::{CVec, C64};
 
 /// Project multi-antenna received streams onto a decoding vector, into a
 /// caller-owned buffer (cleared and refilled, reusing capacity). Zero
@@ -208,8 +208,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(t, &s)| {
-                s * C64::cis(std::f64::consts::TAU * residual_hz * t as f64 / fs)
-                    + rng.cn(0.01)
+                s * C64::cis(std::f64::consts::TAU * residual_hz * t as f64 / fs) + rng.cn(0.01)
             })
             .collect();
         // Without tracking, the tail of the packet drifts toward the
@@ -229,12 +228,11 @@ mod tests {
         let rotated: Vec<C64> = symbols.iter().map(|&s| s * C64::cis(0.6)).collect();
         let tracked = costas_bpsk(&rotated, 0.1);
         // After settling, samples sit back near the real axis.
-        let tail_imbalance: f64 = tracked[500..]
-            .iter()
-            .map(|z| z.im.abs())
-            .sum::<f64>()
-            / 1500.0;
-        assert!(tail_imbalance < 0.05, "loop did not settle: {tail_imbalance}");
+        let tail_imbalance: f64 = tracked[500..].iter().map(|z| z.im.abs()).sum::<f64>() / 1500.0;
+        assert!(
+            tail_imbalance < 0.05,
+            "loop did not settle: {tail_imbalance}"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! of `H` is observed in isolation.
 
 use crate::preamble::Preamble;
-use iac_linalg::{C64, CMat};
+use iac_linalg::{CMat, C64};
 
 /// Build the per-antenna training streams: antenna `b` transmits the
 /// preamble during slot `b` and silence otherwise. Total length is
@@ -54,7 +54,11 @@ pub fn estimate_channel(
 /// lag-1 autocorrelation. Unambiguous for `|Δf| < fs/2` per sample — far
 /// beyond the hundreds-of-Hz offsets of real radios.
 pub fn estimate_cfo(received: &[C64], known: &[C64], sample_rate_hz: f64) -> f64 {
-    assert_eq!(received.len(), known.len(), "length mismatch in CFO estimate");
+    assert_eq!(
+        received.len(),
+        known.len(),
+        "length mismatch in CFO estimate"
+    );
     assert!(received.len() >= 2, "need at least two samples");
     let stripped: Vec<C64> = received
         .iter()
@@ -169,9 +173,7 @@ pub fn matched_cfo_search(
 /// `e^{j2πΔf·t/fs}` starting at absolute sample index `start`).
 pub fn derotate(samples: &mut [C64], delta_f_hz: f64, sample_rate_hz: f64, start: usize) {
     let step = C64::cis(-std::f64::consts::TAU * delta_f_hz / sample_rate_hz);
-    let mut rot = C64::cis(
-        -std::f64::consts::TAU * delta_f_hz * start as f64 / sample_rate_hz,
-    );
+    let mut rot = C64::cis(-std::f64::consts::TAU * delta_f_hz * start as f64 / sample_rate_hz);
     for s in samples.iter_mut() {
         *s *= rot;
         rot *= step;
@@ -360,7 +362,13 @@ mod tests {
         let fs = 500_000.0;
         let n = 12_000;
         let known: Vec<C64> = (0..n)
-            .map(|_| if rng.chance(0.5) { C64::one() } else { C64::real(-1.0) })
+            .map(|_| {
+                if rng.chance(0.5) {
+                    C64::one()
+                } else {
+                    C64::real(-1.0)
+                }
+            })
             .collect();
         for &df in &[0.0f64, 1.5, -7.0, 40.0] {
             let cfo = Cfo::new(df, fs);
@@ -413,8 +421,7 @@ mod tests {
         let mut best_idx = 0;
         let mut scores = Vec::with_capacity(steps);
         for i in 0..steps {
-            let f = center_hz - half_width_hz
-                + 2.0 * half_width_hz * i as f64 / (steps - 1) as f64;
+            let f = center_hz - half_width_hz + 2.0 * half_width_hz * i as f64 / (steps - 1) as f64;
             let s = score(f);
             if s > scores.get(best_idx).copied().unwrap_or(f64::NEG_INFINITY) {
                 best_idx = i;
@@ -458,7 +465,11 @@ mod tests {
                 .map(|a| {
                     // Stream 0 is shorter than `known`, stream 1 longer:
                     // both sides of the `zip` get cut.
-                    let len = if a == 0 { known_len - 7 } else { known_len + 11 };
+                    let len = if a == 0 {
+                        known_len - 7
+                    } else {
+                        known_len + 11
+                    };
                     (0..len)
                         .map(|t| {
                             let k = known.get(t).copied().unwrap_or_else(C64::one);
@@ -470,7 +481,11 @@ mod tests {
             let got = matched_cfo_search(&streams, &known, fs, center, half_width, steps);
             let want =
                 matched_cfo_search_reference(&streams, &known, fs, center, half_width, steps);
-            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: {got} vs {want}");
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {got} vs {want}"
+            );
             if (got - (center + half_width)).abs() < 1e-9 {
                 edge_hits += 1;
             }

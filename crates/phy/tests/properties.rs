@@ -2,7 +2,7 @@
 //! laws that must hold for arbitrary payloads, channels and parameters.
 
 use iac_channel::{Awgn, Cfo};
-use iac_linalg::{C64, CMat, CVec, Rng64};
+use iac_linalg::{CMat, CVec, Rng64, C64};
 use iac_phy::cancel::reconstruct_into;
 use iac_phy::dsp::Scratch;
 use iac_phy::fec::{ConvK3, Hamming74};

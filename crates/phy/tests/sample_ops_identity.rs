@@ -12,7 +12,7 @@
 //! `f64` bit patterns via `assert_eq!` — no tolerances.
 
 use iac_channel::{Awgn, Cfo};
-use iac_linalg::{C64, CMat, CVec, Rng64};
+use iac_linalg::{CMat, CVec, Rng64, C64};
 use iac_phy::medium::{AirTransmission, Medium};
 use iac_phy::{cancel, precode, project};
 
@@ -53,8 +53,9 @@ fn combine_into_matches_scalar_reference() {
     for &n in LENGTHS {
         for antennas in [1usize, 2, 4] {
             let mut rng = Rng64::new(23 + n as u64 + antennas as u64);
-            let streams: Vec<Vec<C64>> =
-                (0..antennas).map(|a| samples(n, 31 + n as u64 + a as u64)).collect();
+            let streams: Vec<Vec<C64>> = (0..antennas)
+                .map(|a| samples(n, 31 + n as u64 + a as u64))
+                .collect();
             let u = CVec::random_unit(antennas, &mut rng);
             // Scalar reference: antenna-major conj-weight mul_add chain.
             let mut reference = vec![C64::zero(); n];
@@ -87,8 +88,18 @@ fn mix_into_matches_scalar_reference() {
         let s2: Vec<Vec<C64>> = vec![samples(n, 47)];
         let start2 = n / 2 + 1; // truncates: start2 + n > n
         let txs = [
-            AirTransmission { streams: &s1, channel: &h1, cfo: Cfo::new(321.0, fs), start: 0 },
-            AirTransmission { streams: &s2, channel: &h2, cfo: Cfo::new(-150.0, fs), start: start2 },
+            AirTransmission {
+                streams: &s1,
+                channel: &h1,
+                cfo: Cfo::new(321.0, fs),
+                start: 0,
+            },
+            AirTransmission {
+                streams: &s2,
+                channel: &h2,
+                cfo: Cfo::new(-150.0, fs),
+                start: start2,
+            },
         ];
         // Scalar reference: the pre-SoA sample-major loop.
         let mut reference = vec![vec![C64::zero(); n]; 2];

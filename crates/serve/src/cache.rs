@@ -273,10 +273,8 @@ mod tests {
     use super::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "iac_serve_cache_unit_{}_{tag}",
-            std::process::id()
-        ));
+        let d =
+            std::env::temp_dir().join(format!("iac_serve_cache_unit_{}_{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }

@@ -61,7 +61,11 @@ pub(crate) fn chaos_sleepy(_quality: Quality, seed: u64) -> TrialOutput {
 /// jobs before any trial would run.
 pub(crate) fn scenarios() -> Vec<Scenario> {
     [
-        ("chaos_panic", chaos_panic as fn(Quality, u64) -> TrialOutput, 2),
+        (
+            "chaos_panic",
+            chaos_panic as fn(Quality, u64) -> TrialOutput,
+            2,
+        ),
         ("chaos_flaky", chaos_flaky, 2),
         ("chaos_slow", chaos_slow, 4),
         ("chaos_sleepy", chaos_sleepy, 1),
@@ -87,7 +91,10 @@ mod tests {
 
     #[test]
     fn chaos_metrics_are_deterministic() {
-        assert_eq!(chaos_flaky(Quality::Quick, 42), chaos_flaky(Quality::Paper, 42));
+        assert_eq!(
+            chaos_flaky(Quality::Quick, 42),
+            chaos_flaky(Quality::Paper, 42)
+        );
         assert_eq!(metric(123).metrics, vec![("chaos_value", 0.123)]);
     }
 

@@ -535,10 +535,7 @@ enum LineEvent {
 /// newline. `WouldBlock`/`TimedOut` reads (socket read timeouts) poll
 /// `stop` instead of failing, which is how a blocked connection notices a
 /// daemon-wide drain.
-fn read_line_capped(
-    reader: &mut impl BufRead,
-    stop: &dyn Fn() -> bool,
-) -> io::Result<LineEvent> {
+fn read_line_capped(reader: &mut impl BufRead, stop: &dyn Fn() -> bool) -> io::Result<LineEvent> {
     let mut buf: Vec<u8> = Vec::new();
     let mut discarded = 0usize;
     loop {
@@ -763,11 +760,12 @@ mod tests {
     #[test]
     fn unknown_scenario_is_typed() {
         let daemon = quick_daemon(DaemonConfig::default());
-        let (_, out) = collect(
-            &daemon,
-            r#"{"type":"run","id":"r","scenario":"nonesuch"}"#,
+        let (_, out) = collect(&daemon, r#"{"type":"run","id":"r","scenario":"nonesuch"}"#);
+        assert!(
+            out[0].contains("\"error\":\"unknown_scenario\""),
+            "{}",
+            out[0]
         );
-        assert!(out[0].contains("\"error\":\"unknown_scenario\""), "{}", out[0]);
         // Chaos scenarios are absent unless enabled.
         let (_, out) = collect(
             &daemon,

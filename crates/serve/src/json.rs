@@ -258,7 +258,9 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err(JsonErrorKind::Truncated))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err(JsonErrorKind::Truncated))?;
             let d = match b {
                 b'0'..=b'9' => b - b'0',
                 b'a'..=b'f' => b - b'a' + 10,
@@ -275,12 +277,16 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut bytes: Vec<u8> = Vec::new();
         loop {
-            let b = self.peek().ok_or_else(|| self.err(JsonErrorKind::Truncated))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err(JsonErrorKind::Truncated))?;
             self.pos += 1;
             match b {
                 b'"' => break,
                 b'\\' => {
-                    let e = self.peek().ok_or_else(|| self.err(JsonErrorKind::Truncated))?;
+                    let e = self
+                        .peek()
+                        .ok_or_else(|| self.err(JsonErrorKind::Truncated))?;
                     self.pos += 1;
                     match e {
                         b'"' => bytes.push(b'"'),
@@ -297,7 +303,8 @@ impl<'a> Parser<'a> {
                                 // Surrogate pair: require the low half.
                                 if self.peek() == Some(b'\\') {
                                     self.pos += 1;
-                                    self.expect(b'u').map_err(|_| self.err(JsonErrorKind::BadString))?;
+                                    self.expect(b'u')
+                                        .map_err(|_| self.err(JsonErrorKind::BadString))?;
                                     let lo = self.hex4()?;
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.err(JsonErrorKind::BadString));
@@ -416,7 +423,10 @@ mod tests {
         assert_eq!(p("false").unwrap(), Value::Bool(false));
         assert_eq!(p("42").unwrap(), Value::Int(42));
         assert_eq!(p("-7").unwrap(), Value::Int(-7));
-        assert_eq!(p("18446744073709551615").unwrap(), Value::Int(u64::MAX as i128));
+        assert_eq!(
+            p("18446744073709551615").unwrap(),
+            Value::Int(u64::MAX as i128)
+        );
         assert_eq!(p("1.5").unwrap(), Value::Float(1.5));
         assert_eq!(p("2e3").unwrap(), Value::Float(2000.0));
         assert_eq!(p("\"hi\"").unwrap(), Value::Str("hi".to_string()));
@@ -460,8 +470,19 @@ mod tests {
     #[test]
     fn truncation_is_typed() {
         for s in [
-            "", "{", "[", "\"abc", "{\"a\":", "{\"a\":1,", "[1,", "tru", "nul", "-", "1.",
-            "{\"a\"", "\"a\\",
+            "",
+            "{",
+            "[",
+            "\"abc",
+            "{\"a\":",
+            "{\"a\":1,",
+            "[1,",
+            "tru",
+            "nul",
+            "-",
+            "1.",
+            "{\"a\"",
+            "\"a\\",
         ] {
             let e = p(s).unwrap_err();
             assert!(
@@ -476,7 +497,17 @@ mod tests {
 
     #[test]
     fn garbage_is_typed() {
-        for s in ["}", "0x12", "1 2", "{\"a\" 1}", "{'a':1}", "{\"a\":1}x", "+1", "007", "--4"] {
+        for s in [
+            "}",
+            "0x12",
+            "1 2",
+            "{\"a\" 1}",
+            "{'a':1}",
+            "{\"a\":1}x",
+            "+1",
+            "007",
+            "--4",
+        ] {
             assert!(p(s).is_err(), "{s:?} should fail");
         }
         assert_eq!(p("1 2").unwrap_err().kind, JsonErrorKind::TrailingGarbage);
@@ -502,7 +533,13 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        for s in ["plain", "with \"quotes\"", "tabs\tand\nnewlines", "uni😀code", "\x01ctl"] {
+        for s in [
+            "plain",
+            "with \"quotes\"",
+            "tabs\tand\nnewlines",
+            "uni😀code",
+            "\x01ctl",
+        ] {
             let enc = escape(s);
             assert_eq!(p(&enc).unwrap(), Value::Str(s.to_string()), "{enc}");
         }

@@ -128,7 +128,11 @@ impl WorkerPool {
 
     /// Enqueue one job (FIFO; any live worker may take it).
     pub(crate) fn submit(&self, job: Job) {
-        let tx = self.inject.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let tx = self
+            .inject
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
         let _ = tx.send(job);
     }
 
@@ -477,7 +481,11 @@ mod tests {
         let k = out.outputs.len();
         assert!(k > 0 && k < 64, "partial prefix expected, got {k}");
         for (i, t) in out.outputs.iter().enumerate() {
-            assert_eq!(t.metrics[0].1, (seeds[i] % 97) as f64, "prefix must be contiguous");
+            assert_eq!(
+                t.metrics[0].1,
+                (seeds[i] % 97) as f64,
+                "prefix must be contiguous"
+            );
         }
         pool.shutdown();
     }

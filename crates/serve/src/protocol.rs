@@ -163,11 +163,7 @@ fn seed_of(v: &Value) -> Option<u64> {
     }
 }
 
-fn str_field(
-    obj: &Value,
-    field: &'static str,
-    max: usize,
-) -> Result<Option<String>, ProtoError> {
+fn str_field(obj: &Value, field: &'static str, max: usize) -> Result<Option<String>, ProtoError> {
     match obj.field(field) {
         None => Ok(None),
         Some(v) => {
@@ -331,7 +327,11 @@ impl RunStatus {
 }
 
 /// One streamed per-replicate line: the replicate's metrics in trial order.
-pub(crate) fn replicate_line(id: &str, replicate: usize, metrics: &[(&'static str, f64)]) -> String {
+pub(crate) fn replicate_line(
+    id: &str,
+    replicate: usize,
+    metrics: &[(&'static str, f64)],
+) -> String {
     let mut s = format!(
         "{{\"type\":\"replicate\",\"id\":{},\"replicate\":{replicate},\"metrics\":{{",
         json::escape(id)
@@ -443,24 +443,45 @@ mod tests {
     fn control_requests_decode() {
         assert_eq!(
             run_req(r#"{"type":"ping","id":"p"}"#).unwrap(),
-            Request::Ping { id: "p".to_string() }
+            Request::Ping {
+                id: "p".to_string()
+            }
         );
         assert_eq!(
             run_req(r#"{"type":"stats","id":"s"}"#).unwrap(),
-            Request::Stats { id: "s".to_string() }
+            Request::Stats {
+                id: "s".to_string()
+            }
         );
         assert_eq!(
             run_req(r#"{"type":"shutdown","id":"x"}"#).unwrap(),
-            Request::Shutdown { id: "x".to_string() }
+            Request::Shutdown {
+                id: "x".to_string()
+            }
         );
     }
 
     #[test]
     fn big_seeds_survive_both_spellings() {
         for (line, want) in [
-            (format!(r#"{{"type":"run","id":"a","scenario":"s","seed":{}}}"#, u64::MAX), u64::MAX),
-            (r#"{"type":"run","id":"a","scenario":"s","seed":"0xffffffffffffffff"}"#.to_string(), u64::MAX),
-            (format!(r#"{{"type":"run","id":"a","scenario":"s","seed":"{}"}}"#, u64::MAX - 3), u64::MAX - 3),
+            (
+                format!(
+                    r#"{{"type":"run","id":"a","scenario":"s","seed":{}}}"#,
+                    u64::MAX
+                ),
+                u64::MAX,
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","seed":"0xffffffffffffffff"}"#.to_string(),
+                u64::MAX,
+            ),
+            (
+                format!(
+                    r#"{{"type":"run","id":"a","scenario":"s","seed":"{}"}}"#,
+                    u64::MAX - 3
+                ),
+                u64::MAX - 3,
+            ),
         ] {
             match run_req(&line).unwrap() {
                 Request::Run(rr) => assert_eq!(rr.seed, Some(want), "{line}"),
@@ -479,13 +500,34 @@ mod tests {
             ("{\"id\":\"a\"}", "protocol"),
             (r#"{"type":"run","id":"a"}"#, "protocol"),
             (r#"{"type":"nonesuch","id":"a"}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","quality":"best"}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","seed":-1}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","seed":1.5}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","seed":18446744073709551616}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","replicates":0}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","replicates":100001}"#, "protocol"),
-            (r#"{"type":"run","id":"a","scenario":"s","no_cache":"yes"}"#, "protocol"),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","quality":"best"}"#,
+                "protocol",
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","seed":-1}"#,
+                "protocol",
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","seed":1.5}"#,
+                "protocol",
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","seed":18446744073709551616}"#,
+                "protocol",
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","replicates":0}"#,
+                "protocol",
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","replicates":100001}"#,
+                "protocol",
+            ),
+            (
+                r#"{"type":"run","id":"a","scenario":"s","no_cache":"yes"}"#,
+                "protocol",
+            ),
             (r#"{"type":"run","id":3,"scenario":"s"}"#, "protocol"),
         ];
         for (line, code) in cases {
@@ -516,7 +558,13 @@ mod tests {
             "s".repeat(MAX_SCENARIO_BYTES + 1)
         ))
         .unwrap_err();
-        assert!(matches!(e, ProtoError::BadField { field: "scenario", .. }));
+        assert!(matches!(
+            e,
+            ProtoError::BadField {
+                field: "scenario",
+                ..
+            }
+        ));
     }
 
     #[test]

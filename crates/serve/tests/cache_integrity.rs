@@ -17,10 +17,7 @@ use iac_sim::registry::{self, Quality};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "iac_serve_cache_it_{}_{tag}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("iac_serve_cache_it_{}_{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }
@@ -65,7 +62,12 @@ fn every_registry_scenario_hits_bit_identical_across_worker_counts() {
 
         // Hit: byte-identical except the cached flag, no recompute.
         let hit = drive(&daemon4, &run_line(spec.name));
-        assert_eq!(hit.len(), 1, "{}: a hit streams no replicate lines", spec.name);
+        assert_eq!(
+            hit.len(),
+            1,
+            "{}: a hit streams no replicate lines",
+            spec.name
+        );
         assert_eq!(
             hit[0],
             cold_result.replace("\"cached\":false", "\"cached\":true"),
@@ -133,7 +135,11 @@ fn any_single_byte_corruption_is_quarantined_and_recomputed() {
             // recommit the pristine bytes.
             assert_eq!(cache.get(&key), None, "byte {pos}");
             cache.put(&key, &report).unwrap();
-            assert_eq!(cache.get(&key).as_deref(), Some(report.as_str()), "byte {pos}");
+            assert_eq!(
+                cache.get(&key).as_deref(),
+                Some(report.as_str()),
+                "byte {pos}"
+            );
             assert_eq!(std::fs::read(&path).unwrap(), committed, "byte {pos}");
             // Reset the quarantine between flips so counts stay exact.
             let _ = std::fs::remove_dir_all(&quarantine);

@@ -51,7 +51,9 @@ fn panics_are_typed_and_the_daemon_keeps_serving() {
         let spec = registry::find("fig12").unwrap();
         let want = registry::run_scenario(&spec, Quality::Quick, 11, 2, 1).to_json();
         assert!(
-            out.last().unwrap().contains(&format!("\"report\":{want}}}")),
+            out.last()
+                .unwrap()
+                .contains(&format!("\"report\":{want}}}")),
             "workers={workers}: post-panic report drifted\n{}",
             out.last().unwrap()
         );
@@ -94,9 +96,15 @@ fn deadlines_flush_partial_contiguous_prefixes() {
         (1..8).contains(&completed),
         "expected a strict partial prefix, got {completed} of 8:\n{last}"
     );
-    assert!(last.contains(&format!("\"completed\":{completed}")), "{last}");
+    assert!(
+        last.contains(&format!("\"completed\":{completed}")),
+        "{last}"
+    );
     // The partial report reduces over exactly the completed prefix.
-    assert!(last.contains(&format!("\"replicates\":{completed}")), "{last}");
+    assert!(
+        last.contains(&format!("\"replicates\":{completed}")),
+        "{last}"
+    );
     for (i, line) in out[..completed].iter().enumerate() {
         assert!(line.contains(&format!("\"replicate\":{i}")), "{line}");
     }
@@ -123,7 +131,10 @@ fn worker_kill_mid_request_fails_typed_and_respawns() {
     let last = out.last().unwrap();
     assert!(last.contains("\"error\":\"worker_lost\""), "{last}");
     assert_eq!(daemon.metrics().worker_lost.get(), 1);
-    assert!(daemon.metrics().respawns.get() >= 1, "dead workers respawned");
+    assert!(
+        daemon.metrics().respawns.get() >= 1,
+        "dead workers respawned"
+    );
 
     // The daemon answers the next request correctly on the respawned pool.
     let out = drive(
@@ -133,7 +144,9 @@ fn worker_kill_mid_request_fails_typed_and_respawns() {
     let spec = registry::find("fig12").unwrap();
     let want = registry::run_scenario(&spec, Quality::Quick, 11, 2, 1).to_json();
     assert!(
-        out.last().unwrap().contains(&format!("\"report\":{want}}}")),
+        out.last()
+            .unwrap()
+            .contains(&format!("\"report\":{want}}}")),
         "post-kill report drifted\n{}",
         out.last().unwrap()
     );
@@ -182,7 +195,11 @@ fn overload_sheds_typed_and_degrades_to_cached_quick() {
         // The degraded payload is the committed Quick report, verbatim.
         let spec = registry::find("fig12").unwrap();
         let want = registry::run_scenario(&spec, Quality::Quick, 11, 2, 1).to_json();
-        assert!(out[0].contains(&format!("\"report\":{want}}}")), "{}", out[0]);
+        assert!(
+            out[0].contains(&format!("\"report\":{want}}}")),
+            "{}",
+            out[0]
+        );
 
         // No cached fallback → typed shed.
         let out = drive(
@@ -215,7 +232,10 @@ fn chaos_responses_are_deterministic_across_runs_and_workers() {
     for workers in [1, 4, 1] {
         let daemon = chaos_daemon(workers, 4, None);
         // Inject unrelated carnage first.
-        drive(&daemon, r#"{"type":"run","id":"x","scenario":"chaos_panic"}"#);
+        drive(
+            &daemon,
+            r#"{"type":"run","id":"x","scenario":"chaos_panic"}"#,
+        );
         drive(
             &daemon,
             r#"{"type":"run","id":"y","scenario":"chaos_kill_worker"}"#,

@@ -67,7 +67,10 @@ fn parallel_clients_do_not_serialize() {
         // Wait for the socket to exist.
         let t0 = Instant::now();
         while !path.exists() {
-            assert!(t0.elapsed() < Duration::from_secs(10), "socket never appeared");
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "socket never appeared"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
 

@@ -5,9 +5,7 @@
 //! a `Request` or a typed `ProtoError`. Never a panic, never a hang, and
 //! well-formed requests round-trip exactly.
 
-use iac_serve::protocol::{
-    decode_request, encode_request, ProtoError, Request, MAX_LINE_BYTES,
-};
+use iac_serve::protocol::{decode_request, encode_request, ProtoError, Request, MAX_LINE_BYTES};
 use iac_serve::RunRequest;
 use iac_sim::registry::Quality;
 use proptest::prelude::*;
@@ -36,7 +34,11 @@ fn arb_request() -> impl Strategy<Value = Request> {
             Request::Run(RunRequest {
                 id,
                 scenario,
-                quality: if b % 2 == 0 { Quality::Quick } else { Quality::Paper },
+                quality: if b % 2 == 0 {
+                    Quality::Quick
+                } else {
+                    Quality::Paper
+                },
                 seed: (b % 3 != 0).then_some(seed),
                 replicates: (b % 5 != 0).then_some(replicates),
                 deadline_ms: (b % 7 != 0).then_some(deadline % 1_000_000),

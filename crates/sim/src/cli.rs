@@ -81,7 +81,8 @@ pub enum SweepOutcome {
 }
 
 /// The usage text `examples/sweep.rs` prints on a parse error.
-pub(crate) const USAGE: &str = "usage: sweep [--scenario <name>|all] [--replicates N] [--threads N] \
+pub(crate) const USAGE: &str =
+    "usage: sweep [--scenario <name>|all] [--replicates N] [--threads N] \
 [--seed N] [--paper] [--json] [--list] [--metrics <path>] [--trace <path>] [--progress] \
 [--timeout-secs N]\n\
 \n\
@@ -187,7 +188,11 @@ pub fn run_sweep(
     if args.list {
         writeln!(stdout, "{:<22} {:<5} description", "scenario", "reps")?;
         for s in &scenarios {
-            writeln!(stdout, "{:<22} {:<5} {}", s.name, s.default_replicates, s.about)?;
+            writeln!(
+                stdout,
+                "{:<22} {:<5} {}",
+                s.name, s.default_replicates, s.about
+            )?;
         }
         return Ok(SweepOutcome::Completed);
     }
@@ -323,9 +328,23 @@ mod tests {
     #[test]
     fn flags_parse() {
         let a = parse(&[
-            "--scenario", "des_load", "--replicates", "2", "--threads", "4", "--seed", "0x1a",
-            "--paper", "--json", "--metrics", "m.json", "--trace", "t.json", "--progress",
-            "--timeout-secs", "30",
+            "--scenario",
+            "des_load",
+            "--replicates",
+            "2",
+            "--threads",
+            "4",
+            "--seed",
+            "0x1a",
+            "--paper",
+            "--json",
+            "--metrics",
+            "m.json",
+            "--trace",
+            "t.json",
+            "--progress",
+            "--timeout-secs",
+            "30",
         ]);
         assert_eq!(a.scenario, "des_load");
         assert_eq!(a.replicates, Some(2));
@@ -407,7 +426,10 @@ mod tests {
             run_sweep(&bounded_args, &mut bounded, &mut err).unwrap(),
             SweepOutcome::Completed
         );
-        assert_eq!(plain, bounded, "a deadline that never fires must not change stdout");
+        assert_eq!(
+            plain, bounded,
+            "a deadline that never fires must not change stdout"
+        );
     }
 
     fn broken(_q: Quality, _seed: u64) -> registry::TrialOutput {
@@ -434,8 +456,14 @@ mod tests {
             SweepOutcome::Panicked
         );
         let out = String::from_utf8(out).unwrap();
-        assert!(!out.contains("\"broken\""), "the broken report is skipped: {out}");
-        assert!(out.contains("\"sec7_overhead\""), "later scenarios still run: {out}");
+        assert!(
+            !out.contains("\"broken\""),
+            "the broken report is skipped: {out}"
+        );
+        assert!(
+            out.contains("\"sec7_overhead\""),
+            "later scenarios still run: {out}"
+        );
         let err = String::from_utf8(err).unwrap();
         assert!(
             err.contains("[panic] broken: replicate 0 panicked: broken scenario"),

@@ -325,9 +325,9 @@ pub fn trial_output_from(
         "des_campus" => {
             let cfg = campus_config(quality, trial_seed);
             let spec = des_campus::spec_for(&cfg);
-            let [out]: [NetSimOutcome; 1] = outcomes
-                .try_into()
-                .unwrap_or_else(|o: Vec<_>| panic!("des_campus expects 1 outcome, got {}", o.len()));
+            let [out]: [NetSimOutcome; 1] = outcomes.try_into().unwrap_or_else(|o: Vec<_>| {
+                panic!("des_campus expects 1 outcome, got {}", o.len())
+            });
             campus_trial_output(&des_campus::report_from(&cfg, &spec, out))
         }
         "des_load" => {
@@ -370,7 +370,11 @@ pub fn trial_output_from(
                 1 + cfg.severities,
                 "rob_csi_aging expects the MIMO baseline plus one IAC outcome per severity"
             );
-            aging_trial_output(&robustness::aging_report_from(&cfg, &outcomes[0], &outcomes[1..]))
+            aging_trial_output(&robustness::aging_report_from(
+                &cfg,
+                &outcomes[0],
+                &outcomes[1..],
+            ))
         }
         other => panic!("no DES scenario named {other:?} (see desrec::DES_SCENARIOS)"),
     }

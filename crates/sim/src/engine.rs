@@ -116,7 +116,11 @@ pub fn trials_for(master_seed: u64, replicates: usize) -> Vec<Trial> {
 /// `0`, negative, or garbage values clamp to 1 (a mis-set CI matrix cell
 /// must degrade to serial, not silently fall through to "all cores").
 fn threads_from_env(raw: &str) -> usize {
-    raw.trim().parse::<usize>().ok().filter(|&n| n > 0).unwrap_or(1)
+    raw.trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or(1)
 }
 
 /// Resolve a requested worker count: `0` means "pick for me" — the
@@ -363,7 +367,10 @@ where
         } else {
             merged.extend(shard.outputs);
         }
-        panic = panic.into_iter().chain(shard.panic).min_by_key(|p| p.replicate);
+        panic = panic
+            .into_iter()
+            .chain(shard.panic)
+            .min_by_key(|p| p.replicate);
         if let (Some(facts), Some(lane)) = (facts.as_mut(), shard.facts) {
             lane.fold_into(facts);
         }
@@ -373,7 +380,11 @@ where
     let k = if merged.len() == n {
         n
     } else {
-        merged.iter().enumerate().take_while(|&(k, &(i, _))| i == k).count()
+        merged
+            .iter()
+            .enumerate()
+            .take_while(|&(k, &(i, _))| i == k)
+            .count()
     };
     merged.truncate(k);
     if let Some(facts) = facts.as_mut() {
@@ -552,7 +563,10 @@ mod tests {
             ..plan(workers, Deadline::none())
         };
         let done = run(n, &plan, f);
-        (done.outputs, done.facts.expect("observed runs return facts"))
+        (
+            done.outputs,
+            done.facts.expect("observed runs return facts"),
+        )
     }
 
     #[test]
@@ -560,7 +574,9 @@ mod tests {
         // Exact worker counts above the machine's cores: this test must
         // exercise real multi-worker chunk claiming even on a single-core
         // container.
-        let serial: Vec<u64> = (0..37).map(|i| Rng64::derive(9, i as u64).next_u64()).collect();
+        let serial: Vec<u64> = (0..37)
+            .map(|i| Rng64::derive(9, i as u64).next_u64())
+            .collect();
         for workers in [1, 2, 3, 7, 16] {
             let parallel = run_on(37, workers, |i| Rng64::derive(9, i as u64).next_u64());
             assert_eq!(parallel, serial, "workers = {workers}");
@@ -585,13 +601,19 @@ mod tests {
         let mut last_size = usize::MAX;
         while let Some(r) = claim_chunk(&cursor, n, workers) {
             assert!(!r.is_empty());
-            assert!(r.len() <= last_size, "chunks must shrink (or stay) over time");
+            assert!(
+                r.len() <= last_size,
+                "chunks must shrink (or stay) over time"
+            );
             last_size = r.len();
             for i in r {
                 seen[i] += 1;
             }
         }
-        assert!(seen.iter().all(|&c| c == 1), "every index claimed exactly once");
+        assert!(
+            seen.iter().all(|&c| c == 1),
+            "every index claimed exactly once"
+        );
         // First claim of 1000 trials on 4 workers: 1000/16 = 62.
         assert_eq!(last_size, 1, "the tail degenerates to single-trial chunks");
     }
@@ -652,13 +674,23 @@ mod tests {
         let cores = available_cores();
         assert_eq!(effective_workers(1, 100), 1);
         assert!(effective_workers(1024, 100) <= cores);
-        assert_eq!(effective_workers(4, 2), 2.min(cores), "never more workers than trials");
-        assert_eq!(effective_workers(4, 0), 1, "zero trials still needs one lane");
+        assert_eq!(
+            effective_workers(4, 2),
+            2.min(cores),
+            "never more workers than trials"
+        );
+        assert_eq!(
+            effective_workers(4, 0),
+            1,
+            "zero trials still needs one lane"
+        );
     }
 
     #[test]
     fn observed_outputs_match_plain_for_every_worker_count() {
-        let serial: Vec<u64> = (0..23).map(|i| Rng64::derive(3, i as u64).next_u64()).collect();
+        let serial: Vec<u64> = (0..23)
+            .map(|i| Rng64::derive(3, i as u64).next_u64())
+            .collect();
         for workers in [1, 2, 4] {
             let (out, facts) = observed(23, workers, |i| Rng64::derive(3, i as u64).next_u64());
             assert_eq!(out, serial, "workers = {workers}");
@@ -726,7 +758,10 @@ mod tests {
                     i * 7
                 },
             );
-            assert!(!complete, "64 * 4ms cannot fit in 30ms (workers = {workers})");
+            assert!(
+                !complete,
+                "64 * 4ms cannot fit in 30ms (workers = {workers})"
+            );
             assert!(out.len() < 64);
             assert_eq!(out, (0..out.len()).map(|i| i * 7).collect::<Vec<_>>());
         }
@@ -740,7 +775,9 @@ mod tests {
         // full range — including k == 0 (expired before the first trial) and
         // k == n (deadline after the last).
         let n = 48;
-        let serial: Vec<u64> = (0..n).map(|i| Rng64::derive(13, i as u64).next_u64()).collect();
+        let serial: Vec<u64> = (0..n)
+            .map(|i| Rng64::derive(13, i as u64).next_u64())
+            .collect();
         let trial = |i: usize| {
             std::thread::sleep(Duration::from_micros(300));
             Rng64::derive(13, i as u64).next_u64()
@@ -765,7 +802,9 @@ mod tests {
 
     #[test]
     fn generous_deadline_completes_and_matches_unbounded() {
-        let serial: Vec<u64> = (0..11).map(|i| Rng64::derive(5, i as u64).next_u64()).collect();
+        let serial: Vec<u64> = (0..11)
+            .map(|i| Rng64::derive(5, i as u64).next_u64())
+            .collect();
         let (out, complete) = run_until(11, 2, Deadline::after(Duration::from_secs(3600)), |i| {
             Rng64::derive(5, i as u64).next_u64()
         });
@@ -786,10 +825,18 @@ mod tests {
             let mut x = vec![iac_linalg::C64::one(); 64];
             iac_phy::fft::fft(&mut x);
         });
-        let total =
-            |f: &EngineFacts| f.workers.iter().map(|w| w.scratch.plan_hits + w.scratch.plan_misses).sum::<u64>();
+        let total = |f: &EngineFacts| {
+            f.workers
+                .iter()
+                .map(|w| w.scratch.plan_hits + w.scratch.plan_misses)
+                .sum::<u64>()
+        };
         assert_eq!(total(&first), 2);
-        assert_eq!(total(&second), 2, "second run reports its own delta, not the cumulative total");
+        assert_eq!(
+            total(&second),
+            2,
+            "second run reports its own delta, not the cumulative total"
+        );
     }
 
     #[test]
@@ -807,7 +854,11 @@ mod tests {
         trial(0);
         let before = iac_phy::fft::thread_scratch_stats();
         let (_, facts) = observed(3, 2, trial);
-        let lane0 = facts.workers.iter().find(|w| w.lane == 0).expect("lane 0 reported");
+        let lane0 = facts
+            .workers
+            .iter()
+            .find(|w| w.lane == 0)
+            .expect("lane 0 reported");
         let on_caller = iac_phy::fft::thread_scratch_stats().since(&before);
         assert_eq!(
             lane0.scratch, on_caller,
@@ -839,7 +890,9 @@ mod tests {
             }
             Rng64::derive(21, i as u64).next_u64()
         };
-        let prefix: Vec<u64> = (0..5).map(|i| Rng64::derive(21, i as u64).next_u64()).collect();
+        let prefix: Vec<u64> = (0..5)
+            .map(|i| Rng64::derive(21, i as u64).next_u64())
+            .collect();
         for workers in [1, 2, 4] {
             for observe in [false, true] {
                 let plan = RunPlan {
@@ -855,7 +908,10 @@ mod tests {
                     }),
                     "workers = {workers}, observe = {observe}"
                 );
-                assert_eq!(done.outputs, prefix, "workers = {workers}, observe = {observe}");
+                assert_eq!(
+                    done.outputs, prefix,
+                    "workers = {workers}, observe = {observe}"
+                );
                 assert!(!done.complete);
             }
         }
@@ -864,9 +920,15 @@ mod tests {
     #[test]
     fn catch_trial_keeps_the_message() {
         assert_eq!(catch_trial(|| 7), Ok(7));
-        assert_eq!(catch_trial(|| -> u8 { panic!("boom") }), Err("boom".to_string()));
+        assert_eq!(
+            catch_trial(|| -> u8 { panic!("boom") }),
+            Err("boom".to_string())
+        );
         let n = 3;
-        assert_eq!(catch_trial(|| -> u8 { panic!("boom {n}") }), Err("boom 3".to_string()));
+        assert_eq!(
+            catch_trial(|| -> u8 { panic!("boom {n}") }),
+            Err("boom 3".to_string())
+        );
         assert_eq!(
             catch_trial(|| -> u8 { std::panic::panic_any(42u32) }),
             Err("non-string panic payload".to_string())

@@ -178,9 +178,7 @@ pub(crate) fn iac_uplink4_slot(
 ) -> f64 {
     let n = grid_true.transmitters();
     debug_assert_eq!(n, 3);
-    let order: Vec<usize> = (0..n)
-        .map(|k| (double_client + k) % n)
-        .collect();
+    let order: Vec<usize> = (0..n).map(|k| (double_client + k) % n).collect();
     let gt = permute_transmitters(grid_true, &order);
     let ge = permute_transmitters(grid_est, &order);
     iac_rate_for(&gt, &ge, cfg, rng, IacShape::Uplink4)

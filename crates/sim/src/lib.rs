@@ -56,9 +56,9 @@ pub mod stats;
 pub mod testbed;
 
 pub use engine::{Deadline, EngineFacts, RunPlan, Trial, TrialPanic};
-pub use obs::SweepObs;
 pub use experiment::{ExperimentConfig, ScatterPoint, DEFAULT_SEED};
 pub use netsim::{CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+pub use obs::SweepObs;
 pub use registry::{Quality, Scenario, ScenarioReport, TrialOutput};
 pub use stats::Summary;
 pub use testbed::Testbed;

@@ -86,9 +86,9 @@ pub fn windowed_jain(log: &MetricsLog, window_us: f64, horizon_us: f64) -> Vec<(
 
 /// Peak queue depth over the run, `(downlink, uplink)`.
 pub(crate) fn peak_queue_depth(log: &MetricsLog) -> (usize, usize) {
-    log.queue_depth.iter().fold((0, 0), |(d, u), s| {
-        (d.max(s.downlink), u.max(s.uplink))
-    })
+    log.queue_depth
+        .iter()
+        .fold((0, 0), |(d, u), s| (d.max(s.downlink), u.max(s.uplink)))
 }
 
 #[cfg(test)]
@@ -156,7 +156,10 @@ mod tests {
         let log = log_with(&[(0, 0.0, 100.0), (0, 0.0, 200.0), (1, 50.0, 1100.0)]);
         let j = windowed_jain(&log, 1000.0, 2000.0);
         let w0 = j[0].1;
-        assert!((w0 - 0.5).abs() < 1e-12, "expected jain([2,0]) = 0.5, got {w0}");
+        assert!(
+            (w0 - 0.5).abs() < 1e-12,
+            "expected jain([2,0]) = 0.5, got {w0}"
+        );
     }
 
     #[test]

@@ -286,7 +286,11 @@ pub fn build_netsim(spec: &NetSim, phy: CalibratedPhy) -> (Simulation<NetEvent>,
             sim.schedule(SimTime::ZERO, src, NetEvent::Join);
         } else {
             for &(t_ms, join) in &s.churn_ms {
-                let ev = if join { NetEvent::Join } else { NetEvent::Leave };
+                let ev = if join {
+                    NetEvent::Join
+                } else {
+                    NetEvent::Leave
+                };
                 sim.schedule(SimTime::from_millis(t_ms), src, ev);
             }
         }
@@ -297,7 +301,9 @@ pub fn build_netsim(spec: &NetSim, phy: CalibratedPhy) -> (Simulation<NetEvent>,
         // injector draws nothing from the RNG, so a faulty spec perturbs
         // only what its faults actually touch.
         let injector = FaultInjector::new(mac, spec.faults.clone());
-        let first = injector.first_due().expect("non-empty schedule has a first fault");
+        let first = injector
+            .first_due()
+            .expect("non-empty schedule has a first fault");
         let inj = sim.add_component("faults", injector);
         sim.schedule(first, inj, NetEvent::FaultTick);
     }
@@ -548,7 +554,10 @@ mod tests {
         };
         let phy = CalibratedPhy::new(iac, 0.5, 0.01, 3);
         let plain = run_netsim(&spec, phy.clone());
-        assert!(crate::obs::DES_SINK.replace(Some(Vec::new())).is_none(), "no lane observed");
+        assert!(
+            crate::obs::DES_SINK.replace(Some(Vec::new())).is_none(),
+            "no lane observed"
+        );
         let observed = run_netsim(&spec, phy);
         let [facts]: [DesRunFacts; 1] = crate::obs::DES_SINK
             .take()

@@ -49,7 +49,9 @@ impl SweepObs {
         self.registry
             .counter(&format!("engine.{scenario}.trials"))
             .add(trials as u64);
-        let trial_ns = self.registry.histogram(&format!("engine.{scenario}.trial_ns"));
+        let trial_ns = self
+            .registry
+            .histogram(&format!("engine.{scenario}.trial_ns"));
         for t in &engine.timings {
             trial_ns.observe(t.dur_ns);
         }
@@ -58,10 +60,18 @@ impl SweepObs {
             .observe(engine.workers.len() as u64);
         for w in &engine.workers {
             let s = &w.scratch;
-            self.registry.counter("phy.scratch.pool_hits").add(s.pool_hits);
-            self.registry.counter("phy.scratch.pool_misses").add(s.pool_misses);
-            self.registry.counter("phy.scratch.plan_hits").add(s.plan_hits);
-            self.registry.counter("phy.scratch.plan_misses").add(s.plan_misses);
+            self.registry
+                .counter("phy.scratch.pool_hits")
+                .add(s.pool_hits);
+            self.registry
+                .counter("phy.scratch.pool_misses")
+                .add(s.pool_misses);
+            self.registry
+                .counter("phy.scratch.plan_hits")
+                .add(s.plan_hits);
+            self.registry
+                .counter("phy.scratch.plan_misses")
+                .add(s.plan_misses);
         }
         for run in &engine.des_runs {
             self.record_des_run(run);
@@ -108,7 +118,9 @@ impl SweepObs {
         if run.end_time_us > 0.0 {
             // Basis points so utilization fits the integer gauge.
             let util_bp = (run.air_busy_us / run.end_time_us * 10_000.0).round() as u64;
-            self.registry.gauge("mac.airtime_utilization_bp").observe(util_bp);
+            self.registry
+                .gauge("mac.airtime_utilization_bp")
+                .observe(util_bp);
         }
     }
 
@@ -137,19 +149,43 @@ mod tests {
     fn facts() -> EngineFacts {
         EngineFacts {
             timings: vec![
-                TrialTiming { index: 0, lane: 0, start_ns: 10, dur_ns: 1_000 },
-                TrialTiming { index: 1, lane: 1, start_ns: 20, dur_ns: 3_000 },
+                TrialTiming {
+                    index: 0,
+                    lane: 0,
+                    start_ns: 10,
+                    dur_ns: 1_000,
+                },
+                TrialTiming {
+                    index: 1,
+                    lane: 1,
+                    start_ns: 20,
+                    dur_ns: 3_000,
+                },
             ],
             workers: vec![
                 WorkerFacts {
                     lane: 0,
                     trials: 1,
-                    scratch: ScratchStats { pool_hits: 4, pool_misses: 1, plan_hits: 7, plan_misses: 2 },
+                    scratch: ScratchStats {
+                        pool_hits: 4,
+                        pool_misses: 1,
+                        plan_hits: 7,
+                        plan_misses: 2,
+                    },
                 },
-                WorkerFacts { lane: 1, trials: 1, scratch: ScratchStats::default() },
+                WorkerFacts {
+                    lane: 1,
+                    trials: 1,
+                    scratch: ScratchStats::default(),
+                },
             ],
             profile: ProfileTree::default(),
-            trace: vec![TraceEvent { name: "trial".into(), ts_ns: 10, dur_ns: 1_000, lane: 0 }],
+            trace: vec![TraceEvent {
+                name: "trial".into(),
+                ts_ns: 10,
+                dur_ns: 1_000,
+                lane: 0,
+            }],
             des_runs: vec![DesRunFacts {
                 label: "campus".into(),
                 events_processed: 100,

@@ -172,9 +172,15 @@ fn run_fig15(q: Quality, seed: u64, direction: fig15::Direction15) -> TrialOutpu
     };
     let r = fig15::run(&cfg, direction);
     TrialOutput::new(vec![
-        ("gain_brute_force", r.average_gain(fig15::PolicyKind::BruteForce)),
+        (
+            "gain_brute_force",
+            r.average_gain(fig15::PolicyKind::BruteForce),
+        ),
         ("gain_fifo", r.average_gain(fig15::PolicyKind::Fifo)),
-        ("gain_best_of_two", r.average_gain(fig15::PolicyKind::BestOfTwo)),
+        (
+            "gain_best_of_two",
+            r.average_gain(fig15::PolicyKind::BestOfTwo),
+        ),
         (
             "min_gain_best_of_two",
             r.min_gain(fig15::PolicyKind::BestOfTwo),
@@ -231,10 +237,7 @@ fn run_lemmas(q: Quality, seed: u64) -> TrialOutput {
     let r = lemmas::run(m_max, seed);
     let achieved = r.rows.iter().filter(|row| row.achieved).count();
     TrialOutput::new(vec![
-        (
-            "achieved_fraction",
-            achieved as f64 / r.rows.len() as f64,
-        ),
+        ("achieved_fraction", achieved as f64 / r.rows.len() as f64),
         (
             "max_residual",
             r.rows.iter().map(|row| row.residual).fold(0.0, f64::max),
@@ -275,7 +278,10 @@ fn run_sec7_overhead(_q: Quality, seed: u64) -> TrialOutput {
     let r = overhead::run(3, 1440, seed);
     TrialOutput::new(vec![
         ("wireless_overhead", r.wireless_overhead),
-        ("wire_bytes_per_wireless_byte", r.wire_bytes_per_wireless_byte),
+        (
+            "wire_bytes_per_wireless_byte",
+            r.wire_bytes_per_wireless_byte,
+        ),
         ("virtual_mimo_multiplier", r.virtual_mimo_multiplier),
     ])
 }
@@ -300,7 +306,11 @@ fn run_sec6_cfo(q: Quality, seed: u64) -> TrialOutput {
         ),
         (
             "crc_all_ok",
-            if r.points.iter().all(|p| p.all_ok) { 1.0 } else { 0.0 },
+            if r.points.iter().all(|p| p.all_ok) {
+                1.0
+            } else {
+                0.0
+            },
         ),
     ])
 }
@@ -396,27 +406,127 @@ pub fn all() -> Vec<Scenario> {
         }
     }
     vec![
-        s("fig12", "2-client/2-AP uplink scatter (paper: ~1.5x)", 8, run_fig12),
-        s("fig13a", "3-client/3-AP uplink, 4 packets (paper: ~1.8x)", 8, run_fig13a),
-        s("fig13b", "3-client/3-AP downlink, 3 packets (paper: ~1.4x)", 8, run_fig13b),
-        s("fig14", "1-client/2-AP diversity gain (paper: ~1.2x)", 8, run_fig14),
+        s(
+            "fig12",
+            "2-client/2-AP uplink scatter (paper: ~1.5x)",
+            8,
+            run_fig12,
+        ),
+        s(
+            "fig13a",
+            "3-client/3-AP uplink, 4 packets (paper: ~1.8x)",
+            8,
+            run_fig13a,
+        ),
+        s(
+            "fig13b",
+            "3-client/3-AP downlink, 3 packets (paper: ~1.4x)",
+            8,
+            run_fig13b,
+        ),
+        s(
+            "fig14",
+            "1-client/2-AP diversity gain (paper: ~1.2x)",
+            8,
+            run_fig14,
+        ),
         s("fig15a", "whole-testbed uplink policy CDFs", 4, run_fig15a),
-        s("fig15b", "whole-testbed downlink policy CDFs", 4, run_fig15b),
-        s("fig16", "channel-reciprocity fractional error", 8, run_fig16),
-        s("fig17", "clustered-mesh inter-cluster bottleneck", 8, run_fig17),
-        s("lemmas", "Lemma 5.1/5.2 multiplexing-gain bounds", 4, run_lemmas),
-        s("sec6_cfo", "alignment under carrier frequency offsets", 4, run_sec6_cfo),
-        s("sec6_modulation", "modulation/FEC transparency", 4, run_sec6_modulation),
-        s("sec6_ofdm", "per-subcarrier alignment conjecture", 8, run_sec6_ofdm),
-        s("sec7_overhead", "coordination overhead accounting", 2, run_sec7_overhead),
-        s("ablation_estimation", "gain vs channel-estimation SNR", 8, run_ablation_estimation),
-        s("ablation_similarity", "gain vs client-channel similarity", 8, run_ablation_similarity),
-        s("ablation_alignment", "alignment on/off SINR contrast", 8, run_ablation_alignment),
-        s("des_campus", "dynamic-arrival campus uplink with churn", 4, run_des_campus),
-        s("des_load", "offered-load sweep: latency knees", 4, run_des_load),
-        s("rob_ap_churn", "decoding APs crash/recover; groups shrink", 4, run_rob_ap_churn),
-        s("rob_backhaul_partition", "backhaul partitions; MIMO fallback + recovery", 4, run_rob_backhaul_partition),
-        s("rob_csi_aging", "CSI staleness sweep: IAC degrades toward MIMO", 4, run_rob_csi_aging),
+        s(
+            "fig15b",
+            "whole-testbed downlink policy CDFs",
+            4,
+            run_fig15b,
+        ),
+        s(
+            "fig16",
+            "channel-reciprocity fractional error",
+            8,
+            run_fig16,
+        ),
+        s(
+            "fig17",
+            "clustered-mesh inter-cluster bottleneck",
+            8,
+            run_fig17,
+        ),
+        s(
+            "lemmas",
+            "Lemma 5.1/5.2 multiplexing-gain bounds",
+            4,
+            run_lemmas,
+        ),
+        s(
+            "sec6_cfo",
+            "alignment under carrier frequency offsets",
+            4,
+            run_sec6_cfo,
+        ),
+        s(
+            "sec6_modulation",
+            "modulation/FEC transparency",
+            4,
+            run_sec6_modulation,
+        ),
+        s(
+            "sec6_ofdm",
+            "per-subcarrier alignment conjecture",
+            8,
+            run_sec6_ofdm,
+        ),
+        s(
+            "sec7_overhead",
+            "coordination overhead accounting",
+            2,
+            run_sec7_overhead,
+        ),
+        s(
+            "ablation_estimation",
+            "gain vs channel-estimation SNR",
+            8,
+            run_ablation_estimation,
+        ),
+        s(
+            "ablation_similarity",
+            "gain vs client-channel similarity",
+            8,
+            run_ablation_similarity,
+        ),
+        s(
+            "ablation_alignment",
+            "alignment on/off SINR contrast",
+            8,
+            run_ablation_alignment,
+        ),
+        s(
+            "des_campus",
+            "dynamic-arrival campus uplink with churn",
+            4,
+            run_des_campus,
+        ),
+        s(
+            "des_load",
+            "offered-load sweep: latency knees",
+            4,
+            run_des_load,
+        ),
+        s(
+            "rob_ap_churn",
+            "decoding APs crash/recover; groups shrink",
+            4,
+            run_rob_ap_churn,
+        ),
+        s(
+            "rob_backhaul_partition",
+            "backhaul partitions; MIMO fallback + recovery",
+            4,
+            run_rob_backhaul_partition,
+        ),
+        s(
+            "rob_csi_aging",
+            "CSI staleness sweep: IAC degrades toward MIMO",
+            4,
+            run_rob_csi_aging,
+        ),
     ]
 }
 
@@ -565,7 +675,15 @@ pub fn run_scenario(
     replicates: usize,
     threads: usize,
 ) -> ScenarioReport {
-    let r = run_replicates(spec, quality, master_seed, replicates, threads, Deadline::none(), None);
+    let r = run_replicates(
+        spec,
+        quality,
+        master_seed,
+        replicates,
+        threads,
+        Deadline::none(),
+        None,
+    );
     completed(spec, r)
 }
 
@@ -583,14 +701,25 @@ pub fn run_scenario_observed(
     obs: &mut SweepObs,
 ) -> ScenarioReport {
     let obs = Some(obs);
-    let r = run_replicates(spec, quality, master_seed, replicates, threads, Deadline::none(), obs);
+    let r = run_replicates(
+        spec,
+        quality,
+        master_seed,
+        replicates,
+        threads,
+        Deadline::none(),
+        obs,
+    );
     completed(spec, r)
 }
 
 fn completed(spec: &Scenario, run: Result<(ScenarioReport, bool), TrialPanic>) -> ScenarioReport {
     match run {
         Ok((report, _)) => report,
-        Err(p) => panic!("{} replicate {} panicked: {}", spec.name, p.replicate, p.message),
+        Err(p) => panic!(
+            "{} replicate {} panicked: {}",
+            spec.name, p.replicate, p.message
+        ),
     }
 }
 
@@ -744,18 +873,33 @@ mod tests {
             let err = run_replicates(&spec, Quality::Quick, 7, 4, threads, Deadline::none(), None)
                 .expect_err("replicate 2 panics");
             assert_eq!(err.replicate, 2, "threads = {threads}");
-            assert!(err.message.contains("replicate 2 is broken"), "{}", err.message);
+            assert!(
+                err.message.contains("replicate 2 is broken"),
+                "{}",
+                err.message
+            );
         }
         // The observed path folds what ran and still reports the panic.
         let mut obs = SweepObs::new();
-        let err = run_replicates(&spec, Quality::Quick, 7, 4, 1, Deadline::none(), Some(&mut obs))
-            .expect_err("replicate 2 panics");
+        let err = run_replicates(
+            &spec,
+            Quality::Quick,
+            7,
+            4,
+            1,
+            Deadline::none(),
+            Some(&mut obs),
+        )
+        .expect_err("replicate 2 panics");
         assert_eq!(err.replicate, 2);
         assert!(obs.metrics_json().contains("\"engine.panicky.trials\":2"));
         // The completing wrappers re-panic with the scenario and replicate.
         let message = crate::engine::catch_trial(|| run_scenario(&spec, Quality::Quick, 7, 4, 1))
             .expect_err("run_scenario re-panics");
-        assert!(message.starts_with("panicky replicate 2 panicked: "), "{message}");
+        assert!(
+            message.starts_with("panicky replicate 2 panicked: "),
+            "{message}"
+        );
     }
 
     #[test]
@@ -766,8 +910,10 @@ mod tests {
         let expected = run_scenario(&spec, Quality::Quick, 7, 3, 1);
         let scen_seed = scenario_seed(7, spec.name);
         let trials = engine::trials_for(scen_seed, 3);
-        let outputs: Vec<TrialOutput> =
-            trials.iter().map(|t| (spec.run)(Quality::Quick, t.seed)).collect();
+        let outputs: Vec<TrialOutput> = trials
+            .iter()
+            .map(|t| (spec.run)(Quality::Quick, t.seed))
+            .collect();
         let rebuilt = reduce_outputs(spec.name, Quality::Quick, 7, 3, &outputs);
         assert_eq!(expected, rebuilt);
         assert_eq!(expected.to_json(), rebuilt.to_json());
@@ -780,6 +926,9 @@ mod tests {
         let spec = find("fig12").unwrap();
         let a = run_scenario(&spec, Quality::Quick, 1, 2, 1);
         let b = run_scenario(&spec, Quality::Quick, 2, 2, 1);
-        assert_ne!(a.metrics[0].values, b.metrics[0].values, "--seed is ignored");
+        assert_ne!(
+            a.metrics[0].values, b.metrics[0].values,
+            "--seed is ignored"
+        );
     }
 }

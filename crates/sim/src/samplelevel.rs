@@ -25,14 +25,14 @@ use iac_channel::{Awgn, Cfo};
 use iac_core::closed_form;
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::solver::decoding_vectors;
-use iac_linalg::{C64, CMat, CVec, Rng64};
+use iac_linalg::{CMat, CVec, Rng64, C64};
 use iac_phy::cancel::{reconstruct_into, residual_fraction, subtract};
 use iac_phy::dsp::Scratch;
 use iac_phy::frame::Frame;
 use iac_phy::medium::{AirTransmission, Medium};
 use iac_phy::modulation::{bit_errors, Bpsk, Modulation};
-use iac_phy::precode::{precode, sum_streams};
 use iac_phy::preamble::Preamble;
+use iac_phy::precode::{precode, sum_streams};
 use iac_phy::project::{combine_into, costas_bpsk, equalize_in_place, measure_snr};
 use iac_phy::training::{
     derotate, estimate_cfo, estimate_channel, matched_cfo_search, training_streams,
@@ -92,7 +92,13 @@ struct TxPacket {
     samples: Vec<C64>,
 }
 
-fn build_packet(src: u16, seq: u16, payload_bytes: usize, pilot: &Preamble, rng: &mut Rng64) -> TxPacket {
+fn build_packet(
+    src: u16,
+    seq: u16,
+    payload_bytes: usize,
+    pilot: &Preamble,
+    rng: &mut Rng64,
+) -> TxPacket {
     let payload: Vec<u8> = (0..payload_bytes).map(|_| rng.below(256) as u8).collect();
     let frame = Frame::new(src, 0, seq, payload);
     let bits = frame.to_bits();
@@ -185,16 +191,11 @@ pub fn run_uplink3(config: &SampleLevelConfig) -> SampleLevelReport {
     // The leader scores candidate alignment seeds on its estimates exactly
     // as the concurrency algorithm does (§7.2), so marginal geometries are
     // avoided when the channels allow it.
-    let cfg = iac_core::optimize::uplink3_optimized(
-        &est_grid,
-        1.0,
-        config.noise_power,
-        8,
-        &mut rng,
-    )
-    .map(|o| o.config)
-    .or_else(|_| closed_form::uplink3(&est_grid, &mut rng))
-    .expect("alignment");
+    let cfg =
+        iac_core::optimize::uplink3_optimized(&est_grid, 1.0, config.noise_power, 8, &mut rng)
+            .map(|o| o.config)
+            .or_else(|_| closed_form::uplink3(&est_grid, &mut rng))
+            .expect("alignment");
     let schedule = &cfg.schedule;
     let v = &cfg.encoding;
     let powers = [0.5, 0.5, 1.0]; // client 0 splits its budget over p0,p1

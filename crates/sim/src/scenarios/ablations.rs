@@ -58,7 +58,10 @@ pub fn estimation_sweep(seed: u64, slots: usize) -> EstimationSweep {
 
 impl std::fmt::Display for EstimationSweep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "Ablation — gain vs channel-estimation SNR (Fig. 12 setup)")?;
+        writeln!(
+            f,
+            "Ablation — gain vs channel-estimation SNR (Fig. 12 setup)"
+        )?;
         for (snr, gain) in &self.points {
             if snr.is_infinite() {
                 writeln!(f, "  perfect CSI : gain {gain:.2}x")?;
@@ -89,7 +92,9 @@ pub fn similarity_sweep(seed: u64, slots: usize) -> SimilaritySweep {
         let mut base = 0.0;
         let mut iac = 0.0;
         for _ in 0..slots {
-            let h1: Vec<CMat> = (0..2).map(|_| CMat::random(2, 2, &mut rng).scale(4.0)).collect();
+            let h1: Vec<CMat> = (0..2)
+                .map(|_| CMat::random(2, 2, &mut rng).scale(4.0))
+                .collect();
             let h2: Vec<CMat> = h1
                 .iter()
                 .map(|h| {
@@ -97,10 +102,7 @@ pub fn similarity_sweep(seed: u64, slots: usize) -> SimilaritySweep {
                     &h.scale(lambda) + &w.scale((1.0 - lambda * lambda).sqrt())
                 })
                 .collect();
-            let grid = ChannelGrid::new(
-                Direction::Uplink,
-                vec![h1.clone(), h2.clone()],
-            );
+            let grid = ChannelGrid::new(Direction::Uplink, vec![h1.clone(), h2.clone()]);
             let est = grid.estimated(&cfg.est, &mut rng);
             base += baseline_uplink_slot(&grid, &est, &cfg);
             iac += iac_uplink3_slot(&grid, &est, &cfg, &mut rng);
@@ -162,8 +164,7 @@ pub fn alignment_ablation(seed: u64, trials: usize) -> AlignmentAblation {
             .unwrap_or(0.0)
         };
         aligned += run(&cfg.encoding);
-        let random_encoding: Vec<CVec> =
-            (0..3).map(|_| CVec::random_unit(2, &mut rng)).collect();
+        let random_encoding: Vec<CVec> = (0..3).map(|_| CVec::random_unit(2, &mut rng)).collect();
         random += run(&random_encoding);
     }
     AlignmentAblation {
@@ -174,7 +175,10 @@ pub fn alignment_ablation(seed: u64, trials: usize) -> AlignmentAblation {
 
 impl std::fmt::Display for AlignmentAblation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "Ablation — alignment on/off (Fig. 4a vs 4b), packet p1's SINR")?;
+        writeln!(
+            f,
+            "Ablation — alignment on/off (Fig. 4a vs 4b), packet p1's SINR"
+        )?;
         writeln!(f, "  aligned encoding: {:>8.1} (linear)", self.aligned_sinr)?;
         writeln!(f, "  random encoding:  {:>8.1} (linear)", self.random_sinr)?;
         writeln!(

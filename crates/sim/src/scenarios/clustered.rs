@@ -64,7 +64,11 @@ pub fn run(cfg: &ExperimentConfig, inter_cluster_snr_db: f64, intra_rate: f64) -
 impl std::fmt::Display for ClusteredReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "Fig. 17 — clustered MIMO mesh, inter-cluster bottleneck")?;
-        writeln!(f, "  intra-cluster rate:        {:>6.2} b/s/Hz", self.intra_rate)?;
+        writeln!(
+            f,
+            "  intra-cluster rate:        {:>6.2} b/s/Hz",
+            self.intra_rate
+        )?;
         writeln!(
             f,
             "  bottleneck (802.11-MIMO):  {:>6.2} b/s/Hz → flow {:.2}",

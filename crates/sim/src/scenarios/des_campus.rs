@@ -339,8 +339,18 @@ mod tests {
             (b.log.offered, b.log.drops_overflow, b.log.drops_retx)
         );
         assert_eq!(
-            (a.log.control_bytes, a.log.data_bytes, a.log.wire_bytes, a.log.cfps),
-            (b.log.control_bytes, b.log.data_bytes, b.log.wire_bytes, b.log.cfps)
+            (
+                a.log.control_bytes,
+                a.log.data_bytes,
+                a.log.wire_bytes,
+                a.log.cfps
+            ),
+            (
+                b.log.control_bytes,
+                b.log.data_bytes,
+                b.log.wire_bytes,
+                b.log.cfps
+            )
         );
         assert_eq!(a.events, b.events);
         let c = run(&CampusConfig::quick(24));

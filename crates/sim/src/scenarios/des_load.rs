@@ -404,7 +404,11 @@ mod tests {
         };
         // Latency crossing: p95 goes 10 → 50 over loads 400 → 600; the
         // 30 ms threshold is crossed exactly halfway.
-        let pts = vec![(200.0, pt(5.0, 1.0)), (400.0, pt(10.0, 1.0)), (600.0, pt(50.0, 1.0))];
+        let pts = vec![
+            (200.0, pt(5.0, 1.0)),
+            (400.0, pt(10.0, 1.0)),
+            (600.0, pt(50.0, 1.0)),
+        ];
         assert_eq!(interpolated_knee(&pts, 30.0), 500.0);
         // Delivery collapse with latency still low: ratio 1.0 → 0.7 crosses
         // 0.9 a third of the way into the interval.
@@ -436,9 +440,8 @@ mod tests {
             delivery_ratio: 1.0,
             overflow_drops: 0,
         };
-        let knee_at = |p95_hi: f64| {
-            interpolated_knee(&[(400.0, pt(10.0)), (600.0, pt(p95_hi))], 30.0)
-        };
+        let knee_at =
+            |p95_hi: f64| interpolated_knee(&[(400.0, pt(10.0)), (600.0, pt(p95_hi))], 30.0);
         let (a, b) = (knee_at(50.0), knee_at(51.0));
         assert!((a - b).abs() < 10.0, "knee jumped: {a} vs {b}");
         assert!(b < a, "higher overload p95 must pull the knee down");
@@ -450,7 +453,10 @@ mod tests {
         // queue (`TrafficQueue::with_capacity` inside the event MAC, wired
         // through `queue_capacity: Some(..)`), so overload past the knee
         // sheds load at the queue tail instead of growing memory.
-        for cfg in [LoadSweepConfig::quick(35), LoadSweepConfig::paper_default(35)] {
+        for cfg in [
+            LoadSweepConfig::quick(35),
+            LoadSweepConfig::paper_default(35),
+        ] {
             assert!(cfg.queue_capacity > 0);
             for &load in &cfg.loads_pps {
                 for iac in [true, false] {

@@ -57,7 +57,12 @@ impl std::fmt::Display for Fig12Report {
         writeln!(
             f,
             "{}",
-            render_scatter(&xy, 60, 18, "Fig. 12 — 2-client/2-AP uplink: IAC vs 802.11-MIMO rate")
+            render_scatter(
+                &xy,
+                60,
+                18,
+                "Fig. 12 — 2-client/2-AP uplink: IAC vs 802.11-MIMO rate"
+            )
         )?;
         writeln!(f, "gain: {}", self.gain_summary())?;
         writeln!(
@@ -80,7 +85,10 @@ mod tests {
             ..ExperimentConfig::quick(12)
         });
         let g = report.average_gain();
-        assert!(g > 1.2 && g < 1.8, "Fig. 12 gain {g} outside the paper band");
+        assert!(
+            g > 1.2 && g < 1.8,
+            "Fig. 12 gain {g} outside the paper band"
+        );
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! client; paper headline **1.4×**. Gains hold "at both low and high rates".
 
 use crate::experiment::{
-    baseline_downlink_slot, baseline_uplink_slot, iac_downlink3_slot, iac_uplink4_slot,
-    run_picks, ExperimentConfig, ScatterPoint,
+    baseline_downlink_slot, baseline_uplink_slot, iac_downlink3_slot, iac_uplink4_slot, run_picks,
+    ExperimentConfig, ScatterPoint,
 };
 use crate::stats::{mean, render_scatter, Summary};
 

@@ -149,11 +149,7 @@ mod tests {
             ..ExperimentConfig::quick(31)
         });
         for p in &report.points {
-            assert!(
-                p.gain() > 0.97,
-                "a client lost rate: gain {}",
-                p.gain()
-            );
+            assert!(p.gain() > 0.97, "a client lost rate: gain {}", p.gain());
         }
     }
 

@@ -155,8 +155,7 @@ fn iac_slot_rates(
         Direction15::Uplink => {
             let grid = testbed.uplink_grid(&group_nodes, aps, rng);
             let est = grid.estimated(&cfg.est, rng);
-            let Ok(config) =
-                optimize::uplink4_optimized(&est, cfg.per_node_power, cfg.noise)
+            let Ok(config) = optimize::uplink4_optimized(&est, cfg.per_node_power, cfg.noise)
             else {
                 return Vec::new();
             };
@@ -189,8 +188,7 @@ fn iac_slot_rates(
         Direction15::Downlink => {
             let grid = testbed.downlink_grid(aps, &group_nodes, rng);
             let est = grid.estimated(&cfg.est, rng);
-            let Ok(config) =
-                optimize::downlink3_optimized(&est, cfg.per_node_power, cfg.noise)
+            let Ok(config) = optimize::downlink3_optimized(&est, cfg.per_node_power, cfg.noise)
             else {
                 return Vec::new();
             };
@@ -276,19 +274,14 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
             };
             for _slot in 0..cfg.base.slots {
                 let head = *queue.front().expect("infinite demand");
-                let candidates: Vec<u16> =
-                    queue.iter().copied().filter(|&c| c != head).collect();
+                let candidates: Vec<u16> = queue.iter().copied().filter(|&c| c != head).collect();
                 // Leader-side scoring: predicted group rate from estimates
                 // of this slot's channels. The transmission below draws
                 // fresh channels (and estimates) for the chosen group, so
                 // the leader scores on one draw and transmits on another.
                 let slot_grid = match direction {
-                    Direction15::Uplink => {
-                        testbed.uplink_grid(&clients, &aps, &mut policy_rng)
-                    }
-                    Direction15::Downlink => {
-                        testbed.downlink_grid(&aps, &clients, &mut policy_rng)
-                    }
+                    Direction15::Uplink => testbed.uplink_grid(&clients, &aps, &mut policy_rng),
+                    Direction15::Downlink => testbed.downlink_grid(&aps, &clients, &mut policy_rng),
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
                 let mut context = ScoringContext::new(
@@ -304,8 +297,7 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                     debug_assert_eq!(group[0], head, "groups start with the head");
                     context.score(group[1] as usize, group[2] as usize)
                 };
-                let companions =
-                    policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
+                let companions = policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
                 let mut group = vec![head];
                 group.extend(companions);
                 if group.len() == 3 {
@@ -409,8 +401,7 @@ mod tests {
         let up = run(&Fig15Config::quick(42), Direction15::Uplink);
         let down = run(&Fig15Config::quick(42), Direction15::Downlink);
         assert!(
-            up.average_gain(PolicyKind::BestOfTwo)
-                > down.average_gain(PolicyKind::BestOfTwo),
+            up.average_gain(PolicyKind::BestOfTwo) > down.average_gain(PolicyKind::BestOfTwo),
             "3-packet downlink should gain less than 4-packet uplink"
         );
     }

@@ -81,7 +81,10 @@ pub fn run(cfg: &ExperimentConfig, pairs: usize, moves: usize) -> Fig16Report {
 
 impl std::fmt::Display for Fig16Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "Fig. 16 — reciprocity fractional error per client-AP pair")?;
+        writeln!(
+            f,
+            "Fig. 16 — reciprocity fractional error per client-AP pair"
+        )?;
         for (i, e) in self.errors.iter().enumerate() {
             let bar = "#".repeat((e * 200.0).round() as usize);
             writeln!(f, "  pair {:>2}: {e:.3} {bar}", i + 1)?;

@@ -7,8 +7,8 @@
 //! growing delay spread, solve the Eq. 2 alignment either once (flat
 //! assumption) or per subcarrier, and measure the worst-bin misalignment.
 
-use iac_phy::ofdm::MultitapChannel;
 use iac_linalg::{CVec, Rng64};
+use iac_phy::ofdm::MultitapChannel;
 
 /// One delay-spread sweep point.
 #[derive(Debug, Clone)]
@@ -141,7 +141,10 @@ mod tests {
                 .map(|p| p.flat_worst)
                 .collect::<Vec<_>>()
         );
-        assert!(report.points[4].flat_worst > 0.05, "selective channel too kind");
+        assert!(
+            report.points[4].flat_worst > 0.05,
+            "selective channel too kind"
+        );
     }
 
     #[test]

@@ -314,7 +314,10 @@ pub struct PartitionReport {
 }
 
 /// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub(crate) fn partition_report_from(config: &PartitionConfig, out: &NetSimOutcome) -> PartitionReport {
+pub(crate) fn partition_report_from(
+    config: &PartitionConfig,
+    out: &NetSimOutcome,
+) -> PartitionReport {
     PartitionReport {
         faults: out.log.faults,
         wire_expired: out.log.wire_expired,
@@ -530,7 +533,11 @@ pub(crate) fn aging_report_from(
     mimo_out: &NetSimOutcome,
     iac_outs: &[NetSimOutcome],
 ) -> CsiAgingReport {
-    assert_eq!(iac_outs.len(), config.severities, "one IAC run per severity");
+    assert_eq!(
+        iac_outs.len(),
+        config.severities,
+        "one IAC run per severity"
+    );
     CsiAgingReport {
         points: iac_outs
             .iter()
@@ -575,7 +582,11 @@ impl std::fmt::Display for CsiAgingReport {
                 p.degraded_groups
             )?;
         }
-        writeln!(f, "  floor ratio {:.2} (graceful degradation ⇒ ≥ ~1)", self.min_ratio())
+        writeln!(
+            f,
+            "  floor ratio {:.2} (graceful degradation ⇒ ≥ ~1)",
+            self.min_ratio()
+        )
     }
 }
 
@@ -602,7 +613,10 @@ mod tests {
         assert_eq!(r.faults, 4, "two windows = four fault events");
         assert!(r.wire_expired > 0, "partition never blocked a forward");
         assert!(r.degraded_groups > 0, "partition never dissolved a group");
-        assert!(r.retx > 0, "expired forwards must recycle as retransmissions");
+        assert!(
+            r.retx > 0,
+            "expired forwards must recycle as retransmissions"
+        );
         assert!(
             r.delivery_ratio > 0.5,
             "partitions collapsed the run: {:.2}",

@@ -105,9 +105,9 @@ pub struct ModulationReport {
 
 /// Run the modulation/FEC transparency check.
 pub fn run_modulation_matrix(seed: u64) -> ModulationReport {
+    use iac_linalg::Rng64;
     use iac_phy::fec::{ConvK3, Hamming74};
     use iac_phy::modulation::{bit_errors, Bpsk, Modulation, Qam16, Qpsk};
-    use iac_linalg::Rng64;
 
     let mut rng = Rng64::new(seed);
     let payload: Vec<bool> = (0..4000).map(|_| rng.chance(0.5)).collect();
@@ -129,15 +129,12 @@ pub fn run_modulation_matrix(seed: u64) -> ModulationReport {
             // effect as symbol-accurate pass-through with tiny residual
             // noise (the measured post-projection SNRs of Figs. 12-13).
             let symbols = m.modulate(&coded);
-            let noisy: Vec<_> = symbols
-                .iter()
-                .map(|&s| s + rng.cn(0.002))
-                .collect();
+            let noisy: Vec<_> = symbols.iter().map(|&s| s + rng.cn(0.002)).collect();
             let rx_bits = m.demodulate(&noisy);
             let decoded: Vec<bool> = match fec {
-                "hamming74" => Hamming74.decode(&rx_bits[..coded.len() / 7 * 7])
-                    [..payload.len()]
-                    .to_vec(),
+                "hamming74" => {
+                    Hamming74.decode(&rx_bits[..coded.len() / 7 * 7])[..payload.len()].to_vec()
+                }
                 "conv-k3" => ConvK3.decode(&rx_bits[..coded.len()]),
                 _ => rx_bits[..payload.len()].to_vec(),
             };
@@ -154,7 +151,10 @@ impl std::fmt::Display for ModulationReport {
         for (label, errs) in &self.rows {
             writeln!(f, "  {label:<20} residual bit errors: {errs}")?;
         }
-        writeln!(f, "(paper: IAC \"works with various modulations and FEC codes\")")
+        writeln!(
+            f,
+            "(paper: IAC \"works with various modulations and FEC codes\")"
+        )
     }
 }
 

@@ -113,7 +113,12 @@ impl std::fmt::Display for Summary {
 
 /// Render an ASCII scatter plot (x vs y) with the Gain=1 and Gain=2
 /// reference diagonals the paper draws in Figs. 12–14.
-pub(crate) fn render_scatter(points: &[(f64, f64)], width: usize, height: usize, title: &str) -> String {
+pub(crate) fn render_scatter(
+    points: &[(f64, f64)],
+    width: usize,
+    height: usize,
+    title: &str,
+) -> String {
     if points.is_empty() {
         return format!("{title}\n(no data)\n");
     }
@@ -196,7 +201,9 @@ pub(crate) fn render_cdfs(series: &[(&str, &[f64])], width: usize, title: &str) 
         out.push_str(&line);
         out.push('\n');
     }
-    out.push_str(&format!("  x: 0..{xmax:.1} (per-client gain), glyph density = CDF height\n"));
+    out.push_str(&format!(
+        "  x: 0..{xmax:.1} (per-client gain), glyph density = CDF height\n"
+    ));
     out
 }
 

@@ -53,7 +53,11 @@ impl Testbed {
     pub(crate) fn amplitude(&self, a: usize, b: usize) -> f64 {
         assert!(b < self.len(), "node {b} out of range");
         *self.amplitudes[a * self.len() + b].get_or_init(|| {
-            db_to_linear(self.room.link_snr_db(&self.positions[a], &self.positions[b])).sqrt()
+            db_to_linear(
+                self.room
+                    .link_snr_db(&self.positions[a], &self.positions[b]),
+            )
+            .sqrt()
         })
     }
 

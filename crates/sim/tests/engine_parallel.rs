@@ -24,7 +24,11 @@ fn every_scenario_is_bit_identical_across_thread_counts() {
                 "scenario {} diverged at {threads} threads",
                 spec.name
             );
-            assert_eq!(parallel, reference, "scenario {} aggregate drifted", spec.name);
+            assert_eq!(
+                parallel, reference,
+                "scenario {} aggregate drifted",
+                spec.name
+            );
         }
     }
 }

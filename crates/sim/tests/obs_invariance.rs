@@ -102,7 +102,9 @@ fn sweep_stdout_bytes_survive_threads_and_telemetry() {
     let (reference, base_err) = sweep_stdout(&base);
     assert!(!reference.is_empty());
     assert!(
-        String::from_utf8(base_err).unwrap().contains("replicates in"),
+        String::from_utf8(base_err)
+            .unwrap()
+            .contains("replicates in"),
         "timing line belongs on stderr"
     );
 
@@ -126,9 +128,15 @@ fn sweep_stdout_bytes_survive_threads_and_telemetry() {
             ..base.clone()
         };
         let (out, err) = sweep_stdout(&args);
-        assert_eq!(out, reference, "stdout changed with telemetry at {threads} threads");
+        assert_eq!(
+            out, reference,
+            "stdout changed with telemetry at {threads} threads"
+        );
         let err = String::from_utf8(err).unwrap();
-        assert!(err.contains("running 2 replicates"), "--progress goes to stderr");
+        assert!(
+            err.contains("running 2 replicates"),
+            "--progress goes to stderr"
+        );
         assert!(err.contains("metrics snapshot written"));
 
         let metrics = std::fs::read_to_string(&metrics_path).unwrap();
@@ -192,7 +200,11 @@ fn generous_timeout_keeps_stdout_and_telemetry() {
     };
     let unbounded = metrics_of(None, "unbounded");
     let bounded = metrics_of(Some(3600), "bounded");
-    for key in ["\"des.events_processed\":", "\"mac.retx\":", "\"engine.des_load.trials\":2"] {
+    for key in [
+        "\"des.events_processed\":",
+        "\"mac.retx\":",
+        "\"engine.des_load.trials\":2",
+    ] {
         assert!(bounded.contains(key), "missing {key} in {bounded}");
     }
     let counters = |s: &str| s.split("\"gauges\"").next().unwrap().to_string();

@@ -81,10 +81,8 @@ fn every_des_scenario_roundtrips_bit_identically() {
 
         // Reconstructed trial metrics are bit-identical whether fed live or
         // replayed outcomes — and match the live registry entry exactly.
-        let from_plain =
-            desrec::trial_output_from(name, Quality::Quick, seed, plain_outcomes);
-        let from_replay =
-            desrec::trial_output_from(name, Quality::Quick, seed, replayed_outcomes);
+        let from_plain = desrec::trial_output_from(name, Quality::Quick, seed, plain_outcomes);
+        let from_replay = desrec::trial_output_from(name, Quality::Quick, seed, replayed_outcomes);
         assert_eq!(
             from_plain.metrics, from_replay.metrics,
             "{name}: replayed trial metrics differ"
@@ -192,15 +190,25 @@ fn observed_replay_is_bit_identical_and_harvests_facts() {
             .unwrap_or_else(|d| panic!("plain replay diverged:\n{}", d.render::<NetEvent>()));
         let (observed, facts) = desrec::replay_observed(run, &log)
             .unwrap_or_else(|d| panic!("observed replay diverged:\n{}", d.render::<NetEvent>()));
-        assert_eq!(plain.log, observed.log, "{}: telemetry perturbed replay", run.label);
+        assert_eq!(
+            plain.log, observed.log,
+            "{}: telemetry perturbed replay",
+            run.label
+        );
         assert_eq!(plain.events, observed.events, "{}", run.label);
         assert_eq!(plain.end_time, observed.end_time, "{}", run.label);
         assert_eq!(facts.label, run.label);
         assert_eq!(facts.events_processed, log.len() as u64);
-        assert!(facts.event_kinds.is_empty(), "observer slot was taken by the checker");
+        assert!(
+            facts.event_kinds.is_empty(),
+            "observer slot was taken by the checker"
+        );
         assert!(facts.queue_high_water > 0);
         assert_eq!(facts.delivered, observed.log.delivered.len() as u64);
         assert_eq!(facts.poll_rounds, observed.log.poll_rounds);
-        assert_eq!(facts.end_time_us.to_bits(), observed.end_time.micros().to_bits());
+        assert_eq!(
+            facts.end_time_us.to_bits(),
+            observed.end_time.micros().to_bits()
+        );
     }
 }

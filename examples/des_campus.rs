@@ -18,7 +18,10 @@ fn main() {
         horizon_ms: 300.0,
         ..CampusConfig::paper_default(0x1AC_DE5)
     };
-    println!("=== dynamic-arrival campus uplink, {} ms of simulated time ===\n", cfg.horizon_ms);
+    println!(
+        "=== dynamic-arrival campus uplink, {} ms of simulated time ===\n",
+        cfg.horizon_ms
+    );
     println!(
         "{} clients on 3 cooperating APs; cohort B leaves at {:.0} ms and rejoins at {:.0} ms,\n\
          cohort C associates at {:.0} ms; the last client is bursty ON/OFF.\n",
@@ -57,6 +60,10 @@ fn main() {
     println!("\nper-20ms-window fairness (Jain, active clients only):");
     let windows = metrics::windowed_jain(&report.log, 20_000.0, cfg.horizon_ms * 1e3);
     for (t_ms, j) in windows {
-        println!("  [{t_ms:>5.0}ms] {:.3} {}", j, "*".repeat((j * 30.0) as usize));
+        println!(
+            "  [{t_ms:>5.0}ms] {:.3} {}",
+            j,
+            "*".repeat((j * 30.0) as usize)
+        );
     }
 }

@@ -43,7 +43,10 @@ impl LossyPhy {
 fn main() {
     let mut sim = Simulation::new(2009);
     let metrics = SharedMetrics::new();
-    let cfg = EventPcfConfig { horizon: SimTime::from_millis(20.0), ..EventPcfConfig::default() };
+    let cfg = EventPcfConfig {
+        horizon: SimTime::from_millis(20.0),
+        ..EventPcfConfig::default()
+    };
     let sinks = (0..cfg.protocol.n_aps)
         .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
         .collect();
@@ -56,7 +59,15 @@ fn main() {
     for client in 0..6u16 {
         for seq in 0..4u16 {
             for (seq, uplink) in [(seq, false), (100 + seq, true)] {
-                sim.schedule(SimTime::ZERO, leader, NetEvent::Arrival { client, seq, uplink });
+                sim.schedule(
+                    SimTime::ZERO,
+                    leader,
+                    NetEvent::Arrival {
+                        client,
+                        seq,
+                        uplink,
+                    },
+                );
             }
         }
     }
@@ -66,9 +77,18 @@ fn main() {
 
     // One line per CFP until the queues are empty and nothing is left to ack.
     for (k, s) in log.queue_depth.iter().enumerate() {
-        let end = log.queue_depth.get(k + 1).map_or(f64::INFINITY, |n| n.time_us);
+        let end = log
+            .queue_depth
+            .get(k + 1)
+            .map_or(f64::INFINITY, |n| n.time_us);
         let in_cfp = |r: &&PacketRecord| (s.time_us..end).contains(&r.delivered_us);
-        let served = |up| log.delivered.iter().filter(in_cfp).filter(|r| r.uplink == up).count();
+        let served = |up| {
+            log.delivered
+                .iter()
+                .filter(in_cfp)
+                .filter(|r| r.uplink == up)
+                .count()
+        };
         let (down, up) = (served(false), served(true));
         if s.downlink + s.uplink + down + up == 0 {
             break;

@@ -177,9 +177,8 @@ fn cmd_record(args: &[String]) {
     let mut outcomes = Vec::with_capacity(runs.len());
     for run in &runs {
         let log_path = a.dir.join(format!("{}.iaclog", run.label));
-        let file = std::io::BufWriter::new(
-            std::fs::File::create(&log_path).expect("create log file"),
-        );
+        let file =
+            std::io::BufWriter::new(std::fs::File::create(&log_path).expect("create log file"));
         let out = iac_lan::sim::netsim::run_netsim_recorded(&run.spec, run.phy.clone(), file)
             .expect("write event log");
         std::fs::write(
@@ -223,7 +222,11 @@ fn cmd_replay(args: &[String]) {
         let log = read_log(&a.dir.join(format!("{}.iaclog", run.label)));
         events += log.len() as u64;
         if a.progress {
-            eprintln!("[replay] {}: verifying {} event(s) ...", run.label, log.len());
+            eprintln!(
+                "[replay] {}: verifying {} event(s) ...",
+                run.label,
+                log.len()
+            );
         }
         let replayed = if telemetry {
             let _span = iac_lan::obs::span!(prof, "run");
@@ -237,7 +240,11 @@ fn cmd_replay(args: &[String]) {
         let out = match replayed {
             Ok(out) => out,
             Err(d) => {
-                eprintln!("[replay] {} DIVERGED:\n{}", run.label, d.render::<NetEvent>());
+                eprintln!(
+                    "[replay] {} DIVERGED:\n{}",
+                    run.label,
+                    d.render::<NetEvent>()
+                );
                 std::process::exit(1);
             }
         };
@@ -281,12 +288,15 @@ fn cmd_replay(args: &[String]) {
         // Replay spans are all named "run"; retag with the run labels (one
         // span per run, in order) so the trace reads per-run in Perfetto.
         let spans = prof.take_trace_events();
-        obs.trace.extend(spans.iter().zip(&runs).map(|(e, run)| {
-            iac_lan::obs::TraceEvent {
-                name: run.label.clone(),
-                ..e.clone()
-            }
-        }));
+        obs.trace.extend(
+            spans
+                .iter()
+                .zip(&runs)
+                .map(|(e, run)| iac_lan::obs::TraceEvent {
+                    name: run.label.clone(),
+                    ..e.clone()
+                }),
+        );
         if let Some(path) = &a.metrics {
             std::fs::write(path, obs.metrics_json()).expect("write metrics snapshot");
             eprintln!("[replay] metrics snapshot written to {}", path.display());

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use iac_core::schedule::DecodeSchedule;
     pub use iac_core::solver::{AlignmentProblem, SolverConfig};
     pub use iac_des::{EventPcf, EventPcfConfig, SimTime, Simulation};
-    pub use iac_linalg::{C64, CMat, CVec, Rng64};
+    pub use iac_linalg::{CMat, CVec, Rng64, C64};
     pub use iac_sim::experiment::{ExperimentConfig, DEFAULT_SEED};
     pub use iac_sim::registry::{self, Quality};
     pub use iac_sim::Testbed;

@@ -162,7 +162,15 @@ fn pcf_protocol_over_real_phy() {
     for client in 0..9u16 {
         for seq in 0..3u16 {
             for (seq, uplink) in [(seq, false), (100 + seq, true)] {
-                sim.schedule(SimTime::ZERO, mac, NetEvent::Arrival { client, seq, uplink });
+                sim.schedule(
+                    SimTime::ZERO,
+                    mac,
+                    NetEvent::Arrival {
+                        client,
+                        seq,
+                        uplink,
+                    },
+                );
             }
         }
     }
@@ -260,7 +268,12 @@ fn wire_quantised_vectors_still_align() {
         .iter()
         .map(|v| {
             let q = VectorQ::from_cvec(v);
-            CVec::new(q.parts.iter().map(|&(re, im)| C64::new(re as f64, im as f64)).collect())
+            CVec::new(
+                q.parts
+                    .iter()
+                    .map(|&(re, im)| C64::new(re as f64, im as f64))
+                    .collect(),
+            )
         })
         .collect();
     let residual = closed_form::alignment_residual(&grid, &config.schedule, &quantised);
