@@ -285,9 +285,11 @@ const PCF_GROUP_CEILING: u64 = 5;
 fn pcf_group_stays_under_ceiling() {
     use iac_sim::scenarios::des_load::{self, LoadSweepConfig};
     let cfg = LoadSweepConfig::paper_default(0x10AD);
-    let (iac_phy, _) = des_load::phys_for(&cfg);
-    let spec = des_load::point_spec(&cfg, 650.0, true);
-    let (mut sim, metrics) = iac_sim::netsim::build_netsim(&spec, iac_phy);
+    let run = des_load::runs(&cfg)
+        .into_iter()
+        .find(|run| run.label == "iac_0650")
+        .expect("the sweep has a 650 packets/s IAC run");
+    let (mut sim, metrics) = iac_sim::netsim::build_netsim(&run.spec, run.phy);
     sim.step_until_time(iac_des::SimTime::from_millis(100.0));
     let groups_before = metrics.snapshot().poll_rounds;
     let before = allocations();

@@ -56,7 +56,7 @@ impl Gauge {
     }
 
     /// Current high-water mark.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -64,7 +64,7 @@ impl Gauge {
 /// Number of log₂ buckets: bucket 0 holds exact zeros, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`; bucket 64 holds values with the top
 /// bit set.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log₂-bucket histogram with exact count/sum/min/max.
 #[derive(Debug)]
@@ -89,7 +89,7 @@ impl Default for Histogram {
 }
 
 /// The log₂ bucket index for a value.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -105,16 +105,6 @@ impl Histogram {
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
     }
 }
 
@@ -204,11 +194,6 @@ impl Registry {
             Metric::Histogram(h) => Arc::clone(h),
             other => panic!("metric {name:?} already registered as {}", kind_of(other)),
         }
-    }
-
-    /// Whether no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().is_empty()
     }
 
     /// Detach a deterministic snapshot: entries in ascending name order,
@@ -404,9 +389,11 @@ fn comma(s: &mut String) {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes) —
-/// metric names are plain identifiers, but stay correct regardless.
-pub(crate) fn json_str(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control bytes),
+/// surrounding quotes included — metric names are plain identifiers, but
+/// stay correct regardless. `iac-serve` encodes its protocol strings with
+/// it too.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -476,10 +476,10 @@ impl Daemon {
     }
 
     /// Audit trail: re-record replicate 0 of a freshly computed DES run to
-    /// `.iaclog` event logs (PR 6's record format), so any served DES
-    /// result can be replayed and bit-verified offline with
-    /// `examples/replay.rs`. Costs one extra replicate; that's the price
-    /// of auditing and is documented in `docs/SERVE.md`.
+    /// `.iaclog` event logs, so any served DES result can be replayed and
+    /// bit-verified offline with `examples/replay.rs`. Costs one extra
+    /// replicate; that's the price of auditing and is documented in
+    /// `docs/SERVE.md`.
     fn audit(&self, name: &'static str, quality: Quality, master_seed: u64) {
         let Some(dir) = &self.cfg.audit_dir else {
             return;
@@ -487,32 +487,13 @@ impl Daemon {
         if !desrec::DES_SCENARIOS.contains(&name) {
             return;
         }
-        // One subdirectory per (scenario, quality, master seed), in the
-        // exact layout `examples/replay.rs record` writes — so any served
-        // DES number can be re-verified offline with
-        // `replay -- replay --scenario <name> [--paper] --dir <subdir>`.
+        // One subdirectory per (scenario, quality, master seed), written by
+        // the same `desrec::record_trial` as `examples/replay.rs record` — so
+        // any served DES number can be re-verified offline with
+        // `replay -- replay --scenario <name> [--paper] --dir <subdir>`. A
+        // failed write costs the trail, never the served result.
         let sub = dir.join(format!("{name}-{}-{master_seed:016x}-r0", quality.label()));
-        if std::fs::create_dir_all(&sub).is_err() {
-            return;
-        }
-        let scen_seed = registry::scenario_seed(master_seed, name);
-        let trial_seed = engine::trials_for(scen_seed, 1)[0].seed;
-        let runs = desrec::des_runs(name, quality, trial_seed);
-        let mut outcomes = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let (log, outcome) = desrec::record(run);
-            let _ = std::fs::write(sub.join(format!("{}.iaclog", run.label)), log);
-            let _ = std::fs::write(
-                sub.join(format!("{}.metrics.json", run.label)),
-                outcome.log.to_json(),
-            );
-            outcomes.push(outcome);
-        }
-        let trial = desrec::trial_output_from(name, quality, trial_seed, outcomes);
-        let _ = std::fs::write(
-            sub.join("trial.json"),
-            desrec::trial_json(name, quality, master_seed, 0, trial_seed, &trial),
-        );
+        let _ = desrec::record_trial(&sub, name, quality, master_seed, 0, |_, _, _| {});
     }
 }
 

@@ -389,25 +389,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escape a string for embedding in JSON output (with surrounding quotes).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,7 +521,7 @@ mod tests {
             "uni😀code",
             "\x01ctl",
         ] {
-            let enc = escape(s);
+            let enc = iac_obs::metrics::json_str(s);
             assert_eq!(p(&enc).unwrap(), Value::Str(s.to_string()), "{enc}");
         }
     }

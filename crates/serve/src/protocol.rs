@@ -37,6 +37,7 @@
 //! the cold path's, which is what the integrity suite pins.
 
 use crate::json::{self, JsonError, Value};
+use iac_obs::metrics::json_str;
 use iac_sim::registry::{json_f64, Quality};
 
 /// Hard cap on one protocol line, bytes (including the newline). Longer
@@ -152,13 +153,7 @@ impl ProtoError {
 fn seed_of(v: &Value) -> Option<u64> {
     match v {
         Value::Int(_) => v.as_u64(),
-        Value::Str(s) => {
-            if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                u64::from_str_radix(hex, 16).ok()
-            } else {
-                s.parse().ok()
-            }
-        }
+        Value::Str(s) => iac_sim::cli::parse_seed(s),
         _ => None,
     }
 }
@@ -276,16 +271,16 @@ pub fn decode_request(line: &[u8]) -> Result<Request, ProtoError> {
 /// round-trip contract: `decode_request(encode_request(r)) == r`.
 pub fn encode_request(r: &Request) -> String {
     match r {
-        Request::Ping { id } => format!("{{\"type\":\"ping\",\"id\":{}}}", json::escape(id)),
-        Request::Stats { id } => format!("{{\"type\":\"stats\",\"id\":{}}}", json::escape(id)),
+        Request::Ping { id } => format!("{{\"type\":\"ping\",\"id\":{}}}", json_str(id)),
+        Request::Stats { id } => format!("{{\"type\":\"stats\",\"id\":{}}}", json_str(id)),
         Request::Shutdown { id } => {
-            format!("{{\"type\":\"shutdown\",\"id\":{}}}", json::escape(id))
+            format!("{{\"type\":\"shutdown\",\"id\":{}}}", json_str(id))
         }
         Request::Run(rr) => {
             let mut s = format!(
                 "{{\"type\":\"run\",\"id\":{},\"scenario\":{}",
-                json::escape(&rr.id),
-                json::escape(&rr.scenario)
+                json_str(&rr.id),
+                json_str(&rr.scenario)
             );
             s.push_str(&format!(",\"quality\":\"{}\"", rr.quality.label()));
             if let Some(seed) = rr.seed {
@@ -334,7 +329,7 @@ pub(crate) fn replicate_line(
 ) -> String {
     let mut s = format!(
         "{{\"type\":\"replicate\",\"id\":{},\"replicate\":{replicate},\"metrics\":{{",
-        json::escape(id)
+        json_str(id)
     );
     for (i, (name, v)) in metrics.iter().enumerate() {
         if i > 0 {
@@ -359,7 +354,7 @@ pub(crate) fn result_line(
 ) -> String {
     format!(
         "{{\"type\":\"result\",\"id\":{},\"status\":\"{}\",\"cached\":{cached},\"degraded\":{degraded},\"completed\":{completed},\"requested\":{requested},\"report\":{report_json}}}",
-        json::escape(id),
+        json_str(id),
         status.label(),
     )
 }
@@ -370,14 +365,14 @@ pub(crate) fn error_line(id: Option<&str>, code: &str, detail: &str) -> String {
     match id {
         Some(id) => format!(
             "{{\"type\":\"error\",\"id\":{},\"error\":{},\"detail\":{}}}",
-            json::escape(id),
-            json::escape(code),
-            json::escape(detail)
+            json_str(id),
+            json_str(code),
+            json_str(detail)
         ),
         None => format!(
             "{{\"type\":\"error\",\"error\":{},\"detail\":{}}}",
-            json::escape(code),
-            json::escape(detail)
+            json_str(code),
+            json_str(detail)
         ),
     }
 }
@@ -386,18 +381,18 @@ pub(crate) fn error_line(id: Option<&str>, code: &str, detail: &str) -> String {
 pub(crate) fn stats_line(id: &str, metrics_json: &str) -> String {
     format!(
         "{{\"type\":\"stats\",\"id\":{},\"metrics\":{metrics_json}}}",
-        json::escape(id)
+        json_str(id)
     )
 }
 
 /// The `ping` response.
 pub(crate) fn pong_line(id: &str) -> String {
-    format!("{{\"type\":\"pong\",\"id\":{}}}", json::escape(id))
+    format!("{{\"type\":\"pong\",\"id\":{}}}", json_str(id))
 }
 
 /// The `shutdown` acknowledgement.
 pub(crate) fn bye_line(id: &str) -> String {
-    format!("{{\"type\":\"bye\",\"id\":{}}}", json::escape(id))
+    format!("{{\"type\":\"bye\",\"id\":{}}}", json_str(id))
 }
 
 #[cfg(test)]

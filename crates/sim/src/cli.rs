@@ -104,8 +104,9 @@ pub(crate) const USAGE: &str =
               Checked between replicates — a started replicate always\n\
               finishes.";
 
-/// Parse `--seed`: decimal or 0x-prefixed hex.
-pub(crate) fn parse_seed(s: &str) -> Option<u64> {
+/// Parse a master seed: decimal or 0x-prefixed hex (`sweep --seed`, `replay
+/// --seed`, and the serve protocol's string-valued `seed`).
+pub fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
     } else {

@@ -1,25 +1,34 @@
-//! Record/replay plumbing for the DES scenarios.
+//! The one description of a DES trial, and its recording layout.
 //!
-//! A registry-level DES trial (`des_campus`, `des_load`) is a sequence of
-//! one or more *constituent* [`NetSim`] runs — one for the campus scenario,
-//! two per swept load (IAC and the 802.11-MIMO baseline) for the load
-//! sweep. This module enumerates those runs for a `(scenario, quality,
-//! trial seed)` triple so that each can be recorded to an event log,
-//! replayed from one under bit-exact verification, and the scenario's
-//! [`TrialOutput`] reconstructed from the replayed outcomes. Because spec
-//! construction and report derivation are pure functions of the
-//! configuration (see `des_campus::spec_for` / `des_load::point_spec`), the
-//! reconstruction is the *same code path* the live registry entry uses — a
-//! replayed trial cannot drift from a live one without the replay checker
-//! noticing first.
+//! A registry-level DES trial (`des_campus`, `des_load`, the `rob_*`
+//! family) is a sequence of one or more *constituent* [`NetSim`] runs — one
+//! for the campus scenario, two per swept load (IAC and the 802.11-MIMO
+//! baseline) for the load sweep. Each scenario module lists its runs
+//! (`runs`) and folds their outcomes, in that order, into its report
+//! (`reduce`). [`drive`] is the only way a trial executes: it hands each
+//! run to an executor and folds the outcome as it arrives. The live
+//! registry entry executes with `netsim::run_netsim`, [`record_trial`] with
+//! the event recorder, and [`verify_recording`] with the replay checker, so
+//! the replay reconstruction is the *same code path* the live registry
+//! entry uses — run list, reduce and metric extraction included; only the
+//! executor differs.
 //!
-//! Consumers: `examples/replay.rs` (the record/replay/diff CLI), the
+//! A recording directory holds, per run, `<label>.iaclog` (the binary event
+//! log) and `<label>.metrics.json` (its bit-faithful `MetricsLog`), plus
+//! `trial.json` (the trial's scenario metrics). [`record_trial`] writes it
+//! and [`verify_recording`] reads it back; nothing else knows the layout.
+//!
+//! Consumers: the registry's DES entries, `examples/replay.rs` (the
+//! record/replay/diff CLI), the serve daemon's `--audit-dir` trail, the
 //! `replay_roundtrip` integration suite, and the replay goldens.
 
-use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome};
-use crate::registry::{Quality, TrialOutput};
+use crate::netsim::{self, CalibratedPhy, DesRunFacts, NetSim, NetSimOutcome};
+use crate::registry::{self, Quality, TrialOutput};
 use crate::scenarios::{des_campus, des_load, robustness};
-use iac_des::{Divergence, EventLog};
+use iac_des::{Divergence, EventLog, NetEvent};
+use iac_obs::Profiler;
+use std::convert::Infallible;
+use std::path::{Path, PathBuf};
 
 /// The registered scenarios that support record/replay (every DES scenario
 /// in the registry, including the fault-injecting `rob_*` family — faults
@@ -33,7 +42,9 @@ pub const DES_SCENARIOS: &[&str] = &[
     "rob_csi_aging",
 ];
 
-/// One constituent simulation run of a DES trial.
+/// One constituent simulation run of a DES trial. Built only by the
+/// scenario modules' `runs` functions.
+#[derive(Debug)]
 pub struct DesRun {
     /// Filesystem-safe run label, unique within the trial (log file stem).
     pub label: String,
@@ -43,247 +54,277 @@ pub struct DesRun {
     pub phy: CalibratedPhy,
 }
 
-/// The campus config for a quality/seed pair (the registry's sizing rule).
-pub(crate) fn campus_config(quality: Quality, trial_seed: u64) -> des_campus::CampusConfig {
+/// The next outcome a scenario's reduce folds.
+///
+/// # Panics
+/// Panics if the executor yielded fewer outcomes than the trial has runs.
+pub(crate) fn next_outcome<E>(
+    outcomes: &mut impl Iterator<Item = Result<NetSimOutcome, E>>,
+) -> Result<NetSimOutcome, E> {
+    outcomes.next().expect("one outcome per run")
+}
+
+/// A scenario config at `quality` (the registry's sizing rule).
+fn sized<C>(quality: Quality, seed: u64, quick: fn(u64) -> C, paper: fn(u64) -> C) -> C {
     match quality {
-        Quality::Quick => des_campus::CampusConfig::quick(trial_seed),
-        Quality::Paper => des_campus::CampusConfig::paper_default(trial_seed),
+        Quality::Quick => quick(seed),
+        Quality::Paper => paper(seed),
     }
 }
 
-/// The load-sweep config for a quality/seed pair (the registry's sizing
-/// rule).
-pub(crate) fn load_config(quality: Quality, trial_seed: u64) -> des_load::LoadSweepConfig {
-    match quality {
-        Quality::Quick => des_load::LoadSweepConfig::quick(trial_seed),
-        Quality::Paper => des_load::LoadSweepConfig::paper_default(trial_seed),
-    }
-}
-
-/// The AP-churn config for a quality/seed pair (the registry's sizing
-/// rule).
-pub(crate) fn churn_config(quality: Quality, trial_seed: u64) -> robustness::ChurnConfig {
-    match quality {
-        Quality::Quick => robustness::ChurnConfig::quick(trial_seed),
-        Quality::Paper => robustness::ChurnConfig::paper_default(trial_seed),
-    }
-}
-
-/// The backhaul-partition config for a quality/seed pair (the registry's
-/// sizing rule).
-pub(crate) fn partition_config(quality: Quality, trial_seed: u64) -> robustness::PartitionConfig {
-    match quality {
-        Quality::Quick => robustness::PartitionConfig::quick(trial_seed),
-        Quality::Paper => robustness::PartitionConfig::paper_default(trial_seed),
-    }
-}
-
-/// The CSI-aging config for a quality/seed pair (the registry's sizing
-/// rule).
-pub(crate) fn aging_config(quality: Quality, trial_seed: u64) -> robustness::CsiAgingConfig {
-    match quality {
-        Quality::Quick => robustness::CsiAgingConfig::quick(trial_seed),
-        Quality::Paper => robustness::CsiAgingConfig::paper_default(trial_seed),
-    }
-}
-
-/// Enumerate the constituent runs of one DES trial, in a stable order
-/// (`des_load`: IAC then MIMO at each load, loads ascending;
-/// `rob_csi_aging`: the MIMO baseline, then IAC per severity, ascending).
+/// Run one DES trial: build the scenario's runs for `(quality,
+/// trial_seed)`, hand each to `exec` in order, and fold each outcome into
+/// the trial's [`TrialOutput`] as it arrives. The first error `exec`
+/// returns stops the trial and comes back as is. Run order: `des_load` IAC
+/// then MIMO at each load, loads ascending; `rob_csi_aging` the MIMO
+/// baseline, then IAC per severity, ascending.
 ///
 /// # Panics
 /// Panics if `name` is not in [`DES_SCENARIOS`].
-pub fn des_runs(name: &str, quality: Quality, trial_seed: u64) -> Vec<DesRun> {
+pub fn drive<E>(
+    name: &str,
+    quality: Quality,
+    trial_seed: u64,
+    exec: impl FnMut(DesRun) -> Result<NetSimOutcome, E>,
+) -> Result<TrialOutput, E> {
+    use des_campus::CampusConfig;
+    use des_load::LoadSweepConfig;
+    use robustness::{ChurnConfig, CsiAgingConfig, PartitionConfig};
+    let seed = trial_seed;
     match name {
         "des_campus" => {
-            let cfg = campus_config(quality, trial_seed);
-            vec![DesRun {
-                label: "campus".to_string(),
-                spec: des_campus::spec_for(&cfg),
-                phy: des_campus::phy_for(&cfg),
-            }]
+            let cfg = sized(
+                quality,
+                seed,
+                CampusConfig::quick,
+                CampusConfig::paper_default,
+            );
+            let runs = des_campus::runs(&cfg).into_iter().map(exec);
+            des_campus::reduce(&cfg, runs).map(|r| r.trial_output())
         }
         "des_load" => {
-            let cfg = load_config(quality, trial_seed);
-            let (iac_phy, mimo_phy) = des_load::phys_for(&cfg);
-            let mut runs = Vec::with_capacity(2 * cfg.loads_pps.len());
-            for &load in &cfg.loads_pps {
-                runs.push(DesRun {
-                    label: format!("iac_{load:04.0}"),
-                    spec: des_load::point_spec(&cfg, load, true),
-                    phy: iac_phy.clone(),
-                });
-                runs.push(DesRun {
-                    label: format!("mimo_{load:04.0}"),
-                    spec: des_load::point_spec(&cfg, load, false),
-                    phy: mimo_phy.clone(),
-                });
-            }
-            runs
+            let cfg = sized(
+                quality,
+                seed,
+                LoadSweepConfig::quick,
+                LoadSweepConfig::paper_default,
+            );
+            let runs = des_load::runs(&cfg).into_iter().map(exec);
+            des_load::reduce(&cfg, runs).map(|r| r.trial_output())
         }
         "rob_ap_churn" => {
-            let cfg = churn_config(quality, trial_seed);
-            vec![DesRun {
-                label: "churn".to_string(),
-                spec: robustness::churn_spec(&cfg),
-                phy: robustness::churn_phy(&cfg),
-            }]
+            let cfg = sized(
+                quality,
+                seed,
+                ChurnConfig::quick,
+                ChurnConfig::paper_default,
+            );
+            let runs = robustness::churn_runs(&cfg).into_iter().map(exec);
+            robustness::churn_reduce(&cfg, runs).map(|r| r.trial_output())
         }
         "rob_backhaul_partition" => {
-            let cfg = partition_config(quality, trial_seed);
-            vec![DesRun {
-                label: "partition".to_string(),
-                spec: robustness::partition_spec(&cfg),
-                phy: robustness::partition_phy(&cfg),
-            }]
+            let cfg = sized(
+                quality,
+                seed,
+                PartitionConfig::quick,
+                PartitionConfig::paper_default,
+            );
+            let runs = robustness::partition_runs(&cfg).into_iter().map(exec);
+            robustness::partition_reduce(&cfg, runs).map(|r| r.trial_output())
         }
         "rob_csi_aging" => {
-            let cfg = aging_config(quality, trial_seed);
-            let (iac_phys, mimo_phy) = robustness::aging_phys(&cfg);
-            let mut runs = Vec::with_capacity(1 + cfg.severities);
-            runs.push(DesRun {
-                label: "mimo".to_string(),
-                spec: robustness::aging_mimo_spec(&cfg),
-                phy: mimo_phy,
-            });
-            for (level, phy) in iac_phys.into_iter().enumerate() {
-                runs.push(DesRun {
-                    label: format!("iac_s{level}"),
-                    spec: robustness::aging_iac_spec(&cfg, level),
-                    phy,
-                });
-            }
-            runs
+            let cfg = sized(
+                quality,
+                seed,
+                CsiAgingConfig::quick,
+                CsiAgingConfig::paper_default,
+            );
+            let runs = robustness::aging_runs(&cfg).into_iter().map(exec);
+            robustness::aging_reduce(&cfg, runs).map(|r| r.trial_output())
         }
         other => panic!("no DES scenario named {other:?} (see desrec::DES_SCENARIOS)"),
     }
 }
 
-/// Run one constituent simulation with recording; returns the encoded event
-/// log alongside the outcome. The outcome is identical to an unrecorded
-/// [`netsim::run_netsim`]'s (the recorder is a passive observer).
-pub fn record(run: &DesRun) -> (Vec<u8>, NetSimOutcome) {
-    let sink = iac_des::log::MemorySink::default();
-    let out = netsim::run_netsim_recorded(&run.spec, run.phy.clone(), sink.clone())
-        .expect("in-memory sink cannot fail");
-    (sink.take(), out)
+/// The live executor: run the simulation with `netsim::run_netsim`.
+fn run_live(run: DesRun) -> Result<NetSimOutcome, Infallible> {
+    Ok(netsim::run_netsim(&run.spec, run.phy))
 }
 
-/// Replay one constituent simulation from its recorded log under bit-exact
-/// verification.
-pub fn replay(run: &DesRun, log: &EventLog) -> Result<NetSimOutcome, Box<Divergence>> {
-    netsim::run_netsim_replayed(&run.spec, run.phy.clone(), log)
+/// `runs`, executed live, one at a time and in order, for a scenario's
+/// reduce: the iterator is lazy, so a reduce that folds as it goes holds
+/// one outcome at a time.
+pub(crate) fn live(runs: Vec<DesRun>) -> impl Iterator<Item = Result<NetSimOutcome, Infallible>> {
+    runs.into_iter().map(run_live)
 }
 
-/// [`replay`] with telemetry facts harvested after verification succeeds
-/// (the replay checker owns the observer slot, so per-kind counts stay
-/// empty — see `netsim::run_netsim_replayed_observed`). The outcome is
-/// bit-identical to [`replay`]'s.
-pub fn replay_observed(
-    run: &DesRun,
-    log: &EventLog,
-) -> Result<(NetSimOutcome, netsim::DesRunFacts), Box<Divergence>> {
-    let (out, mut facts) = netsim::run_netsim_replayed_observed(&run.spec, run.phy.clone(), log)?;
-    facts.label.clone_from(&run.label);
-    Ok((out, facts))
+/// One live DES trial — the registry entry of every DES scenario.
+pub(crate) fn live_trial(name: &str, quality: Quality, trial_seed: u64) -> TrialOutput {
+    let Ok(out) = drive(name, quality, trial_seed, run_live);
+    out
 }
 
-/// The campus trial's registry metrics from its report — the single metric
-/// extraction both the live registry entry and replay reconstruction use.
-pub(crate) fn campus_trial_output(r: &des_campus::CampusReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("delivered_uplink", r.log.delivered_count(true) as f64),
-            ("delivered_downlink", r.log.delivered_count(false) as f64),
-            ("uplink_median_ms", r.uplink_latency_ms.median),
-            ("jain_overall", r.jain_overall),
-            ("throughput_mbps", r.throughput_mbps),
-            // Tail drops at the bounded MAC queues: the campus scenario
-            // constructs every queue via `TrafficQueue::with_capacity`, so
-            // overload sheds load here instead of ballooning memory — the
-            // counter is part of the report's contract.
-            ("drops_overflow", r.log.drops_overflow as f64),
-        ],
-    }
+fn log_path(dir: &Path, label: &str) -> PathBuf {
+    dir.join(format!("{label}.iaclog"))
 }
 
-/// The load-sweep trial's registry metrics from its report. The knees are
-/// grid-interpolated (see `des_load::interpolated_knee`), so these are
-/// continuous in the underlying measurements rather than snapping to swept
-/// grid loads.
-pub(crate) fn load_trial_output(r: &des_load::LoadSweepReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("load_gain", r.gain()),
-            ("iac_sustained_pps", r.iac_sustained_pps),
-            ("mimo_sustained_pps", r.mimo_sustained_pps),
-            // Sweep-total tail drops at the bounded MAC queues (per system):
-            // overload past the knee must show up as shed load, not memory
-            // growth — both runs construct queues via `with_capacity`.
-            (
-                "iac_drops_overflow",
-                r.points.iter().map(|p| p.iac.overflow_drops).sum::<u64>() as f64,
+fn metrics_path(dir: &Path, label: &str) -> PathBuf {
+    dir.join(format!("{label}.metrics.json"))
+}
+
+fn trial_path(dir: &Path) -> PathBuf {
+    dir.join("trial.json")
+}
+
+/// Record replicate `trial` of scenario `name` under `master_seed` into
+/// `dir` (created if missing): per run, in order, its event log streamed to
+/// `<label>.iaclog` as the run fires and its metrics to
+/// `<label>.metrics.json`; then the trial's `trial.json`. `on_run` sees
+/// each run's label, log path and outcome once its files are written.
+/// Every outcome is identical to a live run's (the recorder is a passive
+/// observer).
+///
+/// # Panics
+/// Panics if `name` is not in [`DES_SCENARIOS`].
+pub fn record_trial(
+    dir: &Path,
+    name: &str,
+    quality: Quality,
+    master_seed: u64,
+    trial: usize,
+    mut on_run: impl FnMut(&str, &Path, &NetSimOutcome),
+) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let trial_seed = registry::trial_seed(master_seed, name, trial);
+    let out = drive(name, quality, trial_seed, |run| {
+        let log = log_path(dir, &run.label);
+        let file = std::io::BufWriter::new(std::fs::File::create(&log)?);
+        let out = netsim::run_netsim_recorded(&run.spec, run.phy, file)?;
+        std::fs::write(metrics_path(dir, &run.label), out.log.to_json())?;
+        on_run(&run.label, &log, &out);
+        Ok::<_, std::io::Error>(out)
+    })?;
+    std::fs::write(
+        trial_path(dir),
+        trial_json(name, quality, master_seed, trial, trial_seed, &out),
+    )
+}
+
+/// Progress of [`verify_recording`], reported as it happens.
+pub enum ReplayStep<'a> {
+    /// The run `label` is about to replay against its `events`-event log.
+    Verifying {
+        /// The run's label.
+        label: &'a str,
+        /// Events in its recorded log.
+        events: usize,
+    },
+    /// The run `label` replayed bit-exactly and its metrics file matched.
+    Verified {
+        /// The run's label.
+        label: &'a str,
+        /// Its telemetry facts (per-kind event counts stay empty: the
+        /// replay checker owns the observer slot).
+        facts: &'a DesRunFacts,
+    },
+}
+
+/// Why a recording failed to verify.
+#[derive(Debug)]
+pub enum ReplayError {
+    /// A recording file is missing, unreadable or not a valid event log.
+    Unreadable(PathBuf, String),
+    /// A run's fired events diverged from its recorded log.
+    Diverged(String, Box<Divergence>),
+    /// A run replayed bit-exactly, but its recorded metrics file differs.
+    MetricsDiffer(String, PathBuf),
+    /// Every run replayed bit-exactly, but the recorded `trial.json`
+    /// differs from the regenerated one.
+    TrialDiffers(PathBuf),
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Unreadable(path, why) => {
+                write!(f, "cannot read {}: {why}", path.display())
+            }
+            ReplayError::Diverged(label, d) => {
+                write!(f, "[replay] {label} DIVERGED:\n{}", d.render::<NetEvent>())
+            }
+            ReplayError::MetricsDiffer(label, path) => write!(
+                f,
+                "[replay] {label}: events matched but {} differs from the replayed metrics — \
+                 recorded files are inconsistent",
+                path.display()
             ),
-            (
-                "mimo_drops_overflow",
-                r.points.iter().map(|p| p.mimo.overflow_drops).sum::<u64>() as f64,
+            ReplayError::TrialDiffers(path) => write!(
+                f,
+                "[replay] runs replayed bit-identically but {} disagrees — was it recorded \
+                 with the same scenario, seed, trial and quality?",
+                path.display()
             ),
-        ],
+        }
     }
 }
 
-/// The AP-churn trial's registry metrics from its report.
-pub(crate) fn churn_trial_output(r: &robustness::ChurnReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("delivery_ratio", r.delivery_ratio),
-            ("throughput_mbps", r.throughput_mbps),
-            ("faults", r.faults as f64),
-            ("poll_timeouts", r.poll_timeouts as f64),
-            ("degraded_groups", r.degraded_groups as f64),
-        ],
-    }
+fn read_string(path: &Path) -> Result<String, ReplayError> {
+    std::fs::read_to_string(path).map_err(|e| ReplayError::Unreadable(path.into(), e.to_string()))
 }
 
-/// The backhaul-partition trial's registry metrics from its report.
-pub(crate) fn partition_trial_output(r: &robustness::PartitionReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("delivery_ratio", r.delivery_ratio),
-            ("throughput_mbps", r.throughput_mbps),
-            ("wire_expired", r.wire_expired as f64),
-            ("degraded_groups", r.degraded_groups as f64),
-            ("retx", r.retx as f64),
-        ],
+/// Re-run the recording [`record_trial`] wrote into `dir` under bit-exact
+/// verification: each run replays against its `.iaclog` (inside a `"run"`
+/// span on `prof`) and must reproduce its `.metrics.json` byte for byte;
+/// then the regenerated `trial.json` must match the recorded one. Stops at
+/// the first failure.
+///
+/// # Panics
+/// Panics if `name` is not in [`DES_SCENARIOS`].
+pub fn verify_recording(
+    dir: &Path,
+    name: &str,
+    quality: Quality,
+    master_seed: u64,
+    trial: usize,
+    prof: &Profiler,
+    mut on_step: impl FnMut(ReplayStep<'_>),
+) -> Result<(), ReplayError> {
+    let trial_seed = registry::trial_seed(master_seed, name, trial);
+    let out = drive(name, quality, trial_seed, |run| {
+        let path = log_path(dir, &run.label);
+        let bytes = std::fs::read(&path)
+            .map_err(|e| ReplayError::Unreadable(path.clone(), e.to_string()))?;
+        let log = EventLog::decode(&bytes)
+            .map_err(|e| ReplayError::Unreadable(path, format!("not a valid event log: {e}")))?;
+        let label = run.label.as_str();
+        let events = log.len();
+        on_step(ReplayStep::Verifying { label, events });
+        let replayed = {
+            let _span = iac_obs::span!(prof, "run");
+            netsim::run_netsim_replayed(&run.spec, run.phy, log)
+        };
+        let (out, facts) = replayed.map_err(|d| ReplayError::Diverged(run.label.clone(), d))?;
+        let path = metrics_path(dir, label);
+        if read_string(&path)? != out.log.to_json() {
+            return Err(ReplayError::MetricsDiffer(run.label, path));
+        }
+        on_step(ReplayStep::Verified {
+            label,
+            facts: &facts,
+        });
+        Ok(out)
+    })?;
+    let path = trial_path(dir);
+    if read_string(&path)? != trial_json(name, quality, master_seed, trial, trial_seed, &out) {
+        return Err(ReplayError::TrialDiffers(path));
     }
-}
-
-/// The CSI-aging trial's registry metrics from its report: the clean and
-/// worst-severity IAC/MIMO ratios plus the sweep-wide floor — the
-/// graceful-degradation contract in three numbers (gain shrinks with
-/// severity, the floor stays at or above the baseline).
-pub(crate) fn aging_trial_output(r: &robustness::CsiAgingReport) -> TrialOutput {
-    TrialOutput {
-        metrics: vec![
-            ("gain_clean", r.ratio(0)),
-            ("gain_worst", r.ratio(r.points.len() - 1)),
-            ("min_ratio", r.min_ratio()),
-            ("mimo_mbps", r.mimo_mbps),
-            (
-                "fallback_groups_worst",
-                r.points.last().map_or(0.0, |p| p.degraded_groups as f64),
-            ),
-        ],
-    }
+    Ok(())
 }
 
 /// The `trial.json` payload of a recording directory: bit-faithful
 /// (`f64::to_bits`) metric values alongside the full seed-derivation
-/// context, so a replay can verify the reconstructed [`TrialOutput`]
-/// byte-for-byte. Written by `examples/replay.rs`'s `record` command and
-/// by the serve daemon's `--audit-dir` trail; re-generated and compared by
-/// the `replay` command.
-pub fn trial_json(
+/// context, so byte equality of the file is bit equality of every metric.
+fn trial_json(
     name: &str,
     quality: Quality,
     master_seed: u64,
@@ -308,88 +349,25 @@ pub fn trial_json(
     s
 }
 
-/// Reconstruct a trial's [`TrialOutput`] from its constituent outcomes (in
-/// [`des_runs`] order) — the path replayed outcomes take back to scenario
-/// metrics. Feeding in live outcomes gives exactly the registry entry's
-/// result.
-///
-/// # Panics
-/// Panics if `name` is unknown or `outcomes` has the wrong length.
-pub fn trial_output_from(
-    name: &str,
-    quality: Quality,
-    trial_seed: u64,
-    outcomes: Vec<NetSimOutcome>,
-) -> TrialOutput {
-    match name {
-        "des_campus" => {
-            let cfg = campus_config(quality, trial_seed);
-            let spec = des_campus::spec_for(&cfg);
-            let [out]: [NetSimOutcome; 1] = outcomes.try_into().unwrap_or_else(|o: Vec<_>| {
-                panic!("des_campus expects 1 outcome, got {}", o.len())
-            });
-            campus_trial_output(&des_campus::report_from(&cfg, &spec, out))
-        }
-        "des_load" => {
-            let cfg = load_config(quality, trial_seed);
-            assert_eq!(
-                outcomes.len(),
-                2 * cfg.loads_pps.len(),
-                "des_load expects IAC+MIMO outcomes per load"
-            );
-            let points = cfg
-                .loads_pps
-                .iter()
-                .enumerate()
-                .map(|(k, &load)| des_load::LoadPoint {
-                    load_pps: load,
-                    iac: des_load::point_from(&cfg, true, &outcomes[2 * k]),
-                    mimo: des_load::point_from(&cfg, false, &outcomes[2 * k + 1]),
-                })
-                .collect();
-            load_trial_output(&des_load::report_from(&cfg, points))
-        }
-        "rob_ap_churn" => {
-            let cfg = churn_config(quality, trial_seed);
-            let [out]: [NetSimOutcome; 1] = outcomes.try_into().unwrap_or_else(|o: Vec<_>| {
-                panic!("rob_ap_churn expects 1 outcome, got {}", o.len())
-            });
-            churn_trial_output(&robustness::churn_report_from(&cfg, &out))
-        }
-        "rob_backhaul_partition" => {
-            let cfg = partition_config(quality, trial_seed);
-            let [out]: [NetSimOutcome; 1] = outcomes.try_into().unwrap_or_else(|o: Vec<_>| {
-                panic!("rob_backhaul_partition expects 1 outcome, got {}", o.len())
-            });
-            partition_trial_output(&robustness::partition_report_from(&cfg, &out))
-        }
-        "rob_csi_aging" => {
-            let cfg = aging_config(quality, trial_seed);
-            assert_eq!(
-                outcomes.len(),
-                1 + cfg.severities,
-                "rob_csi_aging expects the MIMO baseline plus one IAC outcome per severity"
-            );
-            aging_trial_output(&robustness::aging_report_from(
-                &cfg,
-                &outcomes[0],
-                &outcomes[1..],
-            ))
-        }
-        other => panic!("no DES scenario named {other:?} (see desrec::DES_SCENARIOS)"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The labels of a quick trial's runs, in run order.
+    fn labels(name: &str) -> Vec<String> {
+        let mut labels = Vec::new();
+        let _ = drive(name, Quality::Quick, 5, |run| {
+            labels.push(run.label.clone());
+            run_live(run)
+        });
+        labels
+    }
+
     #[test]
     fn runs_enumerate_with_unique_labels() {
         for &name in DES_SCENARIOS {
-            let runs = des_runs(name, Quality::Quick, 5);
-            assert!(!runs.is_empty());
-            let mut labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+            let mut labels = labels(name);
+            assert!(!labels.is_empty());
             labels.sort_unstable();
             let mut deduped = labels.clone();
             deduped.dedup();
@@ -405,16 +383,16 @@ mod tests {
 
     #[test]
     fn load_runs_pair_systems_per_load() {
-        let cfg = load_config(Quality::Quick, 5);
-        let runs = des_runs("des_load", Quality::Quick, 5);
-        assert_eq!(runs.len(), 2 * cfg.loads_pps.len());
-        assert!(runs[0].label.starts_with("iac_"));
-        assert!(runs[1].label.starts_with("mimo_"));
+        let cfg = des_load::LoadSweepConfig::quick(5);
+        let labels = labels("des_load");
+        assert_eq!(labels.len(), 2 * cfg.loads_pps.len());
+        assert!(labels[0].starts_with("iac_"));
+        assert!(labels[1].starts_with("mimo_"));
     }
 
     #[test]
     #[should_panic(expected = "no DES scenario")]
     fn unknown_scenario_panics() {
-        des_runs("fig12", Quality::Quick, 1);
+        live_trial("fig12", Quality::Quick, 1);
     }
 }

@@ -350,9 +350,6 @@ pub fn run_netsim(spec: &NetSim, phy: CalibratedPhy) -> NetSimOutcome {
 /// Everything here is read *after* the run finishes; nothing feeds back.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesRunFacts {
-    /// Run label within its trial (see `desrec::DesRun`); empty for runs
-    /// observed through the engine lane's sink.
-    pub label: String,
     /// Events the engine dispatched.
     pub events_processed: u64,
     /// Events ever scheduled (fired + cancelled + undeliverable).
@@ -406,7 +403,6 @@ fn facts_of(
     event_kinds: Vec<(&'static str, u64)>,
 ) -> DesRunFacts {
     DesRunFacts {
-        label: String::new(),
         events_processed: out.events,
         events_scheduled: sim.events_scheduled(),
         events_cancelled: sim.events_cancelled(),
@@ -457,30 +453,17 @@ pub fn run_netsim_recorded(
 /// Re-run a recorded [`NetSim`] under verification: rebuild the identical
 /// component graph from `spec` and drive it while asserting every fired
 /// event matches `log` bit-for-bit. On success the outcome (and its
-/// [`MetricsLog`]) is bit-identical to the recorded run's; on mismatch the
-/// first divergent event comes back with context.
-pub(crate) fn run_netsim_replayed(
+/// [`MetricsLog`]) is bit-identical to the recorded run's, and the run's
+/// [`DesRunFacts`] are read from the state it keeps anyway (the replay
+/// checker owns the observer slot, so `event_kinds` stays empty); on
+/// mismatch the first divergent event comes back with context.
+pub fn run_netsim_replayed(
     spec: &NetSim,
     phy: CalibratedPhy,
-    log: &iac_des::EventLog,
-) -> Result<NetSimOutcome, Box<iac_des::Divergence>> {
-    let (mut sim, metrics) = build_netsim(spec, phy);
-    let summary = iac_des::Replayer::new(log.clone()).run(&mut sim)?;
-    Ok(outcome_of(&sim, &metrics, summary.events))
-}
-
-/// [`run_netsim_replayed`] with the run's telemetry facts harvested after
-/// verification succeeds. The replay checker owns the observer slot, so
-/// `event_kinds` stays empty; every other fact (queue statistics, MAC
-/// counters) is read from the same post-run state the live observed runner
-/// uses, and the outcome is bit-identical to [`run_netsim_replayed`]'s.
-pub(crate) fn run_netsim_replayed_observed(
-    spec: &NetSim,
-    phy: CalibratedPhy,
-    log: &iac_des::EventLog,
+    log: iac_des::EventLog,
 ) -> Result<(NetSimOutcome, DesRunFacts), Box<iac_des::Divergence>> {
     let (mut sim, metrics) = build_netsim(spec, phy);
-    let summary = iac_des::Replayer::new(log.clone()).run(&mut sim)?;
+    let summary = iac_des::Replayer::new(log).run(&mut sim)?;
     let out = outcome_of(&sim, &metrics, summary.events);
     let facts = facts_of(&sim, &out, Vec::new());
     Ok((out, facts))

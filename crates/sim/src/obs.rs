@@ -187,7 +187,6 @@ mod tests {
                 lane: 0,
             }],
             des_runs: vec![DesRunFacts {
-                label: "campus".into(),
                 events_processed: 100,
                 events_scheduled: 110,
                 events_cancelled: 4,

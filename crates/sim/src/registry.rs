@@ -30,17 +30,20 @@
 //! stable headline metrics, and push a [`Scenario`] row in [`all`]. That
 //! one function is the whole trial: telemetry needs no second entry point,
 //! because every `netsim::run_netsim` call inside an observed trial reports
-//! its DES facts to the engine lane on its own. Then regenerate the golden
+//! its DES facts to the engine lane on its own. A DES scenario instead
+//! writes its run list and reduce and adds an arm to `desrec::drive`, so
+//! record/replay and the serve audit trail get it too; its row's entry
+//! point is `desrec::live_trial`. Then regenerate the golden
 //! snapshots (`UPDATE_GOLDENS=1 cargo test -p iac-sim --test goldens`) if
 //! the scenario is golden-gated. See `docs/EXPERIMENTS.md` for the longer
 //! walkthrough.
 
+use crate::desrec;
 use crate::engine::{self, Deadline, TrialPanic};
 use crate::experiment::ExperimentConfig;
 use crate::obs::SweepObs;
 use crate::scenarios::{
-    ablations, clustered, des_campus, des_load, fig12, fig13, fig14, fig15, fig16, lemmas, ofdm,
-    overhead, robustness, sec6,
+    ablations, clustered, fig12, fig13, fig14, fig15, fig16, lemmas, ofdm, overhead, sec6,
 };
 use crate::stats;
 use iac_linalg::Rng64;
@@ -107,6 +110,12 @@ fn fnv1a(name: &str) -> u64 {
 /// The per-scenario master seed derived from the sweep's master seed.
 pub fn scenario_seed(master: u64, name: &str) -> u64 {
     Rng64::derive_seed(master, fnv1a(name))
+}
+
+/// The seed of replicate `trial` of scenario `name` under the sweep's
+/// master seed — the seed `run_scenario` hands that replicate.
+pub fn trial_seed(master: u64, name: &str, trial: usize) -> u64 {
+    Rng64::derive_seed(scenario_seed(master, name), trial as u64)
 }
 
 fn base(quality: Quality, seed: u64) -> ExperimentConfig {
@@ -362,34 +371,6 @@ fn run_ablation_alignment(q: Quality, seed: u64) -> TrialOutput {
     ])
 }
 
-fn run_des_campus(q: Quality, seed: u64) -> TrialOutput {
-    let r = des_campus::run(&crate::desrec::campus_config(q, seed));
-    crate::desrec::campus_trial_output(&r)
-}
-
-fn run_des_load(q: Quality, seed: u64) -> TrialOutput {
-    // Knee loads are grid-interpolated (`des_load::interpolated_knee`), so
-    // all three metrics vary continuously with the seed instead of snapping
-    // between swept grid loads.
-    let r = des_load::run(&crate::desrec::load_config(q, seed));
-    crate::desrec::load_trial_output(&r)
-}
-
-fn run_rob_ap_churn(q: Quality, seed: u64) -> TrialOutput {
-    let r = robustness::run_churn(&crate::desrec::churn_config(q, seed));
-    crate::desrec::churn_trial_output(&r)
-}
-
-fn run_rob_backhaul_partition(q: Quality, seed: u64) -> TrialOutput {
-    let r = robustness::run_partition(&crate::desrec::partition_config(q, seed));
-    crate::desrec::partition_trial_output(&r)
-}
-
-fn run_rob_csi_aging(q: Quality, seed: u64) -> TrialOutput {
-    let r = robustness::run_csi_aging(&crate::desrec::aging_config(q, seed));
-    crate::desrec::aging_trial_output(&r)
-}
-
 /// Every registered scenario, in presentation order.
 pub fn all() -> Vec<Scenario> {
     fn s(
@@ -501,31 +482,31 @@ pub fn all() -> Vec<Scenario> {
             "des_campus",
             "dynamic-arrival campus uplink with churn",
             4,
-            run_des_campus,
+            |q, seed| desrec::live_trial("des_campus", q, seed),
         ),
         s(
             "des_load",
             "offered-load sweep: latency knees",
             4,
-            run_des_load,
+            |q, seed| desrec::live_trial("des_load", q, seed),
         ),
         s(
             "rob_ap_churn",
             "decoding APs crash/recover; groups shrink",
             4,
-            run_rob_ap_churn,
+            |q, seed| desrec::live_trial("rob_ap_churn", q, seed),
         ),
         s(
             "rob_backhaul_partition",
             "backhaul partitions; MIMO fallback + recovery",
             4,
-            run_rob_backhaul_partition,
+            |q, seed| desrec::live_trial("rob_backhaul_partition", q, seed),
         ),
         s(
             "rob_csi_aging",
             "CSI staleness sweep: IAC degrades toward MIMO",
             4,
-            run_rob_csi_aging,
+            |q, seed| desrec::live_trial("rob_csi_aging", q, seed),
         ),
     ]
 }

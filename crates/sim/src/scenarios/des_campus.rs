@@ -11,8 +11,10 @@
 //! windows. Bit-reproducible from the seed — the determinism test runs it
 //! twice and compares raw logs.
 
+use crate::desrec::{self, DesRun};
 use crate::metrics;
-use crate::netsim::{self, CalibratedPhy, NetSim, SourceSpec};
+use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+use crate::registry::TrialOutput;
 use crate::stats::Summary;
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
@@ -114,9 +116,9 @@ fn churn_for(client: u16, horizon_ms: f64) -> Vec<(f64, bool)> {
     }
 }
 
-/// The calibrated PHY for `config` (the expensive matrix-level part; drawn
-/// from `config.seed` exactly as the original single-function `run` did).
-pub fn phy_for(config: &CampusConfig) -> CalibratedPhy {
+/// The calibrated PHY for `config` (the expensive matrix-level part, drawn
+/// from `config.seed`).
+fn phy_for(config: &CampusConfig) -> CalibratedPhy {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
@@ -126,9 +128,8 @@ pub fn phy_for(config: &CampusConfig) -> CalibratedPhy {
 
 /// The declarative run description for `config`: sources (with churn
 /// schedules), MAC parameters, and the derived simulation seed. Pure — no
-/// calibration, no RNG draws — so record, replay, and report reconstruction
-/// can all rebuild the identical spec from the config alone.
-pub fn spec_for(config: &CampusConfig) -> NetSim {
+/// calibration, no RNG draws.
+fn spec_for(config: &CampusConfig) -> NetSim {
     let mut sources = Vec::new();
     for c in 0..config.n_clients as u16 {
         // The last client is the bursty web-traffic caricature; the rest
@@ -172,14 +173,23 @@ pub fn spec_for(config: &CampusConfig) -> NetSim {
     }
 }
 
-/// Derive the report from a completed run's outcome. Every reported figure
-/// is a pure function of `(config, spec, outcome)`, so a replayed outcome
+/// The trial's one run.
+pub fn runs(config: &CampusConfig) -> Vec<DesRun> {
+    vec![DesRun {
+        label: "campus".to_string(),
+        spec: spec_for(config),
+        phy: phy_for(config),
+    }]
+}
+
+/// Fold the trial's outcome (see [`runs`]) into the report. Every reported
+/// figure is a pure function of `(config, outcome)`, so a replayed outcome
 /// reconstructs the identical report.
-pub(crate) fn report_from(
+pub(crate) fn reduce<E>(
     config: &CampusConfig,
-    spec: &NetSim,
-    out: crate::netsim::NetSimOutcome,
-) -> CampusReport {
+    mut outcomes: impl Iterator<Item = Result<NetSimOutcome, E>>,
+) -> Result<CampusReport, E> {
+    let out = desrec::next_outcome(&mut outcomes)?;
     let horizon_us = config.horizon_ms * 1e3;
     let up = metrics::latencies_ms(&out.log, Some(true));
     let down = metrics::latencies_ms(&out.log, Some(false));
@@ -207,7 +217,7 @@ pub(crate) fn report_from(
             Summary::of(xs)
         }
     };
-    CampusReport {
+    Ok(CampusReport {
         uplink_latency_ms: summary_or_nan(&up),
         downlink_latency_ms: summary_or_nan(&down),
         uplink_p99_ms: if up.is_empty() {
@@ -223,21 +233,39 @@ pub(crate) fn report_from(
         peak_depth: metrics::peak_queue_depth(&out.log),
         throughput_mbps: metrics::throughput_mbps(
             &out.log,
-            spec.cfg.protocol.payload_bytes,
+            spec_for(config).cfg.protocol.payload_bytes,
             horizon_us,
         ),
         events: out.events,
         log: out.log,
         config: config.clone(),
-    }
+    })
 }
 
 /// Run the scenario.
 pub fn run(config: &CampusConfig) -> CampusReport {
-    let phy = phy_for(config);
-    let spec = spec_for(config);
-    let out = netsim::run_netsim(&spec, phy);
-    report_from(config, &spec, out)
+    let Ok(report) = reduce(config, desrec::live(runs(config)));
+    report
+}
+
+impl CampusReport {
+    /// The trial's registry metrics.
+    pub(crate) fn trial_output(&self) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("delivered_uplink", self.log.delivered_count(true) as f64),
+                ("delivered_downlink", self.log.delivered_count(false) as f64),
+                ("uplink_median_ms", self.uplink_latency_ms.median),
+                ("jain_overall", self.jain_overall),
+                ("throughput_mbps", self.throughput_mbps),
+                // Tail drops at the bounded MAC queues: the campus scenario
+                // constructs every queue via `TrafficQueue::with_capacity`,
+                // so overload sheds load here instead of ballooning memory —
+                // the counter is part of the report's contract.
+                ("drops_overflow", self.log.drops_overflow as f64),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for CampusReport {
@@ -402,7 +430,7 @@ mod tests {
         };
         let r = run(&cfg);
         assert!(r.log.drops_overflow > 0, "overload produced no tail drops");
-        let out = crate::desrec::campus_trial_output(&r);
+        let out = r.trial_output();
         let surfaced = out
             .metrics
             .iter()

@@ -20,8 +20,10 @@
 //! magnitude. IAC's knee sits at higher load — consistent with the paper's
 //! ~1.5× uplink gain.
 
+use crate::desrec::{self, DesRun};
 use crate::metrics;
-use crate::netsim::{self, CalibratedPhy, NetSim, SourceSpec};
+use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+use crate::registry::TrialOutput;
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
 use iac_des::pcf::EventPcfConfig;
@@ -152,9 +154,8 @@ fn mac_config(iac: bool, cfg: &LoadSweepConfig) -> EventPcfConfig {
 }
 
 /// The run description for one system at one offered load. Pure — no
-/// calibration, no RNG draws — so record, replay, and report reconstruction
-/// can all rebuild the identical spec from `(config, load, system)` alone.
-pub fn point_spec(cfg: &LoadSweepConfig, load_pps: f64, iac: bool) -> NetSim {
+/// calibration, no RNG draws.
+fn point_spec(cfg: &LoadSweepConfig, load_pps: f64, iac: bool) -> NetSim {
     NetSim {
         // Same seed for both systems at a given load. Arrival draws share
         // the one simulation RNG with PHY/policy draws, so the two systems'
@@ -173,11 +174,7 @@ pub fn point_spec(cfg: &LoadSweepConfig, load_pps: f64, iac: bool) -> NetSim {
 /// Reduce a completed run's outcome to its [`SystemPoint`]. Pure in
 /// `(config, system, outcome)`, so a replayed outcome reconstructs the
 /// identical point.
-pub(crate) fn point_from(
-    cfg: &LoadSweepConfig,
-    iac: bool,
-    out: &crate::netsim::NetSimOutcome,
-) -> SystemPoint {
+fn point_from(cfg: &LoadSweepConfig, iac: bool, out: &NetSimOutcome) -> SystemPoint {
     let lat = metrics::latencies_ms(&out.log, Some(true));
     let delivered = out.log.delivered_count(true);
     SystemPoint {
@@ -202,8 +199,8 @@ pub(crate) fn point_from(
 }
 
 /// The two calibrated PHYs (IAC pool, then 802.11-MIMO pool), drawn from
-/// `config.seed` exactly as the original single-function `run` did.
-pub fn phys_for(config: &LoadSweepConfig) -> (CalibratedPhy, CalibratedPhy) {
+/// `config.seed`.
+fn phys_for(config: &LoadSweepConfig) -> (CalibratedPhy, CalibratedPhy) {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
@@ -222,10 +219,23 @@ pub fn phys_for(config: &LoadSweepConfig) -> (CalibratedPhy, CalibratedPhy) {
     (iac_phy, mimo_phy)
 }
 
-fn measure(cfg: &LoadSweepConfig, load_pps: f64, iac: bool, phy: &CalibratedPhy) -> SystemPoint {
-    let spec = point_spec(cfg, load_pps, iac);
-    let out = netsim::run_netsim(&spec, phy.clone());
-    point_from(cfg, iac, &out)
+/// The sweep's runs: IAC then 802.11-MIMO at each load, loads ascending.
+pub fn runs(config: &LoadSweepConfig) -> Vec<DesRun> {
+    let (iac_phy, mimo_phy) = phys_for(config);
+    let mut runs = Vec::with_capacity(2 * config.loads_pps.len());
+    for &load in &config.loads_pps {
+        runs.push(DesRun {
+            label: format!("iac_{load:04.0}"),
+            spec: point_spec(config, load, true),
+            phy: iac_phy.clone(),
+        });
+        runs.push(DesRun {
+            label: format!("mimo_{load:04.0}"),
+            spec: point_spec(config, load, false),
+            phy: mimo_phy.clone(),
+        });
+    }
+    runs
 }
 
 /// The sustained-load knee, linearly interpolated between grid points.
@@ -276,33 +286,73 @@ pub(crate) fn interpolated_knee(points: &[(f64, SystemPoint)], threshold_ms: f64
     la + t.clamp(0.0, 1.0) * (lb - la)
 }
 
-/// Derive the report (interpolated knees included) from the measured
-/// points. Pure in `(config, points)`, so replayed points reconstruct the
+/// Fold the sweep's outcomes, in [`runs`] order, into the report
+/// (interpolated knees included). Each outcome becomes its
+/// [`SystemPoint`] as it arrives, so live runs hold one `MetricsLog` at a
+/// time. Pure in `(config, outcomes)`, so replayed outcomes reconstruct the
 /// identical report.
-pub(crate) fn report_from(config: &LoadSweepConfig, points: Vec<LoadPoint>) -> LoadSweepReport {
+pub(crate) fn reduce<E>(
+    config: &LoadSweepConfig,
+    mut outcomes: impl Iterator<Item = Result<NetSimOutcome, E>>,
+) -> Result<LoadSweepReport, E> {
+    let mut points = Vec::with_capacity(config.loads_pps.len());
+    for &load_pps in &config.loads_pps {
+        let iac = point_from(config, true, &desrec::next_outcome(&mut outcomes)?);
+        let mimo = point_from(config, false, &desrec::next_outcome(&mut outcomes)?);
+        points.push(LoadPoint {
+            load_pps,
+            iac,
+            mimo,
+        });
+    }
     let series = |pick: fn(&LoadPoint) -> SystemPoint| -> Vec<(f64, SystemPoint)> {
         points.iter().map(|p| (p.load_pps, pick(p))).collect()
     };
-    LoadSweepReport {
+    Ok(LoadSweepReport {
         iac_sustained_pps: interpolated_knee(&series(|p| p.iac), config.latency_threshold_ms),
         mimo_sustained_pps: interpolated_knee(&series(|p| p.mimo), config.latency_threshold_ms),
         points,
         config: config.clone(),
-    }
+    })
 }
 
 /// Run the sweep.
 pub fn run(config: &LoadSweepConfig) -> LoadSweepReport {
-    let (iac_phy, mimo_phy) = phys_for(config);
-    let mut points = Vec::new();
-    for &load in &config.loads_pps {
-        points.push(LoadPoint {
-            load_pps: load,
-            iac: measure(config, load, true, &iac_phy),
-            mimo: measure(config, load, false, &mimo_phy),
-        });
+    let Ok(report) = reduce(config, desrec::live(runs(config)));
+    report
+}
+
+impl LoadSweepReport {
+    /// The sweep's registry metrics. The knees are grid-interpolated (see
+    /// `interpolated_knee`), so these are continuous in the underlying
+    /// measurements rather than snapping to swept grid loads.
+    pub(crate) fn trial_output(&self) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("load_gain", self.gain()),
+                ("iac_sustained_pps", self.iac_sustained_pps),
+                ("mimo_sustained_pps", self.mimo_sustained_pps),
+                // Sweep-total tail drops at the bounded MAC queues (per
+                // system): overload past the knee must show up as shed load,
+                // not memory growth — both runs construct queues via
+                // `with_capacity`.
+                (
+                    "iac_drops_overflow",
+                    self.points
+                        .iter()
+                        .map(|p| p.iac.overflow_drops)
+                        .sum::<u64>() as f64,
+                ),
+                (
+                    "mimo_drops_overflow",
+                    self.points
+                        .iter()
+                        .map(|p| p.mimo.overflow_drops)
+                        .sum::<u64>() as f64,
+                ),
+            ],
+        }
     }
-    report_from(config, points)
 }
 
 impl std::fmt::Display for LoadSweepReport {
@@ -471,7 +521,7 @@ mod tests {
         // The drop counters flow from the per-point logs into the registry
         // trial output, and the overloaded top of the sweep actually drops.
         let r = run(&LoadSweepConfig::quick(36));
-        let out = crate::desrec::load_trial_output(&r);
+        let out = r.trial_output();
         let surfaced = |key: &str| {
             out.metrics
                 .iter()

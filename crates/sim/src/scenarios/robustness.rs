@@ -5,15 +5,15 @@
 //! `iac-des` fault layer (`iac_des::fault`) so every fault is an ordinary
 //! recorded event and a faulty run replays bit-exactly:
 //!
-//! * `run_churn` (`rob_ap_churn`) — decoding APs crash and recover on a
+//! * `rob_ap_churn` — decoding APs crash and recover on a
 //!   seeded exponential process. The leader observes unanswered polls,
 //!   voids those results, and shrinks transmission groups to the live-AP
 //!   count.
-//! * `run_partition` (`rob_backhaul_partition`) — the inter-AP Ethernet
+//! * `rob_backhaul_partition` — the inter-AP Ethernet
 //!   partitions and heals. Decoded-packet forwards expire (bounded
 //!   retry/deadline at the hub), IAC grouping dissolves to the
 //!   standalone-MIMO fallback, and service recovers after the heal.
-//! * `run_csi_aging` (`rob_csi_aging`) — the CSI feedback loop ages: a
+//! * `rob_csi_aging` — the CSI feedback loop ages: a
 //!   staleness ramp plus a per-slot SINR penalty on *aligned* groups and an
 //!   impaired calibration pool (`iac_channel::CsiImpairment`). IAC's
 //!   throughput degrades **toward, never below,** the 802.11-MIMO baseline
@@ -21,8 +21,10 @@
 //!   baseline shape (the graceful-degradation contract, pinned by
 //!   `CsiAgingReport::min_ratio` assertions).
 
+use crate::desrec::{self, DesRun};
 use crate::metrics;
 use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
+use crate::registry::TrialOutput;
 use crate::testbed::Testbed;
 use iac_channel::estimation::{CsiImpairment, EstimationConfig};
 use iac_des::fault::{ap_churn_schedule, csi_aging_ramp, partition_windows, FaultAt};
@@ -123,8 +125,8 @@ impl ChurnConfig {
 
 /// The run description: IAC MAC plus a seeded crash/recover timeline for
 /// the two non-leader APs. Pure in `config` (the schedule generator carries
-/// its own derived seed), so record/replay/report all rebuild it exactly.
-pub fn churn_spec(config: &ChurnConfig) -> NetSim {
+/// its own derived seed).
+fn churn_spec(config: &ChurnConfig) -> NetSim {
     NetSim {
         seed: config.seed ^ 0xA9_C4A5,
         cfg: mac_config(true, config.queue_capacity, config.horizon_ms),
@@ -145,7 +147,7 @@ pub fn churn_spec(config: &ChurnConfig) -> NetSim {
 }
 
 /// The calibrated IAC PHY for a churn trial.
-pub fn churn_phy(config: &ChurnConfig) -> CalibratedPhy {
+fn churn_phy(config: &ChurnConfig) -> CalibratedPhy {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
@@ -172,24 +174,46 @@ pub struct ChurnReport {
     pub drops_retx: u64,
 }
 
-/// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub(crate) fn churn_report_from(config: &ChurnConfig, out: &NetSimOutcome) -> ChurnReport {
-    ChurnReport {
+/// The churn trial's one run.
+pub fn churn_runs(config: &ChurnConfig) -> Vec<DesRun> {
+    vec![DesRun {
+        label: "churn".to_string(),
+        spec: churn_spec(config),
+        phy: churn_phy(config),
+    }]
+}
+
+/// Fold the churn trial's outcome into its report. Pure in
+/// `(config, outcome)`.
+pub(crate) fn churn_reduce<E>(
+    config: &ChurnConfig,
+    mut outcomes: impl Iterator<Item = Result<NetSimOutcome, E>>,
+) -> Result<ChurnReport, E> {
+    let out = desrec::next_outcome(&mut outcomes)?;
+    Ok(ChurnReport {
         faults: out.log.faults,
         poll_timeouts: out.log.poll_timeouts,
         degraded_groups: out.log.degraded_groups,
-        delivery_ratio: delivery_ratio(out),
-        throughput_mbps: uplink_mbps(out, config.horizon_ms),
+        delivery_ratio: delivery_ratio(&out),
+        throughput_mbps: uplink_mbps(&out, config.horizon_ms),
         drops_retx: out.log.drops_retx,
         config: config.clone(),
-    }
+    })
 }
 
-/// Run the churn scenario.
-pub(crate) fn run_churn(config: &ChurnConfig) -> ChurnReport {
-    let spec = churn_spec(config);
-    let out = netsim::run_netsim(&spec, churn_phy(config));
-    churn_report_from(config, &out)
+impl ChurnReport {
+    /// The churn trial's registry metrics.
+    pub(crate) fn trial_output(&self) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("delivery_ratio", self.delivery_ratio),
+                ("throughput_mbps", self.throughput_mbps),
+                ("faults", self.faults as f64),
+                ("poll_timeouts", self.poll_timeouts as f64),
+                ("degraded_groups", self.degraded_groups as f64),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for ChurnReport {
@@ -271,7 +295,7 @@ pub(crate) fn partition_schedule(config: &PartitionConfig) -> Vec<FaultAt> {
 
 /// The run description: IAC MAC plus the partition timeline. Pure in
 /// `config`.
-pub(crate) fn partition_spec(config: &PartitionConfig) -> NetSim {
+fn partition_spec(config: &PartitionConfig) -> NetSim {
     NetSim {
         seed: config.seed ^ 0xBAC_4A01,
         cfg: mac_config(true, config.queue_capacity, config.horizon_ms),
@@ -285,7 +309,7 @@ pub(crate) fn partition_spec(config: &PartitionConfig) -> NetSim {
 /// The calibrated IAC PHY (with the MIMO fallback pool attached: during a
 /// partition the MAC dissolves groups to the standalone-MIMO shape, whose
 /// SINRs come from the baseline's own calibration).
-pub(crate) fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
+fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
@@ -313,27 +337,46 @@ pub struct PartitionReport {
     pub retx: u64,
 }
 
-/// Reduce a completed run to its report. Pure in `(config, outcome)`.
-pub(crate) fn partition_report_from(
+/// The partition trial's one run.
+pub(crate) fn partition_runs(config: &PartitionConfig) -> Vec<DesRun> {
+    vec![DesRun {
+        label: "partition".to_string(),
+        spec: partition_spec(config),
+        phy: partition_phy(config),
+    }]
+}
+
+/// Fold the partition trial's outcome into its report. Pure in
+/// `(config, outcome)`.
+pub(crate) fn partition_reduce<E>(
     config: &PartitionConfig,
-    out: &NetSimOutcome,
-) -> PartitionReport {
-    PartitionReport {
+    mut outcomes: impl Iterator<Item = Result<NetSimOutcome, E>>,
+) -> Result<PartitionReport, E> {
+    let out = desrec::next_outcome(&mut outcomes)?;
+    Ok(PartitionReport {
         faults: out.log.faults,
         wire_expired: out.log.wire_expired,
         degraded_groups: out.log.degraded_groups,
-        delivery_ratio: delivery_ratio(out),
-        throughput_mbps: uplink_mbps(out, config.horizon_ms),
+        delivery_ratio: delivery_ratio(&out),
+        throughput_mbps: uplink_mbps(&out, config.horizon_ms),
         retx: out.log.retx,
         config: config.clone(),
-    }
+    })
 }
 
-/// Run the partition scenario.
-pub(crate) fn run_partition(config: &PartitionConfig) -> PartitionReport {
-    let spec = partition_spec(config);
-    let out = netsim::run_netsim(&spec, partition_phy(config));
-    partition_report_from(config, &out)
+impl PartitionReport {
+    /// The partition trial's registry metrics.
+    pub(crate) fn trial_output(&self) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("delivery_ratio", self.delivery_ratio),
+                ("throughput_mbps", self.throughput_mbps),
+                ("wire_expired", self.wire_expired as f64),
+                ("degraded_groups", self.degraded_groups as f64),
+                ("retx", self.retx as f64),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for PartitionReport {
@@ -438,7 +481,7 @@ pub(crate) fn aging_schedule(config: &CsiAgingConfig, level: usize) -> Vec<Fault
 }
 
 /// The IAC run description at severity `level`. Pure in `(config, level)`.
-pub(crate) fn aging_iac_spec(config: &CsiAgingConfig, level: usize) -> NetSim {
+fn aging_iac_spec(config: &CsiAgingConfig, level: usize) -> NetSim {
     let mut cfg = mac_config(true, config.queue_capacity, config.horizon_ms);
     cfg.csi_fallback_age_slots = Some(config.fallback_age_slots);
     NetSim {
@@ -454,7 +497,7 @@ pub(crate) fn aging_iac_spec(config: &CsiAgingConfig, level: usize) -> NetSim {
 /// The 802.11-MIMO baseline run description (immune to the feedback-loop
 /// impairment: its client trains its own AP link immediately before
 /// transmitting). Pure in `config`.
-pub(crate) fn aging_mimo_spec(config: &CsiAgingConfig) -> NetSim {
+fn aging_mimo_spec(config: &CsiAgingConfig) -> NetSim {
     NetSim {
         seed: config.seed ^ 0xC51_A60,
         cfg: mac_config(false, config.queue_capacity, config.horizon_ms),
@@ -468,7 +511,7 @@ pub(crate) fn aging_mimo_spec(config: &CsiAgingConfig) -> NetSim {
 /// The calibrated PHYs: one IAC PHY per severity (pool calibrated under
 /// that severity's impaired estimation model, MIMO fallback pool attached,
 /// aging penalty armed) and the baseline MIMO PHY.
-pub(crate) fn aging_phys(config: &CsiAgingConfig) -> (Vec<CalibratedPhy>, CalibratedPhy) {
+fn aging_phys(config: &CsiAgingConfig) -> (Vec<CalibratedPhy>, CalibratedPhy) {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let base = EstimationConfig::paper_default();
@@ -526,43 +569,68 @@ impl CsiAgingReport {
     }
 }
 
-/// Reduce completed runs (baseline, then IAC per severity, ascending) to
-/// the report. Pure in `(config, outcomes)`.
-pub(crate) fn aging_report_from(
-    config: &CsiAgingConfig,
-    mimo_out: &NetSimOutcome,
-    iac_outs: &[NetSimOutcome],
-) -> CsiAgingReport {
-    assert_eq!(
-        iac_outs.len(),
-        config.severities,
-        "one IAC run per severity"
-    );
-    CsiAgingReport {
-        points: iac_outs
-            .iter()
-            .enumerate()
-            .map(|(severity, out)| AgingPoint {
-                severity,
-                iac_mbps: uplink_mbps(out, config.horizon_ms),
-                degraded_groups: out.log.degraded_groups,
-            })
-            .collect(),
-        mimo_mbps: uplink_mbps(mimo_out, config.horizon_ms),
-        config: config.clone(),
+/// The aging sweep's runs: the MIMO baseline, then IAC per severity,
+/// ascending.
+pub(crate) fn aging_runs(config: &CsiAgingConfig) -> Vec<DesRun> {
+    let (iac_phys, mimo_phy) = aging_phys(config);
+    let mut runs = Vec::with_capacity(1 + config.severities);
+    runs.push(DesRun {
+        label: "mimo".to_string(),
+        spec: aging_mimo_spec(config),
+        phy: mimo_phy,
+    });
+    for (level, phy) in iac_phys.into_iter().enumerate() {
+        runs.push(DesRun {
+            label: format!("iac_s{level}"),
+            spec: aging_iac_spec(config, level),
+            phy,
+        });
     }
+    runs
 }
 
-/// Run the aging sweep.
-pub(crate) fn run_csi_aging(config: &CsiAgingConfig) -> CsiAgingReport {
-    let (iac_phys, mimo_phy) = aging_phys(config);
-    let mimo_out = netsim::run_netsim(&aging_mimo_spec(config), mimo_phy);
-    let iac_outs: Vec<NetSimOutcome> = iac_phys
-        .into_iter()
-        .enumerate()
-        .map(|(level, phy)| netsim::run_netsim(&aging_iac_spec(config, level), phy))
-        .collect();
-    aging_report_from(config, &mimo_out, &iac_outs)
+/// Fold the aging sweep's outcomes, in [`aging_runs`] order, into the
+/// report. Pure in `(config, outcomes)`.
+pub(crate) fn aging_reduce<E>(
+    config: &CsiAgingConfig,
+    mut outcomes: impl Iterator<Item = Result<NetSimOutcome, E>>,
+) -> Result<CsiAgingReport, E> {
+    let mimo_mbps = uplink_mbps(&desrec::next_outcome(&mut outcomes)?, config.horizon_ms);
+    let mut points = Vec::with_capacity(config.severities);
+    for severity in 0..config.severities {
+        let out = desrec::next_outcome(&mut outcomes)?;
+        points.push(AgingPoint {
+            severity,
+            iac_mbps: uplink_mbps(&out, config.horizon_ms),
+            degraded_groups: out.log.degraded_groups,
+        });
+    }
+    Ok(CsiAgingReport {
+        points,
+        mimo_mbps,
+        config: config.clone(),
+    })
+}
+
+impl CsiAgingReport {
+    /// The aging sweep's registry metrics: the clean and worst-severity
+    /// IAC/MIMO ratios plus the sweep-wide floor — the graceful-degradation
+    /// contract in three numbers (gain shrinks with severity, the floor
+    /// stays at or above the baseline).
+    pub(crate) fn trial_output(&self) -> TrialOutput {
+        TrialOutput {
+            metrics: vec![
+                ("gain_clean", self.ratio(0)),
+                ("gain_worst", self.ratio(self.points.len() - 1)),
+                ("min_ratio", self.min_ratio()),
+                ("mimo_mbps", self.mimo_mbps),
+                (
+                    "fallback_groups_worst",
+                    self.points.last().map_or(0.0, |p| p.degraded_groups as f64),
+                ),
+            ],
+        }
+    }
 }
 
 impl std::fmt::Display for CsiAgingReport {
@@ -596,7 +664,8 @@ mod tests {
 
     #[test]
     fn churn_degrades_gracefully() {
-        let r = run_churn(&ChurnConfig::quick(41));
+        let cfg = ChurnConfig::quick(41);
+        let Ok(r) = churn_reduce(&cfg, desrec::live(churn_runs(&cfg)));
         assert!(r.faults > 0, "schedule produced no churn");
         assert!(r.poll_timeouts > 0, "crashed APs kept answering polls");
         assert!(r.degraded_groups > 0, "outages never shrank a group");
@@ -609,7 +678,8 @@ mod tests {
 
     #[test]
     fn partition_expires_forwards_and_recovers() {
-        let r = run_partition(&PartitionConfig::quick(42));
+        let cfg = PartitionConfig::quick(42);
+        let Ok(r) = partition_reduce(&cfg, desrec::live(partition_runs(&cfg)));
         assert_eq!(r.faults, 4, "two windows = four fault events");
         assert!(r.wire_expired > 0, "partition never blocked a forward");
         assert!(r.degraded_groups > 0, "partition never dissolved a group");
@@ -626,7 +696,8 @@ mod tests {
 
     #[test]
     fn csi_aging_degrades_toward_but_never_below_mimo() {
-        let r = run_csi_aging(&CsiAgingConfig::quick(43));
+        let cfg = CsiAgingConfig::quick(43);
+        let Ok(r) = aging_reduce(&cfg, desrec::live(aging_runs(&cfg)));
         assert!(r.mimo_mbps > 0.0);
         // Fresh CSI: IAC holds a real gain over the baseline.
         assert!(
@@ -671,7 +742,9 @@ mod tests {
             aging_iac_spec(&a, 1).faults,
             "aging spec not pure"
         );
-        let text = format!("{}", run_churn(&ChurnConfig::quick(45)));
+        let c = ChurnConfig::quick(45);
+        let Ok(r) = churn_reduce(&c, desrec::live(churn_runs(&c)));
+        let text = format!("{r}");
         assert!(text.contains("delivery"));
     }
 }

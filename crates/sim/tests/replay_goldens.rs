@@ -17,9 +17,10 @@
 //! UPDATE_GOLDENS=1 cargo test -p iac-sim --test replay_goldens
 //! ```
 
-use iac_des::log::EventLog;
+use iac_des::log::{EventLog, MemorySink};
 use iac_des::NetEvent;
-use iac_sim::desrec::{self, DesRun};
+use iac_sim::desrec::DesRun;
+use iac_sim::netsim;
 use iac_sim::scenarios::{des_campus, des_load, robustness};
 use std::path::PathBuf;
 
@@ -33,7 +34,7 @@ fn golden_dir() -> PathBuf {
 
 /// The committed runs: deliberately tiny configs (a few dozen ms of
 /// simulated time, 3 clients) so the binary logs stay a few kilobytes.
-fn golden_runs() -> Vec<(&'static str, DesRun)> {
+fn golden_runs() -> Vec<(String, DesRun)> {
     let campus_cfg = des_campus::CampusConfig {
         seed: GOLDEN_SEED,
         n_clients: 3,
@@ -63,44 +64,19 @@ fn golden_runs() -> Vec<(&'static str, DesRun)> {
         mean_down_ms: 5.0,
         calibration_draws: 4,
     };
-    let (iac_phy, mimo_phy) = des_load::phys_for(&load_cfg);
-    vec![
-        (
-            "des_campus__campus",
-            DesRun {
-                label: "campus".to_string(),
-                spec: des_campus::spec_for(&campus_cfg),
-                phy: des_campus::phy_for(&campus_cfg),
-            },
-        ),
-        (
-            "des_load__iac_0450",
-            DesRun {
-                label: "iac_0450".to_string(),
-                spec: des_load::point_spec(&load_cfg, 450.0, true),
-                phy: iac_phy,
-            },
-        ),
-        (
-            "des_load__mimo_0450",
-            DesRun {
-                label: "mimo_0450".to_string(),
-                spec: des_load::point_spec(&load_cfg, 450.0, false),
-                phy: mimo_phy,
-            },
-        ),
+    // Golden stems are `<scenario>__<run label>`; the runs come from the
+    // scenarios' own run lists, so the goldens pin exactly what a trial runs.
+    let tagged = |scenario: &'static str, runs: Vec<DesRun>| {
+        runs.into_iter()
+            .map(move |run| (format!("{scenario}__{}", run.label), run))
+    };
+    tagged("des_campus", des_campus::runs(&campus_cfg))
+        .chain(tagged("des_load", des_load::runs(&load_cfg)))
         // A fault-injecting run: the committed log carries AP crash/recover
         // events, freezing the fault-event wire tags alongside the clean
         // protocol's.
-        (
-            "rob_ap_churn__churn",
-            DesRun {
-                label: "churn".to_string(),
-                spec: robustness::churn_spec(&churn_cfg),
-                phy: robustness::churn_phy(&churn_cfg),
-            },
-        ),
-    ]
+        .chain(tagged("rob_ap_churn", robustness::churn_runs(&churn_cfg)))
+        .collect()
 }
 
 #[test]
@@ -111,7 +87,10 @@ fn committed_logs_record_and_replay_bit_identically() {
     for (stem, run) in golden_runs() {
         let log_path = dir.join(format!("{stem}.iaclog"));
         let json_path = dir.join(format!("{stem}.metrics.json"));
-        let (bytes, out) = desrec::record(&run);
+        let sink = MemorySink::default();
+        let out = netsim::run_netsim_recorded(&run.spec, run.phy.clone(), sink.clone())
+            .expect("in-memory sink cannot fail");
+        let bytes = sink.take();
         let json = out.log.to_json();
         if update {
             std::fs::create_dir_all(&dir).unwrap();
@@ -147,8 +126,8 @@ fn committed_logs_record_and_replay_bit_identically() {
         // committed metrics byte-for-byte.
         let log = EventLog::decode(&std::fs::read(&log_path).unwrap())
             .unwrap_or_else(|e| panic!("{stem}: committed log does not decode: {e}"));
-        match desrec::replay(&run, &log) {
-            Ok(replayed) => {
+        match netsim::run_netsim_replayed(&run.spec, run.phy, log) {
+            Ok((replayed, _)) => {
                 let committed_json = std::fs::read_to_string(&json_path).unwrap_or_else(|e| {
                     panic!("{stem}: cannot read {} ({e})", json_path.display())
                 });
@@ -177,7 +156,7 @@ fn replay_goldens_directory_has_no_orphans() {
     let Ok(entries) = std::fs::read_dir(golden_dir()) else {
         return; // nothing committed yet (first UPDATE_GOLDENS run pending)
     };
-    let stems: Vec<&str> = golden_runs().iter().map(|(s, _)| *s).collect();
+    let stems: Vec<String> = golden_runs().into_iter().map(|(s, _)| s).collect();
     for entry in entries.flatten() {
         let fname = entry.file_name();
         let fname = fname.to_string_lossy();
@@ -186,7 +165,7 @@ fn replay_goldens_directory_has_no_orphans() {
             .or_else(|| fname.strip_suffix(".metrics.json"))
             .unwrap_or_else(|| panic!("unexpected file in goldens/replay/: {fname}"));
         assert!(
-            stems.contains(&stem),
+            stems.iter().any(|s| s == stem),
             "orphan replay golden {fname}: not produced by golden_runs()"
         );
     }

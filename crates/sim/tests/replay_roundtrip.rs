@@ -4,43 +4,63 @@
 //! executed three ways — plain, recorded, and replayed from the recording —
 //! and all three must produce the same [`MetricsLog`] bit-for-bit (the
 //! recorder is a passive tap; replay is verified re-execution). The
-//! scenario's registry metrics reconstructed from replayed outcomes must
-//! equal the live registry entry's, bit-for-bit. The suite is
+//! scenario's registry metrics folded from replayed outcomes must equal the
+//! live registry entry's, bit-for-bit. The suite is
 //! thread-count-invariant: the `IAC_TEST_THREADS` CI matrix (1 and 4) runs
 //! it unchanged, and the registry comparison below goes through the
 //! parallel engine at whatever thread count is in force.
 //!
 //! A recording made with one trial seed must *not* replay against another
 //! seed's simulation: the divergence check is the suite's negative control.
+//!
+//! [`MetricsLog`]: iac_des::MetricsLog
 
-use iac_des::NetEvent;
+use iac_des::log::{diff_logs, EventLog, MemorySink};
+use iac_des::{Divergence, NetEvent};
+use iac_sim::desrec::{self, DesRun};
+use iac_sim::netsim::{self, NetSimOutcome};
 use iac_sim::registry::{self, Quality};
-use iac_sim::{desrec, engine, DEFAULT_SEED};
-
-use iac_des::log::{diff_logs, EventLog};
-
-/// The registry's seed for replicate `trial` of a scenario under `master` —
-/// the same derivation the engine and `examples/replay.rs` use.
-fn trial_seed_for(master: u64, name: &str, trial: usize) -> u64 {
-    let scen_seed = registry::scenario_seed(master, name);
-    engine::trials_for(scen_seed, trial + 1)[trial].seed
-}
+use iac_sim::DEFAULT_SEED;
 
 /// Trial-0 seed under the default master seed.
 fn trial0_seed(name: &str) -> u64 {
-    trial_seed_for(DEFAULT_SEED, name, 0)
+    registry::trial_seed(DEFAULT_SEED, name, 0)
+}
+
+/// Record `run` in memory: its encoded event log and outcome.
+fn record(run: &DesRun) -> (Vec<u8>, NetSimOutcome) {
+    let sink = MemorySink::default();
+    let out = netsim::run_netsim_recorded(&run.spec, run.phy.clone(), sink.clone())
+        .expect("in-memory sink cannot fail");
+    (sink.take(), out)
+}
+
+/// Record `run`, then replay it from the decoded log.
+fn record_and_replay(name: &str, run: DesRun) -> NetSimOutcome {
+    let (bytes, _) = record(&run);
+    let log = EventLog::decode(&bytes).unwrap();
+    let (out, _) = netsim::run_netsim_replayed(&run.spec, run.phy, log).unwrap_or_else(|d| {
+        panic!(
+            "{name}/{}: replay diverged:\n{}",
+            run.label,
+            d.render::<NetEvent>()
+        )
+    });
+    out
+}
+
+/// The first run of a trial: `drive` stops at the executor's first error.
+fn first_run(name: &str, seed: u64) -> DesRun {
+    desrec::drive(name, Quality::Quick, seed, Err).unwrap_err()
 }
 
 #[test]
 fn every_des_scenario_roundtrips_bit_identically() {
     for &name in desrec::DES_SCENARIOS {
         let seed = trial0_seed(name);
-        let runs = desrec::des_runs(name, Quality::Quick, seed);
-        let mut plain_outcomes = Vec::with_capacity(runs.len());
-        let mut replayed_outcomes = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let plain = iac_sim::netsim::run_netsim(&run.spec, run.phy.clone());
-            let (bytes, recorded) = desrec::record(run);
+        let from_replay = desrec::drive(name, Quality::Quick, seed, |run| {
+            let plain = netsim::run_netsim(&run.spec, run.phy.clone());
+            let (bytes, recorded) = record(&run);
 
             // Recording is a passive observer: identical outcome.
             assert_eq!(
@@ -56,13 +76,7 @@ fn every_des_scenario_roundtrips_bit_identically() {
             let log = EventLog::decode(&bytes)
                 .unwrap_or_else(|e| panic!("{name}/{}: log decode failed: {e}", run.label));
             assert_eq!(log.len() as u64, plain.events, "{name}/{}", run.label);
-            let replayed = desrec::replay(run, &log).unwrap_or_else(|d| {
-                panic!(
-                    "{name}/{}: replay diverged:\n{}",
-                    run.label,
-                    d.render::<NetEvent>()
-                )
-            });
+            let (replayed, _) = netsim::run_netsim_replayed(&run.spec, run.phy, log)?;
             assert_eq!(
                 plain.log, replayed.log,
                 "{name}/{}: replayed metrics differ",
@@ -74,19 +88,14 @@ fn every_des_scenario_roundtrips_bit_identically() {
                 "{name}/{}: JSON serialization differs",
                 run.label
             );
+            Ok(replayed)
+        })
+        .unwrap_or_else(|d: Box<Divergence>| {
+            panic!("{name}: replay diverged:\n{}", d.render::<NetEvent>())
+        });
 
-            plain_outcomes.push(plain);
-            replayed_outcomes.push(replayed);
-        }
-
-        // Reconstructed trial metrics are bit-identical whether fed live or
-        // replayed outcomes — and match the live registry entry exactly.
-        let from_plain = desrec::trial_output_from(name, Quality::Quick, seed, plain_outcomes);
-        let from_replay = desrec::trial_output_from(name, Quality::Quick, seed, replayed_outcomes);
-        assert_eq!(
-            from_plain.metrics, from_replay.metrics,
-            "{name}: replayed trial metrics differ"
-        );
+        // Trial metrics folded from replayed outcomes match the live
+        // registry entry exactly.
         let spec = registry::find(name).unwrap_or_else(|| panic!("{name} not registered"));
         let live = (spec.run)(Quality::Quick, seed);
         for ((ln, lv), (rn, rv)) in live.metrics.iter().zip(&from_replay.metrics) {
@@ -106,16 +115,15 @@ fn recordings_do_not_replay_against_a_different_seed() {
     for &name in desrec::DES_SCENARIOS {
         let seed_a = trial0_seed(name);
         let seed_b = seed_a ^ 0x5DEECE66D;
-        let runs_a = desrec::des_runs(name, Quality::Quick, seed_a);
-        let runs_b = desrec::des_runs(name, Quality::Quick, seed_b);
 
         // One constituent run is enough for the negative control.
-        let (bytes_a, _) = desrec::record(&runs_a[0]);
-        let (bytes_b, _) = desrec::record(&runs_b[0]);
+        let (run_a, run_b) = (first_run(name, seed_a), first_run(name, seed_b));
+        let (bytes_a, _) = record(&run_a);
+        let (bytes_b, _) = record(&run_b);
         let log_a = EventLog::decode(&bytes_a).unwrap();
         let log_b = EventLog::decode(&bytes_b).unwrap();
 
-        let d = desrec::replay(&runs_b[0], &log_a)
+        let d = netsim::run_netsim_replayed(&run_b.spec, run_b.phy, log_a.clone())
             .expect_err(&format!("{name}: cross-seed replay must diverge"));
         assert!(
             d.expected.is_some() || d.got.is_some(),
@@ -139,23 +147,10 @@ fn registry_report_matches_replay_reconstruction_per_trial() {
         let spec = registry::find(name).unwrap_or_else(|| panic!("{name} not registered"));
         let report = registry::run_scenario(&spec, Quality::Quick, DEFAULT_SEED, REPLICATES, 0);
         for trial in 0..REPLICATES {
-            let seed = trial_seed_for(DEFAULT_SEED, name, trial);
-            let runs = desrec::des_runs(name, Quality::Quick, seed);
-            let outcomes = runs
-                .iter()
-                .map(|run| {
-                    let (bytes, _) = desrec::record(run);
-                    let log = EventLog::decode(&bytes).unwrap();
-                    desrec::replay(run, &log).unwrap_or_else(|d| {
-                        panic!(
-                            "{name}/{} trial {trial}: replay diverged:\n{}",
-                            run.label,
-                            d.render::<NetEvent>()
-                        )
-                    })
-                })
-                .collect();
-            let reconstructed = desrec::trial_output_from(name, Quality::Quick, seed, outcomes);
+            let seed = registry::trial_seed(DEFAULT_SEED, name, trial);
+            let Ok(reconstructed) = desrec::drive(name, Quality::Quick, seed, |run| {
+                Ok::<_, std::convert::Infallible>(record_and_replay(name, run))
+            });
             for agg in &report.metrics {
                 let (_, v) = reconstructed
                     .metrics
@@ -177,38 +172,80 @@ fn registry_report_matches_replay_reconstruction_per_trial() {
 
 #[test]
 fn observed_replay_is_bit_identical_and_harvests_facts() {
-    // Telemetry on the replay path is passive too: `replay_observed` must
-    // return the exact outcome `replay` does, plus facts whose engine/MAC
-    // numbers match the recording (per-kind counts stay empty — the replay
-    // checker owns the observer slot).
-    let seed = trial0_seed("des_campus");
-    let runs = desrec::des_runs("des_campus", Quality::Quick, seed);
-    for run in &runs {
-        let (bytes, _) = desrec::record(run);
-        let log = EventLog::decode(&bytes).unwrap();
-        let plain = desrec::replay(run, &log)
-            .unwrap_or_else(|d| panic!("plain replay diverged:\n{}", d.render::<NetEvent>()));
-        let (observed, facts) = desrec::replay_observed(run, &log)
-            .unwrap_or_else(|d| panic!("observed replay diverged:\n{}", d.render::<NetEvent>()));
-        assert_eq!(
-            plain.log, observed.log,
-            "{}: telemetry perturbed replay",
-            run.label
-        );
-        assert_eq!(plain.events, observed.events, "{}", run.label);
-        assert_eq!(plain.end_time, observed.end_time, "{}", run.label);
-        assert_eq!(facts.label, run.label);
-        assert_eq!(facts.events_processed, log.len() as u64);
-        assert!(
-            facts.event_kinds.is_empty(),
-            "observer slot was taken by the checker"
-        );
-        assert!(facts.queue_high_water > 0);
-        assert_eq!(facts.delivered, observed.log.delivered.len() as u64);
-        assert_eq!(facts.poll_rounds, observed.log.poll_rounds);
-        assert_eq!(
-            facts.end_time_us.to_bits(),
-            observed.end_time.micros().to_bits()
-        );
-    }
+    // Telemetry on the replay path is passive too: the replay returns the
+    // exact outcome the live run does, plus facts whose engine/MAC numbers
+    // match the recording (per-kind counts stay empty — the replay checker
+    // owns the observer slot).
+    let run = first_run("des_campus", trial0_seed("des_campus"));
+    let plain = netsim::run_netsim(&run.spec, run.phy.clone());
+    let (bytes, _) = record(&run);
+    let log = EventLog::decode(&bytes).unwrap();
+    let events = log.len() as u64;
+    let (observed, facts) = netsim::run_netsim_replayed(&run.spec, run.phy, log)
+        .unwrap_or_else(|d| panic!("replay diverged:\n{}", d.render::<NetEvent>()));
+    assert_eq!(plain.log, observed.log, "telemetry perturbed replay");
+    assert_eq!(plain.events, observed.events);
+    assert_eq!(plain.end_time, observed.end_time);
+    assert_eq!(facts.events_processed, events);
+    assert!(
+        facts.event_kinds.is_empty(),
+        "observer slot was taken by the checker"
+    );
+    assert!(facts.queue_high_water > 0);
+    assert_eq!(facts.delivered, observed.log.delivered.len() as u64);
+    assert_eq!(facts.poll_rounds, observed.log.poll_rounds);
+    assert_eq!(
+        facts.end_time_us.to_bits(),
+        observed.end_time.micros().to_bits()
+    );
+}
+
+#[test]
+fn recording_directory_verifies_and_flags_tampering() {
+    // The shared recording layout: what `record_trial` writes,
+    // `verify_recording` accepts; a changed metrics file, a changed
+    // `trial.json` or a missing log each fail with their own error.
+    let dir = std::env::temp_dir().join(format!("iac_replay_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (name, q) = ("rob_csi_aging", Quality::Quick);
+    let mut labels = Vec::new();
+    desrec::record_trial(&dir, name, q, DEFAULT_SEED, 1, |label, _, _| {
+        labels.push(label.to_string())
+    })
+    .unwrap();
+    let verify = || {
+        let prof = iac_obs::Profiler::new();
+        desrec::verify_recording(&dir, name, q, DEFAULT_SEED, 1, &prof, |_| {})
+    };
+    verify().expect("a fresh recording verifies");
+    // A recording replays only as the trial it was recorded as.
+    let prof = iac_obs::Profiler::new();
+    let other = desrec::verify_recording(&dir, name, q, DEFAULT_SEED, 0, &prof, |_| {});
+    assert!(
+        matches!(other, Err(desrec::ReplayError::Diverged(..))),
+        "{other:?}"
+    );
+
+    let metrics = dir.join(format!("{}.metrics.json", labels[1]));
+    let good = std::fs::read(&metrics).unwrap();
+    std::fs::write(&metrics, b"{}").unwrap();
+    assert!(matches!(
+        verify(),
+        Err(desrec::ReplayError::MetricsDiffer(..))
+    ));
+    std::fs::write(&metrics, &good).unwrap();
+
+    let trial = dir.join("trial.json");
+    let good = std::fs::read_to_string(&trial).unwrap();
+    std::fs::write(&trial, good.replace("\"trial\": 1", "\"trial\": 2")).unwrap();
+    assert!(matches!(
+        verify(),
+        Err(desrec::ReplayError::TrialDiffers(_))
+    ));
+    std::fs::write(&trial, &good).unwrap();
+    verify().expect("restored recording verifies again");
+
+    std::fs::remove_file(dir.join(format!("{}.iaclog", labels[0]))).unwrap();
+    assert!(matches!(verify(), Err(desrec::ReplayError::Unreadable(..))));
+    let _ = std::fs::remove_dir_all(&dir);
 }

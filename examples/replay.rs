@@ -33,8 +33,9 @@
 
 use iac_lan::des::log::{render_diff, EventLog};
 use iac_lan::des::NetEvent;
-use iac_lan::sim::desrec;
-use iac_lan::sim::registry::{self, Quality, TrialOutput};
+use iac_lan::sim::cli::parse_seed;
+use iac_lan::sim::desrec::{self, ReplayError, ReplayStep};
+use iac_lan::sim::registry::{self, Quality};
 use iac_lan::sim::DEFAULT_SEED;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -63,14 +64,6 @@ fn usage() -> ! {
         desrec::DES_SCENARIOS.join(", ")
     );
     std::process::exit(2);
-}
-
-fn parse_seed(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
 }
 
 struct TrialArgs {
@@ -142,22 +135,6 @@ fn parse_trial_args(args: &[String], dir_flag: &str, telemetry: bool) -> TrialAr
     }
 }
 
-/// The trial seed for `(master, scenario, trial index)` — the registry's
-/// derivation, so recorded trials line up with sweep replicates.
-fn trial_seed(a: &TrialArgs) -> u64 {
-    let scen_seed = registry::scenario_seed(a.master_seed, &a.scenario);
-    iac_lan::sim::engine::trials_for(scen_seed, a.trial + 1)[a.trial].seed
-}
-
-/// Deterministic JSON for a trial's scenario metrics: values carried as
-/// IEEE bit patterns (with a human-readable companion), so byte equality
-/// of the file is bit equality of every metric.
-fn trial_json(a: &TrialArgs, seed: u64, out: &TrialOutput) -> String {
-    // Shared with the serve daemon's audit trail, which writes the same
-    // recording layout (see docs/SERVE.md).
-    desrec::trial_json(&a.scenario, a.quality, a.master_seed, a.trial, seed, out)
-}
-
 fn read_log(path: &Path) -> EventLog {
     let bytes = std::fs::read(path).unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", path.display());
@@ -171,132 +148,87 @@ fn read_log(path: &Path) -> EventLog {
 
 fn cmd_record(args: &[String]) {
     let a = parse_trial_args(args, "--out", false);
-    let seed = trial_seed(&a);
-    std::fs::create_dir_all(&a.dir).expect("create output directory");
-    let runs = desrec::des_runs(&a.scenario, a.quality, seed);
-    let mut outcomes = Vec::with_capacity(runs.len());
-    for run in &runs {
-        let log_path = a.dir.join(format!("{}.iaclog", run.label));
-        let file =
-            std::io::BufWriter::new(std::fs::File::create(&log_path).expect("create log file"));
-        let out = iac_lan::sim::netsim::run_netsim_recorded(&run.spec, run.phy.clone(), file)
-            .expect("write event log");
-        std::fs::write(
-            a.dir.join(format!("{}.metrics.json", run.label)),
-            out.log.to_json(),
-        )
-        .expect("write metrics json");
-        eprintln!(
-            "[record] {} -> {} ({} events, {} delivered)",
-            run.label,
-            log_path.display(),
-            out.events,
-            out.log.delivered.len()
-        );
-        outcomes.push(out);
-    }
-    let trial = desrec::trial_output_from(&a.scenario, a.quality, seed, outcomes);
-    std::fs::write(a.dir.join("trial.json"), trial_json(&a, seed, &trial))
-        .expect("write trial json");
+    let mut runs = 0usize;
+    desrec::record_trial(
+        &a.dir,
+        &a.scenario,
+        a.quality,
+        a.master_seed,
+        a.trial,
+        |label, log, out| {
+            runs += 1;
+            eprintln!(
+                "[record] {label} -> {} ({} events, {} delivered)",
+                log.display(),
+                out.events,
+                out.log.delivered.len()
+            );
+        },
+    )
+    .expect("write the recording");
     println!(
-        "recorded {} run(s) of {} (trial seed {seed:#x}) into {}",
-        runs.len(),
+        "recorded {runs} run(s) of {} (trial seed {:#x}) into {}",
         a.scenario,
+        registry::trial_seed(a.master_seed, &a.scenario, a.trial),
         a.dir.display()
     );
 }
 
 fn cmd_replay(args: &[String]) {
     let a = parse_trial_args(args, "--dir", true);
-    let seed = trial_seed(&a);
-    let runs = desrec::des_runs(&a.scenario, a.quality, seed);
-    let telemetry = a.metrics.is_some() || a.trace.is_some();
     // Telemetry on the replay itself: one span per constituent run, the
     // facts harvested after each run verifies. Strictly passive — the
     // verification result and both stdout summaries are unaffected.
     let prof = iac_lan::obs::Profiler::with_trace(0, std::time::Instant::now());
     let mut obs = iac_lan::sim::obs::SweepObs::new();
-    let mut outcomes = Vec::with_capacity(runs.len());
-    let mut events = 0u64;
-    for run in &runs {
-        let log = read_log(&a.dir.join(format!("{}.iaclog", run.label)));
-        events += log.len() as u64;
-        if a.progress {
-            eprintln!(
-                "[replay] {}: verifying {} event(s) ...",
-                run.label,
-                log.len()
-            );
-        }
-        let replayed = if telemetry {
-            let _span = iac_lan::obs::span!(prof, "run");
-            desrec::replay_observed(run, &log).map(|(out, facts)| {
-                obs.record_des_run(&facts);
-                out
-            })
-        } else {
-            desrec::replay(run, &log)
-        };
-        let out = match replayed {
-            Ok(out) => out,
-            Err(d) => {
-                eprintln!(
-                    "[replay] {} DIVERGED:\n{}",
-                    run.label,
-                    d.render::<NetEvent>()
-                );
-                std::process::exit(1);
+    let mut labels = Vec::new();
+    let mut events = 0usize;
+    let verified = desrec::verify_recording(
+        &a.dir,
+        &a.scenario,
+        a.quality,
+        a.master_seed,
+        a.trial,
+        &prof,
+        |step| match step {
+            ReplayStep::Verifying { label, events: n } => {
+                events += n;
+                if a.progress {
+                    eprintln!("[replay] {label}: verifying {n} event(s) ...");
+                }
             }
-        };
-        let metrics_path = a.dir.join(format!("{}.metrics.json", run.label));
-        let recorded = std::fs::read_to_string(&metrics_path).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", metrics_path.display());
-            std::process::exit(2);
+            ReplayStep::Verified { label, facts } => {
+                obs.record_des_run(facts);
+                labels.push(label.to_string());
+                eprintln!(
+                    "[replay] {label} ok ({} events verified)",
+                    facts.events_processed
+                );
+            }
+        },
+    );
+    if let Err(e) = verified {
+        eprintln!("{e}");
+        std::process::exit(match e {
+            ReplayError::Unreadable(..) => 2,
+            _ => 1,
         });
-        if recorded != out.log.to_json() {
-            eprintln!(
-                "[replay] {}: events matched but {} differs from the replayed metrics — \
-                 recorded files are inconsistent",
-                run.label,
-                metrics_path.display()
-            );
-            std::process::exit(1);
-        }
-        eprintln!("[replay] {} ok ({} events verified)", run.label, log.len());
-        outcomes.push(out);
     }
-    let trial = desrec::trial_output_from(&a.scenario, a.quality, seed, outcomes);
-    let regenerated = trial_json(&a, seed, &trial);
-    let trial_path = a.dir.join("trial.json");
-    match std::fs::read_to_string(&trial_path) {
-        Ok(recorded) if recorded == regenerated => {}
-        Ok(_) => {
-            eprintln!(
-                "[replay] runs replayed bit-identically but {} disagrees — was it recorded \
-                 with the same --scenario/--seed/--trial/--paper flags?",
-                trial_path.display()
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", trial_path.display());
-            std::process::exit(2);
-        }
-    }
-    if telemetry {
+    if a.metrics.is_some() || a.trace.is_some() {
         obs.profile.merge(&prof.tree());
         // Replay spans are all named "run"; retag with the run labels (one
         // span per run, in order) so the trace reads per-run in Perfetto.
         let spans = prof.take_trace_events();
-        obs.trace.extend(
-            spans
-                .iter()
-                .zip(&runs)
-                .map(|(e, run)| iac_lan::obs::TraceEvent {
-                    name: run.label.clone(),
-                    ..e.clone()
-                }),
-        );
+        obs.trace
+            .extend(
+                spans
+                    .iter()
+                    .zip(labels.iter())
+                    .map(|(e, label)| iac_lan::obs::TraceEvent {
+                        name: label.clone(),
+                        ..e.clone()
+                    }),
+            );
         if let Some(path) = &a.metrics {
             std::fs::write(path, obs.metrics_json()).expect("write metrics snapshot");
             eprintln!("[replay] metrics snapshot written to {}", path.display());
@@ -308,7 +240,7 @@ fn cmd_replay(args: &[String]) {
     }
     println!(
         "replayed {} run(s) of {}: {events} events, every metric bit-identical",
-        runs.len(),
+        labels.len(),
         a.scenario
     );
 }
