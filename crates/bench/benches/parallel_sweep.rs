@@ -1,6 +1,6 @@
 //! The parallel experiment engine's scaling demonstration.
 //!
-//! Runs a paper-scale Fig. 14 sweep through `iac_sim::engine` at 1 worker
+//! Runs a paper-quality Fig. 14 sweep through `iac_sim::engine` at 1 worker
 //! and at `min(8, cores)` workers, verifies the aggregate output is
 //! **byte-identical** (the engine's determinism contract), and reports the
 //! wall-clock speedup. The trials are embarrassingly parallel and share no
@@ -11,37 +11,29 @@
 //! The run *reports* rather than asserts the speedup when fewer than 4
 //! cores are available — scaling cannot manifest without hardware to scale
 //! onto — but the bit-identity check is unconditional.
-use iac_bench::{header, scale, Scale};
 use iac_sim::registry::{self, Quality};
 use std::time::Instant;
 
 fn main() {
-    header(
-        "parallel_sweep — deterministic scaling of the experiment engine",
-        "N-thread sweep output is bit-identical to serial; wall-clock scales with cores",
+    println!("parallel_sweep — deterministic scaling of the experiment engine");
+    println!(
+        "claim: N-thread sweep output is bit-identical to serial; wall-clock scales with cores"
     );
-    let (quality, replicates) = match scale() {
-        Scale::Paper => (Quality::Paper, 8),
-        Scale::Quick => (Quality::Quick, 8),
-    };
     let spec = registry::find("fig14").expect("fig14 registered");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let wide = cores.clamp(2, 8);
 
-    // Best-of-N per pool size: a one-shot measurement of a short quick-scale
-    // run is at the mercy of a single scheduler hiccup; the minimum is the
-    // honest estimate of what the machine can do. Paper-scale runs last tens
-    // of seconds — long enough to amortize noise — so one repeat suffices.
-    let repeats = match scale() {
-        Scale::Paper => 1,
-        Scale::Quick => 3,
-    };
+    // Best-of-3 per pool size: a paper-quality Fig. 14 sweep lasts about a
+    // tenth of a second, so one measurement is at the mercy of a single
+    // scheduler hiccup; the minimum is the honest estimate of what the
+    // machine can do.
+    const REPEATS: usize = 3;
     let measure = |threads: usize| {
         let mut best = std::time::Duration::MAX;
         let mut report = None;
-        for _ in 0..repeats {
+        for _ in 0..REPEATS {
             let t = Instant::now();
-            let r = registry::run_scenario(&spec, quality, 0x5CA1E, replicates, threads);
+            let r = registry::run_scenario(&spec, Quality::Paper, 0x5CA1E, 8, threads);
             best = best.min(t.elapsed());
             report = Some(r);
         }
@@ -59,17 +51,15 @@ fn main() {
     println!("{serial}");
     let speedup = serial_elapsed.as_secs_f64() / parallel_elapsed.as_secs_f64();
     println!(
-        "wall-clock (best of {repeats}): 1 thread {serial_elapsed:.2?} | {wide} threads {parallel_elapsed:.2?} | speedup {speedup:.2}x on {cores} core(s)"
+        "wall-clock (best of {REPEATS}): 1 thread {serial_elapsed:.2?} | {wide} threads {parallel_elapsed:.2?} | speedup {speedup:.2}x on {cores} core(s)"
     );
-    // Quick-scale trials are ~ms-sized — too noise-dominated to gate on.
-    // The scaling bar only applies to paper-scale runs on real parallelism.
-    if scale() == Scale::Paper && cores >= 4 {
+    if cores >= 4 {
         assert!(
             speedup >= 0.7 * wide as f64,
             "poor scaling: {speedup:.2}x at {wide} threads on {cores} cores (bar: {:.2}x)",
             0.7 * wide as f64
         );
     } else {
-        println!("(quick scale or < 4 cores: scaling reported, not asserted)");
+        println!("(< 4 cores: scaling reported, not asserted)");
     }
 }

@@ -145,7 +145,6 @@ pub fn parse_sweep_args(args: impl IntoIterator<Item = String>) -> Result<SweepA
                     .ok_or_else(|| missing("--seed"))?
             }
             "--paper" => out.quality = Quality::Paper,
-            "--quick" => out.quality = Quality::Quick,
             "--json" => out.json = true,
             "--list" => out.list = true,
             "--metrics" => {
@@ -371,6 +370,14 @@ mod tests {
             let err = parse_sweep_args(line.iter().map(|s| s.to_string())).unwrap_err();
             assert!(err.contains("usage:"), "{err}");
         }
+    }
+
+    #[test]
+    fn quick_flag_is_unknown() {
+        // Quick is the default sizing; there is no flag that selects it.
+        let err = parse_sweep_args(["--quick".to_string()]).unwrap_err();
+        assert!(err.starts_with("unknown flag \"--quick\""), "{err}");
+        assert_eq!(parse(&[]).quality, Quality::Quick);
     }
 
     #[test]

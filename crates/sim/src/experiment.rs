@@ -18,6 +18,13 @@ use iac_linalg::{CMat, Rng64};
 /// overrides it with `--seed`.
 pub const DEFAULT_SEED: u64 = 0x1AC_2009;
 
+/// Receiver noise power (per antenna, linear) in every matrix-plane
+/// experiment.
+pub(crate) const NOISE: f64 = 1.0;
+
+/// Per-node transmit power budget in every matrix-plane experiment.
+pub(crate) const PER_NODE_POWER: f64 = 1.0;
+
 /// Common experiment knobs.
 ///
 /// # Seeding contract
@@ -26,8 +33,8 @@ pub const DEFAULT_SEED: u64 = 0x1AC_2009;
 /// deployment, role picks, channel draws, and estimation noise all flow from
 /// one `Rng64::new(seed)` (or streams derived from it via
 /// [`iac_linalg::Rng64::derive_seed`]). Both constructors therefore take the
-/// seed explicitly — [`ExperimentConfig::paper_default`] no less than
-/// [`ExperimentConfig::quick`] — so a caller-supplied master seed (e.g.
+/// seed explicitly — [`ExperimentConfig::paper_default`] no less than the
+/// registry's quick sizing — so a caller-supplied master seed (e.g.
 /// `sweep --seed`) reaches every scenario instead of being silently replaced
 /// by a hard-coded constant. Pass [`DEFAULT_SEED`] to reproduce the numbers
 /// recorded in the committed goldens and docs.
@@ -41,10 +48,6 @@ pub struct ExperimentConfig {
     pub slots: usize,
     /// Channel-estimation error model.
     pub est: EstimationConfig,
-    /// Receiver noise power (per antenna, linear).
-    pub noise: f64,
-    /// Per-node transmit power budget.
-    pub per_node_power: f64,
 }
 
 impl ExperimentConfig {
@@ -55,20 +58,16 @@ impl ExperimentConfig {
             picks: 40,
             slots: 100,
             est: EstimationConfig::paper_default(),
-            noise: 1.0,
-            per_node_power: 1.0,
         }
     }
 
     /// A fast variant for unit tests.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             seed,
             picks: 6,
             slots: 20,
             est: EstimationConfig::paper_default(),
-            noise: 1.0,
-            per_node_power: 1.0,
         }
     }
 }
@@ -84,7 +83,7 @@ pub struct ScatterPoint {
 
 impl ScatterPoint {
     /// Eq. 10 gain for this pick.
-    pub fn gain(&self) -> f64 {
+    pub(crate) fn gain(&self) -> f64 {
         self.iac / self.baseline
     }
 }
@@ -106,11 +105,7 @@ pub(crate) fn permute_transmitters(grid: &ChannelGrid, order: &[usize]) -> Chann
 
 /// 802.11-MIMO uplink slot: each client alone on its best AP; with the TDMA
 /// budget split evenly, the slot-average rate is the mean over clients.
-pub(crate) fn baseline_uplink_slot(
-    grid_true: &ChannelGrid,
-    grid_est: &ChannelGrid,
-    cfg: &ExperimentConfig,
-) -> f64 {
+pub(crate) fn baseline_uplink_slot(grid_true: &ChannelGrid, grid_est: &ChannelGrid) -> f64 {
     debug_assert_eq!(grid_true.direction(), Direction::Uplink);
     let mut acc = 0.0;
     for c in 0..grid_true.transmitters() {
@@ -121,18 +116,14 @@ pub(crate) fn baseline_uplink_slot(
             .map(|a| grid_est.link(c, a).clone())
             .collect();
         // A degenerate link scores 0.0.
-        acc += baseline::best_ap_rate(&links_true, &links_est, cfg.per_node_power, cfg.noise)
+        acc += baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
             .map_or(0.0, |(_, rate, _)| rate);
     }
     acc / grid_true.transmitters() as f64
 }
 
 /// 802.11-MIMO downlink slot: each client downloads from its best AP.
-pub(crate) fn baseline_downlink_slot(
-    grid_true: &ChannelGrid,
-    grid_est: &ChannelGrid,
-    cfg: &ExperimentConfig,
-) -> f64 {
+pub(crate) fn baseline_downlink_slot(grid_true: &ChannelGrid, grid_est: &ChannelGrid) -> f64 {
     debug_assert_eq!(grid_true.direction(), Direction::Downlink);
     let mut acc = 0.0;
     for c in 0..grid_true.receivers() {
@@ -143,7 +134,7 @@ pub(crate) fn baseline_downlink_slot(
             .map(|a| grid_est.link(a, c).clone())
             .collect();
         // A degenerate link scores 0.0.
-        acc += baseline::best_ap_rate(&links_true, &links_est, cfg.per_node_power, cfg.noise)
+        acc += baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
             .map_or(0.0, |(_, rate, _)| rate);
     }
     acc / grid_true.receivers() as f64
@@ -154,14 +145,13 @@ pub(crate) fn baseline_downlink_slot(
 pub(crate) fn iac_uplink3_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
-    cfg: &ExperimentConfig,
     rng: &mut Rng64,
 ) -> f64 {
     let mut acc = 0.0;
     for order in [&[0usize, 1][..], &[1usize, 0][..]] {
         let gt = permute_transmitters(grid_true, order);
         let ge = permute_transmitters(grid_est, order);
-        acc += iac_rate_for(&gt, &ge, cfg, rng, IacShape::Uplink3);
+        acc += iac_rate_for(&gt, &ge, rng, IacShape::Uplink3);
     }
     acc / 2.0
 }
@@ -172,7 +162,6 @@ pub(crate) fn iac_uplink3_slot(
 pub(crate) fn iac_uplink4_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
-    cfg: &ExperimentConfig,
     double_client: usize,
     rng: &mut Rng64,
 ) -> f64 {
@@ -181,17 +170,16 @@ pub(crate) fn iac_uplink4_slot(
     let order: Vec<usize> = (0..n).map(|k| (double_client + k) % n).collect();
     let gt = permute_transmitters(grid_true, &order);
     let ge = permute_transmitters(grid_est, &order);
-    iac_rate_for(&gt, &ge, cfg, rng, IacShape::Uplink4)
+    iac_rate_for(&gt, &ge, rng, IacShape::Uplink4)
 }
 
 /// IAC 3-packet downlink slot (Fig. 6).
 pub(crate) fn iac_downlink3_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
-    cfg: &ExperimentConfig,
     rng: &mut Rng64,
 ) -> f64 {
-    iac_rate_for(grid_true, grid_est, cfg, rng, IacShape::Downlink3)
+    iac_rate_for(grid_true, grid_est, rng, IacShape::Downlink3)
 }
 
 enum IacShape {
@@ -203,22 +191,19 @@ enum IacShape {
 fn iac_rate_for(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
-    cfg: &ExperimentConfig,
     rng: &mut Rng64,
     shape: IacShape,
 ) -> f64 {
     let config = match shape {
         IacShape::Uplink3 => optimize::uplink3_optimized(
             grid_est,
-            cfg.per_node_power,
-            cfg.noise,
+            PER_NODE_POWER,
+            NOISE,
             optimize::DEFAULT_SEED_CANDIDATES,
             rng,
         ),
-        IacShape::Uplink4 => optimize::uplink4_optimized(grid_est, cfg.per_node_power, cfg.noise),
-        IacShape::Downlink3 => {
-            optimize::downlink3_optimized(grid_est, cfg.per_node_power, cfg.noise)
-        }
+        IacShape::Uplink4 => optimize::uplink4_optimized(grid_est, PER_NODE_POWER, NOISE),
+        IacShape::Downlink3 => optimize::downlink3_optimized(grid_est, PER_NODE_POWER, NOISE),
     };
     let Ok(config) = config else {
         // Degenerate channel draw (singular estimate): the leader would fall
@@ -226,14 +211,14 @@ fn iac_rate_for(
         // pessimistic for IAC and therefore safe.
         return 0.0;
     };
-    let powers = equal_split_powers(&config.schedule, cfg.per_node_power);
+    let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
     IacDecoder {
         true_grid: grid_true,
         est_grid: grid_est,
         schedule: &config.schedule,
         encoding: &config.encoding,
         packet_power: powers,
-        noise_power: cfg.noise,
+        noise_power: NOISE,
     }
     .decode()
     .map(|o| o.rate_bits_per_hz())
@@ -282,7 +267,7 @@ mod tests {
             let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
             let g = tb.uplink_grid(&clients, &aps, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            acc += baseline_uplink_slot(&g, &e, &cfg);
+            acc += baseline_uplink_slot(&g, &e);
         }
         let avg = acc / n as f64;
         // Fig. 12's x-axis: roughly 4–13 b/s/Hz.
@@ -300,8 +285,8 @@ mod tests {
             let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
             let g = tb.uplink_grid(&clients, &aps, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            base += baseline_uplink_slot(&g, &e, &cfg);
-            iac += iac_uplink3_slot(&g, &e, &cfg, &mut rng);
+            base += baseline_uplink_slot(&g, &e);
+            iac += iac_uplink3_slot(&g, &e, &mut rng);
         }
         let gain = iac / base;
         assert!(gain > 1.1, "uplink3 gain {gain} too small");
@@ -319,8 +304,8 @@ mod tests {
             let (aps, clients) = tb.pick_roles(3, 3, &mut rng);
             let g = tb.downlink_grid(&aps, &clients, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            base += baseline_downlink_slot(&g, &e, &cfg);
-            iac += iac_downlink3_slot(&g, &e, &cfg, &mut rng);
+            base += baseline_downlink_slot(&g, &e);
+            iac += iac_downlink3_slot(&g, &e, &mut rng);
         }
         let gain = iac / base;
         assert!(gain > 1.0, "downlink3 gain {gain} too small");
@@ -335,8 +320,8 @@ mod tests {
         let g = tb.uplink_grid(&clients, &aps, &mut rng);
         let e = g.estimated(&cfg.est, &mut rng);
         // Different double-clients give (generically) different rates.
-        let r0 = iac_uplink4_slot(&g, &e, &cfg, 0, &mut rng);
-        let r1 = iac_uplink4_slot(&g, &e, &cfg, 1, &mut rng);
+        let r0 = iac_uplink4_slot(&g, &e, 0, &mut rng);
+        let r1 = iac_uplink4_slot(&g, &e, 1, &mut rng);
         assert!(r0 > 0.0 && r1 > 0.0);
         assert!((r0 - r1).abs() > 1e-9, "rotation had no effect");
     }
@@ -359,8 +344,8 @@ mod tests {
                 let g = tb.uplink_grid(&clients, &aps, rng);
                 let e = g.estimated(&cfg.est, rng);
                 ScatterPoint {
-                    baseline: baseline_uplink_slot(&g, &e, &cfg),
-                    iac: iac_uplink3_slot(&g, &e, &cfg, rng),
+                    baseline: baseline_uplink_slot(&g, &e),
+                    iac: iac_uplink3_slot(&g, &e, rng),
                 }
             })
         };

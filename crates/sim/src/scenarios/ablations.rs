@@ -18,13 +18,13 @@ use iac_linalg::{CMat, CVec, Rng64};
 
 /// Gain as a function of estimation SNR.
 #[derive(Debug, Clone)]
-pub struct EstimationSweep {
+pub(crate) struct EstimationSweep {
     /// `(estimation SNR dB, average Fig.12-style gain)`.
     pub points: Vec<(f64, f64)>,
 }
 
 /// Sweep estimation quality.
-pub fn estimation_sweep(seed: u64, slots: usize) -> EstimationSweep {
+pub(crate) fn estimation_sweep(seed: u64, slots: usize) -> EstimationSweep {
     let snrs = [f64::INFINITY, 30.0, 20.0, 10.0, 5.0];
     let mut points = Vec::new();
     for &snr in &snrs {
@@ -48,42 +48,25 @@ pub fn estimation_sweep(seed: u64, slots: usize) -> EstimationSweep {
             let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
             let g = tb.uplink_grid(&clients, &aps, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            base += baseline_uplink_slot(&g, &e, &cfg);
-            iac += iac_uplink3_slot(&g, &e, &cfg, &mut rng);
+            base += baseline_uplink_slot(&g, &e);
+            iac += iac_uplink3_slot(&g, &e, &mut rng);
         }
         points.push((snr, iac / base));
     }
     EstimationSweep { points }
 }
 
-impl std::fmt::Display for EstimationSweep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "Ablation — gain vs channel-estimation SNR (Fig. 12 setup)"
-        )?;
-        for (snr, gain) in &self.points {
-            if snr.is_infinite() {
-                writeln!(f, "  perfect CSI : gain {gain:.2}x")?;
-            } else {
-                writeln!(f, "  {snr:>5.0} dB     : gain {gain:.2}x")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Gain as a function of client-channel similarity (the §10.1 explanation of
 /// the Fig. 12 variance).
 #[derive(Debug, Clone)]
-pub struct SimilaritySweep {
+pub(crate) struct SimilaritySweep {
     /// `(similarity λ ∈ [0,1], average gain)`; at λ=1 the clients share one
     /// channel and alignment becomes impossible.
     pub points: Vec<(f64, f64)>,
 }
 
 /// Sweep similarity: client 2's channels are `λ·H(client1) + √(1−λ²)·W`.
-pub fn similarity_sweep(seed: u64, slots: usize) -> SimilaritySweep {
+pub(crate) fn similarity_sweep(seed: u64, slots: usize) -> SimilaritySweep {
     let lambdas = [0.0, 0.5, 0.8, 0.95, 0.995];
     let cfg = ExperimentConfig::quick(seed);
     let mut points = Vec::new();
@@ -104,33 +87,17 @@ pub fn similarity_sweep(seed: u64, slots: usize) -> SimilaritySweep {
                 .collect();
             let grid = ChannelGrid::new(Direction::Uplink, vec![h1.clone(), h2.clone()]);
             let est = grid.estimated(&cfg.est, &mut rng);
-            base += baseline_uplink_slot(&grid, &est, &cfg);
-            iac += iac_uplink3_slot(&grid, &est, &cfg, &mut rng);
+            base += baseline_uplink_slot(&grid, &est);
+            iac += iac_uplink3_slot(&grid, &est, &mut rng);
         }
         points.push((lambda, iac / base));
     }
     SimilaritySweep { points }
 }
 
-impl std::fmt::Display for SimilaritySweep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "Ablation — gain vs client-channel similarity (§10.1 variance explanation)"
-        )?;
-        for (lambda, gain) in &self.points {
-            writeln!(f, "  similarity {lambda:>5.3} : gain {gain:.2}x")?;
-        }
-        writeln!(
-            f,
-            "(paper: \"IAC's gain is typically lower when the channel matrices of the two clients are similar\")"
-        )
-    }
-}
-
 /// The alignment on/off contrast (Fig. 4a vs 4b), as average packet-0 SINR.
 #[derive(Debug, Clone)]
-pub struct AlignmentAblation {
+pub(crate) struct AlignmentAblation {
     /// Average p0 SINR with IAC's aligned encoding.
     pub aligned_sinr: f64,
     /// Average p0 SINR with random (unaligned) encoding.
@@ -138,7 +105,7 @@ pub struct AlignmentAblation {
 }
 
 /// Run the contrast.
-pub fn alignment_ablation(seed: u64, trials: usize) -> AlignmentAblation {
+pub(crate) fn alignment_ablation(seed: u64, trials: usize) -> AlignmentAblation {
     let mut rng = Rng64::new(seed);
     let mut aligned = 0.0;
     let mut random = 0.0;
@@ -170,22 +137,6 @@ pub fn alignment_ablation(seed: u64, trials: usize) -> AlignmentAblation {
     AlignmentAblation {
         aligned_sinr: aligned / trials as f64,
         random_sinr: random / trials as f64,
-    }
-}
-
-impl std::fmt::Display for AlignmentAblation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "Ablation — alignment on/off (Fig. 4a vs 4b), packet p1's SINR"
-        )?;
-        writeln!(f, "  aligned encoding: {:>8.1} (linear)", self.aligned_sinr)?;
-        writeln!(f, "  random encoding:  {:>8.1} (linear)", self.random_sinr)?;
-        writeln!(
-            f,
-            "  ratio {:.0}x — without alignment \"the APs cannot decode any packet\"",
-            self.aligned_sinr / self.random_sinr.max(1e-9)
-        )
     }
 }
 
@@ -223,12 +174,5 @@ mod tests {
             ab.aligned_sinr,
             ab.random_sinr
         );
-    }
-
-    #[test]
-    fn reports_render() {
-        assert!(format!("{}", estimation_sweep(103, 5)).contains("Ablation"));
-        assert!(format!("{}", similarity_sweep(104, 5)).contains("similarity"));
-        assert!(format!("{}", alignment_ablation(105, 5)).contains("alignment"));
     }
 }

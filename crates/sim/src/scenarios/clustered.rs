@@ -51,8 +51,8 @@ pub fn run(cfg: &ExperimentConfig, inter_cluster_snr_db: f64, intra_rate: f64) -
         let grid = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng)
             .with_amplitudes(|_, _| amp);
         let est = grid.estimated(&cfg.est, &mut rng);
-        base += baseline_uplink_slot(&grid, &est, cfg);
-        iac += iac_uplink3_slot(&grid, &est, cfg, &mut rng);
+        base += baseline_uplink_slot(&grid, &est);
+        iac += iac_uplink3_slot(&grid, &est, &mut rng);
     }
     ClusteredReport {
         intra_rate,

@@ -62,7 +62,7 @@ impl CampusConfig {
     }
 
     /// A fast variant for unit tests and smoke runs.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,

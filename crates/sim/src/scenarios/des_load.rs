@@ -67,7 +67,7 @@ impl LoadSweepConfig {
     }
 
     /// A fast variant for unit tests and smoke runs.
-    pub fn quick(seed: u64) -> Self {
+    pub(crate) fn quick(seed: u64) -> Self {
         Self {
             seed,
             n_clients: 6,
@@ -82,13 +82,12 @@ impl LoadSweepConfig {
 
 /// One system's measurements at one offered load.
 #[derive(Debug, Clone, Copy)]
-pub struct SystemPoint {
-    /// Mean uplink latency, ms.
+pub(crate) struct SystemPoint {
+    /// Mean uplink latency, ms (the deferred-ACK test compares it).
+    #[cfg(test)]
     pub mean_latency_ms: f64,
     /// 95th-percentile uplink latency, ms.
     pub p95_latency_ms: f64,
-    /// Delivered uplink throughput, Mbit/s.
-    pub throughput_mbps: f64,
     /// Delivered / offered.
     pub delivery_ratio: f64,
     /// Tail drops at the MAC queue.
@@ -104,7 +103,7 @@ impl SystemPoint {
 
 /// Both systems at one offered load.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadPoint {
+pub(crate) struct LoadPoint {
     /// Per-client offered load, packets/s.
     pub load_pps: f64,
     /// IAC measurements.
@@ -115,9 +114,7 @@ pub struct LoadPoint {
 
 /// The sweep's report.
 #[derive(Debug, Clone)]
-pub struct LoadSweepReport {
-    /// The configuration that produced it.
-    pub config: LoadSweepConfig,
+pub(crate) struct LoadSweepReport {
     /// One entry per swept load, ascending.
     pub points: Vec<LoadPoint>,
     /// Sustained-load knee for IAC, pps/client — the interpolated crossing
@@ -171,24 +168,19 @@ fn point_spec(cfg: &LoadSweepConfig, load_pps: f64, iac: bool) -> NetSim {
     }
 }
 
-/// Reduce a completed run's outcome to its [`SystemPoint`]. Pure in
-/// `(config, system, outcome)`, so a replayed outcome reconstructs the
-/// identical point.
-fn point_from(cfg: &LoadSweepConfig, iac: bool, out: &NetSimOutcome) -> SystemPoint {
+/// Reduce a completed run's outcome to its [`SystemPoint`]. Pure in the
+/// outcome, so a replayed outcome reconstructs the identical point.
+fn point_from(out: &NetSimOutcome) -> SystemPoint {
     let lat = metrics::latencies_ms(&out.log, Some(true));
     let delivered = out.log.delivered_count(true);
     SystemPoint {
+        #[cfg(test)]
         mean_latency_ms: crate::stats::mean(&lat),
         p95_latency_ms: if lat.is_empty() {
             f64::INFINITY
         } else {
             crate::stats::quantile(&lat, 0.95)
         },
-        throughput_mbps: metrics::throughput_mbps(
-            &out.log,
-            mac_config(iac, cfg).protocol.payload_bytes,
-            cfg.horizon_ms * 1e3,
-        ),
         delivery_ratio: if out.log.offered == 0 {
             1.0
         } else {
@@ -297,8 +289,8 @@ pub(crate) fn reduce<E>(
 ) -> Result<LoadSweepReport, E> {
     let mut points = Vec::with_capacity(config.loads_pps.len());
     for &load_pps in &config.loads_pps {
-        let iac = point_from(config, true, &desrec::next_outcome(&mut outcomes)?);
-        let mimo = point_from(config, false, &desrec::next_outcome(&mut outcomes)?);
+        let iac = point_from(&desrec::next_outcome(&mut outcomes)?);
+        let mimo = point_from(&desrec::next_outcome(&mut outcomes)?);
         points.push(LoadPoint {
             load_pps,
             iac,
@@ -312,12 +304,12 @@ pub(crate) fn reduce<E>(
         iac_sustained_pps: interpolated_knee(&series(|p| p.iac), config.latency_threshold_ms),
         mimo_sustained_pps: interpolated_knee(&series(|p| p.mimo), config.latency_threshold_ms),
         points,
-        config: config.clone(),
     })
 }
 
 /// Run the sweep.
-pub fn run(config: &LoadSweepConfig) -> LoadSweepReport {
+#[cfg(test)]
+fn run(config: &LoadSweepConfig) -> LoadSweepReport {
     let Ok(report) = reduce(config, desrec::live(runs(config)));
     report
 }
@@ -352,39 +344,6 @@ impl LoadSweepReport {
                 ),
             ],
         }
-    }
-}
-
-impl std::fmt::Display for LoadSweepReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "offered-load sweep — {} clients, {:.0} ms per point, sustained = p95 < {:.0} ms",
-            self.config.n_clients, self.config.horizon_ms, self.config.latency_threshold_ms
-        )?;
-        writeln!(
-            f,
-            "  {:>8}  {:>22}  {:>22}",
-            "pps/cl", "IAC p95ms (dlv%)", "MIMO p95ms (dlv%)"
-        )?;
-        for p in &self.points {
-            writeln!(
-                f,
-                "  {:>8.0}  {:>14.2} ({:>4.1}%)  {:>14.2} ({:>4.1}%)",
-                p.load_pps,
-                p.iac.p95_latency_ms,
-                100.0 * p.iac.delivery_ratio,
-                p.mimo.p95_latency_ms,
-                100.0 * p.mimo.delivery_ratio
-            )?;
-        }
-        writeln!(
-            f,
-            "  sustained load: IAC {:.0} pps/client vs 802.11-MIMO {:.0} → gain {:.2}x  (paper: ~1.5x uplink)",
-            self.iac_sustained_pps,
-            self.mimo_sustained_pps,
-            self.gain()
-        )
     }
 }
 
@@ -437,18 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        let text = format!("{}", run(&LoadSweepConfig::quick(34)));
-        assert!(text.contains("sustained load"));
-        assert!(text.contains("gain"));
-    }
-
-    #[test]
     fn knee_interpolates_between_grid_points() {
         let pt = |p95: f64, dr: f64| SystemPoint {
             mean_latency_ms: 0.0,
             p95_latency_ms: p95,
-            throughput_mbps: 0.0,
             delivery_ratio: dr,
             overflow_drops: 0,
         };
@@ -486,7 +437,6 @@ mod tests {
         let pt = |p95: f64| SystemPoint {
             mean_latency_ms: 0.0,
             p95_latency_ms: p95,
-            throughput_mbps: 0.0,
             delivery_ratio: 1.0,
             overflow_drops: 0,
         };

@@ -40,8 +40,8 @@ pub fn run(cfg: &ExperimentConfig) -> Fig12Report {
         for _ in 0..cfg.slots {
             let grid = tb.uplink_grid(&clients, &aps, rng);
             let est = grid.estimated(&cfg.est, rng);
-            base += baseline_uplink_slot(&grid, &est, cfg);
-            iac += iac_uplink3_slot(&grid, &est, cfg, rng);
+            base += baseline_uplink_slot(&grid, &est);
+            iac += iac_uplink3_slot(&grid, &est, rng);
         }
         ScatterPoint {
             baseline: base / cfg.slots as f64,

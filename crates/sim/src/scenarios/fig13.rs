@@ -62,14 +62,14 @@ pub fn run(cfg: &ExperimentConfig, direction: Direction13) -> Fig13Report {
                 Direction13::Uplink => {
                     let grid = tb.uplink_grid(&clients, &aps, rng);
                     let est = grid.estimated(&cfg.est, rng);
-                    base += baseline_uplink_slot(&grid, &est, cfg);
-                    iac += iac_uplink4_slot(&grid, &est, cfg, slot % 3, rng);
+                    base += baseline_uplink_slot(&grid, &est);
+                    iac += iac_uplink4_slot(&grid, &est, slot % 3, rng);
                 }
                 Direction13::Downlink => {
                     let grid = tb.downlink_grid(&aps, &clients, rng);
                     let est = grid.estimated(&cfg.est, rng);
-                    base += baseline_downlink_slot(&grid, &est, cfg);
-                    iac += iac_downlink3_slot(&grid, &est, cfg, rng);
+                    base += baseline_downlink_slot(&grid, &est);
+                    iac += iac_downlink3_slot(&grid, &est, rng);
                 }
             }
         }

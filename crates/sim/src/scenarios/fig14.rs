@@ -5,7 +5,7 @@
 //! double with IAC." The leader compares delivering both packets from either
 //! AP against one packet from each, and picks by predicted capacity (§10.2).
 
-use crate::experiment::{ExperimentConfig, ScatterPoint};
+use crate::experiment::{ExperimentConfig, ScatterPoint, NOISE, PER_NODE_POWER};
 use crate::stats::{mean, render_scatter, Summary};
 use crate::testbed::Testbed;
 use iac_core::baseline::best_ap_rate;
@@ -66,11 +66,11 @@ pub fn run(cfg: &ExperimentConfig) -> Fig14Report {
             base += best_ap_rate(
                 links_true.as_ref(),
                 links_est.as_ref(),
-                cfg.per_node_power,
-                cfg.noise,
+                PER_NODE_POWER,
+                NOISE,
             )
             .map_or(0.0, |(_, rate, _)| rate);
-            match best_downlink_option(&links_true, &links_est, cfg.per_node_power, cfg.noise) {
+            match best_downlink_option(&links_true, &links_est, PER_NODE_POWER, NOISE) {
                 Ok(out) => {
                     iac += out.rate;
                     options += 1;

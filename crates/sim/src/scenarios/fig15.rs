@@ -8,7 +8,7 @@
 //! (some clients fall below 1×), best-of-two has the best
 //! fairness-throughput tradeoff.
 
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{ExperimentConfig, NOISE, PER_NODE_POWER};
 use crate::stats::{mean, render_cdfs};
 use crate::testbed::Testbed;
 use iac_core::baseline;
@@ -50,7 +50,7 @@ impl PolicyKind {
     }
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PolicyKind::BruteForce => "brute-force",
             PolicyKind::Fifo => "fifo",
@@ -155,18 +155,17 @@ fn iac_slot_rates(
         Direction15::Uplink => {
             let grid = testbed.uplink_grid(&group_nodes, aps, rng);
             let est = grid.estimated(&cfg.est, rng);
-            let Ok(config) = optimize::uplink4_optimized(&est, cfg.per_node_power, cfg.noise)
-            else {
+            let Ok(config) = optimize::uplink4_optimized(&est, PER_NODE_POWER, NOISE) else {
                 return Vec::new();
             };
-            let powers = equal_split_powers(&config.schedule, cfg.per_node_power);
+            let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
             let Ok(out) = (IacDecoder {
                 true_grid: &grid,
                 est_grid: &est,
                 schedule: &config.schedule,
                 encoding: &config.encoding,
                 packet_power: powers,
-                noise_power: cfg.noise,
+                noise_power: NOISE,
             })
             .decode() else {
                 return Vec::new();
@@ -188,18 +187,17 @@ fn iac_slot_rates(
         Direction15::Downlink => {
             let grid = testbed.downlink_grid(aps, &group_nodes, rng);
             let est = grid.estimated(&cfg.est, rng);
-            let Ok(config) = optimize::downlink3_optimized(&est, cfg.per_node_power, cfg.noise)
-            else {
+            let Ok(config) = optimize::downlink3_optimized(&est, PER_NODE_POWER, NOISE) else {
                 return Vec::new();
             };
-            let powers = equal_split_powers(&config.schedule, cfg.per_node_power);
+            let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
             let Ok(out) = (IacDecoder {
                 true_grid: &grid,
                 est_grid: &est,
                 schedule: &config.schedule,
                 encoding: &config.encoding,
                 packet_power: powers,
-                noise_power: cfg.noise,
+                noise_power: NOISE,
             })
             .decode() else {
                 return Vec::new();
@@ -253,13 +251,9 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                 ),
             };
             // A degenerate link scores 0.0.
-            baseline_rates[c] += baseline::best_ap_rate(
-                &links_true,
-                &links_est,
-                cfg.base.per_node_power,
-                cfg.base.noise,
-            )
-            .map_or(0.0, |(_, rate, _)| rate);
+            baseline_rates[c] +=
+                baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
+                    .map_or(0.0, |(_, rate, _)| rate);
         }
 
         // IAC with each policy.
@@ -284,12 +278,8 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                     Direction15::Downlink => testbed.downlink_grid(&aps, &clients, &mut policy_rng),
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
-                let mut context = ScoringContext::new(
-                    &slot_est,
-                    head as usize,
-                    cfg.base.per_node_power,
-                    cfg.base.noise,
-                );
+                let mut context =
+                    ScoringContext::new(&slot_est, head as usize, PER_NODE_POWER, NOISE);
                 let mut score = |group: &[u16]| -> f64 {
                     if group.len() < 3 {
                         return 0.0;

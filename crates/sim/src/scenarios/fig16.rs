@@ -18,7 +18,7 @@ use iac_linalg::{CMat, Rng64};
 
 /// Per-pair average fractional errors.
 #[derive(Debug, Clone)]
-pub struct Fig16Report {
+pub(crate) struct Fig16Report {
     /// One entry per client-AP pair: average fractional error over the
     /// 5 relocations.
     pub errors: Vec<f64>,
@@ -37,7 +37,7 @@ impl Fig16Report {
 }
 
 /// Run the experiment: `pairs` client-AP pairs × `moves` relocations.
-pub fn run(cfg: &ExperimentConfig, pairs: usize, moves: usize) -> Fig16Report {
+pub(crate) fn run(cfg: &ExperimentConfig, pairs: usize, moves: usize) -> Fig16Report {
     let mut rng = Rng64::new(cfg.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let mut errors = Vec::with_capacity(pairs);
@@ -79,25 +79,6 @@ pub fn run(cfg: &ExperimentConfig, pairs: usize, moves: usize) -> Fig16Report {
     Fig16Report { errors }
 }
 
-impl std::fmt::Display for Fig16Report {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "Fig. 16 — reciprocity fractional error per client-AP pair"
-        )?;
-        for (i, e) in self.errors.iter().enumerate() {
-            let bar = "#".repeat((e * 200.0).round() as usize);
-            writeln!(f, "  pair {:>2}: {e:.3} {bar}", i + 1)?;
-        }
-        writeln!(
-            f,
-            "average {:.3}, worst {:.3}   (paper: ≈0.05–0.2 across pairs)",
-            self.average_error(),
-            self.worst_error()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,12 +107,5 @@ mod tests {
             "reciprocity should be exact without estimation noise: {}",
             report.worst_error()
         );
-    }
-
-    #[test]
-    fn report_renders() {
-        let report = run(&ExperimentConfig::quick(52), 5, 2);
-        let text = format!("{report}");
-        assert!(text.contains("Fig. 16"));
     }
 }

@@ -12,9 +12,7 @@ use iac_phy::ofdm::MultitapChannel;
 
 /// One delay-spread sweep point.
 #[derive(Debug, Clone)]
-pub struct OfdmPoint {
-    /// Channel taps (1 = flat).
-    pub taps: usize,
+pub(crate) struct OfdmPoint {
     /// Worst-bin misalignment using a single flat-channel alignment
     /// (`1 − |⟨a,b⟩|/(‖a‖‖b‖)`, 0 = aligned).
     pub flat_worst: f64,
@@ -24,16 +22,14 @@ pub struct OfdmPoint {
 
 /// The sweep report.
 #[derive(Debug, Clone)]
-pub struct OfdmReport {
-    /// Sweep points for increasing delay spread.
+pub(crate) struct OfdmReport {
+    /// Sweep points for 1, 2, … channel taps (1 = flat).
     pub points: Vec<OfdmPoint>,
-    /// Subcarrier count used.
-    pub n_subcarriers: usize,
 }
 
 /// Run the sweep: two clients, one AP (the aligning receiver of Eq. 2),
 /// channels with 1..=`max_taps` taps, averaged over `trials` draws.
-pub fn run(n_subcarriers: usize, max_taps: usize, trials: usize, seed: u64) -> OfdmReport {
+pub(crate) fn run(n_subcarriers: usize, max_taps: usize, trials: usize, seed: u64) -> OfdmReport {
     let mut rng = Rng64::new(seed);
     let mut points = Vec::new();
     for taps in 1..=max_taps {
@@ -72,41 +68,11 @@ pub fn run(n_subcarriers: usize, max_taps: usize, trials: usize, seed: u64) -> O
             per_bin_worst_acc += per_bin_worst;
         }
         points.push(OfdmPoint {
-            taps,
             flat_worst: flat_worst_acc / trials as f64,
             per_bin_worst: per_bin_worst_acc / trials as f64,
         });
     }
-    OfdmReport {
-        points,
-        n_subcarriers,
-    }
-}
-
-impl std::fmt::Display for OfdmReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "§6c — per-subcarrier alignment on frequency-selective channels ({} subcarriers)",
-            self.n_subcarriers
-        )?;
-        writeln!(
-            f,
-            "  {:>5} {:>22} {:>22}",
-            "taps", "flat-align worst err", "per-bin-align worst err"
-        )?;
-        for p in &self.points {
-            writeln!(
-                f,
-                "  {:>5} {:>22.6} {:>22.2e}",
-                p.taps, p.flat_worst, p.per_bin_worst
-            )?;
-        }
-        writeln!(
-            f,
-            "(conjecture: per-bin alignment stays exact while the flat assumption degrades with delay spread)"
-        )
-    }
+    OfdmReport { points }
 }
 
 #[cfg(test)]
@@ -116,11 +82,11 @@ mod tests {
     #[test]
     fn per_bin_alignment_is_always_exact() {
         let report = run(16, 5, 10, 80);
-        for p in &report.points {
+        for (i, p) in report.points.iter().enumerate() {
             assert!(
                 p.per_bin_worst < 1e-9,
                 "taps {}: per-bin misalignment {}",
-                p.taps,
+                i + 1,
                 p.per_bin_worst
             );
         }
@@ -145,11 +111,5 @@ mod tests {
             report.points[4].flat_worst > 0.05,
             "selective channel too kind"
         );
-    }
-
-    #[test]
-    fn report_renders() {
-        let report = run(8, 2, 3, 82);
-        assert!(format!("{report}").contains("§6c"));
     }
 }

@@ -8,17 +8,13 @@
 
 use iac_linalg::{CVec, Rng64};
 use iac_mac::ethernet::{Hub, RetryPolicy, WirePacket};
-use iac_mac::frames::{DataPoll, Grant, MacFrame, PollEntry, VectorQ};
+use iac_mac::frames::{DataPoll, MacFrame, PollEntry, VectorQ};
 
 /// The overhead report.
 #[derive(Debug, Clone)]
-pub struct OverheadReport {
+pub(crate) struct OverheadReport {
     /// Wireless metadata overhead for a 3-client group at 1440-B payloads.
     pub wireless_overhead: f64,
-    /// DATA+Poll frame size in bytes.
-    pub datapoll_bytes: usize,
-    /// Grant frame size in bytes.
-    pub grant_bytes: usize,
     /// Ethernet bytes per delivered wireless byte (uplink, 3 APs).
     pub wire_bytes_per_wireless_byte: f64,
     /// Virtual-MIMO equivalent (raw-sample shipping) for the same packets,
@@ -27,7 +23,7 @@ pub struct OverheadReport {
 }
 
 /// Compute the accounting for a `clients`-sized group and given payload.
-pub fn run(clients: usize, payload_bytes: usize, seed: u64) -> OverheadReport {
+pub(crate) fn run(clients: usize, payload_bytes: usize, seed: u64) -> OverheadReport {
     let mut rng = Rng64::new(seed);
     let entries: Vec<PollEntry> = (0..clients)
         .map(|k| PollEntry {
@@ -40,15 +36,9 @@ pub fn run(clients: usize, payload_bytes: usize, seed: u64) -> OverheadReport {
         fid: 1,
         n_aps: 3,
         max_len: payload_bytes as u16,
-        entries: entries.clone(),
-    });
-    let grant = MacFrame::Grant(Grant {
-        fid: 2,
-        n_aps: 3,
         entries,
     });
     let datapoll_bytes = poll.encoded_len();
-    let grant_bytes = grant.encoded_len();
     let wireless_overhead = datapoll_bytes as f64 / (clients * payload_bytes) as f64;
 
     // Wired side: deliver `n` uplink packets through the hub.
@@ -74,36 +64,8 @@ pub fn run(clients: usize, payload_bytes: usize, seed: u64) -> OverheadReport {
 
     OverheadReport {
         wireless_overhead,
-        datapoll_bytes,
-        grant_bytes,
         wire_bytes_per_wireless_byte,
         virtual_mimo_multiplier,
-    }
-}
-
-impl std::fmt::Display for OverheadReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "§7d/e — coordination overhead")?;
-        writeln!(
-            f,
-            "  DATA+Poll {} B, Grant {} B for a 3-client group",
-            self.datapoll_bytes, self.grant_bytes
-        )?;
-        writeln!(
-            f,
-            "  wireless metadata overhead: {:.2}%   (paper: 1-2%)",
-            self.wireless_overhead * 100.0
-        )?;
-        writeln!(
-            f,
-            "  Ethernet bytes per wireless byte: {:.3}   (paper: \"comparable to the wireless throughput\")",
-            self.wire_bytes_per_wireless_byte
-        )?;
-        writeln!(
-            f,
-            "  virtual-MIMO raw-sample shipping would cost {:.0}x more wire traffic",
-            self.virtual_mimo_multiplier
-        )
     }
 }
 
@@ -139,10 +101,5 @@ mod tests {
             "expected an order of magnitude, got {}x",
             r.virtual_mimo_multiplier
         );
-    }
-
-    #[test]
-    fn report_renders() {
-        assert!(format!("{}", run(3, 1440, 93)).contains("§7d/e"));
     }
 }

@@ -158,8 +158,6 @@ fn churn_phy(config: &ChurnConfig) -> CalibratedPhy {
 /// What AP churn did to the run.
 #[derive(Debug, Clone)]
 pub struct ChurnReport {
-    /// The configuration that produced it.
-    pub config: ChurnConfig,
     /// Fault events applied (crashes + recoveries).
     pub faults: u64,
     /// Poll results voided because the serving AP was down.
@@ -170,8 +168,6 @@ pub struct ChurnReport {
     pub delivery_ratio: f64,
     /// Delivered uplink throughput, Mbit/s.
     pub throughput_mbps: f64,
-    /// Packets dropped after exhausting the retransmission budget.
-    pub drops_retx: u64,
 }
 
 /// The churn trial's one run.
@@ -196,8 +192,6 @@ pub(crate) fn churn_reduce<E>(
         degraded_groups: out.log.degraded_groups,
         delivery_ratio: delivery_ratio(&out),
         throughput_mbps: uplink_mbps(&out, config.horizon_ms),
-        drops_retx: out.log.drops_retx,
-        config: config.clone(),
     })
 }
 
@@ -213,30 +207,6 @@ impl ChurnReport {
                 ("degraded_groups", self.degraded_groups as f64),
             ],
         }
-    }
-}
-
-impl std::fmt::Display for ChurnReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "AP churn — {} clients, {:.0} ms, mean up/down {:.0}/{:.0} ms",
-            self.config.n_clients,
-            self.config.horizon_ms,
-            self.config.mean_up_ms,
-            self.config.mean_down_ms
-        )?;
-        writeln!(
-            f,
-            "  {} faults, {} poll timeouts, {} degraded groups, {} retx drops",
-            self.faults, self.poll_timeouts, self.degraded_groups, self.drops_retx
-        )?;
-        writeln!(
-            f,
-            "  delivery {:.1}% at {:.2} Mb/s",
-            100.0 * self.delivery_ratio,
-            self.throughput_mbps
-        )
     }
 }
 
@@ -321,8 +291,6 @@ fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
 /// What the partitions did to the run.
 #[derive(Debug, Clone)]
 pub struct PartitionReport {
-    /// The configuration that produced it.
-    pub config: PartitionConfig,
     /// Fault events applied (2 per window).
     pub faults: u64,
     /// Forwards abandoned at the partitioned backhaul.
@@ -360,7 +328,6 @@ pub(crate) fn partition_reduce<E>(
         delivery_ratio: delivery_ratio(&out),
         throughput_mbps: uplink_mbps(&out, config.horizon_ms),
         retx: out.log.retx,
-        config: config.clone(),
     })
 }
 
@@ -376,27 +343,6 @@ impl PartitionReport {
                 ("retx", self.retx as f64),
             ],
         }
-    }
-}
-
-impl std::fmt::Display for PartitionReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "backhaul partition — {} clients, {:.0} ms, two outage windows",
-            self.config.n_clients, self.config.horizon_ms
-        )?;
-        writeln!(
-            f,
-            "  {} faults, {} expired forwards, {} fallback groups, {} retx",
-            self.faults, self.wire_expired, self.degraded_groups, self.retx
-        )?;
-        writeln!(
-            f,
-            "  delivery {:.1}% at {:.2} Mb/s",
-            100.0 * self.delivery_ratio,
-            self.throughput_mbps
-        )
     }
 }
 
@@ -545,8 +491,6 @@ pub struct AgingPoint {
 /// The aging sweep's report.
 #[derive(Debug, Clone)]
 pub struct CsiAgingReport {
-    /// The configuration that produced it.
-    pub config: CsiAgingConfig,
     /// One entry per severity, ascending.
     pub points: Vec<AgingPoint>,
     /// The baseline's uplink throughput, Mbit/s (severity-independent).
@@ -605,11 +549,7 @@ pub(crate) fn aging_reduce<E>(
             degraded_groups: out.log.degraded_groups,
         });
     }
-    Ok(CsiAgingReport {
-        points,
-        mimo_mbps,
-        config: config.clone(),
-    })
+    Ok(CsiAgingReport { points, mimo_mbps })
 }
 
 impl CsiAgingReport {
@@ -630,31 +570,6 @@ impl CsiAgingReport {
                 ),
             ],
         }
-    }
-}
-
-impl std::fmt::Display for CsiAgingReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "CSI aging — {} severities, baseline {:.2} Mb/s",
-            self.config.severities, self.mimo_mbps
-        )?;
-        for p in &self.points {
-            writeln!(
-                f,
-                "  severity {}: IAC {:.2} Mb/s (ratio {:.2}, {} fallback groups)",
-                p.severity,
-                p.iac_mbps,
-                self.ratio(p.severity),
-                p.degraded_groups
-            )?;
-        }
-        writeln!(
-            f,
-            "  floor ratio {:.2} (graceful degradation ⇒ ≥ ~1)",
-            self.min_ratio()
-        )
     }
 }
 
@@ -729,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn specs_are_pure_and_reports_render() {
+    fn specs_are_pure() {
         let c = ChurnConfig::quick(44);
         assert_eq!(churn_spec(&c).faults, churn_spec(&c).faults);
         let p = PartitionConfig::quick(44);
@@ -742,9 +657,5 @@ mod tests {
             aging_iac_spec(&a, 1).faults,
             "aging spec not pure"
         );
-        let c = ChurnConfig::quick(45);
-        let Ok(r) = churn_reduce(&c, desrec::live(churn_runs(&c)));
-        let text = format!("{r}");
-        assert!(text.contains("delivery"));
     }
 }

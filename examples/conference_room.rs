@@ -11,7 +11,8 @@ use iac_sim::scenarios::fig15::{run, Direction15, Fig15Config};
 
 fn main() {
     let mut cfg = Fig15Config::paper_default(DEFAULT_SEED);
-    // Example-sized run (the bench target runs the paper-scale version).
+    // Example-sized run (`sweep --scenario fig15a --paper` runs the
+    // paper-quality version).
     cfg.base.slots = 250;
     cfg.runs = 1;
 

@@ -108,7 +108,6 @@ fn parse_trial_args(args: &[String], dir_flag: &str, telemetry: bool) -> TrialAr
                     .unwrap_or_else(|| usage())
             }
             "--paper" => quality = Quality::Paper,
-            "--quick" => quality = Quality::Quick,
             "--metrics" if telemetry => metrics = it.next().map(PathBuf::from),
             "--trace" if telemetry => trace = it.next().map(PathBuf::from),
             "--progress" if telemetry => progress = true,

@@ -1,6 +1,7 @@
 //! The unified experiment CLI: every registered scenario behind one binary.
 //!
-//! Replaces the per-figure ad-hoc mains: pick a scenario (or `all`), a
+//! The one way to regenerate a paper artifact (`docs/BENCHMARKS.md` maps
+//! each figure and claim to its scenario): pick a scenario (or `all`), a
 //! replicate count, a worker-thread count, and a master seed, and get each
 //! metric reported as `mean ± 95 % CI` over the replicates. Telemetry is
 //! opt-in: `--metrics`/`--trace` export a metrics snapshot and a Chrome
