@@ -275,9 +275,9 @@ const BEST_AP_CEILING: u64 = 20;
 /// group, averaged over a window of a `des_load`-shaped IAC run (every event
 /// in the window counted: arrivals, beacons, groups, wire deliveries). What
 /// remains per group is the plan's two `Vec`s (they travel in the
-/// `GroupDone` event), the PHY's result list, the FIFO policy's companion
-/// list, and amortised growth of the metric logs and the un-acked map.
-const PCF_GROUP_CEILING: u64 = 5;
+/// `GroupDone` event), the PHY's result list, and amortised growth of the
+/// metric logs and the un-acked map.
+const PCF_GROUP_CEILING: u64 = 4;
 
 /// A `des_load` point at paper sizing (6 uplink clients at 650 packets/s,
 /// 3-client IAC groups): warm up to 100 ms of simulated time, then count

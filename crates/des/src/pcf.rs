@@ -27,8 +27,8 @@
 //!
 //! The cycle re-arms itself until the configured horizon, after which the
 //! queue drains and [`crate::simulation::Simulation::step_until_no_events`]
-//! terminates. All randomness (PHY draws, grouping policies) flows through
-//! the simulation's seeded RNG, so a run is bit-reproducible.
+//! terminates. All randomness (PHY draws, wire faults) flows through the
+//! simulation's seeded RNG, so a run is bit-reproducible.
 
 use crate::hash::FixedMap;
 use crate::metrics::{PacketRecord, QueueDepthSample, SharedMetrics};
@@ -39,9 +39,8 @@ use iac_linalg::CVec;
 use iac_mac::airtime::Airtime;
 use iac_mac::ethernet::{Hub, RetryPolicy, WireModel, WireOutcome, WirePacket};
 use iac_mac::frames::{Beacon, CfEnd, DataPoll, Grant, MacFrame, PollEntry, VectorQ};
-use iac_mac::pcf::{form_group, GroupPlan, GroupScorer, PcfConfig, PhyOutcome};
+use iac_mac::pcf::{form_group, GroupPlan, PcfConfig, PhyOutcome};
 use iac_mac::queue::{QueuedPacket, TrafficQueue};
-use iac_mac::GroupPolicy;
 use std::collections::BTreeMap;
 
 /// Parameters of the event-driven MAC: the protocol's [`PcfConfig`] plus
@@ -124,13 +123,16 @@ enum Phase {
 }
 
 /// The leader AP as a discrete-event component.
+///
+/// The leader groups FIFO in both directions: each group is the head's
+/// client and the next clients in queue order ([`form_group`]). A
+/// [`PhyOutcome`] reports how packets fared but carries no per-group channel
+/// knowledge for a rate scorer to exploit, so FIFO keeps comparisons between
+/// MAC configurations policy-neutral; the rate-aware §7.2 policies are
+/// compared at the matrix level (`iac_sim::scenarios::fig15`).
 pub struct EventPcf<P: PhyOutcome> {
     cfg: EventPcfConfig,
     phy: P,
-    downlink_policy: Box<dyn GroupPolicy>,
-    uplink_policy: Box<dyn GroupPolicy>,
-    /// Leader-side group rate predictor (see [`GroupScorer`]).
-    pub scorer: GroupScorer,
     downlink_queue: TrafficQueue,
     uplink_queue: TrafficQueue,
     hub: Hub,
@@ -168,8 +170,6 @@ impl<P: PhyOutcome> EventPcf<P> {
     pub fn new(
         cfg: EventPcfConfig,
         phy: P,
-        downlink_policy: Box<dyn GroupPolicy>,
-        uplink_policy: Box<dyn GroupPolicy>,
         sinks: Vec<crate::event::ComponentId>,
         metrics: SharedMetrics,
     ) -> Self {
@@ -184,9 +184,6 @@ impl<P: PhyOutcome> EventPcf<P> {
             hub,
             cfg,
             phy,
-            downlink_policy,
-            uplink_policy,
-            scorer: Box::new(|_, _| 0.0),
             sinks,
             arrivals: FixedMap::default(),
             pending_acks: Vec::new(),
@@ -418,20 +415,12 @@ impl<P: PhyOutcome> EventPcf<P> {
             };
             if self.groups_this_phase < self.cfg.protocol.max_groups_per_cfp {
                 let (group_size, streams, degraded) = self.effective_shape();
-                let is_down = !uplink;
-                let scorer = &mut self.scorer;
-                let mut score = |g: &[u16]| (scorer)(g, is_down);
-                let policy = if uplink {
-                    self.uplink_policy.as_mut()
-                } else {
-                    self.downlink_policy.as_mut()
-                };
                 let queue = if uplink {
                     &mut self.uplink_queue
                 } else {
                     &mut self.downlink_queue
                 };
-                let plan = form_group(queue, policy, &mut score, group_size, streams, ctx.rng());
+                let plan = form_group(queue, group_size, streams);
                 if let Some(plan) = plan {
                     if degraded {
                         self.metrics.with(|log| log.degraded_groups += 1);

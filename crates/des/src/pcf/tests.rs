@@ -8,7 +8,6 @@ use crate::net::{TrafficSource, WiredSink};
 use crate::simulation::Simulation;
 use crate::traffic::ArrivalProcess;
 use iac_linalg::Rng64;
-use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::PacketResult;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -47,8 +46,7 @@ fn add_leader<P: PhyOutcome + 'static>(
     let sinks = (0..cfg.protocol.n_aps)
         .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
         .collect();
-    let (down, up) = (Box::new(FifoPolicy), Box::new(FifoPolicy));
-    let leader = EventPcf::new(cfg, phy, down, up, sinks, metrics.clone());
+    let leader = EventPcf::new(cfg, phy, sinks, metrics.clone());
     sim.add_component("leader", leader)
 }
 

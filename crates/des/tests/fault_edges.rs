@@ -15,7 +15,6 @@ use iac_des::simulation::Simulation;
 use iac_des::traffic::ArrivalProcess;
 use iac_des::SimTime;
 use iac_linalg::Rng64;
-use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
 
 /// Every packet decodes at a fixed SINR, attributed round-robin across the
@@ -75,8 +74,6 @@ fn build(
         EventPcf::new(
             cfg,
             RoundRobinPhy { next_ap: 0, n_aps },
-            Box::new(FifoPolicy),
-            Box::new(FifoPolicy),
             sinks,
             metrics.clone(),
         ),

@@ -19,7 +19,6 @@ use iac_des::{
     TrafficSource, WiredSink,
 };
 use iac_linalg::Rng64;
-use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
 
 fn assert_send<T: Send>() {}
@@ -68,14 +67,7 @@ fn run_one(seed: u64) -> MetricsLog {
         .collect();
     let mac = sim.add_component(
         "leader",
-        EventPcf::new(
-            cfg,
-            AlwaysOk,
-            Box::new(FifoPolicy),
-            Box::new(FifoPolicy),
-            sinks,
-            metrics.clone(),
-        ),
+        EventPcf::new(cfg, AlwaysOk, sinks, metrics.clone()),
     );
     for c in 0..3u16 {
         let src = sim.add_component(

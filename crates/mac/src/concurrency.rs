@@ -12,30 +12,53 @@
 //!   keep the best-scoring combination, plus *credit counters* that force
 //!   chronically-ignored clients into a group once they cross a threshold.
 //!
-//! Scoring is delegated to the caller (the leader AP estimates a group's
-//! rate as `Σ log(1+‖vᵀHw‖²)` from its channel estimates — in this
-//! workspace that is `iac_core::optimize::predicted_rate`), so the policy
-//! layer stays free of channel mathematics.
+//! fig15 (`iac_sim::scenarios::fig15`) compares the three; the event-driven
+//! leader in `iac-des` groups FIFO through [`crate::pcf::form_group`].
+//!
+//! Every group is the head plus a *companion pair*. Scoring is delegated to
+//! the caller (the leader AP estimates a group's rate as `Σ log(1+‖vᵀHw‖²)`
+//! from its channel estimates — in this workspace that is fig15's
+//! `iac_core::optimize::ScoringContext`), so the policy layer stays free of
+//! channel mathematics. A policy names every pair it wants scored, in the
+//! order it evaluates them, in one call and gets one score per pair back.
 
 use iac_linalg::Rng64;
 use std::collections::HashMap;
 
-/// A group-selection policy. Returns the companions (NOT including the
-/// head), at most `slots` of them, drawn from `candidates`.
-pub trait GroupPolicy {
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
+/// A policy's score callback: `score(pairs, scores)` sets `scores[i]` to
+/// the predicted rate of the group `[head, pairs[i][0], pairs[i][1]]`.
+pub type ScorePairs<'a> = dyn FnMut(&[[u16; 2]], &mut [f64]) + 'a;
 
-    /// Choose up to `slots` companions for `head`. `score` evaluates a full
-    /// ordered group `[head, companions...]` and returns its predicted rate.
+/// A group-selection policy. Returns the companions (NOT including the
+/// head), at most two of them, drawn from `candidates` (which exclude the
+/// head).
+pub trait GroupPolicy {
+    /// Choose up to two companions for `head`, calling `score` at most
+    /// once with every pair the policy evaluates, in evaluation order.
     fn select(
         &mut self,
         head: u16,
         candidates: &[u16],
-        slots: usize,
-        score: &mut dyn FnMut(&[u16]) -> f64,
+        score: &mut ScorePairs<'_>,
         rng: &mut Rng64,
     ) -> Vec<u16>;
+}
+
+/// Score `pairs` in one call and return the index of the first best one
+/// (strict `>`, so a tie keeps the earlier pair).
+fn best_pair(pairs: &[[u16; 2]], score: &mut ScorePairs<'_>) -> Option<usize> {
+    if pairs.is_empty() {
+        return None;
+    }
+    let mut scores = vec![0.0; pairs.len()];
+    score(pairs, &mut scores);
+    let mut best = 0;
+    for (i, &s) in scores.iter().enumerate().skip(1) {
+        if s > scores[best] {
+            best = i;
+        }
+    }
+    Some(best)
 }
 
 /// Arrival-order companions (§10.3's "FIFO" variant).
@@ -43,72 +66,41 @@ pub trait GroupPolicy {
 pub struct FifoPolicy;
 
 impl GroupPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn select(
         &mut self,
         _head: u16,
         candidates: &[u16],
-        slots: usize,
-        _score: &mut dyn FnMut(&[u16]) -> f64,
+        _score: &mut ScorePairs<'_>,
         _rng: &mut Rng64,
     ) -> Vec<u16> {
-        candidates.iter().copied().take(slots).collect()
+        candidates.iter().copied().take(2).collect()
     }
 }
 
-/// Exhaustive search over ordered companion tuples (§10.3's "brute force").
-/// Exponential in group size; only group sizes up to 3 (pairs of
-/// companions) are supported, which covers the paper's experiments.
+/// Exhaustive search over ordered companion pairs (§10.3's "brute force").
 #[derive(Debug, Clone, Default)]
 pub struct BruteForce;
 
 impl GroupPolicy for BruteForce {
-    fn name(&self) -> &'static str {
-        "brute-force"
-    }
-
     fn select(
         &mut self,
-        head: u16,
+        _head: u16,
         candidates: &[u16],
-        slots: usize,
-        score: &mut dyn FnMut(&[u16]) -> f64,
+        score: &mut ScorePairs<'_>,
         _rng: &mut Rng64,
     ) -> Vec<u16> {
-        match slots {
-            0 => Vec::new(),
-            1 => {
-                let mut best: Option<(f64, u16)> = None;
-                for &a in candidates {
-                    let s = score(&[head, a]);
-                    if best.map(|(b, _)| s > b).unwrap_or(true) {
-                        best = Some((s, a));
-                    }
+        if candidates.len() < 2 {
+            return candidates.to_vec();
+        }
+        let mut pairs = Vec::with_capacity(candidates.len() * (candidates.len() - 1));
+        for &a in candidates {
+            for &b in candidates {
+                if a != b {
+                    pairs.push([a, b]);
                 }
-                best.map(|(_, a)| vec![a]).unwrap_or_default()
-            }
-            _ => {
-                if candidates.len() < 2 {
-                    return candidates.to_vec();
-                }
-                let mut best: Option<(f64, (u16, u16))> = None;
-                for &a in candidates {
-                    for &b in candidates {
-                        if a == b {
-                            continue;
-                        }
-                        let s = score(&[head, a, b]);
-                        if best.map(|(bs, _)| s > bs).unwrap_or(true) {
-                            best = Some((s, (a, b)));
-                        }
-                    }
-                }
-                best.map(|(_, (a, b))| vec![a, b]).unwrap_or_default()
             }
         }
+        best_pair(&pairs, score).map_or_else(Vec::new, |i| pairs[i].to_vec())
     }
 }
 
@@ -145,19 +137,14 @@ impl Default for BestOfTwo {
 }
 
 impl GroupPolicy for BestOfTwo {
-    fn name(&self) -> &'static str {
-        "best-of-two"
-    }
-
     fn select(
         &mut self,
         head: u16,
         candidates: &[u16],
-        slots: usize,
-        score: &mut dyn FnMut(&[u16]) -> f64,
+        score: &mut ScorePairs<'_>,
         rng: &mut Rng64,
     ) -> Vec<u16> {
-        if candidates.is_empty() || slots == 0 {
+        if candidates.is_empty() {
             return Vec::new();
         }
         // Force-include starved clients first ("if the counter crosses a
@@ -167,13 +154,12 @@ impl GroupPolicy for BestOfTwo {
             .iter()
             .copied()
             .filter(|c| self.credit_of(*c) >= self.threshold)
-            .take(slots)
+            .take(2)
             .collect();
         for c in &forced {
             self.credits.insert(*c, 0);
         }
-        let open_slots = slots - forced.len();
-        if open_slots == 0 || candidates.len() <= forced.len() {
+        if forced.len() == 2 || candidates.len() <= forced.len() {
             return forced;
         }
         let pool: Vec<u16> = candidates
@@ -182,75 +168,46 @@ impl GroupPolicy for BestOfTwo {
             .filter(|c| !forced.contains(c))
             .collect();
 
-        // Two random candidates per open slot.
-        let mut position_choices: Vec<Vec<u16>> = Vec::with_capacity(open_slots);
-        for _ in 0..open_slots {
-            let mut picks = Vec::with_capacity(2);
-            picks.push(*rng.pick(&pool));
-            picks.push(*rng.pick(&pool));
-            picks.dedup();
-            position_choices.push(picks);
-        }
-        // Enumerate the (≤ 2^slots) combinations, skipping duplicates.
-        let mut considered: Vec<u16> = Vec::new();
-        for picks in &position_choices {
-            for &c in picks {
-                if !considered.contains(&c) {
-                    considered.push(c);
+        // Two random candidates per open position.
+        let positions: Vec<Vec<u16>> = (forced.len()..2)
+            .map(|_| {
+                let mut picks = vec![*rng.pick(&pool), *rng.pick(&pool)];
+                picks.dedup();
+                picks
+            })
+            .collect();
+        // The (≤ 4) pairs, position 0 varying fastest; a forced client holds
+        // position 0. A pair may not repeat a client or hold the head.
+        let first = if forced.is_empty() {
+            &positions[0]
+        } else {
+            &forced
+        };
+        let second = &positions[positions.len() - 1];
+        let mut pairs = Vec::with_capacity(4);
+        for &b in second {
+            for &a in first {
+                if a != b && a != head && b != head {
+                    pairs.push([a, b]);
                 }
             }
         }
-        let mut best: Option<(f64, Vec<u16>)> = None;
-        let mut enumerate = vec![0usize; open_slots];
-        loop {
-            let combo: Vec<u16> = enumerate
-                .iter()
-                .enumerate()
-                .map(|(pos, &k)| position_choices[pos][k.min(position_choices[pos].len() - 1)])
-                .collect();
-            // Validity: no duplicates within the combo, no collision with
-            // the forced members or the head.
-            let mut seen: Vec<u16> = forced.clone();
-            let mut valid = true;
-            for &c in &combo {
-                if seen.contains(&c) || c == head {
-                    valid = false;
-                    break;
-                }
-                seen.push(c);
+        let chosen = match best_pair(&pairs, score) {
+            Some(i) => pairs[i].to_vec(),
+            // All pairs collided (tiny pools): fall back to queue order.
+            None => {
+                forced.extend(pool.iter().copied().take(positions.len()));
+                forced
             }
-            if valid {
-                let mut full = vec![head];
-                full.extend(&forced);
-                full.extend(&combo);
-                let s = score(&full);
-                if best.as_ref().map(|(bs, _)| s > *bs).unwrap_or(true) {
-                    best = Some((s, combo));
-                }
-            }
-            // Next combination (mixed-radix increment).
-            let mut pos = 0;
-            loop {
-                if pos == open_slots {
-                    break;
-                }
-                enumerate[pos] += 1;
-                if enumerate[pos] < position_choices[pos].len() {
-                    break;
-                }
-                enumerate[pos] = 0;
-                pos += 1;
-            }
-            if pos == open_slots {
-                break;
-            }
-        }
-        let chosen = best.map(|(_, g)| g).unwrap_or_else(|| {
-            // All combos collided (tiny pools): fall back to queue order.
-            pool.iter().copied().take(open_slots).collect()
-        });
+        };
         // Credit bookkeeping: considered-but-ignored clients gain credit,
         // selected clients reset.
+        let mut considered: Vec<u16> = Vec::new();
+        for &c in positions.iter().flatten() {
+            if !considered.contains(&c) {
+                considered.push(c);
+            }
+        }
         for c in considered {
             if chosen.contains(&c) {
                 self.credits.insert(c, 0);
@@ -258,8 +215,7 @@ impl GroupPolicy for BestOfTwo {
                 *self.credits.entry(c).or_insert(0) += 1;
             }
         }
-        forced.extend(chosen);
-        forced
+        chosen
     }
 }
 
@@ -267,13 +223,16 @@ impl GroupPolicy for BestOfTwo {
 mod tests {
     use super::*;
 
-    /// A rigged scorer: group rate = sum of fixed per-client values.
-    fn rigged(values: &HashMap<u16, f64>) -> impl FnMut(&[u16]) -> f64 + '_ {
-        move |group: &[u16]| {
-            group
-                .iter()
-                .map(|c| values.get(c).copied().unwrap_or(0.0))
-                .sum()
+    /// A rigged scorer: group rate = sum of fixed per-client values (the
+    /// head's value is the same for every pair, so it is left out).
+    fn rigged(values: &HashMap<u16, f64>) -> impl FnMut(&[[u16; 2]], &mut [f64]) + '_ {
+        move |pairs: &[[u16; 2]], scores: &mut [f64]| {
+            for (s, pair) in scores.iter_mut().zip(pairs) {
+                *s = pair
+                    .iter()
+                    .map(|c| values.get(c).copied().unwrap_or(0.0))
+                    .sum();
+            }
         }
     }
 
@@ -287,7 +246,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let vals = values(&[]);
         let mut score = rigged(&vals);
-        let got = p.select(0, &[5, 2, 9, 7], 2, &mut score, &mut rng);
+        let got = p.select(0, &[5, 2, 9, 7], &mut score, &mut rng);
         assert_eq!(got, vec![5, 2]);
     }
 
@@ -297,18 +256,70 @@ mod tests {
         let mut rng = Rng64::new(2);
         let vals = values(&[(1, 1.0), (2, 5.0), (3, 2.0), (4, 9.0)]);
         let mut score = rigged(&vals);
-        let mut got = p.select(0, &[1, 2, 3, 4], 2, &mut score, &mut rng);
+        let mut got = p.select(0, &[1, 2, 3, 4], &mut score, &mut rng);
         got.sort_unstable();
         assert_eq!(got, vec![2, 4]);
     }
 
     #[test]
-    fn brute_force_single_slot() {
-        let mut p = BruteForce;
-        let mut rng = Rng64::new(3);
-        let vals = values(&[(1, 1.0), (2, 5.0)]);
-        let mut score = rigged(&vals);
-        assert_eq!(p.select(0, &[1, 2], 1, &mut score, &mut rng), vec![2]);
+    fn score_is_one_batch_per_select() {
+        let candidates = [3u16, 1, 4, 2];
+        let mut rng = Rng64::new(10);
+        // Brute force: every ordered pair a ≠ b in nested-loop order, once;
+        // all pairs tie, so the first one wins.
+        let mut calls: Vec<Vec<[u16; 2]>> = Vec::new();
+        let mut record = |pairs: &[[u16; 2]], scores: &mut [f64]| {
+            calls.push(pairs.to_vec());
+            scores.fill(1.0);
+        };
+        let got = BruteForce.select(0, &candidates, &mut record, &mut rng);
+        let mut nested = Vec::new();
+        for &a in &candidates {
+            for &b in &candidates {
+                if a != b {
+                    nested.push([a, b]);
+                }
+            }
+        }
+        assert_eq!(calls, vec![nested]);
+        assert_eq!(calls[0].len(), 4 * 3);
+        assert_eq!(got, vec![3, 1], "a tie keeps the first pair");
+
+        // FIFO never scores.
+        calls.clear();
+        let mut record = |pairs: &[[u16; 2]], _: &mut [f64]| calls.push(pairs.to_vec());
+        FifoPolicy.select(0, &candidates, &mut record, &mut rng);
+        assert!(calls.is_empty());
+
+        // Best-of-two: at most one call of at most 4 pairs, each without the
+        // head or a repeated client; the winner is one of them.
+        let mut p = BestOfTwo::new(3);
+        for round in 0..200 {
+            let head = (round % 5) as u16;
+            let pool: Vec<u16> = (0..5).filter(|&c| c != head).collect();
+            let mut calls: Vec<Vec<[u16; 2]>> = Vec::new();
+            let mut record = |pairs: &[[u16; 2]], scores: &mut [f64]| {
+                calls.push(pairs.to_vec());
+                for (s, pair) in scores.iter_mut().zip(pairs) {
+                    *s = f64::from(pair[0] * 7 + pair[1]);
+                }
+            };
+            let got = p.select(head, &pool, &mut record, &mut rng);
+            assert!(calls.len() <= 1, "round {round}: {} calls", calls.len());
+            for pairs in &calls {
+                assert!(
+                    !pairs.is_empty() && pairs.len() <= 4,
+                    "round {round}: {pairs:?}"
+                );
+                for &[a, b] in pairs {
+                    assert!(a != b && a != head && b != head, "round {round}: {pairs:?}");
+                }
+                assert!(
+                    pairs.iter().any(|pair| got == pair.to_vec()),
+                    "round {round}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -319,7 +330,7 @@ mod tests {
         let mut rng = Rng64::new(4);
         let vals = values(&[(1, 1.0), (2, 10.0)]);
         let mut score = rigged(&vals);
-        let got = p.select(0, &[1, 2], 2, &mut score, &mut rng);
+        let got = p.select(0, &[1, 2], &mut score, &mut rng);
         assert_eq!(got.len(), 2);
         assert!(got.contains(&1) && got.contains(&2));
     }
@@ -331,7 +342,7 @@ mod tests {
         let vals = values(&[]);
         for round in 0..200 {
             let mut score = rigged(&vals);
-            let got = p.select(0, &[1, 2, 3, 4, 5, 6], 2, &mut score, &mut rng);
+            let got = p.select(0, &[1, 2, 3, 4, 5, 6], &mut score, &mut rng);
             assert!(got.len() <= 2, "round {round}: {got:?}");
             let mut sorted = got.clone();
             sorted.sort_unstable();
@@ -353,7 +364,7 @@ mod tests {
         let rounds = 200;
         for _ in 0..rounds {
             let mut score = rigged(&vals);
-            let got = p.select(0, &[1, 2, 3, 9], 2, &mut score, &mut rng);
+            let got = p.select(0, &[1, 2, 3, 9], &mut score, &mut rng);
             if got.contains(&9) {
                 served_9 += 1;
             }
@@ -373,7 +384,7 @@ mod tests {
         let vals = values(&[(1, 10.0), (2, 10.0), (3, 10.0), (9, 0.001)]);
         for _ in 0..50 {
             let mut score = rigged(&vals);
-            let got = p.select(0, &[1, 2, 3, 9], 2, &mut score, &mut rng);
+            let got = p.select(0, &[1, 2, 3, 9], &mut score, &mut rng);
             assert!(!got.contains(&9));
         }
     }
@@ -388,7 +399,7 @@ mod tests {
         let mut forced_seen = false;
         for _ in 0..100 {
             let mut score = rigged(&vals);
-            let got = p.select(0, &[1, 9], 2, &mut score, &mut rng);
+            let got = p.select(0, &[1, 9], &mut score, &mut rng);
             if got.contains(&9) && p.credit_of(9) == 0 {
                 forced_seen = true;
                 break;
@@ -401,16 +412,19 @@ mod tests {
     fn small_candidate_pools_handled() {
         let mut rng = Rng64::new(9);
         let vals = values(&[]);
-        for policy in &mut [
+        for (k, policy) in [
             Box::new(FifoPolicy) as Box<dyn GroupPolicy>,
             Box::new(BruteForce),
             Box::new(BestOfTwo::default()),
-        ] {
+        ]
+        .iter_mut()
+        .enumerate()
+        {
             let mut score = rigged(&vals);
-            assert!(policy.select(0, &[], 2, &mut score, &mut rng).is_empty());
+            assert!(policy.select(0, &[], &mut score, &mut rng).is_empty());
             let mut score = rigged(&vals);
-            let one = policy.select(0, &[4], 2, &mut score, &mut rng);
-            assert_eq!(one, vec![4], "{}", policy.name());
+            let one = policy.select(0, &[4], &mut score, &mut rng);
+            assert_eq!(one, vec![4], "policy {k}");
         }
     }
 }

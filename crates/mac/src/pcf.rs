@@ -17,12 +17,11 @@
 //!
 //! The protocol itself runs in simulated time as `iac_des::pcf::EventPcf`.
 //! This module holds what it is parameterised by: the [`PcfConfig`], the
-//! group former [`form_group`] and its [`GroupPlan`], the leader-side
-//! [`GroupScorer`], and the pluggable PHY [`PhyOutcome`] with its
-//! [`PacketResult`], so the protocol logic can be tested deterministically
-//! and driven by the matrix-level IAC decoder in `iac-sim`.
+//! group former [`form_group`] and its [`GroupPlan`], and the pluggable PHY
+//! [`PhyOutcome`] with its [`PacketResult`], so the protocol logic can be
+//! tested deterministically and driven by the matrix-level IAC decoder in
+//! `iac-sim`.
 
-use crate::concurrency::GroupPolicy;
 use crate::queue::{QueuedPacket, TrafficQueue};
 use iac_linalg::Rng64;
 
@@ -87,10 +86,6 @@ impl Default for PcfConfig {
     }
 }
 
-/// Leader-side predictor of a candidate group's rate: `(group, is_downlink)`
-/// in, predicted aggregate rate out.
-pub type GroupScorer = Box<dyn FnMut(&[u16], bool) -> f64>;
-
 /// One transmission group popped from a queue: `packets[i]` is carried by
 /// `clients[i]`. Clients repeat when `streams_per_client > 1` (a client
 /// spatially multiplexing several packets in the same airtime, as in plain
@@ -103,41 +98,38 @@ pub struct GroupPlan {
     pub packets: Vec<QueuedPacket>,
 }
 
-/// Assemble one transmission group from `queue`: anchor on the FIFO head
-/// (starvation rule, §7.2), let `policy` pick up to `group_size − 1`
-/// companions, then pop up to `streams_per_client` packets per grouped
-/// client. Returns `None` when the queue is empty.
+/// Assemble one transmission group from `queue`: the FIFO head's client and
+/// the next `group_size − 1` clients in queue order (§7.2's FIFO grouping),
+/// then pop up to `streams_per_client` packets per grouped client. Returns
+/// `None` when the queue is empty.
 pub fn form_group(
     queue: &mut TrafficQueue,
-    policy: &mut dyn GroupPolicy,
-    score: &mut dyn FnMut(&[u16]) -> f64,
     group_size: usize,
     streams_per_client: usize,
-    rng: &mut Rng64,
 ) -> Option<GroupPlan> {
-    let head = queue.head()?;
-    // The queue lists the head's client first; the rest are candidates.
-    let companions = policy.select(
-        head.client,
-        &queue.clients()[1..],
-        group_size.saturating_sub(1),
-        score,
-        rng,
-    );
+    let members = queue.clients().len().min(group_size.max(1));
+    if members == 0 {
+        return None;
+    }
     let streams = streams_per_client.max(1);
-    let room = (1 + companions.len()) * streams;
+    let room = members * streams;
     let mut plan = GroupPlan {
         clients: Vec::with_capacity(room),
         packets: Vec::with_capacity(room),
     };
-    for c in std::iter::once(head.client).chain(companions) {
+    // Popping reorders the queue's client list, so note the members first;
+    // `clients` is rebuilt from the packets below.
+    plan.clients.extend_from_slice(&queue.clients()[..members]);
+    for i in 0..members {
+        let c = plan.clients[i];
         for _ in 0..streams {
             let Some(p) = queue.pop_for_client(c) else {
                 break;
             };
-            plan.clients.push(c);
             plan.packets.push(p);
         }
     }
+    plan.clients.clear();
+    plan.clients.extend(plan.packets.iter().map(|p| p.client));
     Some(plan)
 }

@@ -153,6 +153,8 @@ impl TrafficQueue {
     }
 
     /// The head packet, if any.
+    ///
+    /// No production caller: public for `crates/mac/tests/properties.rs`.
     pub fn head(&self) -> Option<QueuedPacket> {
         let &client = self.order.first()?;
         Some(self.fifos[client as usize][0].packet)

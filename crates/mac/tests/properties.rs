@@ -145,24 +145,34 @@ proptest! {
     }
 
     #[test]
-    fn policies_structural_contract(seed in any::<u64>(), n_candidates in 0usize..12, slots in 0usize..3) {
+    fn policies_structural_contract(seed in any::<u64>(), n_candidates in 0usize..12) {
         let mut rng = Rng64::new(seed);
         let candidates: Vec<u16> = (1..=n_candidates as u16).collect();
         let head = 0u16;
-        for policy in &mut [
+        for (k, policy) in [
             Box::new(FifoPolicy) as Box<dyn GroupPolicy>,
             Box::new(BruteForce),
             Box::new(BestOfTwo::default()),
-        ] {
-            let mut score = |g: &[u16]| g.len() as f64;
-            let picked = policy.select(head, &candidates, slots, &mut score, &mut rng);
-            // Contract: at most `slots` picks, all from candidates, no
-            // duplicates, never the head.
-            prop_assert!(picked.len() <= slots, "{}", policy.name());
+        ]
+        .iter_mut()
+        .enumerate()
+        {
+            let mut calls = 0;
+            let mut score = |pairs: &[[u16; 2]], scores: &mut [f64]| {
+                calls += 1;
+                for (s, pair) in scores.iter_mut().zip(pairs) {
+                    *s = f64::from(pair[0] ^ pair[1].rotate_left(3));
+                }
+            };
+            let picked = policy.select(head, &candidates, &mut score, &mut rng);
+            // Contract: one scoring call at most, at most two picks, all
+            // from candidates, no duplicates, never the head.
+            prop_assert!(calls <= 1, "policy {} scored {} times", k, calls);
+            prop_assert!(picked.len() <= 2, "policy {}", k);
             let mut sorted = picked.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            prop_assert_eq!(sorted.len(), picked.len(), "{} duplicated", policy.name());
+            prop_assert_eq!(sorted.len(), picked.len(), "policy {} duplicated", k);
             for c in &picked {
                 prop_assert!(candidates.contains(c));
                 prop_assert_ne!(*c, head);

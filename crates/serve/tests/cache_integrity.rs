@@ -117,12 +117,20 @@ fn any_single_byte_corruption_is_quarantined_and_recomputed() {
     assert!(committed.len() > 100);
     drop(cache);
 
-    let quarantine = dir.join("quarantine");
+    // Each flip rewrites the one byte in place and, once caught, moves the
+    // quarantined entry back and undoes the flip. A fresh commit per flip
+    // would free an fsync'd file per flip, which is the slow part on disks
+    // that discard freed blocks; recommitting is checked once per mask.
+    let quarantined = dir.join("quarantine").join(key.file_name());
+    let flip_in_place = |pos: usize, flip: u8| {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.seek(SeekFrom::Start(pos as u64)).unwrap();
+        f.write_all(&[committed[pos] ^ flip]).unwrap();
+    };
     for flip in [0x01u8, 0xFF] {
         for pos in 0..committed.len() {
-            let mut corrupt = committed.clone();
-            corrupt[pos] ^= flip;
-            std::fs::write(&path, &corrupt).unwrap();
+            flip_in_place(pos, flip);
 
             // The startup recovery scan must catch it...
             let (cache, recovery) = ResultCache::open(&dir).unwrap();
@@ -131,19 +139,23 @@ fn any_single_byte_corruption_is_quarantined_and_recomputed() {
                 (0, 1),
                 "flip {flip:#04x} at byte {pos} survived the recovery scan"
             );
-            // ...and the daemon-side read path must miss, recompute, and
-            // recommit the pristine bytes.
+            // ...and the daemon-side read path must miss.
             assert_eq!(cache.get(&key), None, "byte {pos}");
-            cache.put(&key, &report).unwrap();
-            assert_eq!(
-                cache.get(&key).as_deref(),
-                Some(report.as_str()),
-                "byte {pos}"
-            );
-            assert_eq!(std::fs::read(&path).unwrap(), committed, "byte {pos}");
-            // Reset the quarantine between flips so counts stay exact.
-            let _ = std::fs::remove_dir_all(&quarantine);
+            std::fs::rename(&quarantined, &path).unwrap();
+            flip_in_place(pos, 0);
         }
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
+
+        // A missed entry is recomputed and recommitted with the pristine
+        // bytes.
+        flip_in_place(committed.len() - 1, flip);
+        let (cache, recovery) = ResultCache::open(&dir).unwrap();
+        assert_eq!(recovery.quarantined, 1);
+        assert_eq!(cache.get(&key), None);
+        cache.put(&key, &report).unwrap();
+        assert_eq!(cache.get(&key).as_deref(), Some(report.as_str()));
+        assert_eq!(std::fs::read(&path).unwrap(), committed);
+        std::fs::remove_file(&quarantined).unwrap();
     }
 
     // The lazy (read-path) check catches live corruption too, without a

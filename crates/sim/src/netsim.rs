@@ -18,7 +18,6 @@ use iac_des::pcf::{EventPcf, EventPcfConfig};
 use iac_des::traffic::ArrivalProcess;
 use iac_des::{MetricsLog, SharedMetrics, SimTime, Simulation};
 use iac_linalg::{CMat, Rng64};
-use iac_mac::concurrency::FifoPolicy;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
 
 /// A PHY whose per-packet post-processing SINRs are drawn from an empirical
@@ -261,14 +260,7 @@ pub fn build_netsim(spec: &NetSim, phy: CalibratedPhy) -> (Simulation<NetEvent>,
         .collect();
     let mac = sim.add_component(
         "leader",
-        EventPcf::new(
-            spec.cfg.clone(),
-            phy,
-            Box::new(FifoPolicy),
-            Box::new(FifoPolicy),
-            sinks,
-            metrics.clone(),
-        ),
+        EventPcf::new(spec.cfg.clone(), phy, sinks, metrics.clone()),
     );
     for s in &spec.sources {
         let src = sim.add_component(
@@ -319,10 +311,6 @@ fn outcome_of(sim: &Simulation<NetEvent>, metrics: &SharedMetrics, events: u64) 
 }
 
 /// Assemble the component graph and run `step_until_no_events()`.
-///
-/// Grouping uses the FIFO policy in both directions: the calibrated PHY has
-/// no per-group channel knowledge for a rate scorer to exploit, so FIFO
-/// keeps the comparison between MAC configurations policy-neutral.
 ///
 /// Under an observing engine lane, the run also attaches a passive
 /// event-kind counter and hands its [`DesRunFacts`] to the lane's sink. The

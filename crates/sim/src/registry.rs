@@ -46,6 +46,7 @@ use crate::scenarios::{
     ablations, clustered, fig12, fig13, fig14, fig15, fig16, lemmas, ofdm, overhead, sec6,
 };
 use crate::stats;
+use iac_core::grid::Direction;
 use iac_linalg::Rng64;
 
 /// How heavy a trial should be: `Quick` for tests and smoke runs, `Paper`
@@ -145,7 +146,7 @@ fn run_fig12(q: Quality, seed: u64) -> TrialOutput {
     ])
 }
 
-fn run_fig13(q: Quality, seed: u64, direction: fig13::Direction13) -> TrialOutput {
+fn run_fig13(q: Quality, seed: u64, direction: Direction) -> TrialOutput {
     let r = fig13::run(&base(q, seed), direction);
     let (lo, hi) = r.gain_by_rate_half();
     TrialOutput::new(vec![
@@ -156,11 +157,11 @@ fn run_fig13(q: Quality, seed: u64, direction: fig13::Direction13) -> TrialOutpu
 }
 
 fn run_fig13a(q: Quality, seed: u64) -> TrialOutput {
-    run_fig13(q, seed, fig13::Direction13::Uplink)
+    run_fig13(q, seed, Direction::Uplink)
 }
 
 fn run_fig13b(q: Quality, seed: u64) -> TrialOutput {
-    run_fig13(q, seed, fig13::Direction13::Downlink)
+    run_fig13(q, seed, Direction::Downlink)
 }
 
 fn run_fig14(q: Quality, seed: u64) -> TrialOutput {
@@ -174,7 +175,7 @@ fn run_fig14(q: Quality, seed: u64) -> TrialOutput {
     ])
 }
 
-fn run_fig15(q: Quality, seed: u64, direction: fig15::Direction15) -> TrialOutput {
+fn run_fig15(q: Quality, seed: u64, direction: Direction) -> TrialOutput {
     let cfg = match q {
         Quality::Quick => fig15::Fig15Config::quick(seed),
         Quality::Paper => fig15::Fig15Config::paper_default(seed),
@@ -202,11 +203,11 @@ fn run_fig15(q: Quality, seed: u64, direction: fig15::Direction15) -> TrialOutpu
 }
 
 fn run_fig15a(q: Quality, seed: u64) -> TrialOutput {
-    run_fig15(q, seed, fig15::Direction15::Uplink)
+    run_fig15(q, seed, Direction::Uplink)
 }
 
 fn run_fig15b(q: Quality, seed: u64) -> TrialOutput {
-    run_fig15(q, seed, fig15::Direction15::Downlink)
+    run_fig15(q, seed, Direction::Downlink)
 }
 
 fn run_fig16(q: Quality, seed: u64) -> TrialOutput {

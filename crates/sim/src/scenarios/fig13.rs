@@ -9,21 +9,13 @@ use crate::experiment::{
     ExperimentConfig, ScatterPoint,
 };
 use crate::stats::{mean, render_scatter, Summary};
-
-/// Which direction of Fig. 13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction13 {
-    /// Fig. 13a.
-    Uplink,
-    /// Fig. 13b.
-    Downlink,
-}
+use iac_core::grid::Direction;
 
 /// The figure's data.
 #[derive(Debug, Clone)]
 pub struct Fig13Report {
-    /// Direction this report covers.
-    pub direction: Direction13,
+    /// Direction this report covers (uplink is Fig. 13a, downlink 13b).
+    pub direction: Direction,
     /// One point per random 3-client/3-AP pick.
     pub points: Vec<ScatterPoint>,
 }
@@ -52,20 +44,20 @@ impl Fig13Report {
 }
 
 /// Run one direction of the experiment.
-pub fn run(cfg: &ExperimentConfig, direction: Direction13) -> Fig13Report {
+pub fn run(cfg: &ExperimentConfig, direction: Direction) -> Fig13Report {
     let points = run_picks(cfg, |tb, rng| {
         let (aps, clients) = tb.pick_roles(3, 3, rng);
         let mut base = 0.0;
         let mut iac = 0.0;
         for slot in 0..cfg.slots {
             match direction {
-                Direction13::Uplink => {
+                Direction::Uplink => {
                     let grid = tb.uplink_grid(&clients, &aps, rng);
                     let est = grid.estimated(&cfg.est, rng);
                     base += baseline_uplink_slot(&grid, &est);
                     iac += iac_uplink4_slot(&grid, &est, slot % 3, rng);
                 }
-                Direction13::Downlink => {
+                Direction::Downlink => {
                     let grid = tb.downlink_grid(&aps, &clients, rng);
                     let est = grid.estimated(&cfg.est, rng);
                     base += baseline_downlink_slot(&grid, &est);
@@ -84,8 +76,8 @@ pub fn run(cfg: &ExperimentConfig, direction: Direction13) -> Fig13Report {
 impl std::fmt::Display for Fig13Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (name, paper) = match self.direction {
-            Direction13::Uplink => ("Fig. 13a — 3-client/3-AP uplink (4 packets)", 1.8),
-            Direction13::Downlink => ("Fig. 13b — 3-client/3-AP downlink (3 packets)", 1.4),
+            Direction::Uplink => ("Fig. 13a — 3-client/3-AP uplink (4 packets)", 1.8),
+            Direction::Downlink => ("Fig. 13b — 3-client/3-AP downlink (3 packets)", 1.4),
         };
         let xy: Vec<(f64, f64)> = self.points.iter().map(|p| (p.baseline, p.iac)).collect();
         writeln!(f, "{}", render_scatter(&xy, 60, 18, name))?;
@@ -112,7 +104,7 @@ mod tests {
                 slots: 30,
                 ..ExperimentConfig::quick(20)
             },
-            Direction13::Uplink,
+            Direction::Uplink,
         );
         let g = report.average_gain();
         assert!(g > 1.4 && g < 2.3, "Fig. 13a gain {g} outside band");
@@ -126,7 +118,7 @@ mod tests {
                 slots: 30,
                 ..ExperimentConfig::quick(21)
             },
-            Direction13::Downlink,
+            Direction::Downlink,
         );
         let g = report.average_gain();
         assert!(g > 1.1 && g < 1.8, "Fig. 13b gain {g} outside band");
@@ -140,8 +132,8 @@ mod tests {
             slots: 25,
             ..ExperimentConfig::quick(22)
         };
-        let up = run(&cfg, Direction13::Uplink).average_gain();
-        let down = run(&cfg, Direction13::Downlink).average_gain();
+        let up = run(&cfg, Direction::Uplink).average_gain();
+        let down = run(&cfg, Direction::Downlink).average_gain();
         assert!(up > down, "uplink {up} should exceed downlink {down}");
     }
 
@@ -153,7 +145,7 @@ mod tests {
                 slots: 25,
                 ..ExperimentConfig::quick(23)
             },
-            Direction13::Uplink,
+            Direction::Uplink,
         );
         let (lo, hi) = report.gain_by_rate_half();
         assert!(lo > 1.1, "low-rate gain {lo}");
@@ -162,7 +154,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let report = run(&ExperimentConfig::quick(24), Direction13::Downlink);
+        let report = run(&ExperimentConfig::quick(24), Direction::Downlink);
         assert!(format!("{report}").contains("Fig. 13b"));
     }
 }

@@ -13,17 +13,11 @@ use crate::stats::{mean, render_cdfs};
 use crate::testbed::Testbed;
 use iac_core::baseline;
 use iac_core::decoder::{equal_split_powers, IacDecoder};
+use iac_core::grid::Direction;
 use iac_core::optimize::{self, ScoringContext};
 use iac_linalg::{CMat, Rng64};
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 use std::collections::VecDeque;
-
-/// Direction of the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction15 {
-    Uplink,
-    Downlink,
-}
 
 /// The three §10.3 policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +98,7 @@ impl Fig15Config {
 #[derive(Debug, Clone)]
 pub struct Fig15Report {
     /// Direction.
-    pub direction: Direction15,
+    pub direction: Direction,
     /// `(policy, per-client gains)`.
     pub gains: Vec<(PolicyKind, Vec<f64>)>,
 }
@@ -146,13 +140,13 @@ fn iac_slot_rates(
     clients: &[usize],
     aps: &[usize],
     group: &[u16],
-    direction: Direction15,
+    direction: Direction,
     cfg: &ExperimentConfig,
     rng: &mut Rng64,
 ) -> Vec<(u16, f64)> {
     let group_nodes: Vec<usize> = group.iter().map(|&c| clients[c as usize]).collect();
     match direction {
-        Direction15::Uplink => {
+        Direction::Uplink => {
             let grid = testbed.uplink_grid(&group_nodes, aps, rng);
             let est = grid.estimated(&cfg.est, rng);
             let Ok(config) = optimize::uplink4_optimized(&est, PER_NODE_POWER, NOISE) else {
@@ -184,7 +178,7 @@ fn iac_slot_rates(
                 })
                 .collect()
         }
-        Direction15::Downlink => {
+        Direction::Downlink => {
             let grid = testbed.downlink_grid(aps, &group_nodes, rng);
             let est = grid.estimated(&cfg.est, rng);
             let Ok(config) = optimize::downlink3_optimized(&est, PER_NODE_POWER, NOISE) else {
@@ -211,7 +205,7 @@ fn iac_slot_rates(
 }
 
 /// Run the experiment for one direction.
-pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
+pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
     let mut outer_rng = Rng64::new(cfg.base.seed);
     let mut per_policy: Vec<(PolicyKind, Vec<f64>)> = PolicyKind::ALL
         .iter()
@@ -229,23 +223,23 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
             let c = slot % cfg.n_clients;
             let node = clients[c];
             let (grid, est) = match direction {
-                Direction15::Uplink => {
+                Direction::Uplink => {
                     let g = testbed.uplink_grid(&[node], &aps, &mut rng);
                     let e = g.estimated(&cfg.base.est, &mut rng);
                     (g, e)
                 }
-                Direction15::Downlink => {
+                Direction::Downlink => {
                     let g = testbed.downlink_grid(&aps, &[node], &mut rng);
                     let e = g.estimated(&cfg.base.est, &mut rng);
                     (g, e)
                 }
             };
             let (links_true, links_est): (Vec<CMat>, Vec<CMat>) = match direction {
-                Direction15::Uplink => (
+                Direction::Uplink => (
                     (0..cfg.n_aps).map(|a| grid.link(0, a).clone()).collect(),
                     (0..cfg.n_aps).map(|a| est.link(0, a).clone()).collect(),
                 ),
-                Direction15::Downlink => (
+                Direction::Downlink => (
                     (0..cfg.n_aps).map(|a| grid.link(a, 0).clone()).collect(),
                     (0..cfg.n_aps).map(|a| est.link(a, 0).clone()).collect(),
                 ),
@@ -274,20 +268,18 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
                 // fresh channels (and estimates) for the chosen group, so
                 // the leader scores on one draw and transmits on another.
                 let slot_grid = match direction {
-                    Direction15::Uplink => testbed.uplink_grid(&clients, &aps, &mut policy_rng),
-                    Direction15::Downlink => testbed.downlink_grid(&aps, &clients, &mut policy_rng),
+                    Direction::Uplink => testbed.uplink_grid(&clients, &aps, &mut policy_rng),
+                    Direction::Downlink => testbed.downlink_grid(&aps, &clients, &mut policy_rng),
                 };
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
                 let mut context =
                     ScoringContext::new(&slot_est, head as usize, PER_NODE_POWER, NOISE);
-                let mut score = |group: &[u16]| -> f64 {
-                    if group.len() < 3 {
-                        return 0.0;
+                let mut score = |pairs: &[[u16; 2]], scores: &mut [f64]| {
+                    for (s, &[a, b]) in scores.iter_mut().zip(pairs) {
+                        *s = context.score(a as usize, b as usize);
                     }
-                    debug_assert_eq!(group[0], head, "groups start with the head");
-                    context.score(group[1] as usize, group[2] as usize)
                 };
-                let companions = policy.select(head, &candidates, 2, &mut score, &mut policy_rng);
+                let companions = policy.select(head, &candidates, &mut score, &mut policy_rng);
                 let mut group = vec![head];
                 group.extend(companions);
                 if group.len() == 3 {
@@ -332,11 +324,11 @@ pub fn run(cfg: &Fig15Config, direction: Direction15) -> Fig15Report {
 impl std::fmt::Display for Fig15Report {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (name, paper) = match self.direction {
-            Direction15::Uplink => (
+            Direction::Uplink => (
                 "Fig. 15a — whole-testbed uplink per-client gain CDFs",
                 "(paper: brute 2.32x, fifo 1.9x, best-of-two 2.08x)",
             ),
-            Direction15::Downlink => (
+            Direction::Downlink => (
                 "Fig. 15b — whole-testbed downlink per-client gain CDFs",
                 "(paper: brute 1.58x, fifo 1.23x, best-of-two 1.52x)",
             ),
@@ -367,7 +359,7 @@ mod tests {
 
     #[test]
     fn all_policies_beat_baseline_on_average() {
-        let report = run(&Fig15Config::quick(40), Direction15::Uplink);
+        let report = run(&Fig15Config::quick(40), Direction::Uplink);
         for kind in PolicyKind::ALL {
             let g = report.average_gain(kind);
             assert!(g > 1.2, "{} gain {g} too small", kind.name());
@@ -377,7 +369,7 @@ mod tests {
 
     #[test]
     fn brute_force_at_least_matches_fifo_throughput() {
-        let report = run(&Fig15Config::quick(41), Direction15::Uplink);
+        let report = run(&Fig15Config::quick(41), Direction::Uplink);
         let brute = report.average_gain(PolicyKind::BruteForce);
         let fifo = report.average_gain(PolicyKind::Fifo);
         assert!(
@@ -388,8 +380,8 @@ mod tests {
 
     #[test]
     fn downlink_gains_lower_than_uplink() {
-        let up = run(&Fig15Config::quick(42), Direction15::Uplink);
-        let down = run(&Fig15Config::quick(42), Direction15::Downlink);
+        let up = run(&Fig15Config::quick(42), Direction::Uplink);
+        let down = run(&Fig15Config::quick(42), Direction::Downlink);
         assert!(
             up.average_gain(PolicyKind::BestOfTwo) > down.average_gain(PolicyKind::BestOfTwo),
             "3-packet downlink should gain less than 4-packet uplink"
@@ -402,7 +394,7 @@ mod tests {
         let mut cfg = Fig15Config::quick(43);
         cfg.base.slots = 150;
         cfg.n_clients = 10;
-        let report = run(&cfg, Direction15::Uplink);
+        let report = run(&cfg, Direction::Uplink);
         let b2_min = report.min_gain(PolicyKind::BestOfTwo);
         let brute_min = report.min_gain(PolicyKind::BruteForce);
         assert!(
@@ -413,7 +405,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let report = run(&Fig15Config::quick(44), Direction15::Downlink);
+        let report = run(&Fig15Config::quick(44), Direction::Downlink);
         let text = format!("{report}");
         assert!(text.contains("Fig. 15b"));
         assert!(text.contains("best-of-two"));

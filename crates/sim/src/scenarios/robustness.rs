@@ -157,7 +157,7 @@ fn churn_phy(config: &ChurnConfig) -> CalibratedPhy {
 
 /// What AP churn did to the run.
 #[derive(Debug, Clone)]
-pub struct ChurnReport {
+pub(crate) struct ChurnReport {
     /// Fault events applied (crashes + recoveries).
     pub faults: u64,
     /// Poll results voided because the serving AP was down.
@@ -214,7 +214,7 @@ impl ChurnReport {
 
 /// `rob_backhaul_partition` knobs.
 #[derive(Debug, Clone)]
-pub struct PartitionConfig {
+pub(crate) struct PartitionConfig {
     /// Master seed.
     pub seed: u64,
     /// Uplink clients.
@@ -290,9 +290,7 @@ fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
 
 /// What the partitions did to the run.
 #[derive(Debug, Clone)]
-pub struct PartitionReport {
-    /// Fault events applied (2 per window).
-    pub faults: u64,
+pub(crate) struct PartitionReport {
     /// Forwards abandoned at the partitioned backhaul.
     pub wire_expired: u64,
     /// Groups dissolved to the standalone-MIMO fallback.
@@ -322,7 +320,6 @@ pub(crate) fn partition_reduce<E>(
 ) -> Result<PartitionReport, E> {
     let out = desrec::next_outcome(&mut outcomes)?;
     Ok(PartitionReport {
-        faults: out.log.faults,
         wire_expired: out.log.wire_expired,
         degraded_groups: out.log.degraded_groups,
         delivery_ratio: delivery_ratio(&out),
@@ -350,7 +347,7 @@ impl PartitionReport {
 
 /// `rob_csi_aging` knobs.
 #[derive(Debug, Clone)]
-pub struct CsiAgingConfig {
+pub(crate) struct CsiAgingConfig {
     /// Master seed.
     pub seed: u64,
     /// Uplink clients.
@@ -479,9 +476,7 @@ fn aging_phys(config: &CsiAgingConfig) -> (Vec<CalibratedPhy>, CalibratedPhy) {
 
 /// One severity's measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct AgingPoint {
-    /// Severity level (0 = fresh CSI).
-    pub severity: usize,
+pub(crate) struct AgingPoint {
     /// IAC uplink throughput at this severity, Mbit/s.
     pub iac_mbps: f64,
     /// Groups the MAC dissolved to the standalone-MIMO fallback.
@@ -490,7 +485,7 @@ pub struct AgingPoint {
 
 /// The aging sweep's report.
 #[derive(Debug, Clone)]
-pub struct CsiAgingReport {
+pub(crate) struct CsiAgingReport {
     /// One entry per severity, ascending.
     pub points: Vec<AgingPoint>,
     /// The baseline's uplink throughput, Mbit/s (severity-independent).
@@ -541,10 +536,9 @@ pub(crate) fn aging_reduce<E>(
 ) -> Result<CsiAgingReport, E> {
     let mimo_mbps = uplink_mbps(&desrec::next_outcome(&mut outcomes)?, config.horizon_ms);
     let mut points = Vec::with_capacity(config.severities);
-    for severity in 0..config.severities {
+    for _ in 0..config.severities {
         let out = desrec::next_outcome(&mut outcomes)?;
         points.push(AgingPoint {
-            severity,
             iac_mbps: uplink_mbps(&out, config.horizon_ms),
             degraded_groups: out.log.degraded_groups,
         });
@@ -594,8 +588,12 @@ mod tests {
     #[test]
     fn partition_expires_forwards_and_recovers() {
         let cfg = PartitionConfig::quick(42);
-        let Ok(r) = partition_reduce(&cfg, desrec::live(partition_runs(&cfg)));
-        assert_eq!(r.faults, 4, "two windows = four fault events");
+        let outcomes: Vec<NetSimOutcome> = desrec::live(partition_runs(&cfg))
+            .map(|Ok(out)| out)
+            .collect();
+        assert_eq!(outcomes[0].log.faults, 4, "two windows = four fault events");
+        let outcomes = outcomes.into_iter().map(Ok::<_, std::convert::Infallible>);
+        let Ok(r) = partition_reduce(&cfg, outcomes);
         assert!(r.wire_expired > 0, "partition never blocked a forward");
         assert!(r.degraded_groups > 0, "partition never dissolved a group");
         assert!(

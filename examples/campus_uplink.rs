@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --release --example campus_uplink`
 
+use iac_core::grid::Direction;
 use iac_sim::experiment::{ExperimentConfig, DEFAULT_SEED};
 use iac_sim::scenarios::{fig12, fig13};
 
@@ -21,6 +22,6 @@ fn main() {
     println!("{twelve}");
 
     println!("\n=== 3 clients / 3 APs, four concurrent packets ===\n");
-    let thirteen = fig13::run(&cfg, fig13::Direction13::Uplink);
+    let thirteen = fig13::run(&cfg, Direction::Uplink);
     println!("{thirteen}");
 }

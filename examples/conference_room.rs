@@ -6,8 +6,9 @@
 //!
 //! Run with: `cargo run --release --example conference_room`
 
+use iac_core::grid::Direction;
 use iac_sim::experiment::DEFAULT_SEED;
-use iac_sim::scenarios::fig15::{run, Direction15, Fig15Config};
+use iac_sim::scenarios::fig15::{run, Fig15Config};
 
 fn main() {
     let mut cfg = Fig15Config::paper_default(DEFAULT_SEED);
@@ -17,8 +18,8 @@ fn main() {
     cfg.runs = 1;
 
     println!("=== uplink (4 concurrent packets per group) ===\n");
-    println!("{}", run(&cfg, Direction15::Uplink));
+    println!("{}", run(&cfg, Direction::Uplink));
 
     println!("\n=== downlink (3 concurrent packets per group) ===\n");
-    println!("{}", run(&cfg, Direction15::Downlink));
+    println!("{}", run(&cfg, Direction::Downlink));
 }

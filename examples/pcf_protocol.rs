@@ -8,7 +8,6 @@
 
 use iac_des::prelude::*;
 use iac_linalg::Rng64;
-use iac_mac::concurrency::BestOfTwo;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
 
 /// A PHY stub with 10% loss.
@@ -51,8 +50,7 @@ fn main() {
         .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
         .collect();
     let phy = LossyPhy { loss: 0.10 };
-    let policy = || Box::new(BestOfTwo::default());
-    let leader = EventPcf::new(cfg, phy, policy(), policy(), sinks, metrics.clone());
+    let leader = EventPcf::new(cfg, phy, sinks, metrics.clone());
     let leader = sim.add_component("leader", leader);
 
     // Six clients with a few packets in each direction, all queued at t = 0.

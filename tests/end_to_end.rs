@@ -2,7 +2,7 @@
 //! several workspace crates, the way a deployment would.
 
 use iac_lan::prelude::*;
-use iac_lan::{mac, phy, sim};
+use iac_lan::{phy, sim};
 
 /// channel → core → rate: the full matrix-level uplink chain with estimation
 /// error, against the baseline, on testbed-calibrated channels.
@@ -148,17 +148,7 @@ fn pcf_protocol_over_real_phy() {
     let sinks = (0..cfg.protocol.n_aps)
         .map(|a| sim.add_component(format!("sink{a}"), WiredSink::new(metrics.clone())))
         .collect();
-    let mac = sim.add_component(
-        "leader",
-        EventPcf::new(
-            cfg,
-            phy,
-            Box::new(mac::concurrency::BestOfTwo::default()),
-            Box::new(mac::concurrency::BestOfTwo::default()),
-            sinks,
-            metrics.clone(),
-        ),
-    );
+    let mac = sim.add_component("leader", EventPcf::new(cfg, phy, sinks, metrics.clone()));
     for client in 0..9u16 {
         for seq in 0..3u16 {
             for (seq, uplink) in [(seq, false), (100 + seq, true)] {
