@@ -213,7 +213,7 @@ pub fn register_parallel_sweep(c: &mut Criterion) {
     let plan = iac_sim::engine::RunPlan {
         workers: 2,
         deadline: iac_sim::engine::Deadline::none(),
-        observe: false,
+        observe: None,
     };
     group.bench_function("engine_dispatch_4k_trials", |b| {
         b.iter(|| iac_sim::engine::run(4096, &plan, |i| (i as u64).wrapping_mul(3)).outputs)

@@ -13,10 +13,11 @@
 //! - **Atomic commit** — entries are written to a `tmp-*` sibling and
 //!   `rename`d into place; readers only ever see absent or complete files.
 //! - **Recovery scan** — [`ResultCache::open`] validates every entry and
-//!   moves corrupt ones to `quarantine/` (preserved for post-mortem, never
-//!   served). [`ResultCache::get`] re-validates on every hit and
-//!   quarantines lazily too, so corruption introduced *while the daemon is
-//!   running* is also caught.
+//!   moves corrupt ones to `quarantine/` (preserved for post-mortem, each
+//!   copy under its own `.<n>` suffix, never served).
+//!   [`ResultCache::get`] re-validates on every hit and quarantines lazily
+//!   too, so corruption introduced *while the daemon is running* is also
+//!   caught.
 //!
 //! Entry format (three `\n`-terminated lines):
 //!
@@ -249,12 +250,28 @@ impl ResultCache {
         fs::rename(&tmp, self.entry_path(key))
     }
 
-    /// Move a corrupt entry into `quarantine/` (best-effort: if the rename
-    /// fails — e.g. a concurrent writer already replaced the entry — the
-    /// file is left alone; it will simply fail validation again).
+    /// Move a corrupt entry into `quarantine/` as `<name>.<n>`, the first
+    /// `n` no earlier copy holds. The name is claimed with `hard_link`,
+    /// which fails rather than replace an existing file, so a later
+    /// corruption of the same key, or a concurrent reader quarantining the
+    /// same entry, never replaces an earlier copy. Best-effort: if the entry
+    /// is already gone (another reader moved it) or cannot be linked, it is
+    /// left alone and simply fails validation again; a recommit that lands
+    /// between the link and the removal is quarantined too and recomputed.
     fn quarantine(&self, path: &Path) {
-        if let Some(name) = path.file_name() {
-            let _ = fs::rename(path, self.dir.join("quarantine").join(name));
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            return;
+        };
+        let dir = self.dir.join("quarantine");
+        for n in 0u64.. {
+            match fs::hard_link(path, dir.join(format!("{name}.{n}"))) {
+                Ok(()) => {
+                    let _ = fs::remove_file(path);
+                    return;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+                Err(_) => return,
+            }
         }
     }
 
@@ -347,6 +364,33 @@ mod tests {
         // Recompute-and-overwrite restores service.
         cache.put(&key(), "{\"ok\":2}").unwrap();
         assert_eq!(cache.get(&key()).as_deref(), Some("{\"ok\":2}"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_corruption_keeps_every_quarantined_copy() {
+        let dir = tmp_dir("twice");
+        let (cache, _) = ResultCache::open(&dir).unwrap();
+        let path = cache.entry_path(&key());
+        cache.put(&key(), "{\"ok\":3}").unwrap();
+        fs::write(&path, b"IACR1 first corruption\n").unwrap();
+        assert_eq!(cache.get(&key()), None);
+        let quarantined = || {
+            let mut files: Vec<_> = fs::read_dir(dir.join("quarantine"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            files
+        };
+        let [first] = quarantined().try_into().expect("one copy");
+        // Recommit, corrupt again: the second copy lands beside the first.
+        cache.put(&key(), "{\"ok\":3}").unwrap();
+        fs::write(&path, b"IACR1 second corruption\n").unwrap();
+        assert_eq!(cache.get(&key()), None);
+        assert_eq!(cache.quarantined_count(), 2);
+        assert_eq!(fs::read(&first).unwrap(), b"IACR1 first corruption\n");
+        assert!(quarantined().contains(&first));
         let _ = fs::remove_dir_all(&dir);
     }
 

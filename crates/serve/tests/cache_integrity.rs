@@ -121,7 +121,13 @@ fn any_single_byte_corruption_is_quarantined_and_recomputed() {
     // quarantined entry back and undoes the flip. A fresh commit per flip
     // would free an fsync'd file per flip, which is the slow part on disks
     // that discard freed blocks; recommitting is checked once per mask.
-    let quarantined = dir.join("quarantine").join(key.file_name());
+    // The one file in `quarantine/`, whatever the cache named it.
+    let quarantined = || {
+        let mut files = std::fs::read_dir(dir.join("quarantine")).unwrap();
+        let file = files.next().expect("a quarantined file").unwrap().path();
+        assert!(files.next().is_none(), "one quarantined file");
+        file
+    };
     let flip_in_place = |pos: usize, flip: u8| {
         use std::io::{Seek, SeekFrom, Write};
         let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
@@ -141,7 +147,7 @@ fn any_single_byte_corruption_is_quarantined_and_recomputed() {
             );
             // ...and the daemon-side read path must miss.
             assert_eq!(cache.get(&key), None, "byte {pos}");
-            std::fs::rename(&quarantined, &path).unwrap();
+            std::fs::rename(quarantined(), &path).unwrap();
             flip_in_place(pos, 0);
         }
         assert_eq!(std::fs::read(&path).unwrap(), committed);
@@ -155,7 +161,7 @@ fn any_single_byte_corruption_is_quarantined_and_recomputed() {
         cache.put(&key, &report).unwrap();
         assert_eq!(cache.get(&key).as_deref(), Some(report.as_str()));
         assert_eq!(std::fs::read(&path).unwrap(), committed);
-        std::fs::remove_file(&quarantined).unwrap();
+        std::fs::remove_file(quarantined()).unwrap();
     }
 
     // The lazy (read-path) check catches live corruption too, without a

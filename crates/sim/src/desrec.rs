@@ -22,7 +22,7 @@
 //! record/replay/diff CLI), the serve daemon's `--audit-dir` trail, the
 //! `replay_roundtrip` integration suite, and the replay goldens.
 
-use crate::netsim::{self, CalibratedPhy, DesRunFacts, NetSim, NetSimOutcome};
+use crate::netsim::{self, CalibratedPhy, NetSim, NetSimOutcome};
 use crate::registry::{self, Quality, TrialOutput};
 use crate::scenarios::{des_campus, des_load, robustness};
 use iac_des::{Divergence, EventLog, NetEvent};
@@ -223,9 +223,8 @@ pub enum ReplayStep<'a> {
     Verified {
         /// The run's label.
         label: &'a str,
-        /// Its telemetry facts (per-kind event counts stay empty: the
-        /// replay checker owns the observer slot).
-        facts: &'a DesRunFacts,
+        /// Events the replayed run dispatched (its outcome's `events`).
+        events: u64,
     },
 }
 
@@ -276,7 +275,9 @@ fn read_string(path: &Path) -> Result<String, ReplayError> {
 /// verification: each run replays against its `.iaclog` (inside a `"run"`
 /// span on `prof`) and must reproduce its `.metrics.json` byte for byte;
 /// then the regenerated `trial.json` must match the recorded one. Stops at
-/// the first failure.
+/// the first failure. Under an open `obs` handle (see
+/// [`crate::obs::observing`]) each replayed run writes its telemetry into
+/// it.
 ///
 /// # Panics
 /// Panics if `name` is not in [`DES_SCENARIOS`].
@@ -303,14 +304,14 @@ pub fn verify_recording(
             let _span = iac_obs::span!(prof, "run");
             netsim::run_netsim_replayed(&run.spec, run.phy, log)
         };
-        let (out, facts) = replayed.map_err(|d| ReplayError::Diverged(run.label.clone(), d))?;
+        let out = replayed.map_err(|d| ReplayError::Diverged(run.label.clone(), d))?;
         let path = metrics_path(dir, label);
         if read_string(&path)? != out.log.to_json() {
             return Err(ReplayError::MetricsDiffer(run.label, path));
         }
         on_step(ReplayStep::Verified {
             label,
-            facts: &facts,
+            events: out.events,
         });
         Ok(out)
     })?;

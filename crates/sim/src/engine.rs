@@ -30,9 +30,9 @@
 //! persists across engine runs) always participates.
 //!
 //! [`run`] is the one entry point. Its [`RunPlan`] names an **exact** worker
-//! count, a cooperative [`Deadline`], and whether to observe. Callers that
-//! start from a *requested* thread count clamp it first with
-//! `effective_workers` (the registry does): workers beyond the core count
+//! count, a cooperative [`Deadline`], and the registry to observe into, if
+//! any. Callers that start from a *requested* thread count clamp it first
+//! with `effective_workers` (the registry does): workers beyond the core count
 //! cannot run concurrently and only add spawn/switch overhead and cold
 //! arenas (outputs are bit-identical at every worker count, so the clamp is
 //! unobservable in results). Tests and scaling studies pass an exact count.
@@ -42,17 +42,23 @@
 //! lanes stop claiming trials above it, and [`run`] reports the
 //! lowest-index panic as a [`TrialPanic`] next to the completed prefix.
 //!
+//! An observing lane opens its thread's `obs` handle on the plan's
+//! registry while it drains (see [`crate::obs::observing`]), so every layer
+//! below the trial writes its metrics straight into it; the lane itself
+//! writes its scratch-arena delta and the worker count. Only the lane's
+//! span profile and trace events (one `"trial"` span per trial, with its
+//! duration) travel back in its shard.
+//!
 //! Construction of non-[`Send`] machinery (e.g. the `Rc`-based metrics log
 //! of `iac-des` simulations) happens *inside* the worker closure, so only
 //! the plain-data outputs ever cross a thread boundary.
 
-use crate::netsim::DesRunFacts;
 use iac_linalg::Rng64;
-use iac_obs::{ProfileTree, Profiler, TraceEvent};
-use iac_phy::ScratchStats;
+use iac_obs::{ProfileTree, Profiler, Registry, TraceEvent};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A cooperative wall-clock deadline, shared by the trial engine
@@ -182,15 +188,15 @@ fn claim_chunk(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<u
 }
 
 /// How [`run`] executes a batch of trials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunPlan {
+#[derive(Debug, Clone, Copy)]
+pub struct RunPlan<'a> {
     /// Exact worker count, clamped to `1..=n` only (see
     /// `effective_workers`). Lane 0 is the calling thread.
     pub workers: usize,
     /// Checked before each trial starts; a started trial always finishes.
     pub deadline: Deadline,
-    /// Collect [`EngineFacts`] alongside the outputs.
-    pub observe: bool,
+    /// The registry to observe into; `None` runs unobserved.
+    pub observe: Option<&'a Arc<Registry>>,
 }
 
 /// A trial that panicked: its index and its panic message.
@@ -210,10 +216,13 @@ pub struct RunOutcome<T> {
     pub outputs: Vec<T>,
     /// Whether all `n` trials completed.
     pub complete: bool,
-    /// The run's execution facts, when the plan observed.
-    pub facts: Option<EngineFacts>,
     /// The lowest-index panic; the completed prefix ends just below it.
     pub panic: Option<TrialPanic>,
+    /// The lanes' merged span profile (one `"trial"` span per trial);
+    /// empty when the plan did not observe or spans are compiled out.
+    pub profile: ProfileTree,
+    /// One trace event per trial, in lane order; empty like `profile`.
+    pub trace: Vec<TraceEvent>,
 }
 
 /// Run one trial, catching a panic as its message. The engine's lanes and
@@ -289,7 +298,44 @@ impl Claims {
         Shard {
             outputs,
             panic,
-            facts: None,
+            profile: ProfileTree::default(),
+            trace: Vec::new(),
+        }
+    }
+
+    /// [`Claims::drain`] as an observing lane: the thread's `obs` handle is
+    /// open on `registry` and each trial runs inside a `"trial"` span. Then
+    /// the lane writes its scratch-arena delta (read here, on the lane's own
+    /// thread: the arena is thread-local and outlives the run, so only the
+    /// delta is attributable) and the worker count.
+    fn drain_observed<T>(
+        &self,
+        lane: u32,
+        origin: Instant,
+        registry: &Arc<Registry>,
+        trial: impl Fn(usize) -> T,
+    ) -> Shard<T> {
+        let prof = Profiler::with_trace(lane, origin);
+        let scratch_before = iac_phy::fft::thread_scratch_stats();
+        let shard = crate::obs::observing(registry, || {
+            self.drain(|i| {
+                let _span = iac_obs::span!(prof, "trial");
+                trial(i)
+            })
+        });
+        let s = iac_phy::fft::thread_scratch_stats().since(&scratch_before);
+        let c = |name: &str, v: u64| registry.counter(name).add(v);
+        c("phy.scratch.pool_hits", s.pool_hits);
+        c("phy.scratch.pool_misses", s.pool_misses);
+        c("phy.scratch.plan_hits", s.plan_hits);
+        c("phy.scratch.plan_misses", s.plan_misses);
+        registry
+            .gauge("engine.workers")
+            .observe(self.workers as u64);
+        Shard {
+            profile: prof.tree(),
+            trace: prof.take_trace_events(),
+            ..shard
         }
     }
 }
@@ -298,7 +344,8 @@ impl Claims {
 struct Shard<T> {
     outputs: Vec<(usize, T)>,
     panic: Option<TrialPanic>,
-    facts: Option<LaneFacts>,
+    profile: ProfileTree,
+    trace: Vec<TraceEvent>,
 }
 
 /// Run trials `0..n` as `plan` says and return the completed prefix **in
@@ -307,7 +354,7 @@ struct Shard<T> {
 ///
 /// Workers check the deadline **before starting** each trial; a lane may
 /// abandon the tail of its chunk at expiry (or past a panic), so the reducer
-/// keeps the longest contiguous prefix. Observed facts never influence the
+/// keeps the longest contiguous prefix. Observation never influences the
 /// outputs.
 pub fn run<T, F>(n: usize, plan: &RunPlan, f: F) -> RunOutcome<T>
 where
@@ -323,16 +370,9 @@ where
         lowest_panic: AtomicUsize::new(usize::MAX),
     };
     let origin = Instant::now();
-    let lane = |id: u32| {
-        if !plan.observe {
-            return claims.drain(&f);
-        }
-        let mut lane = Lane::start(id, origin);
-        let shard = claims.drain(|i| lane.observe(i, &f));
-        Shard {
-            facts: Some(lane.finish()),
-            ..shard
-        }
+    let lane = |id: u32| match plan.observe {
+        None => claims.drain(&f),
+        Some(registry) => claims.drain_observed(id, origin, registry, &f),
     };
     let shards = if workers == 1 {
         vec![lane(0)]
@@ -360,7 +400,7 @@ where
     // the caller observes trial order.
     let mut merged: Vec<(usize, T)> = Vec::new();
     let mut panic: Option<TrialPanic> = None;
-    let mut facts = plan.observe.then(EngineFacts::default);
+    let (mut profile, mut trace) = (ProfileTree::default(), Vec::new());
     for shard in shards {
         if merged.is_empty() {
             merged = shard.outputs;
@@ -371,9 +411,8 @@ where
             .into_iter()
             .chain(shard.panic)
             .min_by_key(|p| p.replicate);
-        if let (Some(facts), Some(lane)) = (facts.as_mut(), shard.facts) {
-            lane.fold_into(facts);
-        }
+        profile.merge(&shard.profile);
+        trace.extend(shard.trace);
     }
     merged.sort_by_key(|&(i, _)| i);
     // Indices are distinct, so all `n` present means the prefix is whole.
@@ -387,157 +426,32 @@ where
             .count()
     };
     merged.truncate(k);
-    if let Some(facts) = facts.as_mut() {
-        facts.timings.sort_by_key(|t| t.index);
-        facts.workers.sort_by_key(|w| w.lane);
-    }
     RunOutcome {
         outputs: merged.into_iter().map(|(_, t)| t).collect(),
         complete: k == n,
-        facts,
         panic,
-    }
-}
-
-/// Wall-clock timing of one trial, as observed by [`run`]. Timestamps are
-/// relative to the run's start, so all lanes share one time base (the
-/// Chrome-trace convention).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrialTiming {
-    /// Trial index within the run.
-    pub index: usize,
-    /// Worker lane that executed the trial (`tid` in the trace).
-    pub lane: u32,
-    /// Nanoseconds from run start to trial start.
-    pub start_ns: u64,
-    /// Trial duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// One worker lane's contribution to an observed [`run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerFacts {
-    /// Lane id, `0..workers` (lane 0 is the calling thread).
-    pub lane: u32,
-    /// Trials this lane ran.
-    pub trials: u64,
-    /// The lane's scratch-arena activity **delta** over the run
-    /// ([`iac_phy::fft::thread_scratch_stats`] before/after — the arena is
-    /// thread-local and outlives the run, so only the delta is attributable).
-    pub scratch: ScratchStats,
-}
-
-/// Everything an observed [`run`] learns beyond its outputs. Entirely
-/// execution-dependent (wall-clock, lane assignment) — never feed any of it
-/// back into simulation results.
-#[derive(Debug, Clone, Default)]
-pub struct EngineFacts {
-    /// Per-trial wall-clock timings, in trial order. Empty when the `obs`
-    /// feature is off (spans compile out).
-    pub timings: Vec<TrialTiming>,
-    /// Per-lane summaries, in lane order.
-    pub workers: Vec<WorkerFacts>,
-    /// The merged span-profile tree across all lanes.
-    pub profile: ProfileTree,
-    /// Chrome-trace events (one per trial span), unsorted across lanes.
-    pub trace: Vec<TraceEvent>,
-    /// Facts of every DES run the trials made (from each lane's
-    /// `obs::DES_SINK`), unsorted across lanes.
-    pub des_runs: Vec<DesRunFacts>,
-}
-
-/// Per-lane observation state: a tracing profiler, the claim order (to map
-/// trace events back to trial indices), and the scratch-stats baseline.
-/// While a lane lives, its thread's DES sink is open.
-struct Lane {
-    lane: u32,
-    prof: Profiler,
-    order: Vec<usize>,
-    scratch_before: ScratchStats,
-}
-
-impl Lane {
-    fn start(lane: u32, origin: Instant) -> Self {
-        crate::obs::DES_SINK.set(Some(Vec::new()));
-        Lane {
-            lane,
-            prof: Profiler::with_trace(lane, origin),
-            order: Vec::new(),
-            scratch_before: iac_phy::fft::thread_scratch_stats(),
-        }
-    }
-
-    fn observe<T>(&mut self, i: usize, run: &impl Fn(usize) -> T) -> T {
-        self.order.push(i);
-        let _span = iac_obs::span!(self.prof, "trial");
-        run(i)
-    }
-
-    /// Seal the lane's observations. Must run **on the lane's own thread**:
-    /// the scratch-arena delta and the DES sink are thread-local.
-    fn finish(self) -> LaneFacts {
-        LaneFacts {
-            lane: self.lane,
-            scratch: iac_phy::fft::thread_scratch_stats().since(&self.scratch_before),
-            tree: self.prof.tree(),
-            events: self.prof.take_trace_events(),
-            order: self.order,
-            des_runs: crate::obs::DES_SINK.take().unwrap_or_default(),
-        }
-    }
-}
-
-/// A lane's sealed observations, safe to ship across threads.
-struct LaneFacts {
-    lane: u32,
-    order: Vec<usize>,
-    tree: ProfileTree,
-    events: Vec<TraceEvent>,
-    scratch: ScratchStats,
-    des_runs: Vec<DesRunFacts>,
-}
-
-impl LaneFacts {
-    /// Fold into the run-wide facts. Trial spans open and close
-    /// sequentially on one lane, so the lane's trace events line up
-    /// one-to-one with its claim order (or are absent entirely when
-    /// telemetry is compiled out).
-    fn fold_into(self, facts: &mut EngineFacts) {
-        for (&index, ev) in self.order.iter().zip(self.events.iter()) {
-            facts.timings.push(TrialTiming {
-                index,
-                lane: self.lane,
-                start_ns: ev.ts_ns,
-                dur_ns: ev.dur_ns,
-            });
-        }
-        facts.workers.push(WorkerFacts {
-            lane: self.lane,
-            trials: self.order.len() as u64,
-            scratch: self.scratch,
-        });
-        facts.profile.merge(&self.tree);
-        facts.trace.extend(self.events);
-        facts.des_runs.extend(self.des_runs);
+        profile,
+        trace,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iac_obs::metrics::Snapshot;
 
-    fn plan(workers: usize, deadline: Deadline) -> RunPlan {
+    fn plan(workers: usize, deadline: Deadline) -> RunPlan<'static> {
         RunPlan {
             workers,
             deadline,
-            observe: false,
+            observe: None,
         }
     }
 
     /// Outputs of an unbounded, unobserved run on an exact worker count.
     fn run_on<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let done = run(n, &plan(workers, Deadline::none()), f);
-        assert!(done.complete && done.panic.is_none() && done.facts.is_none());
+        assert!(done.complete && done.panic.is_none() && done.trace.is_empty());
         done.outputs
     }
 
@@ -552,21 +466,26 @@ mod tests {
         (done.outputs, done.complete)
     }
 
-    /// Outputs and facts of an observed, unbounded run.
+    /// An observed, unbounded run and the snapshot of the registry it
+    /// wrote into.
     fn observed<T: Send>(
         n: usize,
         workers: usize,
         f: impl Fn(usize) -> T + Sync,
-    ) -> (Vec<T>, EngineFacts) {
+    ) -> (RunOutcome<T>, Snapshot) {
+        let registry = Arc::new(Registry::new());
         let plan = RunPlan {
-            observe: true,
+            observe: Some(&registry),
             ..plan(workers, Deadline::none())
         };
         let done = run(n, &plan, f);
-        (
-            done.outputs,
-            done.facts.expect("observed runs return facts"),
-        )
+        (done, registry.snapshot())
+    }
+
+    /// Plan-cache lookups (hits, misses) an observed run's lanes made.
+    fn plan_lookups(snap: &Snapshot) -> (u64, u64) {
+        let c = |name| snap.counter(name).expect("lanes write scratch counters");
+        (c("phy.scratch.plan_hits"), c("phy.scratch.plan_misses"))
     }
 
     #[test]
@@ -692,30 +611,19 @@ mod tests {
             .map(|i| Rng64::derive(3, i as u64).next_u64())
             .collect();
         for workers in [1, 2, 4] {
-            let (out, facts) = observed(23, workers, |i| Rng64::derive(3, i as u64).next_u64());
-            assert_eq!(out, serial, "workers = {workers}");
-            assert_eq!(
-                facts.workers.iter().map(|w| w.trials).sum::<u64>(),
-                23,
-                "every trial is claimed by exactly one lane"
-            );
-            assert!(
-                facts.workers.windows(2).all(|w| w[0].lane < w[1].lane),
-                "per-lane summaries come back in lane order"
-            );
+            let (done, snap) = observed(23, workers, |i| Rng64::derive(3, i as u64).next_u64());
+            assert_eq!(done.outputs, serial, "workers = {workers}");
+            assert_eq!(snap.gauge("engine.workers"), Some(workers as u64));
             if iac_obs::ENABLED {
-                assert_eq!(facts.timings.len(), 23);
-                for (k, t) in facts.timings.iter().enumerate() {
-                    assert_eq!(t.index, k, "timings come back in trial order");
-                }
-                assert_eq!(facts.trace.len(), 23);
-                assert_eq!(facts.profile.roots.len(), 1);
-                assert_eq!(facts.profile.roots[0].name, "trial");
-                assert_eq!(facts.profile.roots[0].count, 23);
+                assert_eq!(done.trace.len(), 23, "one trace event per trial");
+                let lanes: Vec<u32> = done.trace.iter().map(|e| e.lane).collect();
+                assert!(lanes.is_sorted(), "trace events come back in lane order");
+                assert_eq!(done.profile.roots.len(), 1);
+                assert_eq!(done.profile.roots[0].name, "trial");
+                assert_eq!(done.profile.roots[0].count, 23);
             } else {
-                assert!(facts.timings.is_empty(), "spans compile out");
-                assert!(facts.trace.is_empty());
-                assert!(facts.profile.roots.is_empty());
+                assert!(done.trace.is_empty(), "spans compile out");
+                assert!(done.profile.roots.is_empty());
             }
         }
     }
@@ -825,11 +733,9 @@ mod tests {
             let mut x = vec![iac_linalg::C64::one(); 64];
             iac_phy::fft::fft(&mut x);
         });
-        let total = |f: &EngineFacts| {
-            f.workers
-                .iter()
-                .map(|w| w.scratch.plan_hits + w.scratch.plan_misses)
-                .sum::<u64>()
+        let total = |snap: &Snapshot| {
+            let (hits, misses) = plan_lookups(snap);
+            hits + misses
         };
         assert_eq!(total(&first), 2);
         assert_eq!(
@@ -853,21 +759,31 @@ mod tests {
         // on *this* thread, so any trial lane 0 claims must be a plan hit.
         trial(0);
         let before = iac_phy::fft::thread_scratch_stats();
-        let (_, facts) = observed(3, 2, trial);
-        let lane0 = facts
-            .workers
-            .iter()
-            .find(|w| w.lane == 0)
-            .expect("lane 0 reported");
+        let (_, snap) = observed(3, 2, trial);
         let on_caller = iac_phy::fft::thread_scratch_stats().since(&before);
         assert_eq!(
-            lane0.scratch, on_caller,
-            "lane 0's delta is the calling thread's arena delta"
-        );
-        assert_eq!(
-            lane0.scratch.plan_misses, 0,
+            on_caller.plan_misses, 0,
             "lane 0 reuses the plan the calling thread cached before the run"
         );
+        // Lane 1 runs on a fresh thread: the trials lane 0 left it miss
+        // once (if there are any) and hit after that.
+        let (hits, misses) = plan_lookups(&snap);
+        assert_eq!(
+            hits + misses,
+            3,
+            "the lanes' deltas sum to the run's lookups"
+        );
+        let lane1_trials = 3 - on_caller.plan_hits;
+        assert_eq!(misses, u64::from(lane1_trials > 0));
+        // One worker: the registry holds exactly the calling thread's delta.
+        let before = iac_phy::fft::thread_scratch_stats();
+        let (_, snap) = observed(3, 1, trial);
+        let on_caller = iac_phy::fft::thread_scratch_stats().since(&before);
+        assert_eq!(
+            plan_lookups(&snap),
+            (on_caller.plan_hits, on_caller.plan_misses)
+        );
+        assert_eq!(plan_lookups(&snap), (3, 0));
     }
 
     #[test]
@@ -893,10 +809,11 @@ mod tests {
         let prefix: Vec<u64> = (0..5)
             .map(|i| Rng64::derive(21, i as u64).next_u64())
             .collect();
+        let registry = Arc::new(Registry::new());
         for workers in [1, 2, 4] {
             for observe in [false, true] {
                 let plan = RunPlan {
-                    observe,
+                    observe: observe.then_some(&registry),
                     ..plan(workers, Deadline::none())
                 };
                 let done = run(16, &plan, trial);

@@ -35,9 +35,10 @@
 //!   from replayed outcomes (see `docs/DES.md` § "Record/replay").
 //! * [`metrics`] — latency CDFs, sliding-window throughput, Jain fairness
 //!   over a discrete-event run's raw records.
-//! * [`obs`] — the telemetry bridge: per-trial/per-run facts folded into an
-//!   `iac-obs` metric registry, span profile, and Chrome trace (strictly
-//!   passive; see `docs/OBSERVABILITY.md`).
+//! * [`obs`] — the telemetry route: a lane-scoped handle through which each
+//!   layer writes its metrics straight into the sweep's `iac-obs` registry,
+//!   plus the merged span profile and Chrome trace (strictly passive; see
+//!   `docs/OBSERVABILITY.md`).
 //! * [`cli`] — the sweep CLI engine (`examples/sweep.rs` is a thin
 //!   wrapper): arg parsing and the run loop with an enforced
 //!   stdout/stderr/export-file separation.
@@ -55,7 +56,7 @@ pub mod scenarios;
 pub mod stats;
 pub mod testbed;
 
-pub use engine::{Deadline, EngineFacts, RunPlan, Trial, TrialPanic};
+pub use engine::{Deadline, RunPlan, Trial, TrialPanic};
 pub use experiment::{ExperimentConfig, ScatterPoint, DEFAULT_SEED};
 pub use netsim::{CalibratedPhy, NetSim, NetSimOutcome, SourceSpec};
 pub use obs::SweepObs;

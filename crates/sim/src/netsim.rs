@@ -5,7 +5,9 @@
 //! channels, real alignment, real decoding — sampled once at setup so the
 //! event loop stays fast), and a declarative [`NetSim`] spec that assembles
 //! the `iac-des` component graph (sources → event-driven PCF leader → hub →
-//! wired sinks) and runs it to completion.
+//! wired sinks) and runs it to completion. Under an open `obs` handle (an
+//! observing engine lane, or the replay CLI), a live or replayed run writes
+//! its `des.*` and `mac.*` telemetry into it once the run has finished.
 
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
@@ -19,6 +21,7 @@ use iac_des::traffic::ArrivalProcess;
 use iac_des::{MetricsLog, SharedMetrics, SimTime, Simulation};
 use iac_linalg::{CMat, Rng64};
 use iac_mac::pcf::{PacketResult, PhyOutcome};
+use iac_obs::Registry;
 
 /// A PHY whose per-packet post-processing SINRs are drawn from an empirical
 /// pool (see `calibrate_iac_pool` / `calibrate_mimo_pool`). Packet
@@ -312,111 +315,69 @@ fn outcome_of(sim: &Simulation<NetEvent>, metrics: &SharedMetrics, events: u64) 
 
 /// Assemble the component graph and run `step_until_no_events()`.
 ///
-/// Under an observing engine lane, the run also attaches a passive
-/// event-kind counter and hands its [`DesRunFacts`] to the lane's sink. The
-/// outcome is identical either way: the observer cannot touch events, and
-/// every fact is read from state the run accumulates anyway.
+/// Under an open `obs` handle (an observing engine lane), the run also
+/// attaches a passive event-kind counter and writes its telemetry into the
+/// handle (see `write_telemetry`). The outcome is identical either way: the
+/// observer cannot touch events, and every number is read from state the
+/// run accumulates anyway.
 pub fn run_netsim(spec: &NetSim, phy: CalibratedPhy) -> NetSimOutcome {
     let (mut sim, metrics) = build_netsim(spec, phy);
-    if crate::obs::DES_SINK.with_borrow(Option::is_none) {
+    let Some(registry) = crate::obs::lane() else {
         let events = sim.step_until_no_events();
         return outcome_of(&sim, &metrics, events);
-    }
+    };
     let kinds = iac_des::SharedKindCounts::new();
     sim.set_observer(Box::new(iac_des::EventKindCounter::new(kinds.clone())));
     let events = sim.step_until_no_events();
     sim.take_observer();
     let out = outcome_of(&sim, &metrics, events);
-    let facts = facts_of(&sim, &out, kinds.counts());
-    crate::obs::DES_SINK.with_borrow_mut(|sink| sink.get_or_insert_default().push(facts));
+    write_telemetry(&registry, &sim, &out, &kinds.counts());
     out
 }
 
-/// Telemetry facts harvested from one completed run — engine queue
-/// statistics, per-kind event counts, and the MAC counters already in the
-/// [`MetricsLog`], flattened to plain data for the sweep's metric registry.
-/// Everything here is read *after* the run finishes; nothing feeds back.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DesRunFacts {
-    /// Events the engine dispatched.
-    pub events_processed: u64,
-    /// Events ever scheduled (fired + cancelled + undeliverable).
-    pub events_scheduled: u64,
-    /// Events cancelled before firing.
-    pub events_cancelled: u64,
-    /// Events dropped because their component had been removed.
-    pub events_undeliverable: u64,
-    /// Deepest the future-event queue ever got.
-    pub queue_high_water: usize,
-    /// Dispatched events per payload kind, in label order.
-    pub event_kinds: Vec<(&'static str, u64)>,
-    /// Packets offered by the traffic sources.
-    pub offered: u64,
-    /// Packets delivered (both directions).
-    pub delivered: u64,
-    /// MAC tail drops at a full queue on arrival.
-    pub drops_overflow: u64,
-    /// MAC drops after exhausting the retransmission budget.
-    pub drops_retx: u64,
-    /// MAC retransmission attempts.
-    pub retx: u64,
-    /// Poll rounds (concurrent-transmission groups) started.
-    pub poll_rounds: u64,
-    /// Contention-free periods completed.
-    pub cfps: u64,
-    /// Microseconds the air carried frames.
-    pub air_busy_us: f64,
-    /// Simulated run length, µs.
-    pub end_time_us: f64,
-    /// Deepest MAC queue depth among the per-CFP samples (either
-    /// direction). Sampled at CFP starts, not continuous.
-    pub mac_queue_peak: usize,
-    /// Fault events applied at the MAC.
-    pub faults: u64,
-    /// Group results voided because the serving AP was down.
-    pub poll_timeouts: u64,
-    /// Wire forwards abandoned (deadline, attempt budget, or partition).
-    pub wire_expired: u64,
-    /// Transmission groups formed in degraded (shrunk or fallback) mode.
-    pub degraded_groups: u64,
-}
-
-/// Flatten a finished run into [`DesRunFacts`]: engine queue statistics
-/// from the simulation, MAC counters from the outcome's [`MetricsLog`],
-/// plus whatever per-kind counts the caller's observer collected (empty
-/// when the observer slot was spoken for, as in replay verification).
-fn facts_of(
+/// Write one finished run's telemetry into `registry`: engine queue
+/// statistics from the simulation, per-kind event counts from the caller's
+/// observer (empty when the observer slot was spoken for, as in replay
+/// verification), and the MAC counters of the outcome's [`MetricsLog`].
+/// Everything is read *after* the run finishes; nothing feeds back.
+fn write_telemetry(
+    registry: &Registry,
     sim: &Simulation<NetEvent>,
     out: &NetSimOutcome,
-    event_kinds: Vec<(&'static str, u64)>,
-) -> DesRunFacts {
-    DesRunFacts {
-        events_processed: out.events,
-        events_scheduled: sim.events_scheduled(),
-        events_cancelled: sim.events_cancelled(),
-        events_undeliverable: sim.events_undeliverable(),
-        queue_high_water: sim.queue_high_water(),
-        event_kinds,
-        offered: out.log.offered,
-        delivered: out.log.delivered.len() as u64,
-        drops_overflow: out.log.drops_overflow,
-        drops_retx: out.log.drops_retx,
-        retx: out.log.retx,
-        poll_rounds: out.log.poll_rounds,
-        cfps: out.log.cfps,
-        air_busy_us: out.log.air_busy_us,
-        end_time_us: out.end_time.micros(),
-        mac_queue_peak: out
-            .log
-            .queue_depth
-            .iter()
-            .map(|s| s.downlink.max(s.uplink))
-            .max()
-            .unwrap_or(0),
-        faults: out.log.faults,
-        poll_timeouts: out.log.poll_timeouts,
-        wire_expired: out.log.wire_expired,
-        degraded_groups: out.log.degraded_groups,
+    event_kinds: &[(&'static str, u64)],
+) {
+    let c = |name: &str, v: u64| registry.counter(name).add(v);
+    let g = |name: &str, v: u64| registry.gauge(name).observe(v);
+    let log = &out.log;
+    c("des.events_processed", out.events);
+    c("des.events_scheduled", sim.events_scheduled());
+    c("des.events_cancelled", sim.events_cancelled());
+    c("des.events_undeliverable", sim.events_undeliverable());
+    for &(kind, n) in event_kinds {
+        c(&format!("des.events.{kind}"), n);
+    }
+    g("des.queue_high_water", sim.queue_high_water() as u64);
+    c("mac.offered", log.offered);
+    c("mac.delivered", log.delivered.len() as u64);
+    c("mac.retx", log.retx);
+    c("mac.drops_retx", log.drops_retx);
+    c("mac.drops_overflow", log.drops_overflow);
+    c("mac.poll_rounds", log.poll_rounds);
+    c("mac.cfps", log.cfps);
+    c("mac.air_busy_us", log.air_busy_us.round() as u64);
+    c("mac.faults", log.faults);
+    c("mac.poll_timeouts", log.poll_timeouts);
+    c("mac.wire_expired", log.wire_expired);
+    c("mac.degraded_groups", log.degraded_groups);
+    // Deepest per-CFP queue sample, either direction (sampled at CFP
+    // starts, not continuous).
+    let queue_peak = log.queue_depth.iter().map(|s| s.downlink.max(s.uplink));
+    g("mac.queue_peak", queue_peak.max().unwrap_or(0) as u64);
+    let end_time_us = out.end_time.micros();
+    if end_time_us > 0.0 {
+        // Basis points so utilization fits the integer gauge.
+        let util_bp = (log.air_busy_us / end_time_us * 10_000.0).round() as u64;
+        g("mac.airtime_utilization_bp", util_bp);
     }
 }
 
@@ -441,20 +402,23 @@ pub fn run_netsim_recorded(
 /// Re-run a recorded [`NetSim`] under verification: rebuild the identical
 /// component graph from `spec` and drive it while asserting every fired
 /// event matches `log` bit-for-bit. On success the outcome (and its
-/// [`MetricsLog`]) is bit-identical to the recorded run's, and the run's
-/// [`DesRunFacts`] are read from the state it keeps anyway (the replay
-/// checker owns the observer slot, so `event_kinds` stays empty); on
-/// mismatch the first divergent event comes back with context.
+/// [`MetricsLog`]) is bit-identical to the recorded run's, and under an
+/// open `obs` handle the run's telemetry is written as [`run_netsim`]
+/// writes it, without per-kind event counts (the replay checker owns the
+/// observer slot); on mismatch the first divergent event comes back with
+/// context.
 pub fn run_netsim_replayed(
     spec: &NetSim,
     phy: CalibratedPhy,
     log: iac_des::EventLog,
-) -> Result<(NetSimOutcome, DesRunFacts), Box<iac_des::Divergence>> {
+) -> Result<NetSimOutcome, Box<iac_des::Divergence>> {
     let (mut sim, metrics) = build_netsim(spec, phy);
     let summary = iac_des::Replayer::new(log).run(&mut sim)?;
     let out = outcome_of(&sim, &metrics, summary.events);
-    let facts = facts_of(&sim, &out, Vec::new());
-    Ok((out, facts))
+    if let Some(registry) = crate::obs::lane() {
+        write_telemetry(&registry, &sim, &out, &[]);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -510,47 +474,87 @@ mod tests {
 
     #[test]
     fn observed_run_is_bit_identical_and_harvests_facts() {
-        let (iac, _) = pools();
-        let spec = NetSim {
-            seed: 23,
-            cfg: EventPcfConfig {
-                horizon: SimTime::from_millis(30.0),
-                queue_capacity: Some(16),
-                ..EventPcfConfig::default()
-            },
-            sources: (0..3)
-                .map(|c| SourceSpec::steady(c, true, ArrivalProcess::poisson(700.0)))
-                .collect(),
-            faults: vec![],
-        };
-        let phy = CalibratedPhy::new(iac, 0.5, 0.01, 3);
-        let plain = run_netsim(&spec, phy.clone());
-        assert!(
-            crate::obs::DES_SINK.replace(Some(Vec::new())).is_none(),
-            "no lane observed"
-        );
-        let observed = run_netsim(&spec, phy);
-        let [facts]: [DesRunFacts; 1] = crate::obs::DES_SINK
-            .take()
-            .unwrap()
-            .try_into()
-            .expect("one run, one fact record");
-        // The observer is passive: same log, same event count, same clock.
-        assert_eq!(plain.log, observed.log);
-        assert_eq!(plain.events, observed.events);
-        assert_eq!(plain.end_time, observed.end_time);
-        // The facts describe the run the plain path also produced.
-        assert_eq!(facts.events_processed, plain.events);
-        assert_eq!(
-            facts.event_kinds.iter().map(|&(_, n)| n).sum::<u64>(),
-            plain.events,
-            "kind counts partition the dispatched events"
-        );
-        assert!(facts.queue_high_water > 0);
-        assert!(facts.events_scheduled >= facts.events_processed);
-        assert_eq!(facts.offered, plain.log.offered);
-        assert!(facts.air_busy_us > 0.0);
-        assert!(facts.air_busy_us < facts.end_time_us);
-        assert!(facts.poll_rounds > 0);
+        // Every run of one quick trial of each DES scenario, run plain and
+        // observed. Each metric must equal its own source, so a name wired
+        // to the wrong field fails wherever the two fields differ.
+        let mut nonzero = std::collections::BTreeSet::new();
+        for &name in crate::desrec::DES_SCENARIOS {
+            let seed = crate::registry::trial_seed(1, name, 0);
+            let drove = crate::desrec::drive(name, crate::Quality::Quick, seed, |run| {
+                let (mut sim, metrics) = build_netsim(&run.spec, run.phy.clone());
+                let events = sim.step_until_no_events();
+                let plain = outcome_of(&sim, &metrics, events);
+                let registry = std::sync::Arc::new(Registry::new());
+                assert!(crate::obs::lane().is_none(), "no lane observed");
+                let observed = crate::obs::observing(&registry, || run_netsim(&run.spec, run.phy));
+                // The observer is passive: same log, same event count, same clock.
+                assert_eq!(plain.log, observed.log);
+                assert_eq!(plain.events, observed.events);
+                assert_eq!(plain.end_time, observed.end_time);
+                let log = &plain.log;
+                let queue_peak = log.queue_depth.iter().map(|s| s.downlink.max(s.uplink));
+                let util_bp = log.air_busy_us / plain.end_time.micros() * 10_000.0;
+                let counters = [
+                    ("des.events_processed", plain.events),
+                    ("des.events_scheduled", sim.events_scheduled()),
+                    ("des.events_cancelled", sim.events_cancelled()),
+                    ("des.events_undeliverable", sim.events_undeliverable()),
+                    ("mac.offered", log.offered),
+                    ("mac.delivered", log.delivered.len() as u64),
+                    ("mac.retx", log.retx),
+                    ("mac.drops_retx", log.drops_retx),
+                    ("mac.drops_overflow", log.drops_overflow),
+                    ("mac.poll_rounds", log.poll_rounds),
+                    ("mac.cfps", log.cfps),
+                    ("mac.air_busy_us", log.air_busy_us.round() as u64),
+                    ("mac.faults", log.faults),
+                    ("mac.poll_timeouts", log.poll_timeouts),
+                    ("mac.wire_expired", log.wire_expired),
+                    ("mac.degraded_groups", log.degraded_groups),
+                ];
+                let gauges = [
+                    ("des.queue_high_water", sim.queue_high_water() as u64),
+                    ("mac.queue_peak", queue_peak.max().unwrap_or(0) as u64),
+                    ("mac.airtime_utilization_bp", util_bp.round() as u64),
+                ];
+                let snap = registry.snapshot();
+                for (metric, want) in counters {
+                    assert_eq!(
+                        snap.counter(metric),
+                        Some(want),
+                        "{name}/{}: {metric}",
+                        run.label
+                    );
+                    if want > 0 {
+                        nonzero.insert(metric);
+                    }
+                }
+                for (metric, want) in gauges {
+                    assert_eq!(
+                        snap.gauge(metric),
+                        Some(want),
+                        "{name}/{}: {metric}",
+                        run.label
+                    );
+                    if want > 0 {
+                        nonzero.insert(metric);
+                    }
+                }
+                let (kinds, other): (Vec<_>, Vec<_>) = snap
+                    .entries
+                    .iter()
+                    .map(|(metric, _)| metric.as_str())
+                    .partition(|metric| metric.starts_with("des.events."));
+                let per_kind: u64 = kinds.iter().map(|k| snap.counter(k).unwrap()).sum();
+                assert_eq!(per_kind, plain.events, "kind counts partition the events");
+                assert_eq!(other.len(), counters.len() + gauges.len(), "{other:?}");
+                Ok::<_, std::convert::Infallible>(observed)
+            });
+            drove.unwrap();
+        }
+        // Every metric but `des.events_undeliverable` (no run sends an event
+        // to an unregistered component) is nonzero in some run.
+        assert_eq!(nonzero.len(), 18, "{nonzero:?}");
+        assert!(!nonzero.contains("des.events_undeliverable"));
     }
 }

@@ -29,11 +29,11 @@
 //! `paper_default(seed)` constructors; never a constant), extract a few
 //! stable headline metrics, and push a [`Scenario`] row in [`all`]. That
 //! one function is the whole trial: telemetry needs no second entry point,
-//! because every `netsim::run_netsim` call inside an observed trial reports
-//! its DES facts to the engine lane on its own. A DES scenario instead
-//! writes its run list and reduce and adds an arm to `desrec::drive`, so
-//! record/replay and the serve audit trail get it too; its row's entry
-//! point is `desrec::live_trial`. Then regenerate the golden
+//! because every `netsim::run_netsim` call inside an observed trial writes
+//! its DES telemetry into the lane's open `obs` handle on its own. A DES
+//! scenario instead writes its run list and reduce and adds an arm to
+//! `desrec::drive`, so record/replay and the serve audit trail get it too;
+//! its row's entry point is `desrec::live_trial`. Then regenerate the golden
 //! snapshots (`UPDATE_GOLDENS=1 cargo test -p iac-sim --test goldens`) if
 //! the scenario is golden-gated. See `docs/EXPERIMENTS.md` for the longer
 //! walkthrough.
@@ -610,7 +610,7 @@ impl std::fmt::Display for ScenarioReport {
 /// `mean ± 95 % CI` per metric — the one runner behind every sweep.
 /// `threads` is a requested count (`0` = auto, see
 /// [`engine::effective_workers`]); no replicate starts after `deadline`;
-/// with `obs` the run's facts fold into it.
+/// with `obs` the run observes into its registry.
 ///
 /// `Ok` carries the report over the completed prefix (its `replicates` is
 /// the completed count) and whether every replicate ran. The report is
@@ -629,13 +629,13 @@ pub(crate) fn run_replicates(
     let plan = engine::RunPlan {
         workers: engine::effective_workers(threads, replicates),
         deadline,
-        observe: obs.is_some(),
+        observe: obs.as_ref().map(|obs| &obs.registry),
     };
     let run = spec.run;
     let done = engine::run(replicates, &plan, |i| run(quality, trials[i].seed));
     let completed = done.outputs.len();
-    if let (Some(obs), Some(facts)) = (obs, &done.facts) {
-        obs.record_scenario(spec.name, facts, completed);
+    if let Some(obs) = obs {
+        obs.record_scenario(spec.name, completed, &done.profile, &done.trace);
     }
     match done.panic {
         Some(panic) => Err(panic),

@@ -16,11 +16,11 @@ use iac_linalg::Rng64;
 #[derive(Debug, Clone)]
 pub struct ClusteredReport {
     /// Intra-cluster link rate (b/s/Hz), the fast segment.
-    pub intra_rate: f64,
+    pub(crate) intra_rate: f64,
     /// Bottleneck rate under point-to-point MIMO.
-    pub bottleneck_mimo: f64,
+    pub(crate) bottleneck_mimo: f64,
     /// Bottleneck rate under IAC.
-    pub bottleneck_iac: f64,
+    pub(crate) bottleneck_iac: f64,
 }
 
 impl ClusteredReport {

@@ -16,7 +16,7 @@ use crate::stats::{mean, render_scatter, Summary};
 #[derive(Debug, Clone)]
 pub struct Fig12Report {
     /// One point per random 2-client/2-AP pick.
-    pub points: Vec<ScatterPoint>,
+    pub(crate) points: Vec<ScatterPoint>,
 }
 
 impl Fig12Report {

@@ -15,9 +15,9 @@ use iac_core::grid::Direction;
 #[derive(Debug, Clone)]
 pub struct Fig13Report {
     /// Direction this report covers (uplink is Fig. 13a, downlink 13b).
-    pub direction: Direction,
+    pub(crate) direction: Direction,
     /// One point per random 3-client/3-AP pick.
-    pub points: Vec<ScatterPoint>,
+    pub(crate) points: Vec<ScatterPoint>,
 }
 
 impl Fig13Report {

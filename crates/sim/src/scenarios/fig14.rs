@@ -16,9 +16,9 @@ use iac_linalg::{CMat, Rng64};
 #[derive(Debug, Clone)]
 pub struct Fig14Report {
     /// One point per random 1-client/2-AP pick.
-    pub points: Vec<ScatterPoint>,
+    pub(crate) points: Vec<ScatterPoint>,
     /// How often the one-from-each-AP option won.
-    pub split_fraction: f64,
+    pub(crate) split_fraction: f64,
 }
 
 impl Fig14Report {

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 /// The three §10.3 policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
+pub(crate) enum PolicyKind {
     BruteForce,
     Fifo,
     BestOfTwo,
@@ -98,9 +98,9 @@ impl Fig15Config {
 #[derive(Debug, Clone)]
 pub struct Fig15Report {
     /// Direction.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
     /// `(policy, per-client gains)`.
-    pub gains: Vec<(PolicyKind, Vec<f64>)>,
+    pub(crate) gains: Vec<(PolicyKind, Vec<f64>)>,
 }
 
 impl Fig15Report {

@@ -14,20 +14,20 @@ use crate::samplelevel::{run_uplink3, SampleLevelConfig};
 #[derive(Debug, Clone)]
 pub struct CfoPoint {
     /// Client CFOs in Hz.
-    pub cfos_hz: [f64; 2],
+    pub(crate) cfos_hz: [f64; 2],
     /// Worst packet BER.
-    pub worst_ber: f64,
+    pub(crate) worst_ber: f64,
     /// Alignment metric at AP0 (1 = aligned).
-    pub alignment: f64,
+    pub(crate) alignment: f64,
     /// All CRCs passed.
-    pub all_ok: bool,
+    pub(crate) all_ok: bool,
 }
 
 /// The §6a report.
 #[derive(Debug, Clone)]
 pub struct CfoReport {
     /// Sweep results.
-    pub points: Vec<CfoPoint>,
+    pub(crate) points: Vec<CfoPoint>,
 }
 
 /// Sweep carrier frequency offsets (the paper's claim holds for arbitrary
@@ -100,7 +100,7 @@ impl std::fmt::Display for CfoReport {
 #[derive(Debug, Clone)]
 pub struct ModulationReport {
     /// (label, residual bit errors after decode) per combination.
-    pub rows: Vec<(String, usize)>,
+    pub(crate) rows: Vec<(String, usize)>,
 }
 
 /// Run the modulation/FEC transparency check.

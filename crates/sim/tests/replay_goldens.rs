@@ -127,7 +127,7 @@ fn committed_logs_record_and_replay_bit_identically() {
         let log = EventLog::decode(&std::fs::read(&log_path).unwrap())
             .unwrap_or_else(|e| panic!("{stem}: committed log does not decode: {e}"));
         match netsim::run_netsim_replayed(&run.spec, run.phy, log) {
-            Ok((replayed, _)) => {
+            Ok(replayed) => {
                 let committed_json = std::fs::read_to_string(&json_path).unwrap_or_else(|e| {
                     panic!("{stem}: cannot read {} ({e})", json_path.display())
                 });

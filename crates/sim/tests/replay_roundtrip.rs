@@ -12,15 +12,21 @@
 //!
 //! A recording made with one trial seed must *not* replay against another
 //! seed's simulation: the divergence check is the suite's negative control.
+//! Telemetry written under an open `obs` handle on the replay path matches
+//! the live path's, per-kind event counts aside.
 //!
 //! [`MetricsLog`]: iac_des::MetricsLog
 
 use iac_des::log::{diff_logs, EventLog, MemorySink};
 use iac_des::{Divergence, NetEvent};
+use iac_obs::Registry;
 use iac_sim::desrec::{self, DesRun};
 use iac_sim::netsim::{self, NetSimOutcome};
+use iac_sim::obs;
 use iac_sim::registry::{self, Quality};
 use iac_sim::DEFAULT_SEED;
+use std::convert::Infallible;
+use std::sync::Arc;
 
 /// Trial-0 seed under the default master seed.
 fn trial0_seed(name: &str) -> u64 {
@@ -39,7 +45,7 @@ fn record(run: &DesRun) -> (Vec<u8>, NetSimOutcome) {
 fn record_and_replay(name: &str, run: DesRun) -> NetSimOutcome {
     let (bytes, _) = record(&run);
     let log = EventLog::decode(&bytes).unwrap();
-    let (out, _) = netsim::run_netsim_replayed(&run.spec, run.phy, log).unwrap_or_else(|d| {
+    let out = netsim::run_netsim_replayed(&run.spec, run.phy, log).unwrap_or_else(|d| {
         panic!(
             "{name}/{}: replay diverged:\n{}",
             run.label,
@@ -76,7 +82,7 @@ fn every_des_scenario_roundtrips_bit_identically() {
             let log = EventLog::decode(&bytes)
                 .unwrap_or_else(|e| panic!("{name}/{}: log decode failed: {e}", run.label));
             assert_eq!(log.len() as u64, plain.events, "{name}/{}", run.label);
-            let (replayed, _) = netsim::run_netsim_replayed(&run.spec, run.phy, log)?;
+            let replayed = netsim::run_netsim_replayed(&run.spec, run.phy, log)?;
             assert_eq!(
                 plain.log, replayed.log,
                 "{name}/{}: replayed metrics differ",
@@ -149,7 +155,7 @@ fn registry_report_matches_replay_reconstruction_per_trial() {
         for trial in 0..REPLICATES {
             let seed = registry::trial_seed(DEFAULT_SEED, name, trial);
             let Ok(reconstructed) = desrec::drive(name, Quality::Quick, seed, |run| {
-                Ok::<_, std::convert::Infallible>(record_and_replay(name, run))
+                Ok::<_, Infallible>(record_and_replay(name, run))
             });
             for agg in &report.metrics {
                 let (_, v) = reconstructed
@@ -172,32 +178,83 @@ fn registry_report_matches_replay_reconstruction_per_trial() {
 
 #[test]
 fn observed_replay_is_bit_identical_and_harvests_facts() {
-    // Telemetry on the replay path is passive too: the replay returns the
-    // exact outcome the live run does, plus facts whose engine/MAC numbers
-    // match the recording (per-kind counts stay empty — the replay checker
-    // owns the observer slot).
+    // Telemetry on the replay path is passive too: under an open handle the
+    // replay returns the exact outcome the live run does, and writes
+    // engine/MAC numbers that match the recording (no per-kind counts —
+    // the replay checker owns the observer slot).
     let run = first_run("des_campus", trial0_seed("des_campus"));
     let plain = netsim::run_netsim(&run.spec, run.phy.clone());
     let (bytes, _) = record(&run);
     let log = EventLog::decode(&bytes).unwrap();
     let events = log.len() as u64;
-    let (observed, facts) = netsim::run_netsim_replayed(&run.spec, run.phy, log)
-        .unwrap_or_else(|d| panic!("replay diverged:\n{}", d.render::<NetEvent>()));
+    let registry = Arc::new(Registry::new());
+    let observed = obs::observing(&registry, || {
+        netsim::run_netsim_replayed(&run.spec, run.phy, log)
+            .unwrap_or_else(|d| panic!("replay diverged:\n{}", d.render::<NetEvent>()))
+    });
     assert_eq!(plain.log, observed.log, "telemetry perturbed replay");
     assert_eq!(plain.events, observed.events);
     assert_eq!(plain.end_time, observed.end_time);
-    assert_eq!(facts.events_processed, events);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("des.events_processed"), Some(events));
     assert!(
-        facts.event_kinds.is_empty(),
+        !snap
+            .entries
+            .iter()
+            .any(|(n, _)| n.starts_with("des.events.")),
         "observer slot was taken by the checker"
     );
-    assert!(facts.queue_high_water > 0);
-    assert_eq!(facts.delivered, observed.log.delivered.len() as u64);
-    assert_eq!(facts.poll_rounds, observed.log.poll_rounds);
+    assert!(snap.gauge("des.queue_high_water").unwrap() > 0);
     assert_eq!(
-        facts.end_time_us.to_bits(),
-        observed.end_time.micros().to_bits()
+        snap.counter("mac.delivered"),
+        Some(observed.log.delivered.len() as u64)
     );
+    assert_eq!(
+        snap.counter("mac.poll_rounds"),
+        Some(observed.log.poll_rounds)
+    );
+    let util_bp = observed.log.air_busy_us / observed.end_time.micros() * 10_000.0;
+    assert_eq!(
+        snap.gauge("mac.airtime_utilization_bp"),
+        Some(util_bp.round() as u64)
+    );
+}
+
+#[test]
+fn replay_metrics_match_a_live_observed_run() {
+    // `replay --metrics`: one recorded trial per DES scenario, verified
+    // under an open handle, writes every counter and gauge a live observed
+    // run of the same trial writes, with the same value — except the
+    // per-kind `des.events.<Kind>` counts, which replay cannot collect.
+    for &name in desrec::DES_SCENARIOS {
+        let dir =
+            std::env::temp_dir().join(format!("iac_replay_metrics_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        desrec::record_trial(&dir, name, Quality::Quick, DEFAULT_SEED, 0, |_, _, _| {}).unwrap();
+        let replayed = Arc::new(Registry::new());
+        obs::observing(&replayed, || {
+            let prof = iac_obs::Profiler::new();
+            desrec::verify_recording(&dir, name, Quality::Quick, DEFAULT_SEED, 0, &prof, |_| {})
+        })
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live = Arc::new(Registry::new());
+        let Ok(_) = obs::observing(&live, || {
+            desrec::drive(name, Quality::Quick, trial0_seed(name), |run| {
+                Ok::<_, Infallible>(netsim::run_netsim(&run.spec, run.phy))
+            })
+        });
+
+        let (live, replayed) = (live.snapshot(), replayed.snapshot());
+        let per_kind = |n: &str| n.starts_with("des.events.");
+        assert!(live.entries.iter().any(|(n, _)| per_kind(n)), "{name}");
+        let live_rest: Vec<_> = live.entries.iter().filter(|(n, _)| !per_kind(n)).collect();
+        let replayed: Vec<_> = replayed.entries.iter().collect();
+        // 4 engine totals, the queue high-water, 12 MAC counters and 2 MAC
+        // gauges.
+        assert_eq!(live_rest.len(), 19, "{name}: {live_rest:?}");
+        assert_eq!(live_rest, replayed, "{name}: replay telemetry differs");
+    }
 }
 
 #[test]

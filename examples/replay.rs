@@ -175,37 +175,36 @@ fn cmd_record(args: &[String]) {
 
 fn cmd_replay(args: &[String]) {
     let a = parse_trial_args(args, "--dir", true);
-    // Telemetry on the replay itself: one span per constituent run, the
-    // facts harvested after each run verifies. Strictly passive — the
-    // verification result and both stdout summaries are unaffected.
+    // Telemetry on the replay itself: one span per constituent run, and
+    // each verified run writes its telemetry into the open handle. Strictly
+    // passive — the verification result and both stdout summaries are
+    // unaffected.
     let prof = iac_lan::obs::Profiler::with_trace(0, std::time::Instant::now());
     let mut obs = iac_lan::sim::obs::SweepObs::new();
     let mut labels = Vec::new();
     let mut events = 0usize;
-    let verified = desrec::verify_recording(
-        &a.dir,
-        &a.scenario,
-        a.quality,
-        a.master_seed,
-        a.trial,
-        &prof,
-        |step| match step {
-            ReplayStep::Verifying { label, events: n } => {
-                events += n;
-                if a.progress {
-                    eprintln!("[replay] {label}: verifying {n} event(s) ...");
+    let verified = iac_lan::sim::obs::observing(&obs.registry, || {
+        desrec::verify_recording(
+            &a.dir,
+            &a.scenario,
+            a.quality,
+            a.master_seed,
+            a.trial,
+            &prof,
+            |step| match step {
+                ReplayStep::Verifying { label, events: n } => {
+                    events += n;
+                    if a.progress {
+                        eprintln!("[replay] {label}: verifying {n} event(s) ...");
+                    }
                 }
-            }
-            ReplayStep::Verified { label, facts } => {
-                obs.record_des_run(facts);
-                labels.push(label.to_string());
-                eprintln!(
-                    "[replay] {label} ok ({} events verified)",
-                    facts.events_processed
-                );
-            }
-        },
-    );
+                ReplayStep::Verified { label, events: n } => {
+                    labels.push(label.to_string());
+                    eprintln!("[replay] {label} ok ({n} events verified)");
+                }
+            },
+        )
+    });
     if let Err(e) = verified {
         eprintln!("{e}");
         std::process::exit(match e {
