@@ -15,7 +15,7 @@
 //! * [`time`] — [`SimTime`], f64 microseconds with total ordering.
 //! * [`event`] — events, component ids, the insertion-order tie-breaker.
 //! * [`queue`] — the pending-event min-heap of `(time, id)` keys over an
-//!   event slab, with stable FIFO tie-breaking and lazy cancellation.
+//!   event slab, with stable FIFO tie-breaking; every scheduled event fires.
 //! * [`simulation`] — the [`Simulation`] driver: `step()`,
 //!   `step_until_time()`, `step_until_no_events()`, one boxed
 //!   [`EventHandler`] per component, one seeded RNG.

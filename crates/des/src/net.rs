@@ -313,6 +313,7 @@ pub struct TrafficSource {
     process: ArrivalProcess,
     horizon: SimTime,
     active: bool,
+    /// The one live `SourceTick`; a tick with any other id is stale.
     pending: Option<crate::event::EventId>,
     next_seq: u16,
     metrics: SharedMetrics,
@@ -362,15 +363,11 @@ impl EventHandler<NetEvent> for TrafficSource {
             }
             NetEvent::Leave => {
                 self.active = false;
-                if let Some(id) = self.pending.take() {
-                    ctx.cancel(id);
-                }
-            }
-            NetEvent::SourceTick => {
                 self.pending = None;
-                if !self.active {
-                    return;
-                }
+            }
+            // A tick armed before a `Leave` is stale even if a `Join` has
+            // re-armed the source since: it fires as a no-op.
+            NetEvent::SourceTick if self.pending == Some(event.id) => {
                 let seq = self.next_seq;
                 self.next_seq = self.next_seq.wrapping_add(1);
                 self.metrics.with(|log| log.offered += 1);
@@ -408,5 +405,65 @@ impl EventHandler<NetEvent> for WiredSink {
         if let NetEvent::WireDeliver { .. } = event.payload {
             self.metrics.with(|log| log.wire_delivered += 1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::Event;
+    use crate::simulation::Simulation;
+    use iac_linalg::Rng64;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Stands in for the MAC: notes when each `Arrival` lands.
+    struct Arrivals(Rc<RefCell<Vec<(SimTime, u16)>>>);
+
+    impl EventHandler<NetEvent> for Arrivals {
+        fn on_event(&mut self, event: Event<NetEvent>, ctx: &mut Ctx<'_, NetEvent>) {
+            if let NetEvent::Arrival { seq, .. } = event.payload {
+                self.0.borrow_mut().push((ctx.time(), seq));
+            }
+        }
+    }
+
+    #[test]
+    fn a_tick_armed_before_leave_fires_as_a_no_op_after_rejoin() {
+        // The first gap the source will draw, so Leave and Join both land
+        // while the tick it arms is still pending.
+        let (seed, horizon) = (7, SimTime::from_millis(20.0));
+        let mut rng = Rng64::new(seed);
+        let mut reference = ArrivalProcess::poisson(2000.0);
+        let stale = reference.next_gap(&mut rng).micros();
+        let leave = SimTime::from_micros(stale * 0.25);
+        let rejoin = SimTime::from_micros(stale * 0.5);
+
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let metrics = SharedMetrics::new();
+        let mut sim = Simulation::new(seed);
+        let mac = sim.add_component("mac", Arrivals(seen.clone()));
+        let process = ArrivalProcess::poisson(2000.0);
+        let src = TrafficSource::new(0, mac, true, process, horizon, metrics.clone());
+        let src = sim.add_component("src", src);
+        sim.schedule(SimTime::ZERO, src, NetEvent::Join);
+        sim.schedule(leave, src, NetEvent::Leave);
+        sim.schedule(rejoin, src, NetEvent::Join);
+        let events = sim.step_until_no_events();
+
+        // One chain from the rejoin, on the very draws that follow the
+        // stale one: the stale tick drew nothing and emitted nothing.
+        let mut want = Vec::new();
+        let mut at = rejoin + reference.next_gap(&mut rng);
+        while at < horizon {
+            want.push((at, want.len() as u16));
+            at += reference.next_gap(&mut rng);
+        }
+        assert!(want.len() > 10, "{} arrivals", want.len());
+        assert_eq!(*seen.borrow(), want);
+        assert_eq!(metrics.snapshot().offered, want.len() as u64);
+        // Join, Leave, Join, the stale tick, then a tick and an arrival each.
+        assert_eq!(events, 4 + 2 * want.len() as u64);
+        assert_eq!(sim.events_scheduled(), events, "every event fired");
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! The heap moves 24-byte `Key`s, not events: each event body waits in a
 //! free-listed slab slot until it fires, so a sift never copies a payload.
-//! Nothing is hashed per event. Cancellation keeps a small set of cancelled
-//! ids that `pop` and `peek_time` consult only while it is non-empty.
+//! Nothing is hashed per event, and every scheduled event fires: there is
+//! no cancellation, so `pop` is one heap pop and one slab take.
 
 use crate::event::{ComponentId, Event, EventId};
 use crate::time::SimTime;
@@ -77,15 +77,9 @@ pub struct EventQueue<E> {
     slab: Vec<Option<Event<E>>>,
     /// Free slab slots, reused before the slab grows.
     free: Vec<u32>,
-    /// Ids cancelled while pending whose keys are still in the heap. Each
-    /// leaves when `pop` or `peek_time` skips its key, so it never holds a
-    /// fired or unknown id.
-    cancelled_ids: Vec<EventId>,
     next_id: EventId,
-    /// Deepest the heap has ever been (pending events, cancelled included).
+    /// Deepest the heap has ever been.
     high_water: usize,
-    /// Scheduled events that were cancelled while still pending.
-    cancelled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -109,10 +103,8 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
-            cancelled_ids: Vec::new(),
             next_id: 0,
             high_water: 0,
-            cancelled: 0,
         }
     }
 
@@ -148,71 +140,28 @@ impl<E> EventQueue<E> {
         id
     }
 
-    /// Free `key`'s slot and return its event.
-    fn take(&mut self, key: Key) -> Event<E> {
-        self.free.push(key.slot);
-        self.slab[key.slot as usize]
-            .take()
-            .expect("a heap key points at an occupied slot")
-    }
-
-    /// Whether `key`'s event was cancelled; if so, forget the id (its key
-    /// is about to leave the heap). With nothing cancelled this is one
-    /// length check.
-    fn was_cancelled(&mut self, key: &Key) -> bool {
-        let Some(at) = self.cancelled_ids.iter().position(|&id| id == key.id) else {
-            return false;
-        };
-        self.cancelled_ids.swap_remove(at);
-        true
-    }
-
-    /// Remove and return the earliest pending event, skipping cancelled ones.
+    /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<Event<E>> {
-        while let Some(key) = self.heap.pop() {
-            let cancelled = self.was_cancelled(&key);
-            let event = self.take(key);
-            if !cancelled {
-                return Some(event);
-            }
-        }
-        None
+        let key = self.heap.pop()?;
+        self.free.push(key.slot);
+        let event = self.slab[key.slot as usize].take();
+        Some(event.expect("a heap key points at an occupied slot"))
     }
 
-    /// The fire time of the earliest pending (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&key) = self.heap.peek() {
-            if !self.was_cancelled(&key) {
-                let event = self.slab[key.slot as usize].as_ref();
-                return Some(event.expect("a heap key points at an occupied slot").time);
-            }
-            self.heap.pop();
-            self.take(key);
-        }
-        None
+    /// The fire time of the earliest pending event.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let event = self.slab[self.heap.peek()?.slot as usize].as_ref();
+        Some(event.expect("a heap key points at an occupied slot").time)
     }
 
-    /// Mark a scheduled event as cancelled; it will be silently skipped.
-    /// Cancelling an id that already fired (or was already cancelled) is a
-    /// true no-op: nothing is retained. Nothing in the engine's own
-    /// components cancels, so this scans the pending keys rather than keep
-    /// per-event bookkeeping on the fire path.
-    pub fn cancel(&mut self, id: EventId) {
-        if self.cancelled_ids.contains(&id) || !self.heap.iter().any(|key| key.id == id) {
-            return;
-        }
-        self.cancelled_ids.push(id);
-        self.cancelled += 1;
-    }
-
-    /// Pending events, *including* any not-yet-skipped cancelled ones.
+    /// Pending events.
     ///
     /// No production caller: public for `crates/des/tests/properties.rs`.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    /// True when no events (cancelled or not) are pending.
+    /// True when no events are pending.
     ///
     /// No production caller: public for `crates/des/tests/properties.rs`.
     pub fn is_empty(&self) -> bool {
@@ -224,17 +173,9 @@ impl<E> EventQueue<E> {
         self.next_id
     }
 
-    /// Deepest the pending set has ever been (cancelled-but-unskipped
-    /// entries included, matching [`EventQueue::len`]'s accounting).
+    /// Deepest the pending set has ever been.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Events cancelled while still pending. Cancelling an id that already
-    /// fired (or was never scheduled) does not count — those calls are
-    /// no-ops by contract.
-    pub fn cancelled(&self) -> u64 {
-        self.cancelled
     }
 }
 
@@ -270,40 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_are_skipped() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 0, 0, "a");
-        q.push(t(2.0), 0, 0, "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2.0)));
-        assert_eq!(q.pop().unwrap().payload, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancelling_fired_or_unknown_ids_retains_nothing() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 0, 0, "a");
-        let b = q.push(t(2.0), 0, 0, "b");
-        assert_eq!(q.pop().unwrap().payload, "a");
-        q.cancel(a); // already fired
-        q.cancel(9999); // never scheduled
-        assert_eq!(q.cancelled(), 0, "neither call cancelled anything");
-        assert_eq!(q.len(), 1, "only b is pending");
-        assert_eq!(q.peek_time(), Some(t(2.0)), "b is still live");
-        q.cancel(b);
-        assert_eq!(q.cancelled(), 1);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty(), "the skipped key left nothing behind");
-        // A cancelled id that was skipped is gone for good: cancelling it
-        // again counts nothing, and later events are untouched.
-        q.cancel(b);
-        assert_eq!(q.cancelled(), 1, "cancel must not accumulate state");
-        q.push(t(3.0), 0, 0, "c");
-        assert_eq!(q.pop().unwrap().payload, "c");
-    }
-
-    #[test]
     fn high_water_tracks_peak_depth() {
         let mut q = EventQueue::new();
         assert_eq!(q.high_water(), 0);
@@ -316,22 +223,6 @@ mod tests {
         q.push(t(9.0), 0, 0, 9);
         assert_eq!(q.high_water(), 5, "4 pending < old peak");
         let _ = ids;
-    }
-
-    #[test]
-    fn cancelled_counts_only_live_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.push(t(1.0), 0, 0, "a");
-        let b = q.push(t(2.0), 0, 0, "b");
-        assert_eq!(q.cancelled(), 0);
-        q.cancel(a);
-        assert_eq!(q.cancelled(), 1);
-        q.cancel(a); // already cancelled
-        q.cancel(9999); // never scheduled
-        assert_eq!(q.cancelled(), 1);
-        assert_eq!(q.pop().unwrap().payload, "b");
-        q.cancel(b); // already fired
-        assert_eq!(q.cancelled(), 1);
     }
 
     #[test]

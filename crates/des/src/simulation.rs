@@ -19,8 +19,9 @@ use iac_linalg::Rng64;
 pub(crate) const EXTERNAL: ComponentId = ComponentId::MAX;
 
 /// A component's view of the running simulation while it handles an event:
-/// the current time, the shared RNG, and the ability to schedule (or cancel)
-/// events.
+/// the current time, the shared RNG, and the ability to schedule events.
+/// Every scheduled event fires; a component that no longer wants one keeps
+/// its id and ignores it when it arrives.
 pub struct Ctx<'a, E> {
     time: SimTime,
     self_id: ComponentId,
@@ -52,12 +53,6 @@ impl<E> Ctx<'_, E> {
     /// Schedule a self-event `delay` from now.
     pub fn emit_self(&mut self, delay: SimTime, payload: E) -> EventId {
         self.emit(self.self_id, delay, payload)
-    }
-
-    /// Cancel a previously scheduled event. Cancelling an already-fired id is
-    /// a no-op.
-    pub(crate) fn cancel(&mut self, id: EventId) {
-        self.queue.cancel(id);
     }
 }
 
@@ -165,11 +160,6 @@ impl<E> Simulation<E> {
         self.queue.scheduled()
     }
 
-    /// Events cancelled while still pending (see [`EventQueue::cancelled`]).
-    pub fn events_cancelled(&self) -> u64 {
-        self.queue.cancelled()
-    }
-
     /// Deepest the pending-event set has ever been (see
     /// [`EventQueue::high_water`]).
     pub fn queue_high_water(&self) -> usize {
@@ -258,17 +248,6 @@ mod tests {
         }
     }
 
-    /// Cancels `target` from inside a handler, the way a component does.
-    struct Canceller {
-        target: EventId,
-    }
-
-    impl EventHandler<u32> for Canceller {
-        fn on_event(&mut self, _event: Event<u32>, ctx: &mut Ctx<'_, u32>) {
-            ctx.cancel(self.target);
-        }
-    }
-
     #[test]
     fn ping_pong_terminates_and_orders() {
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
@@ -343,32 +322,11 @@ mod tests {
             },
         );
         sim.schedule(SimTime::ZERO, a, 2);
-        let doomed = sim.schedule(SimTime::from_micros(50.0), a, 0);
-        assert_eq!(sim.queue_high_water(), 2);
-        let c = sim.add_component("c", Canceller { target: doomed });
-        sim.schedule(SimTime::ZERO, c, 0);
-        sim.step_until_no_events();
+        sim.schedule(SimTime::from_micros(50.0), a, 0);
+        sim.schedule(SimTime::from_micros(50.0), a, 0);
         assert_eq!(sim.queue_high_water(), 3);
-        assert_eq!(sim.events_cancelled(), 1);
+        assert_eq!(sim.step_until_no_events(), 5);
+        assert_eq!(sim.queue_high_water(), 3);
         assert_eq!(sim.events_scheduled(), 5); // 3 injected + 2 relays
-    }
-
-    #[test]
-    fn cancelled_event_never_fires() {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(4);
-        let a = sim.add_component(
-            "a",
-            PingPong {
-                peer: 0,
-                delay: SimTime::from_micros(1.0),
-                log: log.clone(),
-            },
-        );
-        let id = sim.schedule(SimTime::from_micros(5.0), a, 0);
-        let c = sim.add_component("c", Canceller { target: id });
-        sim.schedule(SimTime::ZERO, c, 0);
-        assert_eq!(sim.step_until_no_events(), 1, "only the canceller fires");
-        assert!(log.borrow().is_empty());
     }
 }

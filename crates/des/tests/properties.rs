@@ -75,30 +75,6 @@ proptest! {
     }
 
     #[test]
-    fn cancellation_removes_exactly_the_cancelled(seed in any::<u64>(), n in 2usize..100) {
-        let schedule = random_schedule(seed, n, 11);
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = schedule
-            .iter()
-            .map(|&(t, k)| q.push(SimTime::from_micros(t), 0, 0, k))
-            .collect();
-        // Cancel every third event.
-        let cancelled: Vec<bool> = (0..n).map(|k| k % 3 == 0).collect();
-        for (id, &c) in ids.iter().zip(&cancelled) {
-            if c {
-                q.cancel(*id);
-            }
-        }
-        let mut survivors = Vec::new();
-        while let Some(ev) = q.pop() {
-            survivors.push(ev.payload);
-        }
-        for (k, &c) in cancelled.iter().enumerate() {
-            prop_assert_eq!(survivors.contains(&(k as u32)), !c);
-        }
-    }
-
-    #[test]
     fn full_run_is_bit_identical_across_two_runs(seed in any::<u64>()) {
         // A component that fans out a random number of children with random
         // delays — every branch decided by the simulation's seeded RNG.
@@ -148,7 +124,7 @@ proptest! {
         let mut q = EventQueue::new();
         let mut model = Model::default();
         for step in 0..n {
-            match rng.below(10) {
+            match rng.below(8) {
                 0..=4 => {
                     let time = TIMES[rng.below(TIMES.len() as u64) as usize];
                     let time = SimTime::from_micros(time);
@@ -160,21 +136,14 @@ proptest! {
                     let got = q.pop().map(|ev| (ev.time, ev.id, ev.payload));
                     prop_assert_eq!(got, model.pop(), "pop at step {}", step);
                 }
-                7 => prop_assert_eq!(q.peek_time(), model.peek_time(), "peek at step {}", step),
-                _ => {
-                    // Pending, fired, cancelled and never-scheduled ids alike.
-                    let id = rng.below(model.next_id + 3);
-                    q.cancel(id);
-                    model.cancel(id);
-                }
+                _ => prop_assert_eq!(q.peek_time(), model.peek_time(), "peek at step {}", step),
             }
             prop_assert_eq!(q.len(), model.pending.len());
             prop_assert_eq!(q.is_empty(), model.pending.is_empty());
             prop_assert_eq!(q.high_water(), model.high_water);
-            prop_assert_eq!(q.cancelled(), model.cancelled);
             prop_assert_eq!(q.scheduled(), model.next_id);
         }
-        // Draining fires every live event in model order.
+        // Draining fires every pending event in model order.
         loop {
             let got = q.pop().map(|ev| (ev.time, ev.id, ev.payload));
             prop_assert_eq!(got, model.pop());
@@ -201,23 +170,21 @@ const TIMES: [f64; 9] = [
     f64::NEG_INFINITY,
 ];
 
-/// The queue's contract, written plainly: pending entries (cancelled ones
-/// included until a pop or peek skips them), fired in `(time, id)` order
-/// with times compared by `total_cmp`.
+/// The queue's contract, written plainly: pending entries fired in
+/// `(time, id)` order with times compared by `total_cmp`.
 #[derive(Default)]
 struct Model {
-    /// `(time, id, payload, cancelled)`.
-    pending: Vec<(SimTime, u64, u32, bool)>,
+    /// `(time, id, payload)`.
+    pending: Vec<(SimTime, u64, u32)>,
     next_id: u64,
     high_water: usize,
-    cancelled: u64,
 }
 
 impl Model {
     fn push(&mut self, time: SimTime, payload: u32) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.pending.push((time, id, payload, false));
+        self.pending.push((time, id, payload));
         self.high_water = self.high_water.max(self.pending.len());
         id
     }
@@ -225,36 +192,17 @@ impl Model {
     /// Index of the earliest pending entry.
     fn first(&self) -> Option<usize> {
         (0..self.pending.len()).min_by(|&a, &b| {
-            let (ta, ia, _, _) = self.pending[a];
-            let (tb, ib, _, _) = self.pending[b];
+            let (ta, ia, _) = self.pending[a];
+            let (tb, ib, _) = self.pending[b];
             ta.micros().total_cmp(&tb.micros()).then(ia.cmp(&ib))
         })
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
-        while let Some(at) = self.first() {
-            let (time, id, payload, cancelled) = self.pending.remove(at);
-            if !cancelled {
-                return Some((time, id, payload));
-            }
-        }
-        None
+        self.first().map(|at| self.pending.remove(at))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(at) = self.first() {
-            if !self.pending[at].3 {
-                return Some(self.pending[at].0);
-            }
-            self.pending.remove(at);
-        }
-        None
-    }
-
-    fn cancel(&mut self, id: u64) {
-        if let Some(entry) = self.pending.iter_mut().find(|e| e.1 == id && !e.3) {
-            entry.3 = true;
-            self.cancelled += 1;
-        }
+    fn peek_time(&self) -> Option<SimTime> {
+        self.first().map(|at| self.pending[at].0)
     }
 }

@@ -351,7 +351,6 @@ fn write_telemetry(
     let log = &out.log;
     c("des.events_processed", out.events);
     c("des.events_scheduled", sim.events_scheduled());
-    c("des.events_cancelled", sim.events_cancelled());
     c("des.events_undeliverable", sim.events_undeliverable());
     for &(kind, n) in event_kinds {
         c(&format!("des.events.{kind}"), n);
@@ -497,7 +496,6 @@ mod tests {
                 let counters = [
                     ("des.events_processed", plain.events),
                     ("des.events_scheduled", sim.events_scheduled()),
-                    ("des.events_cancelled", sim.events_cancelled()),
                     ("des.events_undeliverable", sim.events_undeliverable()),
                     ("mac.offered", log.offered),
                     ("mac.delivered", log.delivered.len() as u64),
@@ -518,6 +516,13 @@ mod tests {
                     ("mac.airtime_utilization_bp", util_bp.round() as u64),
                 ];
                 let snap = registry.snapshot();
+                // Nothing cancels: a drained run fired every event it scheduled.
+                assert_eq!(
+                    snap.counter("des.events_scheduled"),
+                    snap.counter("des.events_processed"),
+                    "{name}/{}",
+                    run.label
+                );
                 for (metric, want) in counters {
                     assert_eq!(
                         snap.counter(metric),
@@ -554,7 +559,7 @@ mod tests {
         }
         // Every metric but `des.events_undeliverable` (no run sends an event
         // to an unregistered component) is nonzero in some run.
-        assert_eq!(nonzero.len(), 18, "{nonzero:?}");
+        assert_eq!(nonzero.len(), 17, "{nonzero:?}");
         assert!(!nonzero.contains("des.events_undeliverable"));
     }
 }

@@ -250,9 +250,9 @@ fn replay_metrics_match_a_live_observed_run() {
         assert!(live.entries.iter().any(|(n, _)| per_kind(n)), "{name}");
         let live_rest: Vec<_> = live.entries.iter().filter(|(n, _)| !per_kind(n)).collect();
         let replayed: Vec<_> = replayed.entries.iter().collect();
-        // 4 engine totals, the queue high-water, 12 MAC counters and 2 MAC
+        // 3 engine totals, the queue high-water, 12 MAC counters and 2 MAC
         // gauges.
-        assert_eq!(live_rest.len(), 19, "{name}: {live_rest:?}");
+        assert_eq!(live_rest.len(), 18, "{name}: {live_rest:?}");
         assert_eq!(live_rest, replayed, "{name}: replay telemetry differs");
     }
 }
