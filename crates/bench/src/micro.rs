@@ -82,6 +82,30 @@ pub fn register_alignment(c: &mut Criterion) {
             },
         );
     }
+    // The leader's brute-force scoring of one quick-size slot: the 42
+    // ordered companion pairs of an 8-client grid in one batch, through a
+    // fresh context, so each companion's cached terms are computed inside
+    // the timing as on a real slot.
+    for (direction, name) in [
+        (Direction::Uplink, "score_batch_uplink_42"),
+        (Direction::Downlink, "score_batch_downlink_42"),
+    ] {
+        let (tx, rx) = match direction {
+            Direction::Uplink => (8, 3),
+            Direction::Downlink => (3, 8),
+        };
+        let slot = ChannelGrid::random(direction, tx, rx, 2, 2, &mut rng);
+        let pairs: Vec<[u16; 2]> = (1..8)
+            .flat_map(|a| (1..8).map(move |b| [a, b]))
+            .filter(|[a, b]| a != b)
+            .collect();
+        let mut scores = vec![0.0; pairs.len()];
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                optimize::ScoringContext::new(&slot, 0, 1.0, 0.05).score_batch(&pairs, &mut scores)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -261,8 +261,9 @@ fn observed_des_steady_state_is_allocation_free() {
 const UPLINK_SCORE_CEILING: u64 = 18;
 const DOWNLINK_SCORE_CEILING: u64 = 13;
 
-/// Most heap allocations one fig15 group score through a built
-/// [`ScoringContext`] may make, in either direction: none.
+/// Most heap allocations one fig15 batch of group scores through a built
+/// [`ScoringContext`] may make, in either direction: none. The lanes'
+/// buffers live on the stack.
 const CONTEXT_SCORE_CEILING: u64 = 0;
 
 /// Most heap allocations one `baseline::best_ap_rate` over three 2×2 links
@@ -319,7 +320,7 @@ fn group_scores_stay_under_ceiling() {
     let down =
         ChannelGrid::random(Direction::Downlink, 3, 8, 2, 2, &mut rng).estimated(&est, &mut rng);
     let group = [4usize, 1, 6];
-    context_scores_stay_under_ceiling(&up, &down, group);
+    context_scores_stay_under_ceiling(&up, &down, group[0]);
 
     let before = allocations();
     let sub = ChannelGrid::new(
@@ -358,30 +359,43 @@ fn group_scores_stay_under_ceiling() {
     );
 }
 
-/// One fig15 leader-side group score, as `scenarios/fig15.rs` computes it:
-/// through the slot's [`ScoringContext`], once its first score has built
-/// the per-slot state. The companions are new to the context, so their
-/// terms are computed inside the measured window.
-fn context_scores_stay_under_ceiling(up: &ChannelGrid, down: &ChannelGrid, group: [usize; 3]) {
-    let [head, a, b] = group;
+/// One fig15 leader-side slot of group scores, as `scenarios/fig15.rs`
+/// computes it: every ordered companion pair of the head on the 8-client
+/// grid (42 pairs) in one batch through the slot's [`ScoringContext`],
+/// once a first one-pair batch has built the per-slot state. Most
+/// companions are new to the context, so their terms are computed inside
+/// the measured window.
+fn context_scores_stay_under_ceiling(up: &ChannelGrid, down: &ChannelGrid, head: usize) {
+    let pairs: Vec<[u16; 2]> = (0..8)
+        .flat_map(|a| (0..8).map(move |b| [a, b]))
+        .filter(|&[a, b]| a != b && usize::from(a) != head && usize::from(b) != head)
+        .collect();
+    assert_eq!(pairs.len(), 42);
+    let mut scores = vec![0.0; pairs.len()];
     let mut counts = [0; 2];
     for (count, grid) in counts.iter_mut().zip([up, down]) {
         let mut context = ScoringContext::new(grid, head, 1.0, 0.05);
-        assert!(context.score(2, 3) > 0.0, "warm-up group aligns");
+        let mut warm = [0.0];
+        context.score_batch(&[[2, 3]], &mut warm);
+        assert!(warm[0] > 0.0, "warm-up group aligns");
         let before = allocations();
-        let rate = context.score(a, b);
+        context.score_batch(&pairs, &mut scores);
         *count = allocations() - before;
-        assert!(rate > 0.0, "{:?} group aligns", grid.direction());
+        assert!(
+            scores.iter().all(|&s| s > 0.0),
+            "{:?} groups align",
+            grid.direction()
+        );
     }
     let [uplink, downlink] = counts;
     assert_eq!(
         [uplink, downlink],
         [CONTEXT_SCORE_CEILING; 2],
-        "one context group score allocated {uplink} times uplink, {downlink} downlink \
+        "one 42-pair context batch allocated {uplink} times uplink, {downlink} downlink \
          (ceiling {CONTEXT_SCORE_CEILING})"
     );
     println!(
-        "alloc_count: one fig15 context group score made {uplink} heap allocations uplink, \
+        "alloc_count: one 42-pair fig15 context batch made {uplink} heap allocations uplink, \
          {downlink} downlink — ok"
     );
 }

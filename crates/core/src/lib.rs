@@ -38,6 +38,7 @@ pub mod decoder;
 pub mod diversity;
 pub mod feasibility;
 pub mod grid;
+mod lanes;
 pub mod optimize;
 pub mod rate;
 pub mod schedule;

@@ -18,8 +18,9 @@
 use crate::closed_form::AlignedConfig;
 use crate::decoder::{equal_split_powers, IacDecoder};
 use crate::grid::{ChannelGrid, Direction, Links};
+use crate::lanes::{self, DownlinkChunk, UplinkChunk, LANES};
 use crate::schedule::{DecodeSchedule, DecodeStep};
-use iac_linalg::{eig2, CMat, CVec, LinAlgError, Result, Rng64};
+use iac_linalg::{eig2, CMat, CVec, LinAlgError, Result, Rng64, C64};
 use std::ops::Deref;
 
 /// How many random alignment seeds the leader scores per configuration.
@@ -244,8 +245,8 @@ pub fn downlink3_optimized(
 /// The grid holds the slot's estimates for three APs and every client:
 /// clients transmit on the uplink (`clients × 3`), APs on the downlink
 /// (`3 × clients`). A group is `[head, a, b]` by client index, and
-/// [`ScoringContext::score`] returns, bit for bit, the rate
-/// [`uplink4_optimized`] / [`downlink3_optimized`] report for the group's
+/// [`ScoringContext::score_batch`] returns, bit for bit, the rate
+/// [`uplink4_optimized`] / [`downlink3_optimized`] report for each group's
 /// 3×3 sub-grid (0.0 where they fail), without cutting the sub-grid.
 ///
 /// Everything that depends on the head alone or on one companion in one
@@ -318,6 +319,86 @@ impl<T> Memo<T> {
             .as_ref()
             .map_err(Clone::clone)
     }
+
+    /// The value, once computed and if it did not fail.
+    fn ready(&self, client: usize) -> Option<&T> {
+        self.0[client].as_ref()?.as_ref().ok()
+    }
+}
+
+/// Uplink, per first companion `a`: `H(a, AP0)⁻¹`.
+fn uplink_first(grid: &ChannelGrid, a: usize) -> Result<CMat> {
+    grid.link(a, 0).inverse()
+}
+
+/// Uplink, per second companion `b`: `H(b, AP1)⁻¹` and `H(head, AP0)⁻¹·H(b, AP0)`.
+fn uplink_second(grid: &ChannelGrid, head_inv: &CMat, b: usize) -> Result<[CMat; 2]> {
+    Ok([
+        grid.link(b, 1).inverse()?,
+        head_inv.mul_mat(grid.link(b, 0)),
+    ])
+}
+
+/// Downlink, per first companion `a`: `Hᵈ(AP0, a)⁻¹` and `Hᵈ(AP0, a)⁻¹·Hᵈ(AP2, a)`.
+fn downlink_first(grid: &ChannelGrid, a: usize) -> Result<[CMat; 2]> {
+    let inv = grid.link(0, a).inverse()?;
+    let to_v0 = inv.mul_mat(grid.link(2, a));
+    Ok([inv, to_v0])
+}
+
+/// Downlink, per second companion `b`: `(Hᵈ(AP1, b)·Hᵈ(AP1, head)⁻¹·Hᵈ(AP2, head))⁻¹`.
+fn downlink_second(grid: &ChannelGrid, head: usize, head_inv: &CMat, b: usize) -> Result<CMat> {
+    grid.link(1, b)
+        .mul_mat(head_inv)
+        .mul_mat(grid.link(2, head))
+        .inverse()
+}
+
+/// A 2×2 link or cached term, as the lanes read it.
+fn entries(m: &CMat) -> &[C64; 4] {
+    m.as_2x2().expect("lane-scored groups have 2×2 links")
+}
+
+/// Score the pairs of `pairs` that are `ready` [`LANES`] at a time through
+/// `kernel`, which gets the chunk's `[a, b]` (a short chunk repeats its
+/// first pair) and returns the scores with the lanes it could score. Every
+/// other entry of `scores` becomes NaN, which no lane score is: the pairs
+/// that were not ready and the lanes the kernel left to the scalar path.
+fn in_lanes(
+    pairs: &[[u16; 2]],
+    scores: &mut [f64],
+    ready: impl Fn(usize, usize) -> bool,
+    mut kernel: impl FnMut(&[[usize; 2]; LANES]) -> (lanes::F, lanes::Mask),
+) {
+    let mut chunk = [[0; 2]; LANES];
+    let mut slots = [0; LANES];
+    let mut len = 0;
+    let mut run = |chunk: &mut [[usize; 2]; LANES], slots: &[usize], scores: &mut [f64]| {
+        let first = chunk[0];
+        chunk[slots.len()..].fill(first);
+        let (lane_scores, ok) = kernel(chunk);
+        for (l, &slot) in slots.iter().enumerate() {
+            if ok[l] {
+                scores[slot] = lane_scores[l];
+            }
+        }
+    };
+    for (i, &[a, b]) in pairs.iter().enumerate() {
+        let (a, b) = (a as usize, b as usize);
+        scores[i] = f64::NAN;
+        if ready(a, b) {
+            chunk[len] = [a, b];
+            slots[len] = i;
+            len += 1;
+        }
+        if len == LANES {
+            run(&mut chunk, &slots, scores);
+            len = 0;
+        }
+    }
+    if len > 0 {
+        run(&mut chunk, &slots[..len], scores);
+    }
 }
 
 impl Slot {
@@ -356,6 +437,9 @@ impl Slot {
 }
 
 impl<'g> ScoringContext<'g> {
+    /// Groups [`ScoringContext::score_batch`] scores side by side.
+    pub const LANES: usize = LANES;
+
     /// A context for the slot's estimated grid and the group head. Nothing
     /// is computed until the first score.
     pub fn new(est_grid: &'g ChannelGrid, head: usize, per_node_power: f64, noise: f64) -> Self {
@@ -368,15 +452,121 @@ impl<'g> ScoringContext<'g> {
         }
     }
 
-    /// Predicted rate of the group `[head, a, b]` on the estimates: the
-    /// better of its two alignment solutions, or 0.0 when it cannot be
-    /// aligned.
-    pub fn score(&mut self, a: usize, b: usize) -> f64 {
-        let best = match self.grid.direction() {
-            Direction::Uplink => self.uplink_best(a, b).map(|(rate, _)| rate),
-            Direction::Downlink => self.downlink_best(a, b).map(|(rate, _)| rate),
-        };
-        best.unwrap_or(0.0)
+    /// Predicted rates of the groups `[head, a, b]`, one per `[a, b]` of
+    /// `pairs`, into `scores`: per group, the better of its two alignment
+    /// solutions on the estimates, or 0.0 when it cannot be aligned.
+    ///
+    /// The companions' cached terms are filled first, in pair order. The
+    /// groups are then scored [`Self::LANES`] at a time, structure-of-arrays
+    /// across groups, by a kernel that repeats the scalar path's float
+    /// operations per lane (`crate::lanes`). A group the lanes cannot
+    /// score exactly as the scalar path does (a failed cached term, an
+    /// error inside the alignment or decode, a Jacobi iteration that does
+    /// not stop after one rotation) is scored on the scalar path.
+    pub fn score_batch(&mut self, pairs: &[[u16; 2]], scores: &mut [f64]) {
+        assert_eq!(pairs.len(), scores.len(), "one score per pair");
+        let (grid, head, noise) = (self.grid, self.head, self.noise);
+        let Slot { powers, terms, .. } = self.slot();
+        match terms {
+            // Every group inverts the head's link first.
+            Err(_) => return scores.fill(0.0),
+            Ok(_) if grid.link_shape() != (2, 2) => scores.fill(f64::NAN),
+            Ok(Terms::Uplink {
+                head_inv,
+                first,
+                second,
+            }) => {
+                for &[a, b] in pairs {
+                    let (a, b) = (a as usize, b as usize);
+                    if first.get(a, || uplink_first(grid, a)).is_ok() {
+                        let _ = second.get(b, || uplink_second(grid, head_inv, b));
+                    }
+                }
+                let (first, second) = (&*first, &*second);
+                let head = [0, 1].map(|ap| lanes::splat(entries(grid.link(head, ap))));
+                let powers = powers[..].try_into().expect("uplink_2m(2) has 4 packets");
+                let links = |c: &[[usize; 2]; LANES], role: usize| {
+                    [0, 1, 2].map(|ap| lanes::gather(|l| entries(grid.link(c[l][role], ap))))
+                };
+                in_lanes(
+                    pairs,
+                    scores,
+                    |a, b| first.ready(a).is_some() && second.ready(b).is_some(),
+                    |c| {
+                        let [h21_inv, to_v1] = [0, 1].map(|k| {
+                            lanes::gather(|l| entries(&second.ready(c[l][1]).expect("ready")[k]))
+                        });
+                        let chunk = UplinkChunk {
+                            head,
+                            h10_inv: lanes::gather(|l| {
+                                entries(first.ready(c[l][0]).expect("ready"))
+                            }),
+                            h21_inv,
+                            to_v1,
+                            a: links(c, 0),
+                            b: links(c, 1),
+                        };
+                        lanes::uplink(&chunk, powers, noise)
+                    },
+                );
+            }
+            Ok(Terms::Downlink {
+                head_inv,
+                to_v1,
+                first,
+                second,
+            }) => {
+                for &[a, b] in pairs {
+                    let (a, b) = (a as usize, b as usize);
+                    if first.get(a, || downlink_first(grid, a)).is_ok() {
+                        let _ = second.get(b, || downlink_second(grid, head, head_inv, b));
+                    }
+                }
+                let (first, second) = (&*first, &*second);
+                let head_links = [0, 1, 2].map(|ap| lanes::splat(entries(grid.link(ap, head))));
+                let to_v1 = lanes::splat(entries(to_v1));
+                let powers = powers[..]
+                    .try_into()
+                    .expect("downlink_3_packets has 3 packets");
+                let links = |c: &[[usize; 2]; LANES], role: usize| {
+                    [0, 1, 2].map(|ap| lanes::gather(|l| entries(grid.link(ap, c[l][role]))))
+                };
+                in_lanes(
+                    pairs,
+                    scores,
+                    |a, b| first.ready(a).is_some() && second.ready(b).is_some(),
+                    |c| {
+                        let [h01_inv, to_v0] = [0, 1].map(|k| {
+                            lanes::gather(|l| entries(&first.ready(c[l][0]).expect("ready")[k]))
+                        });
+                        let chunk = DownlinkChunk {
+                            head: head_links,
+                            to_v1,
+                            h01_inv,
+                            to_v0,
+                            left_inv: lanes::gather(|l| {
+                                entries(second.ready(c[l][1]).expect("ready"))
+                            }),
+                            a: links(c, 0),
+                            b: links(c, 1),
+                        };
+                        lanes::downlink(&chunk, powers, noise)
+                    },
+                );
+            }
+        }
+        for (s, &[a, b]) in scores.iter_mut().zip(pairs) {
+            if s.is_nan() {
+                let (a, b) = (a as usize, b as usize);
+                let best = match grid.direction() {
+                    Direction::Uplink => self.uplink_best(a, b).map(|(rate, _)| rate),
+                    Direction::Downlink => self.downlink_best(a, b).map(|(rate, _)| rate),
+                };
+                *s = best.unwrap_or(0.0);
+                #[cfg(test)]
+                tests::ROUTED.with_borrow_mut(|r| r.push([a as u16, b as u16]));
+            }
+        }
     }
 
     fn slot(&mut self) -> &mut Slot {
@@ -413,11 +603,8 @@ impl<'g> ScoringContext<'g> {
         else {
             unreachable!("an uplink grid builds uplink terms");
         };
-        let h00_inv = &*head_inv;
-        let h10_inv = first.get(a, || grid.link(a, 0).inverse())?;
-        let [h21_inv, to_v1] = second.get(b, || {
-            Ok([grid.link(b, 1).inverse()?, h00_inv.mul_mat(grid.link(b, 0))])
-        })?;
+        let h10_inv = first.get(a, || uplink_first(grid, a))?;
+        let [h21_inv, to_v1] = second.get(b, || uplink_second(grid, head_inv, b))?;
         let prod = h21_inv
             .mul_mat(grid.link(a, 1))
             .mul_mat(h10_inv)
@@ -463,18 +650,8 @@ impl<'g> ScoringContext<'g> {
         else {
             unreachable!("a downlink grid builds downlink terms");
         };
-        let h10_inv = &*head_inv;
-        let [h01_inv, to_v0] = first.get(a, || {
-            let inv = grid.link(0, a).inverse()?;
-            let to_v0 = inv.mul_mat(grid.link(2, a));
-            Ok([inv, to_v0])
-        })?;
-        let left_inv = second.get(b, || {
-            grid.link(1, b)
-                .mul_mat(h10_inv)
-                .mul_mat(grid.link(2, head))
-                .inverse()
-        })?;
+        let [h01_inv, to_v0] = first.get(a, || downlink_first(grid, a))?;
+        let left_inv = second.get(b, || downlink_second(grid, head, head_inv, b))?;
         let right = grid.link(0, b).mul_mat(h01_inv).mul_mat(grid.link(2, a));
         let pairs = eig2(&left_inv.mul_mat(&right))?;
         let group = GroupLinks {
@@ -518,6 +695,13 @@ impl Links for GroupLinks<'_> {
 mod tests {
     use super::*;
     use crate::closed_form::{self, alignment_residual};
+
+    thread_local! {
+        /// The pairs `score_batch` scored on the scalar path, in order.
+        pub(super) static ROUTED: std::cell::RefCell<Vec<[u16; 2]>> = const {
+            std::cell::RefCell::new(Vec::new())
+        };
+    }
 
     #[test]
     fn optimized_uplink3_still_aligns() {
@@ -609,5 +793,208 @@ mod tests {
         assert!(uplink3_optimized(&g, 1.0, 0.05, 2, &mut rng).is_err());
         let g2 = ChannelGrid::random(Direction::Downlink, 3, 3, 2, 2, &mut rng);
         assert!(uplink4_optimized(&g2, 1.0, 0.05).is_err());
+    }
+
+    /// An estimated slot grid of `clients` clients and three APs.
+    fn slot_grid(direction: Direction, clients: usize, seed: u64) -> ChannelGrid {
+        let mut rng = Rng64::new(seed);
+        let (tx, rx) = match direction {
+            Direction::Uplink => (clients, 3),
+            Direction::Downlink => (3, clients),
+        };
+        ChannelGrid::random(direction, tx, rx, 2, 2, &mut rng).estimated(
+            &iac_channel::estimation::EstimationConfig::paper_default(),
+            &mut rng,
+        )
+    }
+
+    /// `grid` with the link between `client` and AP `ap` replaced.
+    fn with_link(grid: &ChannelGrid, client: usize, ap: usize, link: &CMat) -> ChannelGrid {
+        let target = match grid.direction() {
+            Direction::Uplink => (client, ap),
+            Direction::Downlink => (ap, client),
+        };
+        let h = (0..grid.transmitters())
+            .map(|t| {
+                (0..grid.receivers())
+                    .map(|r| {
+                        if (t, r) == target {
+                            link
+                        } else {
+                            grid.link(t, r)
+                        }
+                        .clone()
+                    })
+                    .collect()
+            })
+            .collect();
+        ChannelGrid::new(grid.direction(), h)
+    }
+
+    fn clients(grid: &ChannelGrid) -> usize {
+        match grid.direction() {
+            Direction::Uplink => grid.transmitters(),
+            Direction::Downlink => grid.receivers(),
+        }
+    }
+
+    /// Score every ordered companion pair of `head` in one batch, check
+    /// each score against the scalar path bit for bit, and return the
+    /// pairs the batch routed to the scalar path.
+    fn routed(grid: &ChannelGrid, head: usize) -> Vec<[u16; 2]> {
+        let n = clients(grid) as u16;
+        let pairs: Vec<[u16; 2]> = (0..n)
+            .flat_map(|a| (0..n).map(move |b| [a, b]))
+            .filter(|&[a, b]| a != b && a != head as u16 && b != head as u16)
+            .collect();
+        let mut scores = vec![0.0; pairs.len()];
+        ROUTED.with_borrow_mut(Vec::clear);
+        ScoringContext::new(grid, head, 1.0, 0.05).score_batch(&pairs, &mut scores);
+        let routed = ROUTED.with_borrow_mut(std::mem::take);
+        let mut scalar = ScoringContext::new(grid, head, 1.0, 0.05);
+        for (&[a, b], score) in pairs.iter().zip(&scores) {
+            let (a, b) = (a as usize, b as usize);
+            let best = match grid.direction() {
+                Direction::Uplink => scalar.uplink_best(a, b).map(|(rate, _)| rate),
+                Direction::Downlink => scalar.downlink_best(a, b).map(|(rate, _)| rate),
+            };
+            let expected = best.unwrap_or(0.0);
+            assert_eq!(
+                score.to_bits(),
+                expected.to_bits(),
+                "{:?} group [{head}, {a}, {b}]: batch {score}, scalar {expected}",
+                grid.direction()
+            );
+        }
+        routed
+    }
+
+    /// Nearly every group of a random slot grid is scored in lanes: a
+    /// batch that sent every group to the scalar path would match it bit
+    /// for bit and gain nothing.
+    #[test]
+    fn lanes_score_nearly_every_group() {
+        for direction in [Direction::Uplink, Direction::Downlink] {
+            for (clients, seed) in [(8, 11), (17, 12), (8, 13), (17, 14)] {
+                let grid = slot_grid(direction, clients, seed);
+                let (mut groups, mut scalar) = (0, 0);
+                for head in 0..clients {
+                    groups += (clients - 1) * (clients - 2);
+                    scalar += routed(&grid, head).len();
+                }
+                assert!(
+                    scalar * 100 <= groups,
+                    "{direction:?}, {clients} clients: {scalar} of {groups} groups left the lanes"
+                );
+            }
+        }
+    }
+
+    /// Each way a lane leaves the batch, injected through one client's
+    /// link: exactly the groups it touches go to the scalar path, and
+    /// every group keeps its scalar bits.
+    #[test]
+    fn each_fallback_trigger_routes_only_its_own_lanes() {
+        let c = 3;
+        let rank_one = CMat::from_fn(2, 2, |r, k| C64::real(((r + 1) * (k + 1)) as f64));
+        let zero = CMat::zeros(2, 2);
+        let nan = CMat::from_fn(2, 2, |_, _| C64::new(f64::NAN, 0.0));
+        // Maps every vector onto the first axis, so a one-image covariance
+        // is already diagonal and Jacobi stops before any rotation.
+        let axis = CMat::from_fn(2, 2, |r, _| C64::real(if r == 0 { 1.0 } else { 0.0 }));
+        type Touches = fn(usize, usize, usize) -> bool;
+        let as_a: Touches = |c, a, _| a == c;
+        let as_b: Touches = |c, _, b| b == c;
+        let either: Touches = |c, a, b| a == c || b == c;
+        let cases: [(&str, Direction, usize, &CMat, Touches); 6] = [
+            // H(c, AP0)⁻¹ fails where c is the first companion.
+            (
+                "uplink cached inverse",
+                Direction::Uplink,
+                0,
+                &rank_one,
+                as_a,
+            ),
+            // As first companion the inverse fails; as second, to_v2·v3 is
+            // exactly zero and its normalisation fails.
+            ("uplink normalisation", Direction::Uplink, 0, &zero, either),
+            (
+                "uplink non-finite covariance",
+                Direction::Uplink,
+                2,
+                &nan,
+                either,
+            ),
+            (
+                "uplink Jacobi without rotation",
+                Direction::Uplink,
+                2,
+                &axis,
+                either,
+            ),
+            // Hᵈ(AP0, c)⁻¹ fails where c is the first companion.
+            (
+                "downlink cached inverse",
+                Direction::Downlink,
+                0,
+                &rank_one,
+                as_a,
+            ),
+            // The left factor Hᵈ(AP1, c)·… is singular where c is the
+            // second companion.
+            (
+                "downlink cached left inverse",
+                Direction::Downlink,
+                1,
+                &axis,
+                as_b,
+            ),
+        ];
+        for (what, direction, ap, link, touches) in cases {
+            let grid = with_link(&slot_grid(direction, 8, 21), c, ap, link);
+            let routed = routed(&grid, 0);
+            let n = clients(&grid);
+            let expected: Vec<[u16; 2]> = (1..n)
+                .flat_map(|a| (1..n).map(move |b| (a, b)))
+                .filter(|&(a, b)| a != b && touches(c, a, b))
+                .map(|(a, b)| [a as u16, b as u16])
+                .collect();
+            assert_eq!(routed, expected, "{what}");
+        }
+    }
+
+    /// Choices the scalar path makes with a branch and the lanes make with
+    /// a select keep their groups in the lanes: a zero signal image (no
+    /// phase normalisation) and an `eig2` input that is exactly the
+    /// identity (its flat-matrix basis vector).
+    #[test]
+    fn branch_free_choices_stay_in_lanes() {
+        // Downlink: with Hᵈ(AP1, c) = 0, client c as first companion sees
+        // its own packet through a zero link. As second companion the
+        // left factor is singular, so those groups go to the scalar path.
+        let grid = with_link(
+            &slot_grid(Direction::Downlink, 8, 22),
+            3,
+            1,
+            &CMat::zeros(2, 2),
+        );
+        let scalar = routed(&grid, 0);
+        assert!(scalar.iter().all(|&[_, b]| b == 3), "{scalar:?}");
+        assert_eq!(scalar.len(), 6);
+
+        // Uplink: companions 3 and 5 share the links [[1, 0], [1, 1]] to
+        // AP0 and AP1, whose inverse is exact, so the group's eigenproblem
+        // is exactly the identity.
+        let shear = CMat::from_fn(2, 2, |r, k| C64::real(if r >= k { 1.0 } else { 0.0 }));
+        let mut grid = slot_grid(Direction::Uplink, 8, 23);
+        for client in [3, 5] {
+            for ap in [0, 1] {
+                grid = with_link(&grid, client, ap, &shear);
+            }
+        }
+        let inv = shear.inverse().unwrap();
+        let prod = inv.mul_mat(&shear).mul_mat(&inv).mul_mat(&shear);
+        assert_eq!(prod, CMat::identity(2));
+        assert_eq!(routed(&grid, 0), Vec::<[u16; 2]>::new());
     }
 }

@@ -1,11 +1,14 @@
 //! fig15's leader scores every candidate group through one per-slot
 //! [`ScoringContext`], which caches each head- or companion-only term and
-//! decodes the group in place. Its score must equal, bit for bit, what the
-//! optimisers report for the group's cut 3×3 sub-grid (0.0 where they
-//! fail). This test checks every ordered `(head, a, b)` of distinct clients
-//! on uplink and downlink slot grids, one of which carries a singular and a
-//! NaN link. It also pins `best_ap_rate`, which reuses each estimated
-//! link's SVD, against a copy of the version that computed it twice.
+//! scores the groups of a batch side by side in lanes. Each score must
+//! equal, bit for bit, what the optimisers report for the group's cut 3×3
+//! sub-grid (0.0 where they fail). This test checks every ordered
+//! `(head, a, b)` of distinct clients on uplink and downlink slot grids,
+//! in batches of every length around the lane count and in shuffled
+//! orders, and on a grid carrying singular, NaN, infinite, zero and
+//! extreme-magnitude links. It also pins `best_ap_rate`, which reuses each
+//! estimated link's SVD, against a copy of the version that computed it
+//! twice.
 
 use iac_channel::estimation::EstimationConfig;
 use iac_core::baseline::{best_ap_rate, eigenmode_rate};
@@ -76,28 +79,57 @@ fn with_link(grid: &ChannelGrid, client: usize, ap: usize, link: CMat) -> Channe
     ChannelGrid::new(grid.direction(), h)
 }
 
-/// Score every ordered group of distinct clients, one context per head and
-/// every companion pair through it, and compare with the reference. Groups
+/// Batch lengths: one pair, a short, a full and a one-over chunk, a
+/// quick-size slot (7 × 6 companion pairs) and a paper-size one (16 × 15).
+const BATCHES: [usize; 6] = [
+    1,
+    ScoringContext::LANES - 1,
+    ScoringContext::LANES,
+    ScoringContext::LANES + 1,
+    42,
+    240,
+];
+
+/// Score every ordered group of distinct clients and compare with the
+/// reference. For each head and each batch length the companion pairs are
+/// shuffled and scored, batch by batch, through one fresh context. Groups
 /// `unscorable` names must score 0.0.
 fn check(grid: &ChannelGrid, unscorable: impl Fn([usize; 3]) -> bool) {
     let clients = match grid.direction() {
         Direction::Uplink => grid.transmitters(),
         Direction::Downlink => grid.receivers(),
     };
+    let mut rng = Rng64::new(clients as u64);
     for head in 0..clients {
-        let mut context = ScoringContext::new(grid, head, POWER, NOISE);
-        for a in (0..clients).filter(|&a| a != head) {
-            for b in (0..clients).filter(|&b| b != head && b != a) {
-                let fast = context.score(a, b);
-                let slow = reference_score(grid, [head, a, b]);
-                assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "{:?} group [{head}, {a}, {b}]: context {fast}, sub-grid {slow}",
-                    grid.direction()
-                );
-                if unscorable([head, a, b]) {
-                    assert_eq!(fast, 0.0, "{:?} group [{head}, {a}, {b}]", grid.direction());
+        let mut pairs: Vec<[u16; 2]> = (0..clients as u16)
+            .flat_map(|a| (0..clients as u16).map(move |b| [a, b]))
+            .filter(|&[a, b]| a != b && usize::from(a) != head && usize::from(b) != head)
+            .collect();
+        let slow: std::collections::HashMap<[u16; 2], f64> = pairs
+            .iter()
+            .map(|&[a, b]| {
+                let group = [head, usize::from(a), usize::from(b)];
+                ([a, b], reference_score(grid, group))
+            })
+            .collect();
+        for batch in BATCHES {
+            rng.shuffle(&mut pairs);
+            let mut context = ScoringContext::new(grid, head, POWER, NOISE);
+            for chunk in pairs.chunks(batch) {
+                let mut fast = vec![f64::NAN; chunk.len()];
+                context.score_batch(chunk, &mut fast);
+                for (&[a, b], fast) in chunk.iter().zip(fast) {
+                    let slow = slow[&[a, b]];
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "{:?} group [{head}, {a}, {b}], batch of {batch}: context {fast}, \
+                         sub-grid {slow}",
+                        grid.direction()
+                    );
+                    if unscorable([head, usize::from(a), usize::from(b)]) {
+                        assert_eq!(fast, 0.0, "{:?} group [{head}, {a}, {b}]", grid.direction());
+                    }
                 }
             }
         }
@@ -120,17 +152,36 @@ fn context_matches_sub_grid_downlink() {
 
 /// A rank-one link and a NaN link. Every group that inverts the rank-one
 /// link, and every group that holds the NaN link, scores 0.0; every group
-/// still matches the sub-grid bit for bit.
+/// still matches the sub-grid bit for bit. Next to them sit links that
+/// are +∞, −∞, all zero, and random at 1e150 and 1e-150: products and
+/// covariances of these overflow or underflow, which sends their groups
+/// through every error and fallback path.
 #[test]
 fn context_matches_sub_grid_with_singular_and_nan_links() {
     let rank_one = CMat::from_fn(2, 2, |r, c| C64::real(((r + 1) * (c + 1)) as f64));
     let nan = CMat::from_fn(2, 2, |_, _| C64::new(f64::NAN, 0.0));
+    let inf =
+        |sign: f64| CMat::from_fn(2, 2, |r, c| C64::new(sign * f64::INFINITY, (r + c) as f64));
+    let mut rng = Rng64::new(8);
+    let huge = CMat::random(2, 2, &mut rng).scale(1e150);
+    let tiny = CMat::random(2, 2, &mut rng).scale(1e-150);
     let (singular, poisoned) = (2, 5);
+    // (client, AP, link) in the grid's direction.
+    let others = [
+        (1, 1, inf(1.0)),
+        (3, 2, inf(-1.0)),
+        (4, 1, CMat::zeros(2, 2)),
+        (6, 0, huge),
+        (7, 2, tiny),
+    ];
     for direction in [Direction::Uplink, Direction::Downlink] {
         // Both replace the client's link with AP0. The uplink inverts
         // H(head, AP0) and H(a, AP0); the downlink inverts Hᵈ(AP0, a).
         let grid = with_link(&slot_grid(direction, 8, 5), singular, 0, rank_one.clone());
-        let grid = with_link(&grid, poisoned, 0, nan.clone());
+        let mut grid = with_link(&grid, poisoned, 0, nan.clone());
+        for (client, ap, link) in &others {
+            grid = with_link(&grid, *client, *ap, link.clone());
+        }
         check(&grid, |[head, a, b]| {
             let inverted = match direction {
                 Direction::Uplink => head == singular || a == singular,

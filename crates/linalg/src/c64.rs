@@ -97,7 +97,7 @@ impl C64 {
 
     /// Principal square root.
     #[inline]
-    pub(crate) fn sqrt(self) -> Self {
+    pub fn sqrt(self) -> Self {
         let r = self.abs();
         if r == 0.0 {
             return Self::zero();

@@ -274,11 +274,8 @@ pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
                 let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
                 let mut context =
                     ScoringContext::new(&slot_est, head as usize, PER_NODE_POWER, NOISE);
-                let mut score = |pairs: &[[u16; 2]], scores: &mut [f64]| {
-                    for (s, &[a, b]) in scores.iter_mut().zip(pairs) {
-                        *s = context.score(a as usize, b as usize);
-                    }
-                };
+                let mut score =
+                    |pairs: &[[u16; 2]], scores: &mut [f64]| context.score_batch(pairs, scores);
                 let companions = policy.select(head, &candidates, &mut score, &mut policy_rng);
                 let mut group = vec![head];
                 group.extend(companions);
