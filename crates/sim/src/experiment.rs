@@ -5,10 +5,26 @@
 //! measure per-packet post-processing SINRs, convert through Eq. 9, and
 //! compare averages (Eq. 10). The slot primitives here are those building
 //! blocks; the `scenarios` modules wire them into the specific figures.
+//!
+//! The per-slot measurement chain is written once, here, in two helpers:
+//!
+//! - `iac_decode` is the IAC side: align on the leader's estimate, decode
+//!   on the true grid, return every packet's SINR;
+//! - `best_ap` is the 802.11-MIMO side: one client alone on the AP its
+//!   estimated links predict best, with `client_links` reading that
+//!   client's links by the grid's direction.
+//!
+//! Their callers keep only their own reduce: fig12, fig13 and fig17 (the
+//! clustered mesh) through `baseline_slot` and the `iac_*_slot` functions,
+//! as do the estimation and similarity ablations; fig14's best-AP
+//! baseline; fig15's TDMA baseline and per-client IAC rates; and the DES
+//! PHY calibration (`netsim`'s `calibrate_iac_pool` and
+//! `calibrate_mimo_pool`). `draw_slot` draws a testbed slot's grid
+//! and its estimate.
 
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
-use iac_core::decoder::{equal_split_powers, IacDecoder};
+use iac_core::decoder::{equal_split_powers, DecodeOutcome, IacDecoder};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_core::{baseline, optimize};
 use iac_linalg::{CMat, Rng64};
@@ -103,41 +119,62 @@ pub(crate) fn permute_transmitters(grid: &ChannelGrid, order: &[usize]) -> Chann
     ChannelGrid::new(grid.direction(), h)
 }
 
-/// 802.11-MIMO uplink slot: each client alone on its best AP; with the TDMA
-/// budget split evenly, the slot-average rate is the mean over clients.
-pub(crate) fn baseline_uplink_slot(grid_true: &ChannelGrid, grid_est: &ChannelGrid) -> f64 {
-    debug_assert_eq!(grid_true.direction(), Direction::Uplink);
-    let mut acc = 0.0;
-    for c in 0..grid_true.transmitters() {
-        let links_true: Vec<CMat> = (0..grid_true.receivers())
-            .map(|a| grid_true.link(c, a).clone())
-            .collect();
-        let links_est: Vec<CMat> = (0..grid_true.receivers())
-            .map(|a| grid_est.link(c, a).clone())
-            .collect();
-        // A degenerate link scores 0.0.
-        acc += baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
-            .map_or(0.0, |(_, rate, _)| rate);
+/// Client `c`'s links to every AP of `grid`, read by the grid's direction:
+/// `link(c, a)` on the uplink, `link(a, c)` on the downlink.
+pub(crate) fn client_links(grid: &ChannelGrid, c: usize) -> Vec<CMat> {
+    match grid.direction() {
+        Direction::Uplink => (0..grid.receivers())
+            .map(|a| grid.link(c, a).clone())
+            .collect(),
+        Direction::Downlink => (0..grid.transmitters())
+            .map(|a| grid.link(a, c).clone())
+            .collect(),
     }
-    acc / grid_true.transmitters() as f64
 }
 
-/// 802.11-MIMO downlink slot: each client downloads from its best AP.
-pub(crate) fn baseline_downlink_slot(grid_true: &ChannelGrid, grid_est: &ChannelGrid) -> f64 {
-    debug_assert_eq!(grid_true.direction(), Direction::Downlink);
+/// The 802.11-MIMO side of a §10(e) slot: one client alone on the AP its
+/// estimated links `links_est` predict best, realised on its true links
+/// (both as [`client_links`] reads them). Returns that AP, the Eq. 9 rate
+/// and the per-stream SINRs.
+pub(crate) fn best_ap(
+    links_true: &[CMat],
+    links_est: &[CMat],
+) -> iac_linalg::Result<(usize, f64, Vec<f64>)> {
+    baseline::best_ap_rate(links_true, links_est, PER_NODE_POWER, NOISE)
+}
+
+/// 802.11-MIMO slot: each client alone on its best AP; with the TDMA
+/// budget split evenly, the slot-average rate is the mean over clients.
+pub(crate) fn baseline_slot(grid_true: &ChannelGrid, grid_est: &ChannelGrid) -> f64 {
+    let clients = match grid_true.direction() {
+        Direction::Uplink => grid_true.transmitters(),
+        Direction::Downlink => grid_true.receivers(),
+    };
     let mut acc = 0.0;
-    for c in 0..grid_true.receivers() {
-        let links_true: Vec<CMat> = (0..grid_true.transmitters())
-            .map(|a| grid_true.link(a, c).clone())
-            .collect();
-        let links_est: Vec<CMat> = (0..grid_true.transmitters())
-            .map(|a| grid_est.link(a, c).clone())
-            .collect();
+    for c in 0..clients {
         // A degenerate link scores 0.0.
-        acc += baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
+        acc += best_ap(&client_links(grid_true, c), &client_links(grid_est, c))
             .map_or(0.0, |(_, rate, _)| rate);
     }
-    acc / grid_true.receivers() as f64
+    acc / clients as f64
+}
+
+/// One slot's channels between `clients` and `aps` in `direction`, then
+/// the leader's estimate of them, both drawn from `rng` in that order.
+pub(crate) fn draw_slot(
+    testbed: &Testbed,
+    direction: Direction,
+    clients: &[usize],
+    aps: &[usize],
+    est: &EstimationConfig,
+    rng: &mut Rng64,
+) -> (ChannelGrid, ChannelGrid) {
+    let grid = match direction {
+        Direction::Uplink => testbed.uplink_grid(clients, aps, rng),
+        Direction::Downlink => testbed.downlink_grid(aps, clients, rng),
+    };
+    let grid_est = grid.estimated(est, rng);
+    (grid, grid_est)
 }
 
 /// IAC 3-packet uplink slot (Fig. 4b), with the paper's role alternation:
@@ -151,7 +188,7 @@ pub(crate) fn iac_uplink3_slot(
     for order in [&[0usize, 1][..], &[1usize, 0][..]] {
         let gt = permute_transmitters(grid_true, order);
         let ge = permute_transmitters(grid_est, order);
-        acc += iac_rate_for(&gt, &ge, rng, IacShape::Uplink3);
+        acc += iac_decode(&gt, &ge, IacShape::Uplink3, rng).map_or(0.0, |o| o.rate_bits_per_hz());
     }
     acc / 2.0
 }
@@ -170,7 +207,7 @@ pub(crate) fn iac_uplink4_slot(
     let order: Vec<usize> = (0..n).map(|k| (double_client + k) % n).collect();
     let gt = permute_transmitters(grid_true, &order);
     let ge = permute_transmitters(grid_est, &order);
-    iac_rate_for(&gt, &ge, rng, IacShape::Uplink4)
+    iac_decode(&gt, &ge, IacShape::Uplink4, rng).map_or(0.0, |o| o.rate_bits_per_hz())
 }
 
 /// IAC 3-packet downlink slot (Fig. 6).
@@ -179,21 +216,33 @@ pub(crate) fn iac_downlink3_slot(
     grid_est: &ChannelGrid,
     rng: &mut Rng64,
 ) -> f64 {
-    iac_rate_for(grid_true, grid_est, rng, IacShape::Downlink3)
+    iac_decode(grid_true, grid_est, IacShape::Downlink3, rng).map_or(0.0, |o| o.rate_bits_per_hz())
 }
 
-enum IacShape {
+/// The alignment an IAC slot runs.
+pub(crate) enum IacShape {
+    /// Two clients, three packets (Fig. 4b): `optimize::uplink3_optimized`.
     Uplink3,
+    /// Three clients, four packets, client 0 sending two (Fig. 5):
+    /// `optimize::uplink4_optimized`.
     Uplink4,
+    /// Three APs, three packets (Fig. 6): `optimize::downlink3_optimized`.
     Downlink3,
 }
 
-fn iac_rate_for(
+/// The IAC side of a §10(e) slot: align with `shape` on the leader's
+/// estimate `grid_est`, then decode on the true grid `grid_true`, where
+/// cancellation subtracts what the estimate predicts. `None` when the
+/// alignment or the decode fails on a degenerate draw; the leader would
+/// fall back to plain MIMO, and every caller counts that slot as no IAC
+/// rate, which is pessimistic for IAC and therefore safe. Only
+/// [`IacShape::Uplink3`] draws from `rng` (its seed candidates).
+pub(crate) fn iac_decode(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
-    rng: &mut Rng64,
     shape: IacShape,
-) -> f64 {
+    rng: &mut Rng64,
+) -> Option<DecodeOutcome> {
     let config = match shape {
         IacShape::Uplink3 => optimize::uplink3_optimized(
             grid_est,
@@ -204,13 +253,8 @@ fn iac_rate_for(
         ),
         IacShape::Uplink4 => optimize::uplink4_optimized(grid_est, PER_NODE_POWER, NOISE),
         IacShape::Downlink3 => optimize::downlink3_optimized(grid_est, PER_NODE_POWER, NOISE),
-    };
-    let Ok(config) = config else {
-        // Degenerate channel draw (singular estimate): the leader would fall
-        // back to plain MIMO; report zero IAC rate for this slot, which is
-        // pessimistic for IAC and therefore safe.
-        return 0.0;
-    };
+    }
+    .ok()?;
     let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
     IacDecoder {
         true_grid: grid_true,
@@ -221,8 +265,7 @@ fn iac_rate_for(
         noise_power: NOISE,
     }
     .decode()
-    .map(|o| o.rate_bits_per_hz())
-    .unwrap_or(0.0)
+    .ok()
 }
 
 /// Run a generic pick loop: `slot_fn(testbed, rng) -> ScatterPoint-components`
@@ -267,7 +310,7 @@ mod tests {
             let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
             let g = tb.uplink_grid(&clients, &aps, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            acc += baseline_uplink_slot(&g, &e);
+            acc += baseline_slot(&g, &e);
         }
         let avg = acc / n as f64;
         // Fig. 12's x-axis: roughly 4–13 b/s/Hz.
@@ -285,7 +328,7 @@ mod tests {
             let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
             let g = tb.uplink_grid(&clients, &aps, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            base += baseline_uplink_slot(&g, &e);
+            base += baseline_slot(&g, &e);
             iac += iac_uplink3_slot(&g, &e, &mut rng);
         }
         let gain = iac / base;
@@ -304,7 +347,7 @@ mod tests {
             let (aps, clients) = tb.pick_roles(3, 3, &mut rng);
             let g = tb.downlink_grid(&aps, &clients, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
-            base += baseline_downlink_slot(&g, &e);
+            base += baseline_slot(&g, &e);
             iac += iac_downlink3_slot(&g, &e, &mut rng);
         }
         let gain = iac / base;
@@ -326,6 +369,81 @@ mod tests {
         assert!((r0 - r1).abs() > 1e-9, "rotation had no effect");
     }
 
+    /// `grid`'s links with the roles swapped: the same matrices, read as
+    /// a grid of the other direction.
+    fn swapped(grid: &ChannelGrid) -> ChannelGrid {
+        let direction = match grid.direction() {
+            Direction::Uplink => Direction::Downlink,
+            Direction::Downlink => Direction::Uplink,
+        };
+        let h = (0..grid.receivers())
+            .map(|r| {
+                (0..grid.transmitters())
+                    .map(|t| grid.link(t, r).clone())
+                    .collect()
+            })
+            .collect();
+        ChannelGrid::new(direction, h)
+    }
+
+    #[test]
+    fn best_ap_reads_the_client_links_by_direction() {
+        let (tb, mut rng) = fixture(8);
+        let cfg = ExperimentConfig::quick(8);
+        for _ in 0..10 {
+            let (aps, clients) = tb.pick_roles(3, 2, &mut rng);
+            let (up, up_est) =
+                draw_slot(&tb, Direction::Uplink, &clients, &aps, &cfg.est, &mut rng);
+            let (down, down_est) = (swapped(&up), swapped(&up_est));
+            assert_eq!(down.direction(), Direction::Downlink);
+            for c in 0..clients.len() {
+                assert_eq!(client_links(&up, c), client_links(&down, c));
+                let (ap_u, rate_u, sinrs_u) =
+                    best_ap(&client_links(&up, c), &client_links(&up_est, c)).unwrap();
+                let (ap_d, rate_d, sinrs_d) =
+                    best_ap(&client_links(&down, c), &client_links(&down_est, c)).unwrap();
+                assert_eq!(ap_u, ap_d);
+                assert_eq!(rate_u.to_bits(), rate_d.to_bits());
+                let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sinrs_u), bits(&sinrs_d));
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_slot_matches_the_per_direction_formulas() {
+        // The uplink and downlink slots as they were written before the two
+        // merged into `baseline_slot`.
+        fn reference(gt: &ChannelGrid, ge: &ChannelGrid) -> f64 {
+            let uplink = gt.direction() == Direction::Uplink;
+            let (clients, aps) = if uplink {
+                (gt.transmitters(), gt.receivers())
+            } else {
+                (gt.receivers(), gt.transmitters())
+            };
+            let link = |g: &ChannelGrid, c: usize, a: usize| {
+                if uplink { g.link(c, a) } else { g.link(a, c) }.clone()
+            };
+            let mut acc = 0.0;
+            for c in 0..clients {
+                let links_true: Vec<CMat> = (0..aps).map(|a| link(gt, c, a)).collect();
+                let links_est: Vec<CMat> = (0..aps).map(|a| link(ge, c, a)).collect();
+                acc += baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
+                    .map_or(0.0, |(_, rate, _)| rate);
+            }
+            acc / clients as f64
+        }
+        let (tb, mut rng) = fixture(9);
+        let cfg = ExperimentConfig::quick(9);
+        for direction in [Direction::Uplink, Direction::Downlink] {
+            for (n_aps, n_clients) in [(2, 2), (3, 3), (2, 3), (3, 1)] {
+                let (aps, clients) = tb.pick_roles(n_aps, n_clients, &mut rng);
+                let (g, e) = draw_slot(&tb, direction, &clients, &aps, &cfg.est, &mut rng);
+                assert_eq!(baseline_slot(&g, &e).to_bits(), reference(&g, &e).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn scatter_point_gain() {
         let p = ScatterPoint {
@@ -344,7 +462,7 @@ mod tests {
                 let g = tb.uplink_grid(&clients, &aps, rng);
                 let e = g.estimated(&cfg.est, rng);
                 ScatterPoint {
-                    baseline: baseline_uplink_slot(&g, &e),
+                    baseline: baseline_slot(&g, &e),
                     iac: iac_uplink3_slot(&g, &e, rng),
                 }
             })

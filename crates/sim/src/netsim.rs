@@ -9,30 +9,38 @@
 //! observing engine lane, or the replay CLI), a live or replayed run writes
 //! its `des.*` and `mac.*` telemetry into it once the run has finished.
 
+use crate::experiment::{best_ap, client_links, draw_slot, iac_decode, IacShape};
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
-use iac_core::baseline;
-use iac_core::decoder::{equal_split_powers, IacDecoder};
-use iac_core::optimize;
+use iac_core::grid::Direction;
 use iac_des::fault::{FaultAt, FaultInjector};
 use iac_des::net::{NetEvent, TrafficSource, WiredSink};
 use iac_des::pcf::{EventPcf, EventPcfConfig};
 use iac_des::traffic::ArrivalProcess;
 use iac_des::{MetricsLog, SharedMetrics, SimTime, Simulation};
-use iac_linalg::{CMat, Rng64};
+use iac_linalg::Rng64;
 use iac_mac::pcf::{PacketResult, PhyOutcome};
 use iac_obs::Registry;
 
+/// SINR a packet must exceed to count as delivered: the CRC proxy, as in
+/// the end-to-end tests.
+const SINR_THRESHOLD: f64 = 0.5;
+
+/// Probability that a packet above [`SINR_THRESHOLD`] is lost anyway, to
+/// effects the SINR pool does not model.
+const EXTRA_LOSS: f64 = 0.01;
+
+/// APs a packet result is attributed to, uniformly: the MAC's
+/// `PcfConfig::default().n_aps`, which no scenario changes.
+const N_APS: u16 = 3;
+
 /// A PHY whose per-packet post-processing SINRs are drawn from an empirical
 /// pool (see `calibrate_iac_pool` / `calibrate_mimo_pool`). Packet
-/// success is `SINR > threshold` (CRC proxy, as in the end-to-end tests)
-/// with an optional extra loss probability for un-modelled effects.
+/// success is `SINR > SINR_THRESHOLD` (CRC proxy) with an extra loss
+/// probability `EXTRA_LOSS` for un-modelled effects.
 #[derive(Debug, Clone)]
 pub struct CalibratedPhy {
     pool: Vec<f64>,
-    threshold: f64,
-    extra_loss: f64,
-    n_aps: u16,
     /// Pool used for standalone-MIMO fallback groups (one client, several
     /// streams) when the MAC has dissolved IAC grouping. `None` keeps the
     /// primary pool for every group shape.
@@ -48,14 +56,10 @@ pub struct CalibratedPhy {
 
 impl CalibratedPhy {
     /// Build from a non-empty SINR pool.
-    pub(crate) fn new(pool: Vec<f64>, threshold: f64, extra_loss: f64, n_aps: u16) -> Self {
+    pub(crate) fn new(pool: Vec<f64>) -> Self {
         assert!(!pool.is_empty(), "empty SINR pool");
-        assert!((0.0..1.0).contains(&extra_loss));
         Self {
             pool,
-            threshold,
-            extra_loss,
-            n_aps,
             fallback_pool: None,
             aging_penalty_db_per_slot: 0.0,
             age_slots: 0,
@@ -93,7 +97,6 @@ impl CalibratedPhy {
         } else {
             0.0
         };
-        let (threshold, extra_loss, n_aps) = (self.threshold, self.extra_loss, self.n_aps);
         clients
             .iter()
             .map(|&c| {
@@ -101,13 +104,13 @@ impl CalibratedPhy {
                 if penalty > 0.0 {
                     sinr *= 10f64.powf(-penalty / 10.0);
                 }
-                let lost = rng.next_f64() < extra_loss;
+                let lost = rng.next_f64() < EXTRA_LOSS;
                 PacketResult {
                     client: c,
                     seq: 0,
                     sinr,
-                    ok: sinr > threshold && !lost,
-                    ap: (rng.next_u64() % n_aps as u64) as u16,
+                    ok: sinr > SINR_THRESHOLD && !lost,
+                    ap: (rng.next_u64() % N_APS as u64) as u16,
                 }
             })
             .collect()
@@ -129,7 +132,8 @@ impl PhyOutcome for CalibratedPhy {
 /// Sample the post-processing SINR distribution of 3-packet IAC groups on
 /// testbed channels: per draw, three random clients and three APs, channels
 /// estimated with error, closed-form + optimised alignment, and the
-/// cross-AP successive decode — exactly the §10(e) measurement chain.
+/// cross-AP successive decode — the §10(e) measurement chain,
+/// `experiment::iac_decode`.
 pub(crate) fn calibrate_iac_pool(
     testbed: &Testbed,
     est: &EstimationConfig,
@@ -139,24 +143,10 @@ pub(crate) fn calibrate_iac_pool(
     let mut pool = Vec::with_capacity(draws * 3);
     for _ in 0..draws {
         let (aps, clients) = testbed.pick_roles(3, 3, rng);
-        let grid = testbed.downlink_grid(&aps, &clients, rng);
-        let est_grid = grid.estimated(est, rng);
-        let Ok(config) = optimize::downlink3_optimized(&est_grid, 1.0, 1.0) else {
-            continue;
-        };
-        let powers = equal_split_powers(&config.schedule, 1.0);
-        let Ok(out) = (IacDecoder {
-            true_grid: &grid,
-            est_grid: &est_grid,
-            schedule: &config.schedule,
-            encoding: &config.encoding,
-            packet_power: powers,
-            noise_power: 1.0,
-        })
-        .decode() else {
-            continue;
-        };
-        pool.extend(out.sinrs.iter().map(|p| p.sinr));
+        let (grid, est_grid) = draw_slot(testbed, Direction::Downlink, &clients, &aps, est, rng);
+        if let Some(out) = iac_decode(&grid, &est_grid, IacShape::Downlink3, rng) {
+            pool.extend(out.sinrs.iter().map(|p| p.sinr));
+        }
     }
     assert!(!pool.is_empty(), "calibration produced no SINR samples");
     pool
@@ -175,12 +165,9 @@ pub(crate) fn calibrate_mimo_pool(
     let mut pool = Vec::with_capacity(draws * 2);
     for _ in 0..draws {
         let (aps, clients) = testbed.pick_roles(3, 1, rng);
-        let grid = testbed.uplink_grid(&clients, &aps, rng);
-        let est_grid = grid.estimated(est, rng);
-        let links_true: Vec<CMat> = (0..3).map(|a| grid.link(0, a).clone()).collect();
-        let links_est: Vec<CMat> = (0..3).map(|a| est_grid.link(0, a).clone()).collect();
+        let (grid, est_grid) = draw_slot(testbed, Direction::Uplink, &clients, &aps, est, rng);
         // A degenerate link carries no stream, so it adds no sample.
-        if let Ok((_, _, sinrs)) = baseline::best_ap_rate(&links_true, &links_est, 1.0, 1.0) {
+        if let Ok((_, _, sinrs)) = best_ap(&client_links(&grid, 0), &client_links(&est_grid, 0)) {
             pool.extend(sinrs);
         }
     }
@@ -459,7 +446,7 @@ mod tests {
                 .collect(),
             faults: vec![],
         };
-        let out = run_netsim(&spec, CalibratedPhy::new(iac, 0.5, 0.01, 3));
+        let out = run_netsim(&spec, CalibratedPhy::new(iac));
         assert!(out.log.offered > 20, "offered {}", out.log.offered);
         assert!(
             out.log.delivered_count(true) as f64 >= 0.5 * out.log.offered as f64,

@@ -8,7 +8,7 @@
 //! * **Client-channel similarity** — the §10.1 variance explanation: similar
 //!   client channels squeeze the alignment and shrink the gain.
 
-use crate::experiment::{baseline_uplink_slot, iac_uplink3_slot, ExperimentConfig};
+use crate::experiment::{baseline_slot, draw_slot, iac_uplink3_slot, ExperimentConfig};
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
 use iac_core::decoder::{equal_split_powers, IacDecoder};
@@ -46,9 +46,8 @@ pub(crate) fn estimation_sweep(seed: u64, slots: usize) -> EstimationSweep {
         let mut iac = 0.0;
         for _ in 0..cfg.slots {
             let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
-            let g = tb.uplink_grid(&clients, &aps, &mut rng);
-            let e = g.estimated(&cfg.est, &mut rng);
-            base += baseline_uplink_slot(&g, &e);
+            let (g, e) = draw_slot(&tb, Direction::Uplink, &clients, &aps, &cfg.est, &mut rng);
+            base += baseline_slot(&g, &e);
             iac += iac_uplink3_slot(&g, &e, &mut rng);
         }
         points.push((snr, iac / base));
@@ -87,7 +86,7 @@ pub(crate) fn similarity_sweep(seed: u64, slots: usize) -> SimilaritySweep {
                 .collect();
             let grid = ChannelGrid::new(Direction::Uplink, vec![h1.clone(), h2.clone()]);
             let est = grid.estimated(&cfg.est, &mut rng);
-            base += baseline_uplink_slot(&grid, &est);
+            base += baseline_slot(&grid, &est);
             iac += iac_uplink3_slot(&grid, &est, &mut rng);
         }
         points.push((lambda, iac / base));

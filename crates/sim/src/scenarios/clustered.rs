@@ -8,7 +8,7 @@
 //! role), so two senders in cluster A and two receivers in cluster B form
 //! exactly the 2-client/2-AP uplink of Fig. 4b across the bottleneck.
 
-use crate::experiment::{baseline_uplink_slot, iac_uplink3_slot, ExperimentConfig};
+use crate::experiment::{baseline_slot, iac_uplink3_slot, ExperimentConfig};
 use iac_core::grid::{ChannelGrid, Direction};
 use iac_linalg::Rng64;
 
@@ -51,7 +51,7 @@ pub fn run(cfg: &ExperimentConfig, inter_cluster_snr_db: f64, intra_rate: f64) -
         let grid = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng)
             .with_amplitudes(|_, _| amp);
         let est = grid.estimated(&cfg.est, &mut rng);
-        base += baseline_uplink_slot(&grid, &est);
+        base += baseline_slot(&grid, &est);
         iac += iac_uplink3_slot(&grid, &est, &mut rng);
     }
     ClusteredReport {

@@ -123,7 +123,7 @@ fn phy_for(config: &CampusConfig) -> CalibratedPhy {
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
     let pool = netsim::calibrate_iac_pool(&testbed, &est, config.calibration_draws, &mut rng);
-    CalibratedPhy::new(pool, 0.5, 0.01, 3)
+    CalibratedPhy::new(pool)
 }
 
 /// The declarative run description for `config`: sources (with churn

@@ -196,19 +196,9 @@ fn phys_for(config: &LoadSweepConfig) -> (CalibratedPhy, CalibratedPhy) {
     let mut rng = Rng64::new(config.seed);
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
-    let iac_phy = CalibratedPhy::new(
-        netsim::calibrate_iac_pool(&testbed, &est, config.calibration_draws, &mut rng),
-        0.5,
-        0.01,
-        3,
-    );
-    let mimo_phy = CalibratedPhy::new(
-        netsim::calibrate_mimo_pool(&testbed, &est, config.calibration_draws, &mut rng),
-        0.5,
-        0.01,
-        3,
-    );
-    (iac_phy, mimo_phy)
+    let iac = netsim::calibrate_iac_pool(&testbed, &est, config.calibration_draws, &mut rng);
+    let mimo = netsim::calibrate_mimo_pool(&testbed, &est, config.calibration_draws, &mut rng);
+    (CalibratedPhy::new(iac), CalibratedPhy::new(mimo))
 }
 
 /// The sweep's runs: IAC then 802.11-MIMO at each load, loads ascending.

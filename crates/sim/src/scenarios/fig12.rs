@@ -8,9 +8,10 @@
 //! with significant variance driven by client-channel similarity.
 
 use crate::experiment::{
-    baseline_uplink_slot, iac_uplink3_slot, run_picks, ExperimentConfig, ScatterPoint,
+    baseline_slot, draw_slot, iac_uplink3_slot, run_picks, ExperimentConfig, ScatterPoint,
 };
 use crate::stats::{mean, render_scatter, Summary};
+use iac_core::grid::Direction;
 
 /// The figure's data.
 #[derive(Debug, Clone)]
@@ -38,9 +39,8 @@ pub fn run(cfg: &ExperimentConfig) -> Fig12Report {
         let mut base = 0.0;
         let mut iac = 0.0;
         for _ in 0..cfg.slots {
-            let grid = tb.uplink_grid(&clients, &aps, rng);
-            let est = grid.estimated(&cfg.est, rng);
-            base += baseline_uplink_slot(&grid, &est);
+            let (grid, est) = draw_slot(tb, Direction::Uplink, &clients, &aps, &cfg.est, rng);
+            base += baseline_slot(&grid, &est);
             iac += iac_uplink3_slot(&grid, &est, rng);
         }
         ScatterPoint {

@@ -5,8 +5,8 @@
 //! client; paper headline **1.4×**. Gains hold "at both low and high rates".
 
 use crate::experiment::{
-    baseline_downlink_slot, baseline_uplink_slot, iac_downlink3_slot, iac_uplink4_slot, run_picks,
-    ExperimentConfig, ScatterPoint,
+    baseline_slot, draw_slot, iac_downlink3_slot, iac_uplink4_slot, run_picks, ExperimentConfig,
+    ScatterPoint,
 };
 use crate::stats::{mean, render_scatter, Summary};
 use iac_core::grid::Direction;
@@ -50,20 +50,12 @@ pub fn run(cfg: &ExperimentConfig, direction: Direction) -> Fig13Report {
         let mut base = 0.0;
         let mut iac = 0.0;
         for slot in 0..cfg.slots {
-            match direction {
-                Direction::Uplink => {
-                    let grid = tb.uplink_grid(&clients, &aps, rng);
-                    let est = grid.estimated(&cfg.est, rng);
-                    base += baseline_uplink_slot(&grid, &est);
-                    iac += iac_uplink4_slot(&grid, &est, slot % 3, rng);
-                }
-                Direction::Downlink => {
-                    let grid = tb.downlink_grid(&aps, &clients, rng);
-                    let est = grid.estimated(&cfg.est, rng);
-                    base += baseline_downlink_slot(&grid, &est);
-                    iac += iac_downlink3_slot(&grid, &est, rng);
-                }
-            }
+            let (grid, est) = draw_slot(tb, direction, &clients, &aps, &cfg.est, rng);
+            base += baseline_slot(&grid, &est);
+            iac += match direction {
+                Direction::Uplink => iac_uplink4_slot(&grid, &est, slot % 3, rng),
+                Direction::Downlink => iac_downlink3_slot(&grid, &est, rng),
+            };
         }
         ScatterPoint {
             baseline: base / cfg.slots as f64,

@@ -5,11 +5,13 @@
 //! double with IAC." The leader compares delivering both packets from either
 //! AP against one packet from each, and picks by predicted capacity (§10.2).
 
-use crate::experiment::{ExperimentConfig, ScatterPoint, NOISE, PER_NODE_POWER};
+use crate::experiment::{
+    best_ap, client_links, draw_slot, ExperimentConfig, ScatterPoint, NOISE, PER_NODE_POWER,
+};
 use crate::stats::{mean, render_scatter, Summary};
 use crate::testbed::Testbed;
-use iac_core::baseline::best_ap_rate;
 use iac_core::diversity::{best_downlink_option, DiversityOption};
+use iac_core::grid::Direction;
 use iac_linalg::{CMat, Rng64};
 
 /// The figure's data.
@@ -54,22 +56,21 @@ pub fn run(cfg: &ExperimentConfig) -> Fig14Report {
     let mut options = 0usize;
     for _ in 0..cfg.picks {
         let (aps, clients) = testbed.pick_roles(2, 1, &mut rng);
-        let client = clients[0];
         let mut base = 0.0;
         let mut iac = 0.0;
         for _ in 0..cfg.slots {
-            let grid = testbed.downlink_grid(&aps, &[client], &mut rng);
-            let est = grid.estimated(&cfg.est, &mut rng);
-            let links_true: [CMat; 2] = [grid.link(0, 0).clone(), grid.link(1, 0).clone()];
-            let links_est: [CMat; 2] = [est.link(0, 0).clone(), est.link(1, 0).clone()];
+            let (grid, est) = draw_slot(
+                &testbed,
+                Direction::Downlink,
+                &clients,
+                &aps,
+                &cfg.est,
+                &mut rng,
+            );
+            let links_true: [CMat; 2] = client_links(&grid, 0).try_into().expect("two APs");
+            let links_est: [CMat; 2] = client_links(&est, 0).try_into().expect("two APs");
             // A degenerate link scores 0.0.
-            base += best_ap_rate(
-                links_true.as_ref(),
-                links_est.as_ref(),
-                PER_NODE_POWER,
-                NOISE,
-            )
-            .map_or(0.0, |(_, rate, _)| rate);
+            base += best_ap(&links_true, &links_est).map_or(0.0, |(_, rate, _)| rate);
             match best_downlink_option(&links_true, &links_est, PER_NODE_POWER, NOISE) {
                 Ok(out) => {
                     iac += out.rate;

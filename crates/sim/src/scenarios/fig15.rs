@@ -8,16 +8,19 @@
 //! (some clients fall below 1×), best-of-two has the best
 //! fairness-throughput tradeoff.
 
-use crate::experiment::{ExperimentConfig, NOISE, PER_NODE_POWER};
+use crate::experiment::{
+    best_ap, client_links, draw_slot, iac_decode, ExperimentConfig, IacShape, NOISE, PER_NODE_POWER,
+};
 use crate::stats::{mean, render_cdfs};
 use crate::testbed::Testbed;
-use iac_core::baseline;
-use iac_core::decoder::{equal_split_powers, IacDecoder};
 use iac_core::grid::Direction;
-use iac_core::optimize::{self, ScoringContext};
-use iac_linalg::{CMat, Rng64};
+use iac_core::optimize::ScoringContext;
+use iac_linalg::Rng64;
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 use std::collections::VecDeque;
+
+/// APs in the testbed: `ScoringContext` scores 3-AP groups only.
+const N_APS: usize = 3;
 
 /// The three §10.3 policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +63,6 @@ pub struct Fig15Config {
     pub base: ExperimentConfig,
     /// Clients with infinite demand (17 in the paper).
     pub n_clients: usize,
-    /// APs (3 in the paper).
-    pub n_aps: usize,
     /// Independent runs averaged per client (3 in the paper).
     pub runs: usize,
 }
@@ -75,7 +76,6 @@ impl Fig15Config {
                 ..ExperimentConfig::paper_default(seed)
             },
             n_clients: 17,
-            n_aps: 3,
             runs: 3,
         }
     }
@@ -88,7 +88,6 @@ impl Fig15Config {
                 ..ExperimentConfig::quick(seed)
             },
             n_clients: 8,
-            n_aps: 3,
             runs: 1,
         }
     }
@@ -132,78 +131,6 @@ impl Fig15Report {
     }
 }
 
-/// One slot of the IAC schedule: serve `group` (head first). Returns
-/// per-client rate contributions for this slot.
-#[allow(clippy::too_many_arguments)]
-fn iac_slot_rates(
-    testbed: &Testbed,
-    clients: &[usize],
-    aps: &[usize],
-    group: &[u16],
-    direction: Direction,
-    cfg: &ExperimentConfig,
-    rng: &mut Rng64,
-) -> Vec<(u16, f64)> {
-    let group_nodes: Vec<usize> = group.iter().map(|&c| clients[c as usize]).collect();
-    match direction {
-        Direction::Uplink => {
-            let grid = testbed.uplink_grid(&group_nodes, aps, rng);
-            let est = grid.estimated(&cfg.est, rng);
-            let Ok(config) = optimize::uplink4_optimized(&est, PER_NODE_POWER, NOISE) else {
-                return Vec::new();
-            };
-            let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
-            let Ok(out) = (IacDecoder {
-                true_grid: &grid,
-                est_grid: &est,
-                schedule: &config.schedule,
-                encoding: &config.encoding,
-                packet_power: powers,
-                noise_power: NOISE,
-            })
-            .decode() else {
-                return Vec::new();
-            };
-            // Packets 0,1 belong to the head (double sender); 2→group[1],
-            // 3→group[2].
-            out.sinrs
-                .iter()
-                .map(|p| {
-                    let client = match p.packet {
-                        0 | 1 => group[0],
-                        2 => group[1],
-                        _ => group[2],
-                    };
-                    (client, (1.0 + p.sinr).log2())
-                })
-                .collect()
-        }
-        Direction::Downlink => {
-            let grid = testbed.downlink_grid(aps, &group_nodes, rng);
-            let est = grid.estimated(&cfg.est, rng);
-            let Ok(config) = optimize::downlink3_optimized(&est, PER_NODE_POWER, NOISE) else {
-                return Vec::new();
-            };
-            let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
-            let Ok(out) = (IacDecoder {
-                true_grid: &grid,
-                est_grid: &est,
-                schedule: &config.schedule,
-                encoding: &config.encoding,
-                packet_power: powers,
-                noise_power: NOISE,
-            })
-            .decode() else {
-                return Vec::new();
-            };
-            out.sinrs
-                .iter()
-                .map(|p| (group[p.packet], (1.0 + p.sinr).log2()))
-                .collect()
-        }
-    }
-}
-
 /// Run the experiment for one direction.
 pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
     let mut outer_rng = Rng64::new(cfg.base.seed);
@@ -215,39 +142,19 @@ pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
 
     for _run in 0..cfg.runs {
         let mut rng = outer_rng.fork();
-        let testbed = Testbed::deploy(cfg.n_clients + cfg.n_aps, 2, &mut rng);
-        let (aps, clients) = testbed.pick_roles(cfg.n_aps, cfg.n_clients, &mut rng);
+        let testbed = Testbed::deploy(cfg.n_clients + N_APS, 2, &mut rng);
+        let (aps, clients) = testbed.pick_roles(N_APS, cfg.n_clients, &mut rng);
+        let draw = |nodes: &[usize], rng: &mut Rng64| {
+            draw_slot(&testbed, direction, nodes, &aps, &cfg.base.est, rng)
+        };
 
         // 802.11-MIMO TDMA baseline: slot k serves client k mod n.
         for slot in 0..cfg.base.slots {
             let c = slot % cfg.n_clients;
-            let node = clients[c];
-            let (grid, est) = match direction {
-                Direction::Uplink => {
-                    let g = testbed.uplink_grid(&[node], &aps, &mut rng);
-                    let e = g.estimated(&cfg.base.est, &mut rng);
-                    (g, e)
-                }
-                Direction::Downlink => {
-                    let g = testbed.downlink_grid(&aps, &[node], &mut rng);
-                    let e = g.estimated(&cfg.base.est, &mut rng);
-                    (g, e)
-                }
-            };
-            let (links_true, links_est): (Vec<CMat>, Vec<CMat>) = match direction {
-                Direction::Uplink => (
-                    (0..cfg.n_aps).map(|a| grid.link(0, a).clone()).collect(),
-                    (0..cfg.n_aps).map(|a| est.link(0, a).clone()).collect(),
-                ),
-                Direction::Downlink => (
-                    (0..cfg.n_aps).map(|a| grid.link(a, 0).clone()).collect(),
-                    (0..cfg.n_aps).map(|a| est.link(a, 0).clone()).collect(),
-                ),
-            };
+            let (grid, est) = draw(&[clients[c]], &mut rng);
             // A degenerate link scores 0.0.
-            baseline_rates[c] +=
-                baseline::best_ap_rate(&links_true, &links_est, PER_NODE_POWER, NOISE)
-                    .map_or(0.0, |(_, rate, _)| rate);
+            baseline_rates[c] += best_ap(&client_links(&grid, 0), &client_links(&est, 0))
+                .map_or(0.0, |(_, rate, _)| rate);
         }
 
         // IAC with each policy.
@@ -267,11 +174,7 @@ pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
                 // of this slot's channels. The transmission below draws
                 // fresh channels (and estimates) for the chosen group, so
                 // the leader scores on one draw and transmits on another.
-                let slot_grid = match direction {
-                    Direction::Uplink => testbed.uplink_grid(&clients, &aps, &mut policy_rng),
-                    Direction::Downlink => testbed.downlink_grid(&aps, &clients, &mut policy_rng),
-                };
-                let slot_est = slot_grid.estimated(&cfg.base.est, &mut policy_rng);
+                let (_, slot_est) = draw(&clients, &mut policy_rng);
                 let mut context =
                     ScoringContext::new(&slot_est, head as usize, PER_NODE_POWER, NOISE);
                 let mut score =
@@ -280,16 +183,22 @@ pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
                 let mut group = vec![head];
                 group.extend(companions);
                 if group.len() == 3 {
-                    for (client, rate) in iac_slot_rates(
-                        &testbed,
-                        &clients,
-                        &aps,
-                        &group,
-                        direction,
-                        &cfg.base,
-                        &mut policy_rng,
-                    ) {
-                        totals[client as usize] += rate;
+                    let nodes: Vec<usize> = group.iter().map(|&c| clients[c as usize]).collect();
+                    let (grid, est) = draw(&nodes, &mut policy_rng);
+                    let shape = match direction {
+                        Direction::Uplink => IacShape::Uplink4,
+                        Direction::Downlink => IacShape::Downlink3,
+                    };
+                    // A failed alignment or decode gives the group no rate.
+                    let out = iac_decode(&grid, &est, shape, &mut policy_rng);
+                    for p in out.iter().flat_map(|o| &o.sinrs) {
+                        // Uplink packets 0 and 1 belong to the head (the
+                        // double sender), 2 to group[1] and 3 to group[2].
+                        let client = match (direction, p.packet) {
+                            (Direction::Uplink, k) => group[k.saturating_sub(1)],
+                            (Direction::Downlink, k) => group[k],
+                        };
+                        totals[client as usize] += (1.0 + p.sinr).log2();
                     }
                 }
                 // Served clients re-enter at the back (infinite demand).
@@ -299,7 +208,6 @@ pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
                 }
             }
         }
-        let _ = rng;
     }
 
     // Gains: both sides normalised by the same slot budget, so the ratio of

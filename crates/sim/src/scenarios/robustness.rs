@@ -152,7 +152,7 @@ fn churn_phy(config: &ChurnConfig) -> CalibratedPhy {
     let testbed = Testbed::paper_default(&mut rng);
     let est = EstimationConfig::paper_default();
     let pool = netsim::calibrate_iac_pool(&testbed, &est, config.calibration_draws, &mut rng);
-    CalibratedPhy::new(pool, 0.5, 0.01, 3)
+    CalibratedPhy::new(pool)
 }
 
 /// What AP churn did to the run.
@@ -285,7 +285,7 @@ fn partition_phy(config: &PartitionConfig) -> CalibratedPhy {
     let est = EstimationConfig::paper_default();
     let iac = netsim::calibrate_iac_pool(&testbed, &est, config.calibration_draws, &mut rng);
     let mimo = netsim::calibrate_mimo_pool(&testbed, &est, config.calibration_draws, &mut rng);
-    CalibratedPhy::new(iac, 0.5, 0.01, 3).with_fallback_pool(mimo)
+    CalibratedPhy::new(iac).with_fallback_pool(mimo)
 }
 
 /// What the partitions did to the run.
@@ -465,12 +465,12 @@ fn aging_phys(config: &CsiAgingConfig) -> (Vec<CalibratedPhy>, CalibratedPhy) {
             let est = config.impairment(level).degrade(&base);
             let pool =
                 netsim::calibrate_iac_pool(&testbed, &est, config.calibration_draws, &mut rng);
-            CalibratedPhy::new(pool, 0.5, 0.01, 3)
+            CalibratedPhy::new(pool)
                 .with_fallback_pool(mimo_pool.clone())
                 .with_aging_penalty(config.aging_penalty_db_per_slot)
         })
         .collect();
-    let mimo_phy = CalibratedPhy::new(mimo_pool, 0.5, 0.01, 3);
+    let mimo_phy = CalibratedPhy::new(mimo_pool);
     (iac_phys, mimo_phy)
 }
 
