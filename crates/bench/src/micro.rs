@@ -11,6 +11,7 @@
 //! so the numbers reflect the DSP, not the allocator.
 
 use criterion::{BenchmarkId, Criterion};
+use iac_channel::estimation::EstimationConfig;
 use iac_channel::{Awgn, Cfo};
 use iac_core::decoder::{equal_split_powers, IacDecoder};
 use iac_core::grid::{ChannelGrid, Direction};
@@ -106,6 +107,24 @@ pub fn register_alignment(c: &mut Criterion) {
             })
         });
     }
+    // One Fig. 4b alignment as fig12 runs it per role order: eight seeds
+    // scored on the leader's estimate of a two-client, two-AP slot. Drawn
+    // last, so the grids above keep their draws.
+    let est = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng)
+        .estimated(&EstimationConfig::paper_default(), &mut rng);
+    group.bench_function("uplink3_optimized_8", |b| {
+        let mut seeds = Rng64::new(6);
+        b.iter(|| {
+            optimize::uplink3_optimized(
+                &est,
+                1.0,
+                1.0,
+                optimize::DEFAULT_SEED_CANDIDATES,
+                &mut seeds,
+            )
+            .unwrap()
+        })
+    });
     group.finish();
 }
 

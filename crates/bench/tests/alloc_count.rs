@@ -3,8 +3,8 @@
 //! project → equalize → cancel-reconstruct/subtract → planned FFT) runs on
 //! warm `_into` buffers, and the heap counter must not move. The same
 //! counter caps the heap traffic of one fig15 group score, through the
-//! optimisers and through the per-slot scoring context, and of one
-//! transmission group of the event-driven PCF MAC.
+//! optimisers and through the per-slot scoring context, of one Fig. 4b
+//! seed search, and of one transmission group of the event-driven PCF MAC.
 //!
 //! Registered with `harness = false` (a plain `fn main`): the measured
 //! window must be the only live thread in the process — libtest's harness
@@ -272,6 +272,12 @@ const CONTEXT_SCORE_CEILING: u64 = 0;
 /// predicted, one realised).
 const BEST_AP_CEILING: u64 = 20;
 
+/// Heap allocations of one `uplink3_optimized` call with eight seed
+/// candidates on a 2×2 estimate: the schedule's five `Vec`s, the power
+/// split and the returned encoding. The seeds, the lanes and their decodes
+/// live on the stack.
+const UPLINK3_ALLOCATIONS: u64 = 7;
+
 /// Most heap allocations the event-driven PCF MAC may make per transmission
 /// group, averaged over a window of a `des_load`-shaped IAC run (every event
 /// in the window counted: arrivals, beacons, groups, wire deliveries). What
@@ -420,9 +426,31 @@ fn best_ap_rate_stays_under_ceiling() {
     println!("alloc_count: one best-AP baseline rate made {count} heap allocations — ok");
 }
 
+/// One Fig. 4b alignment as fig12 runs it per role order: eight seeds
+/// scored on the leader's estimate of a two-client, two-AP slot.
+fn uplink3_optimized_allocations_are_pinned() {
+    let mut rng = Rng64::new(0x0303);
+    let est = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng)
+        .estimated(&EstimationConfig::paper_default(), &mut rng);
+    let before = allocations();
+    let optimized =
+        optimize::uplink3_optimized(&est, 1.0, 1.0, optimize::DEFAULT_SEED_CANDIDATES, &mut rng);
+    let count = allocations() - before;
+    assert!(optimized.expect("the slot aligns").rate > 0.0);
+    assert_eq!(
+        count, UPLINK3_ALLOCATIONS,
+        "one eight-seed uplink3_optimized call allocated {count} times \
+         (pinned at {UPLINK3_ALLOCATIONS})"
+    );
+    println!(
+        "alloc_count: one eight-seed uplink3_optimized call made {count} heap allocations — ok"
+    );
+}
+
 fn main() {
     group_scores_stay_under_ceiling();
     best_ap_rate_stays_under_ceiling();
+    uplink3_optimized_allocations_are_pinned();
     des_steady_state_is_allocation_free();
     observed_des_steady_state_is_allocation_free();
     pcf_group_stays_under_ceiling();

@@ -110,22 +110,49 @@ impl<G: Links> IacDecoder<'_, G> {
     /// they are [`CVec`]s. Both compute the same bits. A NaN SINR (from a
     /// NaN or infinite channel) is [`LinAlgError::Degenerate`].
     pub fn decode(&self) -> Result<DecodeOutcome> {
+        Chain {
+            true_grid: self.true_grid,
+            est_grid: self.est_grid,
+            one_grid: std::ptr::eq(self.true_grid, self.est_grid),
+            schedule: self.schedule,
+            packet_power: &self.packet_power,
+            noise_power: self.noise_power,
+        }
+        .decode(self.encoding)
+    }
+}
+
+/// [`IacDecoder`] with its grids read through `dyn Links`, so the step
+/// loop is compiled once per vector representation, not once per grid
+/// type as well. `one_grid` says the two grids are one object.
+pub(crate) struct Chain<'a> {
+    pub(crate) true_grid: &'a dyn Links,
+    pub(crate) est_grid: &'a dyn Links,
+    pub(crate) one_grid: bool,
+    pub(crate) schedule: &'a DecodeSchedule,
+    pub(crate) packet_power: &'a [f64],
+    pub(crate) noise_power: f64,
+}
+
+impl Chain<'_> {
+    /// [`IacDecoder::decode`] of `encoding`.
+    fn decode(&self, encoding: &[CVec]) -> Result<DecodeOutcome> {
         let mut sinrs = Vec::with_capacity(self.schedule.n_packets());
-        self.for_each_sinr(&mut |p| sinrs.push(p))?;
+        self.for_each_sinr(encoding, &mut |p| sinrs.push(p))?;
         Ok(DecodeOutcome { sinrs })
     }
 
-    /// [`DecodeOutcome::rate_bits_per_hz`] of [`IacDecoder::decode`], bit
-    /// for bit, with the SINRs summed from a stack buffer: a two-antenna
+    /// [`DecodeOutcome::rate_bits_per_hz`] of [`Chain::decode`], bit for
+    /// bit, with the SINRs summed from a stack buffer: a two-antenna
     /// decode of at most eight packets does not touch the heap.
-    pub(crate) fn rate(&self) -> Result<f64> {
+    pub(crate) fn rate(&self, encoding: &[CVec]) -> Result<f64> {
         let decoded: usize = self.schedule.steps.iter().map(|s| s.decode.len()).sum();
         if decoded > INLINE {
-            return self.decode().map(|o| o.rate_bits_per_hz());
+            return self.decode(encoding).map(|o| o.rate_bits_per_hz());
         }
         let mut sinrs = [0.0; INLINE];
         let mut len = 0;
-        self.for_each_sinr(&mut |p| {
+        self.for_each_sinr(encoding, &mut |p| {
             sinrs[len] = p.sinr;
             len += 1;
         })?;
@@ -133,29 +160,28 @@ impl<G: Links> IacDecoder<'_, G> {
     }
 
     /// Hand each packet's SINR to `sink`, in schedule order.
-    fn for_each_sinr(&self, sink: &mut dyn FnMut(PacketSinr)) -> Result<()> {
+    fn for_each_sinr(&self, encoding: &[CVec], sink: &mut dyn FnMut(PacketSinr)) -> Result<()> {
         let n = self.schedule.n_packets();
-        assert_eq!(self.encoding.len(), n);
+        assert_eq!(encoding.len(), n);
         assert_eq!(self.packet_power.len(), n);
-        let one_grid = std::ptr::eq(self.true_grid, self.est_grid);
-        if self.is_two_antenna() {
-            let mut encoding = [[C64::zero(); 2]; INLINE];
-            for (e, v) in encoding.iter_mut().zip(self.encoding) {
+        if self.is_two_antenna(encoding) {
+            let mut inline = [[C64::zero(); 2]; INLINE];
+            for (e, v) in inline.iter_mut().zip(encoding) {
                 *e = [v[0], v[1]];
             }
-            self.run(&encoding[..n], one_grid, sink)
+            self.run(&inline[..n], sink)
         } else {
-            self.run(self.encoding, one_grid, sink)
+            self.run(encoding, sink)
         }
     }
 
     /// Whether the decode can hold its vectors as `[C64; 2]`: two antennas,
     /// at most [`INLINE`] packets, two-entry encodings, and 2×2 links in
     /// both grids.
-    fn is_two_antenna(&self) -> bool {
+    fn is_two_antenna(&self, encoding: &[CVec]) -> bool {
         self.schedule.antennas == 2
             && self.schedule.n_packets() <= INLINE
-            && self.encoding.iter().all(|v| v.len() == 2)
+            && encoding.iter().all(|v| v.len() == 2)
             && self.est_grid.link_shape() == (2, 2)
             && self.true_grid.link_shape() == (2, 2)
     }
@@ -166,9 +192,9 @@ impl<G: Links> IacDecoder<'_, G> {
     fn run<V: AntennaVector>(
         &self,
         encoding: &[V],
-        one_grid: bool,
         sink: &mut dyn FnMut(PacketSinr),
     ) -> Result<()> {
+        let one_grid = self.one_grid;
         let n = self.schedule.n_packets();
         let most_decoded = self.schedule.steps.iter().map(|s| s.decode.len()).max();
         let mut interferers = Interferers::new(n);

@@ -19,14 +19,24 @@ pub enum Direction {
 }
 
 /// Channels addressed by `(transmitter, receiver)`: a whole
-/// [`ChannelGrid`], or a view of part of one. The decoder reads links
-/// through this, so a candidate group can be decoded in place.
+/// [`ChannelGrid`], or a view of part of one, or of one with its nodes in
+/// another order. The decoder and `optimize::uplink3_optimized` read links
+/// through this, so a candidate group or a role order is decoded in place.
 pub trait Links {
     /// Channel from transmitter `tx` to receiver `rx`.
     fn link(&self, tx: usize, rx: usize) -> &CMat;
 
     /// The `(rows, cols)` shape every link has.
     fn link_shape(&self) -> (usize, usize);
+
+    /// Which way the links point.
+    fn direction(&self) -> Direction;
+
+    /// Number of transmitters.
+    fn transmitters(&self) -> usize;
+
+    /// Number of receivers.
+    fn receivers(&self) -> usize;
 }
 
 impl Links for ChannelGrid {
@@ -37,6 +47,18 @@ impl Links for ChannelGrid {
     /// [`ChannelGrid::new`] checks that every link has this shape.
     fn link_shape(&self) -> (usize, usize) {
         (self.rx_antennas(), self.tx_antennas())
+    }
+
+    fn direction(&self) -> Direction {
+        ChannelGrid::direction(self)
+    }
+
+    fn transmitters(&self) -> usize {
+        ChannelGrid::transmitters(self)
+    }
+
+    fn receivers(&self) -> usize {
+        ChannelGrid::receivers(self)
     }
 }
 

@@ -1,14 +1,16 @@
-//! Lane-batched group scoring: the arithmetic of
-//! [`ScoringContext::score_batch`](crate::optimize::ScoringContext::score_batch).
+//! Lane-batched candidate scoring: the arithmetic of
+//! [`ScoringContext::score_batch`](crate::optimize::ScoringContext::score_batch)
+//! and of [`uplink3_optimized`](crate::optimize::uplink3_optimized).
 //!
-//! [`LANES`] groups are scored side by side, structure-of-arrays: every
-//! complex entry of every matrix and vector is a pair of `[f64; LANES]`,
-//! one slot per group, so each float operation of the per-group pipeline
-//! (products, `eig2`, normalisations, encodings, the two candidate decodes)
+//! [`LANES`] candidates (fig15's groups, or one slot's alignment seeds)
+//! are scored side by side, structure-of-arrays: every complex entry of
+//! every matrix and vector is a pair of `[f64; LANES]`, one slot per
+//! candidate, so each float operation of the per-candidate pipeline
+//! (products, `eig2`, normalisations, encodings, the candidate decodes)
 //! runs once for the whole chunk and the compiler emits it as one vector
 //! instruction.
 //!
-//! Each lane computes exactly what the scalar path computes for its group:
+//! Each lane computes exactly what the scalar path computes for its candidate:
 //! the same float operations on the same operands in the same order.
 //! `mul_add` appears exactly where [`CMat::mul_mat`](iac_linalg::CMat::mul_mat),
 //! `CMat::mul_vec` and [`C64::mul_add`] fuse, and plain mul/add where
@@ -19,10 +21,10 @@
 //! test, the decoding vector's phase normalisation, the eigenvector order)
 //! are per-lane selects of values both sides compute.
 //!
-//! A lane whose group the scalar path would end in an error (a failed
+//! A lane whose candidate the scalar path would end in an error (a failed
 //! normalisation, a non-finite covariance or eigenvalue, a NaN SINR), or
 //! whose 2×2 Jacobi iteration would not stop after exactly one rotation,
-//! is reported not `ok`; the caller scores that group on the scalar path.
+//! is reported not `ok`; the caller scores it on the scalar path.
 
 use crate::rate::sum_rates;
 use iac_linalg::C64;
@@ -515,6 +517,58 @@ pub(crate) fn downlink(c: &DownlinkChunk, powers: [f64; 3], noise: f64) -> (F, M
         rate(&ok, [s0, s1, s2])
     });
     (better(rates[0], rates[1]), ok)
+}
+
+/// The links `uplink3_optimized` reads, the same in every lane. `H(c, r)`
+/// is client `c`'s link to AP `r`.
+pub(crate) struct Uplink3Links {
+    /// `H(0, 0)`, `H(0, 1)`, `H(1, 0)`, `H(1, 1)`.
+    pub(crate) h: [M; 4],
+    /// `H(0, 0)⁻¹`, `H(1, 0)⁻¹`.
+    pub(crate) inv: [M; 2],
+}
+
+/// A unit 2-vector per lane, stored lane-major: a seed, or one packet's
+/// encoding.
+pub(crate) type Encoding = [[C64; 2]; LANES];
+
+/// One chunk of `uplink3_optimized`'s alignment seeds `g`, one per lane:
+/// each lane's predicted rate and its encoding `[v0, v1, v2]`. `powers` is
+/// the Fig. 4b schedule's power split.
+#[inline(never)]
+pub(crate) fn uplink3(
+    links: &Uplink3Links,
+    seeds: &Encoding,
+    powers: [f64; 3],
+    noise: f64,
+) -> (F, Mask, [Encoding; 3]) {
+    let mut ok = [true; LANES];
+    let [h00, h01, h10, h11] = &links.h;
+    let g = [0, 1].map(|k| Z::from_fn(|l| seeds[l][k]));
+    // Both chains align at AP0 along g; AP0's projection is orthogonal to
+    // the aligned pair, and the free packet v0 is beamformed to it.
+    let v1 = normalize(&mul_vec(&links.inv[0], &g), &mut ok);
+    let v2 = normalize(&mul_vec(&links.inv[1], &g), &mut ok);
+    let aligned = mul_vec(h00, &v1);
+    let u0 = normalize(&[-aligned[1].conj(), aligned[0].conj()], &mut ok);
+    let h00_h = [h00[0].conj(), h00[2].conj(), h00[1].conj(), h00[3].conj()];
+    let v0 = normalize(&mul_vec(&h00_h, &u0), &mut ok);
+    // AP0 decodes p0 under p1 and p2; AP1 cancels p0 and decodes p1 and
+    // p2 against each other.
+    let [p0, p1, p2] = powers;
+    let e2 = mul_vec(h10, &v2);
+    let s0 = packet(
+        &mul_vec(h00, &v0),
+        p0,
+        [(&aligned, p1), (&e2, p2)],
+        noise,
+        &mut ok,
+    );
+    let (e1, e2) = (mul_vec(h01, &v1), mul_vec(h11, &v2));
+    let s1 = packet(&e1, p1, [(&e2, p2)], noise, &mut ok);
+    let s2 = packet(&e2, p2, [(&e1, p1)], noise, &mut ok);
+    let encodings = [v0, v1, v2].map(|v| std::array::from_fn(|l| [v[0].get(l), v[1].get(l)]));
+    (rate(&ok, [s0, s1, s2]), ok, encodings)
 }
 
 #[cfg(test)]

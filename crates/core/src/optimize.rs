@@ -16,7 +16,7 @@
 //! they just choose better members of the solution family.
 
 use crate::closed_form::AlignedConfig;
-use crate::decoder::{equal_split_powers, IacDecoder};
+use crate::decoder::{equal_split_powers, Chain};
 use crate::grid::{ChannelGrid, Direction, Links};
 use crate::lanes::{self, DownlinkChunk, UplinkChunk, LANES};
 use crate::schedule::{DecodeSchedule, DecodeStep};
@@ -35,39 +35,30 @@ pub fn predicted_rate(
     per_node_power: f64,
     noise: f64,
 ) -> f64 {
-    let mut powers = equal_split_powers(&config.schedule, per_node_power);
-    rate_on_estimates(
-        est_grid,
-        &config.schedule,
-        &config.encoding,
-        &mut powers,
-        noise,
-    )
+    let powers = equal_split_powers(&config.schedule, per_node_power);
+    rate_on_estimates(est_grid, &config.schedule, &config.encoding, &powers, noise)
 }
 
 /// The body of [`predicted_rate`], for callers that hold the schedule and
-/// the power split already. The decoder borrows `packet_power` for the
-/// call and hands it back, so a caller scoring many candidates never
-/// copies it. A decode that fails, a NaN SINR from a non-finite estimate
-/// included, scores 0.0.
-fn rate_on_estimates<G: Links>(
-    est_grid: &G,
+/// the power split already. A decode that fails, a NaN SINR from a
+/// non-finite estimate included, scores 0.0.
+fn rate_on_estimates(
+    est_grid: &dyn Links,
     schedule: &DecodeSchedule,
     encoding: &[CVec],
-    packet_power: &mut Vec<f64>,
+    packet_power: &[f64],
     noise: f64,
 ) -> f64 {
-    let decoder = IacDecoder {
+    Chain {
         true_grid: est_grid,
         est_grid,
+        one_grid: true,
         schedule,
-        encoding,
-        packet_power: std::mem::take(packet_power),
+        packet_power,
         noise_power: noise,
-    };
-    let rate = decoder.rate().unwrap_or(0.0);
-    *packet_power = decoder.packet_power;
-    rate
+    }
+    .rate(encoding)
+    .unwrap_or(0.0)
 }
 
 /// An optimiser's chosen configuration and the predicted rate it won with.
@@ -92,19 +83,19 @@ impl Deref for Optimized {
 
 /// Scores candidate encodings for one schedule and keeps the best; the
 /// first of equal scores wins.
-struct Contest<'a, G, E> {
-    links: &'a G,
+struct Contest<'a, E> {
+    links: &'a dyn Links,
     schedule: &'a DecodeSchedule,
-    powers: &'a mut Vec<f64>,
+    powers: &'a [f64],
     noise: f64,
     best: Option<(f64, E)>,
 }
 
-impl<'a, G: Links, E: AsRef<[CVec]>> Contest<'a, G, E> {
+impl<'a, E: AsRef<[CVec]>> Contest<'a, E> {
     fn new(
-        links: &'a G,
+        links: &'a dyn Links,
         schedule: &'a DecodeSchedule,
-        powers: &'a mut Vec<f64>,
+        powers: &'a [f64],
         noise: f64,
     ) -> Self {
         Self {
@@ -141,9 +132,20 @@ fn matched_encoding(h: &CMat, u: &CVec) -> Result<CVec> {
 /// For each candidate aligned direction `g` at AP 0: derive
 /// `v1 = H(0,0)⁻¹·g`, `v2 = H(1,0)⁻¹·g` (so Eq. 2 holds by construction),
 /// set the AP-0 projection `u0 ⟂ g`, beamform the free packet
-/// `v0 = H(0,0)ᴴ·u0`, and keep the candidate with the best predicted rate.
+/// `v0 = H(0,0)ᴴ·u0`, and keep the candidate with the best predicted rate,
+/// the first of equal rates.
+///
+/// `est_grid` is a [`ChannelGrid`] or a view of one, such as the grid with
+/// its two clients' roles swapped. On 2×2 links the candidates are scored
+/// [`ScoringContext::LANES`] at a time by a kernel that repeats the scalar
+/// path's float operations per lane (`crate::lanes`). If any lane cannot
+/// be scored exactly as the scalar path does (a failed normalisation, a
+/// NaN SINR, a Jacobi iteration that does not stop after one rotation),
+/// `rng` is rewound and the whole call runs on the scalar path, which
+/// returns the first failed normalisation's error after drawing only the
+/// seeds up to it.
 pub fn uplink3_optimized(
-    est_grid: &ChannelGrid,
+    est_grid: &dyn Links,
     per_node_power: f64,
     noise: f64,
     candidates: usize,
@@ -173,20 +175,37 @@ pub fn uplink3_optimized(
     };
     let h00_inv = est_grid.link(0, 0).inverse()?;
     let h10_inv = est_grid.link(1, 0).inverse()?;
-    let mut powers = equal_split_powers(&schedule, per_node_power);
-    let mut contest = Contest::new(est_grid, &schedule, &mut powers, noise);
-    for _ in 0..candidates.max(1) {
-        let g = CVec::random_unit(2, rng);
-        let v1 = h00_inv.mul_vec(&g).normalize()?;
-        let v2 = h10_inv.mul_vec(&g).normalize()?;
-        // The actual aligned direction (recomputed from v1 to stay exact
-        // under the normalisation).
-        let aligned = est_grid.link(0, 0).mul_vec(&v1);
-        let u0 = aligned.orth_2d()?;
-        let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
-        contest.offer([v0, v1, v2]);
-    }
-    let (rate, encoding) = contest.best.expect("candidates >= 1");
+    let powers = equal_split_powers(&schedule, per_node_power);
+    let candidates = candidates.max(1);
+    let in_lanes = match est_grid.link_shape() {
+        (2, 2) => uplink3_in_lanes(
+            [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(t, r)| entries(est_grid.link(t, r))),
+            [entries(&h00_inv), entries(&h10_inv)],
+            &powers,
+            noise,
+            candidates,
+            rng,
+        ),
+        _ => None,
+    };
+    let (rate, encoding) = match in_lanes {
+        Some(best) => best,
+        None => {
+            let mut contest = Contest::new(est_grid, &schedule, &powers, noise);
+            for _ in 0..candidates {
+                let g = CVec::random_unit(2, rng);
+                let v1 = h00_inv.mul_vec(&g).normalize()?;
+                let v2 = h10_inv.mul_vec(&g).normalize()?;
+                // The actual aligned direction (recomputed from v1 to stay
+                // exact under the normalisation).
+                let aligned = est_grid.link(0, 0).mul_vec(&v1);
+                let u0 = aligned.orth_2d()?;
+                let v0 = matched_encoding(est_grid.link(0, 0), &u0)?;
+                contest.offer([v0, v1, v2]);
+            }
+            contest.best.expect("candidates >= 1")
+        }
+    };
     Ok(Optimized {
         config: AlignedConfig {
             schedule,
@@ -194,6 +213,56 @@ pub fn uplink3_optimized(
         },
         rate,
     })
+}
+
+/// [`uplink3_optimized`]'s candidate loop on the 2×2 links `H(0,0)`,
+/// `H(0,1)`, `H(1,0)`, `H(1,1)` and the inverses `H(0,0)⁻¹`, `H(1,0)⁻¹`,
+/// [`LANES`] seeds at a time: the seeds are drawn from `rng` in candidate
+/// order, and the winner is picked in that order by `Contest`'s rule.
+/// `None`, with `rng` as it was, when any lane is not `ok`.
+fn uplink3_in_lanes(
+    links: [&[C64; 4]; 4],
+    inv: [&[C64; 4]; 2],
+    powers: &[f64],
+    noise: f64,
+    candidates: usize,
+    rng: &mut Rng64,
+) -> Option<(f64, [CVec; 3])> {
+    let start = rng.clone();
+    let links = lanes::Uplink3Links {
+        h: links.map(lanes::splat),
+        inv: inv.map(lanes::splat),
+    };
+    let powers = powers
+        .try_into()
+        .expect("the Fig. 4b schedule has 3 packets");
+    let mut best: Option<(f64, [[C64; 2]; 3])> = None;
+    let mut drawn = 0;
+    while drawn < candidates {
+        let len = (candidates - drawn).min(LANES);
+        // A short chunk repeats its first seed in the spare lanes.
+        let mut seeds = [[C64::zero(); 2]; LANES];
+        for seed in &mut seeds[..len] {
+            let g = CVec::random_unit(2, rng);
+            *seed = [g[0], g[1]];
+        }
+        let first = seeds[0];
+        seeds[len..].fill(first);
+        drawn += len;
+        let (rates, ok, encodings) = lanes::uplink3(&links, &seeds, powers, noise);
+        if !ok[..len].iter().all(|&ok| ok) {
+            *rng = start;
+            #[cfg(test)]
+            tests::UPLINK3_FALLBACKS.set(tests::UPLINK3_FALLBACKS.get() + 1);
+            return None;
+        }
+        for (l, &rate) in rates[..len].iter().enumerate() {
+            if best.as_ref().map(|(s, _)| rate > *s).unwrap_or(true) {
+                best = Some((rate, encodings.map(|v| v[l])));
+            }
+        }
+    }
+    best.map(|(rate, encoding)| (rate, encoding.map(|v| v.into_iter().collect())))
 }
 
 /// Optimised four-packet uplink (Fig. 5 / footnote 4).
@@ -689,6 +758,18 @@ impl Links for GroupLinks<'_> {
     fn link_shape(&self) -> (usize, usize) {
         self.grid.link_shape()
     }
+
+    fn direction(&self) -> Direction {
+        self.grid.direction()
+    }
+
+    fn transmitters(&self) -> usize {
+        self.tx.len()
+    }
+
+    fn receivers(&self) -> usize {
+        self.rx.len()
+    }
 }
 
 #[cfg(test)]
@@ -701,6 +782,37 @@ mod tests {
         pub(super) static ROUTED: std::cell::RefCell<Vec<[u16; 2]>> = const {
             std::cell::RefCell::new(Vec::new())
         };
+        /// The `uplink3_optimized` calls that ran on the scalar path.
+        pub(super) static UPLINK3_FALLBACKS: std::cell::Cell<usize> = const {
+            std::cell::Cell::new(0)
+        };
+    }
+
+    /// Nearly every `uplink3_optimized` call on random estimates scores
+    /// its seeds in lanes: a call that always fell back would match the
+    /// scalar path bit for bit and gain nothing. A zero link to AP1 makes
+    /// every seed's image there zero, so each of those calls falls back.
+    #[test]
+    fn lanes_score_nearly_every_uplink3_call() {
+        let mut rng = Rng64::new(31);
+        let est = iac_channel::estimation::EstimationConfig::paper_default();
+        let calls = 500;
+        UPLINK3_FALLBACKS.set(0);
+        for _ in 0..calls {
+            let grid = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng)
+                .estimated(&est, &mut rng);
+            uplink3_optimized(&grid, 1.0, 1.0, DEFAULT_SEED_CANDIDATES, &mut rng).unwrap();
+        }
+        let fallbacks = UPLINK3_FALLBACKS.get();
+        assert!(
+            fallbacks * 100 <= calls,
+            "{fallbacks} of {calls} calls fell back"
+        );
+        let grid = ChannelGrid::random(Direction::Uplink, 2, 2, 2, 2, &mut rng);
+        let grid = with_link(&grid, 1, 1, &CMat::zeros(2, 2));
+        UPLINK3_FALLBACKS.set(0);
+        let _ = uplink3_optimized(&grid, 1.0, 1.0, DEFAULT_SEED_CANDIDATES, &mut rng);
+        assert_eq!(UPLINK3_FALLBACKS.get(), 1);
     }
 
     #[test]

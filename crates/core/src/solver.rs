@@ -387,9 +387,9 @@ impl<V: AntennaVector> Images<V> {
 
     /// Compute `slot[q] = grid.link(owner(q), receiver)·encoding[q]` for
     /// each listed packet; other slots keep what they held.
-    pub(crate) fn fill<'p, G: Links>(
+    pub(crate) fn fill<'p>(
         &mut self,
-        grid: &G,
+        grid: &dyn Links,
         schedule: &DecodeSchedule,
         receiver: usize,
         packets: impl IntoIterator<Item = &'p usize>,

@@ -24,9 +24,10 @@
 
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
+use iac_core::baseline;
 use iac_core::decoder::{equal_split_powers, DecodeOutcome, IacDecoder};
-use iac_core::grid::{ChannelGrid, Direction};
-use iac_core::{baseline, optimize};
+use iac_core::grid::{ChannelGrid, Direction, Links};
+use iac_core::optimize::{self, Optimized};
 use iac_linalg::{CMat, Rng64};
 
 /// The workspace-wide default master seed (spells "IAC 2009"). Used when a
@@ -178,19 +179,58 @@ pub(crate) fn draw_slot(
 }
 
 /// IAC 3-packet uplink slot (Fig. 4b), with the paper's role alternation:
-/// average of "client 0 doubles" and "client 1 doubles".
+/// average of "client 0 doubles" and "client 1 doubles". The second order
+/// reads both grids through [`Swapped`], so no link is copied.
 pub(crate) fn iac_uplink3_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     rng: &mut Rng64,
 ) -> f64 {
     let mut acc = 0.0;
-    for order in [&[0usize, 1][..], &[1usize, 0][..]] {
-        let gt = permute_transmitters(grid_true, order);
-        let ge = permute_transmitters(grid_est, order);
-        acc += iac_decode(&gt, &ge, IacShape::Uplink3, rng).map_or(0.0, |o| o.rate_bits_per_hz());
-    }
+    acc += iac_uplink3_rate(grid_true, grid_est, rng);
+    acc += iac_uplink3_rate(&Swapped(grid_true), &Swapped(grid_est), rng);
     acc / 2.0
+}
+
+/// One role order of [`iac_uplink3_slot`]: the Eq. 9 rate of
+/// `optimize::uplink3_optimized`'s alignment, 0.0 where it fails.
+fn iac_uplink3_rate<G: Links>(grid_true: &G, grid_est: &G, rng: &mut Rng64) -> f64 {
+    iac_decode(grid_true, grid_est, |est| {
+        optimize::uplink3_optimized(
+            est,
+            PER_NODE_POWER,
+            NOISE,
+            optimize::DEFAULT_SEED_CANDIDATES,
+            rng,
+        )
+    })
+    .map_or(0.0, |o| o.rate_bits_per_hz())
+}
+
+/// A two-transmitter grid with its transmitters swapped, read in place:
+/// link `(t, r)` is the grid's link `(1 - t, r)`.
+struct Swapped<'g>(&'g ChannelGrid);
+
+impl Links for Swapped<'_> {
+    fn link(&self, tx: usize, rx: usize) -> &CMat {
+        self.0.link(1 - tx, rx)
+    }
+
+    fn link_shape(&self) -> (usize, usize) {
+        self.0.link_shape()
+    }
+
+    fn direction(&self) -> Direction {
+        self.0.direction()
+    }
+
+    fn transmitters(&self) -> usize {
+        self.0.transmitters()
+    }
+
+    fn receivers(&self) -> usize {
+        self.0.receivers()
+    }
 }
 
 /// IAC 4-packet uplink slot (Fig. 5), rotating which client uploads two
@@ -200,61 +240,39 @@ pub(crate) fn iac_uplink4_slot(
     grid_true: &ChannelGrid,
     grid_est: &ChannelGrid,
     double_client: usize,
-    rng: &mut Rng64,
 ) -> f64 {
     let n = grid_true.transmitters();
     debug_assert_eq!(n, 3);
     let order: Vec<usize> = (0..n).map(|k| (double_client + k) % n).collect();
     let gt = permute_transmitters(grid_true, &order);
     let ge = permute_transmitters(grid_est, &order);
-    iac_decode(&gt, &ge, IacShape::Uplink4, rng).map_or(0.0, |o| o.rate_bits_per_hz())
+    iac_decode(&gt, &ge, |est| {
+        optimize::uplink4_optimized(est, PER_NODE_POWER, NOISE)
+    })
+    .map_or(0.0, |o| o.rate_bits_per_hz())
 }
 
 /// IAC 3-packet downlink slot (Fig. 6).
-pub(crate) fn iac_downlink3_slot(
-    grid_true: &ChannelGrid,
-    grid_est: &ChannelGrid,
-    rng: &mut Rng64,
-) -> f64 {
-    iac_decode(grid_true, grid_est, IacShape::Downlink3, rng).map_or(0.0, |o| o.rate_bits_per_hz())
+pub(crate) fn iac_downlink3_slot(grid_true: &ChannelGrid, grid_est: &ChannelGrid) -> f64 {
+    iac_decode(grid_true, grid_est, |est| {
+        optimize::downlink3_optimized(est, PER_NODE_POWER, NOISE)
+    })
+    .map_or(0.0, |o| o.rate_bits_per_hz())
 }
 
-/// The alignment an IAC slot runs.
-pub(crate) enum IacShape {
-    /// Two clients, three packets (Fig. 4b): `optimize::uplink3_optimized`.
-    Uplink3,
-    /// Three clients, four packets, client 0 sending two (Fig. 5):
-    /// `optimize::uplink4_optimized`.
-    Uplink4,
-    /// Three APs, three packets (Fig. 6): `optimize::downlink3_optimized`.
-    Downlink3,
-}
-
-/// The IAC side of a §10(e) slot: align with `shape` on the leader's
-/// estimate `grid_est`, then decode on the true grid `grid_true`, where
+/// The IAC side of a §10(e) slot: `align` (one of the `optimize`
+/// optimisers) runs on the leader's estimate `grid_est`, then the chosen
+/// configuration is decoded on the true grid `grid_true`, where
 /// cancellation subtracts what the estimate predicts. `None` when the
 /// alignment or the decode fails on a degenerate draw; the leader would
 /// fall back to plain MIMO, and every caller counts that slot as no IAC
-/// rate, which is pessimistic for IAC and therefore safe. Only
-/// [`IacShape::Uplink3`] draws from `rng` (its seed candidates).
-pub(crate) fn iac_decode(
-    grid_true: &ChannelGrid,
-    grid_est: &ChannelGrid,
-    shape: IacShape,
-    rng: &mut Rng64,
+/// rate, which is pessimistic for IAC and therefore safe.
+pub(crate) fn iac_decode<G: Links>(
+    grid_true: &G,
+    grid_est: &G,
+    align: impl FnOnce(&G) -> iac_linalg::Result<Optimized>,
 ) -> Option<DecodeOutcome> {
-    let config = match shape {
-        IacShape::Uplink3 => optimize::uplink3_optimized(
-            grid_est,
-            PER_NODE_POWER,
-            NOISE,
-            optimize::DEFAULT_SEED_CANDIDATES,
-            rng,
-        ),
-        IacShape::Uplink4 => optimize::uplink4_optimized(grid_est, PER_NODE_POWER, NOISE),
-        IacShape::Downlink3 => optimize::downlink3_optimized(grid_est, PER_NODE_POWER, NOISE),
-    }
-    .ok()?;
+    let config = align(grid_est).ok()?;
     let powers = equal_split_powers(&config.schedule, PER_NODE_POWER);
     IacDecoder {
         true_grid: grid_true,
@@ -298,6 +316,29 @@ mod tests {
         let p = permute_transmitters(&g, &[1, 0]);
         assert_eq!(p.link(0, 0), g.link(1, 0));
         assert_eq!(p.link(1, 1), g.link(0, 1));
+    }
+
+    /// The swapped role order of `iac_uplink3_slot` reads both grids
+    /// through `Swapped`: it must give the bits, and leave the RNG where,
+    /// a decode on transmitter-permuted copies does.
+    #[test]
+    fn swapped_view_matches_a_permuted_copy() {
+        let (tb, mut rng) = fixture(10);
+        let cfg = ExperimentConfig::quick(10);
+        for _ in 0..20 {
+            let (aps, clients) = tb.pick_roles(2, 2, &mut rng);
+            let (g, e) = draw_slot(&tb, Direction::Uplink, &clients, &aps, &cfg.est, &mut rng);
+            let (g_copy, e_copy) = (
+                permute_transmitters(&g, &[1, 0]),
+                permute_transmitters(&e, &[1, 0]),
+            );
+            let (mut view_rng, mut copy_rng) = (rng.clone(), rng.clone());
+            let view = iac_uplink3_rate(&Swapped(&g), &Swapped(&e), &mut view_rng);
+            let copy = iac_uplink3_rate(&g_copy, &e_copy, &mut copy_rng);
+            assert!(view > 0.0);
+            assert_eq!(view.to_bits(), copy.to_bits());
+            assert_eq!(view_rng.next_u64(), copy_rng.next_u64());
+        }
     }
 
     #[test]
@@ -348,7 +389,7 @@ mod tests {
             let g = tb.downlink_grid(&aps, &clients, &mut rng);
             let e = g.estimated(&cfg.est, &mut rng);
             base += baseline_slot(&g, &e);
-            iac += iac_downlink3_slot(&g, &e, &mut rng);
+            iac += iac_downlink3_slot(&g, &e);
         }
         let gain = iac / base;
         assert!(gain > 1.0, "downlink3 gain {gain} too small");
@@ -363,8 +404,8 @@ mod tests {
         let g = tb.uplink_grid(&clients, &aps, &mut rng);
         let e = g.estimated(&cfg.est, &mut rng);
         // Different double-clients give (generically) different rates.
-        let r0 = iac_uplink4_slot(&g, &e, 0, &mut rng);
-        let r1 = iac_uplink4_slot(&g, &e, 1, &mut rng);
+        let r0 = iac_uplink4_slot(&g, &e, 0);
+        let r1 = iac_uplink4_slot(&g, &e, 1);
         assert!(r0 > 0.0 && r1 > 0.0);
         assert!((r0 - r1).abs() > 1e-9, "rotation had no effect");
     }

@@ -9,10 +9,11 @@
 //! observing engine lane, or the replay CLI), a live or replayed run writes
 //! its `des.*` and `mac.*` telemetry into it once the run has finished.
 
-use crate::experiment::{best_ap, client_links, draw_slot, iac_decode, IacShape};
+use crate::experiment::{best_ap, client_links, draw_slot, iac_decode, NOISE, PER_NODE_POWER};
 use crate::testbed::Testbed;
 use iac_channel::estimation::EstimationConfig;
 use iac_core::grid::Direction;
+use iac_core::optimize::downlink3_optimized;
 use iac_des::fault::{FaultAt, FaultInjector};
 use iac_des::net::{NetEvent, TrafficSource, WiredSink};
 use iac_des::pcf::{EventPcf, EventPcfConfig};
@@ -144,7 +145,8 @@ pub(crate) fn calibrate_iac_pool(
     for _ in 0..draws {
         let (aps, clients) = testbed.pick_roles(3, 3, rng);
         let (grid, est_grid) = draw_slot(testbed, Direction::Downlink, &clients, &aps, est, rng);
-        if let Some(out) = iac_decode(&grid, &est_grid, IacShape::Downlink3, rng) {
+        let align = |est: &_| downlink3_optimized(est, PER_NODE_POWER, NOISE);
+        if let Some(out) = iac_decode(&grid, &est_grid, align) {
             pool.extend(out.sinrs.iter().map(|p| p.sinr));
         }
     }

@@ -53,8 +53,8 @@ pub fn run(cfg: &ExperimentConfig, direction: Direction) -> Fig13Report {
             let (grid, est) = draw_slot(tb, direction, &clients, &aps, &cfg.est, rng);
             base += baseline_slot(&grid, &est);
             iac += match direction {
-                Direction::Uplink => iac_uplink4_slot(&grid, &est, slot % 3, rng),
-                Direction::Downlink => iac_downlink3_slot(&grid, &est, rng),
+                Direction::Uplink => iac_uplink4_slot(&grid, &est, slot % 3),
+                Direction::Downlink => iac_downlink3_slot(&grid, &est),
             };
         }
         ScatterPoint {

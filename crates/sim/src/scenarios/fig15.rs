@@ -9,12 +9,12 @@
 //! fairness-throughput tradeoff.
 
 use crate::experiment::{
-    best_ap, client_links, draw_slot, iac_decode, ExperimentConfig, IacShape, NOISE, PER_NODE_POWER,
+    best_ap, client_links, draw_slot, iac_decode, ExperimentConfig, NOISE, PER_NODE_POWER,
 };
 use crate::stats::{mean, render_cdfs};
 use crate::testbed::Testbed;
 use iac_core::grid::Direction;
-use iac_core::optimize::ScoringContext;
+use iac_core::optimize::{downlink3_optimized, uplink4_optimized, ScoringContext};
 use iac_linalg::Rng64;
 use iac_mac::concurrency::{BestOfTwo, BruteForce, FifoPolicy, GroupPolicy};
 use std::collections::VecDeque;
@@ -185,12 +185,11 @@ pub fn run(cfg: &Fig15Config, direction: Direction) -> Fig15Report {
                 if group.len() == 3 {
                     let nodes: Vec<usize> = group.iter().map(|&c| clients[c as usize]).collect();
                     let (grid, est) = draw(&nodes, &mut policy_rng);
-                    let shape = match direction {
-                        Direction::Uplink => IacShape::Uplink4,
-                        Direction::Downlink => IacShape::Downlink3,
-                    };
                     // A failed alignment or decode gives the group no rate.
-                    let out = iac_decode(&grid, &est, shape, &mut policy_rng);
+                    let out = iac_decode(&grid, &est, |est| match direction {
+                        Direction::Uplink => uplink4_optimized(est, PER_NODE_POWER, NOISE),
+                        Direction::Downlink => downlink3_optimized(est, PER_NODE_POWER, NOISE),
+                    });
                     for p in out.iter().flat_map(|o| &o.sinrs) {
                         // Uplink packets 0 and 1 belong to the head (the
                         // double sender), 2 to group[1] and 3 to group[2].
